@@ -35,13 +35,13 @@ from statistics import median
 from conftest import OUT_DIR, save_output
 
 from repro.eval import render_table
-from repro.logs.normalize import normalize_dns_records
+from repro.logs import format_dns_line
 from repro.logs.reduction import ReductionFunnel
 from repro.obs.metrics import MetricsRegistry
 from repro.profiling.history import DestinationHistory
 from repro.profiling.rare import DailyTraffic, extract_rare_domains
 from repro.runner import detect_on_traffic
-from repro.streaming import StreamingDetector, dns_batch_stream
+from repro.streaming import StreamingDetector
 from repro.synthetic import generate_lanl_dataset
 from repro.synthetic.lanl import LanlConfig
 
@@ -69,20 +69,21 @@ def _bootstrap(dataset, metrics=None) -> StreamingDetector:
         server_ips=dataset.server_ips,
         metrics=metrics,
     )
-    detector.submit_raw(dataset.day_records(1))
+    detector.submit_lines(map(format_dns_line, dataset.day_records(1)))
     detector.poll()
     detector.rollover(detect=False)
     return detector
 
 
-def _stream_day(dataset, records, metrics=None):
+def _stream_day(dataset, lines, metrics=None):
     """One streaming pass over a day: micro-batches, score per batch.
 
-    Uses the fused columnar ingress (:func:`dns_batch_stream`), which
-    is the deployment-shaped hot path; detections are asserted equal
-    to the scalar batch pass, so the comparison stays apples-to-apples
-    on outcome.  Returns ``(elapsed, per_event_latencies, streamed,
-    report)``.
+    Reads the day's log lines through
+    :meth:`ReductionFunnel.read_lines` -- the function ``repro-detect
+    stream`` itself calls per file -- so the number is the CLI's hot
+    path, parsing included; detections are asserted equal to the batch
+    pass over the same lines.  Returns ``(elapsed,
+    per_event_latencies, streamed, report)``.
     """
     detector = _bootstrap(dataset, metrics)
     latencies = []
@@ -92,10 +93,7 @@ def _stream_day(dataset, records, metrics=None):
     # interleaved best-of-N runs otherwise cross-contaminate).
     gc.collect()
     start = time.perf_counter()
-    for batch in dns_batch_stream(
-        iter(records), detector.funnel, fold_level=3,
-        batch_size=MICRO_BATCH,
-    ):
+    for batch in detector.funnel.read_lines(lines, MICRO_BATCH):
         t0 = time.perf_counter()
         detector.submit(batch)
         detector.poll()
@@ -107,8 +105,9 @@ def _stream_day(dataset, records, metrics=None):
     return elapsed, latencies, streamed, report, detector
 
 
-def _batch_day(dataset, history: DestinationHistory, records) -> tuple[float, set]:
-    """One bulk pass, timed: reduce, aggregate, detect."""
+def _batch_day(dataset, history: DestinationHistory, lines) -> tuple[float, set]:
+    """One bulk pass, timed: parse + reduce, aggregate, detect (what
+    ``repro-detect run`` does per file)."""
     detector = StreamingDetector(
         internal_suffixes=dataset.internal_suffixes,
         server_ips=dataset.server_ips,
@@ -118,12 +117,8 @@ def _batch_day(dataset, history: DestinationHistory, records) -> tuple[float, se
     funnel = ReductionFunnel(
         dataset.internal_suffixes, dataset.server_ips, fold_level=3
     )
-    connections = list(
-        normalize_dns_records(funnel.reduce(records), fold_level=3)
-    )
     traffic = DailyTraffic(1)
-    traffic.ingest(connections)
-    traffic.finalize()
+    n_events = traffic.ingest(funnel.read_lines(lines)).n_events
     rare = extract_rare_domains(traffic, history, unpopular_max_hosts=10)
     detection = detect_on_traffic(
         traffic, rare,
@@ -132,7 +127,7 @@ def _batch_day(dataset, history: DestinationHistory, records) -> tuple[float, se
         config=detector.config,
     )
     elapsed = time.perf_counter() - start
-    return elapsed, set(detection.detected), len(connections)
+    return elapsed, set(detection.detected), n_events
 
 
 def test_streaming_throughput():
@@ -140,12 +135,12 @@ def test_streaming_throughput():
     results = []
     for name, config in SCALES:
         dataset = generate_lanl_dataset(config)
-        records = dataset.day_records(2)
+        lines = [format_dns_line(r) for r in dataset.day_records(2)]
 
         # Batch reference (history bootstrapped identically).
         batch_detector = _bootstrap(dataset)
         batch_elapsed, batch_detected, n_events = _batch_day(
-            dataset, batch_detector.history, records
+            dataset, batch_detector.history, lines
         )
 
         # Streaming: micro-batches with a scoring round per batch.
@@ -164,7 +159,7 @@ def test_streaming_throughput():
         ratios = []
         for attempt in range(TIMING_RUNS):
             elapsed, lat, n_streamed, rep, det = _stream_day(
-                dataset, records
+                dataset, lines
             )
             if attempt == 0:
                 latencies, streamed, report, detector = (
@@ -173,7 +168,7 @@ def test_streaming_throughput():
             stream_elapsed = min(stream_elapsed, elapsed)
             registry = MetricsRegistry()
             elapsed_on, _, _, on_report, _ = _stream_day(
-                dataset, records, metrics=registry
+                dataset, lines, metrics=registry
             )
             if elapsed_on < on_elapsed:
                 # Stage breakdown from the best instrumented attempt,

@@ -16,10 +16,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.logs.normalize import normalize_dns_records
 from repro.runner import DnsLogRunner
 from repro.state import load_streaming, save_streaming
-from repro.streaming import StreamingDetector, micro_batches
+from repro.streaming import StreamingDetector
 from repro.synthetic import LanlConfig, generate_lanl_dataset
 from repro.logs import format_dns_line
 
@@ -43,12 +42,11 @@ def main() -> None:
     detector.rollover(detect=False)
     print(f"bootstrapped history: {len(detector.history)} destinations\n")
 
-    # Day 2 arrives as an event stream; score after every micro-batch.
-    events = normalize_dns_records(
-        detector.funnel.reduce(dataset.day_records(2)), fold_level=3
-    )
+    # Day 2 arrives as an event stream: the reduction funnel packs the
+    # surviving records into 500-row column batches; score after each.
+    batches = detector.funnel.read_records(dataset.day_records(2), 500)
     seen: set[str] = set()
-    for i, batch in enumerate(micro_batches(events, 500)):
+    for i, batch in enumerate(batches):
         detector.ingest(batch)
         update = detector.score()
         new = set(update.detected) - seen

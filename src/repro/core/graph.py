@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import networkx as nx
-
 
 class NodeKind(str, Enum):
     """Node families of the infection graph (hosts vs domains)."""
@@ -92,8 +90,14 @@ class InfectionGraph:
             by_iter.setdefault(record.iteration, []).append(record.name)
         return {k: sorted(v) for k, v in sorted(by_iter.items())}
 
-    def to_networkx(self) -> nx.Graph:
-        """Export as a networkx bipartite graph with node attributes."""
+    def to_networkx(self) -> "networkx.Graph":
+        """Export as a networkx bipartite graph with node attributes.
+
+        The only use of ``networkx`` in the package, imported here so
+        that nothing else pays for loading it.
+        """
+        import networkx as nx
+
         graph = nx.Graph()
         for record in self.hosts.values():
             graph.add_node(

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from ..config import LANL_CONFIG, SystemConfig
 from ..core.beliefprop import BeliefPropagationResult, belief_propagation
 from ..core.scoring import AdditiveSimilarityScorer, multi_host_beacon_heuristic
-from ..logs.normalize import normalize_dns_records
 from ..logs.reduction import ReductionFunnel
 from ..profiling.history import DestinationHistory
 from ..profiling.rare import DailyTraffic, extract_rare_domains, rare_domains_by_host
@@ -124,15 +123,8 @@ class LanlChallengeSolver:
         """Reduce, normalize and aggregate one day (no detection yet)."""
         day = self.dataset.config.bootstrap_days + (march_date - 1)
         records = self.dataset.day_records(march_date)
-        reduced = self.funnel.reduce(records)
-        connections = list(
-            normalize_dns_records(
-                reduced, fold_level=self.config.rarity.fold_level
-            )
-        )
         traffic = DailyTraffic(day)
-        traffic.ingest(connections)
-        traffic.finalize()
+        traffic.ingest(self.funnel.read_records(records))
 
         new_domains = {
             domain

@@ -50,7 +50,6 @@ from typing import Any
 
 from ..config import SystemConfig
 from ..intel.whois_db import WhoisDatabase, load_whois_file
-from ..logs.dns import parse_dns_log
 from ..logs.proxy import parse_proxy_log
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..state import (
@@ -69,7 +68,7 @@ from ..streaming import (
     StreamingDetector,
     StreamingEnterpriseDetector,
 )
-from ..streaming.events import dns_connection_stream, shard_of
+from ..streaming.events import split_by_shard
 from ..profiling.rare import DailyTraffic, merge_daily_traffic
 from .intel import BoardReplica, CacheStats, TenantWhoisView, _TenantCache
 from .manifest import TenantSpec
@@ -187,13 +186,13 @@ def _scored_detections(report: StreamDayReport) -> dict[str, float]:
     return scores
 
 
-def _ingest_day_sharded(detector, records, n_shards: int) -> None:
+def _ingest_day_sharded(detector, lines, n_shards: int) -> None:
     """Aggregate one DNS day through per-host-shard windows, merged.
 
     The resident workers' promotion of the event bus's host shards
-    into real aggregation shards: connections are bucketed by
-    :func:`~repro.streaming.events.shard_of`, each bucket builds its
-    own :class:`DailyTraffic`, and the shards are merged at the
+    into real aggregation shards: the day's reduced columns are split
+    by :func:`~repro.streaming.events.split_by_shard`, each part builds
+    its own :class:`DailyTraffic`, and the shards are merged at the
     barrier (:func:`merge_daily_traffic`) before rollover recomputes
     rarity and detection from the merged aggregate.  Byte-identical to
     serial ingestion because host-hash shards keep every (host,
@@ -201,23 +200,17 @@ def _ingest_day_sharded(detector, records, n_shards: int) -> None:
     path (no UA staging) -- callers guard.
     """
     window = detector.window
-    connections = list(
-        dns_connection_stream(
-            records,
-            detector.funnel,
-            fold_level=detector.config.rarity.fold_level,
-        )
-    )
-    buckets: list[list] = [[] for _ in range(n_shards)]
-    for conn in connections:
-        buckets[shard_of(conn.host, n_shards)].append(conn)
     shards = [DailyTraffic(window.day) for _ in range(n_shards)]
-    for shard, bucket in zip(shards, buckets):
-        shard.ingest(bucket)
+    events = 0
+    for batch in detector.funnel.read_lines(lines):
+        events += len(batch)
+        for shard, part in zip(shards, split_by_shard(batch, n_shards)):
+            if part is not None:
+                shard.ingest(part)
     window.traffic = merge_daily_traffic(shards, day=window.day)
     window.traffic.index()
-    window.events_today = len(connections)
-    detector.events_total += len(connections)
+    window.events_today = events
+    detector.events_total += events
 
 
 def _advance_one_day(
@@ -261,11 +254,9 @@ def _advance_one_day(
             if pipeline == "enterprise":
                 detector.submit_raw(parse_proxy_log(handle))
             elif sharded:
-                _ingest_day_sharded(
-                    detector, parse_dns_log(handle), window_shards
-                )
+                _ingest_day_sharded(detector, handle, window_shards)
             else:
-                detector.submit_raw(parse_dns_log(handle))
+                detector.submit_lines(handle)
         detector.poll()
         report = detector.rollover(
             detect=not bootstrap, intel_domains=seeds, ct_edges=ct_edges

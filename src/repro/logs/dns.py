@@ -17,6 +17,7 @@ hosts, not servers).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 
 from .records import DnsRecord, DnsRecordType
@@ -48,6 +49,8 @@ def parse_dns_line(line: str) -> DnsRecord:
         timestamp = float(raw_ts)
     except ValueError as exc:
         raise DnsLogFormatError(f"bad timestamp {raw_ts!r}") from exc
+    if not math.isfinite(timestamp):
+        raise DnsLogFormatError(f"bad timestamp {raw_ts!r}")
     try:
         record_type = DnsRecordType(raw_type)
     except ValueError as exc:
@@ -68,7 +71,11 @@ def parse_dns_log(
 
     Blank lines are ignored.  With ``skip_malformed`` (the default, as
     befits multi-terabyte operational logs) unparseable lines are
-    silently dropped; otherwise they raise.
+    dropped; otherwise they raise.  This is the scalar parser for
+    callers that want :class:`DnsRecord` objects; log files on their
+    way to detection go through
+    :meth:`~repro.logs.reduction.ReductionFunnel.read_lines`, which
+    applies the same validation and *counts* what it drops.
     """
     for line in lines:
         line = line.strip()

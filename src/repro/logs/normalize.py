@@ -127,24 +127,16 @@ def normalize_dns_records(
 
     DNS logs carry no HTTP context, so ``user_agent`` and ``referer``
     stay ``None`` (meaning "field does not exist", as opposed to the
-    empty string used for "field exists but blank").
-
-    Folding is memoized per distinct raw name for the duration of the
-    pass -- :func:`~repro.logs.domains.fold_domain` is a pure function
-    of the name and the (fixed) fold level, and real query streams
-    repeat a small domain vocabulary millions of times.
+    empty string used for "field exists but blank").  Scalar form for
+    callers holding :class:`DnsRecord` objects; the detection route
+    folds inside :meth:`ReductionFunnel.column_batches
+    <repro.logs.reduction.ReductionFunnel.column_batches>` and never
+    builds a :class:`Connection` per event.
     """
-    folded: dict[str, str] = {}
     for record in records:
-        domain = folded.get(record.domain)
-        if domain is None:
-            domain = fold_domain(record.domain, fold_level)
-            folded[record.domain] = domain
         yield Connection(
             timestamp=record.timestamp,
             host=record.source_ip,
-            domain=domain,
+            domain=fold_domain(record.domain, fold_level),
             resolved_ip=record.resolved_ip,
-            user_agent=None,
-            referer=None,
         )

@@ -8,21 +8,29 @@ before any detection runs.  For DNS logs the steps are:
 3. drop queries initiated by internal servers.
 
 Profiling then derives *new* and *rare* destinations on top of the
-reduced stream.  :class:`ReductionFunnel` streams records through the
+reduced stream.  :class:`ReductionFunnel` runs log rows through the
 filters while counting distinct domains surviving each step per day --
-exactly the series plotted in Figure 2.
+exactly the series plotted in Figure 2 -- and packs the survivors
+straight into :class:`~repro.logs.records.ConnectionBatch` columns,
+the form :class:`~repro.profiling.rare.DailyTraffic` ingests.  That
+one loop (:meth:`ReductionFunnel.column_batches`) is the only
+implementation of the filters and their accounting: log files reach it
+through :meth:`~ReductionFunnel.read_lines`, in-memory records through
+:meth:`~ReductionFunnel.read_records`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..obs.metrics import NULL_METRICS
-from .dns import is_external_query
-from .domains import fold_domain
-from .records import DnsRecord, DnsRecordType
+from .domains import fold_domain, is_internal_domain
+from .records import ConnectionBatch, DnsRecord, DnsRecordType
 
 SECONDS_PER_DAY = 86_400
 
@@ -32,6 +40,13 @@ DNS_REDUCTION_STEPS = (
     "a_records",
     "filter_internal_queries",
     "filter_internal_servers",
+)
+
+_RECORD_TYPES = frozenset(kind.value for kind in DnsRecordType)
+
+#: A :class:`DnsRecord` as the five fields of its log line, in order.
+_record_fields = attrgetter(
+    "timestamp", "source_ip", "record_type.value", "domain", "resolved_ip"
 )
 
 
@@ -45,6 +60,9 @@ class ReductionStats:
     records: dict[str, dict[int, int]] = field(
         default_factory=lambda: defaultdict(lambda: defaultdict(int))
     )
+    malformed: int = 0
+    """Non-blank log lines that failed validation (wrong field count,
+    bad timestamp, unknown record type); they belong to no day."""
 
     def observe(self, step: str, day: int, domain: str) -> None:
         """Record one day's pre/post-reduction record counts."""
@@ -67,12 +85,16 @@ class ReductionStats:
 
 
 class ReductionFunnel:
-    """Streams DNS records through the Section IV-A reduction filters.
+    """Runs DNS log rows through the Section IV-A reduction filters.
 
     Parameters mirror the paper's setting: the organization's internal
     namespace suffixes and the set of internal server addresses whose
-    queries should be ignored.
+    queries should be ignored.  One pass at a time: the funnel carries
+    the open day's accounting between passes, not between interleaved
+    ones.
     """
+
+    _FLUSH_EVERY = 4096
 
     def __init__(
         self,
@@ -86,284 +108,233 @@ class ReductionFunnel:
         self.server_ips = server_ips
         self.fold_level = fold_level
         self.stats = ReductionStats()
-        # Counters are resolved once here, but the per-record hot path
-        # never touches them: increments accumulate in plain ints and
-        # flush in bulk every ``_FLUSH_EVERY`` records (and at the end
-        # of each ``reduce`` pass), so a registry lock is taken a
-        # handful of times per day instead of once per record
+        # The row loop never touches the registry: counts accumulate in
+        # ``_pending`` (aligned with ``_counters``) and flush in bulk
+        # every ``_FLUSH_EVERY`` records and at the end of each pass,
+        # so a registry lock is taken a handful of times per day
         # (``metrics`` is an optional repro.obs.MetricsRegistry).
         obs = metrics if metrics is not None else NULL_METRICS
-        self._seen_counter = obs.counter("reduction_records_total")
-        self._kept_counter = obs.counter(
-            "reduction_kept_total", stage="filter_internal_servers"
+        self._counters = (
+            obs.counter("reduction_records_total"),
+            obs.counter(
+                "reduction_kept_total", stage="filter_internal_servers"
+            ),
+            obs.counter("reduction_dropped_total", stage="non_a_record"),
+            obs.counter("reduction_dropped_total", stage="internal_query"),
+            obs.counter("reduction_dropped_total", stage="internal_server"),
+            obs.counter("reduction_malformed_total"),
         )
-        self._drop_counters = {
-            "a_records": obs.counter(
-                "reduction_dropped_total", stage="non_a_record"
-            ),
-            "internal_query": obs.counter(
-                "reduction_dropped_total", stage="internal_query"
-            ),
-            "internal_server": obs.counter(
-                "reduction_dropped_total", stage="internal_server"
-            ),
-        }
-        self._pending_seen = 0
-        self._pending_kept = 0
-        self._pend_drop_a = 0
-        self._pend_drop_query = 0
-        self._pend_drop_server = 0
-        # Streaming hot-path caches: folding and the internal-namespace
-        # test are pure functions of the raw domain name (the suffixes
-        # are fixed per funnel), so both are computed once per distinct
-        # domain.  Per-day stats are equally redundant per record: a
-        # domain's step sets only change the first time the domain
-        # reaches a deeper step that day (tracked in ``_dom_depth``),
-        # and the per-step record counts are plain ints flushed into
-        # the stats dicts at day boundaries and on
-        # :meth:`flush_metrics`.  Byte-identical to the uncached path
-        # at every flush point.
-        self._domain_memo: dict[str, tuple[str, bool]] = {}
+        self._pending = [0] * len(self._counters)
+        # Folding and the internal-namespace test are pure functions of
+        # the raw name, and a name's step sets only change the first
+        # time it reaches a deeper step that day: raw name ->
+        # ``[folded, external, deepest step reached today]``.  Cleared
+        # at each day boundary, so it holds one day's vocabulary however
+        # long the funnel lives.
+        self._domain_memo: dict[str, list] = {}
         self._stat_day: int | None = None
-        self._dom_depth: dict[str, int] = {}
-        self._dom_all: set[str] = set()
-        self._dom_a: set[str] = set()
-        self._dom_ext: set[str] = set()
-        self._dom_kept: set[str] = set()
-        self._pend_all = 0
-        self._pend_a = 0
-        self._pend_ext = 0
-        self._pend_kept = 0
+        self._day_sets: tuple[set[str], ...] = (set(),) * 4
 
-    _FLUSH_EVERY = 4096
+    def _open_day(self, day: int) -> tuple[set[str], ...]:
+        """Make ``day`` the accounting day; its four per-step sets."""
+        self._stat_day = day
+        self._domain_memo.clear()
+        self._day_sets = tuple(
+            self.stats.domains[step][day] for step in DNS_REDUCTION_STEPS
+        )
+        return self._day_sets
 
-    def _flush_stat_counts(self) -> None:
-        """Fold the deferred per-step record counts into the stats."""
-        day = self._stat_day
-        if day is None:
-            return
+    def _account(
+        self,
+        kept: int,
+        drop_a: int,
+        drop_query: int,
+        drop_server: int,
+        malformed: int,
+    ) -> None:
+        """Fold one span's counts (all of the open day) into the stats
+        and the pending registry counts."""
+        seen = kept + drop_a + drop_query + drop_server
         records = self.stats.records
-        if self._pend_all:
-            records["all"][day] += self._pend_all
-            self._pend_all = 0
-        if self._pend_a:
-            records["a_records"][day] += self._pend_a
-            self._pend_a = 0
-        if self._pend_ext:
-            records["filter_internal_queries"][day] += self._pend_ext
-            self._pend_ext = 0
-        if self._pend_kept:
-            records["filter_internal_servers"][day] += self._pend_kept
-            self._pend_kept = 0
+        for step, count in zip(
+            DNS_REDUCTION_STEPS,
+            (seen, seen - drop_a, kept + drop_server, kept),
+        ):
+            if count:
+                records[step][self._stat_day] += count
+        self.stats.malformed += malformed
+        pending = self._pending
+        for slot, count in enumerate(
+            (seen, kept, drop_a, drop_query, drop_server, malformed)
+        ):
+            pending[slot] += count
+        if pending[0] >= self._FLUSH_EVERY:
+            self.flush_metrics()
 
     def flush_metrics(self) -> None:
         """Fold the locally accumulated counts into the registry.
 
-        Called automatically on the flush cadence and when a ``reduce``
-        pass is exhausted; snapshots taken at day/round barriers are
-        therefore exact.  Also folds the deferred per-step record
-        counts into :attr:`stats`, so the Figure 2 numbers are exact at
-        the same points.
+        Called automatically on the flush cadence and when a pass ends;
+        snapshots taken at day/round barriers are therefore exact.
         """
-        self._flush_stat_counts()
-        if self._pending_seen:
-            self._seen_counter.inc(self._pending_seen)
-            self._pending_seen = 0
-        if self._pending_kept:
-            self._kept_counter.inc(self._pending_kept)
-            self._pending_kept = 0
-        if self._pend_drop_a:
-            self._drop_counters["a_records"].inc(self._pend_drop_a)
-            self._pend_drop_a = 0
-        if self._pend_drop_query:
-            self._drop_counters["internal_query"].inc(self._pend_drop_query)
-            self._pend_drop_query = 0
-        if self._pend_drop_server:
-            self._drop_counters["internal_server"].inc(self._pend_drop_server)
-            self._pend_drop_server = 0
+        pending = self._pending
+        for slot, counter in enumerate(self._counters):
+            if pending[slot]:
+                counter.inc(pending[slot])
+                pending[slot] = 0
 
-    def reduce_record(self, record: DnsRecord) -> DnsRecord | None:
-        """Run one record through the filters; ``None`` when dropped.
+    def column_batches(
+        self,
+        rows: Iterable[Sequence],
+        batch_size: int | None = None,
+    ) -> Iterator[ConnectionBatch]:
+        """Validate, filter, account and pack log rows into columns.
 
-        This is the single-event path the streaming engine uses; the
-        accounting is identical to :meth:`reduce` so a replayed stream
-        produces the same Figure 2 funnel as a bulk pass.  The filter
-        predicates are inlined versions of
-        :func:`~repro.logs.dns.is_a_record` /
-        :func:`~repro.logs.dns.is_from_client` (memoized
-        :func:`~repro.logs.dns.is_external_query` in between), applied
-        in the same order with the same short-circuiting.
+        ``rows`` are the whitespace-split fields of DNS log lines
+        (``<epoch> <source_ip> <record_type> <domain> <resolved_ip|->``).
+        A row with the wrong field count, a non-finite or unparseable
+        timestamp or an unknown record type is counted as malformed
+        and skipped (an empty row -- a blank line -- is just skipped);
+        the rest pass the three filters in order, each step counted per
+        day and distinct folded domain.  Survivors are appended to
+        ``(timestamps, hosts, domains, resolved_ips)`` columns and
+        yielded every ``batch_size`` rows (``None``: one batch for the
+        whole input; never an empty batch).  Stats and pending metric
+        counts are exact whenever the consumer holds control.
         """
-        day = int(record.timestamp // SECONDS_PER_DAY)
-        cached = self._domain_memo.get(record.domain)
-        if cached is None:
-            cached = (
-                fold_domain(record.domain, self.fold_level),
-                is_external_query(record, self.internal_suffixes),
-            )
-            self._domain_memo[record.domain] = cached
-        domain, external = cached
-        if day != self._stat_day:
-            self._flush_stat_counts()
-            self._stat_day = day
-            domains = self.stats.domains
-            self._dom_all = domains["all"][day]
-            self._dom_a = domains["a_records"][day]
-            self._dom_ext = domains["filter_internal_queries"][day]
-            self._dom_kept = domains["filter_internal_servers"][day]
-            self._dom_depth = {}
-        # How deep the record gets through the funnel: 1 = dropped as
-        # non-A, 2 = internal query, 3 = internal server, 4 = kept.
-        if record.record_type is not DnsRecordType.A:
-            depth = 1
-        elif not external:
-            depth = 2
-        elif record.source_ip in self.server_ips:
-            depth = 3
-        else:
-            depth = 4
-        prev = self._dom_depth.get(domain, 0)
-        if depth > prev:
-            self._dom_depth[domain] = depth
-            if prev < 1:
-                self._dom_all.add(domain)
-            if prev < 2 <= depth:
-                self._dom_a.add(domain)
-            if prev < 3 <= depth:
-                self._dom_ext.add(domain)
-            if prev < 4 <= depth:
-                self._dom_kept.add(domain)
-        self._pend_all += 1
-        self._pending_seen += 1
-        if self._pending_seen >= self._FLUSH_EVERY:
-            self.flush_metrics()
-        if depth == 1:
-            self._pend_drop_a += 1
-            return None
-        self._pend_a += 1
-        if depth == 2:
-            self._pend_drop_query += 1
-            return None
-        self._pend_ext += 1
-        if depth == 3:
-            self._pend_drop_server += 1
-            return None
-        self._pend_kept += 1
-        self._pending_kept += 1
-        return record
-
-    def reduce_batch(self, records: Iterable[DnsRecord]) -> list[DnsRecord]:
-        """Run a chunk of records through the filters; returns the kept.
-
-        The chunked twin of :meth:`reduce_record`: identical filters,
-        identical accounting at every flush point, with the per-record
-        state hoisted into locals and folded back once per chunk.  The
-        fused columnar ingress uses this so the per-record cost is one
-        tight loop iteration instead of a method call.
-        """
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch size must be positive")
+        limit = batch_size or sys.maxsize
         memo = self._domain_memo
         fold_level = self.fold_level
         suffixes = self.internal_suffixes
         server_ips = self.server_ips
-        a_type = DnsRecordType.A
-        dom_depth = self._dom_depth
-        dom_all = self._dom_all
-        dom_a = self._dom_a
-        dom_ext = self._dom_ext
-        dom_kept = self._dom_kept
-        stat_day = self._stat_day
-        n_all = n_a = n_ext = n_kept = 0
-        drop_a = drop_query = drop_server = 0
-        seen_prior = kept_prior = 0
-        kept: list[DnsRecord] = []
-        keep = kept.append
-        for record in records:
-            day = int(record.timestamp // SECONDS_PER_DAY)
-            if day != stat_day:
-                # Day boundary: fold the chunk-local counts back and
-                # rebind every per-day structure (self and locals).
-                seen_prior += n_all
-                kept_prior += n_kept
-                self._pend_all += n_all
-                self._pend_a += n_a
-                self._pend_ext += n_ext
-                self._pend_kept += n_kept
-                n_all = n_a = n_ext = n_kept = 0
-                self._flush_stat_counts()
-                stat_day = self._stat_day = day
-                domains = self.stats.domains
-                dom_all = self._dom_all = domains["all"][day]
-                dom_a = self._dom_a = domains["a_records"][day]
-                dom_ext = self._dom_ext = (
-                    domains["filter_internal_queries"][day]
-                )
-                dom_kept = self._dom_kept = (
-                    domains["filter_internal_servers"][day]
-                )
-                dom_depth = self._dom_depth = {}
-            cached = memo.get(record.domain)
-            if cached is None:
-                cached = (
-                    fold_domain(record.domain, fold_level),
-                    is_external_query(record, suffixes),
-                )
-                memo[record.domain] = cached
-            domain, external = cached
-            if record.record_type is not a_type:
-                depth = 1
-            elif not external:
-                depth = 2
-            elif record.source_ip in server_ips:
-                depth = 3
-            else:
-                depth = 4
-            prev = dom_depth.get(domain, 0)
-            if depth > prev:
-                dom_depth[domain] = depth
-                if prev < 1:
-                    dom_all.add(domain)
-                if prev < 2 <= depth:
-                    dom_a.add(domain)
-                if prev < 3 <= depth:
-                    dom_ext.add(domain)
-                if prev < 4 <= depth:
-                    dom_kept.add(domain)
-            n_all += 1
-            if depth == 1:
-                drop_a += 1
-                continue
-            n_a += 1
-            if depth == 2:
-                drop_query += 1
-                continue
-            n_ext += 1
-            if depth == 3:
-                drop_server += 1
-                continue
-            n_kept += 1
-            keep(record)
-        self._pend_all += n_all
-        self._pend_a += n_a
-        self._pend_ext += n_ext
-        self._pend_kept += n_kept
-        self._pend_drop_a += drop_a
-        self._pend_drop_query += drop_query
-        self._pend_drop_server += drop_server
-        self._pending_seen += seen_prior + n_all
-        self._pending_kept += kept_prior + n_kept
-        if self._pending_seen >= self._FLUSH_EVERY:
+        record_types = _RECORD_TYPES
+        dom_all, dom_a, dom_ext, dom_kept = self._day_sets
+        day_lo = day_hi = 0.0
+        if self._stat_day is not None:
+            day_lo = float(self._stat_day * SECONDS_PER_DAY)
+            day_hi = day_lo + SECONDS_PER_DAY
+        times: list[float] = []
+        hosts: list[str] = []
+        domains: list[str] = []
+        ips: list[str] = []
+        accounted = 0  # rows of ``times`` already folded into the stats
+        drop_a = drop_query = drop_server = malformed = 0
+        try:
+            for row in rows:
+                try:
+                    raw_ts, source_ip, raw_type, domain, resolved = row
+                    timestamp = float(raw_ts)
+                except ValueError:
+                    if row:
+                        malformed += 1
+                    continue
+                # How deep the row gets through the funnel: 1 = dropped
+                # as non-A, 2 = internal query, 3 = internal server,
+                # 4 = kept.
+                depth = 0
+                if raw_type != "A":
+                    if raw_type not in record_types:
+                        malformed += 1
+                        continue
+                    depth = 1
+                if not day_lo <= timestamp < day_hi:
+                    if not math.isfinite(timestamp):
+                        malformed += 1
+                        continue
+                    self._account(
+                        len(times) - accounted,
+                        drop_a, drop_query, drop_server, malformed,
+                    )
+                    accounted = len(times)
+                    drop_a = drop_query = drop_server = malformed = 0
+                    day = int(timestamp // SECONDS_PER_DAY)
+                    dom_all, dom_a, dom_ext, dom_kept = self._open_day(day)
+                    day_lo = float(day * SECONDS_PER_DAY)
+                    day_hi = day_lo + SECONDS_PER_DAY
+                entry = memo.get(domain)
+                if entry is None:
+                    entry = memo[domain] = [
+                        fold_domain(domain, fold_level),
+                        not is_internal_domain(domain, suffixes),
+                        0,
+                    ]
+                if not depth:
+                    if not entry[1]:
+                        depth = 2
+                    elif source_ip in server_ips:
+                        depth = 3
+                    else:
+                        depth = 4
+                reached = entry[2]
+                if depth > reached:
+                    entry[2] = depth
+                    folded = entry[0]
+                    if not reached:
+                        dom_all.add(folded)
+                    if reached < 2 <= depth:
+                        dom_a.add(folded)
+                    if reached < 3 <= depth:
+                        dom_ext.add(folded)
+                    if depth == 4:
+                        dom_kept.add(folded)
+                if depth == 4:
+                    times.append(timestamp)
+                    hosts.append(source_ip)
+                    domains.append(entry[0])
+                    ips.append("" if resolved == "-" else resolved)
+                    if len(times) == limit:
+                        self._account(
+                            limit - accounted,
+                            drop_a, drop_query, drop_server, malformed,
+                        )
+                        drop_a = drop_query = drop_server = malformed = 0
+                        batch = ConnectionBatch(times, hosts, domains, ips)
+                        times, hosts, domains, ips = [], [], [], []
+                        accounted = 0
+                        yield batch
+                elif depth == 1:
+                    drop_a += 1
+                elif depth == 2:
+                    drop_query += 1
+                else:
+                    drop_server += 1
+        finally:
+            self._account(
+                len(times) - accounted,
+                drop_a, drop_query, drop_server, malformed,
+            )
             self.flush_metrics()
-        return kept
+        if times:
+            yield ConnectionBatch(times, hosts, domains, ips)
+
+    def read_lines(
+        self, lines: Iterable[str], batch_size: int | None = None
+    ) -> Iterator[ConnectionBatch]:
+        """:meth:`column_batches` over the lines of a DNS log file."""
+        return self.column_batches(map(str.split, lines), batch_size)
+
+    def read_records(
+        self, records: Iterable[DnsRecord], batch_size: int | None = None
+    ) -> Iterator[ConnectionBatch]:
+        """:meth:`column_batches` over in-memory :class:`DnsRecord` s."""
+        return self.column_batches(map(_record_fields, records), batch_size)
 
     def reduce(self, records: Iterable[DnsRecord]) -> Iterator[DnsRecord]:
-        """Yield records surviving all filters, updating the counters."""
-        try:
-            for record in records:
-                kept = self.reduce_record(record)
-                if kept is not None:
-                    yield kept
-        finally:
-            self.flush_metrics()
+        """Yield the records surviving all filters, with the accounting.
+
+        In-memory adapter for callers that want the records themselves:
+        each record rides through :meth:`column_batches` in its own
+        answer field, which the loop passes through untouched, so the
+        survivors come back out of the ``resolved_ips`` column.
+        """
+        rows = (
+            (r.timestamp, r.source_ip, r.record_type.value, r.domain, r)
+            for r in records
+        )
+        for batch in self.column_batches(rows, 512):
+            yield from batch.resolved_ips
 
     def observe_profiling_step(self, step: str, day: int, domains: Iterable[str]) -> None:
         """Record domains surviving a downstream profiling step.

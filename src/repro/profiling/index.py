@@ -48,7 +48,6 @@ class TrafficIndex:
     """Incrementally maintained integer-id view over one day's traffic."""
 
     def __init__(self, traffic: "DailyTraffic") -> None:
-        self.traffic = traffic
         self.version = 0
         # The intern tables are SHARED with the traffic store: both
         # sides assign ids from the same dicts, so the packed pair ids
@@ -74,15 +73,16 @@ class TrafficIndex:
         self._keys24: list[set[str]] = []
         self._keys16: list[set[str]] = []
         self._ips_seen: list[set[str]] = []
-        self._build()
+        self._build(traffic)
 
     # ------------------------------------------------------------------
     # Construction / incremental maintenance
     # ------------------------------------------------------------------
 
-    def _build(self) -> None:
-        """Index the traffic's current content (one full scan)."""
-        traffic = self.traffic
+    def _build(self, traffic: "DailyTraffic") -> None:
+        """Index the traffic's current content (one full scan).  The
+        index keeps the shared intern tables, never the traffic itself
+        (a back-reference would be a cycle holding the whole day)."""
         for (host, domain), times in traffic.timestamps.items():
             if not times:
                 continue

@@ -210,8 +210,14 @@ class DailyTraffic:
         #: a DailyTraffic lives exactly one day), so each distinct UA
         #: needs one predicate call, not one per event.
         self._ua_rare_memo: dict[str, bool] = {}
-        self.timestamps = TimestampSeriesView(self)
         self._index: TrafficIndex | None = None
+
+    @property
+    def timestamps(self) -> TimestampSeriesView:
+        """The legacy ``(host, domain) -> sorted times`` mapping, as a
+        view made per access: a stored one would tie the day's columns
+        into a reference cycle only the cyclic collector could free."""
+        return TimestampSeriesView(self)
 
     # ------------------------------------------------------------------
     # Ingestion

@@ -28,8 +28,7 @@ from .core.scoring import (
     group_verdicts_by_domain,
     multi_host_beacon_heuristic,
 )
-from .logs.dns import parse_dns_log
-from .logs.normalize import normalize_dns_records
+from .logs.records import ConnectionBatch
 from .logs.reduction import ReductionFunnel
 from .obs.metrics import NULL_METRICS
 from .profiling.history import DestinationHistory
@@ -238,27 +237,19 @@ class DnsLogRunner:
 
     # ------------------------------------------------------------------
 
-    def _aggregate(self, raw_records) -> tuple[DailyTraffic, set[str], int]:
-        """Funnel + normalize + aggregate raw records into one day."""
-        records = list(self.funnel.reduce(raw_records))
-        connections = list(
-            normalize_dns_records(
-                records, fold_level=self.config.rarity.fold_level
-            )
-        )
+    def _aggregate(
+        self, batches: Iterable[ConnectionBatch]
+    ) -> tuple[DailyTraffic, set[str], int]:
+        """Aggregate one day's reduced column batches; ``(traffic,
+        rare set, reduced record count)``."""
         traffic = DailyTraffic(self._day_counter)
-        traffic.ingest(connections)
-        traffic.finalize()
+        count = traffic.ingest(batches).n_events
         rare = extract_rare_domains(
             traffic,
             self.history,
             unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
         )
-        return traffic, rare, len(records)
-
-    def _read_day(self, path: Path) -> tuple[DailyTraffic, set[str], int]:
-        with path.open() as handle:
-            return self._aggregate(parse_dns_log(handle))
+        return traffic, rare, count
 
     def _commit(self, traffic: DailyTraffic) -> None:
         for domain in traffic.hosts_by_domain:
@@ -272,16 +263,21 @@ class DnsLogRunner:
         """Fold training-period files into the history; returns the
         number of distinct destinations profiled."""
         for path in sorted(Path(p) for p in paths):
-            traffic, _rare, _count = self._read_day(path)
-            self._commit(traffic)
+            with path.open() as handle:
+                self._bootstrap_day(self.funnel.read_lines(handle))
         return len(self.history)
 
     def bootstrap_records(self, raw_records) -> int:
         """Fold one training day of in-memory raw records into the
         history (the file-less analogue of :meth:`bootstrap`)."""
-        traffic, _rare, _count = self._aggregate(raw_records)
-        self._commit(traffic)
+        self._bootstrap_day(self.funnel.read_records(raw_records))
         return len(self.history)
+
+    def _bootstrap_day(self, batches: Iterable[ConnectionBatch]) -> None:
+        """Aggregate and commit one training day; the day's traffic is
+        released on return, before the next file is read."""
+        traffic, _rare, _count = self._aggregate(batches)
+        self._commit(traffic)
 
     def process_records(
         self,
@@ -299,7 +295,18 @@ class DnsLogRunner:
         engine over identical record lists to assert batch/streaming
         parity without touching disk.
         """
-        traffic, rare, record_count = self._aggregate(raw_records)
+        return self._process(
+            self.funnel.read_records(raw_records), label, hint_hosts
+        )
+
+    def _process(
+        self,
+        batches: Iterable[ConnectionBatch],
+        label: str | Path,
+        hint_hosts: Sequence[str],
+    ) -> RunnerDayReport:
+        """Aggregate, detect on and commit one operational day."""
+        traffic, rare, record_count = self._aggregate(batches)
         detection = detect_on_traffic(
             traffic,
             rare,
@@ -329,8 +336,8 @@ class DnsLogRunner:
         """Detect on one operational day's log file."""
         path = Path(path)
         with path.open() as handle:
-            return self.process_records(
-                parse_dns_log(handle), label=path, hint_hosts=hint_hosts
+            return self._process(
+                self.funnel.read_lines(handle), path, hint_hosts
             )
 
 

@@ -4,7 +4,7 @@ The subsystem layers four pieces on top of the unchanged batch
 components (Section III's pipeline, Algorithm 1's belief propagation):
 
 * :mod:`~repro.streaming.events` -- host-sharded :class:`EventBus`
-  ingestion and incremental reduction/normalization;
+  ingestion of scalar events and columnar batches;
 * :mod:`~repro.streaming.window` -- :class:`WindowedAggregator`, the
   current day's profiles maintained per micro-batch with end-of-day
   rollover into the long-lived histories;
@@ -29,10 +29,9 @@ from .engine import StreamingEngineBase
 from .enterprise import StreamingEnterpriseDetector, replay_enterprise_directory
 from .events import (
     EventBus,
-    dns_batch_stream,
-    dns_connection_stream,
     micro_batches,
     shard_of,
+    split_by_shard,
 )
 from .incremental import (
     IncrementalGraph,
@@ -52,11 +51,10 @@ __all__ = [
     "StreamingEnterpriseDetector",
     "WarmStartConfig",
     "WindowedAggregator",
-    "dns_batch_stream",
-    "dns_connection_stream",
     "micro_batches",
     "replay_directory",
     "replay_enterprise_directory",
     "shard_of",
+    "split_by_shard",
     "warm_start_belief_propagation",
 ]

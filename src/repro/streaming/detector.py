@@ -38,8 +38,7 @@ from ..core.scoring import (
     group_verdicts_by_domain,
     multi_host_beacon_heuristic,
 )
-from ..logs.dns import parse_dns_log
-from ..logs.records import DnsRecord
+from ..logs.records import ConnectionBatch, DnsRecord
 from ..logs.reduction import ReductionFunnel
 from ..profiling.history import DestinationHistory
 from ..profiling.rare import extract_rare_domains
@@ -53,7 +52,6 @@ from .engine import (
     resolve_replay_paths,
     validate_replay_intervals,
 )
-from .events import dns_connection_stream
 from .incremental import WarmStartConfig, warm_start_belief_propagation
 
 
@@ -141,13 +139,13 @@ class StreamingDetector(StreamingEngineBase):
     # Ingestion
     # ------------------------------------------------------------------
 
+    def submit_lines(self, lines: Iterable[str]) -> int:
+        """Reduce + normalize DNS log lines onto the event bus."""
+        return sum(map(self.bus.publish, self.funnel.read_lines(lines)))
+
     def submit_raw(self, records: Iterable[DnsRecord]) -> int:
-        """Reduce + normalize raw DNS records onto the event bus."""
-        return self.bus.publish(
-            dns_connection_stream(
-                records, self.funnel, fold_level=self.config.rarity.fold_level
-            )
-        )
+        """Reduce + normalize in-memory DNS records onto the event bus."""
+        return sum(map(self.bus.publish, self.funnel.read_records(records)))
 
     # ------------------------------------------------------------------
     # Intra-day scoring
@@ -317,7 +315,7 @@ class StreamingDetector(StreamingEngineBase):
         """Fold training-period files into the history (no detection)."""
         for path in sorted(Path(p) for p in paths):
             with path.open() as handle:
-                self.submit_raw(parse_dns_log(handle))
+                self.submit_lines(handle)
             self.poll()
             self.rollover(detect=False)
         return len(self.history)
@@ -387,13 +385,21 @@ def replay_directory(
             metrics=metrics,
         )
 
-    def open_events(path: Path):
+    def open_batches(path: Path, skip: int):
         with path.open() as handle:
-            yield from dns_connection_stream(
-                parse_dns_log(handle),
-                detector.funnel,
-                fold_level=detector.config.rarity.fold_level,
-            )
+            for batch in detector.funnel.read_lines(handle, batch_size):
+                if skip >= len(batch):
+                    skip -= len(batch)
+                    continue
+                if skip:
+                    batch = ConnectionBatch(
+                        batch.timestamps[skip:],
+                        batch.hosts[skip:],
+                        batch.domains[skip:],
+                        batch.resolved_ips[skip:],
+                    )
+                    skip = 0
+                yield batch
 
     def checkpoint() -> None:
         if checkpoint_path is not None:
@@ -403,10 +409,9 @@ def replay_directory(
         detector,
         paths,
         bootstrap_files=bootstrap_files,
-        open_events=open_events,
+        open_batches=open_batches,
         checkpoint=checkpoint,
         resume=resume,
-        batch_size=batch_size,
         score_every=score_every,
         checkpoint_every=checkpoint_every,
         max_batches=max_batches,

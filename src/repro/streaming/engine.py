@@ -34,7 +34,7 @@ from ..obs.metrics import NULL_METRICS
 from ..profiling.history import DestinationHistory
 from ..profiling.ua import UserAgentHistory
 from ..timing.detector import AutomationDetector, AutomationVerdict
-from .events import EventBus, micro_batches
+from .events import EventBus
 from .incremental import IncrementalGraph, WarmStartConfig
 from .verdicts import SeriesVerdictCache, VerdictCacheStats
 from .window import WindowedAggregator
@@ -300,10 +300,9 @@ def drive_replay(
     paths: Sequence[Path],
     *,
     bootstrap_files: int,
-    open_events,
+    open_batches,
     checkpoint,
     resume: bool,
-    batch_size: int,
     score_every: int,
     checkpoint_every: int,
     max_batches: int | None,
@@ -313,11 +312,12 @@ def drive_replay(
     """Feed daily log files through a streaming engine, micro-batched.
 
     The single replay loop both pipelines share -- the engine-specific
-    pieces arrive as callables: ``open_events(path)`` yields the file's
-    normalized connections (owning the handle), ``checkpoint()``
-    persists the engine (no-op without a checkpoint path).  The loop
-    invariants live here exactly once: each rollover advances the
-    window day, so ``window.day``'s offset from the engine's start day
+    pieces arrive as callables: ``open_batches(path, skip)`` yields the
+    file's normalized events in micro-batches (owning the handle),
+    leaving out the first ``skip`` events; ``checkpoint()`` persists
+    the engine (no-op without a checkpoint path).  The loop invariants
+    live here exactly once: each rollover advances the window day, so
+    ``window.day``'s offset from the engine's start day
     (``resume_file``) is the index of the file in progress, and
     ``window.events_today`` counts how many of that file's normalized
     events were already consumed before a restart.
@@ -329,14 +329,8 @@ def drive_replay(
         if index < resume_file:
             continue
         is_bootstrap = index < bootstrap_files
-        events = open_events(path)
-        if index == resume_file and skip_events:
-            remaining = skip_events
-            for _ in events:
-                remaining -= 1
-                if remaining == 0:
-                    break
-        for batch in micro_batches(events, batch_size):
+        skip = skip_events if index == resume_file else 0
+        for batch in open_batches(path, skip):
             detector.submit(batch)
             detector.poll()
             result.batches += 1

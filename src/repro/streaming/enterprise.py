@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Set
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 from ..core.pipeline import (
@@ -65,6 +66,7 @@ from .engine import (
     resolve_replay_paths,
     validate_replay_intervals,
 )
+from .events import micro_batches
 from .incremental import WarmStartConfig, warm_start_belief_propagation
 
 SECONDS_PER_DAY = 86_400.0
@@ -416,13 +418,14 @@ def replay_enterprise_directory(
             metrics=metrics,
         )
 
-    def open_events(path: Path):
+    def open_batches(path: Path, skip: int):
         with path.open() as handle:
-            yield from normalize_proxy_records(
+            events = normalize_proxy_records(
                 parse_proxy_log(handle),
                 IpResolver(),
                 fold_level=detector.config.rarity.fold_level,
             )
+            yield from micro_batches(islice(events, skip, None), batch_size)
 
     def checkpoint() -> None:
         if checkpoint_path is not None:
@@ -432,10 +435,9 @@ def replay_enterprise_directory(
         detector,
         paths,
         bootstrap_files=bootstrap_files,
-        open_events=open_events,
+        open_batches=open_batches,
         checkpoint=checkpoint,
         resume=resume,
-        batch_size=batch_size,
         score_every=score_every,
         checkpoint_every=checkpoint_every,
         max_batches=max_batches,

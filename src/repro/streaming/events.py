@@ -1,4 +1,4 @@
-"""Event ingestion layer: micro-batches, host sharding, DNS adaptation.
+"""Event ingestion layer: micro-batches and host sharding.
 
 The batch pipeline consumes whole days of records at once; a streaming
 deployment receives events continuously from many collectors.  This
@@ -11,17 +11,10 @@ module provides the glue between the two worlds:
   host first, so shard consumers never contend on the same series.
   Shard assignment uses CRC32 so it is stable across processes and
   Python hash randomization.
-* :func:`dns_connection_stream` -- adapts a raw DNS record stream into
-  normalized connections by routing single events through the existing
-  :class:`~repro.logs.reduction.ReductionFunnel` and
-  :func:`~repro.logs.normalize.normalize_dns_records`, so the
-  streaming path reuses the exact reduction and normalization code of
-  the batch pipeline (and the same Figure 2 accounting).
-* :func:`dns_batch_stream` -- the columnar twin of
-  :func:`dns_connection_stream`: one fused loop that reduces,
-  normalizes, and groups raw DNS records straight into
-  :class:`~repro.logs.records.ConnectionBatch` columns, skipping
-  per-event object creation entirely.
+* :func:`split_by_shard` -- the same partition applied to a columnar
+  :class:`~repro.logs.records.ConnectionBatch` (what the DNS route
+  produces, see :meth:`ReductionFunnel.column_batches
+  <repro.logs.reduction.ReductionFunnel.column_batches>`).
 * :func:`micro_batches` -- group any event iterator into bounded
   batches, the unit of ingestion and scoring.
 """
@@ -33,15 +26,50 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from zlib import crc32
 
-from ..logs.domains import fold_domain
-from ..logs.normalize import normalize_dns_records
-from ..logs.records import Connection, ConnectionBatch, DnsRecord
-from ..logs.reduction import ReductionFunnel
+from ..logs.records import Connection, ConnectionBatch
 
 
 def shard_of(host: str, n_shards: int) -> int:
     """Stable shard index of ``host`` (CRC32, not ``hash``)."""
     return crc32(host.encode("utf-8", "replace")) % n_shards
+
+
+def split_by_shard(
+    batch: ConnectionBatch, n_shards: int, memo: dict[str, int] | None = None
+) -> list[ConnectionBatch | None]:
+    """Partition a batch's rows by host shard; ``None`` for empty shards.
+
+    Row order is kept within each shard.  A batch whose rows all land
+    on one shard is returned as is, not copied.  ``memo`` caches
+    host -> shard across calls.
+    """
+    if memo is None:
+        memo = {}
+    rows: list[list[int] | None] = [None] * n_shards
+    for position, host in enumerate(batch.hosts):
+        shard = memo.get(host)
+        if shard is None:
+            shard = memo[host] = shard_of(host, n_shards)
+        row = rows[shard]
+        if row is None:
+            rows[shard] = [position]
+        else:
+            row.append(position)
+    times = batch.timestamps
+    hosts = batch.hosts
+    domains = batch.domains
+    ips = batch.resolved_ips
+    return [
+        None if row is None
+        else batch if len(row) == len(batch)
+        else ConnectionBatch(
+            [times[i] for i in row],
+            [hosts[i] for i in row],
+            [domains[i] for i in row],
+            [ips[i] for i in row],
+        )
+        for row in rows
+    ]
 
 
 class EventBus:
@@ -107,46 +135,19 @@ class EventBus:
         return count
 
     def _publish_batch(self, batch: ConnectionBatch) -> int:
-        """Split a columnar batch into per-shard sub-batches."""
+        """Queue a columnar batch as one sub-batch per host shard."""
         count = len(batch)
         if not count:
             return 0
-        n_shards = self.n_shards
-        if n_shards == 1:
+        if self.n_shards == 1:
             self._shards[0].append(batch)
-            self.published += count
-            return count
-        memo = self._shard_memo
-        rows: list[list[int] | None] = [None] * n_shards
-        for position, host in enumerate(batch.hosts):
-            shard = memo.get(host)
-            if shard is None:
-                shard = shard_of(host, n_shards)
-                memo[host] = shard
-            row = rows[shard]
-            if row is None:
-                rows[shard] = [position]
-            else:
-                row.append(position)
-        times = batch.timestamps
-        hosts = batch.hosts
-        domains = batch.domains
-        ips = batch.resolved_ips
-        for shard, row in enumerate(rows):
-            if row is None:
-                continue
-            if len(row) == count:
-                # Every row landed on one shard -- ship the original.
-                self._shards[shard].append(batch)
-                break
-            self._shards[shard].append(
-                ConnectionBatch(
-                    [times[i] for i in row],
-                    [hosts[i] for i in row],
-                    [domains[i] for i in row],
-                    [ips[i] for i in row],
-                )
-            )
+        else:
+            for queue, part in zip(
+                self._shards,
+                split_by_shard(batch, self.n_shards, self._shard_memo),
+            ):
+                if part is not None:
+                    queue.append(part)
         self.published += count
         return count
 
@@ -195,74 +196,6 @@ class EventBus:
                         return out
         self.drained += count
         return out
-
-
-def dns_connection_stream(
-    records: Iterable[DnsRecord],
-    funnel: ReductionFunnel,
-    *,
-    fold_level: int = 3,
-) -> Iterator[Connection]:
-    """Reduce + normalize a raw DNS record stream, one event at a time.
-
-    Both stages are the batch pipeline's own generators, so a replayed
-    stream is byte-identical to a bulk pass over the same records.
-    """
-    return normalize_dns_records(funnel.reduce(records), fold_level=fold_level)
-
-
-def dns_batch_stream(
-    records: Iterable[DnsRecord],
-    funnel: ReductionFunnel,
-    *,
-    fold_level: int = 3,
-    batch_size: int = 512,
-) -> Iterator[ConnectionBatch]:
-    """Reduce + normalize a raw DNS stream into columnar micro-batches.
-
-    Fuses the three per-event generators of the scalar path
-    (:meth:`~repro.logs.reduction.ReductionFunnel.reduce`,
-    :func:`~repro.logs.normalize.normalize_dns_records`,
-    :func:`micro_batches`) into one chunked loop that appends
-    surviving records straight into column lists -- no per-event
-    :class:`~repro.logs.records.Connection` objects and no generator
-    round-trips.  Reduction accounting runs through the funnel's own
-    :meth:`~repro.logs.reduction.ReductionFunnel.reduce_batch` and
-    folding is memoized exactly like the scalar normalizer, so the
-    Figure 2 funnel and the produced events are identical to
-    :func:`dns_connection_stream` + :func:`micro_batches`.
-    """
-    if batch_size < 1:
-        raise ValueError("batch size must be positive")
-    reduce_batch = funnel.reduce_batch
-    folded: dict[str, str] = {}
-    times: list[float] = []
-    hosts: list[str] = []
-    domains: list[str] = []
-    ips: list[str] = []
-    chunk_size = max(batch_size, 2048)
-    source = iter(records)
-    try:
-        while True:
-            chunk = list(islice(source, chunk_size))
-            if not chunk:
-                break
-            for record in reduce_batch(chunk):
-                domain = folded.get(record.domain)
-                if domain is None:
-                    domain = fold_domain(record.domain, fold_level)
-                    folded[record.domain] = domain
-                times.append(record.timestamp)
-                hosts.append(record.source_ip)
-                domains.append(domain)
-                ips.append(record.resolved_ip)
-                if len(times) >= batch_size:
-                    yield ConnectionBatch(times, hosts, domains, ips)
-                    times, hosts, domains, ips = [], [], [], []
-        if times:
-            yield ConnectionBatch(times, hosts, domains, ips)
-    finally:
-        funnel.flush_metrics()
 
 
 def micro_batches(

@@ -1,8 +1,36 @@
 """Tests for the repro-detect command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports ``repro`` from src."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestStartupImports:
+    """networkx is a graph-export dependency, not a start-up one."""
+
+    def test_cli_import_does_not_load_networkx(self):
+        done = _python(
+            "import sys, repro.cli\n"
+            "print('networkx' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestParser:
@@ -129,6 +157,32 @@ class TestEnterpriseStreamCommand:
         assert main(base + ["--resume"]) == 0
         assert "records," in capsys.readouterr().out
 
+    def test_detection_runs_without_networkx(self, layout, tmp_path):
+        """With networkx unimportable, ``stream --pipeline enterprise``
+        and DNS ``run`` still detect: only graph export needs it."""
+        blocked = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        enterprise = _python(
+            blocked, "stream", str(layout), "--pipeline", "enterprise",
+            "--model-state", str(layout / "model.json"),
+            "--whois", str(layout / "whois.json"), "--bootstrap-files", "0",
+        )
+        assert enterprise.returncode == 0, enterprise.stderr
+        assert enterprise.stdout.count("records,") == 3
+
+        logs = tmp_path / "logs"
+        assert main(["generate", str(logs), "--hosts", "40", "--days", "2"]) == 0
+        dns = _python(
+            blocked, "run", str(logs), "--bootstrap-files", "1",
+            "--internal-suffix", "int.c0",
+        )
+        assert dns.returncode == 0, dns.stderr
+        assert "detected=" in dns.stdout
+
     def test_enterprise_requires_model_state(self, tmp_path, capsys):
         assert main([
             "stream", str(tmp_path), "--pipeline", "enterprise",
@@ -185,3 +239,33 @@ class TestEnterpriseStreamCommand:
         assert pipelines == ["dns", "dns", "enterprise"]
         assert manifest["whois"] == "intel/whois.json"
         assert (out / "t2" / "model.json").exists()
+
+
+class TestDnsRouteBuildsNoRecordObjects:
+    def test_run_stream_fleet_never_build_a_record_or_connection(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Log text goes straight to column batches: no ``DnsRecord``
+        and no ``Connection`` is constructed on any DNS verb."""
+        import repro.logs.records as records
+
+        logs, fleet = tmp_path / "logs", tmp_path / "fleet"
+        assert main(["generate", str(logs), "--hosts", "40", "--days", "2"]) == 0
+        assert main(["generate", str(fleet), "--tenants", "2",
+                     "--hosts", "40", "--days", "3"]) == 0
+        built: list[str] = []
+        for name in ("DnsRecord", "Connection"):
+            cls = getattr(records, name)
+
+            def counting(self, *args, _init=cls.__init__, _name=name, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        dns = ["--bootstrap-files", "1", "--internal-suffix", "int.c0"]
+        assert main(["run", str(logs), *dns]) == 0
+        assert main(["stream", str(logs), *dns]) == 0
+        assert main(["fleet", str(fleet / "manifest.json"),
+                     "--executor", "thread", "--workers", "2"]) == 0
+        assert "detected=" in capsys.readouterr().out
+        assert built == []

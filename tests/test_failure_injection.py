@@ -36,6 +36,82 @@ class TestCorruptLogs:
     def test_entirely_garbage_file_yields_nothing(self):
         assert list(parse_dns_log(["x"] * 100)) == []
 
+    def test_non_finite_timestamps_are_malformed(self):
+        # "nan"/"inf" parse as floats but belong to no day.
+        lines = ["nan 10.0.0.1 A a.c3 -", "inf 10.0.0.1 A a.c3 -",
+                 "1e999 10.0.0.1 A a.c3 -", "5.0 10.0.0.1 A a.c3 -"]
+        assert [r.timestamp for r in parse_dns_log(lines)] == [5.0]
+
+    def test_garbage_is_counted_and_changes_no_detection(
+        self, lanl_dataset, tmp_path
+    ):
+        """Malformed lines leave a trace (``reduction_malformed_total``,
+        balancing the funnel: lines in = malformed + drops + kept) and
+        nothing else: detections equal the clean files'."""
+        import random
+
+        from repro.logs import format_dns_line
+        from repro.obs import MetricsRegistry
+        from repro.obs.metrics import split_sample_key
+        from repro.runner import run_directory
+
+        garbage = [
+            "\x00\x01 binary trash", "not even close", "300.0 10.0.0.1",
+            "400 10.0.0.1 A trailing.c3 - extra fields here",
+            "nan 10.0.0.1 A nan-time.c3 -", "12:30 10.0.0.1 A clock.c3 -",
+            "500.0 10.0.0.1 ANY unknown-type.c3 -",
+        ]
+        rng = random.Random(7)
+        clean_dir, dirty_dir = tmp_path / "clean", tmp_path / "dirty"
+        injected = lines_in = 0
+        for directory in (clean_dir, dirty_dir):
+            directory.mkdir()
+        for march_date in (1, 2, 3):
+            clean = [
+                format_dns_line(r) for r in lanl_dataset.day_records(march_date)
+            ]
+            dirty = list(clean)
+            for _ in range(200):
+                dirty.insert(rng.randrange(len(dirty) + 1), rng.choice(garbage))
+            dirty.insert(len(dirty) // 2, "")  # blank: skipped, not counted
+            injected += 200
+            lines_in += len(clean) + 200
+            name = f"dns-march-{march_date:02d}.log"
+            (clean_dir / name).write_text("\n".join(clean) + "\n")
+            (dirty_dir / name).write_text("\n".join(dirty) + "\n")
+
+        def run(directory):
+            registry = MetricsRegistry()
+            reports = run_directory(
+                directory, bootstrap_files=1,
+                internal_suffixes=lanl_dataset.internal_suffixes,
+                server_ips=lanl_dataset.server_ips, metrics=registry,
+            )
+            counters = registry.snapshot().counters
+            return reports, lambda name: sum(
+                value for key, value in counters.items()
+                if split_sample_key(key)[0] == name
+            )
+
+        clean_reports, clean_total = run(clean_dir)
+        dirty_reports, dirty_total = run(dirty_dir)
+        assert clean_total("reduction_malformed_total") == 0
+        assert dirty_total("reduction_malformed_total") == injected
+        assert lines_in == (
+            dirty_total("reduction_malformed_total")
+            + dirty_total("reduction_dropped_total")
+            + dirty_total("reduction_kept_total")
+        )
+        assert dirty_total("reduction_records_total") == (
+            clean_total("reduction_records_total")
+        )
+        assert any(r.detected for r in clean_reports)
+        for dirty, clean in zip(dirty_reports, clean_reports, strict=True):
+            assert dirty.records == clean.records
+            assert dirty.rare_domains == clean.rare_domains
+            assert dirty.cc_domains == clean.cc_domains
+            assert dirty.detected == clean.detected
+
 
 class TestEmptyAndDegenerateDays:
     def test_empty_day_produces_empty_result(self, enterprise_dataset):

@@ -1,5 +1,8 @@
 """Unit tests for histories and rare-destination extraction."""
 
+import gc
+import weakref
+
 from repro.logs import Connection
 from repro.profiling import (
     DailyTraffic,
@@ -151,6 +154,22 @@ class TestDailyTraffic:
     def test_domains_by_host(self):
         traffic = self._traffic()
         assert traffic.domains_by_host["h1"] == {"a.com", "b.com"}
+
+    def test_freed_by_refcount_alone(self):
+        # A day's columns must go when the last reference does, not
+        # whenever the cyclic collector next runs: peak RSS of a
+        # multi-day run would otherwise depend on collector timing.
+        gc.collect()
+        gc.disable()
+        try:
+            traffic = self._traffic()
+            traffic.index()
+            assert traffic.timestamps[("h1", "a.com")] == [10.0, 20.0]
+            alive = weakref.ref(traffic)
+            del traffic
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestMergeDailyTraffic:

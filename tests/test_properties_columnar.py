@@ -223,3 +223,137 @@ class TestColumnarIngestParity:
         grouped.finalize()
 
         _assert_same_traffic(lexsorted, grouped)
+
+
+# ---------------------------------------------------------------------------
+# DNS log text -> column batches (the route every CLI verb takes)
+# ---------------------------------------------------------------------------
+
+_SUFFIXES = ("int.c0",)
+_SERVERS = frozenset({"10.1.0.250"})
+def _mostly(common, rare, one_in: int):
+    """``common`` draws, with a ``rare`` one about every ``one_in``
+    (``one_of`` over repeated strategies does not weight them)."""
+    return st.tuples(common, rare, st.integers(1, one_in)).map(
+        lambda drawn: drawn[1] if drawn[2] == one_in else drawn[0]
+    )
+
+
+_times = _mostly(
+    st.one_of(
+        st.integers(min_value=86_390, max_value=86_410).map(str),
+        st.floats(min_value=86_399.0, max_value=86_401.0).map(repr),
+        st.sampled_from(["0", "172800.5", "1e5"]),
+    ),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "12:30", "x"]),
+    one_in=12,
+)
+_line_fields = st.tuples(
+    _times,
+    _mostly(st.sampled_from(_HOSTS), st.just("10.1.0.250"), one_in=8),
+    _mostly(
+        st.just("A"),
+        st.sampled_from(["AAAA", "TXT", "PTR", "ANY", "a"]),
+        one_in=5,
+    ),
+    st.sampled_from([
+        "evil.c3", "EVIL.C3", "evil.c3.", "x.y.evil.c3", "Www.Evil.C3.",
+        "other.c5", "b.other.c5", "c3", "notint.c0",
+        "printer.int.c0", "PRINTER.INT.C0.", "int.c0",
+    ]),
+    st.sampled_from(["-", "198.51.100.7", "203.0.113.9"]),
+)
+_soup_lines = _mostly(
+    st.tuples(_line_fields, st.sampled_from([" ", "  ", "\t"])).map(
+        lambda pair: pair[1].join(pair[0]) + "\n"
+    ),
+    # Wrong field counts, blank lines, binary trash.
+    st.one_of(
+        _line_fields.map(lambda fields: " ".join(fields[:3])),
+        _line_fields.map(lambda fields: " ".join(fields) + " extra"),
+        st.sampled_from(["", "\n", "   \t ", "\x00\x01 binary trash", "-"]),
+    ),
+    one_in=6,
+)
+
+
+def _nonzero(table):
+    """``{step: {day: value}}`` without empty days (the production
+    funnel pre-creates a day's four step entries, the oracle does not)."""
+    return {
+        step: {day: value for day, value in per_day.items() if value}
+        for step, per_day in table.items()
+        if any(per_day.values())
+    }
+
+
+class TestDnsColumnRoute:
+    @given(
+        st.lists(_soup_lines, max_size=60),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_read_lines_matches_scalar_oracle(self, lines, batch_size):
+        from dns_oracle import reduce_lines
+
+        from repro.logs import ReductionFunnel
+
+        funnel = ReductionFunnel(_SUFFIXES, _SERVERS, fold_level=2)
+        batches = list(funnel.read_lines(lines, batch_size))
+        oracle = reduce_lines(lines, _SUFFIXES, _SERVERS, fold_level=2)
+
+        events = [
+            row
+            for batch in batches
+            for row in zip(
+                batch.timestamps, batch.hosts, batch.domains,
+                batch.resolved_ips,
+            )
+        ]
+        assert events == oracle.events
+        assert all(batches), "the route never yields an empty batch"
+        if batch_size is not None:
+            assert [len(b) for b in batches[:-1]] == (
+                [batch_size] * (len(batches) - 1)
+            )
+        else:
+            assert len(batches) <= 1
+
+        stats = funnel.stats
+        assert stats.malformed == oracle.malformed
+        assert _nonzero(stats.domains) == _nonzero(oracle.domains)
+        assert _nonzero(stats.records) == _nonzero(oracle.records)
+        non_blank = sum(1 for line in lines if line.strip())
+        assert non_blank == stats.malformed + sum(
+            stats.record_counts("all").values()
+        )
+
+        # Same grouped digest -- pair, chunk, domain and first-seen-IP
+        # order -- as the oracle's events ingested one object at a time.
+        columnar = DailyTraffic(0).ingest(batches)
+        scalar = DailyTraffic(0).ingest(
+            [Connection(*event) for event in oracle.events]
+        )
+        assert columnar == scalar
+
+    @given(st.lists(_soup_lines, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_in_memory_records_take_the_same_route(self, lines):
+        """``read_records`` / ``reduce`` over parsed records == the
+        file route over the lines they were parsed from."""
+        from repro.logs import ReductionFunnel, parse_dns_log
+
+        by_line = ReductionFunnel(_SUFFIXES, _SERVERS)
+        by_record = ReductionFunnel(_SUFFIXES, _SERVERS)
+        by_reduce = ReductionFunnel(_SUFFIXES, _SERVERS)
+        records = list(parse_dns_log(lines))
+        expected = list(by_line.read_lines(lines))
+        assert list(by_record.read_records(records)) == expected
+        kept = list(by_reduce.reduce(records))
+        assert [r.timestamp for r in kept] == [
+            t for batch in expected for t in batch.timestamps
+        ]
+        assert all(r in records for r in kept)
+        for funnel in (by_record, by_reduce):
+            assert funnel.stats.domains == by_line.stats.domains
+            assert funnel.stats.records == by_line.stats.records

@@ -697,6 +697,53 @@ class TestStreamCommand:
         assert resumed == 0
         assert "day 1:" in out
 
+    def test_midfile_interrupt_resumes_to_identical_day_lines(
+        self, tmp_path, capsys
+    ):
+        """Interrupt inside an operational file, resume with a
+        *different* batch size (so the already-consumed rows end inside
+        a column batch): the day lines are byte-identical to an
+        uninterrupted run's."""
+        from repro.cli import main
+        from repro.state import load_streaming
+
+        logs = tmp_path / "logs"
+        main(["generate", str(logs), "--hosts", "40", "--days", "3"])
+        base = ["stream", str(logs), "--bootstrap-files", "1",
+                "--internal-suffix", "int.c0"]
+
+        def day_lines() -> list[str]:
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if line.startswith("day ")]
+
+        capsys.readouterr()
+        assert main(base) == 0
+        uninterrupted = day_lines()
+        assert len(uninterrupted) == 2
+
+        # Find a batch count that stops inside the first operational
+        # file: one past the bootstrap file's batches.
+        probe = tmp_path / "probe.json"
+        batches = 1
+        while True:
+            probe.unlink(missing_ok=True)
+            main(base + ["--batch-size", "200", "--checkpoint", str(probe),
+                         "--max-batches", str(batches)])
+            capsys.readouterr()
+            window = load_streaming(probe).window
+            if window.day == 1 and window.events_today:
+                break
+            batches += 1
+        assert window.events_today % 170, "resume must land inside a batch"
+
+        ckpt = tmp_path / "ckpt.json"
+        assert main(base + ["--batch-size", "200", "--checkpoint", str(ckpt),
+                            "--max-batches", str(batches)]) == 3
+        first = day_lines()
+        assert main(base + ["--batch-size", "170", "--checkpoint", str(ckpt),
+                            "--resume"]) == 0
+        assert first + day_lines() == uninterrupted
+
     def test_stream_matches_run_command(self, tmp_path, capsys):
         from repro.cli import main
 
