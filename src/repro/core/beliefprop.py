@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
+from heapq import nsmallest
 
 from ..config import BeliefPropagationConfig
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS, NULL_METRICS
@@ -46,7 +47,8 @@ receives the full initial set, including warm-start priors).  A
 stateful implementation (:class:`repro.core.scoring
 .IncrementalAdditiveScorer`, :class:`~repro.core.scoring
 .BatchedSimilarityScorer`) folds in only that delta; labels are
-monotone, so the incremental aggregates are exact."""
+monotone, so the incremental aggregates are exact.  One that outlives
+the run (a streaming day) skips the names it has already absorbed."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,41 +231,32 @@ def belief_propagation(
     for iteration in range(1, config.max_iterations + 1):
         frontier = rare - malicious
         frontier_hist.observe(len(frontier))
-        newly_labeled: set[str] = set()
-        cc_found: list[str] = []
+        # One sort serves both phases (deterministic order).
+        ordered = sorted(frontier)
 
-        # Phase 1: C&C detection over the frontier (deterministic order).
-        for domain in sorted(frontier):
-            if detect_cc(domain):
-                newly_labeled.add(domain)
-                cc_found.append(domain)
-                rare.discard(domain)
+        # Phase 1: C&C detection over the frontier.
+        cc_found = list(filter(detect_cc, ordered))
+        newly_labeled: set[str] = set(cc_found)
+        rare.difference_update(cc_found)
 
         top_score = 0.0
         # Phase 2: similarity labeling only when no C&C was found.
-        if not newly_labeled:
-            ordered = sorted(frontier)
-            scores: dict[str, float] = {}
-            if ordered:
-                delta = malicious - reported
-                with obs.span("bp_score_batch"):
-                    batch = score_frontier(ordered, delta)
-                reported |= delta
-                # Canonical dict in sorted-frontier order: argmax and
-                # threshold logic below see the same structure whether
-                # the hook or the per-domain adapter produced it.
-                scores = {domain: batch[domain] for domain in ordered}
-            if scores:
-                # max() on sorted items makes argmax ties deterministic.
-                max_domain = max(scores, key=lambda d: (scores[d], d))
-                top_score = scores[max_domain]
-                if top_score >= config.similarity_threshold:
-                    ranked = sorted(
-                        scores, key=lambda d: (-scores[d], d)
-                    )[: config.max_domains_per_iteration]
-                    for domain in ranked:
-                        if scores[domain] >= config.similarity_threshold:
-                            newly_labeled.add(domain)
+        if not newly_labeled and ordered:
+            delta = malicious - reported
+            with obs.span("bp_score_batch"):
+                batch = score_frontier(ordered, delta)
+            reported |= delta
+            top_score = max(map(batch.__getitem__, ordered))
+            threshold = config.similarity_threshold
+            if top_score >= threshold:
+                # Rank only what clears Ts: (-score, name) makes the
+                # cut deterministic under score ties.
+                best = nsmallest(
+                    config.max_domains_per_iteration,
+                    ((-batch[domain], domain) for domain in ordered
+                     if batch[domain] >= threshold),
+                )
+                newly_labeled.update(domain for _, domain in best)
 
         if not newly_labeled:
             trace.append(

@@ -424,8 +424,7 @@ def detect_on_enterprise_traffic(
             for domain in rare
         }
 
-    def detect_cc(domain: str) -> bool:
-        return domain in cc_set
+    detect_cc = cc_set.__contains__
 
     def scoring_kwargs() -> dict:
         """Similarity scoring for one BP run: a fresh batched scorer

@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from ..features.extract import (
     timing_closeness,
 )
 from ..features.regression import LinearModel
-from ..profiling.index import TrafficIndex
+from ..profiling.index import DOMAIN_MASK, PAIR_SHIFT, TrafficIndex
 from ..profiling.rare import DailyTraffic
 from ..timing.detector import AutomationVerdict
 
@@ -188,122 +189,216 @@ class AdditiveSimilarityScorer:
         return (connectivity + timing + ip) / self.MAX_COMPONENT_SUM
 
 
+@dataclass
+class SimilarityStats:
+    """Plain-int work counters of the frontier scorers (they outlive
+    any one scorer: an engine hands the same object to each)."""
+
+    rescored: int = 0
+    tracked: int = 0
+    rebuilds: int = 0
+    cold_restarts: int = 0
+
+    def metrics_samples(self) -> dict[str, int]:
+        """Collector samples, ``stream_similarity_events_total{kind=}``
+        (same bridge as ``VerdictCacheStats.metrics_samples``)."""
+        from ..obs.metrics import sample_key
+
+        return {
+            sample_key("stream_similarity_events_total", kind=kind): value
+            for kind, value in vars(self).items()
+        }
+
+
 class SimilarityIndexState:
     """Incremental best-gap / subnet-hit state against a growing set.
 
     The similarity components that depend on the malicious set are a
     min (first-visit gap) and two ORs (/24 and /16 co-location) -- all
-    monotone under set growth, so folding in only newly labeled
-    domains is exact.  One instance serves one belief-propagation run:
-    the traffic (hence the :class:`TrafficIndex`) is frozen while the
-    malicious set grows iteration by iteration.
+    monotone under set growth *and* under traffic growth, so folding in
+    only newly labeled domains and only new traffic is exact.  One
+    instance lives as long as its malicious set only grows: one batch
+    belief-propagation run, or a streaming day between cold rounds.  It
+    follows its :class:`TrafficIndex` through the index's change feed
+    (:meth:`sync`); the one non-monotone event -- a late, earlier
+    timestamp rewriting a first contact it depends on -- makes it
+    rebuild itself from the ids it has absorbed and tracked.
 
     State per tracked frontier domain: the best first-visit gap to any
     malicious domain over co-visiting hosts, and whether any malicious
     domain shares a /24 (/16).  Absorbing ``k`` new labels touches only
-    hosts and subnet keys of those ``k`` domains.
+    hosts and subnet keys of those ``k`` domains.  :meth:`drain_dirty`
+    names the tracked domains whose scoring inputs changed.
     """
 
-    def __init__(self, index: TrafficIndex) -> None:
+    def __init__(
+        self, index: TrafficIndex, stats: SimilarityStats | None = None
+    ) -> None:
         self.index = index
-        self._version = index.version
+        self.stats = stats if stats is not None else SimilarityStats()
+        self._mal_ids: set[int] = set()
+        self._tracked: set[int] = set()
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty derived state, cursors at the ends of the feeds."""
+        index = self.index
+        self._pair_cursor = len(index.pair_feed)
+        self._ip_cursor = len(index.ip_feed)
+        self._rewrite_cursor = len(index.rewrite_feed)
         #: host id -> sorted first-contact times of malicious domains.
         self._mal_first: dict[int, list[float]] = {}
-        self._mal_ids: set[int] = set()
-        self._mal24: set[str] = set()
-        self._mal16: set[str] = set()
-        #: subnet key -> tracked domain ids resolving into it.
-        self._owners24: dict[str, list[int]] = {}
-        self._owners16: dict[str, list[int]] = {}
+        #: per prefix: (malicious subnet keys, key -> tracked domain
+        #: ids resolving into it, tracked ids sharing a malicious key).
+        self._nets24: tuple[set, dict, set] = (set(), {}, set())
+        self._nets16: tuple[set, dict, set] = (set(), {}, set())
         self._best_gap: dict[int, float] = {}
-        self._hit24: set[int] = set()
-        self._hit16: set[int] = set()
-        self._tracked: set[int] = set()
+        self._dirty: set[int] = set()
 
-    def _check_version(self) -> None:
-        if self.index.version != self._version:
-            raise RuntimeError(
-                "traffic changed under an active similarity state; "
-                "create a new scorer per scoring round"
-            )
+    def sync(self) -> None:
+        """Fold in what the index recorded since the last call."""
+        index = self.index
+        mal_ids = self._mal_ids
+        tracked = self._tracked
+        feed = index.rewrite_feed
+        if len(feed) > self._rewrite_cursor:
+            # Min-gaps cannot be repaired locally once a first contact
+            # they were taken over has moved: start over.
+            if any(
+                pair & DOMAIN_MASK in mal_ids or pair & DOMAIN_MASK in tracked
+                for pair in feed[self._rewrite_cursor:]
+            ):
+                self.stats.rebuilds += 1
+                self._reset()
+                for m in mal_ids:
+                    self._absorb_id(m)
+                for d in tracked:
+                    self._track_id(d)
+                return
+            self._rewrite_cursor = len(feed)
+        feed = index.pair_feed
+        if len(feed) > self._pair_cursor:
+            for pair in feed[self._pair_cursor:]:
+                h, d = pair >> PAIR_SHIFT, pair & DOMAIN_MASK
+                if d in mal_ids:
+                    self._malicious_pair(h, index.first_contact(h, d))
+                elif d in tracked:
+                    self._dirty.add(d)  # one more host: connectivity
+                    self._tracked_pair(h, d, index.first_contact(h, d))
+            self._pair_cursor = len(feed)
+        feed = index.ip_feed
+        if len(feed) > self._ip_cursor:
+            for d, key24, key16 in feed[self._ip_cursor:]:
+                if d in mal_ids:
+                    self._malicious_keys((key24,), (key16,))
+                elif d in tracked:
+                    self._tracked_keys(d, (key24,), (key16,))
+            self._ip_cursor = len(feed)
+
+    # -- the four folds (shared by sync, absorb and track) ------------
+
+    def _malicious_pair(self, h: int, t_mal: float) -> None:
+        """Host ``h`` first reached a malicious domain at ``t_mal``."""
+        index = self.index
+        insort(self._mal_first.setdefault(h, []), t_mal)
+        # Only domains co-visited by this host can see their gap
+        # shrink -- walk its neighborhood.
+        for d in index.domains_of(h):
+            if d not in self._tracked or d in self._mal_ids:
+                continue
+            gap = abs(index.first_contact(h, d) - t_mal)
+            best = self._best_gap.get(d)
+            if best is None or gap < best:
+                self._best_gap[d] = gap
+                self._dirty.add(d)
+
+    def _tracked_pair(self, h: int, d: int, t_dom: float) -> None:
+        """Host ``h`` first reached tracked domain ``d`` at ``t_dom``."""
+        times = self._mal_first.get(h)
+        if not times:
+            return
+        # Nearest malicious first-contact on this shared host.
+        pos = bisect_left(times, t_dom)
+        gap = times[pos] - t_dom if pos < len(times) else None
+        if pos and (gap is None or t_dom - times[pos - 1] < gap):
+            gap = t_dom - times[pos - 1]
+        best = self._best_gap.get(d)
+        if best is None or gap < best:
+            self._best_gap[d] = gap
+            self._dirty.add(d)
+
+    def _malicious_keys(self, keys24: Iterable[str], keys16) -> None:
+        """A malicious domain resolves into these subnets."""
+        for keys, (malicious, owners, hit) in (
+            (keys24, self._nets24), (keys16, self._nets16)
+        ):
+            for key in keys:
+                if key not in malicious:
+                    malicious.add(key)
+                    sharing = owners.get(key, ())
+                    hit.update(sharing)
+                    self._dirty.update(sharing)
+
+    def _tracked_keys(self, d: int, keys24: Iterable[str], keys16) -> None:
+        """Tracked domain ``d`` resolves into these subnets."""
+        for keys, (malicious, owners, hit) in (
+            (keys24, self._nets24), (keys16, self._nets16)
+        ):
+            for key in keys:
+                # A /16 can arrive twice (once per new /24 inside it);
+                # the repeated owner entry is harmless.
+                owners.setdefault(key, []).append(d)
+                if key in malicious:
+                    hit.add(d)
+                    self._dirty.add(d)
+
+    def _absorb_id(self, m: int) -> None:
+        index = self.index
+        self._malicious_keys(index.keys24(m), index.keys16(m))
+        for h in index.hosts_of(m):
+            self._malicious_pair(h, index.first_contact(h, m))
+
+    def _track_id(self, d: int) -> None:
+        index = self.index
+        self._dirty.add(d)
+        self._tracked_keys(d, index.keys24(d), index.keys16(d))
+        for h in index.hosts_of(d):
+            self._tracked_pair(h, d, index.first_contact(h, d))
+
+    # -- growing the two sets -----------------------------------------
 
     def absorb(self, new_malicious: Iterable[str]) -> None:
         """Fold newly labeled domains into the malicious-side state."""
-        self._check_version()
-        index = self.index
+        self.sync()
         for name in new_malicious:
-            m = index.domain_id(name)
+            m = self.index.domain_id(name)
             if m is None or m in self._mal_ids:
                 # Domains with no traffic today contribute no hosts,
                 # timestamps or IPs -- exactly the legacy scorers'
                 # empty-set behaviour.
                 continue
             self._mal_ids.add(m)
-            for key in index.keys24(m):
-                if key not in self._mal24:
-                    self._mal24.add(key)
-                    self._hit24.update(self._owners24.get(key, ()))
-            for key in index.keys16(m):
-                if key not in self._mal16:
-                    self._mal16.add(key)
-                    self._hit16.update(self._owners16.get(key, ()))
-            for h, t_mal in zip(
-                index.hosts_of(m), index.first_contacts_of(m)
-            ):
-                insort(self._mal_first.setdefault(h, []), t_mal)
-                # Only domains co-visited by one of m's hosts can see
-                # their gap shrink -- walk m's host neighborhoods.
-                for d in index.domains_of(h):
-                    if (
-                        d == m
-                        or d not in self._tracked
-                        or d in self._mal_ids
-                    ):
-                        continue
-                    gap = abs(index.first_contact(h, d) - t_mal)
-                    best = self._best_gap.get(d)
-                    if best is None or gap < best:
-                        self._best_gap[d] = gap
+            self._absorb_id(m)
 
     def track(self, frontier: Iterable[str]) -> None:
         """Initialize state for frontier domains seen for the first
         time, against the malicious set absorbed so far."""
-        self._check_version()
-        index = self.index
+        self.sync()
         for name in frontier:
-            d = index.domain_id(name)
+            d = self.index.domain_id(name)
             if d is None or d in self._tracked:
                 continue
             self._tracked.add(d)
-            for key in index.keys24(d):
-                self._owners24.setdefault(key, []).append(d)
-                if key in self._mal24:
-                    self._hit24.add(d)
-            for key in index.keys16(d):
-                self._owners16.setdefault(key, []).append(d)
-                if key in self._mal16:
-                    self._hit16.add(d)
-            best: float | None = None
-            for h, t_dom in zip(
-                index.hosts_of(d), index.first_contacts_of(d)
-            ):
-                times = self._mal_first.get(h)
-                if not times:
-                    continue
-                # Nearest malicious first-contact on this shared host.
-                pos = bisect_left(times, t_dom)
-                if pos < len(times):
-                    gap = times[pos] - t_dom
-                    if best is None or gap < best:
-                        best = gap
-                if pos:
-                    gap = t_dom - times[pos - 1]
-                    if best is None or gap < best:
-                        best = gap
-            if best is not None:
-                self._best_gap[d] = best
+            self.stats.tracked += 1
+            self._track_id(d)
 
     # -- per-domain reads ---------------------------------------------
+
+    def drain_dirty(self) -> set[int]:
+        """Tracked ids whose inputs changed since the last drain: a new
+        host, a smaller gap, a new subnet hit, or newly tracked."""
+        dirty, self._dirty = self._dirty, set()
+        return dirty
 
     def best_gap(self, d_id: int) -> float | None:
         """Minimum first-visit gap to the malicious set; ``None`` when
@@ -313,8 +408,8 @@ class SimilarityIndexState:
     def subnet_flags(self, d_id: int) -> tuple[float, float]:
         """(ip24, ip16) indicators against the malicious set."""
         return (
-            1.0 if d_id in self._hit24 else 0.0,
-            1.0 if d_id in self._hit16 else 0.0,
+            1.0 if d_id in self._nets24[2] else 0.0,
+            1.0 if d_id in self._nets16[2] else 0.0,
         )
 
 
@@ -325,8 +420,11 @@ class IncrementalAdditiveScorer:
     Exposes the :data:`repro.core.beliefprop.ScoreFrontier` hook --
     ``score_frontier(frontier, new_malicious)`` -- and reproduces the
     per-domain scorer's arithmetic term by term, so detections are
-    byte-identical while per-iteration cost drops from
-    O(frontier x malicious) to O(frontier + labeled-delta).
+    byte-identical while a call costs O(labeled delta + traffic delta)
+    in Python: it keeps every tracked domain's score and recomputes
+    only those whose inputs the state reports changed.  The batch path
+    builds one per run; :class:`repro.streaming.StreamingDetector`
+    keeps one for as long as the day's malicious set only grows.
     """
 
     def __init__(
@@ -335,28 +433,29 @@ class IncrementalAdditiveScorer:
         traffic: DailyTraffic,
         *,
         index: TrafficIndex | None = None,
+        stats: SimilarityStats | None = None,
     ) -> None:
         self.base = base
         self.index = index if index is not None else traffic.index()
-        self.state = SimilarityIndexState(self.index)
+        self.state = SimilarityIndexState(self.index, stats)
+        #: tracked domain name -> its current score.
+        self._scores: dict[str, float] = {}
 
     def score_frontier(
         self, frontier: Sequence[str], new_malicious: Set[str]
     ) -> dict[str, float]:
         """Scores for every frontier domain after folding in the delta."""
         state = self.state
+        scores = self._scores
         state.absorb(new_malicious)
-        state.track(frontier)
+        state.track(set(frontier).difference(scores))
+        dirty = state.drain_dirty()
+        state.stats.rescored += len(dirty)
         index = self.index
         base = self.base
         cap = base.host_cap
         window = base.timing_window
-        scores: dict[str, float] = {}
-        for name in frontier:
-            d = index.domain_id(name)
-            if d is None:
-                scores[name] = 0.0
-                continue
+        for d in dirty:
             connectivity = min(index.host_count(d), cap) / cap
             gap = state.best_gap(d)
             timing = 1.0 if gap is not None and gap <= window else 0.0
@@ -367,10 +466,11 @@ class IncrementalAdditiveScorer:
                 ip = 1.0
             else:
                 ip = 0.0
-            scores[name] = (
+            scores[index.domain_name(d)] = (
                 connectivity + timing + ip
             ) / base.MAX_COMPONENT_SUM
-        return scores
+        # A name the index has never seen is in no map: it scores 0.
+        return dict(zip(frontier, map(scores.get, frontier, repeat(0.0))))
 
 
 class BatchedSimilarityScorer:
@@ -389,7 +489,11 @@ class BatchedSimilarityScorer:
     :meth:`~repro.features.whois.WhoisFeatureExtractor.extract_known`
     in the same sorted-frontier order every round, so the shared
     extractor's state (and every imputed feature) stays bit-identical
-    to the per-domain path's.
+    to the per-domain path's.  That replay over the *whole* frontier
+    is why :meth:`StreamingEnterpriseDetector.score
+    <repro.streaming.enterprise.StreamingEnterpriseDetector.score>`
+    still builds one per round: a day-lived instance would save only
+    the state's share, not the per-name loop the replay needs.
     """
 
     def __init__(

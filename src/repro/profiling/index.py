@@ -12,8 +12,8 @@ ids once and maintains:
 
 * CSR-style host<->domain adjacency -- per-domain host-id lists (in
   first-contact order) and per-host domain-id lists;
-* per-(host, domain) first-contact times, aligned with the adjacency
-  so similarity scoring never re-scans a timestamp series;
+* per-(host, domain) first-contact times keyed by the packed id
+  pair, so similarity scoring never re-scans a timestamp series;
 * per-domain /24 and /16 subnet-key sets, precomputed from resolved
   IPs as they arrive.
 
@@ -23,32 +23,33 @@ and from then on updated *incrementally* by
 :meth:`DailyTraffic.ingest` -- the streaming
 :class:`~repro.streaming.window.WindowedAggregator` therefore pays
 O(batch) per micro-batch instead of an O(day) rebuild per scoring
-call.  :attr:`version` increments on every mutation so consumers that
-snapshot derived state (the incremental scorers) can detect staleness.
+call.  Every incremental fold also appends to a *change feed*
+(:attr:`TrafficIndex.pair_feed`, :attr:`~TrafficIndex.ip_feed`,
+:attr:`~TrafficIndex.rewrite_feed`) so a consumer holding derived state
+(:class:`repro.core.scoring.SimilarityIndexState`) keeps a cursor per
+feed and pays O(changes since its last look), never a re-scan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Set
+from collections.abc import Iterator, Mapping, Set
 from typing import TYPE_CHECKING
 
 from ..logs.domains import subnet_key
-from ..logs.records import Connection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .rare import DailyTraffic, IngestDigest
 
 #: Shift packing (host_id, domain_id) into one dict key; ids are dense
 #: small ints, so the packed key stays a machine-word int in practice.
-_PAIR_SHIFT = 32
-_DOMAIN_MASK = (1 << _PAIR_SHIFT) - 1
+PAIR_SHIFT = 32
+DOMAIN_MASK = (1 << PAIR_SHIFT) - 1
 
 
 class TrafficIndex:
     """Incrementally maintained integer-id view over one day's traffic."""
 
     def __init__(self, traffic: "DailyTraffic") -> None:
-        self.version = 0
         # The intern tables are SHARED with the traffic store: both
         # sides assign ids from the same dicts, so the packed pair ids
         # in an :class:`IngestDigest` are directly usable here -- the
@@ -61,18 +62,25 @@ class TrafficIndex:
         self._domain_names: list[str] = traffic._domain_names
         #: per domain id: host ids in first-contact order (CSR rows).
         self._hosts_of: list[list[int]] = []
-        #: per domain id: first-contact time aligned with ``_hosts_of``.
-        self._first_of: list[list[float]] = []
         #: per host id: domain ids in first-contact order.
         self._domains_of: list[list[int]] = []
         #: packed (host_id << 32 | domain_id) -> earliest timestamp.
         self._first: dict[int, float] = {}
-        #: packed pair -> the pair's row slot in ``_first_of``; makes
-        #: out-of-order earlier timestamps an O(1) update.
-        self._slot: dict[int, int] = {}
         self._keys24: list[set[str]] = []
         self._keys16: list[set[str]] = []
-        self._ips_seen: list[set[str]] = []
+        # Change feed: append-only logs of what the incremental folds
+        # did *after* construction (a consumer starts its cursors at
+        # the feeds' ends, so ``_build`` logs nothing).  The pair
+        # entries are the very int objects keying ``_first``: one
+        # pointer per new pair.
+        #: packed pairs, in the order their rows were created.
+        self.pair_feed: list[int] = []
+        #: ``(domain id, /24 key, /16 key)`` per resolution that put
+        #: the domain into a /24 it was not in before.
+        self.ip_feed: list[tuple[int, str, str]] = []
+        #: packed pairs whose first contact a late, earlier timestamp
+        #: rewrote (empty for a time-ordered stream).
+        self.rewrite_feed: list[int] = []
         self._build(traffic)
 
     # ------------------------------------------------------------------
@@ -86,65 +94,53 @@ class TrafficIndex:
         for (host, domain), times in traffic.timestamps.items():
             if not times:
                 continue
-            self._record(host, domain, min(times))
+            # Each pair arrives exactly once here: every row is new.
+            h_id = self._intern_host(host)
+            d_id = self._intern_domain(domain)
+            key = (h_id << PAIR_SHIFT) | d_id
+            self._first[key] = min(times)
+            self._hosts_of[d_id].append(h_id)
+            self._domains_of[h_id].append(d_id)
         for domain, ips in traffic.resolved_ips.items():
             for ip in ips:
                 self._record_ip(domain, ip)
-        self.version += 1
-
-    def observe(self, connections: Iterable[Connection]) -> None:
-        """Fold new connections in (per-event parity path).
-
-        :meth:`observe_digest` is the batched equivalent the columnar
-        ingest uses; this loop remains for callers holding raw
-        connections and for the parity tests pinning the two paths
-        together.
-        """
-        for conn in connections:
-            self._record(conn.host, conn.domain, conn.timestamp)
-            if conn.resolved_ip:
-                self._record_ip(conn.domain, conn.resolved_ip)
-        self.version += 1
 
     def observe_digest(self, digest: "IngestDigest") -> None:
         """Fold one columnar ingest batch in, without re-looping events.
 
-        Bit-identical to :meth:`observe` on the batch's connections:
+        Bit-identical to folding the batch's connections one by one:
         each touched pair's earliest batch timestamp (``chunk[0]`` --
-        chunks are sorted) is all ``_record`` can ever keep from the
-        batch, pairs arrive in first-appearance order so new rows land
-        in the order per-event processing would produce, and novel
+        chunks are sorted) is all a row can ever keep from the batch,
+        pairs arrive in first-appearance order so new rows land in the
+        order per-event processing would produce, and novel
         (domain, ip) resolutions replay in arrival order.  The digest's
         packed pair ids come from the shared intern tables, so the pair
         loop does pure integer work -- no string lookups.
         """
         first = self._first
-        slot = self._slot
         hosts_of = self._hosts_of
-        first_of = self._first_of
         domains_of = self._domains_of
+        new_pair = self.pair_feed.append
         for pair, chunk in zip(digest.pairs, digest.chunks):
             known = first.get(pair)
             if known is None:
-                h_id = pair >> _PAIR_SHIFT
-                d_id = pair & _DOMAIN_MASK
+                h_id = pair >> PAIR_SHIFT
+                d_id = pair & DOMAIN_MASK
                 while len(domains_of) <= h_id:
                     domains_of.append([])
                 if len(hosts_of) <= d_id:
                     self._grow_domain_rows(d_id)
-                timestamp = chunk[0]
-                first[pair] = timestamp
-                row = hosts_of[d_id]
-                slot[pair] = len(row)
-                row.append(h_id)
-                first_of[d_id].append(timestamp)
+                first[pair] = chunk[0]
+                hosts_of[d_id].append(h_id)
                 domains_of[h_id].append(d_id)
+                new_pair(pair)
             elif chunk[0] < known:
                 first[pair] = chunk[0]
-                first_of[pair & _DOMAIN_MASK][slot[pair]] = chunk[0]
+                self.rewrite_feed.append(pair)
         for domain, ip in digest.novel_ips:
-            self._record_ip(domain, ip)
-        self.version += 1
+            novel = self._record_ip(domain, ip)
+            if novel is not None:
+                self.ip_feed.append(novel)
 
     def _grow_domain_rows(self, d_id: int) -> None:
         """Extend the per-domain rows to cover ``d_id``.
@@ -156,10 +152,8 @@ class TrafficIndex:
         """
         while len(self._hosts_of) <= d_id:
             self._hosts_of.append([])
-            self._first_of.append([])
             self._keys24.append(set())
             self._keys16.append(set())
-            self._ips_seen.append(set())
 
     def _intern_host(self, host: str) -> int:
         h_id = self._host_ids.get(host)
@@ -180,28 +174,19 @@ class TrafficIndex:
         self._grow_domain_rows(d_id)
         return d_id
 
-    def _record(self, host: str, domain: str, timestamp: float) -> None:
-        h_id = self._intern_host(host)
+    def _record_ip(
+        self, domain: str, ip: str
+    ) -> tuple[int, str, str] | None:
+        """Fold one resolution; the ``ip_feed`` entry when it put the
+        domain into a new /24 (a known /24 implies a known /16)."""
         d_id = self._intern_domain(domain)
-        key = (h_id << _PAIR_SHIFT) | d_id
-        known = self._first.get(key)
-        if known is None:
-            self._first[key] = timestamp
-            self._slot[key] = len(self._hosts_of[d_id])
-            self._hosts_of[d_id].append(h_id)
-            self._first_of[d_id].append(timestamp)
-            self._domains_of[h_id].append(d_id)
-        elif timestamp < known:
-            self._first[key] = timestamp
-            self._first_of[d_id][self._slot[key]] = timestamp
-
-    def _record_ip(self, domain: str, ip: str) -> None:
-        d_id = self._intern_domain(domain)
-        if ip in self._ips_seen[d_id]:
-            return
-        self._ips_seen[d_id].add(ip)
-        self._keys24[d_id].add(subnet_key(ip, 24))
-        self._keys16[d_id].add(subnet_key(ip, 16))
+        key24 = subnet_key(ip, 24)
+        if key24 in self._keys24[d_id]:
+            return None
+        key16 = subnet_key(ip, 16)
+        self._keys24[d_id].add(key24)
+        self._keys16[d_id].add(key16)
+        return d_id, key24, key16
 
     # ------------------------------------------------------------------
     # Queries (id-level, used by the incremental scorers)
@@ -227,17 +212,13 @@ class TrafficIndex:
         """Host ids contacting the domain (first-contact order)."""
         return self._hosts_of[d_id]
 
-    def first_contacts_of(self, d_id: int) -> list[float]:
-        """First-contact times aligned with :meth:`hosts_of`."""
-        return self._first_of[d_id]
-
     def domains_of(self, h_id: int) -> list[int]:
         """Domain ids the host contacted (first-contact order)."""
         return self._domains_of[h_id]
 
     def first_contact(self, h_id: int, d_id: int) -> float:
         """Earliest time ``h_id`` reached ``d_id`` (pair must exist)."""
-        return self._first[(h_id << _PAIR_SHIFT) | d_id]
+        return self._first[(h_id << PAIR_SHIFT) | d_id]
 
     def host_count(self, d_id: int) -> int:
         """Distinct hosts contacting the domain today."""

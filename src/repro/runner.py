@@ -183,7 +183,7 @@ def detect_on_traffic(
                 seed_domains,
                 dom_host=dom_host,
                 host_rdom=host_rdom,
-                detect_cc=lambda dom: dom in cc,
+                detect_cc=cc.__contains__,
                 config=config.belief_propagation,
                 sibling_dom=sibling_dom,
                 metrics=metrics,

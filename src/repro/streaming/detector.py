@@ -20,8 +20,13 @@ intra-day :meth:`score` updates are strictly additional visibility.
 
 Mid-day costs stay proportional to what changed: automation verdicts
 are cached per (host, domain) series and recomputed only for pairs
-with new events, and belief propagation warm-starts from the previous
-round's beliefs unless too much of the graph is dirty.
+with new events, belief propagation warm-starts from the previous
+round's beliefs unless too much of the graph is dirty, and the
+frontier scorer lives across rounds -- it follows the window's
+:class:`~repro.profiling.index.TrafficIndex` change feed and rescores
+only domains whose inputs changed.  It is derived state: dropped
+wherever the malicious set can shrink (a cold round, the day boundary,
+a restore) and rebuilt from ``prior`` on the next round.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from ..core.beliefprop import BeliefPropagationResult
 from ..core.scoring import (
     AdditiveSimilarityScorer,
     IncrementalAdditiveScorer,
+    SimilarityStats,
     group_verdicts_by_domain,
     multi_host_beacon_heuristic,
 )
@@ -52,7 +58,11 @@ from .engine import (
     resolve_replay_paths,
     validate_replay_intervals,
 )
-from .incremental import WarmStartConfig, warm_start_belief_propagation
+from .incremental import (
+    WarmStartConfig,
+    warm_start_applies,
+    warm_start_belief_propagation,
+)
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,8 @@ class StreamingDetector(StreamingEngineBase):
             n_shards=n_shards,
             metrics=metrics,
         )
+        self.similarity_stats = SimilarityStats()
+        self.metrics.add_collector(self.similarity_stats.metrics_samples)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -199,14 +211,22 @@ class StreamingDetector(StreamingEngineBase):
                 mode="idle",
             )
 
-        incremental = IncrementalAdditiveScorer(self.scorer, traffic)
+        # A cold round restarts M from the seeds; the day scorer has
+        # absorbed the old M, so it cannot follow.
+        if not warm_start_applies(self.graph, self.prior, self.warm):
+            self._day_scorer = None
+        if self._day_scorer is None:
+            self.similarity_stats.cold_restarts += 1
+            self._day_scorer = IncrementalAdditiveScorer(
+                self.scorer, traffic, stats=self.similarity_stats
+            )
         with self.metrics.span("stream_score"):
             result, mode = warm_start_belief_propagation(
                 seed_hosts,
                 seed_domains,
                 graph=self.graph,
-                detect_cc=lambda dom: dom in cc,
-                score_frontier=incremental.score_frontier,
+                detect_cc=cc.__contains__,
+                score_frontier=self._day_scorer.score_frontier,
                 config=self.config,
                 prior=self.prior,
                 warm=self.warm,

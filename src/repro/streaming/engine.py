@@ -78,6 +78,9 @@ class StreamingEngineBase:
         self.bus = EventBus(n_shards)
         self.warm = warm or WarmStartConfig()
         self.prior = None
+        #: frontier scorer a subclass keeps across rounds; derived from
+        #: ``prior`` and the window, so never checkpointed.
+        self._day_scorer = None
         self._verdicts: dict[tuple[str, str], AutomationVerdict] = {}
         self._stale_pairs: set[tuple[str, str]] = set()
         self._series_cache = SeriesVerdictCache(self.automation)
@@ -242,6 +245,7 @@ class StreamingEngineBase:
             self.window.rollover()
         self.graph.clear()
         self.prior = None
+        self._day_scorer = None
         self._verdicts.clear()
         self._stale_pairs.clear()
         self._series_cache.clear()
@@ -253,6 +257,7 @@ class StreamingEngineBase:
         self.graph = IncrementalGraph.from_traffic(
             self.window.traffic, self.window.rare
         )
+        self._day_scorer = None
         self._verdicts.clear()
         self._series_cache.clear()
         self._pending_times.clear()

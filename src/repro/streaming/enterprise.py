@@ -232,7 +232,7 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
                     seed_hosts,
                     set(cc),
                     graph=self.graph,
-                    detect_cc=lambda dom: dom in cc,
+                    detect_cc=cc.__contains__,
                     score_frontier=batched.score_frontier,
                     config=self.config,
                     prior=self.prior,

@@ -24,6 +24,10 @@ situations break that assumption and trigger a full cold recompute:
   retraction -- e.g. it crossed the popularity threshold mid-day), which
   monotone warm-starting cannot express.
 
+Those are also the only rounds in which the malicious set can shrink,
+so :func:`warm_start_applies` -- the same predicate -- bounds the life
+of a stateful frontier scorer kept across rounds.
+
 A third retraction case -- a prior C&C verdict flipping back to
 not-automated as irregular events arrive -- is handled one level up:
 :meth:`repro.streaming.StreamingDetector.score` discards the prior
@@ -116,6 +120,24 @@ class IncrementalGraph:
         self.dirty_domains.clear()
 
 
+def warm_start_applies(
+    graph: IncrementalGraph,
+    prior: BeliefPropagationResult | None,
+    warm: WarmStartConfig | None = None,
+) -> bool:
+    """Whether the next round may reuse ``prior`` (else it runs cold,
+    from the seeds alone -- the one place the malicious set shrinks)."""
+    warm = warm or WarmStartConfig()
+    return (
+        warm.enabled
+        and prior is not None
+        and bool(graph.dom_host)
+        and graph.dirty_fraction() < warm.full_recompute_fraction
+        # Belief retraction: a labeled domain left the rare set.
+        and prior.domains <= graph.dom_host.keys()
+    )
+
+
 def warm_start_belief_propagation(
     seed_hosts: Iterable[str],
     seed_domains: Iterable[str],
@@ -135,21 +157,12 @@ def warm_start_belief_propagation(
     previous beliefs were reused and ``"full"`` for a cold recompute.
     The graph's dirty set is consumed either way.  Similarity scoring
     takes either form :func:`~repro.core.beliefprop.belief_propagation`
-    accepts: the batch ``score_frontier`` hook (one fresh stateful
-    scorer per call -- its incremental state follows this run's
-    malicious set) or the per-domain ``similarity_score`` adapter.
+    accepts: the batch ``score_frontier`` hook or the per-domain
+    ``similarity_score`` adapter.  A stateful hook may outlive the
+    call only while :func:`warm_start_applies` holds -- a cold round
+    restarts the malicious set its state has absorbed.
     """
-    warm = warm or WarmStartConfig()
-    use_warm = (
-        warm.enabled
-        and prior is not None
-        and bool(graph.dom_host)
-        and graph.dirty_fraction() < warm.full_recompute_fraction
-    )
-    if use_warm and prior is not None:
-        retracted = prior.domains - graph.dom_host.keys()
-        if retracted:
-            use_warm = False
+    use_warm = warm_start_applies(graph, prior, warm)
     result = belief_propagation(
         set(seed_hosts),
         set(seed_domains),

@@ -142,3 +142,50 @@ class TestBeliefPropagationProperties:
         low_sim = sum(1 for d in low_result.detections if d.reason == "similarity")
         high_sim = sum(1 for d in high_result.detections if d.reason == "similarity")
         assert high_sim <= low_sim
+
+
+class TestSimilaritySelection:
+    """The phase-2 cut ranks only what clears ``Ts``; it must pick what
+    ranking *everything* by (-score, name), cutting to k, then
+    filtering by ``Ts`` picks -- spelled out here as the reference."""
+
+    @settings(max_examples=200)
+    @given(
+        st.dictionaries(
+            st.sampled_from([f"d{i:02d}.ru" for i in range(12)]),
+            # Few distinct values: most examples tie heavily.
+            st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75]),
+            min_size=1,
+        ),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([0.25, 0.5, 0.6, 0.75, 0.9]),
+        st.booleans(),
+    )
+    def test_ranked_cut_matches_full_ranking(self, scores, k, threshold, hook):
+        config = BeliefPropagationConfig(
+            similarity_threshold=threshold,
+            max_iterations=1,
+            max_domains_per_iteration=k,
+        )
+        scoring = (
+            {"score_frontier": lambda frontier, delta: scores}
+            if hook else
+            {"similarity_score": lambda dom, malicious: scores[dom]}
+        )
+        result = belief_propagation(
+            {"h0"},
+            set(),
+            dom_host={domain: {"h0"} for domain in scores},
+            host_rdom={"h0": set(scores)},
+            detect_cc=lambda dom: False,
+            config=config,
+            **scoring,
+        )
+        ranked = sorted(scores, key=lambda d: (-scores[d], d))[:k]
+        expected = [d for d in ranked if scores[d] >= threshold]
+        (trace,) = result.trace
+        assert trace.labeled == tuple(sorted(expected))
+        assert trace.top_score == max(scores.values())
+        assert [
+            (d.domain, d.score) for d in result.detections
+        ] == [(d, trace.top_score) for d in sorted(expected)]

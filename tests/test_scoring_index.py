@@ -15,6 +15,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from repro.core.scoring import (
     IncrementalAdditiveScorer,
     RegressionCCScorer,
     RegressionSimilarityScorer,
+    SimilarityStats,
     group_verdicts_by_domain,
     multi_host_beacon_heuristic,
 )
@@ -375,14 +378,12 @@ def test_traffic_index_incremental_matches_rebuild():
             # Interning order differs between the two, so compare the
             # (host name -> first contact) rows, not raw ids.
             l_pairs = {
-                left._host_names[h]: t for h, t in zip(
-                    left.hosts_of(l_id), left.first_contacts_of(l_id)
-                )
+                left._host_names[h]: left.first_contact(h, l_id)
+                for h in left.hosts_of(l_id)
             }
             r_pairs = {
-                right._host_names[h]: t for h, t in zip(
-                    right.hosts_of(r_id), right.first_contacts_of(r_id)
-                )
+                right._host_names[h]: right.first_contact(h, r_id)
+                for h in right.hosts_of(r_id)
             }
             assert l_pairs == r_pairs
             for host in bulk.hosts_by_domain[domain]:
@@ -502,3 +503,113 @@ def test_incremental_scorer_matches_additive_componentwise():
                 assert fast[domain] == expected, (
                     f"seed {seed}: {domain} {fast[domain]} != {expected}"
                 )
+
+
+# ---------------------------------------------------------------------------
+# Day-lived scorer: follows the index's change feed across micro-batches
+# ---------------------------------------------------------------------------
+
+_HOSTS = [f"h{i}" for i in range(5)]
+_DOMAINS = [f"d{i}.ru" for i in range(9)]
+#: Two /24s inside one /16, a third /24 in another /16, one far away.
+_IPS = ["", "", "10.1.1.5", "10.1.1.9", "10.1.2.7", "10.2.9.9", "172.16.0.1"]
+#: A 100 s grid around the 600 s timing window; random draws arrive
+#: out of order, so late earlier timestamps rewrite first contacts.
+_EVENT = st.tuples(
+    st.sampled_from(_HOSTS),
+    st.sampled_from(_DOMAINS),
+    st.integers(0, 30).map(lambda tick: tick * 100.0),
+    st.sampled_from(_IPS),
+)
+_BATCH = st.tuples(
+    st.lists(_EVENT, min_size=1, max_size=8),
+    st.sets(st.sampled_from(_DOMAINS), max_size=2),
+    st.booleans(),
+)
+_RARE_MAX_HOSTS = 3
+
+
+def _check_against_definition(batches, stats=None):
+    """Feed micro-batches and labels to ONE scorer; after every batch
+    its state and scores must equal the paper's per-domain definition
+    (:class:`AdditiveSimilarityScorer`) over the traffic so far."""
+    traffic = DailyTraffic(0)
+    index = traffic.index()  # armed before any traffic
+    base = AdditiveSimilarityScorer(host_cap=4)
+    scorer = IncrementalAdditiveScorer(base, traffic, stats=stats)
+    malicious: set[str] = set()
+    reported: set[str] = set()
+    for events, labels, whole_set in batches:
+        traffic.ingest([
+            Connection(timestamp=t, host=h, domain=d, resolved_ip=ip)
+            for h, d, t, ip in events
+        ])
+        # Labels only ever name domains with traffic (Algorithm 1
+        # labels graph nodes) and only ever accumulate.
+        malicious |= labels & traffic.hosts_by_domain.keys()
+        frontier = sorted(
+            d for d, hosts in traffic.hosts_by_domain.items()
+            # Domains leave the frontier as they turn popular.
+            if d not in malicious and len(hosts) <= _RARE_MAX_HOSTS
+        ) + ["never-seen.ru"]
+        # A new BP run hands the hook its whole malicious set first.
+        delta = set(malicious) if whole_set else malicious - reported
+        scores = scorer.score_frontier(frontier, delta)
+        reported |= malicious
+        assert list(scores) == frontier
+        for domain in frontier:
+            assert scores[domain] == base.score(domain, malicious, traffic)
+            d_id = index.domain_id(domain)
+            if d_id is None:
+                continue
+            assert scorer.state.best_gap(d_id) == (
+                FeatureExtractor.min_visit_gap(domain, malicious, traffic)
+            )
+            assert scorer.state.subnet_flags(d_id) == (
+                FeatureExtractor.subnet_proximity(domain, malicious, traffic)
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BATCH, min_size=1, max_size=8))
+@example([  # new host on a malicious domain shrinks a tracked gap
+    ([("h0", "d0.ru", 0.0, ""), ("h1", "d1.ru", 900.0, "")], {"d0.ru"}, False),
+    ([("h1", "d0.ru", 1000.0, "")], set(), False),
+])
+@example([  # novel IP lands a tracked domain in a malicious /24, then /16
+    ([("h0", "d0.ru", 0.0, "10.1.1.5"), ("h1", "d1.ru", 0.0, ""),
+      ("h2", "d2.ru", 0.0, "")], {"d0.ru"}, False),
+    ([("h1", "d1.ru", 50.0, "10.1.1.9"), ("h2", "d2.ru", 50.0, "10.1.2.7")],
+     set(), False),
+])
+@example([  # late earlier timestamp moves a malicious first contact
+    ([("h0", "d0.ru", 2000.0, ""), ("h0", "d1.ru", 1500.0, "")],
+     {"d0.ru"}, False),
+    ([("h0", "d0.ru", 100.0, "")], set(), True),
+])
+def test_day_lived_scorer_matches_per_domain_definition(batches):
+    _check_against_definition(batches)
+
+
+def test_day_lived_scorer_rebuilds_only_on_relevant_rewrites():
+    """A rewritten first contact the state depends on forces a rebuild
+    (counted); one on an untracked, unlabeled domain does not."""
+    stats = SimilarityStats()
+    _check_against_definition([
+        ([("h0", "d0.ru", 2000.0, ""), ("h0", "d1.ru", 1500.0, ""),
+          ("h1", "d2.ru", 500.0, ""), ("h2", "d2.ru", 500.0, ""),
+          ("h3", "d2.ru", 500.0, ""), ("h4", "d2.ru", 500.0, "")],
+         {"d0.ru"}, False),
+        # d2.ru is popular: never tracked, never labeled.
+        ([("h1", "d2.ru", 10.0, "")], set(), False),
+    ], stats)
+    assert stats.rebuilds == 0
+    _check_against_definition([
+        ([("h0", "d0.ru", 2000.0, ""), ("h0", "d1.ru", 1500.0, "")],
+         {"d0.ru"}, False),
+        ([("h0", "d1.ru", 1900.0, "")], set(), False),  # later: no rewrite
+        ([("h0", "d1.ru", 100.0, "")], set(), False),   # tracked side
+        ([("h0", "d0.ru", 50.0, "")], set(), False),    # malicious side
+    ], stats)
+    assert stats.rebuilds == 2
+    assert stats.tracked == 2 and stats.rescored >= 4

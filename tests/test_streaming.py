@@ -6,6 +6,7 @@ to identical final state; day rollover commits histories exactly once;
 and warm-start belief propagation reaches the cold-start fixed point.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from repro.streaming import (
     warm_start_belief_propagation,
 )
 from repro.streaming.window import WindowedAggregator
+from repro.synthetic import LanlConfig, generate_lanl_dataset
 
 
 @pytest.fixture(scope="module")
@@ -433,6 +435,124 @@ class TestWarmStartBP:
             warm=WarmStartConfig(full_recompute_fraction=0.95),
         )
         assert mode == "full"
+
+
+# ---------------------------------------------------------------------------
+# Day-lived frontier scorer: the per-round update sequence is pinned
+# ---------------------------------------------------------------------------
+
+#: A 12-host world whose day is mostly rare domains: ~50 non-idle
+#: scoring rounds over two days, warm and cold, with similarity labels.
+RARE_WORLD = LanlConfig(
+    seed=5, n_hosts=12, churn_domains_per_day=60,
+    rare_auto_services_per_day=25,
+)
+RARE_BATCH = 60
+
+
+def _update_digest(updates) -> str:
+    """Hash of everything a round reports: mode, detections with their
+    scores, and the full iteration trace."""
+    digest = hashlib.sha256()
+    for update in updates:
+        result = update.bp_result
+        digest.update(repr((
+            update.day, update.events_today, update.mode, update.detected,
+            result and [
+                (d.domain, d.iteration, d.reason, d.score)
+                for d in result.detections
+            ],
+            result and [
+                (t.iteration, t.cc_detected, t.labeled, t.top_score,
+                 t.new_hosts, t.frontier_size)
+                for t in result.trace
+            ],
+        )).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestDayLivedScorer:
+    """The digests below were taken from the per-round-fresh scorer
+    (one ``IncrementalAdditiveScorer`` per ``score()`` call) before the
+    scorer became day-lived: they are the truth, not a sibling run."""
+
+    PLAIN = "d72c1923278359de"
+    FORCED_COLD = "14d4d3edc08c7ba0"
+    RESUMED = "ef0927ad2b79b990"
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        dataset = generate_lanl_dataset(RARE_WORLD)
+        directory = tmp_path_factory.mktemp("rareworld")
+        for march_date in (1, 2, 3):
+            path = directory / f"dns-march-{march_date:02d}.log"
+            with path.open("w") as handle:
+                for record in dataset.day_records(march_date):
+                    handle.write(format_dns_line(record) + "\n")
+        kwargs = dict(
+            bootstrap_files=1,
+            pattern="dns-*.log",
+            internal_suffixes=dataset.internal_suffixes,
+            server_ips=dataset.server_ips,
+            batch_size=RARE_BATCH,
+        )
+        return directory, dataset, kwargs
+
+    def test_update_sequence_is_pinned(self, world):
+        directory, _, kwargs = world
+        updates = []
+        replay_directory(directory, on_update=updates.append, **kwargs)
+        modes = [u.mode for u in updates]
+        assert modes.count("warm") > 20 and modes.count("full") > 20
+        assert _update_digest(updates) == self.PLAIN
+
+    def test_forced_cold_rounds_drop_and_rebuild_the_scorer(self, world):
+        """``--no-warm-start``-style cold rounds in the middle of the
+        day: each one restarts M, so each one needs a new scorer."""
+        directory, dataset, _ = world
+        detector = StreamingDetector(
+            internal_suffixes=dataset.internal_suffixes,
+            server_ips=dataset.server_ips,
+        )
+        paths = sorted(directory.glob("dns-*.log"))
+        detector.bootstrap(paths[:1])
+        updates = []
+        for path in paths[1:]:
+            with path.open() as handle:
+                for batch in detector.funnel.read_lines(handle, RARE_BATCH):
+                    detector.submit(batch)
+                    detector.poll()
+                    detector.warm = WarmStartConfig(
+                        enabled=len(updates) % 5 != 3
+                    )
+                    updates.append(detector.score())
+            detector.rollover()
+        assert _update_digest(updates) == self.FORCED_COLD
+        stats = detector.similarity_stats
+        modes = [u.mode for u in updates]
+        assert stats.cold_restarts == modes.count("full")
+        assert modes.count("warm") > 15
+        assert stats.rebuilds == 0  # the log is time-ordered
+        assert 0 < stats.tracked <= stats.rescored
+
+    def test_scorer_is_rebuilt_from_the_persisted_prior(self, world, tmp_path):
+        """Stop mid-day between two warm rounds; the checkpoint
+        carries ``prior`` but no scorer."""
+        directory, _, kwargs = world
+        ckpt = tmp_path / "ck.json"
+        first, second = [], []
+        stopped = replay_directory(
+            directory, on_update=first.append, checkpoint_path=ckpt,
+            max_batches=89, **kwargs,
+        )
+        assert stopped.interrupted and first[-1].mode == "warm"
+        restored = load_streaming(ckpt)
+        assert restored.prior is not None and restored._day_scorer is None
+        replay_directory(
+            directory, on_update=second.append, checkpoint_path=ckpt,
+            resume=True, **kwargs,
+        )
+        assert _update_digest(first + second) == self.RESUMED
 
 
 # ---------------------------------------------------------------------------

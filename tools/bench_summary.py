@@ -124,7 +124,7 @@ def summarize_bp_scale(payload) -> dict | None:
         return None
     largest_name = rows[-1]["config"]
     largest = [r for r in rows if r["config"] == largest_name]
-    return {
+    summary = {
         "smoke": payload.get("smoke"),
         "largest_config": largest_name,
         "largest_frontier": largest[-1].get("frontier"),
@@ -133,8 +133,18 @@ def summarize_bp_scale(payload) -> dict | None:
         "speedups": {
             f"{r['config']}/{r['scorer']}": r["speedup"] for r in rows
         },
-        "detect_parity": all(r.get("detect_parity") for r in rows),
+        "detect_parity": payload.get("detect_parity", False),
     }
+    # Growing-day arm: day-lived vs per-round-fresh frontier scorer
+    # (older JSONs lack it).
+    warm = payload.get("warm_rounds")
+    if warm:
+        summary["warm_rounds"] = {
+            key: warm[key] for key in (
+                "rounds", "fresh_seconds", "day_lived_seconds", "speedup",
+            )
+        }
+    return summary
 
 
 def summarize_evasion(payload) -> dict | None:
