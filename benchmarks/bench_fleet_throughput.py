@@ -1,33 +1,30 @@
-"""Fleet throughput: serial vs parallel cross-tenant execution.
+"""Fleet throughput: one worker vs many, with and without checkpoints.
 
 Not a paper figure -- this bench characterizes the multi-tenant fleet
 subsystem (`repro.fleet`).  It generates N correlated enterprises
 sharing one attacker campaign, writes the fleet layout to disk, then
-runs the identical workload through every executor:
+runs the identical workload at several worker counts:
 
-* serial: ``--workers 1`` (the baseline every mode must match);
-* threads: ``--workers N`` on the thread executor;
-* processes: ``--workers N`` on the process executor (engine state
-  carried through full per-tenant checkpoints every round -- real
-  parallelism paid for with serialization; skipped in smoke mode);
-* resident: long-lived worker processes with engines resident in
-  memory across rounds and barrier delta-checkpoints (at 1/2/N
-  workers in the full run to show the scaling curve; one mode in
-  smoke).  Resident modes also record per-worker busy stats
-  (``workers_detail``) for the operations runbook.
+* ``workers-1``: the serial case (the baseline every arm must match);
+* ``workers-2`` / ``workers-N``: the tenants split over that many
+  long-lived worker processes (smoke mode runs 1 and N only);
+* ``workers-N-ckpt`` (full run only): the same with
+  ``--checkpoint-dir`` -- what the per-round checkpoint barrier and
+  the delta chains cost on top of the durability-free run.
+
+Every arm records per-worker busy stats (``workers_detail``) for the
+operations runbook.
 
 The parity assertion is the load-bearing part: per-tenant detections
-must be identical across all modes (day-barrier seeding makes results
+must be identical across all arms (day-barrier seeding makes results
 independent of worker count).  The table reports tenant-days/sec plus
-the shared intel plane's cross-tenant cache hits and the streaming
-verdict-cache skip counters.
+the shared intel plane's cross-tenant cache hits.
 
 ``FLEET_BENCH_SMOKE=1`` shrinks the world for CI; results go to
-``benchmarks/out/fleet_throughput.json``.  Full runs time each mode
+``benchmarks/out/fleet_throughput.json``.  Full runs time each arm
 best-of-``REPEATS`` and record the host's ``cpu_count``: on a
-single-core host the process-based modes can only *match* serial
-(the win there is dropping the old per-round serialization tax), so
-the scaling curve is meaningful only alongside the core count.
+single-core host more workers can only *match* one worker, so the
+scaling curve is meaningful only alongside the core count.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ REPEATS = 1 if SMOKE else 5
 #: Dense per-tenant world for the full run.  The test-suite template
 #: (40 hosts) finishes a whole mode in well under a second, which is
 #: spawn-overhead territory; scaling measurements need each round to
-#: cost real compute so the executor difference dominates the noise.
+#: cost real compute so the worker-count difference dominates the noise.
 FULL_BENCH_TENANT = LanlConfig(
     seed=42,  # replaced per tenant by the fleet generator
     n_hosts=100,
@@ -88,10 +85,10 @@ def _bench_dataset():
     ))
 
 
-def _run_once(manifest, *, workers: int, executor: str):
-    """One timed run of one executor configuration."""
+def _run_once(manifest, *, workers: int, checkpoint_dir: Path | None):
+    """One timed run of one arm."""
     manager = FleetManager.from_manifest(
-        manifest, workers=workers, executor=executor
+        manifest, workers=workers, checkpoint_dir=checkpoint_dir
     )
     start = time.perf_counter()
     report = manager.run()
@@ -111,8 +108,10 @@ def _time_modes(manifest, modes):
     """
     best: dict[str, tuple] = {}
     for _ in range(REPEATS):
-        for name, workers, executor in modes:
-            run = _run_once(manifest, workers=workers, executor=executor)
+        for name, workers, checkpoint_dir in modes:
+            run = _run_once(
+                manifest, workers=workers, checkpoint_dir=checkpoint_dir
+            )
             if name not in best or run[1] < best[name][1]:
                 best[name] = run
     return best
@@ -124,20 +123,17 @@ def test_fleet_throughput():
         manifest = load_manifest(
             write_fleet_layout(fleet, Path(tmp), days=DAYS)
         )
-        modes = [("serial", 1, "thread"), ("threads", WORKERS, "thread")]
-        if SMOKE:
-            modes.append(("resident", WORKERS, "resident"))
-        else:
-            modes.append(("processes", WORKERS, "process"))
-            modes.extend(
-                (f"resident-{workers}", workers, "resident")
-                for workers in (1, 2, WORKERS)
+        counts = (1, WORKERS) if SMOKE else (1, 2, WORKERS)
+        modes = [(f"workers-{n}", n, None) for n in counts]
+        if not SMOKE:
+            modes.append(
+                (f"workers-{WORKERS}-ckpt", WORKERS, Path(tmp) / "ckpt")
             )
 
         timed = _time_modes(manifest, modes)
         rows, results = [], []
         baseline = None
-        for name, workers, executor in modes:
+        for name, workers, checkpoint_dir in modes:
             report, elapsed, manager = timed[name]
             detections = {
                 tenant: sorted(domains)
@@ -145,8 +141,8 @@ def test_fleet_throughput():
             }
             if baseline is None:
                 baseline = detections
-            # Parity is the contract: worker count and executor must
-            # never change what any tenant detects.
+            # Parity is the contract: worker count and checkpointing
+            # must never change what any tenant detects.
             assert detections == baseline, (name, detections, baseline)
 
             tenant_days = len(report.days)
@@ -160,10 +156,10 @@ def test_fleet_throughput():
                 vt.cross_tenant_hits,
                 report.seeded_detections(),
             ))
-            result = {
+            results.append({
                 "mode": name,
                 "workers": workers,
-                "executor": executor,
+                "checkpoints": checkpoint_dir is not None,
                 "tenants": N_TENANTS,
                 "tenant_days": tenant_days,
                 "records": records,
@@ -174,25 +170,21 @@ def test_fleet_throughput():
                 "vt_cache": vt.as_dict(),
                 "seeded_detections": report.seeded_detections(),
                 "detect_parity": detections == baseline,
-            }
-            if manager.worker_stats:
-                result["workers_detail"] = {
+                "workers_detail": {
                     str(worker_id): stats
                     for worker_id, stats in sorted(
                         manager.worker_stats.items()
                     )
-                }
-            results.append(result)
+                },
+            })
 
-        # One extra instrumented resident run (outside the timing
-        # loop): the fleet-wide snapshot's stage breakdown for the
-        # summary, with detection parity against the uninstrumented
-        # baseline asserted -- the observability plane must be
-        # invisible to outcomes.
+        # One extra instrumented run (outside the timing loop): the
+        # fleet-wide snapshot's stage breakdown for the summary, with
+        # detection parity against the uninstrumented baseline asserted
+        # -- the observability plane must be invisible to outcomes.
         registry = MetricsRegistry()
         manager = FleetManager.from_manifest(
-            manifest, workers=WORKERS, executor="resident",
-            metrics=registry,
+            manifest, workers=WORKERS, metrics=registry,
         )
         instrumented = manager.run()
         instr_detections = {
@@ -207,7 +199,6 @@ def test_fleet_throughput():
         )
         assert tenant_days_counted == len(instrumented.days)
         metrics_run = {
-            "executor": "resident",
             "workers": WORKERS,
             "detect_parity": True,
             "stage_seconds": snapshot.timings(),

@@ -8,12 +8,11 @@ the multi-host C&C heuristic), the followers with a *single* host each
 three engines in day-barrier rounds above a shared intel plane, so the
 lead's confirmation becomes an elevated belief-propagation prior for
 the followers the very next day: the paper's community-feedback
-amplification at fleet scale.  The same fleet is then re-run with
-three thread workers, and finally with the **resident executor** --
-long-lived worker processes whose engines stay in memory across
-rounds, checkpointing barrier deltas (docs/OPERATIONS.md's runbook
-covers sizing) -- to show that parallel execution changes wall-clock,
-never detections.
+amplification at fleet scale.  The engines live in long-lived worker
+processes that keep them in memory across rounds
+(docs/OPERATIONS.md's runbook covers sizing); the same fleet is then
+re-run split over three workers to show that parallel execution
+changes wall-clock, never detections.
 
 Run:  python examples/fleet_detection.py
 (EXAMPLES_SMOKE=1 shrinks the run for CI smoke runs.)
@@ -60,17 +59,10 @@ def main() -> None:
                   f"detected {sorted(set(day.detected) & set(shared.domains))}")
 
         print("\nparallel run (--workers 3):")
-        parallel = FleetManager.from_manifest(manifest, workers=3).run()
+        manager = FleetManager.from_manifest(manifest, workers=3)
+        parallel = manager.run()
         assert (serial.detected_by_tenant() == parallel.detected_by_tenant())
         print("parity holds: per-tenant detections identical with 3 workers")
-
-        print("\nresident run (--executor resident --workers 2):")
-        manager = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident",
-        )
-        resident = manager.run()
-        assert (serial.detected_by_tenant() == resident.detected_by_tenant())
-        print("parity holds: resident workers reproduce the serial run")
         for worker_id, stats in sorted(manager.worker_stats.items()):
             print(f"  worker {worker_id}: tenants {stats['tenants']}, "
                   f"{stats['tenant_days']} tenant-days, "

@@ -273,28 +273,20 @@ def _add_fleet_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="tenants advanced concurrently per round (default 1)",
-    )
-    parser.add_argument(
-        "--executor", choices=("thread", "process", "resident"),
-        default="thread",
-        help="'thread' keeps engines in memory; 'process' runs real "
-             "parallel workers with engine state carried through the "
-             "per-tenant checkpoints; 'resident' runs long-lived worker "
-             "processes whose engines stay in memory across rounds with "
-             "delta checkpoints at the barriers (see the operations "
-             "runbook for sizing guidance)",
+        help="long-lived worker processes the tenants are split over; "
+             "engines stay in worker memory across rounds (default 1; "
+             "see the operations runbook for sizing guidance)",
     )
     parser.add_argument(
         "--heartbeat", type=float, default=5.0,
-        help="resident executor: seconds between worker liveness polls "
-             "while awaiting a response (default 5.0); a worker that "
-             "dies is respawned from its last checkpoint",
+        help="seconds between worker liveness polls while awaiting a "
+             "response (default 5.0); with --checkpoint-dir a worker "
+             "that dies is respawned from its last checkpoint",
     )
     parser.add_argument(
         "--window-shards", type=int, default=1,
-        help="resident executor: aggregate each DNS tenant's day through "
-             "N host-hash window shards merged at the barrier "
+        help="aggregate each DNS tenant's day through N host-hash "
+             "window shards merged at the barrier "
              "(default 1 = serial ingest; detections are identical)",
     )
     parser.add_argument(
@@ -941,7 +933,6 @@ def _run_fleet(args) -> int:
         manager = FleetManager.from_manifest(
             manifest,
             workers=args.workers,
-            executor=args.executor,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             heartbeat=args.heartbeat,

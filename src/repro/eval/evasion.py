@@ -383,7 +383,6 @@ def churn_evasion_curve(
     seed: int = 42,
     n_tenants: int = 3,
     workers: int = 2,
-    executor: str = "thread",
     metrics=None,
 ) -> EvasionCurve:
     """Detection rate of a shared campaign across a churning fleet.
@@ -423,8 +422,7 @@ def churn_evasion_curve(
 
             def run(n_workers: int):
                 manager = FleetManager.from_manifest(
-                    manifest, workers=n_workers, executor=executor,
-                    metrics=metrics,
+                    manifest, workers=n_workers, metrics=metrics,
                 )
                 report = manager.run()
                 return {

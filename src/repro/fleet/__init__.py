@@ -12,14 +12,14 @@ shared intelligence plane:
   cross-tenant prior board (a domain confirmed malicious in one tenant
   becomes an elevated belief-propagation prior everywhere else);
 * :mod:`~repro.fleet.manager` -- :class:`FleetManager`: day-barrier
-  rounds over all tenants with a thread, process or resident executor,
-  per-tenant checkpoints on the :mod:`repro.state` atomic-write
-  machinery, and crash/resume;
-* :mod:`~repro.fleet.workers` -- the resident executor's long-lived
-  worker processes (:class:`ResidentPool`): engines stay in worker
+  rounds over all tenants, round commitment to the intel plane and
+  ``fleet.json``, and crash/resume;
+* :mod:`~repro.fleet.workers` -- the long-lived worker processes the
+  manager drives (:class:`ResidentPool`): engines stay in worker
   memory across rounds; prior-board deltas, day reports and barrier
-  delta-checkpoints are all that cross the process boundary, and a
-  crashed worker's tenants respawn from their checkpoint chains;
+  delta-checkpoints (on the :mod:`repro.state` atomic-write machinery)
+  are all that cross the process boundary, and a crashed worker's
+  tenants respawn from their checkpoint chains;
 * :mod:`~repro.fleet.report` -- :class:`FleetReport`: per-tenant
   detections, cross-tenant domain overlap, VT classification.
 

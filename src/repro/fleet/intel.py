@@ -12,7 +12,8 @@ provides:
   the lookups one enterprise saved another;
 * a **cross-tenant prior board**: domains a tenant detected with score
   at or above ``prior_threshold`` are published to the board, and
-  :meth:`seeds_for` returns every *other* tenant's qualifying domains.
+  each worker's :class:`BoardReplica` answers ``seeds_for(tenant)`` with
+  every *other* tenant's qualifying domains.
   Fed into :func:`repro.runner.detect_on_traffic` as ``intel_domains``,
   these become elevated belief-propagation priors -- the paper's
   community-feedback amplification (a domain confirmed malicious for
@@ -25,8 +26,8 @@ Seeding is applied at *day barriers* by the
 are identical regardless of how many workers advance the tenants in
 parallel.
 
-The plane is thread-safe (one lock around all mutation); in process
-executor mode only the fleet parent touches it, at the barriers.
+The plane is thread-safe (one lock around all mutation); during a
+fleet run only the manager process touches it, at the barriers.
 """
 
 from __future__ import annotations
@@ -113,18 +114,21 @@ class TenantWhoisView:
 
     Enterprise-path engines query WHOIS during feature extraction
     (DomAge/DomValidity); handing them this view instead of the raw
-    registry routes every lookup through the plane's shared, memoized
-    cache -- so one tenant's lookups save the others work, and the
-    cross-tenant hit accounting reflects the proxy path too.
+    registry routes every lookup through a shared, memoized cache --
+    anything with ``whois_lookup(tenant_id, domain)``: a worker's
+    :class:`~repro.fleet.workers.WorkerIntelCache` or an
+    :class:`IntelPlane` -- so one tenant's lookups save the others
+    work, and the cross-tenant hit accounting reflects the proxy path
+    too.
     """
 
-    def __init__(self, plane: "IntelPlane", tenant_id: str) -> None:
-        self.plane = plane
+    def __init__(self, cache, tenant_id: str) -> None:
+        self.cache = cache
         self.tenant_id = tenant_id
 
     def lookup(self, domain: str) -> WhoisRecord | None:
         """Memoized lookup attributed to this view's tenant."""
-        return self.plane.whois_lookup(self.tenant_id, domain)
+        return self.cache.whois_lookup(self.tenant_id, domain)
 
 
 @dataclass(frozen=True)
@@ -160,11 +164,10 @@ class BoardEntry:
 class BoardReplica:
     """Worker-side mirror of the cross-tenant prior board.
 
-    Resident fleet workers cannot reach the manager's plane between
-    barriers, so the manager streams :meth:`IntelPlane.board_delta`
-    entries to each worker (the ``INJECT_INTEL`` command) and the
-    replica answers :meth:`seeds_for` locally with exactly the plane's
-    semantics -- a tenant is never seeded with only its own findings.
+    Fleet workers cannot reach the manager's plane between barriers,
+    so the manager streams :meth:`IntelPlane.board_delta` entries to
+    each worker (the ``INJECT_INTEL`` command) and the replica answers
+    :meth:`seeds_for` locally -- the one place the seeding rule lives.
     Entry application is last-writer-wins on whole entries, which is
     safe because the plane's merged entry is the only thing ever sent.
     """
@@ -184,7 +187,8 @@ class BoardReplica:
             )
 
     def seeds_for(self, tenant_id: str) -> frozenset[str]:
-        """Replicated :meth:`IntelPlane.seeds_for` (same exclusion)."""
+        """Domains other tenants confirmed -- this tenant's elevated
+        priors.  A tenant is never seeded with only its own findings."""
         seeds = frozenset(
             domain
             for domain, tenants in self._tenants_by_domain.items()
@@ -367,18 +371,6 @@ class IntelPlane:
                 if entry.revision > since
             ]
             return self._revision, entries
-
-    def seeds_for(self, tenant_id: str) -> frozenset[str]:
-        """Domains other tenants confirmed -- this tenant's elevated
-        priors.  A tenant is never seeded with only its own findings."""
-        with self._lock:
-            seeds = frozenset(
-                entry.domain
-                for entry in self._board.values()
-                if entry.tenants != frozenset({tenant_id})
-            )
-            self.seeds_served += len(seeds)
-        return seeds
 
     @property
     def board(self) -> dict[str, BoardEntry]:

@@ -1,6 +1,6 @@
 """Fleet orchestration: one detection engine per tenant, run in step.
 
-The :class:`FleetManager` owns one streaming engine per enterprise
+The :class:`FleetManager` runs one streaming engine per enterprise
 tenant -- a :class:`~repro.streaming.StreamingDetector` for DNS-path
 tenants, a :class:`~repro.streaming.StreamingEnterpriseDetector`
 (restored from the tenant's trained ``model_state``) for
@@ -18,46 +18,28 @@ the tests enforce).  Because seeding happens at the traffic level
 pipeline types: a DNS tenant's confirmation seeds an enterprise
 tenant's proxy-path run and vice versa.
 
-Three executors:
-
-``thread``
-    engines stay in memory; tenants of one round run on a
-    ``ThreadPoolExecutor``.  Checkpointing is optional.
-``process``
-    tenants of one round run on a ``ProcessPoolExecutor``; engine
-    state travels through the per-tenant checkpoint files (the worker
-    loads the checkpoint, advances one day, writes it back), so a
-    checkpoint directory is required -- real parallelism, paid for
-    with per-round full-state serialization.
-``resident``
-    N long-lived worker processes (:mod:`repro.fleet.workers`), each
-    owning a stable subset of tenants whose engines stay in worker
-    memory across rounds.  The manager drives them over per-worker
-    command queues (``INJECT_INTEL`` / ``ADVANCE_DAY`` /
-    ``CHECKPOINT`` / ``SHUTDOWN``); only prior-board deltas, day
-    reports and barrier-delta checkpoints cross the process boundary,
-    so real parallelism no longer pays the full-serialization tax.  A
-    dead worker's tenants respawn from their last committed checkpoint
-    chain without disturbing the other workers.
+The engines live in ``workers`` long-lived worker processes
+(:mod:`repro.fleet.workers`), each owning a stable subset of tenants
+across rounds.  The manager drives them over per-worker command queues
+(``INJECT_INTEL`` / ``ADVANCE_DAY`` / ``CHECKPOINT`` / ``SHUTDOWN``);
+only prior-board deltas, day reports and barrier-delta checkpoints
+cross the process boundary.  ``workers=1`` is the serial case.
 
 Per-tenant checkpoints live at ``<dir>/<tenant>/checkpoint.json`` --
 a full engine snapshot plus the day's report in one atomic document
-(:func:`repro.state.save_json_atomic`) -- optionally extended by a
-``deltas.jsonl`` chain of per-round barrier deltas (resident mode), so
-a crash between a tenant finishing its day and the round barrier loses
-nothing: on resume the embedded report is re-published at the proper
-barrier.  The fleet-level document ``<dir>/fleet.json`` (intel board +
-completed-round cursor) is written at each barrier.
+(:func:`repro.state.save_json_atomic`) -- extended by a
+``deltas.jsonl`` chain of per-round barrier deltas, so a crash between
+a tenant finishing its day and the round barrier loses nothing: on
+resume the embedded report is re-published at the proper barrier, and
+a worker that dies mid-run is respawned from its tenants' chains
+without disturbing the other workers.  The fleet-level document
+``<dir>/fleet.json`` (intel board + completed-round cursor) is written
+at each barrier.  Without a checkpoint directory nothing is written
+and a worker death is fatal.
 """
 
 from __future__ import annotations
 
-import tempfile
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
@@ -66,19 +48,11 @@ from ..config import SystemConfig
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import (
     NULL_METRICS,
-    MetricsRegistry,
     MetricsSnapshot,
     split_sample_key,
 )
-from ..state import (
-    decode_config,
-    encode_config,
-    load_detector,
-    load_json,
-    save_json_atomic,
-)
-from ..streaming import StreamingDetector, StreamingEnterpriseDetector
-from .intel import IntelPlane, TenantWhoisView
+from ..state import load_json, save_json_atomic
+from .intel import IntelPlane
 from .manifest import FleetManifest, TenantSpec
 from .report import FleetReport, TenantDayReport
 from .workers import (
@@ -89,13 +63,9 @@ from .workers import (
     ResidentPool,
     WorkerDied,
     WorkerHandle,
-    _advance_one_day,
-    _save_tenant_checkpoint,
     _tenant_checkpoint_path,
     _tenant_delta_path,
     load_tenant_chain,
-    load_whois_cached,
-    restore_tenant_chain,
 )
 
 __all__ = ["FleetError", "FleetManager", "SECONDS_PER_DAY"]
@@ -107,90 +77,6 @@ FLEET_STATE_VERSION = 1
 _LOG = get_logger("fleet")
 
 
-#: Per-pool-process metrics registry (process executor only).  Pool
-#: workers persist across round submissions, so tenant counters and
-#: advance spans accumulate here and ship as per-task deltas in the
-#: :func:`_process_worker` return value.  Engines stay uninstrumented
-#: in this mode -- they are rebuilt from checkpoints every round, and
-#: re-registering their collectors each rebuild would leak.
-_POOL_METRICS: MetricsRegistry | None = None
-
-
-def _process_worker(payload: dict[str, Any]) -> dict[str, Any] | None:
-    """Advance one tenant one day inside a pool worker process.
-
-    Engine state rides in the tenant checkpoint chain: load (or
-    create), feed the day's file, write a full checkpoint back with
-    the embedded report.  Everything crossing the process boundary is
-    plain JSON-able data; external registries are re-loaded from their
-    paths -- the WHOIS file only once per worker *process*
-    (:func:`~repro.fleet.workers.load_whois_cached`), since pool
-    workers persist across round submissions.
-    """
-    global _POOL_METRICS
-    metrics = None
-    if payload.get("metrics"):
-        if _POOL_METRICS is None:
-            _POOL_METRICS = MetricsRegistry()
-        metrics = _POOL_METRICS
-    checkpoint_path = Path(payload["checkpoint_path"])
-    whois = (
-        load_whois_cached(payload["whois_path"])
-        if payload.get("whois_path") else None
-    )
-    if checkpoint_path.exists():
-        chain = load_tenant_chain(
-            checkpoint_path.parent.parent, payload["tenant_id"]
-        )
-        detector = restore_tenant_chain(chain, whois=whois)
-        rounds_done = chain.rounds
-    elif payload["pipeline"] == "enterprise":
-        detector = StreamingEnterpriseDetector(
-            load_detector(payload["model_state"], whois=whois)
-        )
-        rounds_done = 0
-    else:
-        detector = StreamingDetector(
-            config=(
-                decode_config(payload["config"])
-                if payload["config"] is not None else None
-            ),
-            internal_suffixes=tuple(payload["internal_suffixes"]),
-            server_ips=frozenset(payload["server_ips"]),
-        )
-        rounds_done = 0
-    ct_index = None
-    if payload.get("ct_path"):
-        from ..intelstore.ct import load_ct_cached
-
-        ct_index = load_ct_cached(payload["ct_path"])
-    report = _advance_one_day(
-        detector,
-        payload["tenant_id"],
-        Path(payload["log_path"]),
-        bootstrap=payload["bootstrap"],
-        seeds=frozenset(payload["seeds"]),
-        pipeline=payload["pipeline"],
-        ct_edges=ct_index,
-        metrics=metrics,
-    )
-    report_dict = report.as_dict() if report is not None else None
-    _save_tenant_checkpoint(
-        detector, checkpoint_path, report_dict, rounds_done + 1
-    )
-    return {
-        "report": report_dict,
-        "metrics": (
-            metrics.snapshot_delta().as_dict()
-            if metrics is not None else None
-        ),
-    }
-
-
-# ---------------------------------------------------------------------------
-# The fleet
-# ---------------------------------------------------------------------------
-
 class FleetManager:
     """Drives N per-tenant engines with a shared intel plane."""
 
@@ -201,7 +87,6 @@ class FleetManager:
         intel: IntelPlane | None = None,
         config: SystemConfig | None = None,
         workers: int = 1,
-        executor: str = "thread",
         checkpoint_dir: str | Path | None = None,
         resume: bool = False,
         whois_path: str | Path | None = None,
@@ -222,11 +107,6 @@ class FleetManager:
             seen.add(spec.tenant_id)
         if workers < 1:
             raise FleetError("workers must be positive")
-        if executor not in ("thread", "process", "resident"):
-            raise FleetError(
-                f"unknown executor {executor!r} "
-                "(use 'thread', 'process' or 'resident')"
-            )
         if resume and checkpoint_dir is None:
             raise FleetError("resume requires a checkpoint directory")
         if heartbeat <= 0:
@@ -235,23 +115,10 @@ class FleetManager:
             raise FleetError("full_checkpoint_every must be positive")
         if window_shards < 1:
             raise FleetError("window_shards must be positive")
-        self._transport_dir: tempfile.TemporaryDirectory | None = None
-        if executor == "process" and checkpoint_dir is None:
-            # Engine state travels through checkpoints in process mode;
-            # without an operator-chosen directory the checkpoints are
-            # pure transport, removed when run() returns.  (Resident
-            # workers keep engines in memory, so without a directory
-            # they simply run durability-free -- faster, but a worker
-            # crash is then fatal instead of recoverable.)
-            self._transport_dir = tempfile.TemporaryDirectory(
-                prefix="fleet-ckpt-"
-            )
-            checkpoint_dir = Path(self._transport_dir.name)
         self.specs = list(specs)
         self.intel = intel if intel is not None else IntelPlane()
         self.config = config
         self.workers = workers
-        self.executor = executor
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -260,13 +127,13 @@ class FleetManager:
         self.heartbeat = heartbeat
         self.full_checkpoint_every = full_checkpoint_every
         self.window_shards = window_shards
-        #: fleet-wide metrics view: the manager's own counters/spans,
-        #: thread-mode engines' live instruments, and the absorbed
-        #: per-round deltas resident/pool workers ship back.
+        #: fleet-wide metrics view: the manager's own counters/spans
+        #: plus the per-round deltas the workers ship back.
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.intel.bind_metrics(self.metrics)
-        #: CT SAN-pivot index shared by every tenant's rollover, or
-        #: ``None`` -- detections are byte-identical without it.
+        #: CT SAN-pivot index, or ``None`` -- detections are
+        #: byte-identical without it.  Loaded here for the intel store
+        #: and so that forked workers inherit the parsed index.
         self.ct_path = Path(ct_path) if ct_path is not None else None
         self.ct_index = None
         if self.ct_path is not None:
@@ -301,12 +168,11 @@ class FleetManager:
                 # barrier flush).
                 for cert in self.ct_index.observations:
                     self.intel_store.put_cert(cert)
-        self.engines: dict[str, Any] = {}
-        #: per-worker execution stats of the last resident run
+        #: per-worker execution stats of the last run
         #: (worker id -> tenants, tenant-days, records, busy seconds,
         #: respawns) -- surfaced in the fleet bench JSON.
         self.worker_stats: dict[int, dict[str, Any]] = {}
-        #: the live :class:`ResidentPool` during a resident run
+        #: the live :class:`ResidentPool` during a run
         #: (test/ops hook: worker handles expose pids).
         self.resident_pool: ResidentPool | None = None
 
@@ -330,30 +196,6 @@ class FleetManager:
         kwargs.setdefault("whois_path", manifest.whois_path)
         kwargs.setdefault("ct_path", manifest.certs_path)
         return cls(manifest.tenants, **kwargs)
-
-    # ------------------------------------------------------------------
-
-    def _tenant_whois(self, tenant_id: str) -> TenantWhoisView | None:
-        """The tenant's registry view through the shared cache."""
-        if self.intel.whois is None:
-            return None
-        return TenantWhoisView(self.intel, tenant_id)
-
-    def _build_engine(self, spec: TenantSpec):
-        """A fresh streaming engine for one tenant, per its pipeline."""
-        if spec.pipeline == "enterprise":
-            return StreamingEnterpriseDetector(
-                load_detector(
-                    spec.model_state, whois=self._tenant_whois(spec.tenant_id)
-                ),
-                metrics=self.metrics,
-            )
-        return StreamingDetector(
-            config=self.config,
-            internal_suffixes=spec.internal_suffixes,
-            server_ips=spec.server_ips,
-            metrics=self.metrics,
-        )
 
     # ------------------------------------------------------------------
 
@@ -440,20 +282,12 @@ class FleetManager:
                     # the interrupted run stopped: no checkpoint is
                     # expected, it starts fresh when its round comes.
                     cursors[spec.tenant_id] = 0
-                    if self.executor == "thread":
-                        self.engines[spec.tenant_id] = self._build_engine(spec)
                     continue
                 raise FleetError(
                     f"no checkpoint for tenant {spec.tenant_id!r}: {ckpt}"
                 )
             chain = load_tenant_chain(self.checkpoint_dir, spec.tenant_id)
             cursors[spec.tenant_id] = chain.rounds
-            if self.executor == "thread":
-                self.engines[spec.tenant_id] = restore_tenant_chain(
-                    chain,
-                    whois=self._tenant_whois(spec.tenant_id),
-                    metrics=self.metrics,
-                )
             if chain.rounds > rounds and chain.report:
                 # The tenant finished a round the fleet never committed
                 # (crash between task and barrier): re-publish its
@@ -473,10 +307,7 @@ class FleetManager:
             # A stale fleet document would make a later --resume skip
             # this run's rounds and seed from the old run's board.
             self._fleet_state_path().unlink(missing_ok=True)
-        for spec in self.specs:
-            if self.executor == "thread":
-                self.engines[spec.tenant_id] = self._build_engine(spec)
-            if self.checkpoint_dir is not None:
+            for spec in self.specs:
                 # A stale checkpoint chain would shadow the fresh run.
                 _tenant_checkpoint_path(
                     self.checkpoint_dir, spec.tenant_id
@@ -487,71 +318,6 @@ class FleetManager:
         return cursors
 
     # ------------------------------------------------------------------
-
-    def _submit_tenant(
-        self,
-        pool: Executor,
-        spec: TenantSpec,
-        path: Path,
-        *,
-        rnd: int,
-        bootstrap: bool,
-        seeds: frozenset[str],
-    ):
-        if self.executor == "process":
-            ckpt = _tenant_checkpoint_path(self.checkpoint_dir, spec.tenant_id)
-            ckpt.parent.mkdir(parents=True, exist_ok=True)
-            return pool.submit(_process_worker, {
-                "tenant_id": spec.tenant_id,
-                "checkpoint_path": str(ckpt),
-                "log_path": str(path),
-                "bootstrap": bootstrap,
-                "seeds": sorted(seeds),
-                "pipeline": spec.pipeline,
-                "model_state": (
-                    str(spec.model_state)
-                    if spec.model_state is not None else None
-                ),
-                # Only enterprise engines query the registry; sparing
-                # DNS workers the parse keeps large fleets cheap.
-                "whois_path": (
-                    str(self.whois_path)
-                    if self.whois_path is not None
-                    and spec.pipeline == "enterprise" else None
-                ),
-                "internal_suffixes": list(spec.internal_suffixes),
-                "server_ips": sorted(spec.server_ips),
-                "config": (
-                    encode_config(self.config)
-                    if self.config is not None else None
-                ),
-                "ct_path": (
-                    str(self.ct_path) if self.ct_path is not None else None
-                ),
-                "metrics": self.metrics.enabled,
-            })
-
-        detector = self.engines[spec.tenant_id]
-
-        def task() -> TenantDayReport | None:
-            report = _advance_one_day(
-                detector, spec.tenant_id, path,
-                bootstrap=bootstrap, seeds=seeds, pipeline=spec.pipeline,
-                ct_edges=self.ct_index,
-                metrics=self.metrics,
-            )
-            if self.checkpoint_dir is not None:
-                _save_tenant_checkpoint(
-                    detector,
-                    _tenant_checkpoint_path(
-                        self.checkpoint_dir, spec.tenant_id
-                    ),
-                    report.as_dict() if report is not None else None,
-                    rnd + 1,
-                )
-            return report
-
-        return pool.submit(task)
 
     def run(
         self,
@@ -578,11 +344,19 @@ class FleetManager:
                 # in memory for the report, and the file is complete
                 # for the next run (or `repro-detect intel`).
                 self.intel_store.close()
-            if self._transport_dir is not None:
-                self._transport_dir.cleanup()
-                self._transport_dir = None
 
     def _run(self, *, max_rounds, on_round) -> FleetReport:
+        """Drive the rounds over the worker pool.
+
+        Per round: sync each worker's prior-board replica with the
+        board delta since its last sync, send the round's
+        ``ADVANCE_DAY`` tasks, collect responses (respawning any dead
+        worker from its checkpoints), then hold the checkpoint barrier
+        before publishing -- so the fleet-state commit never runs ahead
+        of the tenants' durable state.  Without a checkpoint directory
+        the barrier (and crash recovery) is skipped entirely --
+        durability-free parallelism for ephemeral runs.
+        """
         files = self._tenant_files()
         if self.resume:
             start_round, cursors, carried = self._restore()
@@ -595,69 +369,92 @@ class FleetManager:
         )
 
         report = FleetReport(intel=self.intel)
-        if self.executor == "resident":
-            self._run_resident(
-                report, files, cursors, carried, start_round, total_rounds,
-                max_rounds=max_rounds, on_round=on_round,
-            )
-            return report
-
-        rounds_executed = 0
-        pool_cls = (
-            ProcessPoolExecutor if self.executor == "process"
-            else ThreadPoolExecutor
+        self.worker_stats = {}
+        pool = ResidentPool(
+            self.specs,
+            workers=self.workers,
+            checkpoint_dir=self.checkpoint_dir,
+            whois_path=self.whois_path,
+            config=self.config,
+            resume=self.resume,
+            heartbeat=self.heartbeat,
+            full_every=self.full_checkpoint_every,
+            window_shards=self.window_shards,
+            metrics_enabled=self.metrics.enabled,
+            ct_path=self.ct_path,
         )
-        with pool_cls(max_workers=self.workers) as pool:
+        self.resident_pool = pool
+        try:
+            rounds_executed = 0
             for rnd in range(start_round, total_rounds):
                 if max_rounds is not None and rounds_executed >= max_rounds:
                     report.interrupted = True
                     break
-                futures: dict[str, Any] = {}
-                for spec in self.specs:
-                    tenant_files = files[spec.tenant_id]
-                    file_index = self._file_index(spec, tenant_files, rnd)
-                    if file_index is None:
-                        continue
-                    if cursors[spec.tenant_id] > rnd:
-                        continue  # recovered past this round already
-                    bootstrap = file_index < spec.bootstrap_files
-                    seeds = (
-                        frozenset() if bootstrap
-                        else self.intel.seeds_for(spec.tenant_id)
-                    )
-                    futures[spec.tenant_id] = self._submit_tenant(
-                        pool, spec, tenant_files[file_index],
-                        rnd=rnd, bootstrap=bootstrap, seeds=seeds,
-                    )
+                results: dict[str, TenantDayReport] = {}
+                waiting: list[WorkerHandle] = []
+                for handle in list(pool.workers):
+                    self._sync_board(pool, handle)
+                    tasks = self._round_tasks(pool, handle, files,
+                                              cursors, rnd)
+                    if tasks:
+                        pool.send(handle, {
+                            "cmd": CMD_ADVANCE_DAY,
+                            "round": rnd,
+                            "tasks": tasks,
+                        })
+                        self.metrics.counter(
+                            "fleet_commands_total", cmd="advance_day"
+                        ).inc()
+                        waiting.append(handle)
+                advanced: list[WorkerHandle] = []
+                for handle in waiting:
+                    try:
+                        response = pool.recv(handle)
+                    except WorkerDied:
+                        handle, response = self._recover_worker(
+                            pool, handle, files, cursors, rnd, results
+                        )
+                    self._absorb_advance(handle, response, cursors,
+                                         results, rnd)
+                    advanced.append(handle)
 
-                # Barrier: collect in spec order (deterministic), then
-                # publish so day rnd+1 sees all of day rnd's findings.
-                round_reports: list[TenantDayReport] = []
-                for spec in self.specs:
-                    future = futures.get(spec.tenant_id)
-                    if future is None:
-                        continue
-                    result = future.result()
-                    cursors[spec.tenant_id] = rnd + 1
-                    if isinstance(result, dict):
-                        # Process-pool envelope: day report plus the
-                        # worker's metrics delta since its last ship.
-                        self._absorb_metrics(result)
-                        result = result.get("report")
-                        if result is not None:
-                            result = TenantDayReport.from_dict(result)
-                    if result is None:
-                        continue
-                    round_reports.append(result)
+                if self.checkpoint_dir is not None:
+                    # Checkpoint barrier: every advanced worker commits
+                    # its tenants' chains before the fleet state moves
+                    # on.
+                    for handle in advanced:
+                        pool.send(handle, {
+                            "cmd": CMD_CHECKPOINT, "round": rnd + 1,
+                        })
+                        self.metrics.counter(
+                            "fleet_commands_total", cmd="checkpoint"
+                        ).inc()
+                    for handle in advanced:
+                        try:
+                            self._absorb_metrics(pool.recv(handle))
+                        except WorkerDied:
+                            self._recover_worker(
+                                pool, handle, files, cursors, rnd, results
+                            )
+
+                # Publish in spec order (deterministic) so day rnd+1
+                # sees all of day rnd's findings.
+                round_reports = [
+                    results[spec.tenant_id]
+                    for spec in self.specs
+                    if spec.tenant_id in results
+                ]
                 round_reports.extend(
                     rep for c_rnd, rep in carried if c_rnd == rnd
                 )
                 self._commit_round(report, rnd, round_reports, on_round)
                 rounds_executed += 1
+        finally:
+            pool.shutdown()
         return report
 
     # ------------------------------------------------------------------
-    # Round commitment (shared by every executor)
+    # Round commitment
     # ------------------------------------------------------------------
 
     def _commit_round(
@@ -719,119 +516,15 @@ class FleetManager:
         if on_round is not None:
             on_round(round_reports)
 
+    # ------------------------------------------------------------------
+    # Driving the workers
+    # ------------------------------------------------------------------
+
     def _absorb_metrics(self, response: dict[str, Any] | None) -> None:
         """Fold a worker response's metrics delta into the fleet view."""
         payload = (response or {}).get("metrics")
         if payload and self.metrics.enabled:
             self.metrics.absorb(MetricsSnapshot.from_dict(payload))
-
-    # ------------------------------------------------------------------
-    # Resident executor
-    # ------------------------------------------------------------------
-
-    def _run_resident(
-        self,
-        report: FleetReport,
-        files: dict[str, list[Path]],
-        cursors: dict[str, int],
-        carried: list[tuple[int, TenantDayReport]],
-        start_round: int,
-        total_rounds: int,
-        *,
-        max_rounds,
-        on_round,
-    ) -> None:
-        """Drive the rounds over long-lived resident workers.
-
-        Per round: sync each worker's prior-board replica with the
-        board delta since its last sync, send the round's
-        ``ADVANCE_DAY`` tasks, collect responses (respawning any dead
-        worker from its checkpoints), then hold the checkpoint barrier
-        before publishing -- so the fleet-state commit never runs ahead
-        of the tenants' durable state.  Without a checkpoint directory
-        the barrier (and crash recovery) is skipped entirely --
-        durability-free parallelism for ephemeral runs.
-        """
-        self.worker_stats = {}
-        pool = ResidentPool(
-            self.specs,
-            workers=self.workers,
-            checkpoint_dir=self.checkpoint_dir,
-            whois_path=self.whois_path,
-            config=self.config,
-            resume=self.resume,
-            heartbeat=self.heartbeat,
-            full_every=self.full_checkpoint_every,
-            window_shards=self.window_shards,
-            metrics_enabled=self.metrics.enabled,
-            ct_path=self.ct_path,
-        )
-        self.resident_pool = pool
-        try:
-            rounds_executed = 0
-            for rnd in range(start_round, total_rounds):
-                if max_rounds is not None and rounds_executed >= max_rounds:
-                    report.interrupted = True
-                    break
-                results: dict[str, TenantDayReport] = {}
-                waiting: list[WorkerHandle] = []
-                for handle in list(pool.workers):
-                    self._sync_board(pool, handle)
-                    tasks = self._resident_tasks(pool, handle, files,
-                                                 cursors, rnd)
-                    if tasks:
-                        pool.send(handle, {
-                            "cmd": CMD_ADVANCE_DAY,
-                            "round": rnd,
-                            "tasks": tasks,
-                        })
-                        self.metrics.counter(
-                            "fleet_commands_total", cmd="advance_day"
-                        ).inc()
-                        waiting.append(handle)
-                advanced: list[WorkerHandle] = []
-                for handle in waiting:
-                    try:
-                        response = pool.recv(handle)
-                    except WorkerDied:
-                        handle, response = self._recover_worker(
-                            pool, handle, files, cursors, rnd, results
-                        )
-                    self._absorb_advance(handle, response, cursors,
-                                         results, rnd)
-                    advanced.append(handle)
-
-                if self.checkpoint_dir is not None:
-                    # Checkpoint barrier: every advanced worker commits
-                    # its tenants' chains before the fleet state moves
-                    # on.
-                    for handle in advanced:
-                        pool.send(handle, {
-                            "cmd": CMD_CHECKPOINT, "round": rnd + 1,
-                        })
-                        self.metrics.counter(
-                            "fleet_commands_total", cmd="checkpoint"
-                        ).inc()
-                    for handle in advanced:
-                        try:
-                            self._absorb_metrics(pool.recv(handle))
-                        except WorkerDied:
-                            self._recover_worker(
-                                pool, handle, files, cursors, rnd, results
-                            )
-
-                round_reports = [
-                    results[spec.tenant_id]
-                    for spec in self.specs
-                    if spec.tenant_id in results
-                ]
-                round_reports.extend(
-                    rep for c_rnd, rep in carried if c_rnd == rnd
-                )
-                self._commit_round(report, rnd, round_reports, on_round)
-                rounds_executed += 1
-        finally:
-            pool.shutdown()
 
     def _sync_board(self, pool: ResidentPool, handle: WorkerHandle) -> None:
         """Ship the prior-board delta since the worker's last sync."""
@@ -843,7 +536,7 @@ class FleetManager:
             ).inc()
         handle.synced_revision = revision
 
-    def _resident_tasks(
+    def _round_tasks(
         self,
         pool: ResidentPool,
         handle: WorkerHandle,
@@ -867,6 +560,16 @@ class FleetManager:
             })
         return tasks
 
+    def _stats_of(self, handle: WorkerHandle) -> dict[str, Any]:
+        """The worker's :attr:`worker_stats` row, created on first use."""
+        return self.worker_stats.setdefault(handle.worker_id, {
+            "tenants": sorted(handle.tenant_ids),
+            "tenant_days": 0,
+            "records": 0,
+            "elapsed_seconds": 0.0,
+            "respawns": 0,
+        })
+
     def _absorb_advance(
         self,
         handle: WorkerHandle,
@@ -879,13 +582,7 @@ class FleetManager:
         if response is None:
             return
         self._absorb_metrics(response)
-        stats = self.worker_stats.setdefault(handle.worker_id, {
-            "tenants": sorted(handle.tenant_ids),
-            "tenant_days": 0,
-            "records": 0,
-            "elapsed_seconds": 0.0,
-            "respawns": 0,
-        })
+        stats = self._stats_of(handle)
         for item in response["reports"]:
             cursors[item["tenant_id"]] = rnd + 1
             if item["report"] is not None:
@@ -926,14 +623,7 @@ class FleetManager:
         handle = pool.respawn(handle)
         self.metrics.counter("fleet_worker_respawns_total").inc()
         self._sync_board(pool, handle)
-        stats = self.worker_stats.setdefault(handle.worker_id, {
-            "tenants": sorted(handle.tenant_ids),
-            "tenant_days": 0,
-            "records": 0,
-            "elapsed_seconds": 0.0,
-            "respawns": 0,
-        })
-        stats["respawns"] += 1
+        self._stats_of(handle)["respawns"] += 1
         tasks: list[dict[str, Any]] = []
         for spec in pool.specs_of(handle):
             tenant_id = spec.tenant_id

@@ -1,12 +1,9 @@
 """Resident fleet workers: long-lived per-tenant engine processes.
 
-The fleet's original process executor shipped each tenant's *entire*
-engine snapshot through a checkpoint file every round -- O(lifetime
-history) serialization per tenant-day, which made ``--executor
-process`` slower than serial.  This module replaces it with **resident
-workers**: N long-lived processes, each owning a stable subset of
-tenants whose streaming engines stay in worker memory across rounds.
-Only three thin flows cross the process boundary per round:
+A fleet runs on N long-lived worker processes, each owning a stable
+subset of tenants whose streaming engines stay in worker memory across
+rounds (``N = 1`` is the serial case).  Only three thin flows cross
+the process boundary per round:
 
 * ``INJECT_INTEL`` (manager -> worker): new cross-tenant prior-board
   entries since the worker's last sync (:meth:`IntelPlane.board_delta`
@@ -49,7 +46,7 @@ from pathlib import Path
 from typing import Any
 
 from ..config import SystemConfig
-from ..intel.whois_db import WhoisDatabase, load_whois_file
+from ..intel.whois_db import WhoisDatabase
 from ..logs.proxy import parse_proxy_log
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..state import (
@@ -99,37 +96,12 @@ class WorkerDied(FleetError):
 # Worker-resident read-only intel
 # ---------------------------------------------------------------------------
 
-_WHOIS_MEMO: dict[str, WhoisDatabase] = {}
-
-
-def load_whois_cached(path: str | Path) -> WhoisDatabase:
-    """Parse a registration-registry file once per process and memoize.
-
-    Pool and resident workers alike live across rounds; re-parsing the
-    (read-only) registry every round submission was pure overhead and
-    reset all cache accounting.  The memo key is the path string --
-    fleet runs never rewrite the registry mid-run.  Both registry
-    formats load here: classic WHOIS JSON and RDAP fixture documents
-    (see :func:`repro.intelstore.rdap.load_registration_registry`).
-    """
-    from ..intelstore.rdap import load_registration_registry
-
-    key = str(path)
-    registry = _WHOIS_MEMO.get(key)
-    if registry is None:
-        registry = load_registration_registry(path)
-        _WHOIS_MEMO[key] = registry
-    return registry
-
-
 class WorkerIntelCache:
     """Worker-resident memoized WHOIS lookups with tenant attribution.
 
-    Shaped like the plane for :class:`TenantWhoisView` (it only needs
-    ``whois_lookup(tenant_id, domain)``), so enterprise engines inside
-    a resident worker route feature-extraction lookups through this
-    cache exactly as thread-mode engines route through the
-    :class:`~repro.fleet.intel.IntelPlane`.  :meth:`stats_delta`
+    Enterprise engines inside a worker route their feature-extraction
+    lookups through this cache via :class:`TenantWhoisView` (which only
+    needs ``whois_lookup(tenant_id, domain)``).  :meth:`stats_delta`
     returns the accounting accrued since the previous call; the worker
     ships it with each ``ADVANCE_DAY`` response and the manager absorbs
     it into the plane, keeping fleet-wide hit counters meaningful
@@ -168,7 +140,7 @@ class WorkerIntelCache:
 
 
 # ---------------------------------------------------------------------------
-# One tenant, one day (shared by every executor)
+# One tenant, one day
 # ---------------------------------------------------------------------------
 
 def _scored_detections(report: StreamDayReport) -> dict[str, float]:
@@ -189,9 +161,9 @@ def _scored_detections(report: StreamDayReport) -> dict[str, float]:
 def _ingest_day_sharded(detector, lines, n_shards: int) -> None:
     """Aggregate one DNS day through per-host-shard windows, merged.
 
-    The resident workers' promotion of the event bus's host shards
-    into real aggregation shards: the day's reduced columns are split
-    by :func:`~repro.streaming.events.split_by_shard`, each part builds
+    Promotes the event bus's host shards into real aggregation shards:
+    the day's reduced columns are split by
+    :func:`~repro.streaming.events.split_by_shard`, each part builds
     its own :class:`DailyTraffic`, and the shards are merged at the
     barrier (:func:`merge_daily_traffic`) before rollover recomputes
     rarity and detection from the merged aggregate.  Byte-identical to
@@ -307,9 +279,10 @@ def _save_tenant_checkpoint(
     """Write one tenant's full checkpoint wrapper atomically.
 
     A full write supersedes the tenant's delta chain, so the sidecar is
-    truncated here -- keeping the invariant that every executor's
-    checkpoints (the thread/process modes write fulls every round) are
-    readable through :func:`load_tenant_chain`.
+    truncated here.  A directory holding only full wrappers (what
+    ``full_every=1`` writes, and what the retired thread and process
+    executors wrote) reads through :func:`load_tenant_chain` as a chain
+    with no deltas.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     save_json_atomic(
@@ -447,7 +420,12 @@ class TenantCheckpointStore:
         """Persist the engine's barrier state for ``rounds_done``."""
         if rounds_done == self._committed_rounds:
             return
-        if self._since_full is None or self._since_full >= self.full_every:
+        # `_since_full` counts the delta commits since the last full, so
+        # this one is commit number `_since_full + 1` after it.
+        if (
+            self._since_full is None
+            or self._since_full + 1 >= self.full_every
+        ):
             _save_tenant_checkpoint(
                 self.detector, self.full_path, report, rounds_done
             )
@@ -574,17 +552,23 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
             Path(init["checkpoint_dir"])
             if init["checkpoint_dir"] is not None else None
         )
-        needs_whois = init["whois_path"] is not None and any(
+        whois = None
+        # Only enterprise engines query the registry; sparing DNS-only
+        # workers the parse keeps large fleets cheap.
+        if init["whois_path"] is not None and any(
             tenant["pipeline"] == "enterprise" for tenant in init["tenants"]
-        )
-        cache = WorkerIntelCache(
-            load_whois_cached(init["whois_path"]) if needs_whois else None
-        )
+        ):
+            from ..intelstore.rdap import load_registration_registry
+
+            whois = load_registration_registry(init["whois_path"])
+        cache = WorkerIntelCache(whois)
         ct_index = None
         if init.get("ct_path") is not None:
             from ..intelstore.ct import load_ct_cached
 
-            ct_index = load_ct_cached(init["ct_path"])
+            ct_index = load_ct_cached(
+                init["ct_path"], fold_level=init["ct_fold_level"]
+            )
         metrics = MetricsRegistry() if init.get("metrics") else NULL_METRICS
         replica = BoardReplica()
         seeds_reported = 0
@@ -755,9 +739,18 @@ class ResidentPool:
             list(specs[i::count]) for i in range(count)
         ]
         self._ctx = mp.get_context()
-        self.workers: list[WorkerHandle] = [
-            self._spawn(i, resume=resume) for i in range(count)
-        ]
+        self.workers: list[WorkerHandle] = []
+        try:
+            # Start them all, then shake hands: the workers build (or
+            # restore) their engines side by side.
+            for i in range(count):
+                self.workers.append(self._start(i, resume=resume))
+            for handle in self.workers:
+                self._handshake(handle)
+        except BaseException:
+            # One worker failing its handshake must not leak the rest.
+            self.shutdown()
+            raise
 
     def specs_of(self, handle: WorkerHandle) -> list[TenantSpec]:
         """The tenant specs owned by one worker."""
@@ -765,8 +758,8 @@ class ResidentPool:
 
     # ------------------------------------------------------------------
 
-    def _spawn(self, worker_id: int, *, resume: bool) -> WorkerHandle:
-        """Start one worker and complete its ready handshake."""
+    def _start(self, worker_id: int, *, resume: bool) -> WorkerHandle:
+        """Start one worker process (its handshake is still to come)."""
         owned = self._assignment[worker_id]
         init = {
             "worker_id": worker_id,
@@ -779,6 +772,10 @@ class ResidentPool:
             ),
             "ct_path": (
                 str(self.ct_path) if self.ct_path is not None else None
+            ),
+            "ct_fold_level": (
+                self.config.rarity.fold_level
+                if self.config is not None else 2
             ),
             "resume": resume,
             "full_every": self.full_every,
@@ -811,19 +808,21 @@ class ResidentPool:
             daemon=True,
         )
         process.start()
-        handle = WorkerHandle(
+        return WorkerHandle(
             worker_id=worker_id,
             tenant_ids=tuple(spec.tenant_id for spec in owned),
             process=process,
             commands=commands,
             responses=responses,
         )
+
+    def _handshake(self, handle: WorkerHandle) -> None:
+        """Await a started worker's ``ready`` and record its cursors."""
         ready = self.recv(handle)
         handle.cursors = {
             str(t): int(c) for t, c in ready["cursors"].items()
         }
         handle.carried = dict(ready["reports"])
-        return handle
 
     # ------------------------------------------------------------------
 
@@ -861,8 +860,9 @@ class ResidentPool:
         must be re-run.
         """
         self._reap(handle)
-        replacement = self._spawn(handle.worker_id, resume=True)
+        replacement = self._start(handle.worker_id, resume=True)
         self.workers[handle.worker_id] = replacement
+        self._handshake(replacement)
         return replacement
 
     def _reap(self, handle: WorkerHandle) -> None:

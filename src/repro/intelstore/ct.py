@@ -182,8 +182,8 @@ _CT_MEMO: dict[tuple[str, int], CtIndex] = {}
 
 
 def load_ct_cached(path: str | Path, *, fold_level: int = 2) -> CtIndex:
-    """Per-process memoized :func:`load_ct_log` (worker-side loader,
-    mirroring the WHOIS memo in ``fleet.workers``)."""
+    """Per-process memoized :func:`load_ct_log`: the fleet manager
+    loads the index once and its forked workers inherit the memo."""
     key = (str(Path(path).resolve()), fold_level)
     index = _CT_MEMO.get(key)
     if index is None:

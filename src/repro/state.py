@@ -597,8 +597,8 @@ class EngineDeltaTracker:
     """Computes per-barrier deltas of a streaming engine's state.
 
     A full :func:`encode_engine` snapshot re-serializes the entire
-    destination history every round -- O(lifetime) work that made the
-    fleet's process executor slower than serial.  At a day barrier the
+    destination history every round -- O(lifetime) work per
+    tenant-day.  At a day barrier the
     only state that changed since the previous barrier is *additive*:
     new first-seen history entries, newly committed days, new
     user-agent host sightings, plus a few scalar counters.  The tracker

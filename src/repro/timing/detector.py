@@ -17,16 +17,6 @@ from ..config import HistogramConfig
 from .divergence import divergence_from_periodic
 from .histogram import DynamicHistogram, histogram_from_timestamps
 
-#: Parity-only path: :meth:`AutomationDetector.automated_pairs_scalar`
-#: is the per-series reference the vectorized
-#: :func:`repro.timing.batch.automated_pairs_batch` is pinned against
-#: (``pytest -m parity``).  Production callers all dispatch through
-#: :meth:`AutomationDetector.automated_pairs`; the scalar loop is kept
-#: green only to anchor those tests and is slated for retirement with
-#: the rest of the scalar hot paths (ROADMAP).
-_parity = "automated_pairs_scalar"
-
-
 @dataclass(frozen=True, slots=True)
 class AutomationVerdict:
     """Result of testing one (host, domain) connection series."""
@@ -94,15 +84,3 @@ class AutomationDetector:
         from .batch import automated_pairs_batch
 
         return automated_pairs_batch(self, series)
-
-    def automated_pairs_scalar(
-        self,
-        series: Iterable[tuple[tuple[str, str], Sequence[float]]],
-    ) -> list[AutomationVerdict]:
-        """Per-series scalar loop (parity reference for the batch)."""
-        verdicts = []
-        for (host, domain), timestamps in series:
-            verdict = self.test_series(host, domain, timestamps)
-            if verdict.automated:
-                verdicts.append(verdict)
-        return verdicts

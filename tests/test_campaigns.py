@@ -311,9 +311,7 @@ class TestTenantChurn:
 
         results = {}
         for workers in (1, 2, 4):
-            manager = FleetManager.from_manifest(
-                manifest, workers=workers, executor="resident"
-            )
+            manager = FleetManager.from_manifest(manifest, workers=workers)
             report = manager.run()
             results[workers] = {
                 tenant: sorted(domains)

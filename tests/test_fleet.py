@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import (
+    BoardReplica,
     FleetError,
     FleetManager,
     IntelPlane,
@@ -23,6 +24,7 @@ from repro.fleet import (
 )
 from repro.intel import VirusTotalOracle, WhoisDatabase
 from repro.synthetic import write_fleet_layout
+from repro.fleet.workers import load_tenant_chain, restore_tenant_chain
 from repro.testing import make_multi_enterprise_dataset
 
 N_TENANTS = 3
@@ -48,6 +50,14 @@ def serial_report(fleet_layout):
 
 def _detections(report):
     return {t: sorted(d) for t, d in report.detected_by_tenant().items()}
+
+
+def _seeds(plane, tenant_id):
+    """A tenant's seeds the way a worker computes them: a replica
+    synced from the plane's full board delta."""
+    replica = BoardReplica()
+    replica.apply(plane.board_delta(0)[1])
+    return replica.seeds_for(tenant_id)
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +93,11 @@ class TestIntelPlane:
     def test_board_excludes_own_findings_and_low_scores(self):
         plane = IntelPlane(prior_threshold=0.4)
         plane.publish("a", 1, [("cc.c9", 1.0), ("weak.c9", 0.2)])
-        assert plane.seeds_for("b") == {"cc.c9"}
-        assert plane.seeds_for("a") == frozenset()
+        assert _seeds(plane, "b") == {"cc.c9"}
+        assert _seeds(plane, "a") == frozenset()
         # Once a second tenant confirms it, everyone is seeded.
         plane.publish("b", 2, [("cc.c9", 1.0)])
-        assert plane.seeds_for("a") == {"cc.c9"}
+        assert _seeds(plane, "a") == {"cc.c9"}
         entry = plane.board["cc.c9"]
         assert entry.tenants == {"a", "b"}
         assert entry.first_day == 1
@@ -99,7 +109,7 @@ class TestIntelPlane:
         plane.vt_reported("b", "evil.c9")
         restored = IntelPlane(vt=plane.vt)
         restored.restore(plane.encode())
-        assert restored.seeds_for("b") == {"evil.c9"}
+        assert _seeds(restored, "b") == {"evil.c9"}
         assert restored.vt_cache.stats.cross_tenant_hits == 1
         # The cached verdict (and its owner) survived.
         restored.vt_reported("c", "evil.c9")
@@ -207,14 +217,23 @@ class TestFleetRun:
             assert overlap[domain] == ("t0", "t1", "t2")
         assert serial_report.intel.vt_cache.stats.cross_tenant_hits > 0
 
-    def test_tenant_isolation(self, serial_report, fleet_dataset, fleet_layout):
+    def test_tenant_isolation(
+        self, serial_report, fleet_dataset, fleet_layout, tmp_path
+    ):
         # A domain unique to one tenant's world must never surface in
         # another tenant's detections, and parallel execution must keep
         # per-tenant histories disjoint from other tenants' traffic.
         detected = _detections(serial_report)
         manifest = load_manifest(fleet_layout)
-        manager = FleetManager.from_manifest(manifest, workers=N_TENANTS)
-        manager.run()
+        FleetManager.from_manifest(
+            manifest, workers=N_TENANTS, checkpoint_dir=tmp_path,
+        ).run()
+        histories = {
+            tenant_id: restore_tenant_chain(
+                load_tenant_chain(tmp_path, tenant_id)
+            ).history
+            for tenant_id in fleet_dataset.tenants
+        }
         for tenant_id, dataset in fleet_dataset.tenants.items():
             own = {
                 domain
@@ -226,7 +245,7 @@ class TestFleetRun:
                 if other_id == tenant_id:
                     continue
                 assert not own & set(detected[other_id])
-                history = manager.engines[other_id].history
+                history = histories[other_id]
                 assert not any(not history.is_new(d) for d in own)
 
     def test_serial_parallel_parity(self, fleet_layout, serial_report):
@@ -234,22 +253,12 @@ class TestFleetRun:
         parallel = FleetManager.from_manifest(manifest, workers=3).run()
         assert _detections(parallel) == _detections(serial_report)
 
-    def test_process_executor_parity(self, fleet_layout, serial_report, tmp_path):
-        manifest = load_manifest(fleet_layout)
-        report = FleetManager.from_manifest(
-            manifest, workers=2, executor="process",
-            checkpoint_dir=tmp_path / "ckpt",
-        ).run()
-        assert _detections(report) == _detections(serial_report)
-
     def test_rejects_bad_configuration(self, fleet_layout, tmp_path):
         manifest = load_manifest(fleet_layout)
         with pytest.raises(FleetError, match="at least one tenant"):
             FleetManager([])
         with pytest.raises(FleetError, match="workers"):
             FleetManager.from_manifest(manifest, workers=0)
-        with pytest.raises(FleetError, match="executor"):
-            FleetManager.from_manifest(manifest, executor="greenlet")
         with pytest.raises(FleetError, match="resume requires"):
             FleetManager.from_manifest(manifest, resume=True)
         with pytest.raises(FleetError, match="no fleet checkpoint"):
@@ -271,19 +280,26 @@ class TestFleetRun:
 # ---------------------------------------------------------------------------
 
 class TestFleetCheckpoint:
-    @pytest.mark.parametrize("executor", ["thread", "process", "resident"])
+    # full_checkpoint_every=1 writes a full wrapper every round and no
+    # sidecar -- byte-for-byte what the retired thread/process
+    # executors wrote -- so the `1` case pins that such a directory
+    # still resumes (here: under the default chain cadence).
+    @pytest.mark.parametrize("full_checkpoint_every", [1, 16])
     def test_interrupt_resume_matches_full_run(
-        self, fleet_layout, serial_report, tmp_path, executor
+        self, fleet_layout, serial_report, tmp_path, full_checkpoint_every
     ):
         manifest = load_manifest(fleet_layout)
-        ckpt = tmp_path / f"ckpt-{executor}"
+        ckpt = tmp_path / "ckpt"
         first = FleetManager.from_manifest(
-            manifest, workers=2, executor=executor, checkpoint_dir=ckpt,
+            manifest, workers=2, checkpoint_dir=ckpt,
+            full_checkpoint_every=full_checkpoint_every,
         ).run(max_rounds=2)
         assert first.interrupted
+        assert (ckpt / "t0" / "deltas.jsonl").exists() == (
+            full_checkpoint_every > 1
+        )
         second = FleetManager.from_manifest(
-            manifest, workers=2, executor=executor,
-            checkpoint_dir=ckpt, resume=True,
+            manifest, workers=2, checkpoint_dir=ckpt, resume=True,
         ).run()
         assert not second.interrupted
         combined = {}
@@ -398,6 +414,14 @@ class TestFleetCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_retired_executor_flag_is_rejected(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", str(tmp_path / "m.json"), "--executor", "thread"])
+        assert exit_info.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_generate_rejects_bad_tenant_combos(self, tmp_path, capsys):
         from repro.cli import main
@@ -590,12 +614,11 @@ class TestMixedFleetRun:
         manifest = load_manifest(mixed_layout)
         ckpt = tmp_path / "ckpt"
         first = FleetManager.from_manifest(
-            manifest, workers=2, executor="process", checkpoint_dir=ckpt,
+            manifest, workers=2, checkpoint_dir=ckpt,
         ).run(max_rounds=2)
         assert first.interrupted
         second = FleetManager.from_manifest(
-            manifest, workers=2, executor="process",
-            checkpoint_dir=ckpt, resume=True,
+            manifest, workers=2, checkpoint_dir=ckpt, resume=True,
         ).run()
         assert not second.interrupted
         combined = {}

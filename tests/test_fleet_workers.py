@@ -1,4 +1,4 @@
-"""Tests for the resident fleet executor (repro.fleet.workers).
+"""Tests for the fleet's resident workers (repro.fleet.workers).
 
 The load-bearing properties: resident workers produce byte-identical
 per-tenant detections at any worker count (including mixed-pipeline
@@ -10,13 +10,14 @@ the delta-checkpoint chains on disk survive torn tails.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 from pathlib import Path
 
 import pytest
 
-from repro.fleet import FleetManager, load_manifest
+from repro.fleet import FleetError, FleetManager, load_manifest
 from repro.fleet.workers import (
     CMD_ADVANCE_DAY,
     CMD_CHECKPOINT,
@@ -53,15 +54,13 @@ class TestResidentParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_matches_serial(self, mixed_layout, serial_detections, workers):
         manifest = load_manifest(mixed_layout)
-        report = FleetManager.from_manifest(
-            manifest, workers=workers, executor="resident",
-        ).run()
+        report = FleetManager.from_manifest(manifest, workers=workers).run()
         assert _detections(report) == serial_detections
 
     def test_window_shards_keep_parity(self, mixed_layout, serial_detections):
         manifest = load_manifest(mixed_layout)
         report = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident", window_shards=4,
+            manifest, workers=2, window_shards=4,
         ).run()
         assert _detections(report) == serial_detections
 
@@ -73,8 +72,7 @@ class TestResidentParity:
         split by host hash and merged at the barrier."""
         from repro.cli import main
 
-        base = ["fleet", str(mixed_layout),
-                "--executor", "resident", "--workers", "2"]
+        base = ["fleet", str(mixed_layout), "--workers", "2"]
         capsys.readouterr()
         assert main(base + ["--window-shards", "1"]) == 0
         serial = capsys.readouterr().out
@@ -84,9 +82,7 @@ class TestResidentParity:
 
     def test_worker_stats_cover_all_tenants(self, mixed_layout):
         manifest = load_manifest(mixed_layout)
-        manager = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident",
-        )
+        manager = FleetManager.from_manifest(manifest, workers=2)
         report = manager.run()
         owned = sorted(
             t for stats in manager.worker_stats.values()
@@ -105,9 +101,7 @@ class TestResidentParity:
         # process; their registry lookups must still land in the
         # manager's shared accounting (the hoisted-cache fix).
         manifest = load_manifest(mixed_layout)
-        manager = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident",
-        )
+        manager = FleetManager.from_manifest(manifest, workers=2)
         manager.run()
         assert manager.intel.whois_cache.stats.misses > 0
 
@@ -119,7 +113,7 @@ class TestResidentCheckpoints:
         manifest = load_manifest(mixed_layout)
         ckpt = tmp_path / "ckpt"
         first = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident",
+            manifest, workers=2,
             checkpoint_dir=ckpt, full_checkpoint_every=2,
         ).run(max_rounds=2)
         assert first.interrupted
@@ -132,7 +126,7 @@ class TestResidentCheckpoints:
         assert any(chain.deltas for chain in chains.values())
 
         second = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident",
+            manifest, workers=2,
             checkpoint_dir=ckpt, resume=True, full_checkpoint_every=2,
         ).run()
         assert not second.interrupted
@@ -147,7 +141,7 @@ class TestResidentCheckpoints:
         manifest = load_manifest(mixed_layout)
         ckpt = tmp_path / "ckpt"
         FleetManager.from_manifest(
-            manifest, workers=1, executor="resident",
+            manifest, workers=1,
             checkpoint_dir=ckpt, full_checkpoint_every=2,
         ).run(max_rounds=2)
         tenant = manifest.tenants[0].tenant_id
@@ -166,7 +160,7 @@ class TestResidentCheckpoints:
         manifest = load_manifest(mixed_layout)
         ckpt = tmp_path / "ckpt"
         FleetManager.from_manifest(
-            manifest, workers=1, executor="resident", checkpoint_dir=ckpt,
+            manifest, workers=1, checkpoint_dir=ckpt,
         ).run(max_rounds=1)
         tenant = manifest.tenants[0].tenant_id
         # A leftover delta older than the full snapshot must be ignored.
@@ -187,7 +181,7 @@ class TestCrashRecovery:
         # chains and the fleet must still match the serial run.
         manifest = load_manifest(mixed_layout)
         manager = FleetManager.from_manifest(
-            manifest, workers=2, executor="resident",
+            manifest, workers=2,
             checkpoint_dir=tmp_path / "ckpt", heartbeat=0.5,
             full_checkpoint_every=2,
         )
@@ -212,6 +206,31 @@ class TestCrashRecovery:
             if worker_id != killed[0]
         ]
         assert all(r == 0 for r in others)
+
+
+    def test_failed_handshake_leaves_no_live_workers(
+        self, mixed_layout, tmp_path
+    ):
+        # Worker 1 fails to restore its tenant on resume; worker 0,
+        # already started and healthy, must be reaped before the error
+        # surfaces -- not left running behind a pool nobody holds.
+        manifest = load_manifest(mixed_layout)
+        ckpt = tmp_path / "ckpt"
+        FleetManager.from_manifest(
+            manifest, workers=2, checkpoint_dir=ckpt,
+        ).run(max_rounds=1)
+        (ckpt / "t1" / "checkpoint.json").write_text(json.dumps({
+            "kind": "fleet-tenant", "round": 1,
+            "engine": {"kind": "bogus"}, "report": None,
+        }))
+        with pytest.raises(FleetError, match="worker 1: StateError"):
+            FleetManager.from_manifest(
+                manifest, workers=2, checkpoint_dir=ckpt, resume=True,
+            ).run()
+        assert not [
+            child for child in multiprocessing.active_children()
+            if child.name.startswith("fleet-worker-")
+        ]
 
 
 class TestOrderedDelivery:

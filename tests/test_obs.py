@@ -346,7 +346,7 @@ class TestFleetAggregation:
         baseline = FleetManager.from_manifest(manifest, workers=1).run()
         registry = MetricsRegistry()
         report = FleetManager.from_manifest(
-            manifest, workers=4, executor="resident", metrics=registry,
+            manifest, workers=4, metrics=registry,
         ).run()
         return baseline, report, registry.snapshot()
 

@@ -128,8 +128,13 @@ class TestVectorizedTimingParity:
             ((f"host{i}", f"d{i}.example"), times)
             for i, times in enumerate(series_list)
         ]
-        assert automated_pairs_batch(detector, series) == \
-            detector.automated_pairs_scalar(series)
+        # The reference is the public per-series definition.
+        reference = [
+            verdict
+            for (host, domain), times in series
+            if (verdict := detector.test_series(host, domain, times)).automated
+        ]
+        assert automated_pairs_batch(detector, series) == reference
 
 
 # A small pool of hosts/domains makes (host, domain) collisions -- the

@@ -76,29 +76,32 @@ def summarize_streaming(payload) -> dict | None:
 
 
 def summarize_fleet(payload) -> dict | None:
-    """Headline of the fleet bench: records/sec per executor mode,
-    with each mode's speedup over the serial baseline."""
+    """Headline of the fleet bench: records/sec per arm, with each
+    arm's speedup over the one-worker baseline."""
     modes = payload.get("modes") if isinstance(payload, dict) else None
     if not modes:
         return None
-    serial_rps = next(
-        (m.get("records_per_sec") for m in modes if m.get("mode") == "serial"),
+    base_rps = next(
+        (m.get("records_per_sec") for m in modes
+         if m.get("mode") == "workers-1"),
         None,
     )
     summary_modes = {}
     for mode in modes:
         entry = {
             "workers": mode.get("workers"),
+            "checkpoints": mode.get("checkpoints", False),
             "records_per_sec": mode.get("records_per_sec"),
             "tenant_days_per_sec": mode.get("tenant_days_per_sec"),
             "detect_parity": mode.get("detect_parity"),
         }
         rps = mode.get("records_per_sec")
-        if serial_rps and rps:
-            entry["speedup_vs_serial"] = round(rps / serial_rps, 3)
+        if base_rps and rps:
+            entry["speedup_vs_workers_1"] = round(rps / base_rps, 3)
         summary_modes[mode.get("mode")] = entry
     summary = {
         "smoke": payload.get("smoke"),
+        "cpu_count": payload.get("cpu_count"),
         "modes": summary_modes,
         "detect_parity": all(m.get("detect_parity") for m in modes),
     }
