@@ -8,13 +8,17 @@ processed twice by the *same trained system*:
 * batch: one ``process_day`` call (aggregate, rare extraction,
   automation test, regression C&C scoring, belief propagation, profile
   commit);
-* streaming: the same connections in micro-batches with a full scoring
-  round per batch, closed by the batch-parity ``rollover``.
+* streaming: the same day as the pre-joined log text a layout ships,
+  through ``submit_lines`` -- the route ``stream --pipeline enterprise``
+  and a fleet's enterprise tenants take, parsing and normalization
+  included -- in micro-batches with a full scoring round per batch,
+  closed by the batch-parity ``rollover``.
 
-Batch amortizes everything over one pass, so raw events/sec favors it;
-streaming buys bounded detection latency (a scoring round every
-``MICRO_BATCH`` events) and the parity column shows it costs nothing
-in outcome.  ``ENTERPRISE_BENCH_SMOKE=1`` keeps only the smallest
+Batch is handed ready-made ``Connection`` events and amortizes
+everything over one pass, so raw events/sec favors it; streaming
+starts from text and buys bounded detection latency (a scoring round
+every ``MICRO_BATCH`` events), and the parity column shows it costs
+nothing in outcome.  ``ENTERPRISE_BENCH_SMOKE=1`` keeps only the smallest
 scale for CI.  Results go to
 ``benchmarks/out/enterprise_stream_throughput.json``.
 """
@@ -30,9 +34,18 @@ import time
 from conftest import OUT_DIR, save_output
 
 from repro.eval import render_table
-from repro.streaming import StreamingEnterpriseDetector, micro_batches
+from repro.logs import (
+    IpResolver,
+    format_proxy_line,
+    normalize_proxy_records,
+    parse_proxy_log,
+)
+from repro.streaming import StreamingEnterpriseDetector
 from repro.synthetic import EnterpriseDatasetConfig, generate_enterprise_dataset
-from repro.synthetic.fleet import train_enterprise_detector
+from repro.synthetic.fleet import (
+    _prejoined_proxy_records,
+    train_enterprise_detector,
+)
 
 SMOKE = os.environ.get("ENTERPRISE_BENCH_SMOKE", "") not in ("", "0")
 #: Micro-batch size, i.e. the scoring cadence.  Sized to the synthetic
@@ -64,10 +77,20 @@ if SMOKE:
     SCALES = SCALES[:1]
 
 
-def _batch_arm(trained, dataset, warmup_day, day, conns):
+def _day_text(dataset, day):
+    """One day as a layout's log lines, and the events those lines hold."""
+    lines = [
+        format_proxy_line(record) + "\n"
+        for record in _prejoined_proxy_records(dataset, day)
+    ]
+    events = list(normalize_proxy_records(parse_proxy_log(lines), IpResolver()))
+    return lines, events
+
+
+def _batch_arm(trained, warmup_conns, day, conns):
     """One timed bulk ``process_day`` on a fresh copy of the system."""
     batch = copy.deepcopy(trained)
-    batch.process_day(warmup_day, dataset.day_connections(warmup_day))
+    batch.process_day(day - 1, warmup_conns)
     gc.collect()
     start = time.perf_counter()
     batch_result = batch.process_day(day, conns)
@@ -75,19 +98,23 @@ def _batch_arm(trained, dataset, warmup_day, day, conns):
     return elapsed, batch_result.all_detected_domains()
 
 
-def _stream_arm(trained, dataset, warmup_day, conns):
-    """One timed streaming day: micro-batches, score per batch, rollover."""
+def _stream_arm(trained, warmup_lines, lines):
+    """One timed streaming day: text micro-batches, score per batch,
+    rollover."""
     stream = StreamingEnterpriseDetector(copy.deepcopy(trained))
-    stream.ingest(dataset.day_connections(warmup_day))
+    stream.submit_lines(warmup_lines)
+    stream.poll()
     stream.rollover()
     latencies = []
     gc.collect()
     start = time.perf_counter()
-    for batch_events in micro_batches(iter(conns), MICRO_BATCH):
+    for lo in range(0, len(lines), MICRO_BATCH):
+        chunk = lines[lo:lo + MICRO_BATCH]
         t0 = time.perf_counter()
-        stream.ingest(batch_events)
+        stream.submit_lines(chunk)
+        stream.poll()
         stream.score()
-        latencies.append((time.perf_counter() - t0) / len(batch_events))
+        latencies.append((time.perf_counter() - t0) / len(chunk))
     report = stream.rollover()
     elapsed = time.perf_counter() - start
     return elapsed, latencies, report, stream
@@ -99,8 +126,9 @@ def test_enterprise_stream_throughput():
         dataset = generate_enterprise_dataset(config)
         trained = train_enterprise_detector(dataset)
         day = dataset.config.bootstrap_days + 1
-        warmup_day = day - 1
-        conns = dataset.day_connections(day)
+        lines, conns = _day_text(dataset, day)
+        warmup_lines, warmup_conns = _day_text(dataset, day - 1)
+        assert len(conns) == len(lines)
 
         # Both arms run TIMING_RUNS times, interleaved, keeping the
         # best of each -- see the noise note on ``TIMING_RUNS``.
@@ -108,11 +136,11 @@ def test_enterprise_stream_throughput():
         batch_detected = latencies = report = stream = None
         for attempt in range(TIMING_RUNS):
             elapsed_b, detected = _batch_arm(
-                trained, dataset, warmup_day, day, conns
+                trained, warmup_conns, day, conns
             )
             batch_elapsed = min(batch_elapsed, elapsed_b)
             elapsed_s, lat, rep, det = _stream_arm(
-                trained, dataset, warmup_day, conns
+                trained, warmup_lines, lines
             )
             stream_elapsed = min(stream_elapsed, elapsed_s)
             if attempt == 0:
@@ -151,6 +179,7 @@ def test_enterprise_stream_throughput():
             "stream_elapsed_sec": stream_elapsed,
             "detect_parity": parity,
             "verdict_cache": stream.verdict_stats.as_dict(),
+            "cpu_count": os.cpu_count(),
         })
 
     OUT_DIR.mkdir(exist_ok=True)
@@ -164,9 +193,9 @@ def test_enterprise_stream_throughput():
              "lat p50 us", "lat p99 us", "detect parity"),
             rows,
             title=(
-                "Streaming enterprise engine vs batch process_day (one "
-                f"operational day, micro-batch={MICRO_BATCH}, scoring "
-                "round per batch)"
+                "Streaming enterprise engine from log text vs batch "
+                "process_day (one operational day, micro-batch="
+                f"{MICRO_BATCH}, scoring round per batch)"
             ),
         ),
     )

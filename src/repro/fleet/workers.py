@@ -47,7 +47,6 @@ from typing import Any
 
 from ..config import SystemConfig
 from ..intel.whois_db import WhoisDatabase
-from ..logs.proxy import parse_proxy_log
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..state import (
     EngineDeltaTracker,
@@ -192,7 +191,6 @@ def _advance_one_day(
     *,
     bootstrap: bool,
     seeds: Set[str],
-    pipeline: str = "dns",
     ct_edges=None,
     window_shards: int = 1,
     metrics=None,
@@ -208,24 +206,21 @@ def _advance_one_day(
     the per-tenant ``elapsed_seconds`` in the report and the
     fleet-wide timing histogram come from the same measurement.
 
-    ``window_shards > 1`` routes eligible DNS days through
+    ``window_shards > 1`` routes eligible days through
     :func:`_ingest_day_sharded` (aggregation shards merged at the
-    barrier); enterprise days and non-empty windows keep the serial
-    path.
+    barrier); engines that stage user agents (every enterprise engine)
+    and non-empty windows keep the serial path.
     """
     obs = metrics if metrics is not None else NULL_METRICS
     sharded = (
         window_shards > 1
-        and pipeline != "enterprise"
         and detector.window.ua_history is None
         and detector.window.events_today == 0
         and len(detector.bus) == 0
     )
     with obs.span("worker_advance") as advance_span:
         with path.open() as handle:
-            if pipeline == "enterprise":
-                detector.submit_raw(parse_proxy_log(handle))
-            elif sharded:
+            if sharded:
                 _ingest_day_sharded(detector, handle, window_shards)
             else:
                 detector.submit_lines(handle)
@@ -454,7 +449,6 @@ class _TenantRuntime:
     """One tenant's resident state inside a worker process."""
 
     tenant_id: str
-    pipeline: str
     detector: Any
     store: TenantCheckpointStore | None
     cursor: int = 0
@@ -522,7 +516,6 @@ def _build_worker_tenant(
     )
     return _TenantRuntime(
         tenant_id=tenant_id,
-        pipeline=tenant["pipeline"],
         detector=detector,
         store=store,
         cursor=cursor,
@@ -614,7 +607,6 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                         Path(task["log_path"]),
                         bootstrap=task["bootstrap"],
                         seeds=seeds,
-                        pipeline=runtime.pipeline,
                         ct_edges=ct_index,
                         window_shards=init["window_shards"],
                         metrics=metrics,

@@ -31,6 +31,7 @@ from .proxy import (
 )
 from .normalize import (
     IpResolver,
+    ProxyNormalizer,
     normalize_dns_records,
     normalize_proxy_records,
     to_utc,
@@ -69,6 +70,7 @@ __all__ = [
     "parse_proxy_line",
     "parse_proxy_log",
     "IpResolver",
+    "ProxyNormalizer",
     "normalize_dns_records",
     "normalize_proxy_records",
     "to_utc",

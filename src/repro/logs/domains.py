@@ -20,8 +20,13 @@ def is_ip_address(name: str) -> bool:
     """Whether ``name`` is a literal IPv4/IPv6 address.
 
     The paper drops destinations that are bare IP addresses from the
-    proxy-log analysis (Section IV-A).
+    proxy-log analysis (Section IV-A).  An IPv4 literal ends in a
+    digit and an IPv6 literal contains a colon; a name with neither
+    (every ordinary domain) is answered without the ``ipaddress``
+    parse, the rest are decided by it.
     """
+    if not (name[-1:].isdigit() or ":" in name):
+        return False
     try:
         ipaddress.ip_address(name)
     except ValueError:

@@ -13,15 +13,43 @@ analysis:
 :class:`IpResolver` holds the lease intervals, indexed per address and
 binary-searched by timestamp, so resolution is ``O(log n)`` per record
 and the whole join streams.
+
+:class:`ProxyNormalizer` is the detection route: one loop from the
+fields of proxy log lines to :class:`~repro.logs.records.ConnectionBatch`
+columns, the form :class:`~repro.profiling.rare.DailyTraffic` ingests.
+:func:`to_utc` / :func:`normalize_proxy_records` are the scalar
+adapters for callers that hold :class:`ProxyRecord` objects and want
+:class:`Connection` events with their ``status_code`` (layout
+generation, the benchmark's traced walk) and the oracle the tests hold
+the loop to.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import attrgetter, methodcaller
 
-from .records import Connection, DhcpLease, DnsRecord, ProxyRecord, VpnSession
+from ..obs.metrics import NULL_METRICS
+from .records import (
+    Connection,
+    ConnectionBatch,
+    DhcpLease,
+    DnsRecord,
+    ProxyRecord,
+    VpnSession,
+)
 from .domains import fold_domain, is_ip_address
+
+#: A :class:`ProxyRecord` as the ten fields of its log line, in order.
+_record_fields = attrgetter(
+    "timestamp", "tz_offset_hours", "source_ip", "method", "destination",
+    "url_path", "destination_ip", "status_code", "user_agent", "referer",
+)
+_split_tabs = methodcaller("split", "\t")
 
 
 class IpResolver:
@@ -60,6 +88,12 @@ class IpResolver:
         index = bisect_right(starts, lease.start)
         intervals.insert(index, entry)
         starts.insert(index, lease.start)
+
+    @property
+    def is_identity(self) -> bool:
+        """Whether it holds no lease and no static entry, i.e. resolves
+        every address to itself (pre-joined logs)."""
+        return not (self._intervals or self._static)
 
     def resolve(self, ip: str, timestamp: float) -> str:
         """Return the hostname using ``ip`` at ``timestamp``.
@@ -115,6 +149,161 @@ def normalize_proxy_records(
             user_agent=utc.user_agent,
             referer=utc.referer,
             status_code=utc.status_code,
+        )
+
+
+class ProxyNormalizer:
+    """Runs proxy log rows through the Section IV-A normalization.
+
+    The proxy counterpart of :class:`~repro.logs.reduction
+    .ReductionFunnel`: :meth:`column_batches` is the only loop between
+    proxy log text and the traffic store on the detection route, and it
+    accounts for every row it is given -- rows in = malformed +
+    dropped (IP-literal destination) + kept -- through the
+    ``proxy_*_total`` counters of ``metrics`` (an optional
+    repro.obs.MetricsRegistry).  Counts are plain ints inside the loop
+    and reach the registry at each yielded batch and at the end of a
+    pass.
+    """
+
+    def __init__(self, *, fold_level: int = 2, metrics=None) -> None:
+        self.fold_level = fold_level
+        obs = metrics if metrics is not None else NULL_METRICS
+        self._counters = (
+            obs.counter("proxy_records_total"),
+            obs.counter("proxy_kept_total"),
+            obs.counter("proxy_dropped_total", stage="ip_destination"),
+            obs.counter("proxy_malformed_total"),
+        )
+
+    def _count(self, kept: int, dropped: int, malformed: int) -> None:
+        for counter, amount in zip(
+            self._counters, (kept + dropped, kept, dropped, malformed)
+        ):
+            if amount:
+                counter.inc(amount)
+
+    def column_batches(
+        self,
+        rows: Iterable[Sequence],
+        batch_size: int | None = None,
+        *,
+        resolver: IpResolver | None = None,
+    ) -> Iterator[ConnectionBatch]:
+        """Validate, normalize and pack proxy log rows into columns.
+
+        ``rows`` are the tab-split fields of proxy log lines (see
+        :mod:`repro.logs.proxy`).  A row without exactly ten fields, a
+        finite float epoch and timezone offset and an integer status is
+        counted as malformed and skipped -- what
+        :func:`~repro.logs.proxy.parse_proxy_line` rejects -- and a row
+        of blank fields (a blank line) is just skipped.  Rows whose
+        destination is an IP literal are dropped ("we do not consider
+        destinations that are IP addresses"); the rest are shifted to
+        UTC, their source resolved through ``resolver`` (omit it, or
+        pass one without leases, for pre-joined logs whose source field
+        already is the stable hostname), their destination folded, and
+        appended to ``(timestamps, hosts, domains, resolved_ips,
+        user_agents, referers)`` columns yielded every ``batch_size``
+        rows (``None``: one batch for the whole input; never an empty
+        batch).
+
+        The fold and the IP-literal test are pure functions of the raw
+        destination and are memoized for the length of the pass -- one
+        daily file on every CLI route.
+        """
+        if batch_size is not None and batch_size < 1:
+            raise ValueError("batch size must be positive")
+        limit = batch_size or sys.maxsize
+        fold_level = self.fold_level
+        resolve = (
+            None if resolver is None or resolver.is_identity
+            else resolver.resolve
+        )
+        isfinite = math.isfinite
+        #: raw destination -> folded name, or False for an IP literal.
+        folded_of: dict[str, str | bool] = {}
+        times: list[float] = []
+        hosts: list[str] = []
+        domains: list[str] = []
+        ips: list[str] = []
+        agents: list[str] = []
+        referers: list[str] = []
+        dropped = malformed = 0
+        try:
+            for row in rows:
+                try:
+                    (raw_ts, raw_tz, source, _, destination, _, resolved,
+                     raw_status, agent, referer) = row
+                    timestamp = float(raw_ts)
+                    tz_offset = float(raw_tz)
+                    int(raw_status)
+                except ValueError:
+                    if any(str(field).strip() for field in row):
+                        malformed += 1
+                    continue
+                if not (isfinite(timestamp) and isfinite(tz_offset)):
+                    malformed += 1
+                    continue
+                domain = folded_of.get(destination)
+                if domain is None:
+                    domain = folded_of[destination] = (
+                        False if is_ip_address(destination)
+                        else fold_domain(destination, fold_level)
+                    )
+                if domain is False:
+                    dropped += 1
+                    continue
+                if tz_offset:
+                    timestamp -= tz_offset * 3600.0
+                times.append(timestamp)
+                hosts.append(
+                    source if resolve is None else resolve(source, timestamp)
+                )
+                domains.append(domain)
+                ips.append("" if resolved == "-" else resolved)
+                agents.append("" if agent == "-" else agent)
+                referers.append("" if referer == "-" else referer)
+                if len(times) == limit:
+                    self._count(limit, dropped, malformed)
+                    dropped = malformed = 0
+                    batch = ConnectionBatch(
+                        times, hosts, domains, ips, agents, referers
+                    )
+                    times, hosts, domains = [], [], []
+                    ips, agents, referers = [], [], []
+                    yield batch
+        finally:
+            self._count(len(times), dropped, malformed)
+        if times:
+            yield ConnectionBatch(times, hosts, domains, ips, agents, referers)
+
+    def read_lines(
+        self,
+        lines: Iterable[str],
+        batch_size: int | None = None,
+        *,
+        resolver: IpResolver | None = None,
+    ) -> Iterator[ConnectionBatch]:
+        """:meth:`column_batches` over the lines of a proxy log file."""
+        rows = map(_split_tabs, map(str.rstrip, lines, repeat("\n")))
+        return self.column_batches(rows, batch_size, resolver=resolver)
+
+    def read_records(
+        self,
+        records: Iterable[ProxyRecord],
+        batch_size: int | None = None,
+        *,
+        resolver: IpResolver | None = None,
+    ) -> Iterator[ConnectionBatch]:
+        """:meth:`column_batches` over in-memory raw :class:`ProxyRecord` s.
+
+        Equal to :meth:`read_lines` over the records' log lines, up to
+        what :func:`~repro.logs.proxy.format_proxy_line` rounds; like a
+        log line, a row has no place for a pre-filled ``hostname``.
+        """
+        return self.column_batches(
+            map(_record_fields, records), batch_size, resolver=resolver
         )
 
 

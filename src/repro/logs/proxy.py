@@ -11,10 +11,18 @@ strings contain spaces, so whitespace splitting is not an option)::
 (:mod:`repro.logs.normalize`) converts it to UTC using ``tz_offset_h``,
 mirroring the paper's multi-timezone challenge.  ``-`` encodes an empty
 field.
+
+:func:`parse_proxy_line` / :func:`parse_proxy_log` are the scalar
+adapters, for callers that want :class:`ProxyRecord` objects (layout
+generation, the benchmark's traced walk, tests -- where they are the
+oracle of the detection route).  The detection route itself,
+:class:`repro.logs.normalize.ProxyNormalizer`, validates the same ten
+fields by the same rules without building a record per line.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 
 from .records import ProxyRecord
@@ -66,6 +74,9 @@ def parse_proxy_line(line: str) -> ProxyRecord:
         status = int(raw_status)
     except ValueError as exc:
         raise ProxyLogFormatError(f"bad numeric field in {line!r}") from exc
+    if not (math.isfinite(timestamp) and math.isfinite(tz_offset)):
+        # "nan"/"inf" parse as floats but place the event at no instant.
+        raise ProxyLogFormatError(f"non-finite time field in {line!r}")
     return ProxyRecord(
         timestamp=timestamp,
         source_ip=source_ip,

@@ -19,8 +19,10 @@ offset that :mod:`repro.logs.normalize` resolves.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 
 class DnsRecordType(str, Enum):
@@ -154,15 +156,17 @@ class Connection:
 
 @dataclass(slots=True)
 class ConnectionBatch:
-    """Column-oriented micro-batch of DNS :class:`Connection` events.
+    """Column-oriented micro-batch of :class:`Connection` events.
 
-    Rows are stored as four parallel lists -- one value per event --
-    instead of one object per event.  The columnar traffic store
-    ingests the lists directly, so the streaming hot path never
-    materializes per-event objects at all.  DNS logs carry no HTTP
-    context, so the UA/referer/status columns (always ``None``/``0``
-    there) are omitted; proxy-derived events keep using
-    :class:`Connection`.
+    Rows are stored as parallel lists -- one value per event -- instead
+    of one object per event.  The columnar traffic store ingests the
+    lists directly, so neither log route materializes per-event
+    objects.  The four base columns are what every source provides;
+    ``user_agents`` and ``referers`` are the HTTP context of the proxy
+    route (one string per row, ``""`` for a blank field) and stay
+    ``None`` on the DNS route, whose logs have no such fields -- the
+    column-level form of :class:`Connection`'s ``None`` convention.
+    ``status_code`` has no column: no detector reads it.
 
     Iterating a batch yields equivalent :class:`Connection` objects,
     so any consumer written against the scalar event type accepts a
@@ -173,18 +177,46 @@ class ConnectionBatch:
     hosts: list[str]
     domains: list[str]
     resolved_ips: list[str]
+    user_agents: list[str] | None = None
+    referers: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    def take(self, rows: slice | Sequence[int]) -> ConnectionBatch:
+        """The batch restricted to ``rows`` (a slice, or row positions
+        in the order wanted), every column alike."""
+        if isinstance(rows, slice):
+            def pick(column):
+                return column[rows]
+        else:
+            def pick(column):
+                return [column[i] for i in rows]
+        return ConnectionBatch(
+            pick(self.timestamps),
+            pick(self.hosts),
+            pick(self.domains),
+            pick(self.resolved_ips),
+            None if self.user_agents is None else pick(self.user_agents),
+            None if self.referers is None else pick(self.referers),
+        )
+
     def __iter__(self):
         """Yield the rows as scalar :class:`Connection` events."""
-        for timestamp, host, domain, ip in zip(
-            self.timestamps, self.hosts, self.domains, self.resolved_ips
+        absent = repeat(None)
+        for timestamp, host, domain, ip, user_agent, referer in zip(
+            self.timestamps,
+            self.hosts,
+            self.domains,
+            self.resolved_ips,
+            absent if self.user_agents is None else self.user_agents,
+            absent if self.referers is None else self.referers,
         ):
             yield Connection(
                 timestamp=timestamp,
                 host=host,
                 domain=domain,
                 resolved_ip=ip,
+                user_agent=user_agent,
+                referer=referer,
             )

@@ -239,18 +239,20 @@ class DailyTraffic:
         mixing the two.  Everything stages in arrival order (a batch's
         rows count as arriving at its position) and folds through ONE
         grouping pass, so a drained poll of many bus items costs one
-        lexsort, not one per item.  ``ua_is_rare`` is an optional
-        predicate (typically ``UserAgentHistory.is_rare``) evaluated
-        against each scalar connection's UA; without it the UA features
-        stay empty, which is the DNS-dataset situation (columnar
-        batches carry no UA/referer context by construction).
-        ``ua_stage`` is an optional ``(user_agent, host)`` callback
-        (typically :meth:`UserAgentHistory.stage
-        <repro.profiling.ua.UserAgentHistory.stage>`) invoked for each
-        scalar connection while its fields are already in hand, so
-        callers that must stage UA observations avoid a second
-        per-event loop.  Returns
-        an :class:`IngestDigest` describing the whole call so
+        lexsort, not one per item.  The HTTP context comes from a
+        scalar connection's ``user_agent`` / ``referer`` or from a
+        batch's ``user_agents`` / ``referers`` columns; ``None`` (DNS
+        events, DNS batches) means the source has no such field and
+        leaves the UA/referer features untouched.  ``ua_is_rare`` is an
+        optional predicate (typically ``UserAgentHistory.is_rare``)
+        evaluated once per distinct UA of the day; without it
+        ``rare_ua_hosts`` stays empty.  ``ua_stage`` is an optional
+        ``(user_agent, host)`` callback (typically
+        :meth:`UserAgentHistory.stage
+        <repro.profiling.ua.UserAgentHistory.stage>`) fed every
+        observation while its fields are already in hand, so callers
+        that must stage UA observations avoid a second per-event loop.
+        Returns an :class:`IngestDigest` describing the whole call so
         downstream consumers (window, engine, index) never re-iterate
         the events.
         """
@@ -294,6 +296,31 @@ class DailyTraffic:
                             ips.add(ip)
                             novel_ips.append((domain, ip))
                 time_stage += conn.timestamps
+                # HTTP context columns (proxy route; None on the DNS
+                # route): the scalar branch's three updates below, one
+                # pass per column.
+                if conn.referers is not None:
+                    for referer, host, domain in zip(
+                        conn.referers, conn.hosts, conn.domains
+                    ):
+                        if not referer:
+                            no_referer[domain].add(host)
+                agents = conn.user_agents
+                if agents is not None:
+                    if ua_is_rare is not None:
+                        for ua, host, domain in zip(
+                            agents, conn.hosts, conn.domains
+                        ):
+                            rare = ua_memo.get(ua)
+                            if rare is None:
+                                rare = ua_memo[ua] = ua_is_rare(ua)
+                            if rare:
+                                rare_ua[domain].add(host)
+                    if ua_stage is not None:
+                        # Staging is a set insert per (UA, host): once
+                        # per distinct pair, in first-seen order.
+                        for ua, host in dict.fromkeys(zip(agents, conn.hosts)):
+                            ua_stage(ua, host)
                 continue
             host = conn.host
             domain = conn.domain

@@ -44,7 +44,7 @@ from ..core.scoring import (
     group_verdicts_by_domain,
     multi_host_beacon_heuristic,
 )
-from ..logs.records import ConnectionBatch, DnsRecord
+from ..logs.records import DnsRecord
 from ..logs.reduction import ReductionFunnel
 from ..profiling.history import DestinationHistory
 from ..profiling.rare import extract_rare_domains
@@ -405,21 +405,9 @@ def replay_directory(
             metrics=metrics,
         )
 
-    def open_batches(path: Path, skip: int):
+    def open_batches(path: Path):
         with path.open() as handle:
-            for batch in detector.funnel.read_lines(handle, batch_size):
-                if skip >= len(batch):
-                    skip -= len(batch)
-                    continue
-                if skip:
-                    batch = ConnectionBatch(
-                        batch.timestamps[skip:],
-                        batch.hosts[skip:],
-                        batch.domains[skip:],
-                        batch.resolved_ips[skip:],
-                    )
-                    skip = 0
-                yield batch
+            yield from detector.funnel.read_lines(handle, batch_size)
 
     def checkpoint() -> None:
         if checkpoint_path is not None:

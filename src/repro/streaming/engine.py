@@ -16,10 +16,10 @@ events through a period-aware
 
 :class:`StreamingEngineBase` holds exactly that pipeline-independent
 state and its invalidation bookkeeping.  What differs between the two
-paths -- how raw records are normalized, which scorers turn automation
+paths -- how log lines are normalized, which scorers turn automation
 verdicts into C&C labels, and what the end-of-day batch-parity pass
-runs -- lives in the subclasses (:meth:`submit_raw`, ``score()`` and
-``rollover()``).
+runs -- lives in the subclasses (``submit_lines()`` / ``submit_raw()``,
+``score()`` and ``rollover()``).
 """
 
 from __future__ import annotations
@@ -317,15 +317,16 @@ def drive_replay(
     """Feed daily log files through a streaming engine, micro-batched.
 
     The single replay loop both pipelines share -- the engine-specific
-    pieces arrive as callables: ``open_batches(path, skip)`` yields the
-    file's normalized events in micro-batches (owning the handle),
-    leaving out the first ``skip`` events; ``checkpoint()`` persists
-    the engine (no-op without a checkpoint path).  The loop invariants
-    live here exactly once: each rollover advances the window day, so
-    ``window.day``'s offset from the engine's start day
-    (``resume_file``) is the index of the file in progress, and
-    ``window.events_today`` counts how many of that file's normalized
-    events were already consumed before a restart.
+    pieces arrive as callables: ``open_batches(path)`` yields the
+    file's normalized events as :class:`ConnectionBatch` micro-batches
+    (owning the handle); ``checkpoint()`` persists the engine (no-op
+    without a checkpoint path).  The loop invariants live here exactly
+    once: each rollover advances the window day, so ``window.day``'s
+    offset from the engine's start day (``resume_file``) is the index
+    of the file in progress, and ``window.events_today`` counts how
+    many of that file's normalized events were already consumed before
+    a restart -- those rows are skipped, whatever the batch size was
+    then.
     """
     validate_replay_intervals(score_every, checkpoint_every)
     result = ReplayResult()
@@ -335,7 +336,13 @@ def drive_replay(
             continue
         is_bootstrap = index < bootstrap_files
         skip = skip_events if index == resume_file else 0
-        for batch in open_batches(path, skip):
+        for batch in open_batches(path):
+            if skip:
+                if skip >= len(batch):
+                    skip -= len(batch)
+                    continue
+                batch = batch.take(slice(skip, None))
+                skip = 0
             detector.submit(batch)
             detector.poll()
             result.batches += 1

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Set
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 
 from ..core.pipeline import (
@@ -54,8 +53,7 @@ from ..core.pipeline import (
     detect_on_enterprise_traffic,
 )
 from ..core.scoring import BatchedSimilarityScorer
-from ..logs.normalize import IpResolver, normalize_proxy_records
-from ..logs.proxy import parse_proxy_log
+from ..logs.normalize import IpResolver, ProxyNormalizer
 from ..logs.records import ProxyRecord
 from ..profiling.rare import extract_rare_domains
 from .detector import StreamDayReport, StreamUpdate
@@ -66,7 +64,6 @@ from .engine import (
     resolve_replay_paths,
     validate_replay_intervals,
 )
-from .events import micro_batches
 from .incremental import WarmStartConfig, warm_start_belief_propagation
 
 SECONDS_PER_DAY = 86_400.0
@@ -130,6 +127,9 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
             start_day=start_day,
             metrics=metrics,
         )
+        self.normalizer = ProxyNormalizer(
+            fold_level=detector.config.rarity.fold_level, metrics=metrics
+        )
 
     # Convenience views onto the wrapped trained detector.
 
@@ -147,24 +147,28 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
     # Ingestion
     # ------------------------------------------------------------------
 
+    def submit_lines(self, lines: Iterable[str]) -> int:
+        """Normalize proxy log lines onto the event bus.
+
+        The lines are taken as pre-joined: the source field already
+        carries a stable hostname (the form every layout ships).
+        """
+        return sum(map(self.bus.publish, self.normalizer.read_lines(lines)))
+
     def submit_raw(
         self,
         records: Iterable[ProxyRecord],
         resolver: IpResolver | None = None,
     ) -> int:
-        """Normalize raw proxy records onto the event bus.
+        """Normalize in-memory raw proxy records onto the event bus.
 
         ``resolver`` joins dynamic client addresses against DHCP/VPN
-        leases; omit it for pre-joined logs whose source field already
-        carries a stable hostname (the form fleet layouts ship).
+        leases; omit it for pre-joined records.
         """
-        return self.bus.publish(
-            normalize_proxy_records(
-                records,
-                resolver if resolver is not None else IpResolver(),
-                fold_level=self.config.rarity.fold_level,
-            )
-        )
+        return sum(map(
+            self.bus.publish,
+            self.normalizer.read_records(records, resolver=resolver),
+        ))
 
     # ------------------------------------------------------------------
     # Intra-day scoring
@@ -418,14 +422,9 @@ def replay_enterprise_directory(
             metrics=metrics,
         )
 
-    def open_batches(path: Path, skip: int):
+    def open_batches(path: Path):
         with path.open() as handle:
-            events = normalize_proxy_records(
-                parse_proxy_log(handle),
-                IpResolver(),
-                fold_level=detector.config.rarity.fold_level,
-            )
-            yield from micro_batches(islice(events, skip, None), batch_size)
+            yield from detector.normalizer.read_lines(handle, batch_size)
 
     def checkpoint() -> None:
         if checkpoint_path is not None:

@@ -12,9 +12,11 @@ module provides the glue between the two worlds:
   Shard assignment uses CRC32 so it is stable across processes and
   Python hash randomization.
 * :func:`split_by_shard` -- the same partition applied to a columnar
-  :class:`~repro.logs.records.ConnectionBatch` (what the DNS route
-  produces, see :meth:`ReductionFunnel.column_batches
-  <repro.logs.reduction.ReductionFunnel.column_batches>`).
+  :class:`~repro.logs.records.ConnectionBatch` (what both log routes
+  produce, see :meth:`ReductionFunnel.column_batches
+  <repro.logs.reduction.ReductionFunnel.column_batches>` and
+  :meth:`ProxyNormalizer.column_batches
+  <repro.logs.normalize.ProxyNormalizer.column_batches>`).
 * :func:`micro_batches` -- group any event iterator into bounded
   batches, the unit of ingestion and scoring.
 """
@@ -55,19 +57,10 @@ def split_by_shard(
             rows[shard] = [position]
         else:
             row.append(position)
-    times = batch.timestamps
-    hosts = batch.hosts
-    domains = batch.domains
-    ips = batch.resolved_ips
     return [
         None if row is None
         else batch if len(row) == len(batch)
-        else ConnectionBatch(
-            [times[i] for i in row],
-            [hosts[i] for i in row],
-            [domains[i] for i in row],
-            [ips[i] for i in row],
-        )
+        else batch.take(row)
         for row in rows
     ]
 

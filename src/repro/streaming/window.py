@@ -72,17 +72,16 @@ class WindowedAggregator:
 
         The columnar :meth:`DailyTraffic.ingest
         <repro.profiling.rare.DailyTraffic.ingest>` already groups the
-        batch once; everything here (UA staging apart) reads the
-        resulting :class:`~repro.profiling.rare.IngestDigest` instead
-        of re-looping over the connections.
+        batch once; everything here reads the resulting
+        :class:`~repro.profiling.rare.IngestDigest` instead of
+        re-looping over the connections.
         """
         traffic = self.traffic
         if self.ua_history is not None:
-            # UA staging rides inside the traffic ingest loop (the
-            # ``ua_stage`` hook fires per scalar event with the fields
-            # already in hand); columnar batch rows carry no UA by
-            # construction, so they stage nothing, matching the scalar
-            # DNS-path behaviour of staging ``None``.
+            # UA staging rides inside the traffic ingest (the
+            # ``ua_stage`` hook is fed from a scalar event's fields or
+            # a batch's ``user_agents`` column while they are in hand);
+            # events without HTTP context -- DNS -- stage nothing.
             digest = traffic.ingest(
                 connections,
                 ua_is_rare=self.ua_history.is_rare,

@@ -1,5 +1,7 @@
 """Tests for the repro-detect command-line interface."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,57 @@ import pytest
 from repro.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: SHA-256 of every file ``generate`` wrote for the two enterprise
+#: fixtures below, taken at PR 14 (before the CLI's proxy route went
+#: columnar).  The e2e benchmark's layouts come from the same code, and
+#: results over different inputs are not comparable.
+GENERATED_PINS = Path(__file__).with_name("generated_layouts.sha256.json")
+
+
+def layout_digests(directory: Path) -> dict[str, str]:
+    """``{relative path: sha256}`` of a generated layout.
+
+    ``model.json`` holds least-squares fits whose last bits belong to
+    the BLAS build; its floats are hashed at six significant digits.
+    """
+    digests = {}
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "model.json":
+            data = json.dumps(
+                json.loads(data, parse_float=lambda t: f"{float(t):.6g}"),
+                sort_keys=True,
+            ).encode()
+        digests[path.relative_to(directory).as_posix()] = (
+            hashlib.sha256(data).hexdigest()
+        )
+    return digests
+
+
+def _forbid_construction(monkeypatch, *names: str) -> None:
+    """Make building any of the named ``repro.logs.records`` classes an
+    error.  Raising (rather than counting) also fails the fleet verb,
+    whose engines run in forked worker processes: the worker reports
+    the error and the CLI exits 2."""
+    import repro.logs.records as records
+
+    for name in names:
+        def forbidden(self, *args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} built on a CLI route")
+
+        monkeypatch.setattr(getattr(records, name), "__init__", forbidden)
+
+
+def _day_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("day ")]
+
+
+#: Parses as a float, belongs to no instant: must count as malformed.
+NAN_EPOCH_LINE = (
+    "nan\t0\thost00075\tGET\tfoo-bar.ru\t/\t58.224.194.97\t200"
+    "\tBackdoor/1.55\t-\n"
+)
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -125,6 +178,54 @@ class TestEnterpriseStreamCommand:
         ]) == 0
         return out
 
+    def _stream(self, layout, capsys, *extra, directory=None):
+        code = main([
+            "stream", str(directory or layout), "--pipeline", "enterprise",
+            "--model-state", str(layout / "model.json"),
+            "--whois", str(layout / "whois.json"),
+            "--bootstrap-files", "0", *extra,
+        ])
+        return code, capsys.readouterr().out
+
+    def test_generated_layout_is_byte_identical_to_pr14(self, layout):
+        pins = json.loads(GENERATED_PINS.read_text())
+        assert layout_digests(layout) == pins["ent"]
+
+    def test_non_finite_epoch_line_is_malformed(
+        self, layout, tmp_path, capsys
+    ):
+        import shutil
+
+        dirty = tmp_path / "dirty"
+        shutil.copytree(layout, dirty)
+        first = dirty / "proxy-march-01.log"
+        first.write_text(NAN_EPOCH_LINE + first.read_text())
+        code, clean_out = self._stream(layout, capsys)
+        assert code == 0
+        code, dirty_out = self._stream(layout, capsys, directory=dirty)
+        assert code == 0
+        assert len(_day_lines(clean_out)) == 3
+        assert _day_lines(dirty_out) == _day_lines(clean_out)
+
+    def test_resume_with_another_batch_size_prints_the_same_days(
+        self, layout, tmp_path, capsys
+    ):
+        """The resume skip counts rows, not batches: stop mid-file,
+        come back with a batch size that divides nothing evenly."""
+        ckpt = ["--checkpoint", str(tmp_path / "ckpt.json")]
+        code, whole = self._stream(layout, capsys)
+        assert code == 0
+        code, first = self._stream(
+            layout, capsys, *ckpt, "--batch-size", "300", "--max-batches", "17"
+        )
+        assert code == 3
+        code, second = self._stream(
+            layout, capsys, *ckpt, "--resume", "--batch-size", "170"
+        )
+        assert code == 0
+        assert _day_lines(first) + _day_lines(second) == _day_lines(whole)
+        assert len(_day_lines(first)) == 1  # 17 x 300 rows: inside day 2
+
     def test_generate_writes_enterprise_layout(self, layout):
         assert (layout / "proxy-march-01.log").exists()
         assert (layout / "proxy-march-03.log").exists()
@@ -225,20 +326,56 @@ class TestEnterpriseStreamCommand:
         ]) == 2
         assert "--tenants" in capsys.readouterr().err
 
-    def test_generate_mixed_fleet_manifest(self, tmp_path):
-        import json
-
-        out = tmp_path / "fleet"
+    @pytest.fixture(scope="class")
+    def mixed_fleet(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("mixedcli") / "fleet"
         assert main([
             "generate", str(out), "--tenants", "3",
             "--enterprise-tenants", "1", "--hosts", "40",
             "--days", "3", "--seed", "11",
         ]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        return out
+
+    def test_generate_mixed_fleet_manifest(self, mixed_fleet):
+        manifest = json.loads((mixed_fleet / "manifest.json").read_text())
         pipelines = [t.get("pipeline", "dns") for t in manifest["tenants"]]
         assert pipelines == ["dns", "dns", "enterprise"]
         assert manifest["whois"] == "intel/whois.json"
-        assert (out / "t2" / "model.json").exists()
+        assert (mixed_fleet / "t2" / "model.json").exists()
+        pins = json.loads(GENERATED_PINS.read_text())
+        assert layout_digests(mixed_fleet) == pins["fleet"]
+
+    def test_fleet_tenant_non_finite_epoch_line_is_malformed(
+        self, mixed_fleet, tmp_path, capsys
+    ):
+        import shutil
+
+        dirty = tmp_path / "dirty"
+        shutil.copytree(mixed_fleet, dirty)
+        operational = dirty / "t2" / "proxy-march-02.log"
+        operational.write_text(NAN_EPOCH_LINE + operational.read_text())
+        outputs = []
+        for root in (mixed_fleet, dirty):
+            assert main(["fleet", str(root / "manifest.json"),
+                         "--workers", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "t2" in outputs[0]
+        assert outputs[1] == outputs[0]
+
+    def test_proxy_route_builds_no_record_objects(
+        self, layout, mixed_fleet, capsys, monkeypatch
+    ):
+        """Log text goes straight to column batches: neither ``stream
+        --pipeline enterprise`` nor a fleet's enterprise tenant builds
+        a ``ProxyRecord`` or a ``Connection``."""
+        _forbid_construction(
+            monkeypatch, "ProxyRecord", "DnsRecord", "Connection"
+        )
+        code, out = self._stream(layout, capsys)
+        assert code == 0 and out.count("records,") == 3
+        assert main(["fleet", str(mixed_fleet / "manifest.json"),
+                     "--workers", "2"]) == 0
+        assert "Fleet detection report" in capsys.readouterr().out
 
 
 class TestDnsRouteBuildsNoRecordObjects:
@@ -247,22 +384,11 @@ class TestDnsRouteBuildsNoRecordObjects:
     ):
         """Log text goes straight to column batches: no ``DnsRecord``
         and no ``Connection`` is constructed on any DNS verb."""
-        import repro.logs.records as records
-
         logs, fleet = tmp_path / "logs", tmp_path / "fleet"
         assert main(["generate", str(logs), "--hosts", "40", "--days", "2"]) == 0
         assert main(["generate", str(fleet), "--tenants", "2",
                      "--hosts", "40", "--days", "3"]) == 0
-        for name in ("DnsRecord", "Connection"):
-            cls = getattr(records, name)
-
-            def forbidden(self, *args, _name=name, **kwargs):
-                # Raising (rather than counting) also fails the fleet
-                # verb, whose engines run in forked worker processes:
-                # the worker reports the error and the CLI exits 2.
-                raise AssertionError(f"{_name} built on a DNS verb")
-
-            monkeypatch.setattr(cls, "__init__", forbidden)
+        _forbid_construction(monkeypatch, "DnsRecord", "Connection")
         dns = ["--bootstrap-files", "1", "--internal-suffix", "int.c0"]
         assert main(["run", str(logs), *dns]) == 0
         assert main(["stream", str(logs), *dns]) == 0

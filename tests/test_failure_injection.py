@@ -112,6 +112,78 @@ class TestCorruptLogs:
             assert dirty.cc_domains == clean.cc_domains
             assert dirty.detected == clean.detected
 
+    def test_proxy_garbage_is_counted_and_changes_no_detection(
+        self, enterprise_dataset, tmp_path
+    ):
+        """The proxy twin: malformed lines and IP-literal destinations
+        leave a trace (``proxy_malformed_total``, ``proxy_dropped_total``;
+        lines in = malformed + dropped + kept) and nothing else."""
+        import random
+
+        from repro.obs import MetricsRegistry
+        from repro.streaming import replay_enterprise_directory
+        from repro.synthetic import write_enterprise_layout
+
+        good = "432001.5\t0\thost00001\tGET\tnan-epoch.ru\t/\t-\t200\tUA/1\t-"
+        garbage = [
+            "\x00\x01 binary trash", "not even close",
+            good.rsplit("\t", 1)[0],                      # 9 fields
+            good + "\textra",                             # 11 fields
+            good.replace("\t200\t", "\tnot-a-code\t"),
+            good.replace("432001.5", "nan"),
+            good.replace("432001.5", "12:30"),
+            good.replace("\t0\t", "\tinf\t", 1),
+        ]
+        ip_literals = [
+            good.replace("nan-epoch.ru", "93.184.216.34"),
+            good.replace("nan-epoch.ru", "2001:db8::1"),
+        ]
+        rng = random.Random(7)
+        clean_dir = write_enterprise_layout(
+            enterprise_dataset, tmp_path / "clean", days=2
+        )
+        dirty_dir = tmp_path / "dirty"
+        dirty_dir.mkdir()
+        lines_in = 0
+        for path in sorted(clean_dir.glob("proxy-*.log")):
+            dirty = path.read_text().splitlines()
+            lines_in += len(dirty) + 230
+            for pool, count in ((garbage, 200), (ip_literals, 30)):
+                for _ in range(count):
+                    dirty.insert(
+                        rng.randrange(len(dirty) + 1), rng.choice(pool)
+                    )
+            dirty.insert(len(dirty) // 2, "")  # blank: skipped, not counted
+            (dirty_dir / path.name).write_text("\n".join(dirty) + "\n")
+
+        def run(directory):
+            registry = MetricsRegistry()
+            result = replay_enterprise_directory(
+                directory, model_state=clean_dir / "model.json",
+                whois_path=clean_dir / "whois.json", metrics=registry,
+            )
+            return result.reports, registry.snapshot().counters
+
+        clean_reports, clean = run(clean_dir)
+        dirty_reports, dirty = run(dirty_dir)
+        dropped = 'proxy_dropped_total{stage="ip_destination"}'
+        assert clean.get("proxy_malformed_total", 0) == 0
+        assert clean.get(dropped, 0) == 0
+        assert dirty["proxy_malformed_total"] == 400
+        assert dirty[dropped] == 60
+        assert dirty["proxy_kept_total"] == clean["proxy_kept_total"]
+        assert dirty["proxy_records_total"] == clean["proxy_records_total"] + 60
+        assert lines_in == (
+            dirty["proxy_malformed_total"] + dirty[dropped]
+            + dirty["proxy_kept_total"]
+        )
+        assert any(r.detected for r in clean_reports)
+        for got, want in zip(dirty_reports, clean_reports, strict=True):
+            assert got.records == want.records
+            assert got.rare_domains == want.rare_domains
+            assert got.cc_domains == want.cc_domains
+            assert got.detected == want.detected
+
 
 class TestEmptyAndDegenerateDays:
     def test_empty_day_produces_empty_result(self, enterprise_dataset):

@@ -1,6 +1,10 @@
 """Unit tests for domain folding, validity and subnet utilities."""
 
+import ipaddress
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.logs.domains import (
     fold_domain,
@@ -27,6 +31,36 @@ class TestIsIpAddress:
 
     def test_empty(self):
         assert not is_ip_address("")
+
+    @given(st.one_of(
+        st.ip_addresses().map(str),
+        st.ip_addresses(v=6).map(lambda ip: f"{ip}%eth0"),
+        st.ip_addresses(v=6).map(lambda ip: ip.exploded.upper()),
+        st.ip_addresses(v=4).map(lambda ip: f"::ffff:{ip}"),
+        # Near misses: a literal with something prepended, appended or
+        # cut off, digit-final names, colons in non-addresses.
+        st.tuples(
+            st.ip_addresses().map(str),
+            st.sampled_from([".", ".5", ":", "%", " ", "\n", "x", "/24", "\u0663"]),
+        ).map("".join),
+        st.tuples(
+            st.sampled_from(["0", "x", " ", "::", "1."]),
+            st.ip_addresses().map(str),
+        ).map("".join),
+        st.ip_addresses().map(lambda ip: str(ip)[:-1]),
+        st.sampled_from(["host:8080", "4chan.org7", "1e5", "0x7f.1", "\u0661.2.3.4", ":"]),
+        st.text(alphabet="0123456789abcdef.:%", max_size=12),
+        st.text(max_size=8),
+    ))
+    def test_pretest_never_changes_the_answer(self, name):
+        """The digit/colon pre-test only skips ``ipaddress`` for names
+        it would reject."""
+        try:
+            ipaddress.ip_address(name)
+            expected = True
+        except ValueError:
+            expected = False
+        assert is_ip_address(name) is expected
 
 
 class TestIsValidDomain:

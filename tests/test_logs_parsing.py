@@ -112,6 +112,15 @@ class TestProxyRoundTrip:
         with pytest.raises(ProxyLogFormatError):
             parse_proxy_line(line)
 
+    @pytest.mark.parametrize("field", [0, 1])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_time_fields_are_malformed(self, field, value):
+        # "nan"/"inf" parse as floats but place the event at no instant.
+        parts = format_proxy_line(make_proxy()).split("\t")
+        parts[field] = value
+        with pytest.raises(ProxyLogFormatError):
+            parse_proxy_line("\t".join(parts))
+
     def test_stream_skips_blank_and_bad(self):
         lines = ["", format_proxy_line(make_proxy()), "junk\tline"]
         assert len(list(parse_proxy_log(lines))) == 1

@@ -362,3 +362,189 @@ class TestDnsColumnRoute:
         for funnel in (by_record, by_reduce):
             assert funnel.stats.domains == by_line.stats.domains
             assert funnel.stats.records == by_line.stats.records
+
+
+# ---------------------------------------------------------------------------
+# Proxy log text -> column batches (stream --pipeline enterprise, fleet)
+# ---------------------------------------------------------------------------
+
+def _proxy_resolver():
+    """Leases that overlap, abut and leave gaps, plus a static entry."""
+    from repro.logs import DhcpLease, IpResolver, VpnSession
+
+    return IpResolver(
+        [
+            DhcpLease("10.9.0.1", "alpha", 86_000.0, 86_400.0),
+            VpnSession("10.9.0.1", "beta", 86_300.0, 86_500.0),
+            DhcpLease("10.9.0.1", "gamma", 86_500.0, 90_000.0),
+            DhcpLease("10.9.0.2", "delta", 0.0, 86_400.0),
+        ],
+        static_map={"10.9.0.3": "printer"},
+    )
+
+
+_PROXY_SOURCES = ("10.9.0.1", "10.9.0.2", "10.9.0.3", "host7")
+_proxy_destinations = st.sampled_from([
+    "evil.ru", "EVIL.RU", "evil.ru.", "cdn.Evil.ru", "a.b.news.com",
+    "news.com", "localhost", "-", "bad domain.com",
+    # IP literals and their near misses.
+    "93.184.216.34", "1.2.3.4.", "1.2.3", "1.2.3.256", "::1",
+    "fe80::1%eth0", "2001:db8::ff", "dead:beef", "host:8080", "4chan.org7",
+])
+_proxy_agents = st.sampled_from(
+    ["-", "Corp/36.1", "Corp/36.1", "Backdoor/1.55", "Mozilla/5.0 (X11) x"]
+)
+_proxy_fields = st.tuples(
+    _mostly(
+        st.one_of(
+            st.integers(min_value=86_290, max_value=86_510).map(str),
+            st.floats(min_value=86_399.0, max_value=86_401.0).map(repr),
+        ),
+        st.sampled_from(["nan", "inf", "-inf", "1e999", "12:30", "", " "]),
+        one_in=12,
+    ),
+    _mostly(
+        st.sampled_from(["0", "0", "0", "-5", "5.5", "1e-2", "-0.0"]),
+        st.sampled_from(["nan", "inf", "+2h", ""]),
+        one_in=15,
+    ),
+    st.sampled_from(_PROXY_SOURCES),
+    st.sampled_from(["GET", "POST"]),
+    _proxy_destinations,
+    st.sampled_from(["/", "/a b", "/index.html"]),
+    st.sampled_from(["-", "198.51.100.7", "203.0.113.9"]),
+    _mostly(
+        st.sampled_from(["200", "404", " 301 "]),
+        st.sampled_from(["2xx", "200.0", "", "nan"]),
+        one_in=15,
+    ),
+    _proxy_agents,
+    st.sampled_from(["-", "-", "http://news.com/", "x"]),
+)
+_proxy_soup = _mostly(
+    st.tuples(_proxy_fields, st.sampled_from(["\n", "\n", "", "\r\n"])).map(
+        lambda pair: "\t".join(pair[0]) + pair[1]
+    ),
+    # Wrong field counts, blank lines, binary trash.
+    st.one_of(
+        _proxy_fields.map(lambda fields: "\t".join(fields[:9])),
+        _proxy_fields.map(lambda fields: "\t".join(fields) + "\textra"),
+        _proxy_fields.map(lambda fields: " ".join(fields)),
+        st.sampled_from(
+            ["", "\n", "  \t ", "\t" * 9, "\x00\x01 binary trash", "-"]
+        ),
+    ),
+    one_in=6,
+)
+
+
+def _ua_history():
+    from repro.profiling import UserAgentHistory
+
+    history = UserAgentHistory(rare_max_hosts=2)
+    history.bootstrap([("Corp/36.1", "alpha"), ("Corp/36.1", "delta")])
+    return history
+
+
+class TestProxyColumnRoute:
+    @given(
+        st.lists(_proxy_soup, max_size=60),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_read_lines_matches_scalar_oracle(self, lines, batch_size):
+        from proxy_oracle import batch_rows, event_rows, normalize_lines
+
+        from repro.logs import ProxyNormalizer
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        normalizer = ProxyNormalizer(fold_level=2, metrics=registry)
+        batches = list(normalizer.read_lines(
+            lines, batch_size, resolver=_proxy_resolver()
+        ))
+        oracle = normalize_lines(lines, _proxy_resolver(), fold_level=2)
+
+        assert batch_rows(batches) == event_rows(oracle.events)
+        assert all(batches), "the route never yields an empty batch"
+        if batch_size is not None:
+            assert [len(b) for b in batches[:-1]] == (
+                [batch_size] * (len(batches) - 1)
+            )
+        else:
+            assert len(batches) <= 1
+
+        counters = registry.snapshot().counters
+        kept = len(oracle.events)
+        assert {k: v for k, v in counters.items() if v} == {
+            name: float(count)
+            for name, count in (
+                ("proxy_records_total", kept + oracle.dropped),
+                ("proxy_kept_total", kept),
+                ('proxy_dropped_total{stage="ip_destination"}', oracle.dropped),
+                ("proxy_malformed_total", oracle.malformed),
+            )
+            if count
+        }
+        non_blank = sum(1 for line in lines if line.strip())
+        assert non_blank == oracle.malformed + oracle.dropped + kept
+
+        # Same grouped digest and the same HTTP-context state as the
+        # oracle's events ingested one object at a time.
+        col_ua, obj_ua = _ua_history(), _ua_history()
+        columnar, scalar = DailyTraffic(0), DailyTraffic(0)
+        assert columnar.ingest(
+            batches, ua_is_rare=col_ua.is_rare, ua_stage=col_ua.stage
+        ) == scalar.ingest(
+            oracle.events, ua_is_rare=obj_ua.is_rare, ua_stage=obj_ua.stage
+        )
+        _assert_same_traffic(columnar, scalar)
+        assert columnar.no_referer_hosts == scalar.no_referer_hosts
+        assert columnar.rare_ua_hosts == scalar.rare_ua_hosts
+        assert col_ua._pending == obj_ua._pending
+        assert list(col_ua._pending) == list(obj_ua._pending)
+
+    @given(st.lists(_proxy_soup, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_in_memory_records_take_the_same_route(self, lines):
+        """``read_records`` over parsed records == the file route over
+        the lines those records format to."""
+        from repro.logs import (
+            ProxyNormalizer,
+            format_proxy_line,
+            parse_proxy_log,
+        )
+
+        # Through the formatter once first: it rounds to milliseconds
+        # and writes "-" for blanks, so what is compared round-trips.
+        records = list(parse_proxy_log(
+            map(format_proxy_line, parse_proxy_log(lines))
+        ))
+        by_record = list(ProxyNormalizer().read_records(
+            records, resolver=_proxy_resolver()
+        ))
+        by_line = list(ProxyNormalizer().read_lines(
+            map(format_proxy_line, records), resolver=_proxy_resolver()
+        ))
+        assert by_record == by_line
+
+    @given(event_rows, st.lists(st.integers(0, 59), max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_take_selects_rows_of_every_column(self, rows, picks):
+        with_http = ConnectionBatch(
+            *(list(column) for column in zip(*rows)),
+            [f"ua{i}" for i in range(len(rows))],
+            [f"ref{i}" for i in range(len(rows))],
+        ) if rows else ConnectionBatch([], [], [], [], [], [])
+        picks = [p for p in picks if p < len(rows)]
+        for selection in (picks, slice(len(rows) // 2, None)):
+            taken = with_http.take(selection)
+            want = (
+                [list(with_http)[i] for i in selection]
+                if isinstance(selection, list)
+                else list(with_http)[selection]
+            )
+            assert list(taken) == want
+        bare = ConnectionBatch([1.0], ["h"], ["d.com"], [""])
+        assert bare.take([0]) == bare
+        assert bare.take([0]).user_agents is None

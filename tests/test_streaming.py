@@ -981,6 +981,59 @@ class TestEnterpriseBatchParity:
             StreamingEnterpriseDetector(EnterpriseDetector())
 
 
+class TestEnterpriseIngestRoutes:
+    def test_lines_records_and_scalar_events_build_the_same_window(
+        self, trained_enterprise, enterprise_dataset
+    ):
+        """``submit_lines`` == ``submit_raw`` over the same records ==
+        the scalar adapters' ``Connection`` events, on a real day:
+        non-zero collector offsets, bare-IP noise, lease-resolved
+        hosts."""
+        from repro.logs import (
+            IpResolver,
+            format_proxy_line,
+            normalize_proxy_records,
+            parse_proxy_log,
+        )
+
+        day = enterprise_dataset.config.bootstrap_days
+        resolver = enterprise_dataset.resolver_for_day(day)
+        lines = [
+            format_proxy_line(record)
+            for record in enterprise_dataset.day_proxy_records(day)
+        ]
+        records = list(parse_proxy_log(lines))
+        assert any(r.tz_offset_hours for r in records)
+
+        def window_of(feed):
+            _, stream = _enterprise_pair(trained_enterprise)
+            count = feed(stream)
+            assert stream.poll() == count
+            window = stream.window
+            return (
+                window.events_today,
+                dict(window.traffic.timestamps.items()),
+                window.traffic.resolved_ips,
+                window.traffic.no_referer_hosts,
+                window.traffic.rare_ua_hosts,
+                window.ua_history._pending,
+                window.rare,
+            )
+
+        by_lines = window_of(lambda s: s.submit_lines(lines))
+        assert 0 < by_lines[0] < len(records), "bare-IP noise is dropped"
+        assert window_of(lambda s: s.submit_raw(records)) == by_lines
+        assert window_of(lambda s: s.submit(list(
+            normalize_proxy_records(records, IpResolver())
+        ))) == by_lines
+
+        joined = window_of(lambda s: s.submit_raw(records, resolver))
+        assert joined == window_of(lambda s: s.submit(list(
+            normalize_proxy_records(records, resolver)
+        )))
+        assert joined[1].keys() != by_lines[1].keys()
+
+
 class TestEnterpriseCheckpoint:
     def test_midday_restore_finishes_identically(
         self, trained_enterprise, enterprise_dataset, tmp_path

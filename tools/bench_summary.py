@@ -58,6 +58,8 @@ def summarize_streaming(payload) -> dict | None:
     # recorded it (older JSONs lack the field).
     if top.get("ingest_events_per_sec"):
         summary["ingest_events_per_sec"] = top["ingest_events_per_sec"]
+    if top.get("cpu_count"):
+        summary["cpu_count"] = top["cpu_count"]
     # The observability plane's cost and the per-stage breakdown, when
     # the bench ran with the metrics pass (older JSONs lack it).
     if "metrics_overhead_pct" in top:
