@@ -235,7 +235,7 @@ def test_bp_scale():
                 }
                 fast_scoring = {
                     "score_frontier": IncrementalAdditiveScorer(
-                        additive, traffic, index=index
+                        additive, traffic
                     ).score_frontier,
                 }
             else:
@@ -247,7 +247,7 @@ def test_bp_scale():
                 }
                 fast_scoring = {
                     "score_frontier": BatchedSimilarityScorer(
-                        regression, traffic, WHEN, index=index
+                        regression, traffic, WHEN
                     ).score_frontier,
                 }
             legacy_s, legacy_result = _run(

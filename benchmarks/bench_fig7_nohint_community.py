@@ -10,38 +10,14 @@ community containing additional (non-C&C) campaign domains.
 import networkx as nx
 from conftest import save_output
 
-from repro.core.pipeline import _automated_hosts_by_domain  # noqa: F401
 from repro.eval.enterprise_eval import EnterpriseEvaluation
 
 
 def find_community(evaluation: EnterpriseEvaluation):
     """First operation day whose no-hint BP expands past its seeds."""
     for op_day in evaluation.days:
-        cc_set = {d for d, s in op_day.cc_scores.items() if s >= 0.4}
-        if not cc_set:
-            continue
-        seed_hosts = set()
-        for domain in cc_set:
-            seed_hosts.update(op_day.traffic.hosts_by_domain.get(domain, ()))
-        from repro.core.beliefprop import belief_propagation
-        from repro.profiling.rare import rare_domains_by_host
-
-        result = belief_propagation(
-            seed_hosts,
-            cc_set,
-            dom_host=op_day.dom_host(),
-            host_rdom=rare_domains_by_host(op_day.traffic, op_day.rare),
-            detect_cc=lambda dom: dom in cc_set,
-            similarity_score=lambda dom, mal: (
-                evaluation.detector.similarity_scorer.score(
-                    dom, mal, op_day.traffic, op_day.when
-                )
-            ),
-            config=evaluation.config.belief_propagation.__class__(
-                similarity_threshold=0.33
-            ),
-        )
-        if result.detected_domains:
+        result = evaluation.detect(op_day, 0.33).bp_result
+        if result is not None and result.detected_domains:
             return op_day.day, result
     return None, None
 

@@ -11,39 +11,14 @@ additional compromised hosts, at least one sibling not VT-reported.
 import networkx as nx
 from conftest import save_output
 
-from repro.core.beliefprop import belief_propagation
-from repro.profiling.rare import rare_domains_by_host
-
 
 def find_hinted_community(evaluation):
     seeds = set(evaluation.ioc.seeds())
     for op_day in evaluation.days:
-        present = {
-            domain for domain in seeds
-            if domain in op_day.traffic.hosts_by_domain
-        }
-        if not present:
-            continue
-        seed_hosts = set()
-        for domain in present:
-            seed_hosts.update(op_day.traffic.hosts_by_domain.get(domain, ()))
-        cc_set = {d for d, s in op_day.cc_scores.items() if s >= 0.4}
-        result = belief_propagation(
-            seed_hosts,
-            present,
-            dom_host=op_day.dom_host(),
-            host_rdom=rare_domains_by_host(op_day.traffic, op_day.rare),
-            detect_cc=lambda dom: dom in cc_set,
-            similarity_score=lambda dom, mal: (
-                evaluation.detector.similarity_scorer.score(
-                    dom, mal, op_day.traffic, op_day.when
-                )
-            ),
-            config=evaluation.config.belief_propagation.__class__(
-                similarity_threshold=0.33
-            ),
-        )
-        if result.detected_domains:
+        result = evaluation.detect(
+            op_day, 0.33, hint_domains=seeds
+        ).bp_result
+        if result is not None and result.detected_domains:
             return op_day.day, result
     return None, None
 

@@ -12,15 +12,15 @@ traffic.  After the join, the exact same rare-destination + automation
 Run:  python examples/netflow_pipeline.py
 """
 
-from repro.core.beliefprop import belief_propagation
-from repro.core.scoring import AdditiveSimilarityScorer, multi_host_beacon_heuristic
+from repro.config import SystemConfig
+from repro.core.scoring import AdditiveSimilarityScorer
 from repro.logs import PassiveDnsMap, normalize_netflow_records
 from repro.profiling import (
     DailyTraffic,
     DestinationHistory,
     extract_rare_domains,
-    rare_domains_by_host,
 )
+from repro.runner import detect_on_traffic
 from repro.synthetic import LanlConfig, generate_lanl_dataset
 from repro.timing import AutomationDetector
 
@@ -55,28 +55,16 @@ def main() -> None:
     rare = extract_rare_domains(traffic, history)
     print(f"rare destinations: {len(rare)}")
 
-    detector = AutomationDetector()
-    verdicts = detector.automated_pairs(
-        (key, times)
-        for key, times in sorted(traffic.timestamps.items())
-        if key[1] in rare
+    detection = detect_on_traffic(
+        traffic,
+        rare,
+        automation=AutomationDetector(),
+        scorer=AdditiveSimilarityScorer(),
+        config=SystemConfig(),
+        hint_hosts=truth.hint_hosts,
     )
-    cc = {
-        domain for domain in {v.domain for v in verdicts}
-        if multi_host_beacon_heuristic(domain, verdicts, traffic)
-    }
-    print(f"C&C candidates from flow timing: {sorted(cc)}")
-
-    scorer = AdditiveSimilarityScorer()
-    seed_hosts = set(truth.hint_hosts)
-    result = belief_propagation(
-        seed_hosts,
-        set(),
-        dom_host={d: set(traffic.hosts_by_domain.get(d, ())) for d in rare},
-        host_rdom=rare_domains_by_host(traffic, rare),
-        detect_cc=lambda dom: dom in cc,
-        similarity_score=lambda dom, mal: scorer.score(dom, mal, traffic),
-    )
+    print(f"C&C candidates from flow timing: {sorted(detection.cc_domains)}")
+    result = detection.bp_result
 
     print("\ndetections from NetFlow (vs ground truth):")
     for domain in result.detected_domains:

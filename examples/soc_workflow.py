@@ -15,7 +15,6 @@ Run:  python examples/soc_workflow.py
 import tempfile
 from pathlib import Path
 
-from repro.core.pipeline import _automated_hosts_by_domain
 from repro.eval import build_incident, triage_report
 from repro.state import load_detector, save_detector
 from repro.synthetic import EnterpriseDatasetConfig, generate_enterprise_dataset

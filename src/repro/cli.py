@@ -873,12 +873,11 @@ def _run_stream(args) -> int:
     except (ValueError, OSError, StateError) as exc:
         return _fail(str(exc), json_mode=args.log_json)
     if store is not None:
-        from .fleet.workers import _scored_detections
         from .intelstore import IntelStoreError
 
         try:
             for report in result.reports:
-                for domain, score in _scored_detections(report).items():
+                for domain, score in report.publication_scores().items():
                     store.record_profile("stream", domain, report.day, score)
             flushed = store.flush()
             store.close()

@@ -6,6 +6,7 @@ from .beliefprop import (
     IterationTrace,
     belief_propagation,
 )
+from .dayloop import DayDetection, detect_day
 from .graph import InfectionGraph, Label, NodeKind, NodeRecord
 from .pipeline import (
     DayResult,
@@ -26,6 +27,8 @@ __all__ = [
     "Detection",
     "IterationTrace",
     "belief_propagation",
+    "DayDetection",
+    "detect_day",
     "InfectionGraph",
     "Label",
     "NodeKind",

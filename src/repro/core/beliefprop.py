@@ -275,7 +275,9 @@ def belief_propagation(
         new_hosts: set[str] = set()
         for domain in sorted(newly_labeled):
             reason = "cc" if domain in cc_found else "similarity"
-            score = top_score if reason == "similarity" else 1.0
+            # A runner-up of the cut carries its own score, not the
+            # winner's: this is what the fleet's intel board publishes.
+            score = batch[domain] if reason == "similarity" else 1.0
             malicious.add(domain)
             graph.add_domain(
                 domain,

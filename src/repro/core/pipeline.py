@@ -27,9 +27,9 @@ the paper's two phases:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..config import SystemConfig
 from ..features.extract import (
@@ -43,28 +43,17 @@ from ..intel.virustotal import VirusTotalOracle
 from ..intel.whois_db import WhoisDatabase
 from ..logs.records import Connection
 from ..profiling.history import DestinationHistory
-from ..profiling.rare import (
-    DailyTraffic,
-    extract_rare_domains,
-    rare_domains_by_host,
-)
+from ..profiling.rare import DailyTraffic, extract_rare_domains
 from ..profiling.ua import UserAgentHistory
 from ..timing.detector import AutomationDetector, AutomationVerdict
-from .beliefprop import BeliefPropagationResult, belief_propagation
+from .beliefprop import BeliefPropagationResult
+from .dayloop import detect_day
 from .scoring import (
-    BatchedSimilarityScorer,
     RegressionCCScorer,
     RegressionSimilarityScorer,
     ScoredDomain,
+    automated_hosts_by_domain,
 )
-
-#: Parity-only path: ``detect_on_enterprise_traffic(...,
-#: use_index=False)`` keeps the legacy per-domain feature extraction
-#: and similarity scoring purely as the reference the indexed/batched
-#: path is pinned against (``pytest -m parity``).  Production always
-#: runs ``use_index=True``; the legacy branch is kept green only for
-#: those tests and is slated for retirement (ROADMAP).
-_parity = "detect_on_enterprise_traffic(use_index=False)"
 
 DailyBatch = tuple[int, Sequence[Connection]]
 
@@ -93,19 +82,24 @@ class DayResult:
     def cc_domain_names(self) -> set[str]:
         return {scored.domain for scored in self.cc_domains}
 
-    def all_detected_domains(self) -> set[str]:
-        """Union of both modes' detections (seeds included only for
-        intel- and CT-seeded domains, which are detections in their
-        own right) plus C&C hits."""
-        detected = (
-            set(self.cc_domain_names)
-            | set(self.intel_seeded)
-            | set(self.ct_seeded)
-        )
+    def detected_in_order(self) -> list[str]:
+        """Everything detected: the no-hint seeds (C&C hits, intel- and
+        CT-seeded domains -- detections in their own right) sorted,
+        then each mode's labels in labeling order.  SOC hint seeds are
+        inputs, not detections."""
+        seeds = self.cc_domain_names | self.intel_seeded | self.ct_seeded
+        detected = sorted(seeds)
         for result in (self.no_hint, self.soc_hints):
             if result is not None:
-                detected.update(result.detected_domains)
+                detected += [
+                    d for d in result.detected_domains
+                    if d not in seeds and d not in detected
+                ]
         return detected
+
+    def all_detected_domains(self) -> set[str]:
+        """:meth:`detected_in_order` as a set."""
+        return set(self.detected_in_order())
 
 
 @dataclass
@@ -173,7 +167,7 @@ class EnterpriseDetector:
             traffic, rare = self._aggregate_day(day, connections)
             when = (day + 1) * 86_400.0
             verdicts = self._automation_verdicts(traffic, rare)
-            auto_hosts = _automated_hosts_by_domain(verdicts)
+            auto_hosts = automated_hosts_by_domain(verdicts)
 
             for domain in sorted(auto_hosts):
                 features = self.extractor.cc_features(
@@ -346,42 +340,27 @@ def detect_on_enterprise_traffic(
     soc_seed_domains: Iterable[str] = (),
     intel_domains: Set[str] = frozenset(),
     ct_edges=None,
-    use_index: bool = True,
     metrics=None,
 ) -> DayResult:
     """The enterprise-path daily detection stages on one day of traffic.
 
-    This is the single implementation both the batch
+    The automation test over rare (host, domain) series and regression
+    C&C scoring above ``Tc`` (Section IV-C), then
+    :func:`repro.core.dayloop.detect_day` -- the seed -> Algorithm 1
+    half every mode and both pipelines share -- once in no-hint mode
+    and, when ``soc_seed_domains`` are given, once more seeded by those
+    of them contacted today.  Both the batch
     :meth:`EnterpriseDetector.process_day` and the streaming engine
-    (:class:`repro.streaming.StreamingEnterpriseDetector`) run at end
-    of day, so streaming replay is batch-identical by construction --
-    the enterprise analogue of :func:`repro.runner.detect_on_traffic`:
-    automation test over rare (host, domain) series, regression C&C
-    scoring above ``Tc``, then belief propagation seeded by today's
-    C&C detections (no-hint mode) and, separately, by SOC hint domains.
+    (:class:`repro.streaming.StreamingEnterpriseDetector`) run this at
+    end of day, so streaming replay is batch-identical by construction
+    -- the enterprise analogue of :func:`repro.runner.detect_on_traffic`.
 
-    ``intel_domains`` carries externally confirmed malicious domains
-    (a fleet's shared intel plane, a SOC blocklist).  Those that are
-    *rare today* enter the no-hint belief propagation as seed labels --
-    the paper's community-feedback amplification: a domain confirmed in
-    one enterprise elevates the prior everywhere it appears, even where
-    local evidence (a single beaconing host, say, below the regression
-    model's connectivity signal) would not fire ``Detect_C&C`` alone.
-
-    ``ct_edges`` is an optional :class:`repro.intelstore.ct.CtIndex`:
-    rare domains reachable from the no-hint seeds through shared
-    certificates join the seed set (reported as ``ct_seeded``), and
-    both BP runs receive a rare-restricted SAN-pivot sibling map for
-    frontier extension.  ``None`` (the default) is byte-identical to a
-    build without the parameter.
-
-    ``use_index`` routes each belief-propagation run through the day's
-    :class:`~repro.profiling.index.TrafficIndex` and a fresh
-    :class:`~repro.core.scoring.BatchedSimilarityScorer` (one per run:
-    its incremental state tracks that run's growing malicious set);
-    ``False`` keeps the legacy per-domain feature extraction.  Both
-    produce identical detections -- the parity the randomized tests
-    assert -- including identical WHOIS imputation state evolution.
+    ``intel_domains`` and ``ct_edges`` pass to the no-hint run, which
+    documents them (``ct_edges`` also hands the SOC-hints run its
+    sibling map).  ``similarity_scorer`` hands each run a fresh
+    frontier scorer (:meth:`~repro.core.scoring
+    .RegressionSimilarityScorer.frontier_scorer`) whose WHOIS
+    imputation state evolves exactly as per-domain scoring would.
     """
     from ..obs.metrics import NULL_METRICS
 
@@ -390,116 +369,50 @@ def detect_on_enterprise_traffic(
     when = (day + 1) * 86_400.0
     with obs.span("detect_automation") as automation_span:
         verdicts = automation.automated_pairs(traffic.rare_series(rare))
-        auto_hosts = _automated_hosts_by_domain(verdicts)
     stage_seconds["automation"] = automation_span.elapsed
 
     with obs.span("detect_cc") as cc_span:
-        cc_domains: list[ScoredDomain] = []
-        candidates = sorted(auto_hosts)
-        scores = cc_scorer.score_all(candidates, traffic, auto_hosts, when)
-        for domain, score in zip(candidates, scores):
-            if score >= cc_scorer.threshold:
-                cc_domains.append(ScoredDomain(domain, score))
+        cc_domains = [
+            ScoredDomain(domain, score)
+            for domain, score
+            in cc_scorer.score_automated(verdicts, traffic, when).items()
+            if score >= cc_scorer.threshold
+        ]
         cc_domains.sort(key=lambda s: (-s.score, s.domain))
         cc_set = {scored.domain for scored in cc_domains}
     stage_seconds["cc"] = cc_span.elapsed
-    intel_seeded = set(intel_domains) & rare
 
-    ct_seeded: set[str] = set()
-    sibling_dom = None
-    if ct_edges is not None:
-        from ..intelstore.ct import expand_ct_seeds, sibling_map
-
-        ct_seeded = expand_ct_seeds(cc_set | intel_seeded, rare, ct_edges)
-        sibling_dom = sibling_map(ct_edges, rare)
-
-    if use_index:
-        index = traffic.index()
-        dom_host, host_rdom = traffic.bp_views(rare)
-    else:
-        index = None
-        host_rdom = rare_domains_by_host(traffic, rare)
-        dom_host = {
-            domain: frozenset(traffic.hosts_by_domain.get(domain, ()))
-            for domain in rare
-        }
-
-    detect_cc = cc_set.__contains__
-
-    def scoring_kwargs() -> dict:
-        """Similarity scoring for one BP run: a fresh batched scorer
-        per run (its state follows that run's malicious set), or the
-        legacy per-domain callable."""
-        if index is None:
-            return {
-                "similarity_score":
-                    lambda domain, malicious:
-                        similarity_scorer.score(
-                            domain, malicious, traffic, when
-                        ),
-            }
-        batched = BatchedSimilarityScorer(
-            similarity_scorer, traffic, when, index=index
+    def run(**seeding):
+        return detect_day(
+            traffic,
+            rare,
+            cc=cc_set,
+            new_scorer=partial(
+                similarity_scorer.frontier_scorer, traffic, when
+            ),
+            config=config.belief_propagation,
+            ct_edges=ct_edges,
+            metrics=metrics,
+            **seeding,
         )
-        return {"score_frontier": batched.score_frontier}
 
-    result = DayResult(
+    no_hint = run(intel_domains=intel_domains)
+    soc_seed_domains = tuple(soc_seed_domains)
+    hinted = run(hint_domains=soc_seed_domains) if soc_seed_domains else None
+    bp_seconds = [
+        r.stage_seconds["bp"] for r in (no_hint, hinted)
+        if r is not None and "bp" in r.stage_seconds
+    ]
+    if bp_seconds:
+        stage_seconds["bp"] = sum(bp_seconds)
+    return DayResult(
         day=day,
         rare_domains=rare,
         automated_verdicts=verdicts,
         cc_domains=cc_domains,
-        intel_seeded=intel_seeded,
-        ct_seeded=ct_seeded,
+        no_hint=no_hint.bp_result,
+        soc_hints=hinted.bp_result if hinted is not None else None,
+        intel_seeded=no_hint.intel_seeded,
+        ct_seeded=no_hint.ct_seeded,
+        stage_seconds=stage_seconds,
     )
-
-    with obs.span("detect_bp") as bp_span:
-        no_hint_seeds = cc_set | intel_seeded | ct_seeded
-        if no_hint_seeds:
-            seed_hosts: set[str] = set()
-            for domain in no_hint_seeds:
-                seed_hosts.update(traffic.hosts_by_domain.get(domain, ()))
-            result.no_hint = belief_propagation(
-                seed_hosts,
-                no_hint_seeds,
-                dom_host=dom_host,
-                host_rdom=host_rdom,
-                detect_cc=detect_cc,
-                config=config.belief_propagation,
-                sibling_dom=sibling_dom,
-                metrics=metrics,
-                **scoring_kwargs(),
-            )
-
-        soc_seeds = {
-            d for d in soc_seed_domains if d in traffic.hosts_by_domain
-        }
-        if soc_seeds:
-            seed_hosts = set()
-            for domain in soc_seeds:
-                seed_hosts.update(traffic.hosts_by_domain.get(domain, ()))
-            result.soc_hints = belief_propagation(
-                seed_hosts,
-                soc_seeds,
-                dom_host=dom_host,
-                host_rdom=host_rdom,
-                detect_cc=detect_cc,
-                config=config.belief_propagation,
-                sibling_dom=sibling_dom,
-                metrics=metrics,
-                **scoring_kwargs(),
-            )
-    if no_hint_seeds or soc_seeds:
-        stage_seconds["bp"] = bp_span.elapsed
-
-    result.stage_seconds = stage_seconds
-    return result
-
-
-def _automated_hosts_by_domain(
-    verdicts: Iterable[AutomationVerdict],
-) -> dict[str, set[str]]:
-    by_domain: dict[str, set[str]] = defaultdict(set)
-    for verdict in verdicts:
-        if verdict.automated:
-            by_domain[verdict.domain].add(verdict.host)
-    return dict(by_domain)

@@ -27,7 +27,7 @@ randomized tests and ``bench_bp_scale`` assert.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -76,29 +76,32 @@ class RegressionCCScorer:
         features = self.extractor.cc_features(domain, traffic, automated_hosts, when)
         return self.model.score(features.as_vector())
 
-    def score_all(
+    def score_automated(
         self,
-        domains: Sequence[str],
+        verdicts: Iterable[AutomationVerdict],
         traffic: DailyTraffic,
-        automated_hosts: Mapping[str, set[str]],
         when: float,
-    ) -> list[float]:
-        """Scores for a day's candidates in one matrix pass.
+    ) -> dict[str, float]:
+        """The day's ``Detect_C&C`` scores in one matrix pass: every
+        domain with an automated host, in sorted-name order.  Domains
+        at or above :attr:`threshold` are the day's potential C&C.
 
         Builds one feature matrix
         (:meth:`~repro.features.extract.FeatureExtractor.cc_feature_matrix`)
         and scores it column-wise
         (:meth:`~repro.features.regression.LinearModel.score_many`);
         both steps are documented bit-identical to the per-domain
-        :meth:`score` loop in ``domains`` order, including the WHOIS
+        :meth:`score` loop in that order, including the WHOIS
         imputation state evolution.
         """
-        if not domains:
-            return []
+        auto_hosts = automated_hosts_by_domain(verdicts)
+        if not auto_hosts:
+            return {}
+        domains = sorted(auto_hosts)
         matrix = self.extractor.cc_feature_matrix(
-            domains, traffic, automated_hosts, when
+            domains, traffic, auto_hosts, when
         )
-        return self.model.score_many(matrix).tolist()
+        return dict(zip(domains, self.model.score_many(matrix).tolist()))
 
     def is_cc(
         self,
@@ -132,6 +135,12 @@ class RegressionSimilarityScorer:
             domain, malicious, traffic, when
         )
         return self.model.score(features.as_vector())
+
+    def frontier_scorer(self, traffic: DailyTraffic, when: float):
+        """A fresh :data:`~repro.core.beliefprop.ScoreFrontier` hook
+        for one belief-propagation run over ``traffic``: :meth:`score`
+        batched over the frontier (:class:`BatchedSimilarityScorer`)."""
+        return BatchedSimilarityScorer(self, traffic, when).score_frontier
 
 
 class AdditiveSimilarityScorer:
@@ -187,6 +196,17 @@ class AdditiveSimilarityScorer:
         """Additive (feature-count) similarity score in [0, 1]."""
         connectivity, timing, ip = self.components(domain, malicious, traffic)
         return (connectivity + timing + ip) / self.MAX_COMPONENT_SUM
+
+    def frontier_scorer(
+        self, traffic: DailyTraffic, *, stats: "SimilarityStats | None" = None
+    ):
+        """A fresh :data:`~repro.core.beliefprop.ScoreFrontier` hook
+        over ``traffic``: :meth:`score` made incremental
+        (:class:`IncrementalAdditiveScorer`).  One per run, or one per
+        streaming day for as long as the malicious set only grows."""
+        return IncrementalAdditiveScorer(
+            self, traffic, stats=stats
+        ).score_frontier
 
 
 @dataclass
@@ -432,11 +452,10 @@ class IncrementalAdditiveScorer:
         base: AdditiveSimilarityScorer,
         traffic: DailyTraffic,
         *,
-        index: TrafficIndex | None = None,
         stats: SimilarityStats | None = None,
     ) -> None:
         self.base = base
-        self.index = index if index is not None else traffic.index()
+        self.index = traffic.index()
         self.state = SimilarityIndexState(self.index, stats)
         #: tracked domain name -> its current score.
         self._scores: dict[str, float] = {}
@@ -490,9 +509,8 @@ class BatchedSimilarityScorer:
     in the same sorted-frontier order every round, so the shared
     extractor's state (and every imputed feature) stays bit-identical
     to the per-domain path's.  That replay over the *whole* frontier
-    is why :meth:`StreamingEnterpriseDetector.score
-    <repro.streaming.enterprise.StreamingEnterpriseDetector.score>`
-    still builds one per round: a day-lived instance would save only
+    is why :class:`~repro.streaming.StreamingEnterpriseDetector` still
+    builds one per scoring round: a day-lived instance would save only
     the state's share, not the per-name loop the replay needs.
     """
 
@@ -501,8 +519,6 @@ class BatchedSimilarityScorer:
         scorer: RegressionSimilarityScorer,
         traffic: DailyTraffic,
         when: float,
-        *,
-        index: TrafficIndex | None = None,
     ) -> None:
         if scorer.model.feature_names != SIMILARITY_FEATURE_NAMES:
             raise ValueError(
@@ -514,7 +530,7 @@ class BatchedSimilarityScorer:
         self.extractor = scorer.extractor
         self.traffic = traffic
         self.when = when
-        self.index = index if index is not None else traffic.index()
+        self.index = traffic.index()
         self.state = SimilarityIndexState(self.index)
         #: domain -> (no_hosts, no_ref, rare_ua), frozen for the day.
         self._static: dict[str, tuple[float, float, float]] = {}
@@ -592,7 +608,6 @@ def group_verdicts_by_domain(
 def multi_host_beacon_heuristic(
     domain: str,
     verdicts: Sequence[AutomationVerdict],
-    traffic: DailyTraffic,
     *,
     sync_window: float = 10.0,
     min_hosts: int = 2,
@@ -618,3 +633,25 @@ def multi_host_beacon_heuristic(
         later - earlier <= sync_window
         for earlier, later in zip(periods, periods[1:])
     )
+
+
+def multi_host_cc_domains(verdicts: Iterable[AutomationVerdict]) -> set[str]:
+    """The DNS path's whole C&C stage: the domains of a day's
+    automation verdicts that pass :func:`multi_host_beacon_heuristic`."""
+    return {
+        domain
+        for domain, domain_verdicts
+        in group_verdicts_by_domain(verdicts).items()
+        if multi_host_beacon_heuristic(domain, domain_verdicts)
+    }
+
+
+def automated_hosts_by_domain(
+    verdicts: Iterable[AutomationVerdict],
+) -> dict[str, set[str]]:
+    """Domain -> the hosts whose series to it tested automated."""
+    by_domain: dict[str, set[str]] = {}
+    for verdict in verdicts:
+        if verdict.automated:
+            by_domain.setdefault(verdict.domain, set()).add(verdict.host)
+    return by_domain

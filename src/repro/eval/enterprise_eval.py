@@ -20,14 +20,16 @@ both -- the paper's new discoveries), or legitimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..config import ENTERPRISE_CONFIG, SystemConfig
-from ..core.beliefprop import belief_propagation
-from ..core.pipeline import EnterpriseDetector, _automated_hosts_by_domain
+from ..core.dayloop import DayDetection, detect_day
+from ..core.pipeline import EnterpriseDetector
+from ..core.scoring import automated_hosts_by_domain
 from ..intel.ioc import IocList
 from ..intel.virustotal import VirusTotalOracle
-from ..profiling.rare import DailyTraffic, rare_domains_by_host
+from ..profiling.rare import DailyTraffic
 from ..synthetic.enterprise import EnterpriseDataset
 from .metrics import ValidationBreakdown, validate_detections
 
@@ -44,12 +46,6 @@ class OperationalDay:
     auto_hosts: dict[str, set[str]]
     cc_scores: dict[str, float]
     when: float
-
-    def dom_host(self) -> dict[str, frozenset[str]]:
-        return {
-            domain: frozenset(self.traffic.hosts_by_domain.get(domain, ()))
-            for domain in self.rare
-        }
 
 
 @dataclass(frozen=True)
@@ -96,19 +92,15 @@ class EnterpriseEvaluation:
             traffic, rare = self.detector._aggregate_day(day, connections)
             when = (day + 1) * SECONDS_PER_DAY
             verdicts = self.detector._automation_verdicts(traffic, rare)
-            auto_hosts = _automated_hosts_by_domain(verdicts)
-            cc_scores = {
-                domain: self.detector.cc_scorer.score(
-                    domain, traffic, auto_hosts[domain], when
-                )
-                for domain in sorted(auto_hosts)
-            }
+            cc_scores = self.detector.cc_scorer.score_automated(
+                verdicts, traffic, when
+            )
             self.days.append(
                 OperationalDay(
                     day=day,
                     traffic=traffic,
                     rare=rare,
-                    auto_hosts=auto_hosts,
+                    auto_hosts=automated_hosts_by_domain(verdicts),
                     cc_scores=cc_scores,
                     when=when,
                 )
@@ -146,80 +138,46 @@ class EnterpriseEvaluation:
             )
         return detected
 
-    def _run_bp(
-        self,
-        op_day: OperationalDay,
-        seed_hosts: set[str],
-        seed_domains: set[str],
-        cc_set: set[str],
-        ts: float,
-    ) -> set[str]:
-        scorer = self.detector.similarity_scorer
-        config = self.config.belief_propagation.__class__(
-            similarity_threshold=ts,
-            cc_score_threshold=self.config.belief_propagation.cc_score_threshold,
-            max_iterations=self.config.belief_propagation.max_iterations,
+    def detect(
+        self, op_day: OperationalDay, ts: float, tc: float = 0.4, **hints
+    ) -> DayDetection:
+        """One seed -> propagate pass over a cached day at thresholds
+        ``ts`` / ``tc`` (:func:`repro.core.dayloop.detect_day`)."""
+        return detect_day(
+            op_day.traffic,
+            op_day.rare,
+            cc={
+                domain
+                for domain, score in op_day.cc_scores.items()
+                if score >= tc
+            },
+            new_scorer=partial(
+                self.detector.similarity_scorer.frontier_scorer,
+                op_day.traffic,
+                op_day.when,
+            ),
+            config=replace(
+                self.config.belief_propagation, similarity_threshold=ts
+            ),
+            **hints,
         )
-
-        def detect_cc(domain: str) -> bool:
-            return domain in cc_set
-
-        def similarity(domain: str, malicious: set[str]) -> float:
-            return scorer.score(domain, malicious, op_day.traffic, op_day.when)
-
-        result = belief_propagation(
-            seed_hosts,
-            seed_domains,
-            dom_host=op_day.dom_host(),
-            host_rdom=rare_domains_by_host(op_day.traffic, op_day.rare),
-            detect_cc=detect_cc,
-            similarity_score=similarity,
-            config=config,
-        )
-        return set(result.detected_domains)
 
     def no_hint_detections(self, ts: float, tc: float = 0.4) -> set[str]:
         """No-hint mode over the month: C&C seeds + BP expansion."""
         detected: set[str] = set()
         for op_day in self.days:
-            cc_set = {
-                domain
-                for domain, score in op_day.cc_scores.items()
-                if score >= tc
-            }
-            if not cc_set:
-                continue
-            seed_hosts: set[str] = set()
-            for domain in cc_set:
-                seed_hosts.update(op_day.traffic.hosts_by_domain.get(domain, ()))
-            detected.update(cc_set)
-            detected.update(
-                self._run_bp(op_day, seed_hosts, set(cc_set), cc_set, ts)
-            )
+            detected.update(self.detect(op_day, ts, tc).detected)
         return detected
 
     def soc_hints_detections(self, ts: float, tc: float = 0.4) -> set[str]:
         """SOC-hints mode: IOC-seeded BP; seeds excluded from output."""
         seeds = set(self.ioc.seeds())
         detected: set[str] = set()
-        for op_day in self.days:
-            present = {
-                domain for domain in seeds
-                if domain in op_day.traffic.hosts_by_domain
-            }
-            if not present:
-                continue
-            cc_set = {
-                domain
-                for domain, score in op_day.cc_scores.items()
-                if score >= tc
-            }
-            seed_hosts: set[str] = set()
-            for domain in present:
-                seed_hosts.update(op_day.traffic.hosts_by_domain.get(domain, ()))
-            detected.update(
-                self._run_bp(op_day, seed_hosts, present, cc_set, ts)
-            )
+        if seeds:  # no IOCs is not a hint: the kernel would run no-hint
+            for op_day in self.days:
+                detected.update(
+                    self.detect(op_day, ts, tc, hint_domains=seeds).detected
+                )
         return detected - seeds
 
     # ------------------------------------------------------------------

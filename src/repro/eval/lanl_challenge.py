@@ -21,13 +21,15 @@ The module also computes the Figure 3 timing CDFs and the Table II
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..config import LANL_CONFIG, SystemConfig
-from ..core.beliefprop import BeliefPropagationResult, belief_propagation
-from ..core.scoring import AdditiveSimilarityScorer, multi_host_beacon_heuristic
+from ..core.beliefprop import BeliefPropagationResult
+from ..core.dayloop import DayDetection, detect_day
+from ..core.scoring import AdditiveSimilarityScorer, multi_host_cc_domains
 from ..logs.reduction import ReductionFunnel
 from ..profiling.history import DestinationHistory
-from ..profiling.rare import DailyTraffic, extract_rare_domains, rare_domains_by_host
+from ..profiling.rare import DailyTraffic, extract_rare_domains
 from ..synthetic.lanl import LanlCampaignTruth, LanlDataset
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .metrics import DetectionCounts, ZERO_COUNTS, score_detections
@@ -157,75 +159,43 @@ class LanlChallengeSolver:
     ) -> tuple[set[str], list[AutomationVerdict]]:
         """LANL C&C heuristic over the day's rare automated domains."""
         verdicts = self.automation.automated_pairs(context.rare_series())
-        cc: set[str] = set()
-        for domain in {v.domain for v in verdicts}:
-            if multi_host_beacon_heuristic(domain, verdicts, context.traffic):
-                cc.add(domain)
-        return cc, verdicts
+        return multi_host_cc_domains(verdicts), verdicts
 
-    def run_belief_propagation(
-        self,
-        context: LanlDayContext,
-        seed_hosts: set[str],
-        seed_domains: set[str],
-        cc_set: set[str],
-    ) -> BeliefPropagationResult:
-        """Run BP for one day's context; returns the result or None."""
-        host_rdom = rare_domains_by_host(context.traffic, context.rare)
-        dom_host = {
-            domain: frozenset(context.traffic.hosts_by_domain.get(domain, ()))
-            for domain in context.rare
-        }
-
-        def detect_cc(domain: str) -> bool:
-            return domain in cc_set
-
-        def similarity(domain: str, malicious: set[str]) -> float:
-            return self.scorer.score(domain, malicious, context.traffic)
-
-        return belief_propagation(
-            seed_hosts,
-            seed_domains,
-            dom_host=dom_host,
-            host_rdom=host_rdom,
-            detect_cc=detect_cc,
-            similarity_score=similarity,
+    def detect(
+        self, context: LanlDayContext, cc_set: set[str], **hints
+    ) -> DayDetection:
+        """One seed -> propagate pass over a day's context
+        (:func:`repro.core.dayloop.detect_day`): from the C&C set, or
+        from explicit SOC hints when any are given."""
+        return detect_day(
+            context.traffic,
+            context.rare,
+            cc=cc_set,
+            new_scorer=partial(self.scorer.frontier_scorer, context.traffic),
             config=self.config.belief_propagation,
+            **hints,
         )
 
     def solve_day(self, march_date: int) -> DayOutcome:
-        """Full detection for one day; updates histories afterwards."""
+        """Full detection for one day; updates histories afterwards.
+
+        Cases 1-3 seed with the hint hosts only; case 4 (or any
+        unhinted day) with the detected C&C domains.
+        """
         context = self.day_context(march_date)
         truth = context.truth
         cc_set, _verdicts = self.detect_cc_domains(context)
-
-        bp_result: BeliefPropagationResult | None = None
-        detected: list[str] = []
-        if truth is not None and truth.hint_hosts:
-            # Cases 1-3: seed with the hint hosts only.
-            bp_result = self.run_belief_propagation(
-                context, set(truth.hint_hosts), set(), cc_set
-            )
-            detected = bp_result.detected_domains
-        elif cc_set:
-            # Case 4 (or any unhinted day): seed with detected C&C.
-            seed_hosts: set[str] = set()
-            for domain in cc_set:
-                seed_hosts.update(context.traffic.hosts_by_domain.get(domain, ()))
-            bp_result = self.run_belief_propagation(
-                context, seed_hosts, set(cc_set), cc_set
-            )
-            detected = sorted(cc_set) + bp_result.detected_domains
-
+        detection = self.detect(
+            context, cc_set, hint_hosts=truth.hint_hosts if truth else ()
+        )
         truth_domains = set(truth.malicious_domains) if truth else set()
-        counts = score_detections(detected, truth_domains)
         outcome = DayOutcome(
             march_date=march_date,
             case=truth.case if truth else 0,
-            detected=detected,
-            counts=counts,
+            detected=detection.detected,
+            counts=score_detections(detection.detected, truth_domains),
             cc_seeds=cc_set,
-            bp_result=bp_result,
+            bp_result=detection.bp_result,
         )
         self._commit_day(context)
         return outcome

@@ -59,11 +59,7 @@ from ..state import (
     restore_engine,
     save_json_atomic,
 )
-from ..streaming import (
-    StreamDayReport,
-    StreamingDetector,
-    StreamingEnterpriseDetector,
-)
+from ..streaming import StreamingDetector, StreamingEnterpriseDetector
 from ..streaming.events import split_by_shard
 from ..profiling.rare import DailyTraffic, merge_daily_traffic
 from .intel import BoardReplica, CacheStats, TenantWhoisView, _TenantCache
@@ -141,21 +137,6 @@ class WorkerIntelCache:
 # ---------------------------------------------------------------------------
 # One tenant, one day
 # ---------------------------------------------------------------------------
-
-def _scored_detections(report: StreamDayReport) -> dict[str, float]:
-    """Publication scores: seed/C&C labels count as confirmed (1.0),
-    similarity labels keep their labeling score."""
-    scores: dict[str, float] = {}
-    if report.bp_result is not None:
-        for detection in report.bp_result.detections:
-            if detection.reason in ("seed", "cc"):
-                scores[detection.domain] = 1.0
-            else:
-                scores[detection.domain] = detection.score
-    for domain in report.detected:
-        scores.setdefault(domain, 1.0)
-    return scores
-
 
 def _ingest_day_sharded(detector, lines, n_shards: int) -> None:
     """Aggregate one DNS day through per-host-shard windows, merged.
@@ -245,7 +226,7 @@ def _advance_one_day(
         detected=list(report.detected),
         intel_seeded=set(report.intel_seeded),
         ct_seeded=set(report.ct_seeded),
-        scores=_scored_detections(report),
+        scores=report.publication_scores(),
         elapsed_seconds=advance_span.elapsed,
         stage_seconds=dict(report.stage_seconds),
     )

@@ -18,30 +18,19 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .config import LANL_CONFIG, SystemConfig
-from .core.beliefprop import BeliefPropagationResult, belief_propagation
-from .core.scoring import (
-    AdditiveSimilarityScorer,
-    IncrementalAdditiveScorer,
-    group_verdicts_by_domain,
-    multi_host_beacon_heuristic,
-)
+from .core.beliefprop import BeliefPropagationResult
+from .core.dayloop import DayDetection, detect_day
+from .core.scoring import AdditiveSimilarityScorer, multi_host_cc_domains
 from .logs.records import ConnectionBatch
 from .logs.reduction import ReductionFunnel
 from .obs.metrics import NULL_METRICS
 from .profiling.history import DestinationHistory
-from .profiling.rare import DailyTraffic, extract_rare_domains, rare_domains_by_host
+from .profiling.rare import DailyTraffic, extract_rare_domains
 from .timing.detector import AutomationDetector
-
-#: Parity-only path: ``detect_on_traffic(..., use_index=False)`` keeps
-#: the legacy per-domain scoring loop purely as the reference the
-#: indexed/batched path is pinned against (``pytest -m parity``).
-#: Production always runs ``use_index=True``; the legacy branch is
-#: kept green only for those tests and is slated for retirement
-#: (ROADMAP).
-_parity = "detect_on_traffic(use_index=False)"
 
 
 @dataclass
@@ -57,23 +46,6 @@ class RunnerDayReport:
     bp_result: BeliefPropagationResult | None = None
 
 
-@dataclass
-class DayDetection:
-    """Output of one end-of-day detection pass over a traffic aggregate."""
-
-    cc_domains: set[str]
-    detected: list[str]
-    bp_result: BeliefPropagationResult | None
-    intel_seeded: set[str] = field(default_factory=set)
-    """Rare domains seeded from shared intelligence (fleet mode)."""
-
-    ct_seeded: set[str] = field(default_factory=set)
-    """Rare domains pulled in through CT SAN-pivot sibling edges."""
-
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    """Wall-clock seconds per detection stage (``automation``, ``bp``)."""
-
-
 def detect_on_traffic(
     traffic: DailyTraffic,
     rare: set[str],
@@ -84,121 +56,48 @@ def detect_on_traffic(
     hint_hosts: Sequence[str] = (),
     intel_domains: Set[str] = frozenset(),
     ct_edges=None,
-    use_index: bool = True,
     metrics=None,
 ) -> DayDetection:
     """The DNS-path daily detection stages on one day of traffic.
 
-    This is the single implementation both the batch
+    The automation test over rare (host, domain) series and the
+    multi-host beaconing C&C heuristic (Section V-B), then
+    :func:`repro.core.dayloop.detect_day` -- the seed -> Algorithm 1
+    half every mode and both pipelines share -- seeded by the C&C hits
+    (no-hint mode) or by SOC ``hint_hosts``.  Both the batch
     :class:`DnsLogRunner` and the streaming engine
-    (:class:`repro.streaming.StreamingDetector`) run at end of day, so
-    streaming replay is batch-identical by construction: automation
-    test over rare (host, domain) series, the multi-host beaconing C&C
-    heuristic, then belief propagation seeded by C&C hits (no-hint
-    mode) or by SOC hint hosts.
+    (:class:`repro.streaming.StreamingDetector`) run this at end of
+    day, so streaming replay is batch-identical by construction.
 
-    ``intel_domains`` carries externally confirmed malicious domains
-    (a fleet's shared intel plane, a SOC blocklist).  Those that are
-    *rare today* in this traffic enter belief propagation as seed
-    labels -- the paper's community-feedback amplification: a domain
-    confirmed in one enterprise elevates the prior everywhere it
-    appears, even where local evidence (e.g. a single beaconing host)
-    would not fire the C&C heuristic on its own.
-
-    ``ct_edges`` is an optional :class:`repro.intelstore.ct.CtIndex`:
-    certificate-transparency SAN pivots become domain-domain sibling
-    evidence.  Rare domains reachable from the day's seeds through
-    shared certificates join the seed set (reported as ``ct_seeded``),
-    and belief propagation receives a rare-restricted sibling map so
-    newly labeled domains extend the frontier to their cert siblings.
-    With ``ct_edges=None`` (the default) detections are byte-identical
-    to a build without the parameter.
-
-    ``use_index`` routes belief propagation through the day's
-    :class:`~repro.profiling.index.TrafficIndex` and the incremental
-    frontier scorer; ``False`` keeps the legacy per-domain scoring
-    loops.  Both produce identical detections (the parity the
-    randomized tests and ``bench_bp_scale`` assert) -- the flag exists
-    for those comparisons.
+    ``scorer`` hands out the run's frontier scorer
+    (:meth:`~repro.core.scoring.AdditiveSimilarityScorer
+    .frontier_scorer`); ``intel_domains`` and ``ct_edges`` pass
+    straight through to the kernel, which documents them.
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`;
     stage timings are always measured (they feed the returned
     ``stage_seconds``) but recorded into histograms only when given.
     """
     obs = metrics if metrics is not None else NULL_METRICS
-    stage_seconds: dict[str, float] = {}
     with obs.span("detect_automation") as automation_span:
-        verdicts = automation.automated_pairs(traffic.rare_series(rare))
-        verdicts_by_domain = group_verdicts_by_domain(verdicts)
-        cc = {
-            domain for domain, domain_verdicts in verdicts_by_domain.items()
-            if multi_host_beacon_heuristic(domain, domain_verdicts, traffic)
-        }
-    stage_seconds["automation"] = automation_span.elapsed
-    intel_seeded = set(intel_domains) & rare
-
-    seed_hosts: set[str] = set(hint_hosts)
-    seed_domains: set[str] = set()
-    if not seed_hosts:
-        seed_domains = set(cc)
-        for domain in cc:
-            seed_hosts.update(traffic.hosts_by_domain.get(domain, ()))
-    seed_domains |= intel_seeded
-    for domain in intel_seeded:
-        seed_hosts.update(traffic.hosts_by_domain.get(domain, ()))
-
-    ct_seeded: set[str] = set()
-    sibling_dom = None
-    if ct_edges is not None:
-        from .intelstore.ct import expand_ct_seeds, sibling_map
-
-        ct_seeded = expand_ct_seeds(seed_domains, rare, ct_edges)
-        seed_domains |= ct_seeded
-        for domain in ct_seeded:
-            seed_hosts.update(traffic.hosts_by_domain.get(domain, ()))
-        sibling_dom = sibling_map(ct_edges, rare)
-
-    bp_result = None
-    detected: list[str] = []
-    if seed_hosts:
-        if use_index:
-            dom_host, host_rdom = traffic.bp_views(rare)
-            incremental = IncrementalAdditiveScorer(
-                scorer, traffic, index=traffic.index()
-            )
-            scoring = {"score_frontier": incremental.score_frontier}
-        else:
-            dom_host = {
-                d: frozenset(traffic.hosts_by_domain.get(d, ()))
-                for d in rare
-            }
-            host_rdom = rare_domains_by_host(traffic, rare)
-            scoring = {
-                "similarity_score":
-                    lambda dom, mal: scorer.score(dom, mal, traffic),
-            }
-        with obs.span("detect_bp") as bp_span:
-            bp_result = belief_propagation(
-                seed_hosts,
-                seed_domains,
-                dom_host=dom_host,
-                host_rdom=host_rdom,
-                detect_cc=cc.__contains__,
-                config=config.belief_propagation,
-                sibling_dom=sibling_dom,
-                metrics=metrics,
-                **scoring,
-            )
-        stage_seconds["bp"] = bp_span.elapsed
-        detected = sorted(seed_domains) + bp_result.detected_domains
-    return DayDetection(
-        cc_domains=cc,
-        detected=detected,
-        bp_result=bp_result,
-        intel_seeded=intel_seeded,
-        ct_seeded=ct_seeded,
-        stage_seconds=stage_seconds,
+        cc = multi_host_cc_domains(
+            automation.automated_pairs(traffic.rare_series(rare))
+        )
+    detection = detect_day(
+        traffic,
+        rare,
+        cc=cc,
+        new_scorer=partial(scorer.frontier_scorer, traffic),
+        config=config.belief_propagation,
+        hint_hosts=hint_hosts,
+        intel_domains=intel_domains,
+        ct_edges=ct_edges,
+        metrics=metrics,
     )
+    detection.stage_seconds = {
+        "automation": automation_span.elapsed, **detection.stage_seconds
+    }
+    return detection
 
 
 @dataclass

@@ -286,44 +286,19 @@ def decode_window(window, payload: dict[str, Any]) -> None:
         traffic.rare_ua_hosts[domain] = set(hosts)
 
 
-def encode_metrics(detector) -> dict[str, Any] | None:
-    """The engine's metrics snapshot, or ``None`` when metrics are off.
+def _engine_base_state(
+    detector, kind: str, include_metrics: bool
+) -> dict[str, Any]:
+    """The half of an engine document that is engine-base state,
+    whatever the pipeline: the in-flight day window, the previous
+    belief-propagation round, the warm-start policy, the event counter
+    and (when enabled and ``include_metrics`` -- see
+    :func:`encode_engine`) the metrics snapshot, so counters survive a
+    checkpoint restart.
 
-    Only meaningful when the engine *owns* its registry (the
-    single-engine ``stream`` path); fleet checkpoints pass
-    ``include_metrics=False`` because their engines share one
-    registry per worker and re-absorbing it per tenant would double
-    count -- the fleet-wide snapshot rides in the fleet state instead.
-    """
-    metrics = getattr(detector, "metrics", None)
-    if metrics is None or not metrics.enabled:
-        return None
-    return metrics.snapshot().as_dict()
-
-
-def _restore_metrics(payload: dict[str, Any], metrics) -> None:
-    """Seed a restored engine's registry from its checkpoint snapshot."""
-    snapshot = payload.get("metrics")
-    if snapshot and metrics is not None and metrics.enabled:
-        from .obs.metrics import MetricsSnapshot
-
-        metrics.restore(MetricsSnapshot.from_dict(snapshot))
-
-
-def streaming_state(detector, *, include_metrics: bool = True) -> dict[str, Any]:
-    """Full JSON-serializable snapshot of a streaming detector.
-
-    Extends the version-1 detector document with the ``"streaming"``
-    kind: long-lived histories plus the in-flight day window and the
-    previous belief-propagation round, so a restore resumes mid-day
-    with warm-start intact.  The reduction funnel's Figure 2 counters
-    are observability, not detection state, and are not snapshotted;
-    the metrics registry's snapshot *is* (when enabled and
-    ``include_metrics``), so counters survive a checkpoint restart.
-
-    Events still queued on the bus are not part of the snapshot;
-    callers must drain them (:meth:`StreamingDetector.poll`) first or
-    they would be lost across a restore.
+    Events still queued on the bus are not part of a snapshot; callers
+    must drain them (``poll()``) first or they would be lost across a
+    restore.
     """
     if len(detector.bus) > 0:
         raise StateError(
@@ -332,19 +307,7 @@ def streaming_state(detector, *, include_metrics: bool = True) -> dict[str, Any]
         )
     return {
         "version": STATE_VERSION,
-        "kind": "streaming",
-        "config": encode_config(detector.config),
-        "internal_suffixes": list(detector.internal_suffixes),
-        "server_ips": sorted(detector.server_ips),
-        "history": encode_history(detector.history),
-        "ua_history": (
-            encode_ua_history(detector.window.ua_history)
-            if detector.window.ua_history is not None else None
-        ),
-        "ua_pending": (
-            encode_ua_pending(detector.window.ua_history)
-            if detector.window.ua_history is not None else None
-        ),
+        "kind": kind,
         "window": encode_window(detector.window),
         "prior": (
             encode_bp_result(detector.prior)
@@ -355,7 +318,72 @@ def streaming_state(detector, *, include_metrics: bool = True) -> dict[str, Any]
             "enabled": detector.warm.enabled,
             "full_recompute_fraction": detector.warm.full_recompute_fraction,
         },
-        "metrics": encode_metrics(detector) if include_metrics else None,
+        "metrics": (
+            detector.metrics.snapshot().as_dict()
+            if include_metrics and detector.metrics.enabled else None
+        ),
+    }
+
+
+def _check_engine_document(payload: dict[str, Any], kind: str):
+    """Validate an engine document's version and kind tag; returns its
+    warm-start policy (a constructor argument of both engines)."""
+    from .streaming import WarmStartConfig
+
+    version = payload.get("version")
+    if version != STATE_VERSION:
+        raise StateError(f"unsupported state version {version!r}")
+    if payload.get("kind") != kind:
+        raise StateError(
+            f"not a {kind} checkpoint (kind={payload.get('kind')!r})"
+        )
+    return WarmStartConfig(
+        enabled=bool(payload["warm"]["enabled"]),
+        full_recompute_fraction=float(
+            payload["warm"]["full_recompute_fraction"]
+        ),
+    )
+
+
+def _restore_engine_base(detector, payload: dict[str, Any], metrics) -> None:
+    """Refill a freshly built engine from :func:`_engine_base_state`'s
+    half of its document and rebuild its derived state.  A checkpointed
+    metrics snapshot (if any) is folded into ``metrics`` so counters
+    continue across the restart."""
+    decode_window(detector.window, payload["window"])
+    if payload["prior"] is not None:
+        detector.prior = decode_bp_result(payload["prior"])
+    detector.events_total = int(payload["events_total"])
+    snapshot = payload.get("metrics")
+    if snapshot and metrics is not None and metrics.enabled:
+        from .obs.metrics import MetricsSnapshot
+
+        metrics.restore(MetricsSnapshot.from_dict(snapshot))
+    detector.resync()
+
+
+def streaming_state(detector, *, include_metrics: bool = True) -> dict[str, Any]:
+    """Full JSON-serializable snapshot of a streaming detector.
+
+    Extends the version-1 detector document with the ``"streaming"``
+    kind: the long-lived histories, the filters, and the engine-base
+    half (:func:`_engine_base_state`), so a restore resumes mid-day
+    with warm-start intact.  The reduction funnel's Figure 2 counters
+    are observability, not detection state, and are not snapshotted.
+    """
+    ua_history = detector.window.ua_history
+    return {
+        **_engine_base_state(detector, "streaming", include_metrics),
+        "config": encode_config(detector.config),
+        "internal_suffixes": list(detector.internal_suffixes),
+        "server_ips": sorted(detector.server_ips),
+        "history": encode_history(detector.history),
+        "ua_history": (
+            encode_ua_history(ua_history) if ua_history is not None else None
+        ),
+        "ua_pending": (
+            encode_ua_pending(ua_history) if ua_history is not None else None
+        ),
     }
 
 
@@ -363,18 +391,11 @@ def restore_streaming(payload: dict[str, Any], *, metrics=None):
     """Rebuild a :class:`~repro.streaming.StreamingDetector` snapshot.
 
     ``metrics`` attaches a :class:`repro.obs.MetricsRegistry` to the
-    restored engine; a checkpointed metrics snapshot (if any) is
-    folded into it so counters continue across the restart.
+    restored engine.
     """
-    from .streaming import StreamingDetector, WarmStartConfig
+    from .streaming import StreamingDetector
 
-    version = payload.get("version")
-    if version != STATE_VERSION:
-        raise StateError(f"unsupported state version {version!r}")
-    if payload.get("kind") != "streaming":
-        raise StateError(
-            f"not a streaming checkpoint (kind={payload.get('kind')!r})"
-        )
+    warm = _check_engine_document(payload, "streaming")
     ua_history = None
     if payload["ua_history"] is not None:
         ua_history = decode_ua_history(payload["ua_history"])
@@ -386,26 +407,34 @@ def restore_streaming(payload: dict[str, Any], *, metrics=None):
         server_ips=frozenset(payload["server_ips"]),
         history=decode_history(payload["history"]),
         ua_history=ua_history,
-        warm=WarmStartConfig(
-            enabled=bool(payload["warm"]["enabled"]),
-            full_recompute_fraction=float(
-                payload["warm"]["full_recompute_fraction"]
-            ),
-        ),
+        warm=warm,
         metrics=metrics,
     )
-    decode_window(detector.window, payload["window"])
-    if payload["prior"] is not None:
-        detector.prior = decode_bp_result(payload["prior"])
-    detector.events_total = int(payload["events_total"])
-    _restore_metrics(payload, metrics)
-    detector.resync()
+    _restore_engine_base(detector, payload, metrics)
     return detector
 
 
 # ---------------------------------------------------------------------------
 # Streaming enterprise checkpoint (trained models + mid-day window)
 # ---------------------------------------------------------------------------
+
+def _encode_whois_impute(whois) -> dict[str, Any] | None:
+    """The WHOIS imputation counters -- detection state: imputed
+    features depend on the running means, so a restore resumes them."""
+    if whois is None:
+        return None
+    return {
+        "age_sum": whois._age_sum,
+        "validity_sum": whois._validity_sum,
+        "observed": whois._observed,
+    }
+
+
+def _decode_whois_impute(whois, impute: dict[str, Any]) -> None:
+    whois._age_sum = float(impute["age_sum"])
+    whois._validity_sum = float(impute["validity_sum"])
+    whois._observed = int(impute["observed"])
+
 
 def streaming_enterprise_state(
     detector, *, include_metrics: bool = True
@@ -414,43 +443,18 @@ def streaming_enterprise_state(
 
     Wraps the trained batch detector's document (config, histories,
     both regression models) with the streaming extras: same-day staged
-    UA observations, the in-flight window, the previous
-    belief-propagation round, and the WHOIS imputation counters --
-    the running means are detection state (imputed features depend on
-    them), so a restore must resume them exactly.  WHOIS *records* are
-    an external registry and are re-attached by the caller.
+    UA observations, the WHOIS imputation counters and the engine-base
+    half (:func:`_engine_base_state`).  WHOIS *records* are an external
+    registry and are re-attached by the caller.
     """
-    if len(detector.bus) > 0:
-        raise StateError(
-            f"{len(detector.bus)} events still queued on the event bus; "
-            "call poll() before snapshotting"
-        )
-    whois = detector.batch.extractor.whois
     return {
-        "version": STATE_VERSION,
-        "kind": "streaming-enterprise",
+        **_engine_base_state(
+            detector, "streaming-enterprise", include_metrics
+        ),
         "detector": detector_state(detector.batch),
         "ua_pending": encode_ua_pending(detector.batch.ua_history),
-        "window": encode_window(detector.window),
         "start_day": detector.start_day,
-        "prior": (
-            encode_bp_result(detector.prior)
-            if detector.prior is not None else None
-        ),
-        "events_total": detector.events_total,
-        "warm": {
-            "enabled": detector.warm.enabled,
-            "full_recompute_fraction": detector.warm.full_recompute_fraction,
-        },
-        "whois_impute": (
-            {
-                "age_sum": whois._age_sum,
-                "validity_sum": whois._validity_sum,
-                "observed": whois._observed,
-            }
-            if whois is not None else None
-        ),
-        "metrics": encode_metrics(detector) if include_metrics else None,
+        "whois_impute": _encode_whois_impute(detector.batch.extractor.whois),
     }
 
 
@@ -463,52 +467,30 @@ def restore_streaming_enterprise(
     of the snapshot); without it the regression features fall back to
     imputation, resumed from the snapshotted counters.
     """
-    from .streaming import StreamingEnterpriseDetector, WarmStartConfig
+    from .streaming import StreamingEnterpriseDetector
 
-    version = payload.get("version")
-    if version != STATE_VERSION:
-        raise StateError(f"unsupported state version {version!r}")
-    if payload.get("kind") != "streaming-enterprise":
-        raise StateError(
-            f"not a streaming-enterprise checkpoint "
-            f"(kind={payload.get('kind')!r})"
-        )
+    warm = _check_engine_document(payload, "streaming-enterprise")
     batch = restore_detector(payload["detector"], whois=whois)
     if payload.get("ua_pending"):
         decode_ua_pending(batch.ua_history, payload["ua_pending"])
     detector = StreamingEnterpriseDetector(
         batch,
         start_day=int(payload["start_day"]),
-        warm=WarmStartConfig(
-            enabled=bool(payload["warm"]["enabled"]),
-            full_recompute_fraction=float(
-                payload["warm"]["full_recompute_fraction"]
-            ),
-        ),
+        warm=warm,
         metrics=metrics,
     )
-    _restore_metrics(payload, metrics)
-    decode_window(detector.window, payload["window"])
-    if payload["prior"] is not None:
-        detector.prior = decode_bp_result(payload["prior"])
-    detector.events_total = int(payload["events_total"])
     impute = payload.get("whois_impute")
     if impute is not None:
-        extractor = batch.extractor.whois
-        if extractor is None:
+        if batch.extractor.whois is None:
             # The original engine had a registry; keep imputing from
             # the snapshotted means even when it isn't re-attached, so
             # registration features degrade gracefully instead of
             # snapping to the cold defaults.
             from .features.whois import WhoisFeatureExtractor
-            from .intel.whois_db import WhoisDatabase
 
-            extractor = WhoisFeatureExtractor(WhoisDatabase())
-            batch.extractor.whois = extractor
-        extractor._age_sum = float(impute["age_sum"])
-        extractor._validity_sum = float(impute["validity_sum"])
-        extractor._observed = int(impute["observed"])
-    detector.resync()
+            batch.extractor.whois = WhoisFeatureExtractor(WhoisDatabase())
+        _decode_whois_impute(batch.extractor.whois, impute)
+    _restore_engine_base(detector, payload, metrics)
     return detector
 
 
@@ -528,19 +510,23 @@ def load_streaming_enterprise(path: str | Path, whois=None, *, metrics=None):
 # Engine-generic dispatch (the fleet holds engines of either pipeline)
 # ---------------------------------------------------------------------------
 
-def encode_engine(engine) -> dict[str, Any]:
+def encode_engine(engine, *, include_metrics: bool = False) -> dict[str, Any]:
     """Snapshot a streaming engine of either pipeline (kind-tagged).
 
-    Fleet checkpoints never embed metrics snapshots: fleet engines
-    share one registry per worker process, so per-tenant snapshots
-    would multiply the shared counters on restore.  The fleet-wide
-    metrics snapshot is persisted in the fleet state instead.
+    Fleet checkpoints never embed metrics snapshots (the default):
+    fleet engines share one registry per worker process, so per-tenant
+    snapshots would multiply the shared counters on restore; the
+    fleet-wide metrics snapshot is persisted in the fleet state
+    instead.  The single-engine ``stream`` replay owns its registry
+    and passes ``include_metrics=True``.
     """
     from .streaming import StreamingEnterpriseDetector
 
     if isinstance(engine, StreamingEnterpriseDetector):
-        return streaming_enterprise_state(engine, include_metrics=False)
-    return streaming_state(engine, include_metrics=False)
+        return streaming_enterprise_state(
+            engine, include_metrics=include_metrics
+        )
+    return streaming_state(engine, include_metrics=include_metrics)
 
 
 def restore_engine(payload: dict[str, Any], whois=None, *, metrics=None):
@@ -665,12 +651,9 @@ class EngineDeltaTracker:
         }
         batch = getattr(detector, "batch", None)
         if batch is not None and batch.extractor.whois is not None:
-            extractor = batch.extractor.whois
-            payload["whois_impute"] = {
-                "age_sum": extractor._age_sum,
-                "validity_sum": extractor._validity_sum,
-                "observed": extractor._observed,
-            }
+            payload["whois_impute"] = _encode_whois_impute(
+                batch.extractor.whois
+            )
         self.rebase()
         return payload
 
@@ -707,9 +690,7 @@ def apply_engine_delta(detector, delta: dict[str, Any]) -> None:
         batch = getattr(detector, "batch", None)
         extractor = batch.extractor.whois if batch is not None else None
         if extractor is not None:
-            extractor._age_sum = float(impute["age_sum"])
-            extractor._validity_sum = float(impute["validity_sum"])
-            extractor._observed = int(impute["observed"])
+            _decode_whois_impute(extractor, impute)
 
 
 def save_json_atomic(payload: dict[str, Any], path: str | Path) -> None:
@@ -753,8 +734,4 @@ def load_detector(
     path: str | Path, whois: WhoisDatabase | None = None
 ) -> EnterpriseDetector:
     """Restore a detector previously saved with :func:`save_detector`."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise StateError(f"corrupt state file {path}: {exc}") from exc
-    return restore_detector(payload, whois=whois)
+    return restore_detector(load_json(path), whois=whois)

@@ -18,14 +18,13 @@ end-of-day detections as the batch :class:`~repro.runner.DnsLogRunner`
 over the same records.
 """
 
-from .detector import (
+from .detector import StreamingDetector, replay_directory
+from .engine import (
     ReplayResult,
     StreamDayReport,
-    StreamingDetector,
+    StreamingEngineBase,
     StreamUpdate,
-    replay_directory,
 )
-from .engine import StreamingEngineBase
 from .enterprise import StreamingEnterpriseDetector, replay_enterprise_directory
 from .events import (
     EventBus,

@@ -14,51 +14,126 @@ and re-test only the (host, domain) timestamp series that saw new
 events through a period-aware
 :class:`~repro.streaming.verdicts.SeriesVerdictCache`.
 
-:class:`StreamingEngineBase` holds exactly that pipeline-independent
-state and its invalidation bookkeeping.  What differs between the two
-paths -- how log lines are normalized, which scorers turn automation
-verdicts into C&C labels, and what the end-of-day batch-parity pass
-runs -- lives in the subclasses (``submit_lines()`` / ``submit_raw()``,
-``score()`` and ``rollover()``).
+:class:`StreamingEngineBase` holds that pipeline-independent state and
+is the *scheduler* of the paper's daily loop: :meth:`~StreamingEngineBase
+.score` runs it intra-day, warm-started over the incremental graph, and
+:meth:`~StreamingEngineBase.rollover` runs the batch pipeline's own
+end-of-day routine over the full window.  A subclass supplies only what
+differs between the two paths: its line reader, its C&C stage, its
+round scorer and its end-of-day call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..config import SystemConfig
+from ..core.beliefprop import BeliefPropagationResult
 from ..logs.records import Connection, ConnectionBatch
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import NULL_METRICS
 from ..profiling.history import DestinationHistory
+from ..profiling.rare import extract_rare_domains
 from ..profiling.ua import UserAgentHistory
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .events import EventBus
-from .incremental import IncrementalGraph, WarmStartConfig
+from .incremental import (
+    IncrementalGraph,
+    WarmStartConfig,
+    warm_start_belief_propagation,
+)
 from .verdicts import SeriesVerdictCache, VerdictCacheStats
 from .window import WindowedAggregator
 
 _LOG = get_logger("stream")
 
 
-class StreamingEngineBase:
-    """Ingestion, windowing and verdict-invalidation shared by engines.
+@dataclass(frozen=True)
+class StreamUpdate:
+    """Snapshot of the current day's detections after a scoring round."""
 
-    Subclasses own the detection-specific pieces (scorers, reduction,
-    the end-of-day parity pass); this base guarantees that whatever the
-    pipeline, the window's indexes, the incremental graph and the
-    cached automation verdicts stay mutually consistent as events
-    arrive, and that a checkpoint restore can rebuild all derived
-    state with :meth:`resync`.
+    day: int
+    events_today: int
+    rare_count: int
+    cc_domains: frozenset[str]
+    detected: tuple[str, ...]
+    mode: str
+    """``"warm"``, ``"full"`` or ``"idle"`` (nothing to propagate)."""
+
+    bp_result: BeliefPropagationResult | None = None
+
+
+@dataclass
+class StreamDayReport:
+    """End-of-day report, shaped like the batch runner's.
+
+    ``records`` counts reduced connections (post-funnel), matching
+    :attr:`repro.runner.RunnerDayReport.records`.
+    """
+
+    day: int
+    records: int
+    rare_domains: set[str]
+    cc_domains: set[str] = field(default_factory=set)
+    detected: list[str] = field(default_factory=list)
+    bp_result: BeliefPropagationResult | None = None
+    intel_seeded: set[str] = field(default_factory=set)
+    """Domains seeded from shared intelligence (fleet mode)."""
+
+    ct_seeded: set[str] = field(default_factory=set)
+    """Domains pulled in through CT SAN-pivot sibling edges."""
+
+    day_result: "object | None" = None
+    """The enterprise path's full :class:`repro.core.DayResult` (both
+    belief-propagation modes, scored C&C domains); ``None`` on the
+    DNS path."""
+
+    stage_seconds: dict[str, float] = field(default_factory=dict)
+    """Wall-clock seconds per rollover stage (``rare``, ``automation``,
+    ``cc``, ``bp``, ``commit``); always measured, observability only."""
+
+    def publication_scores(self) -> dict[str, float]:
+        """Detected domain -> the score to publish it with (a fleet's
+        intel board, ``stream --intel-db``): seed and C&C labels count
+        as confirmed (1.0), similarity labels keep their labeling
+        score."""
+        scores: dict[str, float] = {}
+        if self.bp_result is not None:
+            for detection in self.bp_result.detections:
+                if detection.reason in ("seed", "cc"):
+                    scores[detection.domain] = 1.0
+                else:
+                    scores[detection.domain] = detection.score
+        for domain in self.detected:
+            scores.setdefault(domain, 1.0)
+        return scores
+
+
+class StreamingEngineBase:
+    """Ingestion, windowing, verdict invalidation and the day loop's
+    schedule, shared by both engines.
+
+    This base guarantees that whatever the pipeline, the window's
+    indexes, the incremental graph and the cached automation verdicts
+    stay mutually consistent as events arrive, and that a checkpoint
+    restore can rebuild all derived state with :meth:`resync`.  A
+    subclass passes its line ``reader`` (anything with
+    ``read_lines(lines, batch_size)`` yielding
+    :class:`~repro.logs.records.ConnectionBatch` columns) and
+    implements :meth:`_cc_domains`, :meth:`_round_scorer` and
+    :meth:`_detect_day`.
     """
 
     def __init__(
         self,
         *,
+        config: SystemConfig,
+        reader,
         history: DestinationHistory,
         automation: AutomationDetector,
-        unpopular_max_hosts: int,
         ua_history: UserAgentHistory | None = None,
         warm: WarmStartConfig | None = None,
         n_shards: int = 4,
@@ -66,12 +141,17 @@ class StreamingEngineBase:
         metrics=None,
     ) -> None:
         self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.config = config
+        self.reader = reader
         self.history = history
         self.automation = automation
+        #: the window's first day: a replay's file index is the offset
+        #: of ``window.day`` from it.
+        self.start_day = start_day
         self.window = WindowedAggregator(
             start_day,
             history,
-            unpopular_max_hosts=unpopular_max_hosts,
+            unpopular_max_hosts=config.rarity.unpopular_max_hosts,
             ua_history=ua_history,
         )
         self.graph = IncrementalGraph()
@@ -100,6 +180,11 @@ class StreamingEngineBase:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
+
+    def submit_lines(self, lines: Iterable[str]) -> int:
+        """Read log lines through the pipeline's reader (reduce +
+        normalize) onto the event bus."""
+        return sum(map(self.bus.publish, self.reader.read_lines(lines)))
 
     def submit(
         self, connections: Iterable[Connection] | ConnectionBatch
@@ -235,8 +320,137 @@ class StreamingEngineBase:
         return [verdicts[pair] for pair in sorted(verdicts)]
 
     # ------------------------------------------------------------------
-    # Day boundary / restore plumbing
+    # Intra-day scoring
     # ------------------------------------------------------------------
+
+    def _cc_domains(self, traffic, verdicts) -> set[str]:
+        """The pipeline's C&C stage over the day's automated verdicts."""
+        raise NotImplementedError
+
+    def _round_scorer(self, traffic):
+        """The :data:`~repro.core.beliefprop.ScoreFrontier` hook of the
+        scoring round about to run."""
+        raise NotImplementedError
+
+    def _scoring_round(self):
+        """Context manager held across one :meth:`score` round."""
+        return nullcontext()
+
+    def score(self) -> StreamUpdate:
+        """Re-score the current window and return the live detections.
+
+        The batch path's daily stages in no-hint mode -- automation
+        test, C&C stage, belief propagation -- but each stage touches
+        only state invalidated since the previous call, and belief
+        propagation warm-starts from the previous round when safe.
+        """
+        traffic = self.window.traffic
+        verdicts = self._refresh_verdicts()
+        with self._scoring_round():
+            cc = self._cc_domains(traffic, verdicts)
+            seed_hosts: set[str] = set()
+            for domain in cc:
+                seed_hosts.update(traffic.hosts_by_domain.get(domain, ()))
+
+            # C&C verdicts are not monotone: new irregular events can
+            # flip a series back to not-automated or push a regression
+            # score back below Tc.  If a domain the prior round believed
+            # C&C-like (a seed or a Detect_C&C label) no longer is,
+            # every belief derived from it is suspect -- drop the prior
+            # entirely so this round recomputes cold.
+            if self.prior is not None:
+                prior_cc = {
+                    d.domain for d in self.prior.detections
+                    if d.reason in ("seed", "cc")
+                }
+                if not prior_cc <= cc:
+                    self.prior = None
+
+            detected: list[str] = []
+            if not seed_hosts and self.prior is None:
+                self.graph.clear_dirty()
+                mode = "idle"
+            else:
+                score_frontier = self._round_scorer(traffic)
+                with self.metrics.span("stream_score"):
+                    self.prior, mode = warm_start_belief_propagation(
+                        seed_hosts,
+                        cc,
+                        graph=self.graph,
+                        detect_cc=cc.__contains__,
+                        score_frontier=score_frontier,
+                        config=self.config,
+                        prior=self.prior,
+                        warm=self.warm,
+                        metrics=self.metrics,
+                    )
+                detected = sorted(cc) + [
+                    d for d in self.prior.detected_domains if d not in cc
+                ]
+        self.metrics.counter("stream_score_rounds_total", mode=mode).inc()
+        return StreamUpdate(
+            day=self.window.day,
+            events_today=self.window.events_today,
+            rare_count=len(self.window.rare),
+            cc_domains=frozenset(cc),
+            detected=tuple(detected),
+            mode=mode,
+            bp_result=self.prior,
+        )
+
+    # ------------------------------------------------------------------
+    # Day boundary
+    # ------------------------------------------------------------------
+
+    def _detect_day(self, report: StreamDayReport, traffic, **seeding) -> None:
+        """Run the batch pipeline's end-of-day routine over ``traffic``
+        and ``report.rare_domains``; fill the detection fields of
+        ``report`` (its ``stage_seconds`` with the stages it timed)."""
+        raise NotImplementedError
+
+    def rollover(self, *, detect: bool = True, **seeding) -> StreamDayReport:
+        """Close the day: batch-parity detection, then commit histories.
+
+        The detection pass is the batch pipeline's own daily routine
+        (:func:`repro.runner.detect_on_traffic` /
+        :func:`repro.core.pipeline.detect_on_enterprise_traffic`) over
+        the full window -- the same code over the same aggregate -- so
+        the report equals what the batch side produces for the same
+        records.  ``seeding`` passes to that routine by keyword:
+        ``intel_domains`` (externally confirmed malicious domains, e.g.
+        another tenant's detections shared through a fleet's intel
+        plane), ``ct_edges``, and the pipeline's SOC hints
+        (``hint_hosts`` on the DNS path, ``soc_seed_domains`` on the
+        enterprise path).  Histories commit exactly once, in
+        :meth:`WindowedAggregator.rollover`.
+        """
+        with self.metrics.span("rollover_rare") as rare_span:
+            traffic = self.window.traffic
+            traffic.finalize()
+            rare = extract_rare_domains(
+                traffic,
+                self.history,
+                unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
+            )
+        report = StreamDayReport(
+            day=self.window.day,
+            records=self.window.events_today,
+            rare_domains=rare,
+        )
+        if detect:
+            self._detect_day(report, traffic, **seeding)
+            self.metrics.counter("stream_detections_total").inc(
+                len(report.detected)
+            )
+        with self.metrics.span("rollover_commit") as commit_span:
+            self._reset_day()
+        report.stage_seconds = {
+            "rare": rare_span.elapsed,
+            **report.stage_seconds,
+            "commit": commit_span.elapsed,
+        }
+        self.metrics.counter("stream_days_total").inc()
+        return report
 
     def _reset_day(self) -> None:
         """Close the window (committing histories once) and clear all
@@ -250,6 +464,10 @@ class StreamingEngineBase:
         self._stale_pairs.clear()
         self._series_cache.clear()
         self._pending_times.clear()
+
+    # ------------------------------------------------------------------
+    # Restore plumbing
+    # ------------------------------------------------------------------
 
     def resync(self) -> None:
         """Rebuild all derived state from the window (restore path)."""
@@ -278,19 +496,21 @@ class ReplayResult:
     interrupted: bool = False
 
 
-def validate_replay_intervals(score_every: int, checkpoint_every: int) -> None:
-    """Reject nonpositive scoring/checkpoint cadences up front."""
+def resolve_replay_paths(
+    directory: str | Path,
+    pattern: str,
+    bootstrap_files: int,
+    *,
+    score_every: int,
+    checkpoint_every: int,
+) -> list[Path]:
+    """The directory's daily log files, once the replay's arguments are
+    known good: positive scoring/checkpoint cadences, and at least one
+    operational file after the bootstrap count."""
     if score_every < 1:
         raise ValueError("score_every must be positive")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be positive")
-
-
-def resolve_replay_paths(
-    directory: str | Path, pattern: str, bootstrap_files: int
-) -> list[Path]:
-    """The directory's daily log files, validated against the bootstrap
-    count (a replay needs at least one operational file)."""
     paths = sorted(Path(directory).glob(pattern))
     if len(paths) <= bootstrap_files:
         raise ValueError(
@@ -300,63 +520,94 @@ def resolve_replay_paths(
     return paths
 
 
+def checkpoint_to_resume(
+    checkpoint_path: str | Path | None, resume: bool
+) -> Path | None:
+    """The checkpoint a replay restores its engine from; ``None`` for
+    a fresh start (not resuming, or nothing was written yet)."""
+    if not resume:
+        return None
+    if checkpoint_path is None:
+        raise ValueError("resume requires a checkpoint path")
+    path = Path(checkpoint_path)
+    return path if path.exists() else None
+
+
 def drive_replay(
-    detector,
+    detector: StreamingEngineBase,
     paths: Sequence[Path],
     *,
     bootstrap_files: int,
-    open_batches,
-    checkpoint,
-    resume: bool,
+    batch_size: int,
     score_every: int,
+    warm: WarmStartConfig | None,
+    checkpoint_path: str | Path | None,
     checkpoint_every: int,
     max_batches: int | None,
     on_update,
-    resume_file: int,
 ) -> ReplayResult:
     """Feed daily log files through a streaming engine, micro-batched.
 
-    The single replay loop both pipelines share -- the engine-specific
-    pieces arrive as callables: ``open_batches(path)`` yields the
-    file's normalized events as :class:`ConnectionBatch` micro-batches
-    (owning the handle); ``checkpoint()`` persists the engine (no-op
-    without a checkpoint path).  The loop invariants live here exactly
-    once: each rollover advances the window day, so ``window.day``'s
-    offset from the engine's start day (``resume_file``) is the index
-    of the file in progress, and ``window.events_today`` counts how
-    many of that file's normalized events were already consumed before
-    a restart -- those rows are skipped, whatever the batch size was
-    then.
+    The single replay loop both pipelines share.  Files are read through
+    the engine's own reader in ``batch_size`` micro-batches, with a
+    scoring round every ``score_every`` batches and a day rollover per
+    file; with ``checkpoint_path`` the engine's full state is persisted
+    every ``checkpoint_every`` micro-batches, after each rollover and
+    when ``max_batches`` stops the replay.  The loop invariants live
+    here exactly once: each rollover advances the window day, so
+    ``window.day``'s offset from the engine's start day is the index of
+    the file in progress, and ``window.events_today`` (zero on a fresh
+    engine) counts how many of that file's normalized events a restored
+    engine consumed before its restart -- those rows are skipped,
+    whatever the batch size was then.
+
+    ``warm``, when given, replaces the engine's warm-start policy: a
+    restored engine's detection config and histories come from its
+    checkpoint (they define what the stream has already seen), but the
+    policy is the operator's current choice.
     """
-    validate_replay_intervals(score_every, checkpoint_every)
+    from ..state import encode_engine, save_json_atomic
+
+    def checkpoint() -> None:
+        if checkpoint_path is not None:
+            save_json_atomic(
+                encode_engine(detector, include_metrics=True),
+                checkpoint_path,
+            )
+
+    if warm is not None:
+        detector.warm = warm
     result = ReplayResult()
-    skip_events = detector.window.events_today if resume else 0
+    resume_file = detector.window.day - detector.start_day
+    skip = detector.window.events_today
     for index, path in enumerate(paths):
         if index < resume_file:
             continue
         is_bootstrap = index < bootstrap_files
-        skip = skip_events if index == resume_file else 0
-        for batch in open_batches(path):
-            if skip:
-                if skip >= len(batch):
-                    skip -= len(batch)
-                    continue
-                batch = batch.take(slice(skip, None))
-                skip = 0
-            detector.submit(batch)
-            detector.poll()
-            result.batches += 1
-            if not is_bootstrap and result.batches % score_every == 0:
-                update = detector.score()
-                result.updates += 1
-                if on_update is not None:
-                    on_update(update)
-            if result.batches % checkpoint_every == 0:
-                checkpoint()
-            if max_batches is not None and result.batches >= max_batches:
-                checkpoint()
-                result.interrupted = True
-                return result
+        with path.open() as handle:
+            for batch in detector.reader.read_lines(handle, batch_size):
+                if skip:
+                    if skip >= len(batch):
+                        skip -= len(batch)
+                        continue
+                    batch = batch.take(slice(skip, None))
+                    skip = 0
+                detector.submit(batch)
+                detector.poll()
+                result.batches += 1
+                if not is_bootstrap and result.batches % score_every == 0:
+                    update = detector.score()
+                    result.updates += 1
+                    if on_update is not None:
+                        on_update(update)
+                result.interrupted = (
+                    max_batches is not None and result.batches >= max_batches
+                )
+                if result.interrupted or result.batches % checkpoint_every == 0:
+                    checkpoint()
+                if result.interrupted:
+                    return result
+        skip = 0  # only the file in progress had rows consumed
         report = detector.rollover(detect=not is_bootstrap)
         log_event(
             _LOG,

@@ -30,7 +30,7 @@ of a stateful frontier scorer kept across rounds.
 
 A third retraction case -- a prior C&C verdict flipping back to
 not-automated as irregular events arrive -- is handled one level up:
-:meth:`repro.streaming.StreamingDetector.score` discards the prior
+:meth:`repro.streaming.StreamingEngineBase.score` discards the prior
 outright when any of its C&C-derived beliefs is no longer supported.
 """
 
@@ -44,7 +44,6 @@ from ..core.beliefprop import (
     BeliefPropagationResult,
     DetectCC,
     ScoreFrontier,
-    SimilarityScore,
     belief_propagation,
 )
 from ..profiling.rare import DailyTraffic
@@ -144,8 +143,7 @@ def warm_start_belief_propagation(
     *,
     graph: IncrementalGraph,
     detect_cc: DetectCC,
-    similarity_score: SimilarityScore | None = None,
-    score_frontier: ScoreFrontier | None = None,
+    score_frontier: ScoreFrontier,
     config: SystemConfig,
     prior: BeliefPropagationResult | None = None,
     warm: WarmStartConfig | None = None,
@@ -155,12 +153,10 @@ def warm_start_belief_propagation(
 
     Returns ``(result, mode)`` where ``mode`` is ``"warm"`` when the
     previous beliefs were reused and ``"full"`` for a cold recompute.
-    The graph's dirty set is consumed either way.  Similarity scoring
-    takes either form :func:`~repro.core.beliefprop.belief_propagation`
-    accepts: the batch ``score_frontier`` hook or the per-domain
-    ``similarity_score`` adapter.  A stateful hook may outlive the
-    call only while :func:`warm_start_applies` holds -- a cold round
-    restarts the malicious set its state has absorbed.
+    The graph's dirty set is consumed either way.  A stateful
+    ``score_frontier`` hook may outlive the call only while
+    :func:`warm_start_applies` holds -- a cold round restarts the
+    malicious set its state has absorbed.
     """
     use_warm = warm_start_applies(graph, prior, warm)
     result = belief_propagation(
@@ -169,7 +165,6 @@ def warm_start_belief_propagation(
         dom_host=graph.dom_host,
         host_rdom=graph.host_rdom,
         detect_cc=detect_cc,
-        similarity_score=similarity_score,
         score_frontier=score_frontier,
         config=config.belief_propagation,
         prior=prior if use_warm else None,

@@ -7,6 +7,9 @@ sharing them across tests is safe and keeps the suite fast.
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
 
 from repro.synthetic import generate_enterprise_dataset, generate_lanl_dataset
@@ -16,10 +19,12 @@ from repro.testing import SMALL_ENTERPRISE, SMALL_LANL
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "parity: legacy-scalar vs columnar/vectorized equivalence tests. "
-        "The scalar paths (see the `_parity` notes in the source) are "
-        "kept only to anchor these; run the whole group with "
-        "`pytest -m parity` before touching either side.",
+        "parity: scalar-reference vs columnar/vectorized equivalence "
+        "tests.  No reference is selectable in production; the tests "
+        "build or inject it (tests/dns_oracle.py, tests/proxy_oracle.py, "
+        "the per-domain scorers of tests/test_scoring_index.py).  Run "
+        "the whole group with `pytest -m parity` before touching either "
+        "side.",
     )
 
 
@@ -38,6 +43,47 @@ def enterprise_evaluation(enterprise_dataset):
     from repro.eval import EnterpriseEvaluation
 
     return EnterpriseEvaluation(enterprise_dataset)
+
+
+def _generate(tmp_path_factory, name: str, *args: str):
+    """One ``repro-detect generate`` layout, shared by the session (the
+    CLI tests and the golden pin read it; nobody writes to it)."""
+    from repro.cli import main
+
+    out = tmp_path_factory.mktemp(name + "cli") / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", str(out), *args]) == 0
+    return out
+
+
+@pytest.fixture(scope="session")
+def ent_layout(tmp_path_factory):
+    """The ``ent`` layout of ``tests/generated_layouts.sha256.json``."""
+    return _generate(
+        tmp_path_factory, "ent", "--pipeline", "enterprise",
+        "--hosts", "30", "--days", "3", "--seed", "7",
+    )
+
+
+@pytest.fixture(scope="session")
+def mixed_fleet_layout(tmp_path_factory):
+    """The ``fleet`` layout of ``tests/generated_layouts.sha256.json``."""
+    return _generate(
+        tmp_path_factory, "fleet", "--tenants", "3",
+        "--enterprise-tenants", "1", "--hosts", "40",
+        "--days", "3", "--seed", "11",
+    )
+
+
+@pytest.fixture(scope="session")
+def lanl_cli_output():
+    """``(exit code, stdout)`` of the ``lanl`` verb at its test size."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lanl", "--hosts", "50", "--bootstrap-days", "2"])
+    return code, out.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -85,6 +85,27 @@ class TestStartupImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_stream_with_intel_db_does_not_load_the_fleet_package(
+        self, mixed_fleet_layout, tmp_path
+    ):
+        """Publication scores are a method of the day report: the
+        single-engine verb needs neither ``repro.fleet`` nor
+        ``multiprocessing`` to publish its detections."""
+        done = _python(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('LOADED', [m for m in ('repro.fleet', 'multiprocessing')"
+            " if m in sys.modules])\n"
+            "sys.exit(code)",
+            "stream", str(mixed_fleet_layout / "t0"), "--bootstrap-files", "1",
+            "--internal-suffix", "int.c0",
+            "--intel-db", str(tmp_path / "intel.db"),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "rows flushed" in done.stdout
+        assert "LOADED []" in done.stdout
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -160,9 +181,8 @@ class TestGenerateCommand:
 
 
 class TestLanlCommand:
-    def test_prints_table_and_rates(self, capsys):
-        code = main(["lanl", "--hosts", "50", "--bootstrap-days", "2"])
-        out = capsys.readouterr().out
+    def test_prints_table_and_rates(self, lanl_cli_output):
+        code, out = lanl_cli_output
         assert code == 0
         assert "LANL challenge results" in out
         assert "TDR=" in out
@@ -170,13 +190,8 @@ class TestLanlCommand:
 
 class TestEnterpriseStreamCommand:
     @pytest.fixture(scope="class")
-    def layout(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("entcli") / "ent"
-        assert main([
-            "generate", str(out), "--pipeline", "enterprise",
-            "--hosts", "30", "--days", "3", "--seed", "7",
-        ]) == 0
-        return out
+    def layout(self, ent_layout):
+        return ent_layout
 
     def _stream(self, layout, capsys, *extra, directory=None):
         code = main([
@@ -327,14 +342,8 @@ class TestEnterpriseStreamCommand:
         assert "--tenants" in capsys.readouterr().err
 
     @pytest.fixture(scope="class")
-    def mixed_fleet(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("mixedcli") / "fleet"
-        assert main([
-            "generate", str(out), "--tenants", "3",
-            "--enterprise-tenants", "1", "--hosts", "40",
-            "--days", "3", "--seed", "11",
-        ]) == 0
-        return out
+    def mixed_fleet(self, mixed_fleet_layout):
+        return mixed_fleet_layout
 
     def test_generate_mixed_fleet_manifest(self, mixed_fleet):
         manifest = json.loads((mixed_fleet / "manifest.json").read_text())

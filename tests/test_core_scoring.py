@@ -81,31 +81,28 @@ class TestAdditiveScorer:
 
 
 class TestMultiHostBeaconHeuristic:
-    def _traffic(self):
-        return traffic_from([conn("h1", "cc.c3"), conn("h2", "cc.c3")])
-
     def test_two_synced_hosts_fire(self):
         verdicts = [verdict("h1", "cc.c3", 600.0), verdict("h2", "cc.c3", 605.0)]
-        assert multi_host_beacon_heuristic("cc.c3", verdicts, self._traffic())
+        assert multi_host_beacon_heuristic("cc.c3", verdicts)
 
     def test_single_host_does_not_fire(self):
         verdicts = [verdict("h1", "cc.c3", 600.0)]
-        assert not multi_host_beacon_heuristic("cc.c3", verdicts, self._traffic())
+        assert not multi_host_beacon_heuristic("cc.c3", verdicts)
 
     def test_desynced_periods_do_not_fire(self):
         verdicts = [verdict("h1", "cc.c3", 600.0), verdict("h2", "cc.c3", 900.0)]
-        assert not multi_host_beacon_heuristic("cc.c3", verdicts, self._traffic())
+        assert not multi_host_beacon_heuristic("cc.c3", verdicts)
 
     def test_non_automated_verdicts_ignored(self):
         verdicts = [
             verdict("h1", "cc.c3", 600.0),
             verdict("h2", "cc.c3", 602.0, automated=False),
         ]
-        assert not multi_host_beacon_heuristic("cc.c3", verdicts, self._traffic())
+        assert not multi_host_beacon_heuristic("cc.c3", verdicts)
 
     def test_other_domains_ignored(self):
         verdicts = [verdict("h1", "other.c3", 600.0), verdict("h2", "other.c3", 601.0)]
-        assert not multi_host_beacon_heuristic("cc.c3", verdicts, self._traffic())
+        assert not multi_host_beacon_heuristic("cc.c3", verdicts)
 
     def test_three_hosts_any_close_pair(self):
         verdicts = [
@@ -113,7 +110,7 @@ class TestMultiHostBeaconHeuristic:
             verdict("h2", "cc.c3", 500.0),
             verdict("h3", "cc.c3", 506.0),
         ]
-        assert multi_host_beacon_heuristic("cc.c3", verdicts, self._traffic())
+        assert multi_host_beacon_heuristic("cc.c3", verdicts)
 
 
 class TestRegressionScorers:

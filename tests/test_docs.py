@@ -3,6 +3,8 @@
 The CI runs ``tools/check_docstrings.py`` as its own step; this test
 makes the same gate part of tier-1 so a missing docstring fails fast
 locally, and keeps the architecture docs' cross-links from rotting.
+A source scan also holds the one structural promise the docs make and
+no behavioural test can: the paper's daily loop is written once.
 """
 
 import re
@@ -54,3 +56,53 @@ class TestDocFiles:
         assert "Oprea" in text
         assert "belief propagation" in text.lower()
         assert len(text) > 1500
+
+
+class TestOneDayLoop:
+    """ARCHITECTURE.md "Execution modes": one seed -> Algorithm 1
+    kernel under every mode, scheduled by one engine base."""
+
+    SRC = REPO / "src" / "repro"
+
+    def _lines_with(self, pattern: str, root: Path | None = None):
+        """``{relative path: [matching code lines]}`` under ``root``."""
+        hits: dict[str, list[str]] = {}
+        regex = re.compile(pattern)
+        for path in sorted((root or self.SRC).rglob("*.py")):
+            found = [
+                line.strip() for line in path.read_text().splitlines()
+                if regex.search(line)
+            ]
+            if found:
+                hits[path.relative_to(self.SRC).as_posix()] = found
+        return hits
+
+    def test_algorithm_1_has_two_call_sites(self):
+        calls = self._lines_with(r"(?<![\w.`])belief_propagation\(")
+        calls.pop("core/beliefprop.py")  # its definition
+        assert sorted(calls) == ["core/dayloop.py", "streaming/incremental.py"]
+        assert all(len(lines) == 1 for lines in calls.values())
+
+    def test_reference_paths_have_no_production_caller(self):
+        """The per-domain scoring loop and the eager ``host_rdom`` map
+        are the references the parity tests inject, nothing more."""
+        assert sorted(self._lines_with(r"rare_domains_by_host")) == [
+            "profiling/__init__.py", "profiling/rare.py",
+        ]
+        assert self._lines_with(r"similarity_score=|use_index|_parity") == {}
+
+    def test_engine_schedule_is_written_once(self):
+        streaming = self.SRC / "streaming"
+        for method in ("score", "rollover", "submit_lines"):
+            owners = self._lines_with(rf"def {method}\(", streaming)
+            if method == "rollover":  # the window's own, unrelated
+                owners.pop("streaming/window.py")
+            assert sorted(owners) == ["streaming/engine.py"], method
+
+    def test_dns_cc_stage_is_written_once(self):
+        uses = self._lines_with(
+            r"(group_verdicts_by_domain|multi_host_beacon_heuristic)\("
+        )
+        assert sorted(uses) == ["core/scoring.py"]
+        # Two definitions and the one place that combines them.
+        assert len(uses["core/scoring.py"]) == 4

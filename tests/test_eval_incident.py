@@ -12,9 +12,9 @@ def solved_day(lanl_dataset):
     context = solver.day_context(2)
     cc, verdicts = solver.detect_cc_domains(context)
     truth = lanl_dataset.campaign_for_date(2)
-    result = solver.run_belief_propagation(
-        context, set(truth.hint_hosts), set(), cc
-    )
+    result = solver.detect(
+        context, cc, hint_hosts=truth.hint_hosts
+    ).bp_result
     return context, verdicts, result, truth
 
 
@@ -30,9 +30,10 @@ class TestBuildIncident:
         solver = LanlChallengeSolver(lanl_dataset)
         ctx2 = solver.day_context(2)
         cc, v2 = solver.detect_cc_domains(ctx2)
-        seeded = solver.run_belief_propagation(
-            ctx2, set(truth.hint_hosts), set(truth.cc_domains), cc
-        )
+        seeded = solver.detect(
+            ctx2, cc, hint_hosts=truth.hint_hosts,
+            hint_domains=truth.cc_domains,
+        ).bp_result
         report = build_incident(seeded, ctx2.traffic, verdicts=v2)
         assert not (set(report.domains) & set(truth.cc_domains))
         with_seeds = build_incident(

@@ -186,6 +186,8 @@ class TestSimilaritySelection:
         (trace,) = result.trace
         assert trace.labeled == tuple(sorted(expected))
         assert trace.top_score == max(scores.values())
+        # Each label carries its own score: with k > 1 a runner-up
+        # must not be reported (and published) at the winner's.
         assert [
             (d.domain, d.score) for d in result.detections
-        ] == [(d, trace.top_score) for d in sorted(expected)]
+        ] == [(d, scores[d]) for d in sorted(expected)]

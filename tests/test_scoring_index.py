@@ -32,6 +32,7 @@ from repro.core.scoring import (
     SimilarityStats,
     group_verdicts_by_domain,
     multi_host_beacon_heuristic,
+    multi_host_cc_domains,
 )
 from repro.features.extract import SIMILARITY_FEATURE_NAMES, FeatureExtractor
 from repro.features.regression import LinearModel
@@ -142,6 +143,38 @@ def _commit(traffic: DailyTraffic, history: DestinationHistory) -> None:
     history.commit_day(traffic.day)
 
 
+class PerDomainAdditive(AdditiveSimilarityScorer):
+    """The reference the indexed scorers are pinned against, injected
+    where production passes its scorer: every frontier domain rescored
+    by :meth:`score` against the full malicious set, every iteration
+    (O(frontier x malicious) -- what ``frontier_scorer`` replaces)."""
+
+    def frontier_scorer(self, traffic, **_):
+        malicious: set[str] = set()
+
+        def score_frontier(frontier, new_malicious):
+            malicious.update(new_malicious)
+            return {d: self.score(d, malicious, traffic) for d in frontier}
+
+        return score_frontier
+
+
+class PerDomainRegression(RegressionSimilarityScorer):
+    """Same reference for the enterprise path (WHOIS imputation state
+    advances with every per-domain extraction)."""
+
+    def frontier_scorer(self, traffic, when):
+        malicious: set[str] = set()
+
+        def score_frontier(frontier, new_malicious):
+            malicious.update(new_malicious)
+            return {
+                d: self.score(d, malicious, traffic, when) for d in frontier
+            }
+
+        return score_frontier
+
+
 def _assert_same_bp(left, right) -> None:
     """Both belief-propagation results byte-identical, trace included."""
     if left is None or right is None:
@@ -159,12 +192,12 @@ def _assert_same_bp(left, right) -> None:
 
 @pytest.mark.parity
 def test_detect_on_traffic_index_parity_multiday():
-    """Indexed scoring equals the legacy path on random multi-day runs."""
+    """Indexed scoring equals the per-domain reference on random
+    multi-day runs."""
     for seed in range(12):
         rng = random.Random(1000 + seed)
         history = DestinationHistory()
         automation = AutomationDetector(LANL_CONFIG.histogram)
-        scorer = AdditiveSimilarityScorer()
         for day in range(3):
             connections = _random_day_connections(rng, day, with_http=False)
             traffic, rare = _aggregate(day, connections, history)
@@ -177,14 +210,16 @@ def test_detect_on_traffic_index_parity_multiday():
                 if rare and rng.random() < 0.3 else frozenset()
             )
             fast = detect_on_traffic(
-                traffic, rare, automation=automation, scorer=scorer,
+                traffic, rare, automation=automation,
+                scorer=AdditiveSimilarityScorer(),
                 config=LANL_CONFIG, hint_hosts=hint_hosts,
-                intel_domains=intel, use_index=True,
+                intel_domains=intel,
             )
             slow = detect_on_traffic(
-                traffic, rare, automation=automation, scorer=scorer,
+                traffic, rare, automation=automation,
+                scorer=PerDomainAdditive(),
                 config=LANL_CONFIG, hint_hosts=hint_hosts,
-                intel_domains=intel, use_index=False,
+                intel_domains=intel,
             )
             assert fast.cc_domains == slow.cc_domains
             assert fast.detected == slow.detected
@@ -264,7 +299,9 @@ def _linear(names, weights, intercept) -> LinearModel:
     )
 
 
-def _enterprise_scorers(whois_db: WhoisDatabase | None):
+def _enterprise_scorers(
+    whois_db: WhoisDatabase | None, similarity=RegressionSimilarityScorer
+):
     """A fresh, deterministic pair of trained-model scorers.
 
     Fresh per detection run: the WHOIS extractor's imputation means
@@ -281,7 +318,7 @@ def _enterprise_scorers(whois_db: WhoisDatabase | None):
         0.03,
     )
     cc_scorer = RegressionCCScorer(cc_model, extractor, threshold=0.25)
-    sim_scorer = RegressionSimilarityScorer(sim_model, extractor)
+    sim_scorer = similarity(sim_model, extractor)
     return cc_scorer, sim_scorer
 
 
@@ -301,8 +338,8 @@ def _random_whois(rng: random.Random, connections) -> WhoisDatabase:
 
 @pytest.mark.parity
 def test_detect_on_enterprise_traffic_index_parity():
-    """Batched regression scoring equals the legacy path, including the
-    WHOIS imputation state it leaves behind."""
+    """Batched regression scoring equals the per-domain reference,
+    including the WHOIS imputation state it leaves behind."""
     config = SystemConfig().with_thresholds(similarity=0.3, cc_score=0.25)
     for seed in range(10):
         rng = random.Random(3000 + seed)
@@ -319,8 +356,10 @@ def test_detect_on_enterprise_traffic_index_parity():
                 if rare and rng.random() < 0.3 else frozenset()
             )
             runs = {}
-            for use_index in (True, False):
-                cc_scorer, sim_scorer = _enterprise_scorers(whois_db)
+            for similarity in (RegressionSimilarityScorer, PerDomainRegression):
+                cc_scorer, sim_scorer = _enterprise_scorers(
+                    whois_db, similarity
+                )
                 result = detect_on_enterprise_traffic(
                     traffic, rare,
                     day=day,
@@ -330,17 +369,16 @@ def test_detect_on_enterprise_traffic_index_parity():
                     config=config,
                     soc_seed_domains=soc,
                     intel_domains=intel,
-                    use_index=use_index,
                 )
                 whois = sim_scorer.extractor.whois
-                runs[use_index] = (
+                runs[similarity] = (
                     result,
                     None if whois is None else (
                         whois._age_sum, whois._validity_sum, whois._observed
                     ),
                 )
-            fast, fast_whois = runs[True]
-            slow, slow_whois = runs[False]
+            fast, fast_whois = runs[RegressionSimilarityScorer]
+            slow, slow_whois = runs[PerDomainRegression]
             assert fast.cc_domains == slow.cc_domains
             assert fast.intel_seeded == slow.intel_seeded
             _assert_same_bp(fast.no_hint, slow.no_hint)
@@ -434,13 +472,13 @@ def test_grouped_beacon_heuristic_matches_full_scan():
         grouped = group_verdicts_by_domain(verdicts)
         fast = {
             domain for domain, slice_ in grouped.items()
-            if multi_host_beacon_heuristic(domain, slice_, traffic)
+            if multi_host_beacon_heuristic(domain, slice_)
         }
         slow = {
             domain for domain in {v.domain for v in verdicts}
-            if multi_host_beacon_heuristic(domain, verdicts, traffic)
+            if multi_host_beacon_heuristic(domain, verdicts)
         }
-        assert fast == slow
+        assert fast == slow == multi_host_cc_domains(verdicts)
 
 
 @pytest.mark.parity

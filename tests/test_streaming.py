@@ -86,6 +86,42 @@ class TestBatchParity:
             assert set(truth.cc_domains) <= report.cc_domains
             assert set(truth.malicious_domains) <= set(report.detected)
 
+    def test_hinted_rollover_matches_hinted_batch_day(
+        self, log_dir, lanl_dataset
+    ):
+        """SOC-hints mode (III-C, LANL cases 1-3): hint hosts replace
+        the day's C&C hits as seeds, identically online and in batch."""
+        from repro.runner import DnsLogRunner
+
+        filters = dict(
+            internal_suffixes=lanl_dataset.internal_suffixes,
+            server_ips=lanl_dataset.server_ips,
+        )
+        truth = lanl_dataset.campaign_for_date(2)
+        assert truth.hint_hosts
+        runner = DnsLogRunner(**filters)
+        runner.bootstrap([log_dir / "dns-march-01.log"])
+        want = runner.process(
+            log_dir / "dns-march-02.log", hint_hosts=truth.hint_hosts
+        )
+        stream = StreamingDetector(**filters)
+        stream.bootstrap([log_dir / "dns-march-01.log"])
+        with (log_dir / "dns-march-02.log").open() as handle:
+            stream.submit_lines(handle)
+        stream.poll()
+        got = stream.rollover(hint_hosts=truth.hint_hosts)
+        assert got.detected == want.detected
+        assert got.bp_result.detections == want.bp_result.detections
+        assert set(truth.hint_hosts) <= got.bp_result.hosts
+        # Hints seed hosts, not domains: no label is a seed, and the
+        # day's C&C hits are found by Detect_C&C instead.
+        assert "seed" not in {d.reason for d in got.bp_result.detections}
+        assert set(truth.malicious_domains) <= set(got.detected)
+
+    def test_rollover_rejects_the_other_pipelines_hint_keyword(self):
+        with pytest.raises(TypeError, match="soc_seed_domains"):
+            StreamingDetector().rollover(soc_seed_domains=("x.c3",))
+
     def test_batch_size_does_not_change_detections(self, log_dir, lanl_dataset):
         small = replay_directory(
             log_dir, **_replay_kwargs(lanl_dataset, batch_size=37)
@@ -138,6 +174,32 @@ class TestCheckpointRestore:
             assert got.rare_domains == want.rare_domains
             assert got.cc_domains == want.cc_domains
             assert got.detected == want.detected
+
+    def test_interrupt_writes_each_batchs_checkpoint_once(
+        self, log_dir, lanl_dataset, tmp_path, monkeypatch
+    ):
+        """Stopping at ``max_batches`` persists that batch -- once, also
+        when it lands on a ``checkpoint_every`` multiple (always, at
+        the CLI's default of 1)."""
+        import repro.state as state
+
+        writes = []
+        real = state.save_json_atomic
+
+        def counting(payload, path):
+            writes.append(path)
+            real(payload, path)
+
+        monkeypatch.setattr(state, "save_json_atomic", counting)
+        # 6 batches of 250 stay inside the first file: no rollover write.
+        for every, expected in ((1, 6), (2, 3), (4, 2)):
+            del writes[:]
+            result = replay_directory(log_dir, **_replay_kwargs(
+                lanl_dataset, checkpoint_path=tmp_path / "ckpt.json",
+                checkpoint_every=every, max_batches=6,
+            ))
+            assert result.interrupted and result.batches == 6
+            assert len(writes) == expected
 
     def test_snapshot_round_trip_preserves_window(self, lanl_dataset, tmp_path):
         detector = StreamingDetector(
@@ -286,8 +348,8 @@ def _toy_scorers():
     def detect_cc(domain):
         return domain == "d1"
 
-    def similarity(domain, malicious):
-        return scores.get(domain, 0.0)
+    def similarity(frontier, new_malicious):
+        return {domain: scores.get(domain, 0.0) for domain in frontier}
 
     return detect_cc, similarity
 
@@ -304,7 +366,7 @@ class TestWarmStartBP:
         graph.add_edge("h1", "d2")
         prior, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
             config=config,
         )
         assert mode == "full"
@@ -316,7 +378,7 @@ class TestWarmStartBP:
         graph.add_edge("h3", "d4")
         warm_result, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
             config=config, prior=prior, warm=warm_cfg,
         )
         assert mode == "warm"
@@ -324,7 +386,7 @@ class TestWarmStartBP:
         cold_result = belief_propagation(
             {"h1"}, {"d1"},
             dom_host=graph.dom_host, host_rdom=graph.host_rdom,
-            detect_cc=detect_cc, similarity_score=similarity,
+            detect_cc=detect_cc, score_frontier=similarity,
             config=config.belief_propagation,
         )
         assert warm_result.domains == cold_result.domains
@@ -344,14 +406,14 @@ class TestWarmStartBP:
         graph.add_edge("h1", "d2")
         prior, _ = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
             config=LANL_CONFIG,
         )
         graph.clear_dirty()
         graph.add_edge("h2", "d2")
         warm_result, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
             config=LANL_CONFIG, prior=prior,
             warm=WarmStartConfig(full_recompute_fraction=0.95),
         )
@@ -368,13 +430,13 @@ class TestWarmStartBP:
         graph.add_edge("h1", "d1")
         prior, _ = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
             config=LANL_CONFIG,
         )
         graph.add_edge("h1", "d2")  # 1 of 2 domains dirty = 0.5 > 0.25
         _, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
             config=LANL_CONFIG, prior=prior,
         )
         assert mode == "full"
@@ -423,14 +485,14 @@ class TestWarmStartBP:
             graph.add_edge(f"x{_}", "d4")
         prior, _ = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
             config=LANL_CONFIG,
         )
         assert "d2" in prior.domains
         graph.remove_domain("d2")  # d2 crossed the popularity threshold
         _, mode = warm_start_belief_propagation(
             {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, similarity_score=similarity,
+            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
             config=LANL_CONFIG, prior=prior,
             warm=WarmStartConfig(full_recompute_fraction=0.95),
         )
@@ -942,6 +1004,31 @@ class TestEnterpriseBatchParity:
             assert report.cc_domains == want.cc_domain_names
             assert set(report.detected) == want.all_detected_domains()
             assert report.day_result.no_hint is not None or not want.cc_domains
+
+    def test_soc_seeded_rollover_matches_soc_seeded_process_day(
+        self, trained_enterprise, enterprise_dataset
+    ):
+        """SOC-hints mode (V cases 1-3, Fig. 6c): the IOC-seeded run
+        rides next to the no-hint run, identically online and in batch."""
+        batch, stream = _enterprise_pair(trained_enterprise)
+        seeds = enterprise_dataset.build_ioc_list().seeds()
+        first = enterprise_dataset.config.bootstrap_days
+        ran_hints = False
+        for day in range(first, first + 4):
+            conns = enterprise_dataset.day_connections(day)
+            want = batch.process_day(day, conns, soc_seed_domains=seeds)
+            stream.ingest(conns)
+            report = stream.rollover(soc_seed_domains=seeds)
+            got = report.day_result
+            assert set(report.detected) == want.all_detected_domains()
+            for mine, theirs in ((got.no_hint, want.no_hint),
+                                 (got.soc_hints, want.soc_hints)):
+                assert (mine is None) == (theirs is None)
+                if mine is not None:
+                    assert mine.detections == theirs.detections
+                    assert mine.hosts == theirs.hosts
+            ran_hints = ran_hints or got.soc_hints is not None
+        assert ran_hints
 
     def test_micro_batch_size_irrelevant(
         self, trained_enterprise, enterprise_dataset
