@@ -18,7 +18,7 @@ Public API overview
   enterprise (AC) datasets, including attack campaigns.
 * :mod:`repro.eval` -- metrics and the harnesses regenerating every
   table and figure of the paper.
-* :mod:`repro.streaming` -- the online engine: host-sharded event
+* :mod:`repro.streaming` -- the online engine: micro-batch event
   ingestion, incrementally maintained daily windows, warm-start belief
   propagation and a checkpointable :class:`~repro.streaming.StreamingDetector`
   whose end-of-day detections are batch-identical by construction.

@@ -284,12 +284,6 @@ def _add_fleet_parser(subparsers) -> None:
              "that dies is respawned from its last checkpoint",
     )
     parser.add_argument(
-        "--window-shards", type=int, default=1,
-        help="aggregate each DNS tenant's day through N host-hash "
-             "window shards merged at the barrier "
-             "(default 1 = serial ingest; detections are identical)",
-    )
-    parser.add_argument(
         "--checkpoint-dir", type=Path, default=None,
         help="directory for per-tenant checkpoints and the fleet state "
              "(enables --resume after an interruption)",
@@ -935,7 +929,6 @@ def _run_fleet(args) -> int:
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             heartbeat=args.heartbeat,
-            window_shards=args.window_shards,
             metrics=metrics,
             intel_db=args.intel_db,
             intel_ttl_days=args.intel_ttl_days,

@@ -92,7 +92,6 @@ class FleetManager:
         whois_path: str | Path | None = None,
         heartbeat: float = 5.0,
         full_checkpoint_every: int = 16,
-        window_shards: int = 1,
         metrics=None,
         intel_db: str | Path | None = None,
         intel_ttl_days: float | None = None,
@@ -113,8 +112,6 @@ class FleetManager:
             raise FleetError("heartbeat must be positive")
         if full_checkpoint_every < 1:
             raise FleetError("full_checkpoint_every must be positive")
-        if window_shards < 1:
-            raise FleetError("window_shards must be positive")
         self.specs = list(specs)
         self.intel = intel if intel is not None else IntelPlane()
         self.config = config
@@ -126,7 +123,6 @@ class FleetManager:
         self.whois_path = Path(whois_path) if whois_path is not None else None
         self.heartbeat = heartbeat
         self.full_checkpoint_every = full_checkpoint_every
-        self.window_shards = window_shards
         #: fleet-wide metrics view: the manager's own counters/spans
         #: plus the per-round deltas the workers ship back.
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -379,7 +375,6 @@ class FleetManager:
             resume=self.resume,
             heartbeat=self.heartbeat,
             full_every=self.full_checkpoint_every,
-            window_shards=self.window_shards,
             metrics_enabled=self.metrics.enabled,
             ct_path=self.ct_path,
         )

@@ -60,8 +60,6 @@ from ..state import (
     save_json_atomic,
 )
 from ..streaming import StreamingDetector, StreamingEnterpriseDetector
-from ..streaming.events import split_by_shard
-from ..profiling.rare import DailyTraffic, merge_daily_traffic
 from .intel import BoardReplica, CacheStats, TenantWhoisView, _TenantCache
 from .manifest import TenantSpec
 from .report import TenantDayReport
@@ -138,33 +136,6 @@ class WorkerIntelCache:
 # One tenant, one day
 # ---------------------------------------------------------------------------
 
-def _ingest_day_sharded(detector, lines, n_shards: int) -> None:
-    """Aggregate one DNS day through per-host-shard windows, merged.
-
-    Promotes the event bus's host shards into real aggregation shards:
-    the day's reduced columns are split by
-    :func:`~repro.streaming.events.split_by_shard`, each part builds
-    its own :class:`DailyTraffic`, and the shards are merged at the
-    barrier (:func:`merge_daily_traffic`) before rollover recomputes
-    rarity and detection from the merged aggregate.  Byte-identical to
-    serial ingestion because host-hash shards keep every (host,
-    domain) series whole.  Valid only from an empty window on the DNS
-    path (no UA staging) -- callers guard.
-    """
-    window = detector.window
-    shards = [DailyTraffic(window.day) for _ in range(n_shards)]
-    events = 0
-    for batch in detector.funnel.read_lines(lines):
-        events += len(batch)
-        for shard, part in zip(shards, split_by_shard(batch, n_shards)):
-            if part is not None:
-                shard.ingest(part)
-    window.traffic = merge_daily_traffic(shards, day=window.day)
-    window.traffic.index()
-    window.events_today = events
-    detector.events_total += events
-
-
 def _advance_one_day(
     detector,
     spec_id: str,
@@ -173,7 +144,6 @@ def _advance_one_day(
     bootstrap: bool,
     seeds: Set[str],
     ct_edges=None,
-    window_shards: int = 1,
     metrics=None,
 ) -> TenantDayReport | None:
     """Feed one log file through a tenant's engine; close the day.
@@ -186,25 +156,11 @@ def _advance_one_day(
     of the day is timed through an obs span (``worker_advance``), so
     the per-tenant ``elapsed_seconds`` in the report and the
     fleet-wide timing histogram come from the same measurement.
-
-    ``window_shards > 1`` routes eligible days through
-    :func:`_ingest_day_sharded` (aggregation shards merged at the
-    barrier); engines that stage user agents (every enterprise engine)
-    and non-empty windows keep the serial path.
     """
     obs = metrics if metrics is not None else NULL_METRICS
-    sharded = (
-        window_shards > 1
-        and detector.window.ua_history is None
-        and detector.window.events_today == 0
-        and len(detector.bus) == 0
-    )
     with obs.span("worker_advance") as advance_span:
         with path.open() as handle:
-            if sharded:
-                _ingest_day_sharded(detector, handle, window_shards)
-            else:
-                detector.submit_lines(handle)
+            detector.submit_lines(handle)
         detector.poll()
         report = detector.rollover(
             detect=not bootstrap, intel_domains=seeds, ct_edges=ct_edges
@@ -589,7 +545,6 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                         bootstrap=task["bootstrap"],
                         seeds=seeds,
                         ct_edges=ct_index,
-                        window_shards=init["window_shards"],
                         metrics=metrics,
                     )
                     runtime.cursor = rnd + 1
@@ -693,7 +648,6 @@ class ResidentPool:
         resume: bool,
         heartbeat: float = 5.0,
         full_every: int = 16,
-        window_shards: int = 1,
         metrics_enabled: bool = False,
         ct_path: Path | None = None,
     ) -> None:
@@ -705,7 +659,6 @@ class ResidentPool:
         self.config = config
         self.heartbeat = heartbeat
         self.full_every = full_every
-        self.window_shards = window_shards
         self.metrics_enabled = metrics_enabled
         count = max(1, min(workers, len(specs)))
         self._assignment: list[list[TenantSpec]] = [
@@ -752,7 +705,6 @@ class ResidentPool:
             ),
             "resume": resume,
             "full_every": self.full_every,
-            "window_shards": self.window_shards,
             "metrics": self.metrics_enabled,
             "tenants": [
                 {

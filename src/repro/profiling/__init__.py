@@ -4,7 +4,6 @@ from .history import DestinationHistory
 from .rare import (
     DailyTraffic,
     extract_rare_domains,
-    merge_daily_traffic,
     rare_domains_by_host,
 )
 from .ua import UserAgentHistory
@@ -13,7 +12,6 @@ __all__ = [
     "DestinationHistory",
     "DailyTraffic",
     "extract_rare_domains",
-    "merge_daily_traffic",
     "rare_domains_by_host",
     "UserAgentHistory",
 ]

@@ -238,7 +238,7 @@ class DailyTraffic:
         :class:`~repro.logs.records.ConnectionBatch`, or any iterable
         mixing the two.  Everything stages in arrival order (a batch's
         rows count as arriving at its position) and folds through ONE
-        grouping pass, so a drained poll of many bus items costs one
+        grouping pass, so a poll of many submitted items costs one
         lexsort, not one per item.  The HTTP context comes from a
         scalar connection's ``user_agent`` / ``referer`` or from a
         batch's ``user_agents`` / ``referers`` columns; ``None`` (DNS
@@ -385,19 +385,19 @@ class DailyTraffic:
     ) -> IngestDigest:
         """Merge the unfinalized event span into the sorted series.
 
-        One lexsort of the span by (pair, time) yields every pair's new
-        timestamps as a contiguous sorted run; runs merge into the
-        per-pair series and simultaneously become the
-        :class:`IngestDigest` chunks.  Pairs are processed in
-        first-appearance order so new-pair set insertions land in the
-        same order per-event processing would produce.
+        The span is grouped by pair -- every pair's new timestamps as
+        one sorted chunk, pairs in first-appearance order so new-pair
+        set insertions land in the order per-event processing would
+        produce -- and the chunks merge into the per-pair series while
+        becoming the :class:`IngestDigest` chunks.
 
-        Streaming-sized spans (micro-batch polls) skip the lexsort: a
-        plain dict-of-lists grouping gives the same first-appearance
-        order (dict insertion order) and the same sorted chunks
-        (per-group timsort), without the fixed per-call cost of the
-        array machinery.  Both paths produce identical digests; the
-        array path wins only at batch-pipeline span sizes.
+        The grouping is picked by span size.  Batch-pipeline spans go
+        through one lexsort by (pair, time); streaming-sized spans
+        (micro-batch polls) skip the fixed per-call cost of the array
+        machinery for a plain dict-of-lists grouping, which gives the
+        same first-appearance order (dict insertion order) and the same
+        sorted chunks (per-group timsort).  Both produce identical
+        digests.
         """
         lo, hi = self._n_finalized, self._n_events
         if lo == hi:
@@ -405,39 +405,19 @@ class DailyTraffic:
                 n_events=0, novel_ips=novel_ips if novel_ips else []
             )
         if hi - lo <= _SMALL_SPAN:
-            return self._finalize_small(lo, hi, novel_ips)
-        span_pair = self._ev_pair[lo:hi]
-        span_time = self._ev_time[lo:hi]
-        order = np.lexsort((span_time, span_pair))
-        grouped_pair = span_pair[order]
-        grouped_time = span_time[order]
-        boundaries = np.flatnonzero(grouped_pair[1:] != grouped_pair[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [grouped_pair.shape[0]]))
-        # The earliest original position inside each group is the
-        # pair's first appearance in the span.
-        first_seen_at = np.minimum.reduceat(order, starts)
-        appearance = np.argsort(first_seen_at, kind="stable")
-        # Convert once; per-group list slicing beats per-group ndarray
-        # slicing + tolist by a wide margin at streaming batch sizes.
-        time_list = grouped_time.tolist()
-        group_pairs = grouped_pair[starts].tolist()
-        starts_list = starts.tolist()
-        ends_list = ends.tolist()
+            pairs, chunks = self._group_small(lo, hi)
+        else:
+            pairs, chunks = self._group_lexsort(lo, hi)
         series = self._series
         pair_names = self._pair_names
         hosts_by_domain = self.hosts_by_domain
         domains_by_host = self.domains_by_host
         host_names = self._host_names
         domain_names = self._domain_names
-        pairs_out: list[int] = []
         named_out: list[tuple[str, str]] = []
-        chunks_out: list[list[float]] = []
         domains_out: list[str] = []
         domains_seen: set[str] = set()
-        for group in appearance.tolist():
-            pair = group_pairs[group]
-            values = time_list[starts_list[group]:ends_list[group]]
+        for pair, values in zip(pairs, chunks):
             existing = series.get(pair)
             if existing is None:
                 # First time this day sees the pair: register the edge
@@ -460,23 +440,47 @@ class DailyTraffic:
                     existing += values
                     existing.sort()
                 named = pair_names[pair]
-            pairs_out.append(pair)
             named_out.append(named)
-            chunks_out.append(values)
         self._n_finalized = hi
         return IngestDigest(
             n_events=hi - lo,
-            pairs=pairs_out,
+            pairs=pairs,
             named_pairs=named_out,
-            chunks=chunks_out,
+            chunks=chunks,
             domains=domains_out,
             novel_ips=novel_ips if novel_ips else [],
         )
 
-    def _finalize_small(
-        self, lo: int, hi: int, novel_ips: list[tuple[str, str]] | None
-    ) -> IngestDigest:
-        """Dict-of-lists twin of the array grouping for small spans."""
+    def _group_lexsort(
+        self, lo: int, hi: int
+    ) -> tuple[list[int], list[list[float]]]:
+        """Array grouping of the span ``[lo, hi)``: packed pairs in
+        first-appearance order and each pair's sorted timestamps."""
+        span_pair = self._ev_pair[lo:hi]
+        span_time = self._ev_time[lo:hi]
+        order = np.lexsort((span_time, span_pair))
+        grouped_pair = span_pair[order]
+        grouped_time = span_time[order]
+        boundaries = np.flatnonzero(grouped_pair[1:] != grouped_pair[:-1]) + 1
+        starts = np.concatenate(([0], boundaries))
+        ends = np.concatenate((boundaries, [grouped_pair.shape[0]]))
+        # The earliest original position inside each group is the
+        # pair's first appearance in the span.
+        first_seen_at = np.minimum.reduceat(order, starts)
+        appearance = np.argsort(first_seen_at, kind="stable")
+        starts = starts[appearance]
+        # Convert once; per-group list slicing beats per-group ndarray
+        # slicing + tolist by a wide margin at streaming batch sizes.
+        time_list = grouped_time.tolist()
+        return grouped_pair[starts].tolist(), [
+            time_list[start:end]
+            for start, end in zip(starts.tolist(), ends[appearance].tolist())
+        ]
+
+    def _group_small(
+        self, lo: int, hi: int
+    ) -> tuple[list[int], list[list[float]]]:
+        """Dict-of-lists twin of :meth:`_group_lexsort` for small spans."""
         groups: dict[int, list[float]] = {}
         for pair, value in zip(
             self._ev_pair[lo:hi].tolist(), self._ev_time[lo:hi].tolist()
@@ -486,57 +490,17 @@ class DailyTraffic:
                 groups[pair] = [value]
             else:
                 chunk.append(value)
-        series = self._series
-        pair_names = self._pair_names
-        hosts_by_domain = self.hosts_by_domain
-        domains_by_host = self.domains_by_host
-        host_names = self._host_names
-        domain_names = self._domain_names
-        pairs_out: list[int] = []
-        named_out: list[tuple[str, str]] = []
-        chunks_out: list[list[float]] = []
-        domains_out: list[str] = []
-        domains_seen: set[str] = set()
-        for pair, values in groups.items():
-            values.sort()
-            existing = series.get(pair)
-            if existing is None:
-                series[pair] = values
-                host = host_names[pair >> _PAIR_SHIFT]
-                domain = domain_names[pair & _DOMAIN_MASK]
-                named = (host, domain)
-                pair_names[pair] = named
-                hosts_by_domain[domain].add(host)
-                domains_by_host[host].add(domain)
-                if domain not in domains_seen:
-                    domains_seen.add(domain)
-                    domains_out.append(domain)
-            else:
-                if existing[-1] <= values[0]:
-                    existing += values
-                else:
-                    existing += values
-                    existing.sort()
-                named = pair_names[pair]
-            pairs_out.append(pair)
-            named_out.append(named)
-            chunks_out.append(values)
-        self._n_finalized = hi
-        return IngestDigest(
-            n_events=hi - lo,
-            pairs=pairs_out,
-            named_pairs=named_out,
-            chunks=chunks_out,
-            domains=domains_out,
-            novel_ips=novel_ips if novel_ips else [],
-        )
+        chunks = list(groups.values())
+        for chunk in chunks:
+            chunk.sort()
+        return list(groups), chunks
 
     def finalize(self) -> None:
         """Merge any events not yet folded into the sorted series.
 
         :meth:`ingest` finalizes its own span, so this is a cheap no-op
         on the streaming access pattern; it exists so out-of-band
-        appenders (bulk restore, merge) can defer the grouping pass.
+        appenders (bulk restore) can defer the grouping pass.
         """
         if self._n_finalized != self._n_events:
             self._finalize_pending()
@@ -565,24 +529,6 @@ class DailyTraffic:
         self._pair_names[pair] = (host, domain)
         self.hosts_by_domain[domain].add(host)
         self.domains_by_host[host].add(domain)
-
-    def _extend_series(
-        self, host: str, domain: str, times: list[float]
-    ) -> None:
-        """Merge a sorted series fragment into the pair's series
-        (shard-merge path; tolerates pair collisions across shards)."""
-        h_id = self._host_ids.get(host)
-        d_id = self._domain_ids.get(domain)
-        existing = (
-            self._series.get((h_id << _PAIR_SHIFT) | d_id)
-            if h_id is not None and d_id is not None
-            else None
-        )
-        if existing is None:
-            self.load_series(host, domain, times)
-            return
-        existing += [float(t) for t in times]
-        existing.sort()
 
     # ------------------------------------------------------------------
     # Queries
@@ -681,51 +627,6 @@ def extract_rare_domains(
         if len(hosts) < unpopular_max_hosts and history.is_new(domain):
             rare.add(domain)
     return rare
-
-
-def merge_daily_traffic(
-    shards: Iterable[DailyTraffic], *, day: int | None = None
-) -> DailyTraffic:
-    """Union per-shard day aggregates into one :class:`DailyTraffic`.
-
-    Sound when the shards partition connections by *host* hash (the
-    event bus's :func:`~repro.streaming.events.shard_of`): every
-    (host, domain) timestamp series then lives wholly inside one shard,
-    so the pair-keyed series are disjoint and concatenate trivially,
-    while the domain-keyed host/IP sets union commutatively.  The
-    result is indistinguishable from ingesting all connections into a
-    single aggregate, which is what makes a sharded day's rollover
-    detections byte-identical to serial ingestion (the property the
-    resident fleet workers' sharded windows rely on).
-
-    The merged aggregate carries no armed index; callers needing one
-    build it with :meth:`DailyTraffic.index` after merging.
-    """
-    shards = list(shards)
-    if day is None:
-        day = shards[0].day if shards else 0
-    merged = DailyTraffic(day)
-    for shard in shards:
-        shard.finalize()
-        for domain, hosts in shard.hosts_by_domain.items():
-            merged.hosts_by_domain[domain] |= hosts
-        for host, domains in shard.domains_by_host.items():
-            merged.domains_by_host[host] |= domains
-        host_names = shard._host_names
-        domain_names = shard._domain_names
-        for pair, times in shard._series.items():
-            merged._extend_series(
-                host_names[pair >> _PAIR_SHIFT],
-                domain_names[pair & _DOMAIN_MASK],
-                times,
-            )
-        for domain, ips in shard.resolved_ips.items():
-            merged.resolved_ips[domain] |= ips
-        for domain, hosts in shard.no_referer_hosts.items():
-            merged.no_referer_hosts[domain] |= hosts
-        for domain, hosts in shard.rare_ua_hosts.items():
-            merged.rare_ua_hosts[domain] |= hosts
-    return merged
 
 
 def rare_domains_by_host(

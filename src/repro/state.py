@@ -286,6 +286,16 @@ def decode_window(window, payload: dict[str, Any]) -> None:
         traffic.rare_ua_hosts[domain] = set(hosts)
 
 
+def _require_polled(detector) -> None:
+    """Refuse to snapshot an engine with events on its pending list."""
+    queued = detector.events_pending
+    if queued:
+        raise StateError(
+            f"{queued} events still queued (submitted, not polled); "
+            "call poll() before snapshotting"
+        )
+
+
 def _engine_base_state(
     detector, kind: str, include_metrics: bool
 ) -> dict[str, Any]:
@@ -296,15 +306,11 @@ def _engine_base_state(
     :func:`encode_engine`) the metrics snapshot, so counters survive a
     checkpoint restart.
 
-    Events still queued on the bus are not part of a snapshot; callers
-    must drain them (``poll()``) first or they would be lost across a
+    Events submitted but not yet polled are not part of a snapshot;
+    callers must ``poll()`` first or they would be lost across a
     restore.
     """
-    if len(detector.bus) > 0:
-        raise StateError(
-            f"{len(detector.bus)} events still queued on the event bus; "
-            "call poll() before snapshotting"
-        )
+    _require_polled(detector)
     return {
         "version": STATE_VERSION,
         "kind": kind,
@@ -556,11 +562,7 @@ def _require_barrier(detector) -> None:
     counters.  That is the whole reason deltas are cheap; anywhere else
     they would silently drop mid-day state.
     """
-    if len(detector.bus) > 0:
-        raise StateError(
-            f"{len(detector.bus)} events still queued on the event bus; "
-            "delta checkpoints are barrier-only"
-        )
+    _require_polled(detector)
     if detector.window.events_today != 0:
         raise StateError(
             "window holds same-day events; delta checkpoints are "

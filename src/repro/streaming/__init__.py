@@ -3,8 +3,9 @@
 The subsystem layers four pieces on top of the unchanged batch
 components (Section III's pipeline, Algorithm 1's belief propagation):
 
-* :mod:`~repro.streaming.events` -- host-sharded :class:`EventBus`
-  ingestion of scalar events and columnar batches;
+* :mod:`~repro.streaming.events` -- :func:`micro_batches`, the unit
+  of ingestion (engines queue submissions on a plain pending list that
+  ``poll()`` folds into the window in arrival order);
 * :mod:`~repro.streaming.window` -- :class:`WindowedAggregator`, the
   current day's profiles maintained per micro-batch with end-of-day
   rollover into the long-lived histories;
@@ -26,12 +27,7 @@ from .engine import (
     StreamUpdate,
 )
 from .enterprise import StreamingEnterpriseDetector, replay_enterprise_directory
-from .events import (
-    EventBus,
-    micro_batches,
-    shard_of,
-    split_by_shard,
-)
+from .events import micro_batches
 from .incremental import (
     IncrementalGraph,
     WarmStartConfig,
@@ -40,7 +36,6 @@ from .incremental import (
 from .window import WindowedAggregator
 
 __all__ = [
-    "EventBus",
     "IncrementalGraph",
     "ReplayResult",
     "StreamDayReport",
@@ -53,7 +48,5 @@ __all__ = [
     "micro_batches",
     "replay_directory",
     "replay_enterprise_directory",
-    "shard_of",
-    "split_by_shard",
     "warm_start_belief_propagation",
 ]

@@ -4,7 +4,6 @@
 micro-batches and keeps a continuously updated view of the current
 day's detections, minutes after the evidence arrives instead of at
 end-of-day batch close.  It composes the streaming substrates --
-:class:`~repro.streaming.events.EventBus`,
 :class:`~repro.streaming.window.WindowedAggregator`,
 :class:`~repro.streaming.incremental.IncrementalGraph` -- on top of the
 *unchanged* batch components (reduction funnel, automation detector,
@@ -44,7 +43,6 @@ from ..core.scoring import (
     SimilarityStats,
     multi_host_cc_domains,
 )
-from ..logs.records import DnsRecord
 from ..logs.reduction import ReductionFunnel
 from ..profiling.history import DestinationHistory
 from ..profiling.ua import UserAgentHistory
@@ -73,7 +71,6 @@ class StreamingDetector(StreamingEngineBase):
         history: DestinationHistory | None = None,
         ua_history: UserAgentHistory | None = None,
         warm: WarmStartConfig | None = None,
-        n_shards: int = 4,
         metrics=None,
     ) -> None:
         config = config or LANL_CONFIG
@@ -93,15 +90,10 @@ class StreamingDetector(StreamingEngineBase):
             automation=AutomationDetector(config.histogram),
             ua_history=ua_history,
             warm=warm,
-            n_shards=n_shards,
             metrics=metrics,
         )
         self.similarity_stats = SimilarityStats()
         self.metrics.add_collector(self.similarity_stats.metrics_samples)
-
-    def submit_raw(self, records: Iterable[DnsRecord]) -> int:
-        """Reduce + normalize in-memory DNS records onto the event bus."""
-        return sum(map(self.bus.publish, self.funnel.read_records(records)))
 
     # ------------------------------------------------------------------
     # What the DNS path brings to the base's day loop

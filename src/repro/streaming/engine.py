@@ -4,8 +4,8 @@ Both online engines -- the DNS/LANL-path
 :class:`~repro.streaming.detector.StreamingDetector` and the
 enterprise/proxy-path
 :class:`~repro.streaming.enterprise.StreamingEnterpriseDetector` --
-consume events the same way: publish onto a host-sharded
-:class:`~repro.streaming.events.EventBus`, drain into a
+consume events the same way: queue submissions on a pending list,
+fold it per ``poll()`` into a
 :class:`~repro.streaming.window.WindowedAggregator` (whose armed
 :class:`~repro.profiling.index.TrafficIndex` absorbs each micro-batch,
 keeping frontier scoring rebuild-free), mirror rarity
@@ -39,7 +39,6 @@ from ..profiling.history import DestinationHistory
 from ..profiling.rare import extract_rare_domains
 from ..profiling.ua import UserAgentHistory
 from ..timing.detector import AutomationDetector, AutomationVerdict
-from .events import EventBus
 from .incremental import (
     IncrementalGraph,
     WarmStartConfig,
@@ -49,6 +48,12 @@ from .verdicts import SeriesVerdictCache, VerdictCacheStats
 from .window import WindowedAggregator
 
 _LOG = get_logger("stream")
+
+#: What ``submit`` / ``ingest`` accept: one event, one columnar batch,
+#: or any iterable of either.
+Submission = (
+    Iterable[Connection | ConnectionBatch] | Connection | ConnectionBatch
+)
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,6 @@ class StreamingEngineBase:
         automation: AutomationDetector,
         ua_history: UserAgentHistory | None = None,
         warm: WarmStartConfig | None = None,
-        n_shards: int = 4,
         start_day: int = 0,
         metrics=None,
     ) -> None:
@@ -155,7 +159,9 @@ class StreamingEngineBase:
             ua_history=ua_history,
         )
         self.graph = IncrementalGraph()
-        self.bus = EventBus(n_shards)
+        #: submitted, not yet polled: scalar events and whole columnar
+        #: batches, in arrival order.
+        self._pending: list[Connection | ConnectionBatch] = []
         self.warm = warm or WarmStartConfig()
         self.prior = None
         #: frontier scorer a subclass keeps across rounds; derived from
@@ -181,67 +187,77 @@ class StreamingEngineBase:
     # Ingestion
     # ------------------------------------------------------------------
 
+    @property
+    def events_pending(self) -> int:
+        """Events submitted but not yet polled into the window."""
+        return sum(
+            len(item) if item.__class__ is ConnectionBatch else 1
+            for item in self._pending
+        )
+
+    def submit(self, connections: Submission) -> int:
+        """Queue already-normalized connections for the next
+        :meth:`poll`; returns how many events that is.
+
+        Accepts a single :class:`~repro.logs.records.Connection`, one
+        columnar :class:`~repro.logs.records.ConnectionBatch`, or any
+        iterable of either (generators included).  Batches queue whole
+        and ingest through the columnar path.
+        """
+        if isinstance(connections, (Connection, ConnectionBatch)):
+            connections = (connections,)
+        queue = self._pending.append
+        count = 0
+        for item in connections:
+            size = len(item) if item.__class__ is ConnectionBatch else 1
+            if size:
+                queue(item)
+                count += size
+        return count
+
     def submit_lines(self, lines: Iterable[str]) -> int:
         """Read log lines through the pipeline's reader (reduce +
-        normalize) onto the event bus."""
-        return sum(map(self.bus.publish, self.reader.read_lines(lines)))
+        normalize) onto the pending list."""
+        return self.submit(self.reader.read_lines(lines))
 
-    def submit(
-        self, connections: Iterable[Connection] | ConnectionBatch
-    ) -> int:
-        """Publish already-normalized connections onto the event bus.
+    def submit_raw(self, records: Iterable, **reader_keywords) -> int:
+        """Reduce/normalize in-memory raw records (the pipeline's
+        ``DnsRecord`` or ``ProxyRecord``) onto the pending list.
 
-        Accepts a scalar event iterable or one columnar
-        :class:`~repro.logs.records.ConnectionBatch`; batches travel
-        through the bus whole and ingest through the columnar path.
+        ``reader_keywords`` pass to the reader's ``read_records``: the
+        proxy path's ``resolver`` joins dynamic client addresses
+        against DHCP/VPN leases; omit it for pre-joined records (the
+        form every layout ships, and the one :meth:`submit_lines` takes
+        log lines in).
         """
-        return self.bus.publish(connections)
+        return self.submit(
+            self.reader.read_records(records, **reader_keywords)
+        )
 
-    def poll(self, max_events: int | None = None) -> int:
-        """Drain the bus into the window; returns events consumed."""
-        items = self.bus.drain(max_events=max_events)
+    def poll(self) -> int:
+        """Fold everything submitted so far into the window, in arrival
+        order, through one grouping pass; returns events consumed."""
+        items = self._pending
         if not items:
             return 0
+        self._pending = []
         self._polls_counter.inc()
         with self.metrics.span("stream_ingest"):
             events = self._ingest(items)
         self._events_counter.inc(events)
         return events
 
-    def ingest(self, connections: Iterable[Connection]) -> int:
-        """Synchronous convenience: publish one micro-batch and drain it.
-
-        When the bus is empty the publish/drain round-trip is pure
-        ceremony -- there is nothing to interleave with, and draining
-        right back is order-equivalent to ingesting directly (within a
-        day every aggregate is order-insensitive) -- so the batch goes
-        straight to the window.  The bus counters advance either way,
-        keeping observability identical.
-        """
-        if len(self.bus) != 0:
-            published = self.submit(connections)
-            self.poll()
-            return published
-        if isinstance(connections, (Connection, ConnectionBatch)):
-            items: Sequence[Connection | ConnectionBatch] = (connections,)
-        elif isinstance(connections, (list, tuple)):
-            items = connections
-        else:
-            items = list(connections)
-        if not items:
-            return 0
-        self._polls_counter.inc()
-        with self.metrics.span("stream_ingest"):
-            events = self._ingest(items)
-        self._events_counter.inc(events)
-        self.bus.published += events
-        self.bus.drained += events
-        return events
+    def ingest(self, connections: Submission) -> int:
+        """Synchronous convenience: :meth:`submit` one micro-batch and
+        :meth:`poll` it (with anything queued before it)."""
+        submitted = self.submit(connections)
+        self.poll()
+        return submitted
 
     def _ingest(
         self, batch: Sequence[Connection | ConnectionBatch]
     ) -> int:
-        # A drained item list mixes scalar events and whole columnar
+        # A polled item list mixes scalar events and whole columnar
         # batches; the window (via the columnar traffic store) stages
         # them all in arrival order and folds the poll through ONE
         # grouping pass.
@@ -421,9 +437,11 @@ class StreamingEngineBase:
         another tenant's detections shared through a fleet's intel
         plane), ``ct_edges``, and the pipeline's SOC hints
         (``hint_hosts`` on the DNS path, ``soc_seed_domains`` on the
-        enterprise path).  Histories commit exactly once, in
-        :meth:`WindowedAggregator.rollover`.
+        enterprise path).  Events submitted but not yet polled belong
+        to the day being closed and are folded in first.  Histories
+        commit exactly once, in :meth:`WindowedAggregator.rollover`.
         """
+        self.poll()
         with self.metrics.span("rollover_rare") as rare_span:
             traffic = self.window.traffic
             traffic.finalize()

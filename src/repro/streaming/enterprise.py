@@ -47,13 +47,11 @@ cross-tenant seeding to the proxy path.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
 from ..core.pipeline import EnterpriseDetector, detect_on_enterprise_traffic
-from ..logs.normalize import IpResolver, ProxyNormalizer
-from ..logs.records import ProxyRecord
+from ..logs.normalize import ProxyNormalizer
 from .engine import (
     ReplayResult,
     StreamDayReport,
@@ -101,7 +99,6 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
         *,
         start_day: int | None = None,
         warm: WarmStartConfig | None = None,
-        n_shards: int = 4,
         metrics=None,
     ) -> None:
         if detector.cc_scorer is None or detector.similarity_scorer is None:
@@ -123,7 +120,6 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
             automation=detector.automation,
             ua_history=detector.ua_history,
             warm=warm,
-            n_shards=n_shards,
             start_day=start_day,
             metrics=metrics,
         )
@@ -139,22 +135,6 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
     def similarity_scorer(self):
         """The trained regression similarity scorer (shared)."""
         return self.batch.similarity_scorer
-
-    def submit_raw(
-        self,
-        records: Iterable[ProxyRecord],
-        resolver: IpResolver | None = None,
-    ) -> int:
-        """Normalize in-memory raw proxy records onto the event bus.
-
-        ``resolver`` joins dynamic client addresses against DHCP/VPN
-        leases; omit it for pre-joined records (the form every layout
-        ships, and the one ``submit_lines`` takes log lines in).
-        """
-        return sum(map(
-            self.bus.publish,
-            self.normalizer.read_records(records, resolver=resolver),
-        ))
 
     # ------------------------------------------------------------------
     # What the proxy path brings to the base's day loop

@@ -93,7 +93,7 @@ class TestOneDayLoop:
 
     def test_engine_schedule_is_written_once(self):
         streaming = self.SRC / "streaming"
-        for method in ("score", "rollover", "submit_lines"):
+        for method in ("score", "rollover", "submit_lines", "submit_raw"):
             owners = self._lines_with(rf"def {method}\(", streaming)
             if method == "rollover":  # the window's own, unrelated
                 owners.pop("streaming/window.py")
@@ -106,3 +106,12 @@ class TestOneDayLoop:
         assert sorted(uses) == ["core/scoring.py"]
         # Two definitions and the one place that combines them.
         assert len(uses["core/scoring.py"]) == 4
+
+    def test_nothing_queues_or_shards_between_reader_and_window(self):
+        """One ingest route: reader -> the engine's pending list ->
+        ``window.ingest``.  The in-process bus, host sharding and the
+        sharded fleet route are gone, not aliased."""
+        assert self._lines_with(
+            r"EventBus|n_shards|window_shards|split_by_shard"
+            r"|merge_daily_traffic"
+        ) == {}

@@ -57,29 +57,6 @@ class TestResidentParity:
         report = FleetManager.from_manifest(manifest, workers=workers).run()
         assert _detections(report) == serial_detections
 
-    def test_window_shards_keep_parity(self, mixed_layout, serial_detections):
-        manifest = load_manifest(mixed_layout)
-        report = FleetManager.from_manifest(
-            manifest, workers=2, window_shards=4,
-        ).run()
-        assert _detections(report) == serial_detections
-
-    def test_cli_window_shards_report_is_byte_identical(
-        self, mixed_layout, capsys
-    ):
-        """``fleet --window-shards 2`` prints what ``--window-shards 1``
-        prints: the sharded day takes the same file -> columns route,
-        split by host hash and merged at the barrier."""
-        from repro.cli import main
-
-        base = ["fleet", str(mixed_layout), "--workers", "2"]
-        capsys.readouterr()
-        assert main(base + ["--window-shards", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--window-shards", "2"]) == 0
-        assert capsys.readouterr().out == serial
-        assert "detected" in serial
-
     def test_worker_stats_cover_all_tenants(self, mixed_layout):
         manifest = load_manifest(mixed_layout)
         manager = FleetManager.from_manifest(manifest, workers=2)

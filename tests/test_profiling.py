@@ -9,7 +9,6 @@ from repro.profiling import (
     DestinationHistory,
     UserAgentHistory,
     extract_rare_domains,
-    merge_daily_traffic,
     rare_domains_by_host,
 )
 
@@ -170,53 +169,6 @@ class TestDailyTraffic:
             assert alive() is None
         finally:
             gc.enable()
-
-
-class TestMergeDailyTraffic:
-    """Host-sharded aggregation must be invisible after merging."""
-
-    CONNS = [
-        conn("h1", "a.com", 10.0, ua="UA1", referer="", ip="1.2.3.4"),
-        conn("h1", "a.com", 5.0, ua="UA1", referer="http://x/"),
-        conn("h2", "a.com", 15.0, ua="UA2", referer="http://x/"),
-        conn("h1", "b.com", 12.0, ua="UA1", referer=""),
-        conn("h3", "c.com", 7.0, ua="UA2", referer="", ip="5.6.7.8"),
-    ]
-
-    def _merged(self, n_shards):
-        from repro.streaming import shard_of
-
-        rare_ua = lambda ua: ua == "UA2"  # noqa: E731
-        shards = [DailyTraffic(3) for _ in range(n_shards)]
-        for c in self.CONNS:
-            shards[shard_of(c.host, n_shards)].ingest([c], ua_is_rare=rare_ua)
-        return merge_daily_traffic(shards, day=3)
-
-    def _serial(self):
-        traffic = DailyTraffic(3)
-        traffic.ingest(self.CONNS, ua_is_rare=lambda ua: ua == "UA2")
-        return traffic
-
-    def test_merge_equals_serial_ingest(self):
-        serial = self._serial()
-        for n_shards in (1, 2, 4):
-            merged = self._merged(n_shards)
-            assert merged.day == serial.day
-            assert merged.hosts_by_domain == serial.hosts_by_domain
-            assert merged.domains_by_host == serial.domains_by_host
-            assert merged.resolved_ips == serial.resolved_ips
-            assert merged.no_referer_hosts == serial.no_referer_hosts
-            assert merged.rare_ua_hosts == serial.rare_ua_hosts
-            for pair in serial.timestamps:
-                assert merged.connection_times(
-                    *pair
-                ) == serial.connection_times(*pair)
-
-    def test_merged_index_builds_on_demand(self):
-        merged = self._merged(2)
-        assert merged._index is None
-        index = merged.index()
-        assert index is merged.index()
 
 
 class TestRareExtraction:

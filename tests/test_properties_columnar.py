@@ -15,6 +15,7 @@ runs the whole legacy-vs-columnar equivalence group, see
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.logs.records import Connection, ConnectionBatch
 from repro.profiling.rare import _SMALL_SPAN, DailyTraffic
+from repro.state import encode_engine
+from repro.streaming import StreamingDetector
 from repro.timing.batch import (
     assign_interval_array,
     automated_pairs_batch,
@@ -155,6 +158,15 @@ event_rows = st.lists(
 )
 
 
+def _column_batch(rows) -> ConnectionBatch:
+    return ConnectionBatch(
+        [r[0] for r in rows],
+        [r[1] for r in rows],
+        [r[2] for r in rows],
+        [r[3] for r in rows],
+    )
+
+
 def _assert_same_traffic(left: DailyTraffic, right: DailyTraffic) -> None:
     assert dict(left.timestamps.items()) == dict(right.timestamps.items())
     assert left.hosts_by_domain == right.hosts_by_domain
@@ -163,13 +175,19 @@ def _assert_same_traffic(left: DailyTraffic, right: DailyTraffic) -> None:
 
 
 class TestColumnarIngestParity:
-    @given(event_rows, st.integers(min_value=1, max_value=9), st.booleans())
+    @given(
+        event_rows,
+        st.integers(min_value=1, max_value=9),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
     @settings(max_examples=40, deadline=None)
     def test_chunked_ingest_matches_single_pass(
-        self, rows, chunk, batch_first
+        self, rows, chunk, batch_first, rng
     ):
         """One bulk ingest == per-record ingest == mixed chunked ingest
-        (alternating columnar batches and scalar records)."""
+        (alternating columnar batches and scalar records) of the rows
+        in any other order."""
         whole = DailyTraffic(0)
         whole.ingest([Connection(*row) for row in rows])
         whole.finalize()
@@ -179,16 +197,13 @@ class TestColumnarIngestParity:
             single.ingest(Connection(*row))
         single.finalize()
 
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
         mixed = DailyTraffic(0)
-        for index, lo in enumerate(range(0, len(rows), chunk)):
-            part = rows[lo:lo + chunk]
+        for index, lo in enumerate(range(0, len(shuffled), chunk)):
+            part = shuffled[lo:lo + chunk]
             if batch_first == (index % 2 == 0):
-                mixed.ingest(ConnectionBatch(
-                    [r[0] for r in part],
-                    [r[1] for r in part],
-                    [r[2] for r in part],
-                    [r[3] for r in part],
-                ))
+                mixed.ingest(_column_batch(part))
             else:
                 for row in part:
                     mixed.ingest(Connection(*row))
@@ -228,6 +243,70 @@ class TestColumnarIngestParity:
         grouped.finalize()
 
         _assert_same_traffic(lexsorted, grouped)
+
+
+# Two hosts beaconing on a 600 s period: a multi-host C&C domain, so
+# every drawn day closes with a seeded belief propagation, not an idle
+# rollover.
+_BEACON_ROWS = [
+    (600.0 * tick + offset, host, "beacon.example", "")
+    for host, offset in ((_HOSTS[0], 7.0), (_HOSTS[1], 31.0))
+    for tick in range(24)
+]
+
+
+def _day_outcome(rounds):
+    """Mid-day document, rollover report and next-day document of a
+    fresh engine fed ``rounds`` (each a list of submissions followed by
+    one ``poll()``)."""
+    detector = StreamingDetector()
+    for submissions in rounds:
+        for submission in submissions:
+            detector.submit(submission)
+        detector.poll()
+    mid_day = json.dumps(encode_engine(detector), sort_keys=True)
+    report = detector.rollover()
+    return (
+        mid_day,
+        (
+            report.day,
+            report.records,
+            report.rare_domains,
+            report.cc_domains,
+            report.detected,
+            [
+                (d.domain, d.iteration, d.reason, d.score)
+                for d in report.bp_result.detections
+            ],
+        ),
+        json.dumps(encode_engine(detector), sort_keys=True),
+    )
+
+
+class TestSubmitPollOrderInvariance:
+    @given(event_rows, st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_shuffled_rounds_match_one_whole_day_submit(self, rows, rng):
+        """A day's rows in any order, cut into any ``submit``/``poll``
+        rounds (columnar and scalar submissions mixed), close to the
+        same report and the same checkpoint documents as one whole-day
+        submit: what ``--batch-size`` independence rests on, and why
+        the engine needs nothing between reader and window but a list."""
+        rows = _BEACON_ROWS + rows
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        rounds, position = [], 0
+        while position < len(shuffled):
+            submissions = []
+            for _ in range(rng.randint(1, 3)):
+                part = shuffled[position:position + rng.randint(1, 9)]
+                position += len(part)
+                submissions.append(
+                    _column_batch(part) if rng.random() < 0.5
+                    else [Connection(*row) for row in part]
+                )
+            rounds.append(submissions)
+        assert _day_outcome(rounds) == _day_outcome([[_column_batch(rows)]])
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,11 @@ from repro.profiling.rare import DailyTraffic, RareDomainTracker, extract_rare_d
 from repro.runner import run_directory
 from repro.state import load_streaming, save_streaming
 from repro.streaming import (
-    EventBus,
     IncrementalGraph,
     StreamingDetector,
     WarmStartConfig,
     micro_batches,
     replay_directory,
-    shard_of,
     warm_start_belief_propagation,
 )
 from repro.streaming.window import WindowedAggregator
@@ -258,7 +256,7 @@ class TestCheckpointRestore:
         from repro.state import StateError
 
         detector = StreamingDetector()
-        detector.submit([_conn("h1", "d.c1", 5.0)])  # published, not polled
+        detector.submit([_conn("h1", "d.c1", 5.0)])  # submitted, not polled
         with pytest.raises(StateError, match="queued"):
             save_streaming(detector, tmp_path / "ckpt.json")
         detector.poll()
@@ -307,6 +305,20 @@ class TestRollover:
         assert detector.window.rare == set()
         assert detector.graph.domain_count == 0
         assert detector.prior is None
+
+    def test_rollover_folds_unpolled_events_into_the_closing_day(self):
+        """``submit(); rollover()`` files the events under the day being
+        closed, not the next one (a snapshot of the same state is
+        refused, so silently deferring them was never the contract)."""
+        detector = StreamingDetector()
+        detector.submit([_conn("h1", "a.c1", 1.0), _conn("h2", "b.c1", 2.0)])
+        report = detector.rollover()
+        assert (report.day, report.records) == (0, 2)
+        assert report.rare_domains == {"a.c1", "b.c1"}
+        assert not detector.history.is_new("a.c1")
+        assert detector.events_pending == 0
+        assert detector.poll() == 0
+        assert detector.rollover().records == 0
 
     def test_history_matches_batch_after_replay(self, log_dir, lanl_dataset):
         kwargs = _replay_kwargs(lanl_dataset)
@@ -626,29 +638,33 @@ def _conn(host, domain, ts=0.0):
 
 
 class TestEventBus:
-    def test_sharding_is_stable_and_total(self):
-        bus = EventBus(n_shards=4)
-        events = [_conn(f"host{i}", "dom.c1", float(i)) for i in range(100)]
-        assert bus.publish(events) == 100
-        assert len(bus) == 100
-        assert sum(bus.shard_sizes()) == 100
-        for i in range(100):
-            assert shard_of(f"host{i}", 4) == shard_of(f"host{i}", 4)
+    """The event layer: what the engines' ``submit`` / ``ingest``
+    accept, micro-batching, and the replay's cadence arguments."""
 
-    def test_same_host_same_shard(self):
-        bus = EventBus(n_shards=8)
-        bus.publish([_conn("alpha", f"d{i}.c1", float(i)) for i in range(10)])
-        sizes = bus.shard_sizes()
-        assert sorted(sizes, reverse=True)[0] == 10
+    def test_one_acceptance_rule_on_every_ingest_entry(self):
+        """A single ``Connection``, one ``ConnectionBatch`` or any
+        iterable of either (generators included) -- the same for
+        ``submit`` and ``ingest``, whatever is already queued."""
+        from repro.logs.records import ConnectionBatch
 
-    def test_drain_round_robin_empties_all(self):
-        bus = EventBus(n_shards=3)
-        bus.publish([_conn(f"h{i}", "d.c1", float(i)) for i in range(30)])
-        first = bus.drain(max_events=7)
-        rest = bus.drain()
-        assert len(first) == 7
-        assert len(rest) == 23
-        assert len(bus) == 0
+        batch = ConnectionBatch(
+            [2.0, 3.0], ["h2", "h3"], ["b.c1", "b.c1"], ["", ""]
+        )
+        detector = StreamingDetector()
+        assert detector.submit(_conn("h1", "a.c1", 1.0)) == 1
+        assert detector.submit(batch) == 2
+        assert detector.submit(
+            item for item in (_conn("h4", "c.c1", 4.0), batch)
+        ) == 3
+        assert detector.events_pending == 6
+        # ... and with events already queued.
+        assert detector.ingest(_conn("h5", "d.c1", 5.0)) == 1
+        assert detector.events_pending == 0
+        assert detector.window.events_today == 7
+        assert detector.ingest(iter([_conn("h6", "d.c1", 6.0)])) == 1
+        assert detector.submit(()) == 0
+        assert detector.window.events_today == 8
+        assert detector.window.traffic.hosts_by_domain["b.c1"] == {"h2", "h3"}
 
     def test_micro_batches(self):
         batches = list(micro_batches(iter(range(10)), 4))
@@ -1114,7 +1130,7 @@ class TestEnterpriseIngestRoutes:
             normalize_proxy_records(records, IpResolver())
         ))) == by_lines
 
-        joined = window_of(lambda s: s.submit_raw(records, resolver))
+        joined = window_of(lambda s: s.submit_raw(records, resolver=resolver))
         assert joined == window_of(lambda s: s.submit(list(
             normalize_proxy_records(records, resolver)
         )))
