@@ -605,12 +605,19 @@ def group_verdicts_by_domain(
     return by_domain
 
 
+#: Fewest distinct same-day hosts that must beacon to a rare domain
+#: before the LANL heuristic can call it C&C (Section V-B).  The DNS
+#: streaming engine reads the same constant as the floor below which a
+#: (host, domain) automation verdict cannot reach a detection.
+MULTI_HOST_MIN_HOSTS = 2
+
+
 def multi_host_beacon_heuristic(
     domain: str,
     verdicts: Sequence[AutomationVerdict],
     *,
     sync_window: float = 10.0,
-    min_hosts: int = 2,
+    min_hosts: int = MULTI_HOST_MIN_HOSTS,
 ) -> bool:
     """LANL C&C heuristic (Section V-B).
 

@@ -14,6 +14,10 @@ import re
 from functools import lru_cache
 
 _LABEL_RE = re.compile(r"^[a-z0-9_\-]{1,63}$", re.IGNORECASE)
+#: A plain dotted quad as ``ipaddress`` accepts one: four ASCII-decimal
+#: octets without leading zeros (their range is checked separately).
+_OCTET = r"(0|[1-9][0-9]{0,2})"
+_DOTTED_QUAD_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
 
 
 def is_ip_address(name: str) -> bool:
@@ -86,13 +90,22 @@ def subnet_key(ip: str, prefix: int) -> str:
     Used for the IP24 / IP16 proximity features (Section IV-D): attack
     domains tend to co-locate in small numbers of subnets.  Pure
     string-to-string, so the result is memoized -- resolved IPs recur
-    across days and the ``ipaddress`` parse dominates the call.
+    across days.  A first-seen address misses the memo, so the common
+    form -- a plain dotted quad -- is cut with string operations;
+    anything else (IPv6, malformed text, octets ``ipaddress`` would
+    refuse) goes through ``ipaddress`` and behaves as it decides.
 
     >>> subnet_key("93.184.216.34", 24)
     '93.184.216.0/24'
     """
     if prefix not in (8, 16, 24, 32):
         raise ValueError(f"unsupported prefix length {prefix}")
+    quad = _DOTTED_QUAD_RE.fullmatch(ip)
+    if quad is not None:
+        octets = quad.groups()
+        if all(int(octet) <= 255 for octet in octets):
+            kept = prefix // 8
+            return ".".join(octets[:kept] + ("0",) * (4 - kept)) + f"/{prefix}"
     network = ipaddress.ip_network(f"{ip}/{prefix}", strict=False)
     return str(network)
 

@@ -22,8 +22,9 @@ runs into sorted per-pair series; the same grouped pass produces an
 re-looping over the batch event by event.  The public ``timestamps``
 mapping is a zero-copy view over the per-pair series and remains
 interchangeable with the legacy ``dict[(host, domain), list[float]]``
-(same keys, same sorted values, same equality semantics), so every
-consumer and checkpoint round-trip stays byte-identical.
+(same keys, same sorted values, same equality semantics) for every
+consumer.  A checkpoint carries the event columns themselves
+(:meth:`DailyTraffic.event_columns` / :meth:`DailyTraffic.load_events`).
 """
 
 from __future__ import annotations
@@ -499,36 +500,59 @@ class DailyTraffic:
         """Merge any events not yet folded into the sorted series.
 
         :meth:`ingest` finalizes its own span, so this is a cheap no-op
-        on the streaming access pattern; it exists so out-of-band
-        appenders (bulk restore) can defer the grouping pass.
+        on the streaming access pattern; :meth:`load_events` (bulk
+        restore) appends a whole day first and groups it here.
         """
         if self._n_finalized != self._n_events:
             self._finalize_pending()
 
-    def load_series(
-        self, host: str, domain: str, times: Iterable[float]
-    ) -> None:
-        """Bulk-restore one (host, domain) series (checkpoint decode).
+    def event_columns(
+        self,
+    ) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """The day's events as they arrived (checkpoint encode).
 
-        Replaces any existing series for the pair and registers the
-        host/domain edge; ``times`` must already be sorted (checkpoint
-        documents store them sorted).
+        ``(host names, domain names, host index, domain index,
+        timestamp)``: the two intern tables in first-appearance order
+        and one row per event, the index columns pointing into them.
+        A snapshot: later ingests do not show through (appends land
+        past the returned slice).
+        :meth:`load_events` is the inverse.
         """
-        h_id = self._host_ids.get(host)
-        if h_id is None:
-            h_id = len(self._host_names)
-            self._host_ids[host] = h_id
-            self._host_names.append(host)
-        d_id = self._domain_ids.get(domain)
-        if d_id is None:
-            d_id = len(self._domain_names)
-            self._domain_ids[domain] = d_id
-            self._domain_names.append(domain)
-        pair = (h_id << _PAIR_SHIFT) | d_id
-        self._series[pair] = [float(t) for t in times]
-        self._pair_names[pair] = (host, domain)
-        self.hosts_by_domain[domain].add(host)
-        self.domains_by_host[host].add(domain)
+        pairs = self._ev_pair[: self._n_events]
+        return (
+            list(self._host_names),
+            list(self._domain_names),
+            pairs >> _PAIR_SHIFT,
+            pairs & _DOMAIN_MASK,
+            self._ev_time[: self._n_events],
+        )
+
+    def load_events(
+        self,
+        hosts: Sequence[str],
+        domains: Sequence[str],
+        host_index: np.ndarray,
+        domain_index: np.ndarray,
+        times: np.ndarray,
+    ) -> None:
+        """Bulk-restore :meth:`event_columns` output into an empty day
+        (checkpoint decode): intern the tables, append the columns and
+        group them in the one :meth:`finalize` pass -- the same intern
+        order, event columns and series as ingesting the events live.
+        The caller has checked that the indices fit the tables.
+        """
+        if self._host_names or self._domain_names or self._n_events:
+            raise ValueError("load_events needs an empty DailyTraffic")
+        self._host_names.extend(hosts)
+        self._host_ids.update(zip(hosts, range(len(hosts))))
+        self._domain_names.extend(domains)
+        self._domain_ids.update(zip(domains, range(len(domains))))
+        self._append_events(
+            (host_index.astype(np.int64) << _PAIR_SHIFT)
+            | domain_index.astype(np.int64),
+            times,
+        )
+        self.finalize()
 
     # ------------------------------------------------------------------
     # Queries

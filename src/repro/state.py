@@ -10,10 +10,20 @@ survives process boundaries.
 The format is versioned, self-describing JSON -- inspectable by the SOC
 and diffable across days.  WHOIS is an external service, not state, so
 a restored detector must be re-attached to its registry.
+
+One section is not inspectable text: a streaming checkpoint's mid-day
+``window`` holds the day's events as packed binary columns (base64
+inside the same document; see :func:`encode_window`), because it is
+rewritten every few micro-batches and is the bulk of the document.
+Restore the engine to read it.  That section has its own layout tag;
+``STATE_VERSION`` covers everything else and is shared with the
+trained-detector (``--model-state``) documents.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import json
 import os
 from pathlib import Path
@@ -240,22 +250,61 @@ def decode_bp_result(payload: dict[str, Any]):
     )
 
 
+#: Layout tag of an engine document's ``window`` section.  The section
+#: is versioned on its own: ``STATE_VERSION`` is shared with the
+#: ``--model-state`` detector documents, which this layout does not
+#: touch.
+WINDOW_LAYOUT = "event-columns/1"
+
+#: Packed little-endian dtypes of the three event columns.
+_INDEX_DTYPE = np.dtype("<u4")
+_TIME_DTYPE = np.dtype("<f8")
+
+
+def _pack_column(values: np.ndarray, dtype: np.dtype) -> str:
+    packed = values.astype(dtype, copy=False).tobytes()
+    return base64.b64encode(packed).decode("ascii")
+
+
+def _unpack_column(text: Any, dtype: np.dtype, name: str) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise StateError(
+            f"window column {name!r} is not valid base64: {exc}"
+        ) from exc
+    if len(raw) % dtype.itemsize:
+        raise StateError(
+            f"window column {name!r} is torn: {len(raw)} bytes is not a "
+            f"multiple of {dtype.itemsize}"
+        )
+    return np.frombuffer(raw, dtype=dtype)
+
+
 def encode_window(window) -> dict[str, Any]:
-    """The mid-day traffic window: every index needed to resume.
+    """The mid-day traffic window, as it is in memory: the day's events
+    in arrival order as three packed little-endian columns (host index
+    and domain index ``u4``, timestamp ``f8``; base64) over the two
+    name tables in first-appearance order, plus the small per-domain
+    feature sets.
 
     The rare set, the incremental graph and the verdict cache are all
     derived state, recomputed on restore by
     :meth:`repro.streaming.StreamingDetector.resync`.
     """
     traffic = window.traffic
-    traffic.finalize()
+    host_names, domain_names, host_index, domain_index, times = (
+        traffic.event_columns()
+    )
     return {
+        "layout": WINDOW_LAYOUT,
         "day": window.day,
         "events_today": window.events_today,
-        "series": [
-            [host, domain, times]
-            for (host, domain), times in sorted(traffic.timestamps.items())
-        ],
+        "hosts": host_names,
+        "domains": domain_names,
+        "host_index": _pack_column(host_index, _INDEX_DTYPE),
+        "domain_index": _pack_column(domain_index, _INDEX_DTYPE),
+        "timestamps": _pack_column(times, _TIME_DTYPE),
         "resolved_ips": {
             domain: sorted(ips) for domain, ips in traffic.resolved_ips.items()
         },
@@ -271,13 +320,63 @@ def encode_window(window) -> dict[str, Any]:
 
 
 def decode_window(window, payload: dict[str, Any]) -> None:
-    """Refill a fresh :class:`WindowedAggregator` from its snapshot."""
+    """Refill a fresh :class:`WindowedAggregator` from its snapshot:
+    intern the name tables, append the event columns, group them in the
+    traffic's one ``finalize()`` pass.
+
+    A document whose columns disagree with each other, with
+    ``events_today`` or with the name tables is refused: the replay
+    skips ``events_today`` rows of the day's file on resume, so a torn
+    or edited window would silently skip the wrong ones.
+    """
+    layout = payload.get("layout")
+    if layout != WINDOW_LAYOUT:
+        raise StateError(
+            f"unsupported checkpoint window layout {layout!r} (this build "
+            f"reads {WINDOW_LAYOUT!r}); a checkpoint written by another "
+            "build cannot be resumed -- restart the day without --resume"
+        )
+    host_names = [str(name) for name in payload["hosts"]]
+    domain_names = [str(name) for name in payload["domains"]]
+    host_index = _unpack_column(
+        payload["host_index"], _INDEX_DTYPE, "host_index"
+    )
+    domain_index = _unpack_column(
+        payload["domain_index"], _INDEX_DTYPE, "domain_index"
+    )
+    times = _unpack_column(payload["timestamps"], _TIME_DTYPE, "timestamps")
+    events_today = int(payload["events_today"])
+    if not len(host_index) == len(domain_index) == len(times):
+        raise StateError(
+            "window columns differ in length: "
+            f"host_index={len(host_index)}, "
+            f"domain_index={len(domain_index)}, timestamps={len(times)}"
+        )
+    if len(times) != events_today:
+        raise StateError(
+            f"window says events_today={events_today} but its columns "
+            f"hold {len(times)} events"
+        )
+    for name, index, table in (
+        ("host_index", host_index, host_names),
+        ("domain_index", domain_index, domain_names),
+    ):
+        if len(index) and int(index.max()) >= len(table):
+            raise StateError(
+                f"window column {name!r} points past its name table "
+                f"({int(index.max())} >= {len(table)})"
+            )
+        if len(set(table)) != len(table):
+            raise StateError(
+                f"window name table for {name!r} repeats a name"
+            )
     window.day = int(payload["day"])
-    window.events_today = int(payload["events_today"])
+    window.events_today = events_today
     traffic = window.traffic
     traffic.day = window.day
-    for host, domain, times in payload["series"]:
-        traffic.load_series(host, domain, times)
+    traffic.load_events(
+        host_names, domain_names, host_index, domain_index, times
+    )
     for domain, ips in payload["resolved_ips"].items():
         traffic.resolved_ips[domain] = set(ips)
     for domain, hosts in payload["no_referer_hosts"].items():
@@ -329,6 +428,28 @@ def _engine_base_state(
             if include_metrics and detector.metrics.enabled else None
         ),
     }
+
+
+def _engine_document_reader(restore):
+    """Decorate an engine-restore function so that a structurally
+    incomplete or ill-typed document (valid JSON, wrong shape) raises
+    :class:`StateError` -- what callers and the CLI's one-line ``error:``
+    exit handle -- instead of whichever ``KeyError`` / ``TypeError`` the
+    first bad key happens to produce."""
+
+    @functools.wraps(restore)
+    def reader(payload, *args, **keywords):
+        try:
+            return restore(payload, *args, **keywords)
+        except (
+            KeyError, TypeError, ValueError, AttributeError, IndexError
+        ) as exc:
+            raise StateError(
+                "malformed engine checkpoint: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+
+    return reader
 
 
 def _check_engine_document(payload: dict[str, Any], kind: str):
@@ -393,6 +514,7 @@ def streaming_state(detector, *, include_metrics: bool = True) -> dict[str, Any]
     }
 
 
+@_engine_document_reader
 def restore_streaming(payload: dict[str, Any], *, metrics=None):
     """Rebuild a :class:`~repro.streaming.StreamingDetector` snapshot.
 
@@ -464,6 +586,7 @@ def streaming_enterprise_state(
     }
 
 
+@_engine_document_reader
 def restore_streaming_enterprise(
     payload: dict[str, Any], whois=None, *, metrics=None
 ):

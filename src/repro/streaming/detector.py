@@ -39,6 +39,7 @@ from pathlib import Path
 
 from ..config import LANL_CONFIG, SystemConfig
 from ..core.scoring import (
+    MULTI_HOST_MIN_HOSTS,
     AdditiveSimilarityScorer,
     SimilarityStats,
     multi_host_cc_domains,
@@ -61,6 +62,10 @@ from .incremental import WarmStartConfig, warm_start_applies
 
 class StreamingDetector(StreamingEngineBase):
     """Online DNS-path detector with checkpointable mid-day state."""
+
+    #: :func:`~repro.core.scoring.multi_host_beacon_heuristic` needs
+    #: this many hosts beaconing to a domain before it can fire.
+    cc_min_hosts = MULTI_HOST_MIN_HOSTS
 
     def __init__(
         self,

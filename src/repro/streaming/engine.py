@@ -132,6 +132,13 @@ class StreamingEngineBase:
     :meth:`_detect_day`.
     """
 
+    #: Fewest same-day hosts a rare domain needs before the pipeline's
+    #: C&C stage (:meth:`_cc_domains`) can act on any of its series
+    #: verdicts.  Below it a stale series is not tested at all.  1 (a
+    #: single-host beacon can be C&C) unless the subclass's stage says
+    #: otherwise.
+    cc_min_hosts = 1
+
     def __init__(
         self,
         *,
@@ -169,6 +176,8 @@ class StreamingEngineBase:
         self._day_scorer = None
         self._verdicts: dict[tuple[str, str], AutomationVerdict] = {}
         self._stale_pairs: set[tuple[str, str]] = set()
+        #: today's domains with at least ``cc_min_hosts`` hosts.
+        self._cc_reachable: set[str] = set()
         self._series_cache = SeriesVerdictCache(self.automation)
         self._pending_times: dict[tuple[str, str], list[float]] = {}
         self.events_total = 0
@@ -263,34 +272,53 @@ class StreamingEngineBase:
         # grouping pass.
         digest = self.window.ingest(batch)
         total = digest.n_events
-        # The digest's per-pair chunks are exactly the poll's
-        # timestamps (sorted within the poll -- the verdict cache
-        # sorts pending times anyway), so pending bookkeeping is per
-        # *pair*, not per event.
-        pending = self._pending_times
-        for key, chunk in zip(digest.named_pairs, digest.chunks):
-            times = pending.get(key)
-            if times is None:
-                pending[key] = list(chunk)
-            else:
-                times += chunk
         self.events_total += total
         dirty_pairs, flips = self.window.drain_changes()
         rare = self.window.rare
+        hosts_by_domain = self.window.traffic.hosts_by_domain
         for domain in flips:
             if domain in rare:
                 # Newly rare: materialize all of its edges so far.
-                for host in self.window.traffic.hosts_by_domain[domain]:
+                for host in hosts_by_domain[domain]:
                     self.graph.add_edge(host, domain)
             else:
                 self.graph.remove_domain(domain)
-                for host in self.window.traffic.hosts_by_domain[domain]:
+                for host in hosts_by_domain[domain]:
                     self._verdicts.pop((host, domain), None)
                     self._series_cache.invalidate((host, domain))
         for host, domain in dirty_pairs:
             if domain in rare:
                 self.graph.add_edge(host, domain)
-        self._stale_pairs.update(dirty_pairs)
+        stale = self._stale_pairs
+        stale.update(dirty_pairs)
+        # Host counts only grow, and only for ``digest.domains``.  A
+        # domain reaching the C&C floor has no cached series state --
+        # its pairs were skipped so far -- so all of them go stale and
+        # the cache rebuilds each from its full series.  (One that is
+        # not rare by now never will be: nothing to re-test.)
+        reachable = self._cc_reachable
+        floor = self.cc_min_hosts
+        for domain in digest.domains:
+            if domain not in reachable:
+                hosts = hosts_by_domain[domain]
+                if len(hosts) >= floor:
+                    reachable.add(domain)
+                    if domain in rare:
+                        stale.update((host, domain) for host in hosts)
+        # The digest's per-pair chunks are exactly the poll's
+        # timestamps (sorted within the poll -- the verdict cache
+        # sorts pending times anyway), so pending bookkeeping is per
+        # *pair*, not per event -- and only for pairs the next refresh
+        # will hand to the cache.
+        pending = self._pending_times
+        for key, chunk in zip(digest.named_pairs, digest.chunks):
+            domain = key[1]
+            if domain in reachable and domain in rare:
+                times = pending.get(key)
+                if times is None:
+                    pending[key] = list(chunk)
+                else:
+                    times += chunk
         return total
 
     # ------------------------------------------------------------------
@@ -298,20 +326,27 @@ class StreamingEngineBase:
     # ------------------------------------------------------------------
 
     def _refresh_verdicts(self) -> list[AutomationVerdict]:
-        """Re-test only (host, domain) series with new events.
+        """Re-test only (host, domain) series with new events, and of
+        those only the ones whose verdict the C&C stage can read.
 
-        The :class:`SeriesVerdictCache` makes each re-test proportional
-        to the *new* events: short series skip the histogram entirely,
-        append-only arrivals extend the cached clusters, and on-period
-        beacons skip even the divergence recomputation.
+        A rare domain with fewer than :attr:`cc_min_hosts` hosts today
+        cannot be labeled whatever its series look like, so its stale
+        pairs never reach the cache (``unreachable_skips``);
+        :meth:`_ingest` re-stales them when the domain reaches the
+        floor.  For the rest the :class:`SeriesVerdictCache` makes each
+        re-test proportional to the *new* events: short series skip the
+        histogram entirely, append-only arrivals extend the cached
+        clusters, and on-period beacons skip even the divergence
+        recomputation.
         """
         self.window.traffic.finalize()
         rare = self.window.rare
+        reachable = self._cc_reachable
         pending = self._pending_times
         verdicts = self._verdicts
         cache = self._series_cache
         timestamps = self.window.traffic.timestamps
-        not_rare = 0
+        not_rare = unreachable = 0
         for pair in self._stale_pairs:
             domain = pair[1]
             if domain not in rare:
@@ -319,6 +354,9 @@ class StreamingEngineBase:
                 # cleared any verdict it could have had.
                 verdicts.pop(pair, None)
                 not_rare += 1
+                continue
+            if domain not in reachable:
+                unreachable += 1
                 continue
             verdict = cache.test(
                 pair[0], domain,
@@ -329,8 +367,8 @@ class StreamingEngineBase:
                 verdicts[pair] = verdict
             else:
                 verdicts.pop(pair, None)
-        if not_rare:
-            cache.stats.not_rare_skips += not_rare
+        cache.stats.not_rare_skips += not_rare
+        cache.stats.unreachable_skips += unreachable
         self._stale_pairs.clear()
         self._pending_times.clear()
         return [verdicts[pair] for pair in sorted(verdicts)]
@@ -480,6 +518,7 @@ class StreamingEngineBase:
         self._day_scorer = None
         self._verdicts.clear()
         self._stale_pairs.clear()
+        self._cc_reachable.clear()
         self._series_cache.clear()
         self._pending_times.clear()
 
@@ -497,7 +536,13 @@ class StreamingEngineBase:
         self._verdicts.clear()
         self._series_cache.clear()
         self._pending_times.clear()
-        self._stale_pairs = set(self.window.traffic.timestamps)
+        traffic = self.window.traffic
+        self._stale_pairs = set(traffic.timestamps)
+        floor = self.cc_min_hosts
+        self._cc_reachable = {
+            domain for domain, hosts in traffic.hosts_by_domain.items()
+            if len(hosts) >= floor
+        }
 
 
 # ---------------------------------------------------------------------------

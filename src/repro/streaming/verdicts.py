@@ -58,9 +58,16 @@ class VerdictCacheStats:
     short_skips: int = 0
     periodic_skips: int = 0
     not_rare_skips: int = 0
+    unreachable_skips: int = 0
+    """Stale rare series the engine never handed to the cache: their
+    domain had fewer same-day hosts than the C&C stage needs
+    (:attr:`StreamingEngineBase.cc_min_hosts
+    <repro.streaming.engine.StreamingEngineBase.cc_min_hosts>`)."""
 
     @property
     def total(self) -> int:
+        """Series the cache was asked about (``unreachable_skips`` are
+        not: nothing could have read their verdict)."""
         return (
             self.full_tests + self.incremental_tests + self.short_skips
             + self.periodic_skips + self.not_rare_skips
@@ -73,6 +80,7 @@ class VerdictCacheStats:
             "short_skips": self.short_skips,
             "periodic_skips": self.periodic_skips,
             "not_rare_skips": self.not_rare_skips,
+            "unreachable_skips": self.unreachable_skips,
         }
 
     def metrics_samples(self) -> dict[str, int]:

@@ -404,3 +404,103 @@ class TestDnsRouteBuildsNoRecordObjects:
         assert main(["fleet", str(fleet / "manifest.json"),
                      "--workers", "2"]) == 0
         assert "detected=" in capsys.readouterr().out
+
+
+def _stream_flags(pipeline: str, ent: Path, fleet: Path) -> list[str]:
+    """``stream`` over the session's layout of either pipeline, first
+    file as bootstrap."""
+    if pipeline == "enterprise":
+        return [
+            "stream", str(ent), "--pipeline", "enterprise",
+            "--model-state", str(ent / "model.json"),
+            "--whois", str(ent / "whois.json"), "--bootstrap-files", "1",
+        ]
+    return ["stream", str(fleet / "t0"), "--bootstrap-files", "1",
+            "--internal-suffix", "int.c0"]
+
+
+def _batches_per_file(pipeline: str, ent: Path, fleet: Path) -> list[int]:
+    """Micro-batches (of the default 500 events) each daily file of the
+    layout makes, through the pipeline's own reader."""
+    if pipeline == "enterprise":
+        from repro.logs.normalize import ProxyNormalizer
+
+        reader, paths = ProxyNormalizer(fold_level=2), ent.glob("proxy-*.log")
+    else:
+        from repro.logs.reduction import ReductionFunnel
+
+        reader = ReductionFunnel(("int.c0",), fold_level=3)
+        paths = (fleet / "t0").glob("dns-*.log")
+    counts = []
+    for path in sorted(paths):
+        with path.open() as handle:
+            counts.append(sum(1 for _ in reader.read_lines(handle, 500)))
+    return counts
+
+
+@pytest.mark.parametrize("pipeline", ["dns", "enterprise"])
+class TestStreamStopResume:
+    @pytest.mark.parametrize(
+        "stop", ["inside-bootstrap-day", "mid-day", "day-boundary"]
+    )
+    def test_stop_and_resume_print_the_uninterrupted_days(
+        self, pipeline, stop, ent_layout, mixed_fleet_layout, tmp_path, capsys
+    ):
+        flags = _stream_flags(pipeline, ent_layout, mixed_fleet_layout)
+        per_file = _batches_per_file(pipeline, ent_layout, mixed_fleet_layout)
+        batches = {
+            "inside-bootstrap-day": 3,
+            # Past a scoring round that labeled something (the cut the
+            # golden checkpoint hashes use, one bootstrap file later
+            # for the enterprise layout).
+            "mid-day": per_file[0] + (8 if pipeline == "dns" else 5),
+            # The last batch of the first operational day: the stop
+            # comes before its rollover, which the resumed run does.
+            "day-boundary": per_file[0] + per_file[1],
+        }[stop]
+        assert main(flags) == 0
+        whole = _day_lines(capsys.readouterr().out)
+        assert len(whole) == 2
+        ckpt = ["--checkpoint", str(tmp_path / "ck.json")]
+        assert main(flags + ckpt + ["--max-batches", str(batches)]) == 3
+        first = _day_lines(capsys.readouterr().out)
+        assert main(flags + ckpt + ["--resume"]) == 0
+        second = _day_lines(capsys.readouterr().out)
+        assert first + second == whole
+
+    @pytest.mark.parametrize("damage", [
+        "missing-keys", "pre-column-window", "torn-column", "not-an-object",
+    ])
+    def test_resume_from_a_bad_checkpoint_is_one_error_line(
+        self, pipeline, damage, ent_layout, mixed_fleet_layout, tmp_path,
+        capsys,
+    ):
+        flags = _stream_flags(pipeline, ent_layout, mixed_fleet_layout)
+        ckpt = tmp_path / "ck.json"
+        assert main(
+            flags + ["--checkpoint", str(ckpt), "--max-batches", "12"]
+        ) == 3
+        document = json.loads(ckpt.read_text())
+        if damage == "missing-keys":
+            document = {key: document[key]
+                        for key in ("version", "kind", "warm")}
+        elif damage == "pre-column-window":
+            document["window"] = {
+                "day": document["window"]["day"], "events_today": 1,
+                "series": [["h1", "d.example", [5.0]]],
+                "resolved_ips": {}, "no_referer_hosts": {},
+                "rare_ua_hosts": {},
+            }
+        elif damage == "torn-column":
+            document["window"]["timestamps"] = (
+                document["window"]["timestamps"][:-3]
+            )
+        else:
+            document = [document]
+        ckpt.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(flags + ["--checkpoint", str(ckpt), "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

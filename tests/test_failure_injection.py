@@ -323,3 +323,98 @@ class TestStateResilience:
         for _ in range(3):
             config = decode_config(encode_config(config))
         assert config.belief_propagation.similarity_threshold == 0.33
+
+
+class TestTornWindow:
+    """A checkpoint's ``window`` section that contradicts itself is
+    refused: ``--resume`` skips ``events_today`` rows of the day's file,
+    so restoring it anyway would silently skip the wrong ones."""
+
+    @pytest.fixture
+    def document(self):
+        from repro.state import streaming_state
+        from repro.streaming import StreamingDetector
+
+        detector = StreamingDetector()
+        detector.ingest([
+            Connection(timestamp=float(k), host=f"10.0.0.{k % 3}",
+                       domain=f"d{k % 4}.example.c1")
+            for k in range(12)
+        ])
+        return streaming_state(detector)
+
+    @staticmethod
+    def _restore(document):
+        import json
+
+        from repro.state import restore_engine
+
+        return restore_engine(json.loads(json.dumps(document)))
+
+    def test_intact_document_restores(self, document):
+        assert self._restore(document).window.events_today == 12
+
+    def test_events_today_must_equal_the_column_length(self, document):
+        from repro.state import StateError
+
+        document["window"]["events_today"] = 11
+        with pytest.raises(StateError, match="events_today=11.*hold 12"):
+            self._restore(document)
+
+    @pytest.mark.parametrize(
+        "column", ["host_index", "domain_index", "timestamps"]
+    )
+    def test_columns_must_agree_in_length(self, document, column):
+        import base64
+
+        from repro.state import StateError
+
+        width = 8 if column == "timestamps" else 4
+        raw = base64.b64decode(document["window"][column])
+        document["window"][column] = base64.b64encode(raw[:-width]).decode()
+        with pytest.raises(StateError, match="differ in length"):
+            self._restore(document)
+
+    @pytest.mark.parametrize("column", ["host_index", "domain_index"])
+    def test_indices_must_fall_inside_the_name_tables(self, document, column):
+        from repro.state import StateError
+
+        table = "hosts" if column == "host_index" else "domains"
+        document["window"][table].pop()
+        with pytest.raises(StateError, match="past its name table"):
+            self._restore(document)
+
+    def test_name_tables_hold_each_name_once(self, document):
+        from repro.state import StateError
+
+        hosts = document["window"]["hosts"]
+        hosts[1] = hosts[0]
+        with pytest.raises(StateError, match="repeats a name"):
+            self._restore(document)
+
+    @pytest.mark.parametrize("payload, complaint", [
+        ("AAAAA", "not valid base64"),       # torn mid-quantum
+        ("not base64 at all!", "not valid base64"),
+        (None, "not valid base64"),
+        ("AAAAAAA=", "is torn"),             # 5 bytes: not whole rows
+    ])
+    def test_undecodable_or_odd_length_column(
+        self, document, payload, complaint
+    ):
+        from repro.state import StateError
+
+        document["window"]["timestamps"] = payload
+        with pytest.raises(StateError, match=complaint):
+            self._restore(document)
+
+    def test_pre_column_series_window_is_refused(self, document):
+        """The layout before this one: no tag, per-pair ``series``."""
+        from repro.state import StateError
+
+        document["window"] = {
+            "day": 0, "events_today": 1,
+            "series": [["10.0.0.1", "d.example.c1", [5.0]]],
+            "resolved_ips": {}, "no_referer_hosts": {}, "rare_ua_hosts": {},
+        }
+        with pytest.raises(StateError, match="window layout None"):
+            self._restore(document)

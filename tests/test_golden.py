@@ -124,6 +124,31 @@ def case_stream_t0(ctx) -> dict:
     }
 
 
+def case_stream_updates_t0(ctx) -> dict:
+    """Every intra-day scoring round, not only the day lines: one hash
+    over the ``StreamUpdate`` sequence, Algorithm 1's labels included."""
+    from repro.streaming import replay_directory
+
+    digest = hashlib.sha256()
+    modes: dict[str, int] = {}
+
+    def on_update(update) -> None:
+        modes[update.mode] = modes.get(update.mode, 0) + 1
+        labels = update.bp_result.detections if update.bp_result else ()
+        digest.update(json.dumps([
+            update.day, update.events_today, update.rare_count,
+            sorted(update.cc_domains), list(update.detected), update.mode,
+            [[d.domain, d.iteration, d.reason, round(d.score, 9)]
+             for d in labels],
+        ]).encode())
+
+    replay_directory(
+        ctx.fleet / "t0", bootstrap_files=1, pattern="dns-*.log",
+        internal_suffixes=("int.c0",), on_update=on_update,
+    )
+    return {"rounds": modes, "sha256": digest.hexdigest()}
+
+
 def case_stream_enterprise(ctx) -> dict:
     from repro.streaming import replay_enterprise_directory
 
@@ -189,6 +214,7 @@ def case_checkpoint_enterprise(ctx) -> str:
 CASES = {
     "run:fleet/t0": case_run_t0,
     "stream:fleet/t0": case_stream_t0,
+    "stream-updates:fleet/t0": case_stream_updates_t0,
     "stream-enterprise:ent": case_stream_enterprise,
     "fleet-workers-2:fleet": case_fleet,
     "lanl-table": case_lanl,

@@ -162,3 +162,31 @@ class TestSubnets:
     def test_unsupported_prefix_rejected(self):
         with pytest.raises(ValueError):
             subnet_key("1.2.3.4", 23)
+
+    # Text shaped like an address (dots, colons, digits incl. non-ASCII
+    # ones, leading zeros, slashes, blanks) far more often than
+    # arbitrary text is; plus arbitrary text.
+    _ADDRESS_LIKE = st.one_of(
+        st.text(alphabet="0123456789.:/ ٣²af-", max_size=18),
+        st.lists(
+            st.one_of(
+                st.integers(0, 300).map(str),
+                st.sampled_from(["", "00", "01", "0", "255", "256", " 1"]),
+            ),
+            min_size=3, max_size=5,
+        ).map(".".join),
+        st.ip_addresses().map(str),
+        st.text(max_size=12),
+    )
+
+    @given(_ADDRESS_LIKE, st.sampled_from([8, 16, 24, 32]))
+    def test_subnet_key_equals_ipaddress(self, ip, prefix):
+        """The string fast path and the ``ipaddress`` fallback are one
+        function: same network, or the same kind of refusal."""
+        try:
+            want = str(ipaddress.ip_network(f"{ip}/{prefix}", strict=False))
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                subnet_key.__wrapped__(ip, prefix)
+        else:
+            assert subnet_key.__wrapped__(ip, prefix) == want

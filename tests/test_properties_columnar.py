@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.logs.records import Connection, ConnectionBatch
 from repro.profiling.rare import _SMALL_SPAN, DailyTraffic
-from repro.state import encode_engine
+from repro.state import encode_engine, restore_engine
 from repro.streaming import StreamingDetector
 from repro.timing.batch import (
     assign_interval_array,
@@ -255,6 +255,21 @@ _BEACON_ROWS = [
 ]
 
 
+def _order_free_document(detector) -> str:
+    """The engine's checkpoint document with the window's events as
+    sorted per-pair series.  The document itself holds them as columns
+    in arrival order (and name tables in first-appearance order), which
+    is exactly what the drawn rounds shuffle."""
+    document = encode_engine(detector)
+    window = dict(document["window"])
+    for key in ("hosts", "domains", "host_index", "domain_index",
+                "timestamps"):
+        del window[key]
+    restored = restore_engine(document).window.traffic
+    window["series"] = sorted(restored.timestamps.items())
+    return json.dumps({**document, "window": window}, sort_keys=True)
+
+
 def _day_outcome(rounds):
     """Mid-day document, rollover report and next-day document of a
     fresh engine fed ``rounds`` (each a list of submissions followed by
@@ -264,7 +279,7 @@ def _day_outcome(rounds):
         for submission in submissions:
             detector.submit(submission)
         detector.poll()
-    mid_day = json.dumps(encode_engine(detector), sort_keys=True)
+    mid_day = _order_free_document(detector)
     report = detector.rollover()
     return (
         mid_day,
@@ -279,7 +294,7 @@ def _day_outcome(rounds):
                 for d in report.bp_result.detections
             ],
         ),
-        json.dumps(encode_engine(detector), sort_keys=True),
+        _order_free_document(detector),
     )
 
 

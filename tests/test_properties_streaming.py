@@ -1,0 +1,229 @@
+"""Properties of the intra-day streaming engine's two shortcuts.
+
+* **Reachability floor.**  The DNS engine tests a rare (host, domain)
+  series only once its domain has the two same-day hosts the LANL C&C
+  heuristic needs.  The reference is the same engine with the floor
+  forced to 1 -- every stale rare series tested every round, the
+  behaviour before the floor existed -- over drawn worlds where a
+  domain gains its second host at an arbitrary point: before or after
+  it stops being rare, before or after a checkpoint restore.
+* **Checkpoint = the window's columns.**  ``encode_engine ->
+  restore_engine -> encode_engine`` is a fixed point at any micro-batch
+  cut, and a restored engine fed the rest of the day writes the same
+  next document as the engine that never stopped -- for both pipelines.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import LANL_CONFIG, RarityConfig
+from repro.logs.records import Connection
+from repro.state import encode_engine, restore_engine
+from repro.streaming import StreamingDetector, StreamingEnterpriseDetector
+
+pytestmark = pytest.mark.parity
+
+_HOSTS = [f"10.0.0.{n}" for n in range(1, 7)]
+_DOMAINS = [f"svc{n}.example.c1" for n in range(5)]
+#: Popular at four hosts, so a six-host world flips domains out of the
+#: rare set mid-day.
+_CONFIG = dataclasses.replace(
+    LANL_CONFIG, rarity=RarityConfig(fold_level=3, unpopular_max_hosts=4)
+)
+
+# One host beaconing to one domain: periods 600 and 607 are "in sync"
+# for the multi-host heuristic (within 10 s), 300 is not.  Starts come
+# from a morning and an afternoon band, so a domain's second host often
+# arrives after its first host's series has gone quiet.
+_beacons = st.tuples(
+    st.sampled_from(_HOSTS),
+    st.sampled_from(_DOMAINS),
+    st.sampled_from([300.0, 600.0, 607.0]),
+    st.one_of(st.integers(0, 3000), st.integers(20_000, 23_000)).map(float),
+    st.integers(1, 9),
+)
+_noise = st.tuples(
+    st.one_of(st.integers(0, 6000), st.integers(20_000, 26_000)).map(float),
+    st.sampled_from(_HOSTS),
+    st.sampled_from(_DOMAINS),
+)
+_days = st.tuples(
+    st.lists(_beacons, min_size=2, max_size=9),
+    st.lists(_noise, max_size=12),
+)
+_batch_sizes = st.lists(st.integers(1, 15), min_size=1, max_size=6)
+
+
+def _day_batches(day, sizes) -> list[list[Connection]]:
+    """The day's events in time order (ties and all), cut into
+    micro-batches of the drawn sizes, cycled."""
+    beacons, noise = day
+    rows = list(noise)
+    for host, domain, period, start, count in beacons:
+        rows += [(start + period * k, host, domain) for k in range(count)]
+    rows.sort(key=lambda row: row[0])
+    batches, position, turn = [], 0, 0
+    while position < len(rows):
+        size = sizes[turn % len(sizes)]
+        batches.append([
+            Connection(timestamp=ts, host=host, domain=domain)
+            for ts, host, domain in rows[position:position + size]
+        ])
+        position += size
+        turn += 1
+    return batches
+
+
+def _round_trip(engine):
+    """The engine a ``--resume`` would continue with."""
+    document = json.loads(json.dumps(encode_engine(engine)))
+    return restore_engine(document)
+
+
+def _labels(result):
+    if result is None:
+        return None
+    return [(d.domain, d.iteration, d.reason, d.score)
+            for d in result.detections]
+
+
+def _update_key(update):
+    return (
+        update.day, update.events_today, update.rare_count,
+        update.cc_domains, update.detected, update.mode,
+        _labels(update.bp_result),
+    )
+
+
+def _report_key(report):
+    return (
+        report.day, report.records, report.rare_domains, report.cc_domains,
+        report.detected, _labels(report.bp_result),
+    )
+
+
+class _EveryVerdict(StreamingDetector):
+    """The engine before the floor: no series is below it."""
+
+    cc_min_hosts = 1
+
+
+class TestReachabilityFloor:
+    @given(st.lists(_days, min_size=1, max_size=2), _batch_sizes,
+           st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_floor_changes_no_update_and_no_report(
+        self, days, sizes, restore_at
+    ):
+        real = StreamingDetector(config=_CONFIG)
+        every = _EveryVerdict(config=_CONFIG)
+        assert real.cc_min_hosts == 2
+        polls = 0
+        for day in days:
+            for batch in _day_batches(day, sizes):
+                if polls == restore_at:
+                    real = _round_trip(real)
+                    every = _round_trip(every)
+                    # A restore builds the class the document names.
+                    every.cc_min_hosts = 1
+                    every.resync()
+                polls += 1
+                real.ingest(batch)
+                every.ingest(batch)
+                assert _update_key(real.score()) == _update_key(every.score())
+            assert _report_key(real.rollover()) == _report_key(every.rollover())
+        assert every.verdict_stats.unreachable_skips == 0
+        assert real.verdict_stats.total <= every.verdict_stats.total
+
+    def test_second_host_restales_the_first_hosts_series(self):
+        """The case the floor must not lose: host A's beacon is complete
+        (and skipped) long before host B's first event arrives."""
+        real = StreamingDetector(config=_CONFIG)
+        beacon_a = [
+            Connection(timestamp=600.0 * k, host="10.0.0.1",
+                       domain="svc0.example.c1")
+            for k in range(8)
+        ]
+        real.ingest(beacon_a)
+        assert real.score().cc_domains == frozenset()
+        assert real.verdict_stats.unreachable_skips == 1
+        assert real.verdict_stats.total == 0
+        beacon_b = [
+            Connection(timestamp=5000.0 + 603.0 * k, host="10.0.0.2",
+                       domain="svc0.example.c1")
+            for k in range(5)
+        ]
+        real.ingest(beacon_b)
+        assert real.score().cc_domains == {"svc0.example.c1"}
+        assert real.verdict_stats.full_tests == 2
+
+
+def _documents_after(engine, batches):
+    """Feed ``batches`` one poll each; the document after every poll
+    and after the day's rollover."""
+    documents = []
+    for batch in batches:
+        engine.ingest(batch)
+        documents.append(json.dumps(encode_engine(engine)))
+    engine.rollover()
+    documents.append(json.dumps(encode_engine(engine)))
+    return documents
+
+
+class TestCheckpointIsTheWindow:
+    @given(_days, _batch_sizes, st.integers(0, 40), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_dns_fixed_point_and_same_next_documents(
+        self, day, sizes, cut, score_first
+    ):
+        batches = _day_batches(day, sizes)
+        cut = cut % (len(batches) + 1)
+        engine = StreamingDetector(config=_CONFIG)
+        for batch in batches[:cut]:
+            engine.ingest(batch)
+        if score_first:
+            engine.score()  # the document then carries a prior
+        document = json.dumps(encode_engine(engine))
+        restored = restore_engine(json.loads(document))
+        assert json.dumps(encode_engine(restored)) == document
+        assert _documents_after(restored, batches[cut:]) == \
+            _documents_after(engine, batches[cut:])
+
+    @given(st.integers(0, 5000), st.integers(50, 900))
+    @settings(max_examples=8, deadline=None)
+    def test_enterprise_fixed_point_and_same_next_documents(
+        self, ent_layout, cut, batch_size
+    ):
+        from repro.intel.whois_db import load_whois_file
+        from repro.state import load_detector
+
+        whois = load_whois_file(ent_layout / "whois.json")
+        engine = StreamingEnterpriseDetector(
+            load_detector(ent_layout / "model.json", whois=whois)
+        )
+        lines = (ent_layout / "proxy-march-01.log").read_text().splitlines()
+        cut = cut % len(lines)
+        engine.submit_lines(lines[:cut])
+        engine.poll()
+        engine.score()
+        document = json.dumps(encode_engine(engine))
+        restored = restore_engine(json.loads(document), whois=whois)
+        assert json.dumps(encode_engine(restored)) == document
+
+        def rest(target):
+            documents = []
+            for start in range(cut, len(lines), batch_size):
+                target.submit_lines(lines[start:start + batch_size])
+                target.poll()
+                documents.append(json.dumps(encode_engine(target)))
+            target.rollover()
+            documents.append(json.dumps(encode_engine(target)))
+            return documents
+
+        assert rest(restored) == rest(engine)
