@@ -21,6 +21,8 @@ ingest -> warm-start belief-propagation rounds (the streaming
 cadence), once with a fresh :class:`IncrementalAdditiveScorer` per
 round and once with a single day-lived one that follows the
 ``TrafficIndex`` change feed.  Every round's results must be equal.
+Warm Algorithm 1 over ``traffic.bp_views(rare)`` is the route
+``StreamingEngineBase.score`` takes (through ``detect_day(prior=...)``).
 
 Results go to ``benchmarks/out/bp_scale.json`` (plus the rendered
 table); ``BP_SCALE_SMOKE=1`` runs only the small configuration (CI).

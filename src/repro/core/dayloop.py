@@ -7,9 +7,10 @@ domains).  Everything up to the C&C set differs by pipeline -- the
 multi-host beaconing heuristic on DNS logs, the regression model on
 proxy logs -- and everything after it does not.  :func:`detect_day` is
 that second half, written once: batch ``run``, the streaming engines'
-end of day, a fleet tenant's round and both evaluation harnesses call
-it with their C&C set and a factory for their frontier scorer, and
-differ in nothing else.
+end of day *and* every intra-day scoring round, a fleet tenant's round
+and both evaluation harnesses call it with their C&C set and a factory
+for their frontier scorer, and differ in nothing else -- it is the one
+place Algorithm 1 is called from.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def detect_day(
     hint_domains: Iterable[str] = (),
     intel_domains: Set[str] = frozenset(),
     ct_edges=None,
+    prior: BeliefPropagationResult | None = None,
     metrics=None,
 ) -> DayDetection:
     """Seed belief propagation for one day and run it.
@@ -89,6 +91,10 @@ def detect_day(
     and Algorithm 1 receives the rare-restricted sibling map, so newly
     labeled domains extend the frontier to their cert siblings.  With
     ``None`` detections are byte-identical to a build without it.
+
+    ``prior`` is an earlier run's result over the same day (a streaming
+    engine's previous scoring round): its beliefs enter Algorithm 1 as
+    already labeled, and the run happens even without seed hosts.
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; the
     run is timed either way (``stage_seconds["bp"]``).
@@ -120,7 +126,7 @@ def detect_day(
         intel_seeded=intel_seeded,
         ct_seeded=ct_seeded,
     )
-    if seed_hosts:
+    if seed_hosts or prior is not None:
         dom_host, host_rdom = traffic.bp_views(rare)
         obs = metrics if metrics is not None else NULL_METRICS
         with obs.span("detect_bp") as bp_span:
@@ -133,6 +139,7 @@ def detect_day(
                 score_frontier=new_scorer(),
                 config=config,
                 sibling_dom=sibling_dom,
+                prior=prior,
                 metrics=metrics,
             )
         detection.bp_result = result

@@ -330,6 +330,8 @@ class FleetManager:
         :class:`TenantDayReport` after each barrier.
         """
         try:
+            if max_rounds is not None and max_rounds < 1:
+                raise FleetError("max_rounds must be positive")
             report = self._run(max_rounds=max_rounds, on_round=on_round)
             if self.metrics.enabled:
                 report.metrics_snapshot = self.metrics.snapshot().as_dict()

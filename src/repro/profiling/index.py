@@ -91,7 +91,7 @@ class TrafficIndex:
         """Index the traffic's current content (one full scan).  The
         index keeps the shared intern tables, never the traffic itself
         (a back-reference would be a cycle holding the whole day)."""
-        for (host, domain), times in traffic.timestamps.items():
+        for (host, domain), times in traffic.series():
             if not times:
                 continue
             # Each pair arrives exactly once here: every row is new.

@@ -19,18 +19,17 @@ lexsorts the new span by (pair, time) *once*, and merges the per-pair
 runs into sorted per-pair series; the same grouped pass produces an
 :class:`IngestDigest` that the streaming window, engine and
 :class:`~repro.profiling.index.TrafficIndex` consume instead of
-re-looping over the batch event by event.  The public ``timestamps``
-mapping is a zero-copy view over the per-pair series and remains
-interchangeable with the legacy ``dict[(host, domain), list[float]]``
-(same keys, same sorted values, same equality semantics) for every
-consumer.  A checkpoint carries the event columns themselves
+re-looping over the batch event by event.  Readers get the sorted
+per-pair series by lookup (:meth:`DailyTraffic.connection_times`) or all
+of them in pair first-appearance order (:meth:`DailyTraffic.series`).
+A checkpoint carries the event columns themselves
 (:meth:`DailyTraffic.event_columns` / :meth:`DailyTraffic.load_events`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
+from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,94 +77,6 @@ class IngestDigest:
     novel_ips: list[tuple[str, str]] = field(default_factory=list)
 
 
-class TimestampSeriesView(Mapping):
-    """Dict-compatible view of the per-(host, domain) timestamp series.
-
-    Presents the columnar series store under the legacy
-    ``dict[(host, domain), list[float]]`` contract: same keys, sorted
-    Python-float lists as values, iteration in pair first-appearance
-    order, and dict-style equality (against another view or a plain
-    dict).  Reads finalize the traffic first, so values are always the
-    sorted views of everything ingested so far.
-    """
-
-    __slots__ = ("_traffic",)
-
-    def __init__(self, traffic: "DailyTraffic") -> None:
-        self._traffic = traffic
-
-    def _lookup(self, key) -> list[float] | None:
-        traffic = self._traffic
-        try:
-            host, domain = key
-        except (TypeError, ValueError):
-            return None
-        h_id = traffic._host_ids.get(host)
-        d_id = traffic._domain_ids.get(domain)
-        if h_id is None or d_id is None:
-            return None
-        return traffic._series.get((h_id << _PAIR_SHIFT) | d_id)
-
-    def __getitem__(self, key) -> list[float]:
-        self._traffic.finalize()
-        series = self._lookup(key)
-        if series is None:
-            raise KeyError(key)
-        return series
-
-    def get(self, key, default=None):
-        """``dict.get`` semantics over the series store."""
-        self._traffic.finalize()
-        series = self._lookup(key)
-        return default if series is None else series
-
-    def __contains__(self, key) -> bool:
-        self._traffic.finalize()
-        return self._lookup(key) is not None
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        traffic = self._traffic
-        traffic.finalize()
-        hosts = traffic._host_names
-        domains = traffic._domain_names
-        for pair in traffic._series:
-            yield (hosts[pair >> _PAIR_SHIFT], domains[pair & _DOMAIN_MASK])
-
-    def __len__(self) -> int:
-        self._traffic.finalize()
-        return len(self._traffic._series)
-
-    def items(self):
-        """``dict.items`` view, materialized in insertion order."""
-        traffic = self._traffic
-        traffic.finalize()
-        hosts = traffic._host_names
-        domains = traffic._domain_names
-        return [
-            ((hosts[pair >> _PAIR_SHIFT], domains[pair & _DOMAIN_MASK]), times)
-            for pair, times in traffic._series.items()
-        ]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Mapping, dict)):
-            if len(self) != len(other):
-                return False
-            for key, times in self.items():
-                try:
-                    if other[key] != times:
-                        return False
-                except KeyError:
-                    return False
-            return True
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # mutable mapping semantics, like dict
-
-
 class DailyTraffic:
     """One day of aggregated connection state (columnar event store).
 
@@ -173,9 +84,9 @@ class DailyTraffic:
 
     ``hosts_by_domain``
         domain -> set of hosts contacting it (``dom_host`` in Alg. 1).
-    ``timestamps``
-        (host, domain) -> sorted list of connection times (a
-        :class:`TimestampSeriesView` over the columnar series store).
+    :meth:`connection_times` / :meth:`series`
+        (host, domain) -> sorted list of connection times, read from
+        the columnar series store.
     ``no_referer_hosts`` / ``rare_ua_hosts``
         domain -> hosts that contacted it with no referer / with a rare
         or missing UA (inputs to the NoRef and RareUA features).
@@ -212,13 +123,6 @@ class DailyTraffic:
         #: needs one predicate call, not one per event.
         self._ua_rare_memo: dict[str, bool] = {}
         self._index: TrafficIndex | None = None
-
-    @property
-    def timestamps(self) -> TimestampSeriesView:
-        """The legacy ``(host, domain) -> sorted times`` mapping, as a
-        view made per access: a stored one would tie the day's columns
-        into a reference cycle only the cyclic collector could free."""
-        return TimestampSeriesView(self)
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -564,7 +468,17 @@ class DailyTraffic:
     def connection_times(self, host: str, domain: str) -> list[float]:
         """Sorted timestamps of one (host, domain) pair's connections."""
         self.finalize()
-        return self.timestamps.get((host, domain), [])
+        h_id = self._host_ids.get(host)
+        d_id = self._domain_ids.get(domain)
+        if h_id is None or d_id is None:
+            return []
+        return self._series.get((h_id << _PAIR_SHIFT) | d_id, [])
+
+    def series(self) -> Iterator[tuple[tuple[str, str], list[float]]]:
+        """Every ``((host, domain), sorted times)`` of the day, in pair
+        first-appearance order."""
+        self.finalize()
+        return zip(self._pair_names.values(), self._series.values())
 
     def first_contact(self, host: str, domain: str) -> float | None:
         """Earliest timestamp any host reached ``domain`` today."""
@@ -576,7 +490,7 @@ class DailyTraffic:
     ) -> list[tuple[tuple[str, str], list[float]]]:
         """The automation candidate series, sorted by (host, domain).
 
-        Equivalent to filtering ``sorted(traffic.timestamps.items())``
+        Equivalent to filtering ``sorted(traffic.series())``
         by rare domain -- the shape
         :meth:`~repro.timing.detector.AutomationDetector.automated_pairs`
         consumes -- but filters on interned domain ids *before* any

@@ -288,7 +288,7 @@ def encode_window(window) -> dict[str, Any]:
     name tables in first-appearance order, plus the small per-domain
     feature sets.
 
-    The rare set, the incremental graph and the verdict cache are all
+    The rare set, the dirty-domain set and the verdict cache are all
     derived state, recomputed on restore by
     :meth:`repro.streaming.StreamingDetector.resync`.
     """

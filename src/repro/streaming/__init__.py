@@ -1,18 +1,21 @@
 """Streaming detection engine: the batch pipeline turned online.
 
-The subsystem layers four pieces on top of the unchanged batch
+The subsystem layers three pieces on top of the unchanged batch
 components (Section III's pipeline, Algorithm 1's belief propagation):
 
-* :mod:`~repro.streaming.events` -- :func:`micro_batches`, the unit
-  of ingestion (engines queue submissions on a plain pending list that
-  ``poll()`` folds into the window in arrival order);
 * :mod:`~repro.streaming.window` -- :class:`WindowedAggregator`, the
   current day's profiles maintained per micro-batch with end-of-day
   rollover into the long-lived histories;
-* :mod:`~repro.streaming.incremental` -- :class:`IncrementalGraph` and
-  warm-start belief propagation reusing the previous round's beliefs;
-* :mod:`~repro.streaming.detector` -- the :class:`StreamingDetector`
-  facade with checkpoint/restore and directory replay.
+* :mod:`~repro.streaming.incremental` -- :class:`WarmStartConfig` and
+  the one predicate deciding whether a scoring round reuses the
+  previous round's beliefs;
+* :mod:`~repro.streaming.engine` -- :class:`StreamingEngineBase`, the
+  scheduler: submissions queue on a plain pending list that ``poll()``
+  folds into the window in arrival order, ``score()`` and
+  ``rollover()`` both end in :func:`repro.core.dayloop.detect_day`;
+  :class:`StreamingDetector` / :class:`StreamingEnterpriseDetector` are
+  its DNS and proxy facades with checkpoint/restore and directory
+  replay.
 
 The engine's invariant: replaying a day's events produces the same
 end-of-day detections as the batch :class:`~repro.runner.DnsLogRunner`
@@ -27,16 +30,10 @@ from .engine import (
     StreamUpdate,
 )
 from .enterprise import StreamingEnterpriseDetector, replay_enterprise_directory
-from .events import micro_batches
-from .incremental import (
-    IncrementalGraph,
-    WarmStartConfig,
-    warm_start_belief_propagation,
-)
+from .incremental import WarmStartConfig
 from .window import WindowedAggregator
 
 __all__ = [
-    "IncrementalGraph",
     "ReplayResult",
     "StreamDayReport",
     "StreamUpdate",
@@ -45,8 +42,6 @@ __all__ = [
     "StreamingEnterpriseDetector",
     "WarmStartConfig",
     "WindowedAggregator",
-    "micro_batches",
     "replay_directory",
     "replay_enterprise_directory",
-    "warm_start_belief_propagation",
 ]

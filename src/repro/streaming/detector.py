@@ -3,9 +3,8 @@
 :class:`StreamingDetector` accepts DNS events one at a time or in
 micro-batches and keeps a continuously updated view of the current
 day's detections, minutes after the evidence arrives instead of at
-end-of-day batch close.  It composes the streaming substrates --
-:class:`~repro.streaming.window.WindowedAggregator`,
-:class:`~repro.streaming.incremental.IncrementalGraph` -- on top of the
+end-of-day batch close.  It composes the streaming substrate --
+:class:`~repro.streaming.window.WindowedAggregator` -- on top of the
 *unchanged* batch components (reduction funnel, automation detector,
 additive scorer, belief propagation).
 
@@ -24,7 +23,7 @@ heuristic, day-lived frontier scorer and end-of-day call.
 Mid-day costs stay proportional to what changed: automation verdicts
 are cached per (host, domain) series and recomputed only for pairs
 with new events, belief propagation warm-starts from the previous
-round's beliefs unless too much of the graph is dirty, and the
+round's beliefs unless too much of the rare set is dirty, and the
 frontier scorer lives across rounds -- it follows the window's
 :class:`~repro.profiling.index.TrafficIndex` change feed and rescores
 only domains whose inputs changed.  It is derived state: dropped
@@ -34,7 +33,6 @@ a restore) and rebuilt from ``prior`` on the next round.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from pathlib import Path
 
 from ..config import LANL_CONFIG, SystemConfig
@@ -57,7 +55,7 @@ from .engine import (
     drive_replay,
     resolve_replay_paths,
 )
-from .incremental import WarmStartConfig, warm_start_applies
+from .incremental import WarmStartConfig
 
 
 class StreamingDetector(StreamingEngineBase):
@@ -108,10 +106,6 @@ class StreamingDetector(StreamingEngineBase):
         return multi_host_cc_domains(verdicts)
 
     def _round_scorer(self, traffic):
-        # A cold round restarts M from the seeds; the day scorer has
-        # absorbed the old M, so it cannot follow.
-        if not warm_start_applies(self.graph, self.prior, self.warm):
-            self._day_scorer = None
         if self._day_scorer is None:
             self.similarity_stats.cold_restarts += 1
             self._day_scorer = self.scorer.frontier_scorer(
@@ -135,19 +129,6 @@ class StreamingDetector(StreamingEngineBase):
         report.intel_seeded = detection.intel_seeded
         report.ct_seeded = detection.ct_seeded
         report.stage_seconds = detection.stage_seconds
-
-    # ------------------------------------------------------------------
-    # Bootstrap plumbing
-    # ------------------------------------------------------------------
-
-    def bootstrap(self, paths: Iterable[str | Path]) -> int:
-        """Fold training-period files into the history (no detection)."""
-        for path in sorted(Path(p) for p in paths):
-            with path.open() as handle:
-                self.submit_lines(handle)
-            self.poll()
-            self.rollover(detect=False)
-        return len(self.history)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +175,7 @@ def replay_directory(
     paths = resolve_replay_paths(
         directory, pattern, bootstrap_files,
         score_every=score_every, checkpoint_every=checkpoint_every,
+        max_batches=max_batches,
     )
     saved = checkpoint_to_resume(checkpoint_path, resume)
     if saved is not None:

@@ -8,15 +8,15 @@ consume events the same way: queue submissions on a pending list,
 fold it per ``poll()`` into a
 :class:`~repro.streaming.window.WindowedAggregator` (whose armed
 :class:`~repro.profiling.index.TrafficIndex` absorbs each micro-batch,
-keeping frontier scoring rebuild-free), mirror rarity
-flips into an :class:`~repro.streaming.incremental.IncrementalGraph`,
-and re-test only the (host, domain) timestamp series that saw new
-events through a period-aware
+keeping frontier scoring rebuild-free), note which rare domains
+changed since the last scoring round, and re-test only the (host,
+domain) timestamp series that saw new events through a period-aware
 :class:`~repro.streaming.verdicts.SeriesVerdictCache`.
 
 :class:`StreamingEngineBase` holds that pipeline-independent state and
 is the *scheduler* of the paper's daily loop: :meth:`~StreamingEngineBase
-.score` runs it intra-day, warm-started over the incremental graph, and
+.score` runs :func:`~repro.core.dayloop.detect_day` intra-day over the
+window's own graph views, warm-started from the previous round, and
 :meth:`~StreamingEngineBase.rollover` runs the batch pipeline's own
 end-of-day routine over the full window.  A subclass supplies only what
 differs between the two paths: its line reader, its C&C stage, its
@@ -32,6 +32,7 @@ from pathlib import Path
 
 from ..config import SystemConfig
 from ..core.beliefprop import BeliefPropagationResult
+from ..core.dayloop import detect_day
 from ..logs.records import Connection, ConnectionBatch
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import NULL_METRICS
@@ -39,11 +40,7 @@ from ..profiling.history import DestinationHistory
 from ..profiling.rare import extract_rare_domains
 from ..profiling.ua import UserAgentHistory
 from ..timing.detector import AutomationDetector, AutomationVerdict
-from .incremental import (
-    IncrementalGraph,
-    WarmStartConfig,
-    warm_start_belief_propagation,
-)
+from .incremental import WarmStartConfig, warm_start_applies
 from .verdicts import SeriesVerdictCache, VerdictCacheStats
 from .window import WindowedAggregator
 
@@ -122,7 +119,7 @@ class StreamingEngineBase:
     schedule, shared by both engines.
 
     This base guarantees that whatever the pipeline, the window's
-    indexes, the incremental graph and the cached automation verdicts
+    indexes, the dirty-domain set and the cached automation verdicts
     stay mutually consistent as events arrive, and that a checkpoint
     restore can rebuild all derived state with :meth:`resync`.  A
     subclass passes its line ``reader`` (anything with
@@ -165,7 +162,10 @@ class StreamingEngineBase:
             unpopular_max_hosts=config.rarity.unpopular_max_hosts,
             ua_history=ua_history,
         )
-        self.graph = IncrementalGraph()
+        #: what the window's graph views cannot answer: rarity flips
+        #: and rare domains with new events since the last scoring
+        #: round (every rare domain after a restore).
+        self.dirty_domains: set[str] = set()
         #: submitted, not yet polled: scalar events and whole columnar
         #: batches, in arrival order.
         self._pending: list[Connection | ConnectionBatch] = []
@@ -276,19 +276,16 @@ class StreamingEngineBase:
         dirty_pairs, flips = self.window.drain_changes()
         rare = self.window.rare
         hosts_by_domain = self.window.traffic.hosts_by_domain
+        dirty = self.dirty_domains
+        dirty.update(flips)
         for domain in flips:
-            if domain in rare:
-                # Newly rare: materialize all of its edges so far.
-                for host in hosts_by_domain[domain]:
-                    self.graph.add_edge(host, domain)
-            else:
-                self.graph.remove_domain(domain)
+            if domain not in rare:
                 for host in hosts_by_domain[domain]:
                     self._verdicts.pop((host, domain), None)
                     self._series_cache.invalidate((host, domain))
-        for host, domain in dirty_pairs:
-            if domain in rare:
-                self.graph.add_edge(host, domain)
+        dirty.update(
+            domain for _, domain in dirty_pairs if domain in rare
+        )
         stale = self._stale_pairs
         stale.update(dirty_pairs)
         # Host counts only grow, and only for ``digest.domains``.  A
@@ -345,7 +342,7 @@ class StreamingEngineBase:
         pending = self._pending_times
         verdicts = self._verdicts
         cache = self._series_cache
-        timestamps = self.window.traffic.timestamps
+        connection_times = self.window.traffic.connection_times
         not_rare = unreachable = 0
         for pair in self._stale_pairs:
             domain = pair[1]
@@ -360,7 +357,7 @@ class StreamingEngineBase:
                 continue
             verdict = cache.test(
                 pair[0], domain,
-                timestamps.get(pair, []),
+                connection_times(pair[0], domain),
                 pending.pop(pair, ()),
             )
             if verdict.automated:
@@ -383,7 +380,8 @@ class StreamingEngineBase:
 
     def _round_scorer(self, traffic):
         """The :data:`~repro.core.beliefprop.ScoreFrontier` hook of the
-        scoring round about to run."""
+        scoring round about to run (:attr:`_day_scorer` is already
+        dropped when the round is cold)."""
         raise NotImplementedError
 
     def _scoring_round(self):
@@ -399,12 +397,10 @@ class StreamingEngineBase:
         propagation warm-starts from the previous round when safe.
         """
         traffic = self.window.traffic
+        rare = self.window.rare
         verdicts = self._refresh_verdicts()
         with self._scoring_round():
             cc = self._cc_domains(traffic, verdicts)
-            seed_hosts: set[str] = set()
-            for domain in cc:
-                seed_hosts.update(traffic.hosts_by_domain.get(domain, ()))
 
             # C&C verdicts are not monotone: new irregular events can
             # flip a series back to not-automated or push a regression
@@ -421,31 +417,36 @@ class StreamingEngineBase:
                     self.prior = None
 
             detected: list[str] = []
-            if not seed_hosts and self.prior is None:
-                self.graph.clear_dirty()
-                mode = "idle"
-            else:
-                score_frontier = self._round_scorer(traffic)
+            mode = "idle"
+            # A C&C domain has hosts today, so this is "seed hosts or
+            # a prior": the rounds in which ``detect_day`` propagates.
+            if cc or self.prior is not None:
+                use_warm = warm_start_applies(
+                    rare, self.dirty_domains, self.prior, self.warm
+                )
+                if not use_warm:
+                    # A cold round restarts M from the seeds; a scorer
+                    # that absorbed the old M cannot follow.
+                    self._day_scorer = None
                 with self.metrics.span("stream_score"):
-                    self.prior, mode = warm_start_belief_propagation(
-                        seed_hosts,
-                        cc,
-                        graph=self.graph,
-                        detect_cc=cc.__contains__,
-                        score_frontier=score_frontier,
-                        config=self.config,
-                        prior=self.prior,
-                        warm=self.warm,
+                    detection = detect_day(
+                        traffic,
+                        rare,
+                        cc=cc,
+                        new_scorer=lambda: self._round_scorer(traffic),
+                        config=self.config.belief_propagation,
+                        prior=self.prior if use_warm else None,
                         metrics=self.metrics,
                     )
-                detected = sorted(cc) + [
-                    d for d in self.prior.detected_domains if d not in cc
-                ]
+                self.prior = detection.bp_result
+                detected = detection.detected
+                mode = "warm" if use_warm else "full"
+            self.dirty_domains.clear()
         self.metrics.counter("stream_score_rounds_total", mode=mode).inc()
         return StreamUpdate(
             day=self.window.day,
             events_today=self.window.events_today,
-            rare_count=len(self.window.rare),
+            rare_count=len(rare),
             cc_domains=frozenset(cc),
             detected=tuple(detected),
             mode=mode,
@@ -513,7 +514,7 @@ class StreamingEngineBase:
         per-day derived state for the next day."""
         with self.metrics.span("window_rollover"):
             self.window.rollover()
-        self.graph.clear()
+        self.dirty_domains.clear()
         self.prior = None
         self._day_scorer = None
         self._verdicts.clear()
@@ -529,15 +530,13 @@ class StreamingEngineBase:
     def resync(self) -> None:
         """Rebuild all derived state from the window (restore path)."""
         self.window.resync()
-        self.graph = IncrementalGraph.from_traffic(
-            self.window.traffic, self.window.rare
-        )
+        self.dirty_domains = set(self.window.rare)
         self._day_scorer = None
         self._verdicts.clear()
         self._series_cache.clear()
         self._pending_times.clear()
         traffic = self.window.traffic
-        self._stale_pairs = set(traffic.timestamps)
+        self._stale_pairs = {pair for pair, _ in traffic.series()}
         floor = self.cc_min_hosts
         self._cc_reachable = {
             domain for domain, hosts in traffic.hosts_by_domain.items()
@@ -566,14 +565,18 @@ def resolve_replay_paths(
     *,
     score_every: int,
     checkpoint_every: int,
+    max_batches: int | None,
 ) -> list[Path]:
     """The directory's daily log files, once the replay's arguments are
-    known good: positive scoring/checkpoint cadences, and at least one
-    operational file after the bootstrap count."""
+    known good: positive scoring/checkpoint cadences, a positive batch
+    bound if any, and at least one operational file after the bootstrap
+    count."""
     if score_every < 1:
         raise ValueError("score_every must be positive")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be positive")
+    if max_batches is not None and max_batches < 1:
+        raise ValueError("max_batches must be positive")
     paths = sorted(Path(directory).glob(pattern))
     if len(paths) <= bootstrap_files:
         raise ValueError(

@@ -229,6 +229,7 @@ def replay_enterprise_directory(
     paths = resolve_replay_paths(
         directory, pattern, bootstrap_files,
         score_every=score_every, checkpoint_every=checkpoint_every,
+        max_batches=max_batches,
     )
     if whois is None and whois_path is not None:
         whois = load_whois_file(whois_path)

@@ -9,8 +9,8 @@ aggregate and re-extracts the rare set from scratch for every run; the
   :class:`~repro.profiling.rare.RareDomainTracker`, reacting to
   popularity changes instead of rescanning all domains;
 * dirty (host, domain) pairs and rarity flips are exposed so the
-  detector can invalidate exactly the automation verdicts and graph
-  neighborhoods that changed.
+  detector can invalidate exactly the automation verdicts and count
+  exactly the rare domains that changed.
 
 At a day boundary, :meth:`rollover` commits the window into the
 long-lived :class:`~repro.profiling.history.DestinationHistory` (and
@@ -145,5 +145,5 @@ class WindowedAggregator:
         self.traffic.drop_index()
         self.traffic.index()
         self.tracker.resync(self.traffic)
-        self.dirty_pairs = set(self.traffic.timestamps)
+        self.dirty_pairs = {pair for pair, _ in self.traffic.series()}
         self.rare_changes = set()

@@ -28,113 +28,22 @@ last ulp constrains which array ops are usable:
   :meth:`~repro.timing.detector.AutomationDetector.test_series`,
   exact by construction.  ``np.log`` is *not* usable for the general
   divergence: NumPy's SIMD log differs from ``math.log`` in the last
-  ulp for some inputs, and pairwise ``np.sum`` reassociates additions;
-  the array divergence helpers below therefore vectorize alignment and
-  the ``(h + k) / 2`` midpoints but keep ``math.log`` terms and the
-  scalar left-to-right accumulation order.
+  ulp for some inputs, and pairwise ``np.sum`` reassociates additions.
 
-The ``parity`` test group pins every helper here against its scalar
-counterpart on randomized series, including empty, single-event and
-duplicate-timestamp inputs.
+The ``parity`` test group pins :func:`automated_pairs_batch` against
+the per-series definition on randomized series, including empty,
+single-event and duplicate-timestamp inputs.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .divergence import _aligned_frequencies
-from .histogram import DynamicHistogram
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .detector import AutomationDetector, AutomationVerdict
-
-
-def intervals_array(timestamps: Sequence[float]) -> np.ndarray:
-    """Vectorized :func:`repro.timing.histogram.intervals`.
-
-    Same contract: raises ``ValueError`` on a non-sorted series, and
-    the float64 differences are bit-identical to the scalar
-    subtractions.
-    """
-    times = np.asarray(timestamps, dtype=np.float64)
-    if times.size < 2:
-        return np.empty(0, dtype=np.float64)
-    gaps = np.diff(times)
-    if gaps.size and float(gaps.min()) < 0:
-        raise ValueError("timestamps must be sorted non-decreasingly")
-    return gaps
-
-
-def assign_interval_array(
-    hubs: list[float], counts: list[int], value: float, bin_width: float
-) -> int:
-    """Array-scan variant of :func:`repro.timing.histogram.assign_interval`.
-
-    The membership test ``|value - hub| <= bin_width`` runs over all
-    hubs at once; creation-order precedence is preserved by taking the
-    first matching index.  Mutates (``hubs``, ``counts``) in place and
-    returns the joined cluster index, exactly like the scalar version.
-    """
-    if hubs:
-        hits = np.flatnonzero(
-            np.abs(np.asarray(hubs, dtype=np.float64) - value) <= bin_width
-        )
-        if hits.size:
-            index = int(hits[0])
-            counts[index] += 1
-            return index
-    hubs.append(value)
-    counts.append(1)
-    return len(hubs) - 1
-
-
-def _aligned_arrays(
-    observed: DynamicHistogram, reference: dict[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned (observed, reference) frequency columns as float64 arrays."""
-    pairs = _aligned_frequencies(observed, reference)
-    if not pairs:
-        empty = np.empty(0, dtype=np.float64)
-        return empty, empty
-    grid = np.asarray(pairs, dtype=np.float64)
-    return grid[:, 0], grid[:, 1]
-
-
-def jeffrey_divergence_array(
-    observed: DynamicHistogram, reference: dict[float, float]
-) -> float:
-    """Array-aligned Jeffrey divergence, bit-equal to the scalar one.
-
-    Alignment and midpoints are vectorized; the log terms stay on
-    ``math.log`` and accumulate left-to-right (see the module note on
-    why ``np.log`` / ``np.sum`` would drift in the last ulp).
-    """
-    h_col, k_col = _aligned_arrays(observed, reference)
-    midpoints = (h_col + k_col) / 2.0
-    log = math.log
-    total = 0.0
-    for h, k, m in zip(h_col.tolist(), k_col.tolist(), midpoints.tolist()):
-        if m == 0.0:
-            continue
-        term_h = h * log(h / m) if h != 0.0 else 0.0
-        term_k = k * log(k / m) if k != 0.0 else 0.0
-        total += term_h + term_k
-    return total
-
-
-def l1_distance_array(
-    observed: DynamicHistogram, reference: dict[float, float]
-) -> float:
-    """Array-aligned L1 distance, bit-equal to the scalar one."""
-    h_col, k_col = _aligned_arrays(observed, reference)
-    total = 0.0
-    for gap in np.abs(h_col - k_col).tolist():
-        total += gap
-    return total
 
 
 def automated_pairs_batch(

@@ -504,3 +504,37 @@ class TestStreamStopResume:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_nonpositive_max_batches_is_a_usage_error(
+        self, pipeline, bound, ent_layout, mixed_fleet_layout, tmp_path,
+        capsys,
+    ):
+        """Not "one micro-batch, a checkpoint and exit 3"."""
+        flags = _stream_flags(pipeline, ent_layout, mixed_fleet_layout)
+        ckpt = tmp_path / "ck.json"
+        assert main(
+            flags + ["--checkpoint", str(ckpt), "--max-batches", bound]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: max_batches must be positive\n"
+        assert captured.out == "" and not ckpt.exists()
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_fleet_nonpositive_max_rounds_is_a_usage_error(
+    bound, mixed_fleet_layout, tmp_path, capsys
+):
+    """Not "interrupted after -2 rounds"; DNS and enterprise tenants."""
+    import multiprocessing
+
+    state = tmp_path / "ck"
+    assert main([
+        "fleet", str(mixed_fleet_layout / "manifest.json"), "--workers", "1",
+        "--checkpoint-dir", str(state), "--max-rounds", bound,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: max_rounds must be positive\n"
+    assert captured.out == ""
+    assert not (state / "fleet.json").exists()
+    assert multiprocessing.active_children() == []

@@ -77,11 +77,26 @@ class TestOneDayLoop:
                 hits[path.relative_to(self.SRC).as_posix()] = found
         return hits
 
-    def test_algorithm_1_has_two_call_sites(self):
+    def test_algorithm_1_has_one_call_site(self):
         calls = self._lines_with(r"(?<![\w.`])belief_propagation\(")
         calls.pop("core/beliefprop.py")  # its definition
-        assert sorted(calls) == ["core/dayloop.py", "streaming/incremental.py"]
-        assert all(len(lines) == 1 for lines in calls.values())
+        assert sorted(calls) == ["core/dayloop.py"]
+        assert len(calls["core/dayloop.py"]) == 1
+
+    def test_the_second_graph_and_the_dict_view_are_gone(self):
+        """Intra-day rounds read the window's own ``bp_views``; nothing
+        keeps, wraps or documents a second copy."""
+        gone = re.compile(
+            r"IncrementalGraph|warm_start_belief_propagation"
+            r"|TimestampSeriesView"
+        )
+        texts = [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md")),
+                 *sorted((REPO / "src").rglob("*.py"))]
+        assert [p.relative_to(REPO).as_posix() for p in texts
+                if gone.search(p.read_text())] == []
+        from repro.profiling.rare import DailyTraffic
+
+        assert not hasattr(DailyTraffic, "timestamps")
 
     def test_reference_paths_have_no_production_caller(self):
         """The per-domain scoring loop and the eager ``host_rdom`` map

@@ -194,7 +194,7 @@ class TestLanlNetflow:
         assert set(truth.cc_domains) <= rare
         detector = AutomationDetector()
         verdicts = detector.automated_pairs(
-            (key, times) for key, times in sorted(traffic.timestamps.items())
+            (key, times) for key, times in sorted(traffic.series())
             if key[1] in rare
         )
         automated_domains = {v.domain for v in verdicts}

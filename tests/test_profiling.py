@@ -163,7 +163,7 @@ class TestDailyTraffic:
         try:
             traffic = self._traffic()
             traffic.index()
-            assert traffic.timestamps[("h1", "a.com")] == [10.0, 20.0]
+            assert traffic.connection_times("h1", "a.com") == [10.0, 20.0]
             alive = weakref.ref(traffic)
             del traffic
             assert alive() is None

@@ -311,6 +311,6 @@ class TestCampaignProperties:
             piecewise.finalize()
 
         assert piecewise.hosts_by_domain == whole.hosts_by_domain
-        assert piecewise.timestamps == whole.timestamps
+        assert dict(piecewise.series()) == dict(whole.series())
         assert piecewise.resolved_ips == whole.resolved_ips
         assert piecewise.no_referer_hosts == whole.no_referer_hosts

@@ -26,20 +26,8 @@ from repro.logs.records import Connection, ConnectionBatch
 from repro.profiling.rare import _SMALL_SPAN, DailyTraffic
 from repro.state import encode_engine, restore_engine
 from repro.streaming import StreamingDetector
-from repro.timing.batch import (
-    assign_interval_array,
-    automated_pairs_batch,
-    intervals_array,
-    jeffrey_divergence_array,
-    l1_distance_array,
-)
+from repro.timing.batch import automated_pairs_batch
 from repro.timing.detector import AutomationDetector
-from repro.timing.divergence import (
-    jeffrey_divergence,
-    l1_distance,
-    periodic_reference,
-)
-from repro.timing.histogram import assign_interval, build_histogram, intervals
 
 pytestmark = pytest.mark.parity
 
@@ -55,74 +43,8 @@ timestamp_series = st.lists(
     st.one_of(fine_times, coarse_times), min_size=0, max_size=50
 ).map(sorted)
 
-positive_floats = st.floats(
-    min_value=0.001, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-interval_lists = st.lists(
-    st.one_of(positive_floats, st.integers(0, 12).map(float)),
-    min_size=0,
-    max_size=60,
-)
-bin_widths = st.floats(min_value=0.01, max_value=1e4)
-
 
 class TestVectorizedTimingParity:
-    @given(timestamp_series)
-    def test_intervals_matches_scalar(self, times):
-        assert intervals_array(times).tolist() == intervals(times)
-
-    @given(timestamp_series)
-    def test_unsorted_raises_in_both(self, times):
-        if len(set(times)) < 2:
-            return  # reversing an all-equal series is still sorted
-        shuffled = sorted(times, reverse=True)
-        with pytest.raises(ValueError):
-            intervals(shuffled)
-        with pytest.raises(ValueError):
-            intervals_array(shuffled)
-
-    @given(interval_lists, bin_widths)
-    def test_assign_interval_matches_scalar(self, values, width):
-        """Interleaved cluster builds stay in lockstep: same joined
-        index per interval, same final (hubs, counts) state."""
-        hubs_s: list[float] = []
-        counts_s: list[int] = []
-        hubs_a: list[float] = []
-        counts_a: list[int] = []
-        for value in values:
-            index_s = assign_interval(hubs_s, counts_s, value, width)
-            index_a = assign_interval_array(hubs_a, counts_a, value, width)
-            assert index_a == index_s
-        assert hubs_a == hubs_s
-        assert counts_a == counts_s
-
-    @given(interval_lists, bin_widths)
-    def test_divergences_match_scalar(self, values, width):
-        histogram = build_histogram(values, width)
-        reference = periodic_reference(histogram) if histogram.bins else {}
-        assert jeffrey_divergence_array(histogram, reference) == \
-            jeffrey_divergence(histogram, reference)
-        assert l1_distance_array(histogram, reference) == \
-            l1_distance(histogram, reference)
-
-    @given(interval_lists, bin_widths, positive_floats)
-    def test_divergences_match_on_reference_only_hubs(
-        self, values, width, extra_mass
-    ):
-        """A reference hub absent from the observed histogram exercises
-        the alignment rows the periodic reference never produces."""
-        histogram = build_histogram(values, width)
-        hubs = {b.hub for b in histogram.bins}
-        foreign = max(hubs, default=0.0) + 3.0 * width + 1.0
-        reference = dict(
-            periodic_reference(histogram) if histogram.bins else {}
-        )
-        reference[foreign] = extra_mass
-        assert jeffrey_divergence_array(histogram, reference) == \
-            jeffrey_divergence(histogram, reference)
-        assert l1_distance_array(histogram, reference) == \
-            l1_distance(histogram, reference)
-
     @given(st.lists(timestamp_series, min_size=0, max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_automated_pairs_matches_scalar(self, series_list):
@@ -168,7 +90,7 @@ def _column_batch(rows) -> ConnectionBatch:
 
 
 def _assert_same_traffic(left: DailyTraffic, right: DailyTraffic) -> None:
-    assert dict(left.timestamps.items()) == dict(right.timestamps.items())
+    assert dict(left.series()) == dict(right.series())
     assert left.hosts_by_domain == right.hosts_by_domain
     assert left.domains_by_host == right.domains_by_host
     assert left.resolved_ips == right.resolved_ips
@@ -266,7 +188,7 @@ def _order_free_document(detector) -> str:
                 "timestamps"):
         del window[key]
     restored = restore_engine(document).window.traffic
-    window["series"] = sorted(restored.timestamps.items())
+    window["series"] = sorted(restored.series())
     return json.dumps({**document, "window": window}, sort_keys=True)
 
 

@@ -1,4 +1,4 @@
-"""Properties of the intra-day streaming engine's two shortcuts.
+"""Properties of the intra-day streaming engine's shortcuts.
 
 * **Reachability floor.**  The DNS engine tests a rare (host, domain)
   series only once its domain has the two same-day hosts the LANL C&C
@@ -7,6 +7,13 @@
   behaviour before the floor existed -- over drawn worlds where a
   domain gains its second host at an arbitrary point: before or after
   it stops being rare, before or after a checkpoint restore.
+* **One graph.**  A scoring round reads Algorithm 1's two maps as
+  ``traffic.bp_views(window.rare)`` and keeps only a dirty-domain set
+  beside them.  The reference is both maps built from scratch
+  (``rare_domains_by_host`` over ``extract_rare_domains`` and its
+  inverse) and a dirty set modelled from the batches alone, at every
+  round of drawn worlds where domains cross the popularity threshold
+  and the engine is restored from a checkpoint at an arbitrary poll.
 * **Checkpoint = the window's columns.**  ``encode_engine ->
   restore_engine -> encode_engine`` is a fixed point at any micro-batch
   cut, and a restored engine fed the rest of the day writes the same
@@ -24,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.config import LANL_CONFIG, RarityConfig
 from repro.logs.records import Connection
+from repro.profiling.rare import extract_rare_domains, rare_domains_by_host
 from repro.state import encode_engine, restore_engine
 from repro.streaming import StreamingDetector, StreamingEnterpriseDetector
 
@@ -162,6 +170,68 @@ class TestReachabilityFloor:
         real.ingest(beacon_b)
         assert real.score().cc_domains == {"svc0.example.c1"}
         assert real.verdict_stats.full_tests == 2
+
+
+class TestOneGraph:
+    @given(st.lists(_days, min_size=1, max_size=2), _batch_sizes,
+           st.integers(0, 40), st.integers(1, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_views_and_dirty_set_at_every_round(
+        self, days, sizes, restore_at, score_every, score_after_restore
+    ):
+        engine = StreamingDetector(config=_CONFIG)
+        popular = _CONFIG.rarity.unpopular_max_hosts
+        polls = 0
+        for day in days:
+            dirty: set[str] = set()
+            # Domains whose pairs the window still owes the engine: a
+            # restore hands every pair of the day to the next poll.
+            owed: set[str] = set()
+            for batch in _day_batches(day, sizes):
+                if polls == restore_at:
+                    engine = _round_trip(engine)
+                    dirty = set(engine.window.rare)
+                    assert engine.dirty_domains == dirty
+                    owed = set(engine.window.traffic.hosts_by_domain)
+                    if score_after_restore:
+                        engine.score()
+                        dirty = set()
+                polls += 1
+                rare_before = set(engine.window.rare)
+                engine.ingest(batch)
+                traffic = engine.window.traffic
+                rare = extract_rare_domains(
+                    traffic, engine.history, unpopular_max_hosts=popular
+                )
+                assert engine.window.rare == rare
+                touched = owed | {conn.domain for conn in batch}
+                owed = set()
+                dirty |= (rare ^ rare_before) | (touched & rare)
+                assert engine.dirty_domains == dirty
+                if polls % score_every:
+                    continue
+
+                dom_host, host_rdom = traffic.bp_views(engine.window.rare)
+                by_host = rare_domains_by_host(traffic, rare)
+                assert {
+                    host: domains for host, domains in host_rdom.items()
+                    if domains
+                } == by_host
+                by_domain: dict[str, set[str]] = {}
+                for host, domains in by_host.items():
+                    for domain in domains:
+                        by_domain.setdefault(domain, set()).add(host)
+                assert dict(dom_host) == by_domain
+                assert not any(
+                    domain in dom_host or dom_host.get(domain)
+                    for domain in traffic.hosts_by_domain
+                    if domain not in rare
+                )
+                engine.score()
+                assert engine.dirty_domains == set()
+                dirty = set()
+            engine.rollover()
+            assert engine.dirty_domains == set()
 
 
 def _documents_after(engine, batches):

@@ -465,7 +465,7 @@ def test_grouped_beacon_heuristic_matches_full_scan():
         automation = AutomationDetector(LANL_CONFIG.histogram)
         series = [
             (key, times)
-            for key, times in sorted(traffic.timestamps.items())
+            for key, times in sorted(traffic.series())
             if key[1] in rare
         ]
         verdicts = automation.automated_pairs(series)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import LANL_CONFIG
-from repro.core.beliefprop import belief_propagation
+from repro.core.dayloop import detect_day
 from repro.logs import format_dns_line
 from repro.logs.records import Connection
 from repro.profiling.history import DestinationHistory
@@ -20,13 +20,11 @@ from repro.profiling.rare import DailyTraffic, RareDomainTracker, extract_rare_d
 from repro.runner import run_directory
 from repro.state import load_streaming, save_streaming
 from repro.streaming import (
-    IncrementalGraph,
     StreamingDetector,
     WarmStartConfig,
-    micro_batches,
     replay_directory,
-    warm_start_belief_propagation,
 )
+from repro.streaming.incremental import warm_start_applies
 from repro.streaming.window import WindowedAggregator
 from repro.synthetic import LanlConfig, generate_lanl_dataset
 
@@ -41,6 +39,14 @@ def log_dir(lanl_dataset, tmp_path_factory) -> Path:
             for record in lanl_dataset.day_records(march_date):
                 handle.write(format_dns_line(record) + "\n")
     return directory
+
+
+def _feed_history(detector, paths) -> None:
+    """Fold training-period files into the history (no detection)."""
+    for path in paths:
+        with path.open() as handle:
+            detector.submit_lines(handle)
+        detector.rollover(detect=False)
 
 
 def _replay_kwargs(lanl_dataset, **extra):
@@ -103,7 +109,7 @@ class TestBatchParity:
             log_dir / "dns-march-02.log", hint_hosts=truth.hint_hosts
         )
         stream = StreamingDetector(**filters)
-        stream.bootstrap([log_dir / "dns-march-01.log"])
+        _feed_history(stream, [log_dir / "dns-march-01.log"])
         with (log_dir / "dns-march-02.log").open() as handle:
             stream.submit_lines(handle)
         stream.poll()
@@ -218,8 +224,8 @@ class TestCheckpointRestore:
         assert restored.window.events_today == detector.window.events_today
         assert restored.window.rare == detector.window.rare
         assert (
-            restored.window.traffic.timestamps
-            == detector.window.traffic.timestamps
+            list(restored.window.traffic.series())
+            == list(detector.window.traffic.series())
         )
         assert restored.history._first_seen == detector.history._first_seen
         if detector.prior is not None:
@@ -303,7 +309,7 @@ class TestRollover:
         detector.rollover()
         assert detector.window.events_today == 0
         assert detector.window.rare == set()
-        assert detector.graph.domain_count == 0
+        assert detector.dirty_domains == set()
         assert detector.prior is None
 
     def test_rollover_folds_unpolled_events_into_the_closing_day(self):
@@ -337,7 +343,7 @@ class TestRollover:
             internal_suffixes=lanl_dataset.internal_suffixes,
             server_ips=lanl_dataset.server_ips,
         )
-        detector.bootstrap(paths[:1])
+        _feed_history(detector, paths[:1])
         for path in paths[1:]:
             with path.open() as handle:
                 from repro.logs import parse_dns_log
@@ -354,53 +360,46 @@ class TestRollover:
 # Warm-start belief propagation
 # ---------------------------------------------------------------------------
 
-def _toy_scorers():
-    scores = {"d2": 0.6, "d3": 0.5, "d4": 0.1}
+_TOY_SCORES = {"d2": 0.6, "d3": 0.5, "d4": 0.1}
 
-    def detect_cc(domain):
-        return domain == "d1"
 
-    def similarity(frontier, new_malicious):
-        return {domain: scores.get(domain, 0.0) for domain in frontier}
+def _toy_similarity(frontier, new_malicious):
+    return {domain: _TOY_SCORES.get(domain, 0.0) for domain in frontier}
 
-    return detect_cc, similarity
+
+def _toy_day(edges) -> tuple[DailyTraffic, set[str]]:
+    """A day of (host, domain) contacts, every domain rare."""
+    traffic = DailyTraffic(0)
+    traffic.ingest([_conn(host, domain) for host, domain in edges])
+    return traffic, {domain for _, domain in edges}
+
+
+def _toy_round(traffic, rare, *, cc=frozenset({"d1"}), prior=None):
+    """One scoring round the way ``StreamingEngineBase.score`` runs
+    it: ``d1`` is the day's C&C hit, the toy scores do the rest."""
+    return detect_day(
+        traffic, rare, cc=cc, new_scorer=lambda: _toy_similarity,
+        config=LANL_CONFIG.belief_propagation, prior=prior,
+    ).bp_result
 
 
 class TestWarmStartBP:
     def test_warm_reaches_cold_fixed_point(self):
-        detect_cc, similarity = _toy_scorers()
-        config = LANL_CONFIG
         warm_cfg = WarmStartConfig(full_recompute_fraction=0.95)
 
         # Round 1: partial graph.
-        graph = IncrementalGraph()
-        graph.add_edge("h1", "d1")
-        graph.add_edge("h1", "d2")
-        prior, mode = warm_start_belief_propagation(
-            {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
-            config=config,
-        )
-        assert mode == "full"
+        traffic, rare = _toy_day([("h1", "d1"), ("h1", "d2")])
+        prior = _toy_round(traffic, rare)
         assert prior.domains == {"d1", "d2"}
 
         # New events arrive: h2 visits d2 and d3, h3 visits d4.
-        graph.add_edge("h2", "d2")
-        graph.add_edge("h2", "d3")
-        graph.add_edge("h3", "d4")
-        warm_result, mode = warm_start_belief_propagation(
-            {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
-            config=config, prior=prior, warm=warm_cfg,
-        )
-        assert mode == "warm"
-
-        cold_result = belief_propagation(
-            {"h1"}, {"d1"},
-            dom_host=graph.dom_host, host_rdom=graph.host_rdom,
-            detect_cc=detect_cc, score_frontier=similarity,
-            config=config.belief_propagation,
-        )
+        arrivals = [("h2", "d2"), ("h2", "d3"), ("h3", "d4")]
+        traffic.ingest([_conn(host, domain) for host, domain in arrivals])
+        dirty = {domain for _, domain in arrivals}
+        rare |= dirty
+        assert warm_start_applies(rare, dirty, prior, warm_cfg)
+        warm_result = _toy_round(traffic, rare, prior=prior)
+        cold_result = _toy_round(traffic, rare)
         assert warm_result.domains == cold_result.domains
         assert warm_result.hosts == cold_result.hosts
         # Same marginals: each non-seed domain keeps its labeling score.
@@ -412,46 +411,42 @@ class TestWarmStartBP:
             )
 
     def test_warm_spends_fewer_iterations(self):
-        detect_cc, similarity = _toy_scorers()
-        graph = IncrementalGraph()
-        graph.add_edge("h1", "d1")
-        graph.add_edge("h1", "d2")
-        prior, _ = warm_start_belief_propagation(
-            {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
-            config=LANL_CONFIG,
-        )
-        graph.clear_dirty()
-        graph.add_edge("h2", "d2")
-        warm_result, mode = warm_start_belief_propagation(
-            {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
-            config=LANL_CONFIG, prior=prior,
-            warm=WarmStartConfig(full_recompute_fraction=0.95),
-        )
-        assert mode == "warm"
+        traffic, rare = _toy_day([("h1", "d1"), ("h1", "d2")])
+        prior = _toy_round(traffic, rare)
+        traffic.ingest([_conn("h2", "d2")])
+        warm_result = _toy_round(traffic, rare, prior=prior)
+        cold_result = _toy_round(traffic, rare)
+        assert warm_result.hosts == cold_result.hosts == {"h1", "h2"}
         # d2 was already labeled in the prior; only the no-op closing
         # iteration runs, instead of re-deriving every label.
-        assert warm_result.iterations < prior.iterations + 1 or (
-            warm_result.iterations <= prior.iterations
-        )
+        assert warm_result.iterations == 1 < cold_result.iterations
+
+    def test_a_prior_alone_is_enough_to_propagate(self):
+        """``detect_day`` runs on seed hosts *or* a prior: a round whose
+        C&C set emptied still carries the beliefs forward, and one with
+        neither has nothing to do."""
+        traffic, rare = _toy_day([("h1", "d1"), ("h1", "d2")])
+        prior = _toy_round(traffic, rare)
+        carried = _toy_round(traffic, rare, cc=frozenset(), prior=prior)
+        assert carried.domains == prior.domains
+        assert _toy_round(traffic, rare, cc=frozenset()) is None
 
     def test_falls_back_when_dirty_fraction_large(self):
-        detect_cc, similarity = _toy_scorers()
-        graph = IncrementalGraph()
-        graph.add_edge("h1", "d1")
-        prior, _ = warm_start_belief_propagation(
-            {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
-            config=LANL_CONFIG,
+        traffic, rare = _toy_day([("h1", "d1")])
+        prior = _toy_round(traffic, rare)
+        default = WarmStartConfig()
+        # 1 of 2 domains dirty = 0.5 > 0.25
+        assert not warm_start_applies({"d1", "d2"}, {"d2"}, prior, default)
+        # "At least this fraction": 1 of 4 is cold, 1 of 5 is warm.
+        crowd = {"d1", "d2", "d3", "d4"}
+        assert not warm_start_applies(crowd, {"d2"}, prior, default)
+        assert warm_start_applies(crowd | {"d5"}, {"d2"}, prior, default)
+        # ... and never without a prior, a rare set or the policy.
+        assert not warm_start_applies(crowd | {"d5"}, {"d2"}, None, default)
+        assert not warm_start_applies(set(), set(), prior, default)
+        assert not warm_start_applies(
+            crowd | {"d5"}, set(), prior, WarmStartConfig(enabled=False)
         )
-        graph.add_edge("h1", "d2")  # 1 of 2 domains dirty = 0.5 > 0.25
-        _, mode = warm_start_belief_propagation(
-            {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
-            config=LANL_CONFIG, prior=prior,
-        )
-        assert mode == "full"
 
     def test_cc_verdict_retraction_drops_prior(self):
         """A prior C&C belief that stops looking automated must not
@@ -489,26 +484,16 @@ class TestWarmStartBP:
         assert set(second.detected) == set(cold.score().detected)
 
     def test_falls_back_on_belief_retraction(self):
-        detect_cc, similarity = _toy_scorers()
-        graph = IncrementalGraph()
-        graph.add_edge("h1", "d1")
-        graph.add_edge("h1", "d2")
-        for _ in range(20):
-            graph.add_edge(f"x{_}", "d4")
-        prior, _ = warm_start_belief_propagation(
-            {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
-            config=LANL_CONFIG,
-        )
+        edges = [("h1", "d1"), ("h1", "d2")]
+        edges += [(f"x{n}", "d4") for n in range(20)]
+        traffic, rare = _toy_day(edges)
+        prior = _toy_round(traffic, rare)
         assert "d2" in prior.domains
-        graph.remove_domain("d2")  # d2 crossed the popularity threshold
-        _, mode = warm_start_belief_propagation(
-            {"h1"}, {"d1"},
-            graph=graph, detect_cc=detect_cc, score_frontier=similarity,
-            config=LANL_CONFIG, prior=prior,
-            warm=WarmStartConfig(full_recompute_fraction=0.95),
-        )
-        assert mode == "full"
+        warm_cfg = WarmStartConfig(full_recompute_fraction=0.95)
+        assert warm_start_applies(rare, {"d2"}, prior, warm_cfg)
+        # d2 crossed the popularity threshold: the flip is all that is
+        # dirty, yet the labeled domain is gone from the rare set.
+        assert not warm_start_applies(rare - {"d2"}, {"d2"}, prior, warm_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +574,7 @@ class TestDayLivedScorer:
             server_ips=dataset.server_ips,
         )
         paths = sorted(directory.glob("dns-*.log"))
-        detector.bootstrap(paths[:1])
+        _feed_history(detector, paths[:1])
         updates = []
         for path in paths[1:]:
             with path.open() as handle:
@@ -639,7 +624,7 @@ def _conn(host, domain, ts=0.0):
 
 class TestEventBus:
     """The event layer: what the engines' ``submit`` / ``ingest``
-    accept, micro-batching, and the replay's cadence arguments."""
+    accept, and the replay's cadence arguments."""
 
     def test_one_acceptance_rule_on_every_ingest_entry(self):
         """A single ``Connection``, one ``ConnectionBatch`` or any
@@ -666,17 +651,13 @@ class TestEventBus:
         assert detector.window.events_today == 8
         assert detector.window.traffic.hosts_by_domain["b.c1"] == {"h2", "h3"}
 
-    def test_micro_batches(self):
-        batches = list(micro_batches(iter(range(10)), 4))
-        assert [len(b) for b in batches] == [4, 4, 2]
-        with pytest.raises(ValueError):
-            list(micro_batches(iter(range(3)), 0))
-
     def test_replay_rejects_nonpositive_intervals(self, tmp_path):
         with pytest.raises(ValueError, match="score_every"):
             replay_directory(tmp_path, bootstrap_files=0, score_every=0)
         with pytest.raises(ValueError, match="checkpoint_every"):
             replay_directory(tmp_path, bootstrap_files=0, checkpoint_every=0)
+        with pytest.raises(ValueError, match="max_batches"):
+            replay_directory(tmp_path, bootstrap_files=0, max_batches=0)
 
 
 class TestSeriesVerdictCache:
@@ -764,8 +745,8 @@ class TestSeriesVerdictCache:
         events = list(normalize_dns_records(
             detector.funnel.reduce(lanl_dataset.day_records(2)), fold_level=3
         ))
-        for batch in micro_batches(iter(events), 250):
-            detector.ingest(batch)
+        for start in range(0, len(events), 250):
+            detector.ingest(events[start:start + 250])
             detector.score()
         final = detector.score()
         stats = detector.verdict_stats
@@ -827,7 +808,7 @@ class TestWindowedAggregator:
         for start in range(0, len(conns), 101):
             window.ingest(conns[start:start + 101])
         window.traffic.finalize()
-        assert window.traffic.timestamps == bulk.timestamps
+        assert list(window.traffic.series()) == list(bulk.series())
         assert window.traffic.hosts_by_domain == bulk.hosts_by_domain
         assert window.events_today == len(conns)
 
@@ -838,25 +819,6 @@ class TestWindowedAggregator:
         assert dirty == {("h1", "d.c1")}
         assert flips == {"d.c1"}
         assert window.drain_changes() == (set(), set())
-
-
-class TestIncrementalGraph:
-    def test_remove_domain_cleans_both_maps(self):
-        graph = IncrementalGraph()
-        graph.add_edge("h1", "d1")
-        graph.add_edge("h1", "d2")
-        graph.remove_domain("d1")
-        assert "d1" not in graph.dom_host
-        assert graph.host_rdom["h1"] == {"d2"}
-        graph.remove_domain("d2")
-        assert graph.host_rdom == {}
-
-    def test_from_traffic_restricts_to_rare(self):
-        traffic = DailyTraffic(0)
-        traffic.ingest([_conn("h1", "d1"), _conn("h2", "d2")])
-        graph = IncrementalGraph.from_traffic(traffic, rare={"d1"})
-        assert set(graph.dom_host) == {"d1"}
-        assert graph.host_rdom == {"h1": {"d1"}}
 
 
 # ---------------------------------------------------------------------------
@@ -1049,14 +1011,12 @@ class TestEnterpriseBatchParity:
     def test_micro_batch_size_irrelevant(
         self, trained_enterprise, enterprise_dataset
     ):
-        from repro.streaming import micro_batches
-
         _, small = _enterprise_pair(trained_enterprise)
         _, large = _enterprise_pair(trained_enterprise)
         day = enterprise_dataset.config.bootstrap_days
         conns = enterprise_dataset.day_connections(day)
-        for batch in micro_batches(iter(conns), 97):
-            small.ingest(batch)
+        for start in range(0, len(conns), 97):
+            small.ingest(conns[start:start + 97])
             small.score()
         large.ingest(conns)
         assert small.rollover().detected == large.rollover().detected
@@ -1115,7 +1075,7 @@ class TestEnterpriseIngestRoutes:
             window = stream.window
             return (
                 window.events_today,
-                dict(window.traffic.timestamps.items()),
+                dict(window.traffic.series()),
                 window.traffic.resolved_ips,
                 window.traffic.no_referer_hosts,
                 window.traffic.rare_ua_hosts,
