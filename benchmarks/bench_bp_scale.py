@@ -23,11 +23,16 @@ round and once with a single day-lived one that follows the
 ``TrafficIndex`` change feed.  Every round's results must be equal.
 Warm Algorithm 1 over ``traffic.bp_views(rare)`` is the route
 ``StreamingEngineBase.score`` takes (through ``detect_day(prior=...)``).
+The rounds are one run of Algorithm 1 under one iteration cap (a warm
+round resumes after the last labeling iteration), so the arm's cap is
+``chain + 1``: the chain labels link by link as its edges arrive over
+the day, and the last round closes it.
 
 Results go to ``benchmarks/out/bp_scale.json`` (plus the rendered
-table); ``BP_SCALE_SMOKE=1`` runs only the small configuration (CI).
-The acceptance gate: the largest configuration must show >= 5x speedup
-with ``detect_parity: true``.
+table); ``BP_SCALE_SMOKE=1`` runs only the small configuration (a
+quick local check; CI runs the full ~6 s bench).  The acceptance gate:
+the largest configuration must show >= 5x speedup with
+``detect_parity: true``.
 """
 
 from __future__ import annotations
@@ -117,8 +122,10 @@ def run_warm_rounds(frontier: int, chain: int) -> dict:
     """The day in ``ROUNDS`` slices, a warm-start BP run after each.
 
     Slice ``k`` carries the ``k``-th share of the chain *and* of the
-    background, so every round labels a few more chain domains over a
-    frontier that keeps growing.  Both arms score the same traffic
+    background, so the chain labels a few links at a time as the
+    traffic that connects them arrives, over a frontier that keeps
+    growing -- ``chain`` labeling iterations spread over the day's
+    rounds, counted against one cap.  Both arms score the same traffic
     (scorer state lives outside the index, so they cannot interfere).
     """
     connections, background, chain_names, background_names = (
@@ -126,7 +133,7 @@ def run_warm_rounds(frontier: int, chain: int) -> dict:
     )
     rare = set(chain_names) | set(background_names)
     config = BeliefPropagationConfig(
-        similarity_threshold=0.25, max_iterations=5
+        similarity_threshold=0.25, max_iterations=chain + 1
     )
     additive = AdditiveSimilarityScorer()
     traffic = DailyTraffic(0)

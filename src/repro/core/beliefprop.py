@@ -11,10 +11,12 @@ Starting from seed hosts (and optionally seed domains), each iteration:
    ``R`` with the rare domains those hosts visit.
 
 The loop stops when an iteration labels nothing or the iteration cap
-is reached.  The output is the expanded ``(H, M)`` plus an ordered,
-per-iteration trace (the paper presents detections "ordered by
-suspiciousness level" for the SOC, and Figure 4 is exactly this trace
-for the 3/19 LANL campaign).
+is reached; a run continued from a ``prior`` (a streaming day's later
+scoring rounds) counts its iterations against the same cap.  The
+output is the expanded ``(H, M)`` plus an ordered, per-iteration trace
+(the paper presents detections "ordered by suspiciousness level" for
+the SOC, and Figure 4 is exactly this trace for the 3/19 LANL
+campaign).
 
 One pseudocode note: the paper's listing reads ``N <- N ∪ {dom}``
 under the max-score branch while the surrounding text says "the domain
@@ -133,15 +135,24 @@ def belief_propagation(
     implementation matching the per-domain scores yields byte-identical
     detections.
 
-    ``prior`` warm-starts the run from an earlier round's result: its
-    hosts and domains enter ``H`` and ``M`` as already-labeled beliefs
-    (keeping their original reasons and scores in the output), so only
-    *new* evidence needs propagating.  Because the algorithm is
-    monotone -- labels are only ever added -- warm-starting from the
-    previous round's fixed point reaches the same final sets as a cold
-    run over the same graph whenever the scorers are themselves
-    monotone in the day's accumulating traffic, while spending
-    iterations only on newly labeled domains.
+    ``prior`` continues an earlier round's run instead of starting one:
+    its hosts and domains enter ``H`` and ``M`` as already-labeled
+    beliefs, each detection keeping the iteration, reason and score it
+    was labeled with (in the result, in the graph records and in the
+    emitted order -- seeds, then ``(iteration, name)``, the order a cold
+    run emits, so the Fig. 4 trace survives across rounds), and the
+    loop resumes after the last iteration that labeled, against the
+    same ``config.max_iterations``: a day's rounds spend *one* budget,
+    however many there are, and a round that finds it spent runs zero
+    iterations.  Domains in ``seed_domains`` are this round's seeds
+    (iteration 0) whatever the prior said of them.  Because the
+    algorithm is monotone -- labels are only ever added -- continuing
+    from the previous round reaches the same final sets as a cold run
+    over the same graph whenever the scorers are themselves monotone in
+    the day's accumulating traffic *and the cold run ends below the
+    cap*; over unchanged maps it returns the prior's own detections,
+    hosts and domains.  A caller that wants a fresh budget runs cold
+    (no ``prior``): iterations start at 1.
 
     ``sibling_dom`` optionally maps a domain to sibling domains
     connected through out-of-band evidence (certificate-transparency
@@ -153,7 +164,8 @@ def belief_propagation(
     without the parameter.
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`;
-    when given, the run records iteration counts, per-iteration
+    when given, the run records iteration counts, why it stopped
+    (``bp_stops_total{reason="converged"|"cap"}``), per-iteration
     frontier sizes and ``score_frontier`` batch timings.  Detection
     output is byte-identical with or without it.
     """
@@ -166,10 +178,16 @@ def belief_propagation(
     malicious: set[str] = set(seed_domains)
     prior_detections: dict[str, Detection] = {}
     contact_hosts: set[str] = set()
+    first_iteration = 1
     if prior is not None:
         hosts.update(prior.hosts)
         malicious.update(prior.domains)
         prior_detections = {d.domain: d for d in prior.detections}
+        # The prior is this run, interrupted: resume after the last
+        # iteration that labeled, against the same cap.
+        first_iteration += max(
+            (d.iteration for d in prior.detections), default=0
+        )
         # Re-establish the fixed-point invariant H ⊇ hosts(M): edges may
         # have landed on already-labeled domains since the prior round,
         # and cold-start would have pulled those hosts in on expansion.
@@ -178,27 +196,31 @@ def belief_propagation(
         contact_hosts -= hosts
         hosts.update(contact_hosts)
     graph = InfectionGraph()
-    detections: list[Detection] = []
 
     for host in sorted(hosts):
         label = Label.CONTACT if host in contact_hosts else Label.SEED
         graph.add_host(host, label, iteration=0)
-    for domain in sorted(malicious):
-        carried = prior_detections.get(domain)
-        if carried is not None and domain not in seed_domains:
-            reason, score = carried.reason, carried.score
-        else:
-            reason, score = "seed", 0.0
+    # Seeds (this round's, at iteration 0), then carried labels in the
+    # order the run emitted them: each iteration's in name order.
+    detections: list[Detection] = sorted(
+        (
+            prior_detections[domain]
+            if domain in prior_detections and domain not in seed_domains
+            else Detection(domain, 0, "seed", 0.0)
+            for domain in malicious
+        ),
+        key=lambda d: (d.reason != "seed", d.iteration, d.domain),
+    )
+    for detection in detections:
         graph.add_domain(
-            domain,
-            _PRIOR_LABELS.get(reason, Label.SEED),
-            iteration=0,
-            score=score,
+            detection.domain,
+            _PRIOR_LABELS.get(detection.reason, Label.SEED),
+            iteration=detection.iteration,
+            score=detection.score,
         )
-        detections.append(Detection(domain, 0, reason, score))
-        for host in sorted(dom_host.get(domain, ())):
+        for host in sorted(dom_host.get(detection.domain, ())):
             if host in hosts:
-                graph.add_edge(host, domain)
+                graph.add_edge(host, detection.domain)
 
     rare: set[str] = set()
     for host in hosts:
@@ -228,7 +250,8 @@ def belief_propagation(
     )
 
     trace: list[IterationTrace] = []
-    for iteration in range(1, config.max_iterations + 1):
+    stop = "cap"
+    for iteration in range(first_iteration, config.max_iterations + 1):
         frontier = rare - malicious
         frontier_hist.observe(len(frontier))
         # One sort serves both phases (deterministic order).
@@ -269,6 +292,7 @@ def belief_propagation(
                     frontier_size=len(frontier),
                 )
             )
+            stop = "converged"
             break
 
         # Expansion: M, then H, then R (pseudocode order).
@@ -311,6 +335,7 @@ def belief_propagation(
 
     obs.counter("bp_runs_total").inc()
     obs.counter("bp_iterations_total").inc(len(trace))
+    obs.counter("bp_stops_total", reason=stop).inc()
     return BeliefPropagationResult(
         hosts=hosts,
         domains=malicious,

@@ -94,7 +94,10 @@ def detect_day(
 
     ``prior`` is an earlier run's result over the same day (a streaming
     engine's previous scoring round): its beliefs enter Algorithm 1 as
-    already labeled, and the run happens even without seed hosts.
+    already labeled, the run happens even without seed hosts, and it
+    *continues* the prior's run -- iterations resume where its labels
+    end, under the same ``config.max_iterations`` -- rather than
+    spending a new cap.
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`; the
     run is timed either way (``stage_seconds["bp"]``).

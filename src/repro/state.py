@@ -25,6 +25,7 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any
@@ -236,16 +237,60 @@ def encode_bp_result(result) -> dict[str, Any]:
 
 
 def decode_bp_result(payload: dict[str, Any]):
-    """Rebuild a BP result from :func:`encode_bp_result` output."""
+    """Rebuild a BP result from :func:`encode_bp_result` output.
+
+    The result becomes an engine's ``prior``, whose detections'
+    iterations say where the day's run of Algorithm 1 resumes, so every
+    field is checked rather than coerced.  (A checkpoint written before
+    carried labels kept their iteration reads 0 for all of them: its
+    chain may spend one more ``max_iterations`` after the restore.)
+    """
     from .core.beliefprop import BeliefPropagationResult, Detection
 
+    names: dict[str, set[str]] = {}
+    for key in ("hosts", "domains"):
+        values = payload[key]
+        if not isinstance(values, list) or not all(
+            isinstance(name, str) for name in values
+        ):
+            raise StateError(f"prior {key!r} is not a list of strings")
+        names[key] = set(values)
+    detections = []
+    for entry in payload["detections"]:
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise StateError(
+                f"prior detection {entry!r} is not "
+                "[domain, iteration, reason, score]"
+            )
+        domain, iteration, reason, score = entry
+        if not isinstance(domain, str) or domain not in names["domains"]:
+            raise StateError(
+                f"prior detection {entry!r} names a domain that is not in "
+                "the prior's 'domains'"
+            )
+        if type(iteration) is not int or iteration < 0:
+            raise StateError(
+                f"prior detection {entry!r}: iteration must be an "
+                "integer >= 0"
+            )
+        if reason not in ("seed", "cc", "similarity"):
+            raise StateError(
+                f"prior detection {entry!r}: reason must be 'seed', 'cc' "
+                "or 'similarity'"
+            )
+        if (
+            isinstance(score, bool)
+            or not isinstance(score, (int, float))
+            or not math.isfinite(score)
+        ):
+            raise StateError(
+                f"prior detection {entry!r}: score must be a finite number"
+            )
+        detections.append(Detection(domain, iteration, reason, float(score)))
     return BeliefPropagationResult(
-        hosts=set(payload["hosts"]),
-        domains=set(payload["domains"]),
-        detections=[
-            Detection(str(dom), int(it), str(reason), float(score))
-            for dom, it, reason, score in payload["detections"]
-        ],
+        hosts=names["hosts"],
+        domains=names["domains"],
+        detections=detections,
         trace=[],
     )
 

@@ -394,7 +394,13 @@ class StreamingEngineBase:
         The batch path's daily stages in no-hint mode -- automation
         test, C&C stage, belief propagation -- but each stage touches
         only state invalidated since the previous call, and belief
-        propagation warm-starts from the previous round when safe.
+        propagation warm-starts from the previous round when safe.  A
+        chain of warm rounds is one run of Algorithm 1: it spends one
+        ``max_iterations`` between them, so ``detected`` holds at most
+        the round's seeds plus ``max_iterations x
+        max_domains_per_iteration`` similarity labels (and what
+        ``Detect_C&C`` labels inside the run); only a cold (``"full"``)
+        round starts a new run.
         """
         traffic = self.window.traffic
         rare = self.window.rare

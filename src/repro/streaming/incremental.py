@@ -4,13 +4,18 @@ An intra-day round runs Algorithm 1 through the same
 :func:`repro.core.dayloop.detect_day` as the end of day, over the
 window's own ``bp_views(window.rare)``.  What a round adds is ``prior``:
 the previous round's result enters the run as already-labeled beliefs,
-so iterations are spent only on newly labeled domains.  Because
+each keeping the iteration that labeled it, and the loop resumes after
+the last of them -- a chain of warm rounds is *one* run of Algorithm 1,
+interrupted and continued, under one ``max_iterations``.  Because
 Algorithm 1 is monotone -- labels are only added, never removed -- this
 converges to the same fixed point as a cold run whenever the per-domain
 scores are monotone in the day's accumulating traffic (true of the
 additive LANL scorer: connectivity, timing and IP proximity components
-only grow as a day's evidence accumulates).  Two situations break that
-assumption and make the round run cold, from the seeds alone:
+only grow as a day's evidence accumulates) and that cold run ends below
+the cap; once the chain has spent the cap its list stops growing, as a
+cold run's would, until a cold round starts a new run at iteration 1.
+Two situations break the monotonicity assumption and make the round run
+cold, from the seeds alone:
 
 * the engine's dirty-domain set (rarity flips plus rare domains with
   new events since the last round) is at least

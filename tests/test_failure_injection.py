@@ -5,6 +5,8 @@ intelligence sources and pathological timing series; none of these may
 crash detection or corrupt carried state.
 """
 
+import re
+
 import pytest
 
 from repro.config import HistogramConfig, SystemConfig
@@ -418,3 +420,104 @@ class TestTornWindow:
         }
         with pytest.raises(StateError, match="window layout None"):
             self._restore(document)
+
+
+class TestCorruptPrior:
+    """A checkpoint's ``prior`` steers the restored engine's next round
+    (its detections' iterations say where the day's run of Algorithm 1
+    resumes), so each field is validated, not coerced: one
+    ``StateError`` per kind of damage, through ``restore_engine`` and
+    through ``stream --resume`` (exit 2, one ``error:`` line)."""
+
+    PRIOR = {
+        "hosts": ["10.0.0.1"],
+        "domains": ["d0.example.c1", "d1.example.c1"],
+        "detections": [
+            ["d0.example.c1", 0, "seed", 0.0],
+            ["d1.example.c1", 2, "similarity", 0.5],
+        ],
+    }
+
+    #: (what replaces the similarity detection, the complaint).
+    BAD_DETECTIONS = [
+        (["d1.example.c1", -3, "similarity", 0.5], "integer >= 0"),
+        (["d1.example.c1", 2, "bogus", 0.5], "reason must be"),
+        (["d1.example.c1", 2, "similarity", "nan"], "finite number"),
+        (["elsewhere.c1", 2, "similarity", 0.5], "not in the prior's"),
+        (["d1.example.c1", 2.0, "similarity", 0.5], "integer >= 0"),
+        (["d1.example.c1", True, "similarity", 0.5], "integer >= 0"),
+        (["d1.example.c1", 2, "similarity", float("inf")], "finite number"),
+        (["d1.example.c1", 2, "similarity"],
+         r"not \[domain, iteration, reason, score\]"),
+        ([7, 2, "similarity", 0.5], "not in the prior's"),
+    ]
+
+    @pytest.fixture
+    def document(self):
+        import copy
+
+        from repro.state import streaming_state
+        from repro.streaming import StreamingDetector
+
+        detector = StreamingDetector()
+        detector.ingest([
+            Connection(timestamp=float(k), host="10.0.0.1",
+                       domain=f"d{k % 2}.example.c1")
+            for k in range(6)
+        ])
+        state = streaming_state(detector)
+        state["prior"] = copy.deepcopy(self.PRIOR)
+        return state
+
+    def test_intact_prior_restores_with_its_iterations(self, document):
+        restored = TestTornWindow._restore(document)
+        assert [
+            (d.domain, d.iteration, d.reason, d.score)
+            for d in restored.prior.detections
+        ] == [tuple(entry) for entry in self.PRIOR["detections"]]
+        assert restored.prior.hosts == {"10.0.0.1"}
+
+    @pytest.mark.parametrize("entry, complaint", BAD_DETECTIONS)
+    def test_restore_engine_refuses_a_bad_detection(
+        self, document, entry, complaint
+    ):
+        from repro.state import StateError, restore_engine
+
+        document["prior"]["detections"][1] = entry
+        with pytest.raises(StateError, match=complaint):
+            restore_engine(document)
+
+    @pytest.mark.parametrize("key, value", [
+        ("hosts", "10.0.0.1"),
+        ("domains", ["d0.example.c1", 1]),
+    ])
+    def test_restore_engine_refuses_a_bad_name_list(
+        self, document, key, value
+    ):
+        from repro.state import StateError, restore_engine
+
+        document["prior"][key] = value
+        with pytest.raises(StateError, match=f"'{key}' is not a list of"):
+            restore_engine(document)
+
+    @pytest.mark.parametrize("entry, complaint", BAD_DETECTIONS[:4])
+    def test_stream_resume_is_one_error_line(
+        self, document, entry, complaint, tmp_path, capsys
+    ):
+        import json
+
+        from repro.cli import main
+
+        document["prior"]["detections"][1] = entry
+        (tmp_path / "dns-march-01.log").write_text("")
+        ckpt = tmp_path / "ck.json"
+        ckpt.write_text(json.dumps(document))
+        assert main([
+            "stream", str(tmp_path), "--bootstrap-files", "0",
+            "--checkpoint", str(ckpt), "--resume",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert re.search(complaint, captured.err)
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

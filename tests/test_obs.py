@@ -306,6 +306,59 @@ class TestDetectionParity:
         ) == kept
 
 
+class TestBeliefPropagationStops:
+    """``bp_stops_total{reason=}`` says why each run of Algorithm 1
+    ended: nothing cleared ``Ts`` (``converged``) or the iteration cap
+    cut it (``cap``) -- also when a warm round finds the day's budget
+    already spent and runs no iteration at all."""
+
+    @staticmethod
+    def _run(metrics, max_iterations, prior=None):
+        from repro.config import BeliefPropagationConfig
+        from repro.core import belief_propagation
+
+        chain = [f"d{i}.ru" for i in range(4)]
+        return belief_propagation(
+            {"h0"},
+            {chain[0]},
+            dom_host={domain: {"h0"} for domain in chain},
+            host_rdom={"h0": set(chain)},
+            detect_cc=lambda domain: False,
+            similarity_score=lambda domain, malicious: 0.9,
+            config=BeliefPropagationConfig(
+                similarity_threshold=0.5, max_iterations=max_iterations
+            ),
+            prior=prior,
+            metrics=metrics,
+        )
+
+    def test_one_reason_per_run(self):
+        metrics = MetricsRegistry()
+
+        def stops(reason):
+            return metrics.snapshot().counter_value(
+                "bp_stops_total", reason=reason
+            )
+
+        # Three labels, then an iteration with an empty frontier.
+        assert self._run(metrics, 10).iterations == 4
+        assert (stops("converged"), stops("cap")) == (1, 0)
+        capped = self._run(metrics, 2)
+        assert capped.iterations == 2 and len(capped.domains) == 3
+        assert (stops("converged"), stops("cap")) == (1, 1)
+        # The budget is spent: a warm round runs zero iterations.
+        spent = self._run(metrics, 2, prior=capped)
+        assert spent.iterations == 0 and spent.domains == capped.domains
+        assert (stops("converged"), stops("cap")) == (1, 2)
+        snap = metrics.snapshot()
+        assert snap.counter_value("bp_runs_total") == 3
+        assert snap.counter_value("bp_iterations_total") == 6
+
+    def test_off_path_records_nothing(self):
+        assert self._run(None, 2).iterations == 2
+        assert NULL_METRICS.snapshot().families() == set()
+
+
 class TestCheckpointRoundTrip:
     def test_snapshot_survives_streaming_checkpoint(self, lanl_dataset):
         from repro.state import restore_streaming, streaming_state

@@ -38,11 +38,13 @@ def worlds(draw):
             max_iterations, threshold)
 
 
-def run(world):
+def run(world, *, per_iteration=1, prior=None):
     (_, _, dom_host, host_rdom, seed_hosts, cc, scores,
      max_iterations, threshold) = world
     config = BeliefPropagationConfig(
-        similarity_threshold=threshold, max_iterations=max_iterations
+        similarity_threshold=threshold,
+        max_iterations=max_iterations,
+        max_domains_per_iteration=per_iteration,
     )
     result = belief_propagation(
         seed_hosts,
@@ -52,6 +54,7 @@ def run(world):
         detect_cc=lambda dom: dom in cc,
         similarity_score=lambda dom, malicious: scores[dom],
         config=config,
+        prior=prior,
     )
     return result, config
 
@@ -142,6 +145,65 @@ class TestBeliefPropagationProperties:
         low_sim = sum(1 for d in low_result.detections if d.reason == "similarity")
         high_sim = sum(1 for d in high_result.detections if d.reason == "similarity")
         assert high_sim <= low_sim
+
+
+class TestOneBudgetPerRun:
+    """A ``prior`` continues its run: carried labels keep their
+    iteration and the loop resumes after them, under the same cap."""
+
+    @settings(max_examples=100)
+    @given(worlds(), st.integers(1, 2))
+    def test_warm_over_unchanged_maps_is_the_cold_result(
+        self, world, per_iteration
+    ):
+        cold, _ = run(world, per_iteration=per_iteration)
+        warm, _ = run(world, per_iteration=per_iteration, prior=cold)
+        assert warm.detections == cold.detections
+        assert warm.hosts == cold.hosts
+        assert warm.domains == cold.domains
+
+    @settings(max_examples=100)
+    @given(st.data(), worlds(), st.integers(1, 2))
+    def test_a_chain_of_warm_rounds_spends_one_cap(
+        self, data, world, per_iteration
+    ):
+        """Edges arrive one at a time, a warm run after each: a label
+        added in a later round carries a later iteration than every
+        label it found, and none is past the cap."""
+        (hosts, domains, dom_host, host_rdom, seed_hosts, cc, scores,
+         max_iterations, threshold) = world
+        dom_host = {domain: set(members)
+                    for domain, members in dom_host.items()}
+        host_rdom = {host: set(members)
+                     for host, members in host_rdom.items()}
+        world = (hosts, domains, dom_host, host_rdom, seed_hosts, cc,
+                 scores, max_iterations, threshold)
+        arrivals = data.draw(st.lists(
+            st.tuples(st.sampled_from(hosts), st.sampled_from(domains)),
+            max_size=8,
+        ))
+        prior, _ = run(world, per_iteration=per_iteration)
+        for host, domain in arrivals:
+            dom_host[domain].add(host)
+            host_rdom[host].add(domain)
+            result, _ = run(world, per_iteration=per_iteration, prior=prior)
+            carried = {d.domain: d for d in prior.detections}
+            spent = max((d.iteration for d in prior.detections), default=0)
+            for detection in result.detections:
+                if detection.domain in carried:
+                    assert detection == carried[detection.domain]
+                else:
+                    assert spent < detection.iteration <= max_iterations
+            assert [t.iteration for t in result.trace] == list(range(
+                spent + 1, spent + 1 + len(result.trace)
+            ))
+            assert result.detections == sorted(
+                result.detections, key=lambda d: (d.iteration, d.domain)
+            )
+            assert sum(
+                d.reason == "similarity" for d in result.detections
+            ) <= max_iterations * per_iteration
+            prior = result
 
 
 class TestSimilaritySelection:

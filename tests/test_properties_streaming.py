@@ -18,6 +18,11 @@
   restore_engine -> encode_engine`` is a fixed point at any micro-batch
   cut, and a restored engine fed the rest of the day writes the same
   next document as the engine that never stopped -- for both pipelines.
+* **One iteration budget per chain of warm rounds.**  A day's warm
+  rounds are one run of Algorithm 1, so no live list -- before or after
+  a mid-chain checkpoint restore, whose ``prior`` carries the spent
+  budget -- holds more similarity labels than one cap allows, however
+  many rounds the batch size cuts the day into.
 """
 
 from __future__ import annotations
@@ -33,7 +38,12 @@ from repro.config import LANL_CONFIG, RarityConfig
 from repro.logs.records import Connection
 from repro.profiling.rare import extract_rare_domains, rare_domains_by_host
 from repro.state import encode_engine, restore_engine
-from repro.streaming import StreamingDetector, StreamingEnterpriseDetector
+from repro.streaming import (
+    StreamingDetector,
+    StreamingEnterpriseDetector,
+    WarmStartConfig,
+)
+from repro.synthetic import LanlConfig, generate_lanl_dataset
 
 pytestmark = pytest.mark.parity
 
@@ -297,3 +307,65 @@ class TestCheckpointIsTheWindow:
             return documents
 
         assert rest(restored) == rest(engine)
+
+
+#: ``tests/test_streaming.py``'s ``RARE_WORLD``, denser: a dozen hosts
+#: whose days are mostly rare domains, so a chain of warm rounds always
+#: has a frontier domain clearing ``Ts`` (one budget per *round* let a
+#: live list reach 103 non-C&C labels here, against a cap of 5).
+_RARE_WORLD = LanlConfig(
+    seed=5, n_hosts=12, churn_domains_per_day=150,
+    rare_auto_services_per_day=80,
+)
+
+
+class TestOneBudgetPerChain:
+    @pytest.fixture(scope="class")
+    def rare_world(self):
+        dataset = generate_lanl_dataset(_RARE_WORLD)
+        return dataset, [
+            list(dataset.day_records(march_date)) for march_date in (1, 2, 3)
+        ]
+
+    @given(st.integers(25, 400), st.integers(0, 60),
+           st.sampled_from([0.25, 1.01]))
+    @settings(max_examples=8, deadline=None)
+    def test_no_live_list_outgrows_the_cap(
+        self, rare_world, batch_size, restore_at, recompute_fraction
+    ):
+        """``recompute_fraction`` 1.01 never falls back to a cold round
+        for dirtiness, so the round after the restore (every rare
+        domain dirty) is warm and runs from the decoded ``prior``."""
+        dataset, (bootstrap, *days) = rare_world
+        engine = StreamingDetector(
+            internal_suffixes=dataset.internal_suffixes,
+            server_ips=dataset.server_ips,
+            warm=WarmStartConfig(full_recompute_fraction=recompute_fraction),
+        )
+        engine.submit_raw(bootstrap)
+        engine.rollover(detect=False)
+        bp = engine.config.belief_propagation
+        budget = bp.max_iterations * bp.max_domains_per_iteration
+        warm_rounds = 0
+        restored = False
+        for records in days:
+            # The first engine's funnel reads the file to its end, across
+            # the swap: its filters hold no per-day state.
+            for batch in engine.funnel.read_records(records, batch_size):
+                engine.ingest(batch)
+                update = engine.score()
+                assert len(update.detected) - len(update.cc_domains) <= budget
+                if update.bp_result is not None:
+                    assert max(
+                        d.iteration for d in update.bp_result.detections
+                    ) <= bp.max_iterations
+                if update.mode == "warm":
+                    warm_rounds += 1
+                    if warm_rounds > restore_at and not restored:
+                        engine = _round_trip(engine)
+                        restored = True
+                        assert _labels(engine.prior) == _labels(
+                            update.bp_result
+                        )
+            engine.rollover()
+        assert warm_rounds > 5

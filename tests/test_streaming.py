@@ -531,13 +531,17 @@ def _update_digest(updates) -> str:
 
 
 class TestDayLivedScorer:
-    """The digests below were taken from the per-round-fresh scorer
-    (one ``IncrementalAdditiveScorer`` per ``score()`` call) before the
-    scorer became day-lived: they are the truth, not a sibling run."""
+    """The digests below were taken from a per-round-fresh scorer (one
+    ``IncrementalAdditiveScorer`` per ``score()`` call: ``_round_scorer``
+    patched to build a new one every round), not from the day-lived
+    scorer they pin: they are the truth, not a sibling run.  Re-pinned
+    that way at the commit that made a day's warm rounds one run of
+    Algorithm 1 under one iteration cap (carried labels keep their
+    iteration, so every digest moved)."""
 
-    PLAIN = "d72c1923278359de"
-    FORCED_COLD = "14d4d3edc08c7ba0"
-    RESUMED = "ef0927ad2b79b990"
+    PLAIN = "7ec30779802a93de"
+    FORCED_COLD = "3f5265722b58bc60"
+    RESUMED = "d414ed0953cf67e0"
 
     @pytest.fixture(scope="class")
     def world(self, tmp_path_factory):
