@@ -1,23 +1,22 @@
-"""Enterprise (proxy-path) streaming throughput vs the batch pipeline.
+"""Enterprise (proxy-path) engine: a day in one poll vs micro-batched.
 
-Not a paper figure -- this bench characterizes the streaming enterprise
-engine against ``EnterpriseDetector.process_day``, the batch routine it
-must stay faithful to.  At each world scale one operational day is
-processed twice by the *same trained system*:
+Not a paper figure -- this bench prices the intra-day visibility of the
+streaming enterprise engine.  At each world scale one operational day,
+as the pre-joined log text a layout ships, goes through
+``submit_lines`` -- the route ``stream --pipeline enterprise`` and a
+fleet's enterprise tenants take, parsing and normalization included --
+twice, on the *same trained system*:
 
-* batch: one ``process_day`` call (aggregate, rare extraction,
-  automation test, regression C&C scoring, belief propagation, profile
-  commit);
-* streaming: the same day as the pre-joined log text a layout ships,
-  through ``submit_lines`` -- the route ``stream --pipeline enterprise``
-  and a fleet's enterprise tenants take, parsing and normalization
-  included -- in micro-batches with a full scoring round per batch,
-  closed by the batch-parity ``rollover``.
+* batch: the whole day in one poll, then ``rollover()`` (aggregate,
+  rare extraction, automation test, regression C&C scoring, belief
+  propagation, profile commit);
+* streaming: micro-batches with a full scoring round per batch, closed
+  by the same ``rollover()``.
 
-Batch is handed ready-made ``Connection`` events and amortizes
-everything over one pass, so raw events/sec favors it; streaming
-starts from text and buys bounded detection latency (a scoring round
-every ``MICRO_BATCH`` events), and the parity column shows it costs
+Both arms start from text and end in the same end of day, so the gap
+between them is what the scoring rounds (and the incremental ingest
+they need) cost; it buys bounded detection latency (a round every
+``MICRO_BATCH`` events), and the parity column shows it changes
 nothing in outcome.  ``ENTERPRISE_BENCH_SMOKE=1`` keeps only the smallest
 scale for CI.  Results go to
 ``benchmarks/out/enterprise_stream_throughput.json``.
@@ -34,12 +33,7 @@ import time
 from conftest import OUT_DIR, save_output
 
 from repro.eval import render_table
-from repro.logs import (
-    IpResolver,
-    format_proxy_line,
-    normalize_proxy_records,
-    parse_proxy_log,
-)
+from repro.logs import format_proxy_line
 from repro.streaming import StreamingEnterpriseDetector
 from repro.synthetic import EnterpriseDatasetConfig, generate_enterprise_dataset
 from repro.synthetic.fleet import (
@@ -78,35 +72,36 @@ if SMOKE:
 
 
 def _day_text(dataset, day):
-    """One day as a layout's log lines, and the events those lines hold."""
-    lines = [
+    """One day as a layout's log lines."""
+    return [
         format_proxy_line(record) + "\n"
         for record in _prejoined_proxy_records(dataset, day)
     ]
-    events = list(normalize_proxy_records(parse_proxy_log(lines), IpResolver()))
-    return lines, events
 
 
-def _batch_arm(trained, warmup_conns, day, conns):
-    """One timed bulk ``process_day`` on a fresh copy of the system."""
-    batch = copy.deepcopy(trained)
-    batch.process_day(day - 1, warmup_conns)
+def _warmed_engine(trained, warmup_lines):
+    """A fresh copy of the system, one day past its training."""
+    engine = StreamingEnterpriseDetector(copy.deepcopy(trained))
+    engine.submit_lines(warmup_lines)
+    engine.rollover()
     gc.collect()
+    return engine
+
+
+def _batch_arm(trained, warmup_lines, lines):
+    """One timed day fed in a single poll: no scoring round."""
+    engine = _warmed_engine(trained, warmup_lines)
     start = time.perf_counter()
-    batch_result = batch.process_day(day, conns)
-    elapsed = time.perf_counter() - start
-    return elapsed, batch_result.all_detected_domains()
+    engine.submit_lines(lines)
+    report = engine.rollover()
+    return time.perf_counter() - start, report
 
 
 def _stream_arm(trained, warmup_lines, lines):
     """One timed streaming day: text micro-batches, score per batch,
     rollover."""
-    stream = StreamingEnterpriseDetector(copy.deepcopy(trained))
-    stream.submit_lines(warmup_lines)
-    stream.poll()
-    stream.rollover()
+    stream = _warmed_engine(trained, warmup_lines)
     latencies = []
-    gc.collect()
     start = time.perf_counter()
     for lo in range(0, len(lines), MICRO_BATCH):
         chunk = lines[lo:lo + MICRO_BATCH]
@@ -126,38 +121,31 @@ def test_enterprise_stream_throughput():
         dataset = generate_enterprise_dataset(config)
         trained = train_enterprise_detector(dataset)
         day = dataset.config.bootstrap_days + 1
-        lines, conns = _day_text(dataset, day)
-        warmup_lines, warmup_conns = _day_text(dataset, day - 1)
-        assert len(conns) == len(lines)
+        lines = _day_text(dataset, day)
+        warmup_lines = _day_text(dataset, day - 1)
 
         # Both arms run TIMING_RUNS times, interleaved, keeping the
         # best of each -- see the noise note on ``TIMING_RUNS``.
         batch_elapsed = stream_elapsed = float("inf")
-        batch_detected = latencies = report = stream = None
+        latencies = report = stream = None
         for attempt in range(TIMING_RUNS):
-            elapsed_b, detected = _batch_arm(
-                trained, warmup_conns, day, conns
-            )
+            elapsed_b, batch_report = _batch_arm(trained, warmup_lines, lines)
             batch_elapsed = min(batch_elapsed, elapsed_b)
             elapsed_s, lat, rep, det = _stream_arm(
                 trained, warmup_lines, lines
             )
             stream_elapsed = min(stream_elapsed, elapsed_s)
             if attempt == 0:
-                batch_detected, latencies, report, stream = (
-                    detected, lat, rep, det
-                )
-            parity = set(rep.detected) == detected
-            assert parity, (sorted(rep.detected), sorted(detected))
-
-        parity = set(report.detected) == batch_detected
-        assert parity, (sorted(report.detected), sorted(batch_detected))
+                latencies, report, stream = lat, rep, det
+            parity = rep.detected == batch_report.detected
+            assert parity, (rep.detected, batch_report.detected)
+            assert rep.records == batch_report.records == len(lines)
 
         latencies.sort()
         p50 = latencies[len(latencies) // 2] * 1e6
         p99 = latencies[min(len(latencies) - 1,
                             int(len(latencies) * 0.99))] * 1e6
-        n_events = len(conns)
+        n_events = report.records
         batch_eps = n_events / batch_elapsed
         stream_eps = n_events / stream_elapsed
         rows.append((
@@ -193,9 +181,9 @@ def test_enterprise_stream_throughput():
              "lat p50 us", "lat p99 us", "detect parity"),
             rows,
             title=(
-                "Streaming enterprise engine from log text vs batch "
-                "process_day (one operational day, micro-batch="
-                f"{MICRO_BATCH}, scoring round per batch)"
+                "Enterprise engine from log text: one poll per day vs "
+                f"micro-batch={MICRO_BATCH} with a scoring round per batch "
+                "(one operational day)"
             ),
         ),
     )

@@ -6,22 +6,19 @@ against the adversarial scenario library
 same way the throughput benches track speed.  For every campaign
 archetype it sweeps the evasion strength knob and measures the
 detection rate over the campaign's ground-truth domains on *both*
-single-tenant pipelines:
+single-tenant pipelines, each trial through one micro-batched engine
+(500-event polls, a scoring round after each, ``rollover()`` per day):
 
-* DNS: batch ``DnsLogRunner`` vs ``StreamingDetector`` over a
-  campaign-free span of the synthetic LANL world;
-* enterprise: ``EnterpriseDetector.process_day`` vs
-  ``StreamingEnterpriseDetector``, both restored from one shared
-  trained state.
+* DNS: a ``StreamingDetector`` over a campaign-free span of the
+  synthetic LANL world;
+* enterprise: a ``StreamingEnterpriseDetector`` restored from one
+  shared trained state.
 
 The ``tenant-churn`` archetype runs at fleet level: a shared campaign
 across enterprises that join and leave mid-run, with a serial rerun
-as the parity arm.
-
-The parity assertion is the load-bearing part: at every measured
-point the streaming arm must detect exactly what the batch arm
-detects (per-tenant equality for the fleet curve).  A curve whose
-rates drift is a finding; a curve whose parity breaks is a bug.
+as the parity arm -- per-tenant detections must not depend on the
+worker count.  A curve whose rates drift is a finding; a churn point
+whose parity breaks is a bug.
 
 ``EVASION_BENCH_SMOKE=1`` shrinks the sweep for CI (two strength
 points, one trial); results go to ``benchmarks/out/evasion_suite.json``
@@ -101,25 +98,22 @@ def test_evasion_suite():
 
     rows = []
     for curve in curves:
-        # Batch/streaming (or parallel/serial, for the fleet) parity
-        # must hold at every measured point of every curve.
-        assert curve.parity, (curve.campaign, curve.pipeline)
         for point in curve.points:
-            assert 0.0 <= point.batch_rate <= 1.0
-            assert 0.0 <= point.stream_rate <= 1.0
+            assert 0.0 <= point.rate <= 1.0
             assert point.truth_count > 0
+            # Fleet curve: the serial rerun found the same detections.
+            assert point.parity in (None, True), point
         # With the knob at zero the campaign is an undisguised
         # beaconing infection; the pipelines must catch all of it.
         assert curve.points[0].strength == 0.0
-        assert curve.points[0].batch_rate == 1.0, (
+        assert curve.points[0].rate == 1.0, (
             curve.campaign, curve.pipeline, curve.points[0]
         )
         rows.append((
             curve.campaign,
             curve.pipeline,
-            " ".join(f"{p.batch_rate:.2f}" for p in curve.points),
+            " ".join(f"{p.rate:.2f}" for p in curve.points),
             curve.points[0].trials,
-            "yes" if curve.parity else "NO",
         ))
 
     OUT_DIR.mkdir(exist_ok=True)
@@ -138,13 +132,9 @@ def test_evasion_suite():
     save_output(
         "evasion_suite",
         render_table(
-            ("campaign", "pipeline", f"rate @ [{strength_axis}]",
-             "trials", "parity"),
+            ("campaign", "pipeline", f"rate @ [{strength_axis}]", "trials"),
             rows,
-            title=(
-                "Detection rate vs evasion strength "
-                "(batch/streaming parity asserted per point)"
-            ),
+            title="Detection rate vs evasion strength",
         ),
     )
     _write_metrics(registry)

@@ -1,11 +1,11 @@
 """Streaming engine throughput: events/sec and per-event latency vs batch.
 
-Not a paper figure -- this bench characterizes the PR's streaming
-subsystem against the batch runner it must stay faithful to.  At three
-world scales it measures:
+Not a paper figure -- this bench prices the engine's intra-day
+visibility.  At three world scales it measures, on the same engine:
 
-* batch: one bulk ``DnsLogRunner``-style pass over a day (aggregate,
-  rare extraction, automation test, belief propagation);
+* batch: a day fed in one poll and closed by ``rollover()``, what
+  ``repro-detect run`` does per file (aggregate, rare extraction,
+  automation test, belief propagation);
 * streaming: the same day consumed in micro-batches with a scoring
   round per batch (the minutes-not-hours operating point).
 
@@ -36,11 +36,7 @@ from conftest import OUT_DIR, save_output
 
 from repro.eval import render_table
 from repro.logs import format_dns_line
-from repro.logs.reduction import ReductionFunnel
 from repro.obs.metrics import MetricsRegistry
-from repro.profiling.history import DestinationHistory
-from repro.profiling.rare import DailyTraffic, extract_rare_domains
-from repro.runner import detect_on_traffic
 from repro.streaming import StreamingDetector
 from repro.synthetic import generate_lanl_dataset
 from repro.synthetic.lanl import LanlConfig
@@ -105,29 +101,16 @@ def _stream_day(dataset, lines, metrics=None):
     return elapsed, latencies, streamed, report, detector
 
 
-def _batch_day(dataset, history: DestinationHistory, lines) -> tuple[float, set]:
-    """One bulk pass, timed: parse + reduce, aggregate, detect (what
-    ``repro-detect run`` does per file)."""
-    detector = StreamingDetector(
-        internal_suffixes=dataset.internal_suffixes,
-        server_ips=dataset.server_ips,
-    )
+def _batch_day(dataset, lines) -> tuple[float, set, int]:
+    """One day in one poll, timed: parse + reduce, aggregate, detect
+    (what ``repro-detect run`` does per file)."""
+    detector = _bootstrap(dataset)
     gc.collect()
     start = time.perf_counter()
-    funnel = ReductionFunnel(
-        dataset.internal_suffixes, dataset.server_ips, fold_level=3
-    )
-    traffic = DailyTraffic(1)
-    n_events = traffic.ingest(funnel.read_lines(lines)).n_events
-    rare = extract_rare_domains(traffic, history, unpopular_max_hosts=10)
-    detection = detect_on_traffic(
-        traffic, rare,
-        automation=detector.automation,
-        scorer=detector.scorer,
-        config=detector.config,
-    )
+    detector.submit_lines(lines)
+    report = detector.rollover()
     elapsed = time.perf_counter() - start
-    return elapsed, set(detection.detected), n_events
+    return elapsed, set(report.detected), report.records
 
 
 def test_streaming_throughput():
@@ -137,11 +120,8 @@ def test_streaming_throughput():
         dataset = generate_lanl_dataset(config)
         lines = [format_dns_line(r) for r in dataset.day_records(2)]
 
-        # Batch reference (history bootstrapped identically).
-        batch_detector = _bootstrap(dataset)
-        batch_elapsed, batch_detected, n_events = _batch_day(
-            dataset, batch_detector.history, lines
-        )
+        # Whole-day reference (history bootstrapped identically).
+        batch_elapsed, batch_detected, n_events = _batch_day(dataset, lines)
 
         # Streaming: micro-batches with a scoring round per batch.
         # Both arms (uninstrumented / live registry) run N times with

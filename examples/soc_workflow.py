@@ -5,8 +5,9 @@ Simulates the deployment loop of Figure 1 end to end:
 
 1. train the detector on the bootstrap month of proxy logs;
 2. persist its state to JSON (the nightly restart boundary);
-3. each operational day, restore the detector, run both modes, and
-   produce the analyst-facing incident report;
+3. restore the detector into the detection engine; each operational
+   day is one ``ingest`` + ``rollover()`` that runs both modes, and
+   yields the analyst-facing incident report;
 4. triage the month's detections into campaign clusters.
 
 Run:  python examples/soc_workflow.py
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from repro.eval import build_incident, triage_report
 from repro.state import load_detector, save_detector
+from repro.streaming import StreamingEnterpriseDetector
 from repro.synthetic import EnterpriseDatasetConfig, generate_enterprise_dataset
 
 
@@ -48,19 +50,18 @@ def main() -> None:
     print(f"state persisted to {state_path}\n")
 
     # --- daily operation ---------------------------------------------------
+    # The service starts from the persisted state; the engine commits
+    # each day's profiles at rollover.
+    engine = StreamingEnterpriseDetector(
+        load_detector(state_path, whois=dataset.whois)
+    )
     month_detections: set[str] = set()
     ips_by_domain: dict[str, set[str]] = {}
     for day in range(config.bootstrap_days, config.total_days):
-        # Each "morning" the service restarts from persisted state.
-        daily = load_detector(state_path, whois=dataset.whois)
-        daily.history = detector.history          # share the live profiles
-        daily.ua_history = detector.ua_history
-        daily.extractor.ua_history = detector.ua_history
-
         connections = dataset.day_connections(day)
-        result = detector.process_day(
-            day, connections, soc_seed_domains=ioc.seeds()
-        )
+        engine.ingest(connections)
+        traffic = engine.window.traffic  # rollover() opens a fresh one
+        result = engine.rollover(soc_seed_domains=ioc.seeds()).day_result
 
         print(f"--- day {day}: {len(connections)} connections, "
               f"{len(result.rare_domains)} rare, "
@@ -69,7 +70,6 @@ def main() -> None:
                             ("SOC-hints", result.soc_hints)):
             if bp is None or not bp.detected_domains:
                 continue
-            traffic, _ = detector._aggregate_day(day, connections)
             incident = build_incident(
                 bp, traffic,
                 verdicts=result.automated_verdicts,

@@ -6,7 +6,8 @@ history from day one, then feeds an attack day through the streaming
 engine in micro-batches -- watching the detections appear *while* the
 day's events are still arriving, then checkpointing and restoring the
 engine mid-day to show crash recovery, and finally rolling the day
-over to confirm the end-of-day report equals the batch pipeline's.
+over to confirm the end-of-day report equals what ``run`` -- the same
+engine fed each day's file in one poll -- says for the same records.
 
 Run:  python examples/streaming_detection.py
 (EXAMPLES_SMOKE=1 shrinks the world for CI smoke runs.)
@@ -16,7 +17,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.runner import DnsLogRunner
+from repro.runner import run_directory
 from repro.state import load_streaming, save_streaming
 from repro.streaming import StreamingDetector
 from repro.synthetic import LanlConfig, generate_lanl_dataset
@@ -70,23 +71,24 @@ def main() -> None:
     print(f"\nend-of-day report: C&C={sorted(report.cc_domains)}, "
           f"detected={report.detected}")
 
-    # The batch oracle over the same records, for comparison.
+    # `run` over the same records: no micro-batches, no scoring rounds,
+    # no restart.
     with tempfile.TemporaryDirectory() as tmp:
         for day in (1, 2):
             path = Path(tmp) / f"dns-march-{day:02d}.log"
             with path.open("w") as handle:
                 for record in dataset.day_records(day):
                     handle.write(format_dns_line(record) + "\n")
-        runner = DnsLogRunner(
+        (batch,) = run_directory(
+            tmp,
+            bootstrap_files=1,
             internal_suffixes=dataset.internal_suffixes,
             server_ips=dataset.server_ips,
         )
-        runner.bootstrap([Path(tmp) / "dns-march-01.log"])
-        batch = runner.process(Path(tmp) / "dns-march-02.log")
-    print(f"batch runner says:  C&C={sorted(batch.cc_domains)}, "
+    print(f"whole-day run says: C&C={sorted(batch.cc_domains)}, "
           f"detected={batch.detected}")
     assert batch.detected == report.detected
-    print("\nbatch parity holds: streaming == batch at end of day")
+    print("\nend of day is independent of micro-batching: stream == run")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ Public API overview
 * :mod:`repro.streaming` -- the online engine: micro-batch event
   ingestion, incrementally maintained daily windows, warm-start belief
   propagation and a checkpointable :class:`~repro.streaming.StreamingDetector`
-  whose end-of-day detections are batch-identical by construction.
+  whose ``rollover()`` is the one end of day every verb runs.
 
 Quickstart::
 
@@ -47,7 +47,7 @@ from .core import (
     EnterpriseDetector,
     belief_propagation,
 )
-from .runner import DnsLogRunner, run_directory
+from .runner import run_directory
 from .state import (
     load_detector,
     load_streaming,
@@ -68,7 +68,6 @@ __all__ = [
     "BeliefPropagationResult",
     "EnterpriseDetector",
     "belief_propagation",
-    "DnsLogRunner",
     "run_directory",
     "StreamingDetector",
     "replay_directory",

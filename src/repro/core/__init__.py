@@ -8,12 +8,7 @@ from .beliefprop import (
 )
 from .dayloop import DayDetection, detect_day
 from .graph import InfectionGraph, Label, NodeKind, NodeRecord
-from .pipeline import (
-    DayResult,
-    EnterpriseDetector,
-    TrainingReport,
-    detect_on_enterprise_traffic,
-)
+from .pipeline import DayResult, EnterpriseDetector, TrainingReport
 from .scoring import (
     AdditiveSimilarityScorer,
     RegressionCCScorer,
@@ -36,7 +31,6 @@ __all__ = [
     "DayResult",
     "EnterpriseDetector",
     "TrainingReport",
-    "detect_on_enterprise_traffic",
     "AdditiveSimilarityScorer",
     "RegressionCCScorer",
     "RegressionSimilarityScorer",

@@ -1,7 +1,8 @@
-"""End-to-end enterprise detection pipeline (Section III-E, Figure 1).
+"""The enterprise detection system (Section III-E, Figure 1): training.
 
-:class:`EnterpriseDetector` glues the substrates together in exactly
-the paper's two phases:
+:class:`EnterpriseDetector` holds what the paper's two phases share --
+the histories, the feature extractor, the automation detector and the
+two regression scorers -- and runs the first of them:
 
 **Training** (one month of logs):
 
@@ -15,21 +16,19 @@ the paper's two phases:
    VT-confirmed C&C domains, collect rare (non-automated) domains they
    visit, fit the eight-feature model and keep threshold ``Ts``.
 
-**Operation** (daily):
-
-1. build the day's traffic aggregate, extract rare destinations;
-2. run the automation detector over rare (host, domain) series;
-3. score automated rare domains; those above ``Tc`` are potential C&C;
-4. run belief propagation in the no-hint mode (seeded by today's C&C
-   detections) and, when IOC seeds are supplied, the SOC-hints mode;
-5. commit the day's observations into the histories.
+**Operation** (daily) belongs to the streaming engine:
+:class:`repro.streaming.StreamingEnterpriseDetector` wraps a trained
+detector, takes a day's connections by ``ingest`` and closes it with
+``rollover()`` -- rare destinations, the automation test, ``Tc``
+scoring, belief propagation in the no-hint mode (and, when IOC seeds
+are supplied, the SOC-hints mode), then one commit of the day into the
+histories.  :class:`DayResult` is what that end of day produces.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..config import SystemConfig
 from ..features.extract import (
@@ -47,7 +46,6 @@ from ..profiling.rare import DailyTraffic, extract_rare_domains
 from ..profiling.ua import UserAgentHistory
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .beliefprop import BeliefPropagationResult
-from .dayloop import detect_day
 from .scoring import (
     RegressionCCScorer,
     RegressionSimilarityScorer,
@@ -116,7 +114,8 @@ class TrainingReport:
 
 
 class EnterpriseDetector:
-    """The full training + daily-operation detection system."""
+    """The trainable detection system; operate it through
+    :class:`repro.streaming.StreamingEnterpriseDetector`."""
 
     def __init__(
         self,
@@ -264,39 +263,6 @@ class EnterpriseDetector:
         return rows
 
     # ------------------------------------------------------------------
-    # Daily operation
-    # ------------------------------------------------------------------
-
-    def process_day(
-        self,
-        day: int,
-        connections: Sequence[Connection],
-        *,
-        soc_seed_domains: Iterable[str] = (),
-        intel_domains: Set[str] = frozenset(),
-        update_profiles: bool = True,
-    ) -> DayResult:
-        """Run the four daily operation stages on one day of traffic."""
-        if self.cc_scorer is None or self.similarity_scorer is None:
-            raise RuntimeError("detector must be trained before operation")
-
-        traffic, rare = self._aggregate_day(day, connections)
-        result = detect_on_enterprise_traffic(
-            traffic,
-            rare,
-            day=day,
-            automation=self.automation,
-            cc_scorer=self.cc_scorer,
-            similarity_scorer=self.similarity_scorer,
-            config=self.config,
-            soc_seed_domains=soc_seed_domains,
-            intel_domains=intel_domains,
-        )
-        if update_profiles:
-            self._profile_day(day, connections)
-        return result
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
@@ -326,93 +292,3 @@ class EnterpriseDetector:
             self.ua_history.stage(conn.user_agent, conn.host)
         self.history.commit_day(day)
         self.ua_history.commit_day()
-
-
-def detect_on_enterprise_traffic(
-    traffic: DailyTraffic,
-    rare: set[str],
-    *,
-    day: int,
-    automation: AutomationDetector,
-    cc_scorer: RegressionCCScorer,
-    similarity_scorer: RegressionSimilarityScorer,
-    config: SystemConfig,
-    soc_seed_domains: Iterable[str] = (),
-    intel_domains: Set[str] = frozenset(),
-    ct_edges=None,
-    metrics=None,
-) -> DayResult:
-    """The enterprise-path daily detection stages on one day of traffic.
-
-    The automation test over rare (host, domain) series and regression
-    C&C scoring above ``Tc`` (Section IV-C), then
-    :func:`repro.core.dayloop.detect_day` -- the seed -> Algorithm 1
-    half every mode and both pipelines share -- once in no-hint mode
-    and, when ``soc_seed_domains`` are given, once more seeded by those
-    of them contacted today.  Both the batch
-    :meth:`EnterpriseDetector.process_day` and the streaming engine
-    (:class:`repro.streaming.StreamingEnterpriseDetector`) run this at
-    end of day, so streaming replay is batch-identical by construction
-    -- the enterprise analogue of :func:`repro.runner.detect_on_traffic`.
-
-    ``intel_domains`` and ``ct_edges`` pass to the no-hint run, which
-    documents them (``ct_edges`` also hands the SOC-hints run its
-    sibling map).  ``similarity_scorer`` hands each run a fresh
-    frontier scorer (:meth:`~repro.core.scoring
-    .RegressionSimilarityScorer.frontier_scorer`) whose WHOIS
-    imputation state evolves exactly as per-domain scoring would.
-    """
-    from ..obs.metrics import NULL_METRICS
-
-    obs = metrics if metrics is not None else NULL_METRICS
-    stage_seconds: dict[str, float] = {}
-    when = (day + 1) * 86_400.0
-    with obs.span("detect_automation") as automation_span:
-        verdicts = automation.automated_pairs(traffic.rare_series(rare))
-    stage_seconds["automation"] = automation_span.elapsed
-
-    with obs.span("detect_cc") as cc_span:
-        cc_domains = [
-            ScoredDomain(domain, score)
-            for domain, score
-            in cc_scorer.score_automated(verdicts, traffic, when).items()
-            if score >= cc_scorer.threshold
-        ]
-        cc_domains.sort(key=lambda s: (-s.score, s.domain))
-        cc_set = {scored.domain for scored in cc_domains}
-    stage_seconds["cc"] = cc_span.elapsed
-
-    def run(**seeding):
-        return detect_day(
-            traffic,
-            rare,
-            cc=cc_set,
-            new_scorer=partial(
-                similarity_scorer.frontier_scorer, traffic, when
-            ),
-            config=config.belief_propagation,
-            ct_edges=ct_edges,
-            metrics=metrics,
-            **seeding,
-        )
-
-    no_hint = run(intel_domains=intel_domains)
-    soc_seed_domains = tuple(soc_seed_domains)
-    hinted = run(hint_domains=soc_seed_domains) if soc_seed_domains else None
-    bp_seconds = [
-        r.stage_seconds["bp"] for r in (no_hint, hinted)
-        if r is not None and "bp" in r.stage_seconds
-    ]
-    if bp_seconds:
-        stage_seconds["bp"] = sum(bp_seconds)
-    return DayResult(
-        day=day,
-        rare_domains=rare,
-        automated_verdicts=verdicts,
-        cc_domains=cc_domains,
-        no_hint=no_hint.bp_result,
-        soc_hints=hinted.bp_result if hinted is not None else None,
-        intel_seeded=no_hint.intel_seeded,
-        ct_seeded=no_hint.ct_seeded,
-        stage_seconds=stage_seconds,
-    )

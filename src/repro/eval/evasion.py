@@ -2,24 +2,21 @@
 
 The harness realizes one :class:`~repro.synthetic.campaigns
 .AdversarialCampaignSpec` per (strength, trial), overlays it onto a
-fixed benign world, and drives the *same merged record lists* through
-both the batch pipeline and the streaming engine -- asserting
-batch/streaming detection parity at every measured point while
-recording how recall over the campaign's ground truth degrades as the
-evasion strength knob rises.
+fixed benign world, and drives the merged record lists through one
+detection engine per trial -- in 500-event polls with a scoring round
+after each, the way ``stream`` runs -- recording how recall over the
+campaign's ground truth degrades as the evasion strength knob rises.
 
 Two single-tenant pipelines are covered:
 
 * **DNS** -- a campaign-free span of the synthetic LANL world
-  (March dates past the Table I case layout), batch
-  :class:`~repro.runner.DnsLogRunner` vs
+  (March dates past the Table I case layout) through a
   :class:`~repro.streaming.StreamingDetector`;
 * **enterprise** -- a proxy world trained on its bootstrap month and
-  evaluated on campaign-free post-training days,
-  :meth:`~repro.core.pipeline.EnterpriseDetector.process_day` vs
-  :class:`~repro.streaming.enterprise.StreamingEnterpriseDetector`.
-  Both arms run from the *same* serialized trained state, so every
-  trial starts from byte-identical profiles.
+  evaluated on campaign-free post-training days through a
+  :class:`~repro.streaming.enterprise.StreamingEnterpriseDetector`
+  restored from one serialized trained state, so every trial starts
+  from byte-identical profiles.
 
 The fleet-level ``tenant-churn`` archetype gets its own curve:
 detection of a shared campaign across follower tenants while
@@ -36,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import LANL_CONFIG
-from ..runner import DnsLogRunner
 from ..streaming.detector import StreamingDetector
 from ..synthetic import (
     EnterpriseDatasetConfig,
@@ -101,16 +97,14 @@ class EvasionPoint:
     pipeline: str
     strength: float
     trials: int
-    batch_rate: float
-    stream_rate: float
-    parity: bool
-    """Whether batch and streaming detections matched on every day of
-    every trial at this point."""
-
+    rate: float
     truth_count: int
     """Ground-truth attacker domains across the point's trials."""
 
     detected_count: int
+    parity: bool | None = None
+    """Fleet curve only: whether a serial (1-worker) rerun produced
+    identical per-tenant detections."""
 
 
 @dataclass
@@ -121,24 +115,18 @@ class EvasionCurve:
     pipeline: str
     points: list[EvasionPoint]
 
-    @property
-    def parity(self) -> bool:
-        return all(point.parity for point in self.points)
-
     def as_dict(self) -> dict:
         return {
             "campaign": self.campaign,
             "pipeline": self.pipeline,
-            "parity": self.parity,
             "points": [
                 {
                     "strength": p.strength,
                     "trials": p.trials,
-                    "batch_rate": round(p.batch_rate, 4),
-                    "stream_rate": round(p.stream_rate, 4),
-                    "parity": p.parity,
+                    "rate": round(p.rate, 4),
                     "truth_count": p.truth_count,
                     "detected_count": p.detected_count,
+                    **({} if p.parity is None else {"parity": p.parity}),
                 }
                 for p in self.points
             ],
@@ -150,14 +138,36 @@ def _chunks(items, size):
         yield items[start:start + size]
 
 
+def _sweep(campaign, pipeline, strengths, trials, seed, trial) -> EvasionCurve:
+    """One curve: ``trial(strength, trial seed) -> (truth, detected)``
+    summed over ``trials`` per strength."""
+    points: list[EvasionPoint] = []
+    for strength in strengths:
+        truth_n = hits = 0
+        for index in range(trials):
+            truth, detected = trial(strength, seed + 1000 * index)
+            truth_n += len(truth)
+            hits += len(truth & detected)
+        points.append(EvasionPoint(
+            campaign=campaign,
+            pipeline=pipeline,
+            strength=strength,
+            trials=trials,
+            rate=hits / truth_n if truth_n else 0.0,
+            truth_count=truth_n,
+            detected_count=hits,
+        ))
+    return EvasionCurve(campaign=campaign, pipeline=pipeline, points=points)
+
+
 # ---------------------------------------------------------------------------
 # DNS pipeline
 # ---------------------------------------------------------------------------
 
 def _dns_trial(
     dataset, campaign, strength, seed, *, metrics=None
-) -> tuple[set[str], set[str], set[str], bool]:
-    """(truth, batch detected, stream detected, parity) for one trial."""
+) -> tuple[set[str], set[str]]:
+    """(truth, detected) for one trial."""
     duration, horizon = campaign_horizon(campaign)
     start_day = dataset.config.bootstrap_days + (_FIRST_FREE_DATE - 1)
     spec = AdversarialCampaignSpec(
@@ -170,44 +180,28 @@ def _dns_trial(
     )
     realized = realize_campaign(WorldView.from_dataset(dataset), spec)
 
-    runner = DnsLogRunner(
+    engine = StreamingDetector(
         config=LANL_CONFIG,
         internal_suffixes=dataset.internal_suffixes,
         server_ips=dataset.server_ips,
         metrics=metrics,
     )
-    runner.history.bootstrap(dataset.bootstrap_domains)
-    stream = StreamingDetector(
-        config=LANL_CONFIG,
-        internal_suffixes=dataset.internal_suffixes,
-        server_ips=dataset.server_ips,
-        metrics=metrics,
-    )
-    stream.history.bootstrap(dataset.bootstrap_domains)
+    engine.history.bootstrap(dataset.bootstrap_domains)
 
-    batch_detected: set[str] = set()
-    stream_detected: set[str] = set()
-    parity = True
+    detected: set[str] = set()
     for offset in range(horizon):
-        date = _FIRST_FREE_DATE + offset
-        records = dataset.day_records(date) + campaign_dns_records(
+        records = dataset.day_records(
+            _FIRST_FREE_DATE + offset
+        ) + campaign_dns_records(
             realized, dataset.host_ips, start_day + offset
         )
         records.sort(key=lambda r: r.timestamp)
-        batch_report = runner.process_records(
-            records, label=f"march-{date:02d}"
-        )
         for chunk in _chunks(records, 500):
-            stream.submit_raw(chunk)
-            stream.poll()
-            stream.score()
-        stream_report = stream.rollover()
-        parity = parity and (
-            batch_report.detected == stream_report.detected
-        )
-        batch_detected.update(batch_report.detected)
-        stream_detected.update(stream_report.detected)
-    return realized.truth_domains(), batch_detected, stream_detected, parity
+            engine.submit_raw(chunk)
+            engine.poll()
+            engine.score()
+        detected.update(engine.rollover().detected)
+    return realized.truth_domains(), detected
 
 
 def dns_evasion_curve(
@@ -227,31 +221,12 @@ def dns_evasion_curve(
     """
     if dataset is None:
         dataset = generate_lanl_dataset(DNS_EVAL_WORLD)
-    points: list[EvasionPoint] = []
-    for strength in strengths:
-        truth_n = hit_b = hit_s = 0
-        parity = True
-        for trial in range(trials):
-            truth, batch, stream, ok = _dns_trial(
-                dataset, campaign, strength, seed + 1000 * trial,
-                metrics=metrics,
-            )
-            truth_n += len(truth)
-            hit_b += len(truth & batch)
-            hit_s += len(truth & stream)
-            parity = parity and ok
-        points.append(EvasionPoint(
-            campaign=campaign,
-            pipeline="dns",
-            strength=strength,
-            trials=trials,
-            batch_rate=hit_b / truth_n if truth_n else 0.0,
-            stream_rate=hit_s / truth_n if truth_n else 0.0,
-            parity=parity,
-            truth_count=truth_n,
-            detected_count=hit_b,
-        ))
-    return EvasionCurve(campaign=campaign, pipeline="dns", points=points)
+    return _sweep(
+        campaign, "dns", strengths, trials, seed,
+        lambda strength, trial_seed: _dns_trial(
+            dataset, campaign, strength, trial_seed, metrics=metrics
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +237,7 @@ def trained_enterprise_world(config: EnterpriseDatasetConfig | None = None):
     """(dataset, serialized trained state) for the proxy-path curves.
 
     Training happens once; every trial restores a fresh detector from
-    the returned state payload so both arms start from byte-identical
+    the returned state payload, so each starts from byte-identical
     profiles.
     """
     from ..state import detector_state
@@ -277,8 +252,8 @@ def trained_enterprise_world(config: EnterpriseDatasetConfig | None = None):
 
 def _enterprise_trial(
     dataset, state, campaign, strength, seed, *, metrics=None
-) -> tuple[set[str], set[str], set[str], bool]:
-    """(truth, batch detected, stream detected, parity) for one trial."""
+) -> tuple[set[str], set[str]]:
+    """(truth, detected) for one trial."""
     from ..state import restore_detector
     from ..streaming.enterprise import StreamingEnterpriseDetector
 
@@ -296,34 +271,20 @@ def _enterprise_trial(
     for domain, registered, expires in realized.whois_records:
         dataset.whois.register(domain, registered, expires)
 
-    days: list[tuple[int, list]] = []
-    for offset in range(horizon):
-        day = start_day + offset
+    engine = StreamingEnterpriseDetector(
+        restore_detector(state, whois=dataset.whois), metrics=metrics
+    )
+    detected: set[str] = set()
+    for day in range(start_day, start_day + horizon):
         connections = dataset.day_connections(day) + campaign_connections(
             realized, day
         )
         connections.sort(key=lambda c: c.timestamp)
-        days.append((day, connections))
-
-    batch = restore_detector(state, whois=dataset.whois)
-    stream = StreamingEnterpriseDetector(
-        restore_detector(state, whois=dataset.whois), metrics=metrics
-    )
-
-    batch_detected: set[str] = set()
-    stream_detected: set[str] = set()
-    parity = True
-    for day, connections in days:
-        result = batch.process_day(day, connections)
-        day_batch = result.all_detected_domains()
         for chunk in _chunks(connections, 500):
-            stream.ingest(chunk)
-            stream.score()
-        report = stream.rollover()
-        parity = parity and (set(report.detected) == day_batch)
-        batch_detected.update(day_batch)
-        stream_detected.update(report.detected)
-    return realized.truth_domains(), batch_detected, stream_detected, parity
+            engine.ingest(chunk)
+            engine.score()
+        detected.update(engine.rollover().detected)
+    return realized.truth_domains(), detected
 
 
 def enterprise_evasion_curve(
@@ -344,32 +305,11 @@ def enterprise_evasion_curve(
     if world is None:
         world = trained_enterprise_world()
     dataset, state = world
-    points: list[EvasionPoint] = []
-    for strength in strengths:
-        truth_n = hit_b = hit_s = 0
-        parity = True
-        for trial in range(trials):
-            truth, batch, stream, ok = _enterprise_trial(
-                dataset, state, campaign, strength,
-                seed + 1000 * trial, metrics=metrics,
-            )
-            truth_n += len(truth)
-            hit_b += len(truth & batch)
-            hit_s += len(truth & stream)
-            parity = parity and ok
-        points.append(EvasionPoint(
-            campaign=campaign,
-            pipeline="enterprise",
-            strength=strength,
-            trials=trials,
-            batch_rate=hit_b / truth_n if truth_n else 0.0,
-            stream_rate=hit_s / truth_n if truth_n else 0.0,
-            parity=parity,
-            truth_count=truth_n,
-            detected_count=hit_b,
-        ))
-    return EvasionCurve(
-        campaign=campaign, pipeline="enterprise", points=points
+    return _sweep(
+        campaign, "enterprise", strengths, trials, seed,
+        lambda strength, trial_seed: _enterprise_trial(
+            dataset, state, campaign, strength, trial_seed, metrics=metrics
+        ),
     )
 
 
@@ -392,9 +332,8 @@ def churn_evasion_curve(
     (:func:`~repro.synthetic.campaigns.churn_fleet_config`), writes
     the layout, runs the fleet manager, and measures the fraction of
     campaign-hit tenants whose shared C&C domains were detected.  The
-    "parity" flag asserts a serial (1-worker) rerun produces identical
-    per-tenant detections -- the fleet analogue of batch/streaming
-    parity.
+    point's ``parity`` flag says whether a serial (1-worker) rerun
+    produced identical per-tenant detections.
     """
     import tempfile
     from pathlib import Path
@@ -433,7 +372,6 @@ def churn_evasion_curve(
 
             parallel = run(workers)
             serial = run(1)
-        parity = parallel == serial
         # Every tenant is hit by the shared campaign; the fleet's
         # detection rate is the fraction of hit tenants that surfaced
         # any of its domains (locally or through intel seeding).
@@ -443,17 +381,15 @@ def churn_evasion_curve(
             1 for tenant in hit_tenants
             if truth & set(parallel.get(tenant, ()))
         )
-        rate = detected / len(hit_tenants) if hit_tenants else 0.0
         points.append(EvasionPoint(
             campaign="tenant-churn",
             pipeline="fleet",
             strength=strength,
             trials=1,
-            batch_rate=rate,
-            stream_rate=rate,
-            parity=parity,
+            rate=detected / len(hit_tenants) if hit_tenants else 0.0,
             truth_count=len(hit_tenants),
             detected_count=detected,
+            parity=parallel == serial,
         ))
     return EvasionCurve(
         campaign="tenant-churn", pipeline="fleet", points=points

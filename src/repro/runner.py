@@ -1,49 +1,35 @@
 """File-based detection runner: from log files on disk to detections.
 
-Everything else in the library works on in-memory record streams; this
-module is the operational wrapper a deployment actually runs -- point
-it at a directory of daily DNS log files (one file per day, as written
-by ``repro-detect generate``), and it bootstraps the destination
-history from the first files, then performs daily detection on the
-rest, exactly following the paper's training/operation split
-(Section III-E).
+Point :func:`run_directory` at a directory of daily DNS log files (one
+file per day, as written by ``repro-detect generate``): it bootstraps
+the destination history from the first files, then performs daily
+detection on the rest, following the paper's training/operation split
+(Section III-E).  A day of logs has one lifecycle -- the streaming
+engine's ``submit``/``poll``/``rollover()`` -- and ``run`` is that
+engine fed each file in one poll.
 
-DNS logs carry no WHOIS/HTTP features, so the runner uses the LANL
-path: the multi-host beaconing C&C heuristic plus the additive
-similarity scorer (Section V-B).  Hint hosts may be supplied per day
-for the SOC-hints mode.
+DNS logs carry no WHOIS/HTTP features, so the DNS path's end-of-day
+routine, :func:`detect_on_traffic`, is the LANL one: the multi-host
+beaconing C&C heuristic plus the additive similarity scorer (Section
+V-B).  Hint hosts may be supplied per day for the SOC-hints mode.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence, Set
-from dataclasses import dataclass, field
+from collections.abc import Sequence, Set
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .config import LANL_CONFIG, SystemConfig
-from .core.beliefprop import BeliefPropagationResult
+from .config import SystemConfig
 from .core.dayloop import DayDetection, detect_day
 from .core.scoring import AdditiveSimilarityScorer, multi_host_cc_domains
-from .logs.records import ConnectionBatch
-from .logs.reduction import ReductionFunnel
 from .obs.metrics import NULL_METRICS
-from .profiling.history import DestinationHistory
-from .profiling.rare import DailyTraffic, extract_rare_domains
+from .profiling.rare import DailyTraffic
 from .timing.detector import AutomationDetector
 
-
-@dataclass
-class RunnerDayReport:
-    """What the runner produced for one operational log file."""
-
-    path: Path
-    day: int
-    records: int
-    rare_domains: set[str]
-    cc_domains: set[str]
-    detected: list[str]
-    bp_result: BeliefPropagationResult | None = None
+if TYPE_CHECKING:
+    from .streaming.engine import StreamDayReport
 
 
 def detect_on_traffic(
@@ -64,10 +50,9 @@ def detect_on_traffic(
     multi-host beaconing C&C heuristic (Section V-B), then
     :func:`repro.core.dayloop.detect_day` -- the seed -> Algorithm 1
     half every mode and both pipelines share -- seeded by the C&C hits
-    (no-hint mode) or by SOC ``hint_hosts``.  Both the batch
-    :class:`DnsLogRunner` and the streaming engine
-    (:class:`repro.streaming.StreamingDetector`) run this at end of
-    day, so streaming replay is batch-identical by construction.
+    (no-hint mode) or by SOC ``hint_hosts``.  The streaming engine
+    (:class:`repro.streaming.StreamingDetector`) runs this at every
+    ``rollover()``, whichever verb feeds it.
 
     ``scorer`` hands out the run's frontier scorer
     (:meth:`~repro.core.scoring.AdditiveSimilarityScorer
@@ -100,146 +85,6 @@ def detect_on_traffic(
     return detection
 
 
-@dataclass
-class DnsLogRunner:
-    """Stateful daily runner over on-disk DNS log files.
-
-    Feed files chronologically: :meth:`bootstrap` for the training
-    period, then :meth:`process` per operational day.  State (the
-    destination history) carries across calls, like the deployed
-    system's nightly update.
-    """
-
-    config: SystemConfig = field(default_factory=lambda: LANL_CONFIG)
-    internal_suffixes: tuple[str, ...] = ()
-    server_ips: frozenset[str] = frozenset()
-    history: DestinationHistory = field(default_factory=DestinationHistory)
-    metrics: object = None
-    ct_edges: object = None
-    """Optional :class:`repro.intelstore.ct.CtIndex`; certificate
-    sibling evidence then flows into every day's detection pass,
-    mirroring the streaming engine's ``rollover(ct_edges=...)``."""
-
-    _day_counter: int = 0
-
-    def __post_init__(self) -> None:
-        if self.metrics is None:
-            self.metrics = NULL_METRICS
-        self.automation = AutomationDetector(self.config.histogram)
-        self.scorer = AdditiveSimilarityScorer()
-        self.funnel = ReductionFunnel(
-            self.internal_suffixes,
-            self.server_ips,
-            fold_level=self.config.rarity.fold_level,
-            metrics=self.metrics,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _aggregate(
-        self, batches: Iterable[ConnectionBatch]
-    ) -> tuple[DailyTraffic, set[str], int]:
-        """Aggregate one day's reduced column batches; ``(traffic,
-        rare set, reduced record count)``."""
-        traffic = DailyTraffic(self._day_counter)
-        count = traffic.ingest(batches).n_events
-        rare = extract_rare_domains(
-            traffic,
-            self.history,
-            unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
-        )
-        return traffic, rare, count
-
-    def _commit(self, traffic: DailyTraffic) -> None:
-        for domain in traffic.hosts_by_domain:
-            self.history.stage(domain, self._day_counter)
-        self.history.commit_day(self._day_counter)
-        self._day_counter += 1
-
-    # ------------------------------------------------------------------
-
-    def bootstrap(self, paths: Iterable[Path]) -> int:
-        """Fold training-period files into the history; returns the
-        number of distinct destinations profiled."""
-        for path in sorted(Path(p) for p in paths):
-            with path.open() as handle:
-                self._bootstrap_day(self.funnel.read_lines(handle))
-        return len(self.history)
-
-    def bootstrap_records(self, raw_records) -> int:
-        """Fold one training day of in-memory raw records into the
-        history (the file-less analogue of :meth:`bootstrap`)."""
-        self._bootstrap_day(self.funnel.read_records(raw_records))
-        return len(self.history)
-
-    def _bootstrap_day(self, batches: Iterable[ConnectionBatch]) -> None:
-        """Aggregate and commit one training day; the day's traffic is
-        released on return, before the next file is read."""
-        traffic, _rare, _count = self._aggregate(batches)
-        self._commit(traffic)
-
-    def process_records(
-        self,
-        raw_records,
-        *,
-        label: str | Path = "<records>",
-        hint_hosts: Sequence[str] = (),
-    ) -> RunnerDayReport:
-        """Detect on one operational day of in-memory raw records.
-
-        The file-less analogue of :meth:`process` -- same funnel,
-        normalization and detection pass, so a day fed through here is
-        byte-identical to the same records parsed from a file.  The
-        adversarial evasion harness drives both this and the streaming
-        engine over identical record lists to assert batch/streaming
-        parity without touching disk.
-        """
-        return self._process(
-            self.funnel.read_records(raw_records), label, hint_hosts
-        )
-
-    def _process(
-        self,
-        batches: Iterable[ConnectionBatch],
-        label: str | Path,
-        hint_hosts: Sequence[str],
-    ) -> RunnerDayReport:
-        """Aggregate, detect on and commit one operational day."""
-        traffic, rare, record_count = self._aggregate(batches)
-        detection = detect_on_traffic(
-            traffic,
-            rare,
-            automation=self.automation,
-            scorer=self.scorer,
-            config=self.config,
-            hint_hosts=hint_hosts,
-            ct_edges=self.ct_edges,
-            metrics=self.metrics,
-        )
-        self.metrics.counter("runner_days_total").inc()
-        report = RunnerDayReport(
-            path=Path(label),
-            day=self._day_counter,
-            records=record_count,
-            rare_domains=rare,
-            cc_domains=detection.cc_domains,
-            detected=detection.detected,
-            bp_result=detection.bp_result,
-        )
-        self._commit(traffic)
-        return report
-
-    def process(
-        self, path: Path, *, hint_hosts: Sequence[str] = ()
-    ) -> RunnerDayReport:
-        """Detect on one operational day's log file."""
-        path = Path(path)
-        with path.open() as handle:
-            return self._process(
-                self.funnel.read_lines(handle), path, hint_hosts
-            )
-
-
 def run_directory(
     directory: str | Path,
     *,
@@ -250,21 +95,35 @@ def run_directory(
     server_ips: frozenset[str] = frozenset(),
     metrics=None,
     ct_edges=None,
-) -> list[RunnerDayReport]:
+) -> list[StreamDayReport]:
     """Bootstrap on the first ``bootstrap_files`` logs in a directory
-    (sorted by name) and detect on the rest."""
-    paths = sorted(Path(directory).glob(pattern))
-    if len(paths) <= bootstrap_files:
-        raise ValueError(
-            f"need more than {bootstrap_files} files in {directory}, "
-            f"found {len(paths)}"
-        )
-    runner = DnsLogRunner(
-        config=config or LANL_CONFIG,
+    (sorted by name) and detect on the rest.
+
+    One :class:`~repro.streaming.StreamingDetector` fed each file in a
+    single poll: the day lifecycle (aggregate, rare set, detection,
+    exactly one history commit) is the engine's ``rollover()``, the one
+    ``stream`` and every fleet tenant-day use.  Each operational day's
+    report carries the file it was read from as ``path``.  ``ct_edges``
+    (a :class:`repro.intelstore.ct.CtIndex`) flows into every day's
+    detection pass.
+    """
+    from .streaming.detector import StreamingDetector
+    from .streaming.engine import resolve_replay_paths
+
+    paths = resolve_replay_paths(directory, pattern, bootstrap_files)
+    detector = StreamingDetector(
+        config=config,
         internal_suffixes=internal_suffixes,
         server_ips=server_ips,
         metrics=metrics,
-        ct_edges=ct_edges,
     )
-    runner.bootstrap(paths[:bootstrap_files])
-    return [runner.process(path) for path in paths[bootstrap_files:]]
+    reports = []
+    for index, path in enumerate(paths):
+        operational = index >= bootstrap_files
+        with path.open() as handle:
+            detector.submit_lines(handle)
+        report = detector.rollover(detect=operational, ct_edges=ct_edges)
+        if operational:
+            report.path = path
+            reports.append(report)
+    return reports

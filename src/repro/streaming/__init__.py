@@ -17,9 +17,10 @@ components (Section III's pipeline, Algorithm 1's belief propagation):
   its DNS and proxy facades with checkpoint/restore and directory
   replay.
 
-The engine's invariant: replaying a day's events produces the same
-end-of-day detections as the batch :class:`~repro.runner.DnsLogRunner`
-over the same records.
+The engine's invariant: a day's end-of-day detections do not depend on
+how its events were micro-batched -- fed in one poll
+(:func:`repro.runner.run_directory`) or in many with scoring rounds
+between, the report is the same.
 """
 
 from .detector import StreamingDetector, replay_directory

@@ -1,24 +1,25 @@
-"""Streaming detection facade: the batch detector turned online.
+"""The DNS-path detection engine.
 
-:class:`StreamingDetector` accepts DNS events one at a time or in
-micro-batches and keeps a continuously updated view of the current
-day's detections, minutes after the evidence arrives instead of at
-end-of-day batch close.  It composes the streaming substrate --
+:class:`StreamingDetector` accepts DNS events one at a time, in
+micro-batches or a whole day in one poll, and keeps a continuously
+updated view of the current day's detections, minutes after the
+evidence arrives instead of at the end-of-day close.  It composes the
+streaming substrate --
 :class:`~repro.streaming.window.WindowedAggregator` -- on top of the
-*unchanged* batch components (reduction funnel, automation detector,
-additive scorer, belief propagation).
+paper's components (reduction funnel, automation detector, additive
+scorer, belief propagation).
 
-**Batch-parity guarantee.**  At a day boundary,
+**End of day is independent of micro-batching.**  At a day boundary,
 :meth:`~repro.streaming.engine.StreamingEngineBase.rollover` runs
-:func:`repro.runner.detect_on_traffic` -- the very routine
-:class:`~repro.runner.DnsLogRunner` runs -- over the accumulated
-window, whose indexes are identical to a bulk aggregation of the same
-records.  Replaying a day through the streaming engine therefore
-yields exactly the batch pipeline's end-of-day detections; the
-intra-day :meth:`~repro.streaming.engine.StreamingEngineBase.score`
-updates are strictly additional visibility.  Both methods live on the
-engine base; this module supplies the DNS path's reduction funnel, C&C
-heuristic, day-lived frontier scorer and end-of-day call.
+:func:`repro.runner.detect_on_traffic` over the accumulated window,
+whose indexes are identical to a bulk aggregation of the same records.
+``run`` feeds each file in one poll, ``stream`` and ``fleet`` in
+micro-batches with scoring rounds between; the day closes with the
+same report either way, and the intra-day
+:meth:`~repro.streaming.engine.StreamingEngineBase.score` updates are
+strictly additional visibility.  Both methods live on the engine base;
+this module supplies the DNS path's reduction funnel, C&C heuristic,
+day-lived frontier scorer and end-of-day call.
 
 Mid-day costs stay proportional to what changed: automation verdicts
 are cached per (host, domain) series and recomputed only for pairs
@@ -155,7 +156,7 @@ def replay_directory(
 ) -> ReplayResult:
     """Replay a directory of daily DNS logs as an event stream.
 
-    The streaming analogue of :func:`repro.runner.run_directory`: the
+    :func:`repro.runner.run_directory` with intra-day visibility: the
     first ``bootstrap_files`` logs build the destination history, the
     rest are consumed in ``batch_size`` micro-batches with a scoring
     round every ``score_every`` batches and a day rollover per file.

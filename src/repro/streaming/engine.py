@@ -17,10 +17,11 @@ domain) timestamp series that saw new events through a period-aware
 is the *scheduler* of the paper's daily loop: :meth:`~StreamingEngineBase
 .score` runs :func:`~repro.core.dayloop.detect_day` intra-day over the
 window's own graph views, warm-started from the previous round, and
-:meth:`~StreamingEngineBase.rollover` runs the batch pipeline's own
-end-of-day routine over the full window.  A subclass supplies only what
-differs between the two paths: its line reader, its C&C stage, its
-round scorer and its end-of-day call.
+:meth:`~StreamingEngineBase.rollover` -- the one end of day every verb
+(``run``, ``stream``, ``fleet``) reaches -- runs the pipeline's
+end-of-day routine over the full window and commits the histories.  A
+subclass supplies only what differs between the two paths: its line
+reader, its C&C stage, its round scorer and its end-of-day call.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ class StreamUpdate:
 
 @dataclass
 class StreamDayReport:
-    """End-of-day report, shaped like the batch runner's.
+    """End-of-day report of one :meth:`StreamingEngineBase.rollover`.
 
-    ``records`` counts reduced connections (post-funnel), matching
-    :attr:`repro.runner.RunnerDayReport.records`.
+    ``records`` counts reduced connections (post-funnel).
     """
 
     day: int
@@ -96,6 +96,10 @@ class StreamDayReport:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds per rollover stage (``rare``, ``automation``,
     ``cc``, ``bp``, ``commit``); always measured, observability only."""
+
+    path: Path | None = None
+    """The log file the day was read from, where the driver pairs a
+    report with one (:func:`repro.runner.run_directory`)."""
 
     def publication_scores(self) -> dict[str, float]:
         """Detected domain -> the score to publish it with (a fleet's
@@ -464,20 +468,20 @@ class StreamingEngineBase:
     # ------------------------------------------------------------------
 
     def _detect_day(self, report: StreamDayReport, traffic, **seeding) -> None:
-        """Run the batch pipeline's end-of-day routine over ``traffic``
-        and ``report.rare_domains``; fill the detection fields of
+        """Run the pipeline's end-of-day routine over ``traffic`` and
+        ``report.rare_domains``; fill the detection fields of
         ``report`` (its ``stage_seconds`` with the stages it timed)."""
         raise NotImplementedError
 
     def rollover(self, *, detect: bool = True, **seeding) -> StreamDayReport:
-        """Close the day: batch-parity detection, then commit histories.
+        """Close the day: end-of-day detection, then commit histories.
 
-        The detection pass is the batch pipeline's own daily routine
-        (:func:`repro.runner.detect_on_traffic` /
-        :func:`repro.core.pipeline.detect_on_enterprise_traffic`) over
-        the full window -- the same code over the same aggregate -- so
-        the report equals what the batch side produces for the same
-        records.  ``seeding`` passes to that routine by keyword:
+        The paper's nightly cycle (III-E), written once: the rare set
+        is re-extracted from the full window and the automation test
+        rescans every rare series -- nothing is carried over from the
+        intra-day rounds, so the report depends on the day's events
+        and not on how they were micro-batched.  ``seeding`` passes to
+        the pipeline's routine (:meth:`_detect_day`) by keyword:
         ``intel_domains`` (externally confirmed malicious domains, e.g.
         another tenant's detections shared through a fleet's intel
         plane), ``ct_edges``, and the pipeline's SOC hints
@@ -569,14 +573,17 @@ def resolve_replay_paths(
     pattern: str,
     bootstrap_files: int,
     *,
-    score_every: int,
-    checkpoint_every: int,
-    max_batches: int | None,
+    score_every: int = 1,
+    checkpoint_every: int = 1,
+    max_batches: int | None = None,
 ) -> list[Path]:
-    """The directory's daily log files, once the replay's arguments are
-    known good: positive scoring/checkpoint cadences, a positive batch
-    bound if any, and at least one operational file after the bootstrap
-    count."""
+    """The directory's daily log files, once the arguments are known
+    good: a non-negative bootstrap count with at least one operational
+    file after it and, for a micro-batched replay, positive
+    scoring/checkpoint cadences and a positive batch bound if any.
+    ``run`` and ``stream`` both resolve their arguments here."""
+    if bootstrap_files < 0:
+        raise ValueError("bootstrap_files must not be negative")
     if score_every < 1:
         raise ValueError("score_every must be positive")
     if checkpoint_every < 1:

@@ -10,34 +10,33 @@ graph continuously up to date.  Intra-day
 the regression C&C scorer and warm-start belief propagation over
 exactly the state invalidated since the previous round, so detections
 surface minutes after the evidence arrives instead of at the nightly
-batch close.
+close.
 
-**Batch-parity guarantee.**  At a day boundary,
-:meth:`~repro.streaming.engine.StreamingEngineBase.rollover` runs
-:func:`repro.core.pipeline.detect_on_enterprise_traffic` -- the very
-routine :meth:`EnterpriseDetector.process_day` runs -- over the
-accumulated window, whose indexes are identical to a bulk aggregation
-of the same records, and then commits the histories exactly once.
-Replaying a day through the streaming engine therefore yields exactly
-the batch pipeline's end-of-day detections; the intra-day updates are
-strictly additional visibility.  Both methods live on the engine base;
-this module supplies the proxy path's normalizer, regression C&C stage,
-per-round frontier scorer and end-of-day call.
+**End of day is independent of micro-batching.**  At a day boundary,
+:meth:`~repro.streaming.engine.StreamingEngineBase.rollover` runs the
+paper's operation stages (:meth:`StreamingEnterpriseDetector._detect_day`)
+over the accumulated window, whose indexes are identical to a bulk
+aggregation of the same records, and then commits the histories
+exactly once.  A day fed in one ``ingest`` and the same day fed in
+many, with scoring rounds between, therefore close with the same
+report; the intra-day updates are strictly additional visibility.
+``score`` and ``rollover`` live on the engine base; this module
+supplies the proxy path's normalizer, regression C&C stage, per-round
+frontier scorer and end of day.
 
 Two enterprise-specific subtleties the implementation preserves:
 
-* **WHOIS imputation state is batch-identical.**  The
+* **WHOIS imputation state advances once a day.**  The
   :class:`~repro.features.whois.WhoisFeatureExtractor` keeps running
   means for imputing unregistered domains; intra-day scoring rounds
-  would drift those means away from the batch pipeline's (which only
-  extracts at end of day).  A scoring round therefore snapshots and
-  restores the imputation counters around its extractions, leaving the
-  rollover pass to advance them exactly as ``process_day`` would.
+  would drift those means by how often the day was scored.  A scoring
+  round therefore snapshots and restores the imputation counters
+  around its extractions, leaving the rollover pass alone to advance
+  them.
 * **User-agent staging is day-consistent.**  UA observations are
   staged per event but committed only at rollover, and
   ``UserAgentHistory.is_rare`` consults committed state only -- so a
-  UA first seen today stays *rare* for today's own detection, matching
-  the batch pipeline's end-of-day staging order.
+  UA first seen today stays *rare* for today's own detection.
 
 ``intel_domains`` passed to ``rollover()`` are externally confirmed
 malicious domains (a fleet's shared intel plane); those rare today
@@ -47,10 +46,13 @@ cross-tenant seeding to the proxy path.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Set
 from contextlib import contextmanager
 from pathlib import Path
 
-from ..core.pipeline import EnterpriseDetector, detect_on_enterprise_traffic
+from ..core.dayloop import detect_day
+from ..core.pipeline import DayResult, EnterpriseDetector
+from ..core.scoring import ScoredDomain
 from ..logs.normalize import ProxyNormalizer
 from .engine import (
     ReplayResult,
@@ -71,8 +73,8 @@ def _frozen_imputation(detector: EnterpriseDetector):
 
     Intra-day scoring extracts features many times per day; without
     this, the running means used to impute unregistered domains would
-    diverge from the batch pipeline's single end-of-day pass and break
-    rollover parity for imputed domains.
+    depend on how often the day was scored, and so would the
+    end-of-day report for imputed domains.
     """
     whois = detector.extractor.whois
     if whois is None:
@@ -86,11 +88,12 @@ def _frozen_imputation(detector: EnterpriseDetector):
 
 
 class StreamingEnterpriseDetector(StreamingEngineBase):
-    """Online enterprise/proxy-path detector wrapping a trained batch one.
+    """Online enterprise/proxy-path detector: the operation phase of a
+    trained :class:`~repro.core.pipeline.EnterpriseDetector`.
 
     The wrapped detector's histories, feature extractor, automation
     detector and regression scorers are *shared*, not copied: the
-    streaming engine is the same trained system, fed incrementally.
+    engine is the same trained system, fed its operational days.
     """
 
     def __init__(
@@ -128,7 +131,7 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
 
     @property
     def cc_scorer(self):
-        """The trained regression C&C scorer (shared with the batch side)."""
+        """The trained regression C&C scorer (shared, not copied)."""
         return self.batch.cc_scorer
 
     @property
@@ -147,36 +150,106 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
     def _scoring_round(self):
         return _frozen_imputation(self.batch)
 
-    def _cc_domains(self, traffic, verdicts) -> set[str]:
-        scores = self.cc_scorer.score_automated(
-            verdicts, traffic, self._when()
-        )
+    def _cc_scores(self, traffic, verdicts) -> dict[str, float]:
+        """``Detect_C&C`` (IV-C): the automated rare domains whose
+        regression score reaches ``Tc``, with that score."""
         threshold = self.cc_scorer.threshold
-        return {d for d, score in scores.items() if score >= threshold}
+        return {
+            domain: score
+            for domain, score in self.cc_scorer.score_automated(
+                verdicts, traffic, self._when()
+            ).items()
+            if score >= threshold
+        }
+
+    def _cc_domains(self, traffic, verdicts) -> set[str]:
+        return set(self._cc_scores(traffic, verdicts))
 
     def _round_scorer(self, traffic):
         # Per round, not per day: see BatchedSimilarityScorer.
         return self.similarity_scorer.frontier_scorer(traffic, self._when())
 
-    def _detect_day(self, report: StreamDayReport, traffic, **seeding) -> None:
-        result = detect_on_enterprise_traffic(
-            traffic,
-            report.rare_domains,
-            day=self.window.day,
-            automation=self.automation,
-            cc_scorer=self.cc_scorer,
-            similarity_scorer=self.similarity_scorer,
-            config=self.config,
-            metrics=self.metrics,
-            **seeding,
+    def _detect_day(
+        self,
+        report: StreamDayReport,
+        traffic,
+        *,
+        soc_seed_domains: Iterable[str] = (),
+        intel_domains: Set[str] = frozenset(),
+        ct_edges=None,
+    ) -> None:
+        """The enterprise-path end of day (Section III-E, operation).
+
+        The automation test over every rare (host, domain) series and
+        regression C&C scoring above ``Tc`` (Section IV-C), then
+        :func:`repro.core.dayloop.detect_day` once in no-hint mode and,
+        when ``soc_seed_domains`` are given, once more seeded by those
+        of them contacted today.  ``intel_domains`` and ``ct_edges``
+        pass to the no-hint run, which documents them (``ct_edges``
+        also hands the SOC-hints run its sibling map).  Each run gets
+        a fresh frontier scorer whose WHOIS imputation state evolves
+        exactly as per-domain scoring would.
+        """
+        rare = report.rare_domains
+        with self.metrics.span("detect_automation") as automation_span:
+            verdicts = self.automation.automated_pairs(
+                traffic.rare_series(rare)
+            )
+        with self.metrics.span("detect_cc") as cc_span:
+            cc_domains = sorted(
+                (
+                    ScoredDomain(domain, score)
+                    for domain, score
+                    in self._cc_scores(traffic, verdicts).items()
+                ),
+                key=lambda scored: (-scored.score, scored.domain),
+            )
+            cc_set = {scored.domain for scored in cc_domains}
+        stage_seconds = {
+            "automation": automation_span.elapsed, "cc": cc_span.elapsed,
+        }
+
+        def run(**seeding):
+            return detect_day(
+                traffic,
+                rare,
+                cc=cc_set,
+                new_scorer=lambda: self._round_scorer(traffic),
+                config=self.config.belief_propagation,
+                ct_edges=ct_edges,
+                metrics=self.metrics,
+                **seeding,
+            )
+
+        no_hint = run(intel_domains=intel_domains)
+        soc_seed_domains = tuple(soc_seed_domains)
+        hinted = (
+            run(hint_domains=soc_seed_domains) if soc_seed_domains else None
         )
-        report.cc_domains = result.cc_domain_names
+        bp_seconds = [
+            r.stage_seconds["bp"] for r in (no_hint, hinted)
+            if r is not None and "bp" in r.stage_seconds
+        ]
+        if bp_seconds:
+            stage_seconds["bp"] = sum(bp_seconds)
+        result = DayResult(
+            day=report.day,
+            rare_domains=rare,
+            automated_verdicts=verdicts,
+            cc_domains=cc_domains,
+            no_hint=no_hint.bp_result,
+            soc_hints=hinted.bp_result if hinted is not None else None,
+            intel_seeded=no_hint.intel_seeded,
+            ct_seeded=no_hint.ct_seeded,
+            stage_seconds=stage_seconds,
+        )
+        report.cc_domains = cc_set
         report.detected = result.detected_in_order()
         report.bp_result = result.no_hint
         report.intel_seeded = result.intel_seeded
         report.ct_seeded = result.ct_seeded
         report.day_result = result
-        report.stage_seconds = result.stage_seconds
+        report.stage_seconds = stage_seconds
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Windowed profiling: the current day as an incrementally built window.
 
-The batch pipeline rebuilds a :class:`~repro.profiling.rare.DailyTraffic`
-aggregate and re-extracts the rare set from scratch for every run; the
+Training rebuilds a :class:`~repro.profiling.rare.DailyTraffic`
+aggregate and re-extracts the rare set from scratch per day; the
 :class:`WindowedAggregator` maintains both *as events arrive*:
 
 * the day's traffic indexes grow per micro-batch (append-only);
@@ -112,10 +112,9 @@ class WindowedAggregator:
     def rollover(self) -> DailyTraffic:
         """Close the window: commit histories once, open the next day.
 
-        Staging happens here rather than per event, mirroring
-        :class:`~repro.runner.DnsLogRunner`: domains observed today
-        still count as *new* for today's own detection, and a mid-day
-        checkpoint never holds half-staged history state.
+        Staging happens here rather than per event: domains observed
+        today still count as *new* for today's own detection, and a
+        mid-day checkpoint never holds half-staged history state.
         """
         self.traffic.finalize()
         finished = self.traffic

@@ -39,6 +39,57 @@ def enterprise_dataset():
 
 
 @pytest.fixture(scope="session")
+def _training_run(enterprise_dataset):
+    """The suite's one training run over ``enterprise_dataset``'s
+    bootstrap month: the ``detector`` as training left it, its
+    ``detector_state`` document (``state``) and the ``report``."""
+    from types import SimpleNamespace
+
+    from repro.core import EnterpriseDetector
+    from repro.state import detector_state
+
+    detector = EnterpriseDetector(whois=enterprise_dataset.whois)
+    report = detector.train(
+        enterprise_dataset.day_batches(
+            0, enterprise_dataset.config.bootstrap_days
+        ),
+        enterprise_dataset.build_virustotal(),
+    )
+    return SimpleNamespace(
+        detector=detector, state=detector_state(detector), report=report
+    )
+
+
+@pytest.fixture(scope="session")
+def trained_state(_training_run):
+    """The trained system as its ``detector_state`` document: read-only,
+    so every test restores its own detector from it."""
+    return _training_run.state
+
+
+@pytest.fixture(scope="session")
+def training_report(_training_run):
+    return _training_run.report
+
+
+@pytest.fixture
+def freshly_trained(_training_run):
+    """A copy of the detector exactly as training left it in memory --
+    what a save/load round trip is compared against."""
+    import copy
+
+    return copy.deepcopy(_training_run.detector)
+
+
+@pytest.fixture
+def trained_detector(trained_state, enterprise_dataset):
+    """A fresh trained ``EnterpriseDetector`` the test may advance."""
+    from repro.state import restore_detector
+
+    return restore_detector(trained_state, whois=enterprise_dataset.whois)
+
+
+@pytest.fixture(scope="session")
 def enterprise_evaluation(enterprise_dataset):
     from repro.eval import EnterpriseEvaluation
 

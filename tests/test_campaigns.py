@@ -15,7 +15,6 @@ from repro.config import LANL_CONFIG
 from repro.eval.evasion import DNS_EVAL_WORLD, dns_evasion_curve
 from repro.intelstore.ct import CertObservation, CtIndex
 from repro.logs import format_dns_line
-from repro.runner import DnsLogRunner
 from repro.streaming import StreamingDetector, replay_directory
 from repro.synthetic import (
     ADVERSARIAL_DGA_FAMILIES,
@@ -96,8 +95,7 @@ class TestStrengthKnob:
         curve = dns_evasion_curve(
             campaign, (0.0, 0.5, 1.0), trials=1, dataset=dns_dataset,
         )
-        assert curve.parity
-        rates = [point.batch_rate for point in curve.points]
+        rates = [point.rate for point in curve.points]
         assert rates[0] == 1.0
         assert rates[-1] <= rates[0]
         for previous, current in zip(rates, rates[1:]):
@@ -230,7 +228,7 @@ class TestCtParityUnderCampaigns:
         """An attacker who randomizes timing (jitter at full strength)
         evades the automation detector -- but a CT certificate shared
         with a detected campaign pulls its domain back in, identically
-        on the batch and streaming paths."""
+        after one whole-day poll and after a micro-batched day."""
         bootstrap = dns_dataset.config.bootstrap_days
         start_day = bootstrap + 22
         loud = realize_campaign(world, AdversarialCampaignSpec(
@@ -245,40 +243,43 @@ class TestCtParityUnderCampaigns:
         )])
 
         date = 23
-        records = dns_dataset.day_records(date)
-        for campaign in (loud, quiet):
-            records += campaign_dns_records(
-                campaign, dns_dataset.host_ips, start_day
-            )
-        records.sort(key=lambda r: r.timestamp)
+        records = sorted(
+            dns_dataset.day_records(date) + [
+                record for campaign in (loud, quiet)
+                for record in campaign_dns_records(
+                    campaign, dns_dataset.host_ips, start_day
+                )
+            ],
+            key=lambda r: r.timestamp,
+        )
 
-        def build_runner(ct_edges):
-            runner = DnsLogRunner(
+        def engine():
+            detector = StreamingDetector(
                 config=LANL_CONFIG,
                 internal_suffixes=dns_dataset.internal_suffixes,
                 server_ips=dns_dataset.server_ips,
-                ct_edges=ct_edges,
             )
-            runner.history.bootstrap(dns_dataset.bootstrap_domains)
-            return runner
+            detector.history.bootstrap(dns_dataset.bootstrap_domains)
+            return detector
 
-        without = build_runner(None).process_records(records)
-        batch = build_runner(index).process_records(records)
+        def whole_day(ct_edges):
+            detector = engine()
+            detector.submit_raw(records)
+            return detector.rollover(ct_edges=ct_edges)
+
+        without = whole_day(None)
+        whole = whole_day(index)
         assert loud.cc_domains[0] in without.detected
         assert quiet.cc_domains[0] not in without.detected
-        assert quiet.cc_domains[0] in batch.detected
+        assert quiet.cc_domains[0] in whole.detected
 
-        stream = StreamingDetector(
-            config=LANL_CONFIG,
-            internal_suffixes=dns_dataset.internal_suffixes,
-            server_ips=dns_dataset.server_ips,
-        )
-        stream.history.bootstrap(dns_dataset.bootstrap_domains)
-        stream.submit_raw(records)
-        stream.poll()
-        stream.score()
+        stream = engine()
+        for start in range(0, len(records), 500):
+            stream.submit_raw(records[start:start + 500])
+            stream.poll()
+            stream.score()
         report = stream.rollover(ct_edges=index)
-        assert report.detected == batch.detected
+        assert report.detected == whole.detected
 
 
 # ---------------------------------------------------------------------------

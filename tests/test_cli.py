@@ -521,6 +521,21 @@ class TestStreamStopResume:
         assert captured.out == "" and not ckpt.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "stream"])
+def test_negative_bootstrap_files_is_a_usage_error(
+    verb, mixed_fleet_layout, capsys
+):
+    """Not "all but the last file" (``run``'s old slice) nor "score day
+    0 against an empty history" (``stream``'s)."""
+    assert main([
+        verb, str(mixed_fleet_layout / "t0"), "--bootstrap-files", "-1",
+        "--internal-suffix", "int.c0",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bootstrap_files must not be negative\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("bound", ["0", "-2"])
 def test_fleet_nonpositive_max_rounds_is_a_usage_error(
     bound, mixed_fleet_layout, tmp_path, capsys

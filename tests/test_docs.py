@@ -77,6 +77,18 @@ class TestOneDayLoop:
                 hits[path.relative_to(self.SRC).as_posix()] = found
         return hits
 
+    def _files_matching(self, pattern: str) -> list[str]:
+        """README, docs, ``src`` and examples that mention ``pattern``."""
+        gone = re.compile(pattern)
+        texts = [
+            REPO / "README.md",
+            *sorted((REPO / "docs").rglob("*.md")),
+            *sorted((REPO / "src").rglob("*.py")),
+            *sorted((REPO / "examples").rglob("*.py")),
+        ]
+        return [p.relative_to(REPO).as_posix() for p in texts
+                if gone.search(p.read_text())]
+
     def test_algorithm_1_has_one_call_site(self):
         calls = self._lines_with(r"(?<![\w.`])belief_propagation\(")
         calls.pop("core/beliefprop.py")  # its definition
@@ -86,14 +98,10 @@ class TestOneDayLoop:
     def test_the_second_graph_and_the_dict_view_are_gone(self):
         """Intra-day rounds read the window's own ``bp_views``; nothing
         keeps, wraps or documents a second copy."""
-        gone = re.compile(
+        assert self._files_matching(
             r"IncrementalGraph|warm_start_belief_propagation"
             r"|TimestampSeriesView"
-        )
-        texts = [REPO / "README.md", *sorted((REPO / "docs").rglob("*.md")),
-                 *sorted((REPO / "src").rglob("*.py"))]
-        assert [p.relative_to(REPO).as_posix() for p in texts
-                if gone.search(p.read_text())] == []
+        ) == []
         from repro.profiling.rare import DailyTraffic
 
         assert not hasattr(DailyTraffic, "timestamps")
@@ -113,6 +121,26 @@ class TestOneDayLoop:
             if method == "rollover":  # the window's own, unrelated
                 owners.pop("streaming/window.py")
             assert sorted(owners) == ["streaming/engine.py"], method
+
+    def test_a_day_has_one_lifecycle(self):
+        """``run`` is the engine fed each file in one poll: no second
+        batch runner, no ``process_day`` twin, no second home of the
+        enterprise C&C stage -- in the code or in what documents it."""
+        assert self._files_matching(
+            r"DnsLogRunner|RunnerDayReport|process_day|update_profiles"
+            r"|detect_on_enterprise_traffic|runner_days_total"
+        ) == []
+        # Histories commit at the window's rollover; training and the
+        # LANL threshold sweep (not execution modes) profile their own.
+        assert sorted(self._lines_with(r"history\.commit_day\(")) == [
+            "core/pipeline.py", "eval/lanl_challenge.py",
+            "streaming/window.py",
+        ]
+        cc_stage = self._lines_with(
+            r"score_automated\(", self.SRC / "streaming"
+        )
+        assert list(cc_stage) == ["streaming/enterprise.py"]
+        assert len(cc_stage["streaming/enterprise.py"]) == 1
 
     def test_dns_cc_stage_is_written_once(self):
         uses = self._lines_with(

@@ -14,6 +14,7 @@ from repro.core import EnterpriseDetector, belief_propagation
 from repro.intel import VirusTotalOracle, WhoisDatabase
 from repro.logs import Connection, parse_dns_log, parse_proxy_log
 from repro.profiling import DailyTraffic, DestinationHistory, extract_rare_domains
+from repro.streaming import StreamingEnterpriseDetector
 from repro.timing import AutomationDetector
 
 
@@ -188,28 +189,22 @@ class TestCorruptLogs:
 
 
 class TestEmptyAndDegenerateDays:
-    def test_empty_day_produces_empty_result(self, enterprise_dataset):
-        detector = EnterpriseDetector(whois=enterprise_dataset.whois)
-        detector.train(
-            enterprise_dataset.day_batches(0, enterprise_dataset.config.bootstrap_days),
-            enterprise_dataset.build_virustotal(),
-        )
-        result = detector.process_day(99, [], update_profiles=False)
+    def test_empty_day_produces_empty_result(self, trained_detector):
+        engine = StreamingEnterpriseDetector(trained_detector, start_day=99)
+        result = engine.rollover().day_result
+        assert result.day == 99
         assert result.rare_domains == set()
         assert result.cc_domains == []
         assert result.no_hint is None
 
-    def test_single_connection_day(self, enterprise_dataset):
-        detector = EnterpriseDetector(whois=enterprise_dataset.whois)
-        detector.train(
-            enterprise_dataset.day_batches(0, enterprise_dataset.config.bootstrap_days),
-            enterprise_dataset.build_virustotal(),
-        )
+    def test_single_connection_day(self, trained_detector):
         conn = Connection(
             timestamp=99 * 86_400.0, host="h1", domain="lonely.ru",
             user_agent="UA", referer="",
         )
-        result = detector.process_day(99, [conn], update_profiles=False)
+        engine = StreamingEnterpriseDetector(trained_detector, start_day=99)
+        engine.ingest([conn])
+        result = engine.rollover().day_result
         assert result.rare_domains == {"lonely.ru"}
         assert result.cc_domains == []  # one connection cannot beacon
 
@@ -246,11 +241,10 @@ class TestDegradedIntelligence:
         )
         if report.cc_model is not None and report.similarity_model is not None:
             day = enterprise_dataset.config.bootstrap_days
-            result = detector.process_day(
-                day, enterprise_dataset.day_connections(day),
-                update_profiles=False,
-            )
-            assert result.cc_domains == []  # no positives -> no alarms
+            engine = StreamingEnterpriseDetector(detector)
+            engine.ingest(enterprise_dataset.day_connections(day))
+            # no positives -> no alarms
+            assert engine.rollover().cc_domains == set()
 
     def test_no_whois_at_all(self):
         """DNS-style deployment: detector constructed without WHOIS."""

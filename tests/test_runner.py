@@ -1,11 +1,13 @@
-"""Tests for the file-based DNS log runner."""
+"""Tests for the file-based DNS log runner (``run``): one engine, one
+poll and one ``rollover()`` per daily file."""
 
 from pathlib import Path
 
 import pytest
 
 from repro.logs import format_dns_line
-from repro.runner import DnsLogRunner, run_directory
+from repro.runner import run_directory
+from repro.streaming import StreamingDetector
 
 
 @pytest.fixture(scope="module")
@@ -59,17 +61,26 @@ class TestRunDirectory:
         assert all(r.records > 100 for r in reports)
 
 
-class TestDnsLogRunner:
+def _feed(detector, path) -> None:
+    """Submit one day's log file; the next ``rollover()`` polls it."""
+    with path.open() as handle:
+        detector.submit_lines(handle)
+
+
+class TestEngineDay:
+    """The day lifecycle ``run_directory`` loops over, driven by hand:
+    ``submit_lines`` a file, ``rollover()`` it."""
+
     def test_hint_mode(self, log_dir, lanl_dataset):
-        runner = DnsLogRunner(
+        detector = StreamingDetector(
             internal_suffixes=lanl_dataset.internal_suffixes,
             server_ips=lanl_dataset.server_ips,
         )
-        runner.bootstrap([log_dir / "dns-march-01.log"])
+        _feed(detector, log_dir / "dns-march-01.log")
+        detector.rollover(detect=False)
         truth = lanl_dataset.campaign_for_date(2)
-        report = runner.process(
-            log_dir / "dns-march-02.log", hint_hosts=truth.hint_hosts
-        )
+        _feed(detector, log_dir / "dns-march-02.log")
+        report = detector.rollover(hint_hosts=truth.hint_hosts)
         assert set(truth.malicious_domains) <= set(report.detected)
 
     def test_no_seeds_no_detections_on_quiet_day(self, tmp_path, lanl_dataset):
@@ -83,19 +94,25 @@ class TestDnsLogRunner:
         with quiet.open("w") as handle:
             for record in records[half:]:
                 handle.write(format_dns_line(record) + "\n")
-        runner = DnsLogRunner(
+        detector = StreamingDetector(
             internal_suffixes=lanl_dataset.internal_suffixes,
             server_ips=lanl_dataset.server_ips,
         )
-        runner.bootstrap([bootstrap])
-        report = runner.process(quiet)
+        _feed(detector, bootstrap)
+        detector.rollover(detect=False)
+        _feed(detector, quiet)
+        report = detector.rollover()
         # March 1 has no campaign, so no multi-host synced beacons.
         assert report.cc_domains == set()
 
-    def test_bootstrap_returns_history_size(self, log_dir, lanl_dataset):
-        runner = DnsLogRunner(
+    def test_bootstrap_day_fills_history_without_detecting(
+        self, log_dir, lanl_dataset
+    ):
+        detector = StreamingDetector(
             internal_suffixes=lanl_dataset.internal_suffixes,
             server_ips=lanl_dataset.server_ips,
         )
-        size = runner.bootstrap([log_dir / "dns-march-01.log"])
-        assert size > 50
+        _feed(detector, log_dir / "dns-march-01.log")
+        report = detector.rollover(detect=False)
+        assert len(detector.history) > 50
+        assert report.records > 100 and not report.detected

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.config import LANL_CONFIG, SystemConfig
 from repro.core.beliefprop import belief_propagation
-from repro.core.pipeline import detect_on_enterprise_traffic
+from repro.core.pipeline import EnterpriseDetector
 from repro.core.scoring import (
     AdditiveSimilarityScorer,
     BatchedSimilarityScorer,
@@ -46,6 +46,7 @@ from repro.profiling.rare import (
     rare_domains_by_host,
 )
 from repro.runner import detect_on_traffic
+from repro.streaming import StreamingEnterpriseDetector
 from repro.timing.detector import AutomationDetector
 
 SECONDS_PER_DAY = 86_400.0
@@ -338,12 +339,18 @@ def _random_whois(rng: random.Random, connections) -> WhoisDatabase:
 
 @pytest.mark.parity
 def test_detect_on_enterprise_traffic_index_parity():
-    """Batched regression scoring equals the per-domain reference,
-    including the WHOIS imputation state it leaves behind."""
+    """Batched regression scoring equals the per-domain reference at
+    the enterprise end of day (``rollover()`` of an engine fed the day
+    in one poll), including the WHOIS imputation state it leaves
+    behind."""
     config = SystemConfig().with_thresholds(similarity=0.3, cc_score=0.25)
     for seed in range(10):
         rng = random.Random(3000 + seed)
         history = DestinationHistory()
+        histories = {
+            RegressionSimilarityScorer: DestinationHistory(),
+            PerDomainRegression: DestinationHistory(),
+        }
         for day in range(2):
             connections = _random_day_connections(rng, day, with_http=True)
             whois_db = _random_whois(rng, connections) if day % 2 else None
@@ -357,20 +364,21 @@ def test_detect_on_enterprise_traffic_index_parity():
             )
             runs = {}
             for similarity in (RegressionSimilarityScorer, PerDomainRegression):
-                cc_scorer, sim_scorer = _enterprise_scorers(
-                    whois_db, similarity
+                # Fresh scorers per day (the registry changes); the
+                # engine's own history carries across them.
+                detector = EnterpriseDetector(config)
+                detector.history = histories[similarity]
+                detector.cc_scorer, detector.similarity_scorer = (
+                    _enterprise_scorers(whois_db, similarity)
                 )
-                result = detect_on_enterprise_traffic(
-                    traffic, rare,
-                    day=day,
-                    automation=AutomationDetector(config.histogram),
-                    cc_scorer=cc_scorer,
-                    similarity_scorer=sim_scorer,
-                    config=config,
-                    soc_seed_domains=soc,
-                    intel_domains=intel,
+                engine = StreamingEnterpriseDetector(detector, start_day=day)
+                engine.ingest(connections)
+                report = engine.rollover(
+                    soc_seed_domains=soc, intel_domains=intel
                 )
-                whois = sim_scorer.extractor.whois
+                assert report.rare_domains == rare
+                result = report.day_result
+                whois = detector.similarity_scorer.extractor.whois
                 runs[similarity] = (
                     result,
                     None if whois is None else (

@@ -23,32 +23,22 @@ from repro.state import (
 )
 
 
-@pytest.fixture(scope="module")
-def trained(enterprise_dataset):
-    detector = EnterpriseDetector(whois=enterprise_dataset.whois)
-    detector.train(
-        enterprise_dataset.day_batches(0, enterprise_dataset.config.bootstrap_days),
-        enterprise_dataset.build_virustotal(),
-    )
-    return detector
-
-
 class TestComponentRoundTrips:
-    def test_history(self, trained):
-        restored = decode_history(encode_history(trained.history))
-        assert len(restored) == len(trained.history)
-        some = next(iter(trained.history._first_seen))
-        assert restored.first_seen(some) == trained.history.first_seen(some)
+    def test_history(self, trained_detector):
+        restored = decode_history(encode_history(trained_detector.history))
+        assert len(restored) == len(trained_detector.history)
+        some = next(iter(trained_detector.history._first_seen))
+        assert restored.first_seen(some) == trained_detector.history.first_seen(some)
 
-    def test_ua_history(self, trained):
-        restored = decode_ua_history(encode_ua_history(trained.ua_history))
-        assert len(restored) == len(trained.ua_history)
-        for ua in list(trained.ua_history._hosts_by_ua)[:5]:
-            assert restored.popularity(ua) == trained.ua_history.popularity(ua)
-            assert restored.is_rare(ua) == trained.ua_history.is_rare(ua)
+    def test_ua_history(self, trained_detector):
+        restored = decode_ua_history(encode_ua_history(trained_detector.ua_history))
+        assert len(restored) == len(trained_detector.ua_history)
+        for ua in list(trained_detector.ua_history._hosts_by_ua)[:5]:
+            assert restored.popularity(ua) == trained_detector.ua_history.popularity(ua)
+            assert restored.is_rare(ua) == trained_detector.ua_history.is_rare(ua)
 
-    def test_model(self, trained):
-        model = trained.cc_scorer.model
+    def test_model(self, trained_detector):
+        model = trained_detector.cc_scorer.model
         restored = decode_model(encode_model(model))
         assert restored.feature_names == model.feature_names
         vector = [0.1, 0.2, 0.5, 1.0, 0.3, 0.7]
@@ -62,36 +52,43 @@ class TestComponentRoundTrips:
         restored = decode_config(encode_config(config))
         assert restored == config
 
-    def test_state_is_json_serializable(self, trained):
-        text = json.dumps(detector_state(trained))
+    def test_state_is_json_serializable(self, trained_detector):
+        text = json.dumps(detector_state(trained_detector))
         assert "cc_model" in text
 
 
 class TestDetectorRoundTrip:
-    def test_save_load(self, trained, enterprise_dataset, tmp_path):
+    def test_save_load(self, freshly_trained, enterprise_dataset, tmp_path):
         path = tmp_path / "state.json"
-        save_detector(trained, path)
+        save_detector(freshly_trained, path)
         restored = load_detector(path, whois=enterprise_dataset.whois)
+
+        from repro.streaming import StreamingEnterpriseDetector
 
         day = enterprise_dataset.config.bootstrap_days
         conns = enterprise_dataset.day_connections(day)
-        original_result = trained.process_day(day, conns, update_profiles=False)
-        restored_result = restored.process_day(day, conns, update_profiles=False)
-        assert original_result.rare_domains == restored_result.rare_domains
-        assert original_result.cc_domain_names == restored_result.cc_domain_names
+        reports = []
+        for detector in (freshly_trained, restored):
+            engine = StreamingEnterpriseDetector(detector)
+            engine.ingest(conns)
+            reports.append(engine.rollover())
+        original_report, restored_report = reports
+        assert original_report.day == restored_report.day == day
+        assert original_report.rare_domains == restored_report.rare_domains
+        assert original_report.cc_domains == restored_report.cc_domains
 
-    def test_restored_scores_identical(self, trained, enterprise_dataset, tmp_path):
+    def test_restored_scores_identical(self, trained_detector, enterprise_dataset, tmp_path):
         path = tmp_path / "state.json"
-        save_detector(trained, path)
+        save_detector(trained_detector, path)
         restored = load_detector(path, whois=enterprise_dataset.whois)
         vector = [0.0, 0.0, 1.0, 1.0, 0.1, 0.2]
         assert restored.cc_scorer.model.score(vector) == pytest.approx(
-            trained.cc_scorer.model.score(vector)
+            trained_detector.cc_scorer.model.score(vector)
         )
-        assert restored.cc_scorer.threshold == trained.cc_scorer.threshold
+        assert restored.cc_scorer.threshold == trained_detector.cc_scorer.threshold
 
-    def test_version_check(self, trained):
-        payload = detector_state(trained)
+    def test_version_check(self, trained_detector):
+        payload = detector_state(trained_detector)
         payload["version"] = 999
         with pytest.raises(StateError):
             restore_detector(payload)
@@ -197,13 +194,11 @@ class TestEngineDispatch:
         restored = restore_engine(payload)
         assert isinstance(restored, StreamingDetector)
 
-    def test_enterprise_engine_round_trip(self, trained, enterprise_dataset):
-        import copy
-
+    def test_enterprise_engine_round_trip(self, trained_detector, enterprise_dataset):
         from repro.state import encode_engine, restore_engine
         from repro.streaming import StreamingEnterpriseDetector
 
-        engine = StreamingEnterpriseDetector(copy.deepcopy(trained))
+        engine = StreamingEnterpriseDetector(trained_detector)
         payload = encode_engine(engine)
         assert payload["kind"] == "streaming-enterprise"
         restored = restore_engine(payload, whois=enterprise_dataset.whois)

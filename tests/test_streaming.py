@@ -1,9 +1,13 @@
 """Tests for the streaming detection engine (repro.streaming).
 
-The load-bearing properties: replaying a day's events yields the batch
-pipeline's exact end-of-day detections; a mid-day checkpoint restores
-to identical final state; day rollover commits histories exactly once;
-and warm-start belief propagation reaches the cold-start fixed point.
+The load-bearing properties: a day's end-of-day detections do not
+depend on how its events were micro-batched (one whole-day poll, as
+``run`` feeds it, against 500-event polls with scoring rounds between,
+as ``stream`` does -- bulk vs incremental ingest, rescan vs tracker;
+``tests/golden_detections.json`` is the cross-check a bug shared by
+both cannot pass); a mid-day checkpoint restores to identical final
+state; day rollover commits histories exactly once; and warm-start
+belief propagation reaches the cold-start fixed point.
 """
 
 import hashlib
@@ -49,6 +53,19 @@ def _feed_history(detector, paths) -> None:
         detector.rollover(detect=False)
 
 
+def _micro_batched(engine, batches) -> None:
+    """Feed a day the way ``stream`` does: one poll and one scoring
+    round per micro-batch."""
+    for batch in batches:
+        engine.submit(batch)
+        engine.poll()
+        engine.score()
+
+
+def _chunks(events, size=500):
+    return (events[i:i + size] for i in range(0, len(events), size))
+
+
 def _replay_kwargs(lanl_dataset, **extra):
     kwargs = dict(
         bootstrap_files=1,
@@ -62,12 +79,14 @@ def _replay_kwargs(lanl_dataset, **extra):
 
 
 # ---------------------------------------------------------------------------
-# Batch parity
+# Whole-day poll vs micro-batched replay
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parity
 class TestBatchParity:
     def test_replay_matches_batch_runner(self, log_dir, lanl_dataset):
+        """``run`` (each file in one poll, no scoring round) against
+        ``stream`` (250-event polls, a scoring round after each)."""
         batch = run_directory(
             log_dir,
             bootstrap_files=1,
@@ -94,25 +113,24 @@ class TestBatchParity:
         self, log_dir, lanl_dataset
     ):
         """SOC-hints mode (III-C, LANL cases 1-3): hint hosts replace
-        the day's C&C hits as seeds, identically online and in batch."""
-        from repro.runner import DnsLogRunner
-
+        the day's C&C hits as seeds, identically whether the day
+        arrived in one poll or micro-batched with no-hint scoring
+        rounds between."""
         filters = dict(
             internal_suffixes=lanl_dataset.internal_suffixes,
             server_ips=lanl_dataset.server_ips,
         )
         truth = lanl_dataset.campaign_for_date(2)
         assert truth.hint_hosts
-        runner = DnsLogRunner(**filters)
-        runner.bootstrap([log_dir / "dns-march-01.log"])
-        want = runner.process(
-            log_dir / "dns-march-02.log", hint_hosts=truth.hint_hosts
-        )
+        whole = StreamingDetector(**filters)
+        _feed_history(whole, [log_dir / "dns-march-01.log"])
+        with (log_dir / "dns-march-02.log").open() as handle:
+            whole.submit_lines(handle)
+        want = whole.rollover(hint_hosts=truth.hint_hosts)
         stream = StreamingDetector(**filters)
         _feed_history(stream, [log_dir / "dns-march-01.log"])
         with (log_dir / "dns-march-02.log").open() as handle:
-            stream.submit_lines(handle)
-        stream.poll()
+            _micro_batched(stream, stream.funnel.read_lines(handle, 500))
         got = stream.rollover(hint_hosts=truth.hint_hosts)
         assert got.detected == want.detected
         assert got.bp_result.detections == want.bp_result.detections
@@ -327,33 +345,36 @@ class TestRollover:
         assert detector.rollover().records == 0
 
     def test_history_matches_batch_after_replay(self, log_dir, lanl_dataset):
-        kwargs = _replay_kwargs(lanl_dataset)
-        from repro.runner import DnsLogRunner
+        """Whole files through the line reader and the same records
+        parsed one by one and micro-batched commit the same history."""
+        from repro.logs import parse_dns_log
 
-        runner = DnsLogRunner(
+        filters = dict(
             internal_suffixes=lanl_dataset.internal_suffixes,
             server_ips=lanl_dataset.server_ips,
         )
         paths = sorted(log_dir.glob("dns-*.log"))
-        runner.bootstrap(paths[:1])
+        whole = StreamingDetector(**filters)
+        _feed_history(whole, paths[:1])
         for path in paths[1:]:
-            runner.process(path)
+            with path.open() as handle:
+                whole.submit_lines(handle)
+            whole.rollover()
 
-        detector = StreamingDetector(
-            internal_suffixes=lanl_dataset.internal_suffixes,
-            server_ips=lanl_dataset.server_ips,
-        )
+        detector = StreamingDetector(**filters)
         _feed_history(detector, paths[:1])
         for path in paths[1:]:
             with path.open() as handle:
-                from repro.logs import parse_dns_log
-
-                detector.submit_raw(parse_dns_log(handle))
-            detector.poll()
+                records = list(parse_dns_log(handle))
+            for chunk in _chunks(records):
+                detector.submit_raw(chunk)
+                detector.poll()
+                detector.score()
             detector.rollover()
 
-        assert detector.history._first_seen == runner.history._first_seen
-        assert detector.history.committed_days == runner.history.committed_days
+        assert len(whole.history) > 50
+        assert detector.history._first_seen == whole.history._first_seen
+        assert detector.history.committed_days == whole.history.committed_days
 
 
 # ---------------------------------------------------------------------------
@@ -934,21 +955,6 @@ class TestStreamCommand:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def trained_enterprise(enterprise_dataset):
-    """The batch pipeline trained on the bootstrap month (shared)."""
-    from repro.core import EnterpriseDetector
-
-    detector = EnterpriseDetector(whois=enterprise_dataset.whois)
-    detector.train(
-        enterprise_dataset.day_batches(
-            0, enterprise_dataset.config.bootstrap_days
-        ),
-        enterprise_dataset.build_virustotal(),
-    )
-    return detector
-
-
-@pytest.fixture(scope="module")
 def enterprise_layout(enterprise_dataset, tmp_path_factory) -> Path:
     """An on-disk enterprise layout (proxy logs + model.json + whois)."""
     from repro.synthetic import write_enterprise_layout
@@ -957,49 +963,57 @@ def enterprise_layout(enterprise_dataset, tmp_path_factory) -> Path:
     return write_enterprise_layout(enterprise_dataset, directory, days=3)
 
 
-def _enterprise_pair(trained_enterprise):
-    """Independent batch/stream copies of the same trained system."""
-    import copy
-
+@pytest.fixture
+def enterprise_engine(trained_state, enterprise_dataset):
+    """Factory: an independent engine over the same trained system per
+    call (each restored from the session's ``trained_state``)."""
+    from repro.state import restore_detector
     from repro.streaming import StreamingEnterpriseDetector
 
-    batch = copy.deepcopy(trained_enterprise)
-    stream = StreamingEnterpriseDetector(copy.deepcopy(trained_enterprise))
-    return batch, stream
+    return lambda: StreamingEnterpriseDetector(
+        restore_detector(trained_state, whois=enterprise_dataset.whois)
+    )
 
 
 @pytest.mark.parity
 class TestEnterpriseBatchParity:
     def test_rollover_matches_process_day(
-        self, trained_enterprise, enterprise_dataset
+        self, enterprise_engine, enterprise_dataset
     ):
-        batch, stream = _enterprise_pair(trained_enterprise)
+        """One whole-day poll against 500-event polls with a scoring
+        round after each: the same close, day after day (histories and
+        WHOIS imputation carry over)."""
+        whole, stream = enterprise_engine(), enterprise_engine()
         first = enterprise_dataset.config.bootstrap_days
         for day in range(first, first + 3):
             conns = enterprise_dataset.day_connections(day)
-            want = batch.process_day(day, conns)
-            stream.ingest(conns)
-            stream.score()  # intra-day rounds must not skew the close
+            whole.ingest(conns)
+            want = whole.rollover()
+            _micro_batched(stream, _chunks(conns))
             report = stream.rollover()
-            assert report.day == day
+            assert report.day == want.day == day
+            assert report.records == want.records == len(conns)
             assert report.rare_domains == want.rare_domains
-            assert report.cc_domains == want.cc_domain_names
-            assert set(report.detected) == want.all_detected_domains()
-            assert report.day_result.no_hint is not None or not want.cc_domains
+            assert report.cc_domains == want.cc_domains
+            assert report.detected == want.detected
+            assert report.day_result.cc_domains == want.day_result.cc_domains
+            assert report.bp_result is not None or not want.cc_domains
 
     def test_soc_seeded_rollover_matches_soc_seeded_process_day(
-        self, trained_enterprise, enterprise_dataset
+        self, enterprise_engine, enterprise_dataset
     ):
         """SOC-hints mode (V cases 1-3, Fig. 6c): the IOC-seeded run
-        rides next to the no-hint run, identically online and in batch."""
-        batch, stream = _enterprise_pair(trained_enterprise)
+        rides next to the no-hint run, identically after one poll and
+        after micro-batches with (no-hint) scoring rounds between."""
+        whole, stream = enterprise_engine(), enterprise_engine()
         seeds = enterprise_dataset.build_ioc_list().seeds()
         first = enterprise_dataset.config.bootstrap_days
         ran_hints = False
         for day in range(first, first + 4):
             conns = enterprise_dataset.day_connections(day)
-            want = batch.process_day(day, conns, soc_seed_domains=seeds)
-            stream.ingest(conns)
+            whole.ingest(conns)
+            want = whole.rollover(soc_seed_domains=seeds).day_result
+            _micro_batched(stream, _chunks(conns))
             report = stream.rollover(soc_seed_domains=seeds)
             got = report.day_result
             assert set(report.detected) == want.all_detected_domains()
@@ -1013,22 +1027,19 @@ class TestEnterpriseBatchParity:
         assert ran_hints
 
     def test_micro_batch_size_irrelevant(
-        self, trained_enterprise, enterprise_dataset
+        self, enterprise_engine, enterprise_dataset
     ):
-        _, small = _enterprise_pair(trained_enterprise)
-        _, large = _enterprise_pair(trained_enterprise)
+        small, large = enterprise_engine(), enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days
         conns = enterprise_dataset.day_connections(day)
-        for start in range(0, len(conns), 97):
-            small.ingest(conns[start:start + 97])
-            small.score()
+        _micro_batched(small, _chunks(conns, 97))
         large.ingest(conns)
         assert small.rollover().detected == large.rollover().detected
 
     def test_final_scoring_round_matches_rollover(
-        self, trained_enterprise, enterprise_dataset
+        self, enterprise_engine, enterprise_dataset
     ):
-        _, stream = _enterprise_pair(trained_enterprise)
+        stream = enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days + 1
         prev = enterprise_dataset.day_connections(day - 1)
         stream.ingest(prev)
@@ -1050,7 +1061,7 @@ class TestEnterpriseBatchParity:
 
 class TestEnterpriseIngestRoutes:
     def test_lines_records_and_scalar_events_build_the_same_window(
-        self, trained_enterprise, enterprise_dataset
+        self, enterprise_engine, enterprise_dataset
     ):
         """``submit_lines`` == ``submit_raw`` over the same records ==
         the scalar adapters' ``Connection`` events, on a real day:
@@ -1073,7 +1084,7 @@ class TestEnterpriseIngestRoutes:
         assert any(r.tz_offset_hours for r in records)
 
         def window_of(feed):
-            _, stream = _enterprise_pair(trained_enterprise)
+            stream = enterprise_engine()
             count = feed(stream)
             assert stream.poll() == count
             window = stream.window
@@ -1103,14 +1114,15 @@ class TestEnterpriseIngestRoutes:
 
 class TestEnterpriseCheckpoint:
     def test_midday_restore_finishes_identically(
-        self, trained_enterprise, enterprise_dataset, tmp_path
+        self, enterprise_engine, enterprise_dataset, tmp_path
     ):
         from repro.state import load_streaming_enterprise, save_streaming_enterprise
 
-        batch, stream = _enterprise_pair(trained_enterprise)
+        whole, stream = enterprise_engine(), enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days
         conns = enterprise_dataset.day_connections(day)
-        want = batch.process_day(day, conns)
+        whole.ingest(conns)
+        want = whole.rollover()
 
         half = len(conns) // 2
         stream.ingest(conns[:half])
@@ -1125,15 +1137,22 @@ class TestEnterpriseCheckpoint:
 
         restored.ingest(conns[half:])
         report = restored.rollover()
-        assert set(report.detected) == want.all_detected_domains()
+        assert want.detected
+        assert report.detected == want.detected
 
     def test_restore_resumes_whois_imputation_counters(
-        self, trained_enterprise, tmp_path
+        self, enterprise_engine, enterprise_dataset, tmp_path
     ):
         from repro.state import load_streaming_enterprise, save_streaming_enterprise
 
-        _, stream = _enterprise_pair(trained_enterprise)
+        stream = enterprise_engine()
+        # A restored trained state starts its imputation means at zero;
+        # one operated day advances them.
+        day = enterprise_dataset.config.bootstrap_days
+        stream.ingest(enterprise_dataset.day_connections(day))
+        stream.rollover()
         whois = stream.batch.extractor.whois
+        assert whois._observed > 0
         path = tmp_path / "ent.json"
         save_streaming_enterprise(stream, path)
         restored = load_streaming_enterprise(path, whois=None)
@@ -1141,10 +1160,10 @@ class TestEnterpriseCheckpoint:
         assert impute._observed == whois._observed
         assert impute._age_sum == pytest.approx(whois._age_sum)
 
-    def test_refuses_queued_events(self, trained_enterprise, tmp_path):
+    def test_refuses_queued_events(self, enterprise_engine, tmp_path):
         from repro.state import StateError, save_streaming_enterprise
 
-        _, stream = _enterprise_pair(trained_enterprise)
+        stream = enterprise_engine()
         stream.submit([_conn("h1", "d.com", 5.0)])
         with pytest.raises(StateError, match="queued"):
             save_streaming_enterprise(stream, tmp_path / "x.json")
@@ -1158,15 +1177,14 @@ class TestEnterpriseCheckpoint:
 
 class TestEnterpriseIntelSeeding:
     def test_intel_domain_seeds_rollover(
-        self, trained_enterprise, enterprise_dataset
+        self, enterprise_engine, enterprise_dataset
     ):
-        batch, stream = _enterprise_pair(trained_enterprise)
+        plain, stream = enterprise_engine(), enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days
         conns = enterprise_dataset.day_connections(day)
-        want = batch.process_day(day, conns)
-        undetected_rare = sorted(
-            want.rare_domains - want.all_detected_domains()
-        )
+        plain.ingest(conns)
+        want = plain.rollover()
+        undetected_rare = sorted(want.rare_domains - set(want.detected))
         assert undetected_rare, "world has no undetected rare domain"
         target = undetected_rare[0]
 
@@ -1175,7 +1193,7 @@ class TestEnterpriseIntelSeeding:
         assert target in report.intel_seeded
         assert "absent.example" not in report.intel_seeded
         assert target in report.detected
-        assert set(report.detected) >= want.all_detected_domains()
+        assert set(report.detected) >= set(want.detected)
 
 
 class TestEnterpriseReplay:

@@ -158,8 +158,8 @@ def summarize_bp_scale(payload) -> dict | None:
 
 def summarize_evasion(payload) -> dict | None:
     """Headline of the adversarial campaign suite: detection rate at
-    the endpoints of every (campaign, pipeline) curve, parity across
-    every measured point."""
+    the endpoints of every (campaign, pipeline) curve, and the fleet
+    curve's parallel-vs-serial parity."""
     curves = payload.get("curves") if isinstance(payload, dict) else None
     if not curves:
         return None
@@ -169,17 +169,19 @@ def summarize_evasion(payload) -> dict | None:
         if not points:
             continue
         summary_curves[f"{curve['campaign']}/{curve['pipeline']}"] = {
-            "rate_at_0": points[0].get("batch_rate"),
-            "rate_at_max": points[-1].get("batch_rate"),
+            "rate_at_0": points[0].get("rate"),
+            "rate_at_max": points[-1].get("rate"),
             "max_strength": points[-1].get("strength"),
             "points": len(points),
-            "parity": curve.get("parity"),
         }
     return {
         "smoke": payload.get("smoke"),
         "strengths": payload.get("strengths"),
         "curves": summary_curves,
-        "detect_parity": all(c.get("parity") for c in curves),
+        "detect_parity": all(
+            point.get("parity", True)
+            for curve in curves for point in curve.get("points", [])
+        ),
     }
 
 
