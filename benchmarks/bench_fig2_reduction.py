@@ -24,8 +24,7 @@ STEPS = (
 def run_first_week(dataset):
     solver = LanlChallengeSolver(dataset)
     for march_date in range(1, 8):
-        context = solver.day_context(march_date)
-        solver._commit_day(context)
+        solver.day_context(march_date)
     return solver.funnel.stats
 
 

@@ -8,7 +8,10 @@ two regression scorers -- and runs the first of them:
 
 1. normalize + reduce (done upstream, the detector consumes
    :class:`~repro.logs.records.Connection` streams);
-2. profile destination and user-agent histories;
+2. profile destination and user-agent histories: each day opens in a
+   :class:`~repro.profiling.window.WindowedAggregator` over them
+   (:meth:`EnterpriseDetector.day_window`) and commits in its
+   ``rollover()``, the end of day operation runs;
 3. customize the C&C detector: collect rare automated domains over the
    later training days, label them through VirusTotal, fit the
    six-feature linear model and keep threshold ``Tc``;
@@ -42,8 +45,9 @@ from ..intel.virustotal import VirusTotalOracle
 from ..intel.whois_db import WhoisDatabase
 from ..logs.records import Connection
 from ..profiling.history import DestinationHistory
-from ..profiling.rare import DailyTraffic, extract_rare_domains
+from ..profiling.rare import DailyTraffic
 from ..profiling.ua import UserAgentHistory
+from ..profiling.window import WindowedAggregator
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .beliefprop import BeliefPropagationResult
 from .scoring import (
@@ -157,13 +161,14 @@ class EnterpriseDetector:
         profile_only, model_batches = ordered[:split], ordered[split:]
 
         for day, connections in profile_only:
-            self._profile_day(day, connections)
+            self.day_window(day, connections).rollover()
         self.report.profiled_days = len(profile_only)
 
         cc_rows: list[tuple[Sequence[float], float]] = []
         sim_rows: list[tuple[Sequence[float], float]] = []
         for day, connections in model_batches:
-            traffic, rare = self._aggregate_day(day, connections)
+            window = self.day_window(day, connections)
+            traffic, rare = window.traffic, window.rare
             when = (day + 1) * 86_400.0
             verdicts = self._automation_verdicts(traffic, rare)
             auto_hosts = automated_hosts_by_domain(verdicts)
@@ -178,7 +183,7 @@ class EnterpriseDetector:
             sim_rows.extend(
                 self._similarity_samples(traffic, rare, auto_hosts, virustotal, when)
             )
-            self._profile_day(day, connections)
+            window.rollover()
             self.report.profiled_days += 1
 
         self.report.history_size = len(self.history)
@@ -262,33 +267,27 @@ class EnterpriseDetector:
             rows.append((features.as_vector(), label))
         return rows
 
+    def day_window(
+        self, day: int, connections: Sequence[Connection]
+    ) -> WindowedAggregator:
+        """One day of connections in a window over the histories: read
+        its ``traffic`` / ``rare``, then ``rollover()`` commits the day
+        (the end of day the streaming engines run)."""
+        window = WindowedAggregator(
+            day,
+            self.history,
+            unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
+            ua_history=self.ua_history,
+        )
+        window.ingest(connections)
+        return window
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _aggregate_day(
-        self, day: int, connections: Sequence[Connection]
-    ) -> tuple[DailyTraffic, set[str]]:
-        traffic = DailyTraffic(day)
-        traffic.ingest(connections, ua_is_rare=self.ua_history.is_rare)
-        traffic.finalize()
-        rare = extract_rare_domains(
-            traffic,
-            self.history,
-            unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
-        )
-        return traffic, rare
 
     def _automation_verdicts(
         self, traffic: DailyTraffic, rare: set[str]
     ) -> list[AutomationVerdict]:
         """Automation test restricted to rare domains (Section IV-C)."""
         return self.automation.automated_pairs(traffic.rare_series(rare))
-
-    def _profile_day(self, day: int, connections: Sequence[Connection]) -> None:
-        """Stage and commit one day into the histories (end of day)."""
-        for conn in connections:
-            self.history.stage(conn.domain, day)
-            self.ua_history.stage(conn.user_agent, conn.host)
-        self.history.commit_day(day)
-        self.ua_history.commit_day()

@@ -1,8 +1,11 @@
 """Enterprise (AC) evaluation harness (Section VI).
 
 Trains the full pipeline on the synthetic enterprise's bootstrap month,
-replays the operation month once to cache per-day aggregation state,
-then sweeps thresholds cheaply over the cached state:
+replays the operation month once -- each day through the window
+training and the streaming engines use
+(:meth:`~repro.core.pipeline.EnterpriseDetector.day_window`) -- to cache
+per-day aggregation state, then sweeps thresholds cheaply over the
+cached state:
 
 * :meth:`EnterpriseEvaluation.cc_sweep` -- Figure 6(a): domains labeled
   C&C as the automated-domain score threshold varies;
@@ -31,6 +34,7 @@ from ..intel.ioc import IocList
 from ..intel.virustotal import VirusTotalOracle
 from ..profiling.rare import DailyTraffic
 from ..synthetic.enterprise import EnterpriseDataset
+from ..synthetic.fleet import train_enterprise_detector
 from .metrics import ValidationBreakdown, validate_detections
 
 SECONDS_PER_DAY = 86_400.0
@@ -75,13 +79,7 @@ class EnterpriseEvaluation:
     def __post_init__(self) -> None:
         self.virustotal = self.dataset.build_virustotal()
         self.ioc = self.dataset.build_ioc_list()
-        self.detector = EnterpriseDetector(self.config, whois=self.dataset.whois)
-        training = self.dataset.day_batches(0, self.dataset.config.bootstrap_days)
-        self.detector.train(training, self.virustotal)
-        if self.detector.cc_scorer is None or self.detector.similarity_scorer is None:
-            raise RuntimeError(
-                "training did not produce both models; enlarge the dataset"
-            )
+        self.detector = train_enterprise_detector(self.dataset, self.config)
         self._replay_operation_month()
 
     def _replay_operation_month(self) -> None:
@@ -89,7 +87,9 @@ class EnterpriseEvaluation:
         first = self.dataset.config.bootstrap_days
         last = self.dataset.config.total_days
         for day, connections in self.dataset.day_batches(first, last):
-            traffic, rare = self.detector._aggregate_day(day, connections)
+            window = self.detector.day_window(day, connections)
+            # A copy: the rollover below clears the window's own set.
+            traffic, rare = window.traffic, set(window.rare)
             when = (day + 1) * SECONDS_PER_DAY
             verdicts = self.detector._automation_verdicts(traffic, rare)
             cc_scores = self.detector.cc_scorer.score_automated(
@@ -105,7 +105,7 @@ class EnterpriseEvaluation:
                     when=when,
                 )
             )
-            self.detector._profile_day(day, connections)
+            window.rollover()
 
     # ------------------------------------------------------------------
     # Figure 5

@@ -1,45 +1,45 @@
 """LANL challenge solver and evaluation (Section V).
 
 Replays the paper's methodology on the synthetic LANL world, one March
-date at a time and strictly in order (histories update at end of day):
+date at a time and strictly in order (histories update at end of day),
+by driving ONE :class:`~repro.streaming.StreamingDetector` -- the engine
+``run``, ``stream`` and every fleet tenant-day use: a date's raw DNS
+records are submitted through the engine's Section IV-A funnel and the
+day closes in its ``rollover()``, which
 
-1. reduce the day's raw DNS records through the Section IV-A funnel;
-2. extract rare destinations against the incrementally built history;
-3. run the dynamic-histogram automation detector over rare
+1. extracts rare destinations against the incrementally built history;
+2. runs the dynamic-histogram automation detector over rare
    (host, domain) series;
-4. apply the LANL C&C heuristic -- at least two distinct hosts
+3. applies the LANL C&C heuristic -- at least two distinct hosts
    beaconing to the domain at similar periods (Section V-B);
-5. run belief propagation with the additive similarity scorer, seeded
+4. runs belief propagation with the additive similarity scorer, seeded
    by the case's hint hosts (cases 1-3) or by the detected C&C domains
    (case 4);
-6. score detections against the challenge answers (Table III).
+5. commits the day into the history.
 
-The module also computes the Figure 3 timing CDFs and the Table II
-(W, JT) parameter sweep from the same day contexts.
+The solver scores those detections against the challenge answers
+(Table III).  The module also computes the Figure 3 timing CDFs and the
+Table II (W, JT) parameter sweep from day contexts: a date's window
+read just before a detection-free ``rollover(detect=False)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..config import LANL_CONFIG, SystemConfig
 from ..core.beliefprop import BeliefPropagationResult
-from ..core.dayloop import DayDetection, detect_day
-from ..core.scoring import AdditiveSimilarityScorer, multi_host_cc_domains
-from ..logs.reduction import ReductionFunnel
-from ..profiling.history import DestinationHistory
-from ..profiling.rare import DailyTraffic, extract_rare_domains
+from ..core.scoring import multi_host_cc_domains
+from ..profiling.rare import DailyTraffic
+from ..streaming.detector import StreamingDetector
 from ..synthetic.lanl import LanlCampaignTruth, LanlDataset
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .metrics import DetectionCounts, ZERO_COUNTS, score_detections
 
-SECONDS_PER_DAY = 86_400.0
-
 
 @dataclass
 class LanlDayContext:
-    """Aggregated state for one March date, ready for detection."""
+    """One March date's window traffic and rare set, as the day closed."""
 
     march_date: int
     day: int
@@ -99,7 +99,8 @@ class ChallengeReport:
 
 
 class LanlChallengeSolver:
-    """Stateful solver; call :meth:`solve_day` in chronological order."""
+    """Drives one engine over the challenge; every date is fed once, in
+    chronological order, by :meth:`solve_day` or :meth:`day_context`."""
 
     def __init__(
         self,
@@ -108,38 +109,50 @@ class LanlChallengeSolver:
     ) -> None:
         self.dataset = dataset
         self.config = config or LANL_CONFIG
-        self.history = DestinationHistory()
-        self.history.bootstrap(dataset.bootstrap_domains)
-        self.funnel = ReductionFunnel(
-            dataset.internal_suffixes,
-            dataset.server_ips,
-            fold_level=self.config.rarity.fold_level,
+        self.engine = StreamingDetector(
+            self.config, dataset.internal_suffixes, dataset.server_ips
         )
-        self.automation = AutomationDetector(self.config.histogram)
-        self.scorer = AdditiveSimilarityScorer()
-        self._solved_dates: list[int] = []
+        self.engine.history.bootstrap(dataset.bootstrap_domains)
+        self._last_date = 0
+
+    @property
+    def funnel(self):
+        """The engine's reduction funnel (Figure 2's accounting)."""
+        return self.engine.funnel
 
     # ------------------------------------------------------------------
 
-    def day_context(self, march_date: int) -> LanlDayContext:
-        """Reduce, normalize and aggregate one day (no detection yet)."""
-        day = self.dataset.config.bootstrap_days + (march_date - 1)
-        records = self.dataset.day_records(march_date)
-        traffic = DailyTraffic(day)
-        traffic.ingest(self.funnel.read_records(records))
+    def _submit(self, march_date: int) -> None:
+        """Queue one date's raw records on the engine.  A date fed twice
+        would find its own domains in the history and detect nothing."""
+        if march_date <= self._last_date:
+            raise ValueError(
+                f"3/{march_date} is not after 3/{self._last_date}: "
+                "days are solved once, in chronological order"
+            )
+        self.engine.submit_raw(self.dataset.day_records(march_date))
+        self._last_date = march_date
 
+    def day_context(self, march_date: int) -> LanlDayContext:
+        """Reduce and aggregate one day, then close it undetected.
+
+        The context keeps the day's window traffic and rare set; the
+        "new" and "rare" steps of Figure 2 join the funnel's accounting
+        under the dataset's day number.
+        """
+        self._submit(march_date)
+        engine = self.engine
+        engine.poll()
+        traffic = engine.window.traffic
         new_domains = {
             domain
             for domain in traffic.hosts_by_domain
-            if self.history.is_new(domain)
+            if engine.history.is_new(domain)
         }
-        rare = extract_rare_domains(
-            traffic,
-            self.history,
-            unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
-        )
-        self.funnel.observe_profiling_step("new", day, new_domains)
-        self.funnel.observe_profiling_step("rare", day, rare)
+        rare = engine.rollover(detect=False).rare_domains
+        day = self.dataset.config.bootstrap_days + (march_date - 1)
+        engine.funnel.observe_profiling_step("new", day, new_domains)
+        engine.funnel.observe_profiling_step("rare", day, rare)
         return LanlDayContext(
             march_date=march_date,
             day=day,
@@ -148,33 +161,14 @@ class LanlChallengeSolver:
             truth=self.dataset.campaign_for_date(march_date),
         )
 
-    def _commit_day(self, context: LanlDayContext) -> None:
-        for domain in context.traffic.hosts_by_domain:
-            self.history.stage(domain, context.day)
-        self.history.commit_day(context.day)
-        self._solved_dates.append(context.march_date)
-
     def detect_cc_domains(
         self, context: LanlDayContext
     ) -> tuple[set[str], list[AutomationVerdict]]:
         """LANL C&C heuristic over the day's rare automated domains."""
-        verdicts = self.automation.automated_pairs(context.rare_series())
-        return multi_host_cc_domains(verdicts), verdicts
-
-    def detect(
-        self, context: LanlDayContext, cc_set: set[str], **hints
-    ) -> DayDetection:
-        """One seed -> propagate pass over a day's context
-        (:func:`repro.core.dayloop.detect_day`): from the C&C set, or
-        from explicit SOC hints when any are given."""
-        return detect_day(
-            context.traffic,
-            context.rare,
-            cc=cc_set,
-            new_scorer=partial(self.scorer.frontier_scorer, context.traffic),
-            config=self.config.belief_propagation,
-            **hints,
+        verdicts = self.engine.automation.automated_pairs(
+            context.rare_series()
         )
+        return multi_host_cc_domains(verdicts), verdicts
 
     def solve_day(self, march_date: int) -> DayOutcome:
         """Full detection for one day; updates histories afterwards.
@@ -182,23 +176,20 @@ class LanlChallengeSolver:
         Cases 1-3 seed with the hint hosts only; case 4 (or any
         unhinted day) with the detected C&C domains.
         """
-        context = self.day_context(march_date)
-        truth = context.truth
-        cc_set, _verdicts = self.detect_cc_domains(context)
-        detection = self.detect(
-            context, cc_set, hint_hosts=truth.hint_hosts if truth else ()
+        truth = self.dataset.campaign_for_date(march_date)
+        self._submit(march_date)
+        report = self.engine.rollover(
+            hint_hosts=truth.hint_hosts if truth else ()
         )
         truth_domains = set(truth.malicious_domains) if truth else set()
-        outcome = DayOutcome(
+        return DayOutcome(
             march_date=march_date,
             case=truth.case if truth else 0,
-            detected=detection.detected,
-            counts=score_detections(detection.detected, truth_domains),
-            cc_seeds=cc_set,
-            bp_result=detection.bp_result,
+            detected=report.detected,
+            counts=score_detections(report.detected, truth_domains),
+            cc_seeds=report.cc_domains,
+            bp_result=report.bp_result,
         )
-        self._commit_day(context)
-        return outcome
 
     def solve_all(self) -> ChallengeReport:
         """Solve every challenge date in chronological order."""
@@ -216,8 +207,8 @@ def timing_gap_samples(
 
     Returns (malicious-to-malicious gaps, malicious-to-rare-legitimate
     gaps), collected over compromised hosts on the given dates.  The
-    solver's history is consumed in order, so pass dates before solving
-    them elsewhere (or use a dedicated solver instance).
+    solver's days are consumed in order, so use a dedicated solver
+    instance.
     """
     mal_mal: list[float] = []
     mal_legit: list[float] = []
@@ -225,7 +216,6 @@ def timing_gap_samples(
         context = solver.day_context(march_date)
         truth = context.truth
         if truth is None:
-            solver._commit_day(context)
             continue
         malicious = set(truth.malicious_domains)
         for host in truth.compromised_hosts:
@@ -245,7 +235,6 @@ def timing_gap_samples(
                     mal_mal.append(abs(first[dom_a] - first[dom_b]))
                 for dom_b in legit_visited:
                     mal_legit.append(abs(first[dom_a] - first[dom_b]))
-        solver._commit_day(context)
     return mal_mal, mal_legit
 
 
@@ -277,11 +266,10 @@ def sweep_histogram_parameters(
     from ..synthetic.lanl import TRAINING_DATES
 
     solver = LanlChallengeSolver(dataset, config)
-    contexts: list[LanlDayContext] = []
-    for march_date in sorted(t.march_date for t in dataset.campaigns):
-        context = solver.day_context(march_date)
-        contexts.append(context)
-        solver._commit_day(context)
+    contexts = [
+        solver.day_context(march_date)
+        for march_date in sorted(t.march_date for t in dataset.campaigns)
+    ]
 
     rows: list[SweepRow] = []
     for width in bin_widths:

@@ -238,18 +238,16 @@ def _load_tenant_checkpoint(path: Path) -> dict[str, Any]:
             f"{path} is not a fleet tenant checkpoint "
             f"(kind={wrapper.get('kind')!r})"
         )
+    # The tenant's cursor into its day files.  The engine's window day
+    # cannot stand in for it: an enterprise engine counts days from its
+    # trained bootstrap.
+    rounds = wrapper.get("round")
+    if type(rounds) is not int or rounds < 0:
+        raise FleetError(
+            f"{path}: tenant checkpoint needs a non-negative integer "
+            f"'round', found {rounds!r}"
+        )
     return wrapper
-
-
-def _checkpoint_rounds(wrapper: dict[str, Any]) -> int:
-    """Rounds a tenant has completed, per its checkpoint.
-
-    Older (pre-enterprise) checkpoints lack the explicit counter; for
-    those the DNS engine's day index equals the file count consumed.
-    """
-    if "round" in wrapper:
-        return int(wrapper["round"])
-    return int(wrapper["engine"]["window"]["day"])
 
 
 @dataclass
@@ -284,7 +282,7 @@ def load_tenant_chain(checkpoint_dir: Path, tenant_id: str) -> TenantChain:
     wrapper = _load_tenant_checkpoint(
         _tenant_checkpoint_path(checkpoint_dir, tenant_id)
     )
-    base_rounds = _checkpoint_rounds(wrapper)
+    base_rounds = wrapper["round"]
     rounds = base_rounds
     report = wrapper.get("report")
     deltas: list[dict[str, Any]] = []

@@ -21,7 +21,7 @@ The index is built lazily from a day's aggregate
 (:meth:`DailyTraffic.index <repro.profiling.rare.DailyTraffic.index>`)
 and from then on updated *incrementally* by
 :meth:`DailyTraffic.ingest` -- the streaming
-:class:`~repro.streaming.window.WindowedAggregator` therefore pays
+:class:`~repro.profiling.window.WindowedAggregator` therefore pays
 O(batch) per micro-batch instead of an O(day) rebuild per scoring
 call.  Every incremental fold also appends to a *change feed*
 (:attr:`TrafficIndex.pair_feed`, :attr:`~TrafficIndex.ip_feed`,

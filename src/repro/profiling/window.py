@@ -1,8 +1,10 @@
 """Windowed profiling: the current day as an incrementally built window.
 
-Training rebuilds a :class:`~repro.profiling.rare.DailyTraffic`
-aggregate and re-extracts the rare set from scratch per day; the
-:class:`WindowedAggregator` maintains both *as events arrive*:
+The one place a day of traffic opens, fills and closes -- under the
+streaming engines (every verb), under training and under the
+evaluation harnesses.  The :class:`WindowedAggregator` maintains the
+day's :class:`~repro.profiling.rare.DailyTraffic` aggregate and its
+rare set *as events arrive*:
 
 * the day's traffic indexes grow per micro-batch (append-only);
 * the rare-destination set is tracked by a
@@ -24,9 +26,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ..logs.records import Connection, ConnectionBatch
-from ..profiling.history import DestinationHistory
-from ..profiling.rare import DailyTraffic, IngestDigest, RareDomainTracker
-from ..profiling.ua import UserAgentHistory
+from .history import DestinationHistory
+from .rare import DailyTraffic, IngestDigest, RareDomainTracker
+from .ua import UserAgentHistory
 
 
 class WindowedAggregator:
@@ -40,16 +42,21 @@ class WindowedAggregator:
         unpopular_max_hosts: int = 10,
         ua_history: UserAgentHistory | None = None,
     ) -> None:
-        self.day = day
         self.history = history
         self.ua_history = ua_history
+        self.tracker = RareDomainTracker(
+            history, unpopular_max_hosts=unpopular_max_hosts
+        )
+        self.open_day(day)
+
+    def open_day(self, day: int) -> None:
+        """Make ``day`` the window's day, with nothing in it yet."""
+        self.day = day
         self.traffic = DailyTraffic(day)
         # Arm the scoring index now: every ingest from here on updates
         # it incrementally, so scoring rounds never rebuild it.
         self.traffic.index()
-        self.tracker = RareDomainTracker(
-            history, unpopular_max_hosts=unpopular_max_hosts
-        )
+        self.tracker.reset()
         self.events_today = 0
         #: (host, domain) pairs with new events since the last drain.
         self.dirty_pairs: set[tuple[str, str]] = set()
@@ -123,13 +130,7 @@ class WindowedAggregator:
         self.history.commit_day(self.day)
         if self.ua_history is not None:
             self.ua_history.commit_day()
-        self.day += 1
-        self.traffic = DailyTraffic(self.day)
-        self.traffic.index()
-        self.tracker.reset()
-        self.dirty_pairs.clear()
-        self.rare_changes.clear()
-        self.events_today = 0
+        self.open_day(self.day + 1)
         return finished
 
     # ------------------------------------------------------------------

@@ -836,8 +836,6 @@ def apply_engine_delta(detector, delta: dict[str, Any]) -> None:
     apply deltas in round order and finish the chain with a single
     ``detector.resync()``.
     """
-    from .profiling.rare import DailyTraffic
-
     history = detector.history
     for domain, day in delta["first_seen"].items():
         history._first_seen.setdefault(str(domain), int(day))
@@ -846,13 +844,7 @@ def apply_engine_delta(detector, delta: dict[str, Any]) -> None:
     if delta.get("ua_hosts") and ua is not None:
         for agent, hosts in delta["ua_hosts"].items():
             ua._hosts_by_ua.setdefault(agent, set()).update(hosts)
-    window = detector.window
-    window.day = int(delta["window_day"])
-    window.traffic = DailyTraffic(window.day)
-    window.events_today = 0
-    window.tracker.reset()
-    window.dirty_pairs.clear()
-    window.rare_changes.clear()
+    detector.window.open_day(int(delta["window_day"]))
     detector.prior = None
     detector.events_total = int(delta["events_total"])
     impute = delta.get("whois_impute")

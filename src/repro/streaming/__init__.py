@@ -3,7 +3,7 @@
 The subsystem layers three pieces on top of the unchanged batch
 components (Section III's pipeline, Algorithm 1's belief propagation):
 
-* :mod:`~repro.streaming.window` -- :class:`WindowedAggregator`, the
+* :mod:`repro.profiling.window` -- :class:`WindowedAggregator`, the
   current day's profiles maintained per micro-batch with end-of-day
   rollover into the long-lived histories;
 * :mod:`~repro.streaming.incremental` -- :class:`WarmStartConfig` and
@@ -23,6 +23,7 @@ how its events were micro-batched -- fed in one poll
 between, the report is the same.
 """
 
+from ..profiling.window import WindowedAggregator
 from .detector import StreamingDetector, replay_directory
 from .engine import (
     ReplayResult,
@@ -32,7 +33,6 @@ from .engine import (
 )
 from .enterprise import StreamingEnterpriseDetector, replay_enterprise_directory
 from .incremental import WarmStartConfig
-from .window import WindowedAggregator
 
 __all__ = [
     "ReplayResult",

@@ -5,7 +5,7 @@ micro-batches or a whole day in one poll, and keeps a continuously
 updated view of the current day's detections, minutes after the
 evidence arrives instead of at the end-of-day close.  It composes the
 streaming substrate --
-:class:`~repro.streaming.window.WindowedAggregator` -- on top of the
+:class:`~repro.profiling.window.WindowedAggregator` -- on top of the
 paper's components (reduction funnel, automation detector, additive
 scorer, belief propagation).
 

@@ -6,7 +6,7 @@ enterprise/proxy-path
 :class:`~repro.streaming.enterprise.StreamingEnterpriseDetector` --
 consume events the same way: queue submissions on a pending list,
 fold it per ``poll()`` into a
-:class:`~repro.streaming.window.WindowedAggregator` (whose armed
+:class:`~repro.profiling.window.WindowedAggregator` (whose armed
 :class:`~repro.profiling.index.TrafficIndex` absorbs each micro-batch,
 keeping frontier scoring rebuild-free), note which rare domains
 changed since the last scoring round, and re-test only the (host,
@@ -40,10 +40,10 @@ from ..obs.metrics import NULL_METRICS
 from ..profiling.history import DestinationHistory
 from ..profiling.rare import extract_rare_domains
 from ..profiling.ua import UserAgentHistory
+from ..profiling.window import WindowedAggregator
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .incremental import WarmStartConfig, warm_start_applies
 from .verdicts import SeriesVerdictCache, VerdictCacheStats
-from .window import WindowedAggregator
 
 _LOG = get_logger("stream")
 

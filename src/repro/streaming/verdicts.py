@@ -173,10 +173,6 @@ class SeriesVerdictCache:
     def invalidate(self, pair: tuple[str, str]) -> None:
         self._states.pop(pair, None)
 
-    def count_not_rare_skip(self) -> None:
-        """A stale pair whose domain left the rare set needs no test."""
-        self.stats.not_rare_skips += 1
-
     def clear(self) -> None:
         """Drop all series state (day rollover / checkpoint restore)."""
         self._states.clear()

@@ -38,6 +38,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
+from ..config import ENTERPRISE_CONFIG, SystemConfig
 from ..intel.virustotal import VirusTotalOracle
 from ..logs import format_dns_line, format_proxy_line
 from ..logs.records import DnsRecord, DnsRecordType, ProxyRecord
@@ -540,17 +541,18 @@ def generate_fleet_dataset(
 # On-disk layout (what `repro-detect fleet` consumes)
 # ---------------------------------------------------------------------------
 
-def train_enterprise_detector(dataset: EnterpriseDataset):
+def train_enterprise_detector(
+    dataset: EnterpriseDataset, config: SystemConfig = ENTERPRISE_CONFIG
+):
     """Train the batch pipeline on an enterprise world's bootstrap month.
 
     Returns a trained :class:`repro.core.EnterpriseDetector`; raises
     :class:`ValueError` when the world is too small to fit both
     regression models (enlarge the tenant template).
     """
-    from ..config import ENTERPRISE_CONFIG
     from ..core.pipeline import EnterpriseDetector
 
-    detector = EnterpriseDetector(ENTERPRISE_CONFIG, whois=dataset.whois)
+    detector = EnterpriseDetector(config, whois=dataset.whois)
     detector.train(
         dataset.day_batches(0, dataset.config.bootstrap_days),
         dataset.build_virustotal(),

@@ -118,8 +118,6 @@ class TestOneDayLoop:
         streaming = self.SRC / "streaming"
         for method in ("score", "rollover", "submit_lines", "submit_raw"):
             owners = self._lines_with(rf"def {method}\(", streaming)
-            if method == "rollover":  # the window's own, unrelated
-                owners.pop("streaming/window.py")
             assert sorted(owners) == ["streaming/engine.py"], method
 
     def test_a_day_has_one_lifecycle(self):
@@ -130,12 +128,30 @@ class TestOneDayLoop:
             r"DnsLogRunner|RunnerDayReport|process_day|update_profiles"
             r"|detect_on_enterprise_traffic|runner_days_total"
         ) == []
-        # Histories commit at the window's rollover; training and the
-        # LANL threshold sweep (not execution modes) profile their own.
-        assert sorted(self._lines_with(r"history\.commit_day\(")) == [
-            "core/pipeline.py", "eval/lanl_challenge.py",
-            "streaming/window.py",
-        ]
+        # A day opens, fills and closes in the window, under every
+        # verb, under training and under both evaluation harnesses:
+        # histories commit at its rollover and nowhere else.
+        for only_the_window in (
+            r"(?<!ua_)history\.commit_day\(", r"ua_history\.commit_day\(",
+            r"(?<![\w`])DailyTraffic\(",
+        ):
+            owners = self._lines_with(only_the_window)
+            assert sorted(owners) == ["profiling/window.py"], only_the_window
+            assert len(owners["profiling/window.py"]) == 1, only_the_window
+        rare_set = self._lines_with(r"(?<![\w`])extract_rare_domains\(")
+        assert sorted(rare_set) == ["profiling/rare.py", "streaming/engine.py"]
+        # Its definition and the tracker's restore-path rescan.
+        assert len(rare_set["profiling/rare.py"]) == 2
+        assert len(rare_set["streaming/engine.py"]) == 1
+        gone = (
+            r"_aggregate_day|_profile_day|_commit_day|_solved_dates"
+            r"|count_not_rare_skip|_checkpoint_rounds"
+        )
+        # benchmarks/e2e is frozen and keeps its own stage-by-stage walk.
+        assert self._files_matching(gone) + [
+            path.name for path in sorted((REPO / "benchmarks").glob("*.py"))
+            if re.search(gone, path.read_text())
+        ] == []
         cc_stage = self._lines_with(
             r"score_automated\(", self.SRC / "streaming"
         )

@@ -1,20 +1,25 @@
 """Tests for SOC incident-report assembly."""
 
+from functools import partial
+
 import pytest
 
+from repro.config import LANL_CONFIG
+from repro.core.dayloop import detect_day
+from repro.core.scoring import AdditiveSimilarityScorer, multi_host_cc_domains
 from repro.eval import LanlChallengeSolver, build_incident
 from repro.intel import VirusTotalOracle
 
 
 @pytest.fixture(scope="module")
 def solved_day(lanl_dataset):
+    """3/2 as a context (traffic, verdicts) and, from a second solver,
+    as the engine's hinted end of day."""
     solver = LanlChallengeSolver(lanl_dataset)
     context = solver.day_context(2)
-    cc, verdicts = solver.detect_cc_domains(context)
+    _cc, verdicts = solver.detect_cc_domains(context)
     truth = lanl_dataset.campaign_for_date(2)
-    result = solver.detect(
-        context, cc, hint_hosts=truth.hint_hosts
-    ).bp_result
+    result = LanlChallengeSolver(lanl_dataset).solve_day(2).bp_result
     return context, verdicts, result, truth
 
 
@@ -26,18 +31,22 @@ class TestBuildIncident:
 
     def test_seed_exclusion_default(self, solved_day, lanl_dataset):
         context, verdicts, result, truth = solved_day
-        # Re-run with seed domains to check exclusion.
-        solver = LanlChallengeSolver(lanl_dataset)
-        ctx2 = solver.day_context(2)
-        cc, v2 = solver.detect_cc_domains(ctx2)
-        seeded = solver.detect(
-            ctx2, cc, hint_hosts=truth.hint_hosts,
+        # Re-run the kernel with seed domains to check exclusion.
+        seeded = detect_day(
+            context.traffic,
+            context.rare,
+            cc=multi_host_cc_domains(verdicts),
+            new_scorer=partial(
+                AdditiveSimilarityScorer().frontier_scorer, context.traffic
+            ),
+            config=LANL_CONFIG.belief_propagation,
+            hint_hosts=truth.hint_hosts,
             hint_domains=truth.cc_domains,
         ).bp_result
-        report = build_incident(seeded, ctx2.traffic, verdicts=v2)
+        report = build_incident(seeded, context.traffic, verdicts=verdicts)
         assert not (set(report.domains) & set(truth.cc_domains))
         with_seeds = build_incident(
-            seeded, ctx2.traffic, verdicts=v2, include_seeds=True
+            seeded, context.traffic, verdicts=verdicts, include_seeds=True
         )
         assert set(truth.cc_domains) <= set(with_seeds.domains)
 

@@ -49,6 +49,31 @@ class TestChallengeReport:
             assert iterations == sorted(iterations)
 
 
+class TestDaysAreSolvedOnce:
+    def test_repeated_or_earlier_date_is_refused(self, lanl_dataset):
+        """A date fed twice finds its own domains in the history: the
+        second answer (TP 0 / FN 3) would be silently wrong."""
+        solver = LanlChallengeSolver(lanl_dataset)
+        first = solver.solve_day(3)
+        assert first.counts.true_positives
+        for march_date, feed in (
+            (3, solver.solve_day), (3, solver.day_context),
+            (2, solver.solve_day), (2, solver.day_context),
+        ):
+            with pytest.raises(
+                ValueError,
+                match=f"3/{march_date} is not after 3/3: days are solved once",
+            ):
+                feed(march_date)
+        assert solver.solve_day(4).counts.true_positives
+
+    def test_the_solver_owns_no_pipeline_stage(self, lanl_dataset):
+        solver = LanlChallengeSolver(lanl_dataset)
+        assert solver.funnel is solver.engine.funnel
+        for stage in ("history", "automation", "scorer", "detect"):
+            assert not hasattr(solver, stage)
+
+
 class TestCcDetectionWithinChallenge:
     def test_cc_domain_found_on_hinted_days(self, lanl_dataset):
         solver = LanlChallengeSolver(lanl_dataset)

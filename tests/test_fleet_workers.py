@@ -148,6 +148,34 @@ class TestResidentCheckpoints:
         assert chain.rounds == 1
         assert chain.deltas == []
 
+    @pytest.mark.parametrize("damage", ["missing", -1, "2", True, 2.0])
+    def test_wrapper_without_a_valid_round_is_one_error(
+        self, damage, mixed_layout, tmp_path, capsys
+    ):
+        """No guessing the cursor from the engine's window day: for the
+        enterprise tenant that is ``start_day + rounds`` (10 > 4 files),
+        and the tenant used to drop out of the resumed report."""
+        from repro.cli import main
+
+        ckpt = tmp_path / "ck"
+        flags = ["fleet", str(mixed_layout),
+                 "--workers", "1", "--checkpoint-dir", str(ckpt)]
+        assert main(flags + ["--max-rounds", "2"]) == 3
+        path = ckpt / "t2" / "checkpoint.json"
+        wrapper = json.loads(path.read_text())
+        if damage == "missing":
+            del wrapper["round"]
+        else:
+            wrapper["round"] = damage
+        path.write_text(json.dumps(wrapper))
+        with pytest.raises(FleetError, match="non-negative integer 'round'"):
+            load_tenant_chain(ckpt, "t2")
+        capsys.readouterr()
+        assert main(flags + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCrashRecovery:
     def test_sigkill_resumes_losslessly(

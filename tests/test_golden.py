@@ -180,6 +180,48 @@ def case_lanl(ctx) -> list[str]:
     return out.splitlines()
 
 
+def case_lanl_contexts(ctx) -> dict:
+    """What reads a day's context rather than its detections: Table II
+    rows, Figure 2's funnel over 3/1-3/7 and Figure 3's gap samples."""
+    from repro.eval import (
+        LanlChallengeSolver,
+        sweep_histogram_parameters,
+        timing_gap_samples,
+    )
+    from repro.synthetic import TRAINING_DATES
+
+    dataset = ctx.lanl_dataset
+    rows = sweep_histogram_parameters(dataset, (5.0, 10.0), (0.0, 0.06))
+    week = LanlChallengeSolver(dataset)
+    for march_date in range(1, 8):
+        week.day_context(march_date)
+    stats = week.funnel.stats
+    mal_mal, mal_legit = timing_gap_samples(
+        LanlChallengeSolver(dataset), sorted(TRAINING_DATES)
+    )
+    return {
+        "table2": [
+            [row.bin_width, row.jeffrey_threshold,
+             row.malicious_pairs_training, row.malicious_pairs_testing,
+             row.all_pairs_testing]
+            for row in rows
+        ],
+        "figure2": {
+            step: [count for _, count in sorted(
+                stats.domain_counts(step).items()
+            )]
+            for step in (
+                "all", "a_records", "filter_internal_queries",
+                "filter_internal_servers", "new", "rare",
+            )
+        },
+        "figure3": {
+            "mal_mal": sorted(round(gap, 6) for gap in mal_mal),
+            "mal_legit": sorted(round(gap, 6) for gap in mal_legit),
+        },
+    }
+
+
 def case_figure6(ctx) -> dict:
     evaluation = ctx.enterprise_evaluation
     return {
@@ -218,6 +260,7 @@ CASES = {
     "stream-enterprise:ent": case_stream_enterprise,
     "fleet-workers-2:fleet": case_fleet,
     "lanl-table": case_lanl,
+    "lanl-contexts": case_lanl_contexts,
     "figure6-sweeps": case_figure6,
     "checkpoint-sha256:dns": case_checkpoint_dns,
     "checkpoint-sha256:enterprise": case_checkpoint_enterprise,
@@ -226,12 +269,13 @@ CASES = {
 
 @pytest.fixture
 def ctx(ent_layout, mixed_fleet_layout, tmp_path, lanl_cli_output,
-        enterprise_evaluation):
+        lanl_dataset, enterprise_evaluation):
     """What the cases read: the two layouts, a scratch directory and
-    the session's already-computed ``lanl`` output and evaluation."""
+    the session's already-computed ``lanl`` output, LANL world and
+    evaluation."""
     return SimpleNamespace(
         ent=ent_layout, fleet=mixed_fleet_layout, tmp=tmp_path,
-        lanl_cli_output=lanl_cli_output,
+        lanl_cli_output=lanl_cli_output, lanl_dataset=lanl_dataset,
         enterprise_evaluation=enterprise_evaluation,
     )
 

@@ -29,7 +29,7 @@ from repro.streaming import (
     replay_directory,
 )
 from repro.streaming.incremental import warm_start_applies
-from repro.streaming.window import WindowedAggregator
+from repro.profiling.window import WindowedAggregator
 from repro.synthetic import LanlConfig, generate_lanl_dataset
 
 
