@@ -32,48 +32,44 @@ Quickstart::
     solver = LanlChallengeSolver(dataset)
     report = solver.solve_all()
     print(report.overall.tdr)
+
+The re-exports below are resolved on first access: ``import repro``
+loads no submodule (and so neither numpy nor scipy), which lets
+``repro.cli.main`` pick the process's BLAS threading before numpy
+loads.
 """
 
-from .config import (
-    ENTERPRISE_CONFIG,
-    LANL_CONFIG,
-    BeliefPropagationConfig,
-    HistogramConfig,
-    RarityConfig,
-    SystemConfig,
-)
-from .core import (
-    BeliefPropagationResult,
-    EnterpriseDetector,
-    belief_propagation,
-)
-from .runner import run_directory
-from .state import (
-    load_detector,
-    load_streaming,
-    save_detector,
-    save_streaming,
-)
-from .streaming import StreamingDetector, replay_directory
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ENTERPRISE_CONFIG",
-    "LANL_CONFIG",
-    "BeliefPropagationConfig",
-    "HistogramConfig",
-    "RarityConfig",
-    "SystemConfig",
-    "BeliefPropagationResult",
-    "EnterpriseDetector",
-    "belief_propagation",
-    "run_directory",
-    "StreamingDetector",
-    "replay_directory",
-    "load_detector",
-    "save_detector",
-    "load_streaming",
-    "save_streaming",
-    "__version__",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("config", ("ENTERPRISE_CONFIG", "LANL_CONFIG",
+                    "BeliefPropagationConfig", "HistogramConfig",
+                    "RarityConfig", "SystemConfig")),
+        ("core", ("BeliefPropagationResult", "EnterpriseDetector",
+                  "belief_propagation")),
+        ("runner", ("run_directory",)),
+        ("streaming", ("StreamingDetector", "replay_directory")),
+        ("state", ("load_detector", "save_detector", "load_streaming",
+                   "save_streaming")),
+    )
+    for name in names
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -27,7 +27,13 @@ enterprise`` a single-tenant enterprise layout for ``stream``.
 
 Exit codes are uniform: 0 success, 2 usage/configuration error (bad
 manifest, missing checkpoint -- one-line message, no traceback),
-3 interrupted (resumable with ``--resume``).
+3 interrupted (resumable with ``--resume``).  ``timing`` answers with
+its status: 0 automated, 1 not automated, 2 bad input.
+
+The models are regressions over a handful of features and parallel
+work runs as processes (``fleet --workers N``), so ``main`` makes
+OpenBLAS single-threaded unless ``OPENBLAS_NUM_THREADS`` is already
+set; ``import repro`` is lazy, so that lands before numpy loads.
 
 All commands are seeded and offline; see ``--help`` of each subcommand.
 """
@@ -35,6 +41,7 @@ All commands are seeded and offline; see ``--help`` of each subcommand.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -421,6 +428,8 @@ def _run_lanl(args) -> int:
     from .synthetic import generate_lanl_dataset
     from .synthetic.lanl import LanlConfig
 
+    if args.hosts < 1:
+        return _fail("--hosts must be positive")
     dataset = generate_lanl_dataset(
         LanlConfig(seed=args.seed, n_hosts=args.hosts,
                    bootstrap_days=args.bootstrap_days)
@@ -446,6 +455,8 @@ def _run_enterprise(args) -> int:
     from .eval import EnterpriseEvaluation, render_table
     from .synthetic import EnterpriseDatasetConfig, generate_enterprise_dataset
 
+    if args.hosts < 1:
+        return _fail("--hosts must be positive")
     dataset = generate_enterprise_dataset(
         EnterpriseDatasetConfig(
             seed=args.seed, n_hosts=args.hosts,
@@ -483,8 +494,9 @@ def _run_generate(args) -> int:
     from .synthetic import generate_lanl_dataset
     from .synthetic.lanl import LanlConfig
 
-    if args.tenants < 1:
-        return _fail("--tenants must be positive")
+    for flag in ("tenants", "hosts", "days"):
+        if getattr(args, flag) < 1:
+            return _fail(f"--{flag} must be positive")
     if args.enterprise_tenants and args.tenants < 2:
         return _fail(
             "--enterprise-tenants needs a fleet (--tenants N >= 2); use "
@@ -986,18 +998,25 @@ def _run_intel(args) -> int:
 
 
 def _run_timing(args) -> int:
+    import math
+
     from .config import HistogramConfig
     from .timing import AutomationDetector
 
-    if args.series is not None:
-        lines = args.series.read_text().splitlines()
-    else:
-        lines = sys.stdin.read().splitlines()
+    if not args.bin_width > 0:
+        return _fail("--bin-width must be positive")
     try:
+        if args.series is not None:
+            lines = args.series.read_text().splitlines()
+        else:
+            lines = sys.stdin.read().splitlines()
         timestamps = sorted(float(line) for line in lines if line.strip())
+        if not all(map(math.isfinite, timestamps)):
+            raise ValueError("non-finite epoch")
+    except OSError as exc:
+        return _fail(str(exc))
     except ValueError:
-        print("error: series must contain one float per line", file=sys.stderr)
-        return 2
+        return _fail("series must contain one finite float per line")
     detector = AutomationDetector(
         HistogramConfig(bin_width=args.bin_width,
                         jeffrey_threshold=args.threshold)
@@ -1013,6 +1032,7 @@ def _run_timing(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     handlers = {
         "lanl": _run_lanl,

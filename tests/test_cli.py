@@ -65,17 +65,140 @@ NAN_EPOCH_LINE = (
 )
 
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports ``repro`` from src."""
+def _interpreter(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports ``repro`` from src.
+
+    ``OPENBLAS_NUM_THREADS`` reaches it only through ``env``: an
+    in-process ``main()`` earlier in the session has set it here.
+    """
+    inherited = {key: value for key, value in os.environ.items()
+                 if key != "OPENBLAS_NUM_THREADS"}
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env={**os.environ, "PYTHONPATH": SRC},
+        [sys.executable, *argv],
+        env={**inherited, "PYTHONPATH": SRC, **env},
         capture_output=True, text=True, timeout=120,
     )
 
 
+def _python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports ``repro`` from src."""
+    return _interpreter("-c", code, *args, **env)
+
+
+def _assert_usage_error(capsys) -> None:
+    """Exit 2 already checked: one ``error:`` line, nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+#: Loaded by the LANL / enterprise harnesses and ``generate``, never
+#: by a detection verb.
+HARNESS_MODULES = (
+    "repro.synthetic", "repro.intelstore", "sqlite3",
+    "repro.eval.enterprise_eval", "repro.eval.lanl_challenge",
+    "repro.eval.evasion",
+)
+
+#: ``main(["timing", file])``, then numpy and scipy's BLAS pools, then
+#: the process's thread count.
+THREADS_AFTER_TIMING = (
+    "import re, sys\n"
+    "from repro.cli import main\n"
+    "main(['timing', sys.argv[1]])\n"
+    "import numpy, scipy.stats\n"
+    "status = open('/proc/self/status').read()\n"
+    "print('THREADS', re.search(r'Threads:\\s+(\\d+)', status).group(1))"
+)
+
+
 class TestStartupImports:
-    """networkx is a graph-export dependency, not a start-up one."""
+    """What a fresh process loads, and which thread pools it starts.
+
+    ``import repro`` is lazy and changes nothing in the environment;
+    ``main()`` makes OpenBLAS single-threaded before its verb loads
+    numpy, and each verb loads only what it runs.
+    """
+
+    def test_package_import_loads_no_numpy_and_leaves_blas_alone(self):
+        done = _python(
+            "import os, sys, repro, repro.cli\n"
+            "print([m for m in ('numpy', 'scipy') if m in sys.modules],"
+            " os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[] None"
+
+    def test_help_loads_no_numpy(self):
+        done = _interpreter("-X", "importtime", "-m", "repro.cli", "--help")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: repro-detect")
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in done.stderr.splitlines()}
+        assert "repro" in imported
+        assert "numpy" not in imported
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="needs /proc")
+    def test_cli_process_blas_is_single_threaded(self, tmp_path):
+        series = tmp_path / "series.txt"
+        series.write_text("\n".join(str(600.0 * i) for i in range(8)))
+        done = _python(THREADS_AFTER_TIMING, str(series))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "THREADS 1"
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists() or (os.cpu_count() or 1) < 2,
+        reason="needs /proc and two CPUs",
+    )
+    def test_an_exported_blas_thread_count_wins(self, tmp_path):
+        series = tmp_path / "series.txt"
+        series.write_text("\n".join(str(600.0 * i) for i in range(8)))
+        done = _python(
+            THREADS_AFTER_TIMING + "\n"
+            "import os; print('ENV', os.environ['OPENBLAS_NUM_THREADS'])",
+            str(series), OPENBLAS_NUM_THREADS="2",
+        )
+        assert done.returncode == 0, done.stderr
+        threads, env = done.stdout.splitlines()[-2:]
+        assert env == "ENV 2"
+        assert int(threads.split()[1]) >= 2
+
+    @pytest.mark.parametrize("verb", ["run", "stream"])
+    def test_detection_verbs_skip_the_evaluation_harness(
+        self, verb, mixed_fleet_layout
+    ):
+        done = _python(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"print('LOADED', [m for m in {HARNESS_MODULES!r}"
+            " if m in sys.modules])\n"
+            "sys.exit(code)",
+            verb, str(mixed_fleet_layout / "t0"), "--bootstrap-files", "1",
+            "--internal-suffix", "int.c0",
+        )
+        assert done.returncode == 0, done.stderr
+        assert "detected=['" in done.stdout
+        assert done.stdout.splitlines()[-1] == "LOADED []"
+
+    @pytest.mark.parametrize("package", ["repro", "repro.eval"])
+    def test_every_export_resolves_and_is_listed(self, package):
+        done = _python(
+            "import importlib, sys\n"
+            "name = sys.argv[1]\n"
+            "package = importlib.import_module(name)\n"
+            "for export in package.__all__:\n"
+            "    scope = {}\n"
+            "    exec(f'from {name} import {export}', scope)\n"
+            "    assert scope[export] is getattr(package, export), export\n"
+            "    assert export in dir(package), export\n"
+            "print(len(package.__all__))",
+            package,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 10
 
     def test_cli_import_does_not_load_networkx(self):
         done = _python(
@@ -143,6 +266,34 @@ class TestTimingCommand:
         series.write_text("not-a-number\n")
         assert main(["timing", str(series)]) == 2
 
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_series_is_a_usage_error(
+        self, target, tmp_path, capsys
+    ):
+        """Not a traceback and exit 1, the verb's "not automated"."""
+        path = tmp_path / "nothing-here"
+        if target == "directory":
+            path.mkdir()
+        assert main(["timing", str(path)]) == 2
+        _assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("width", ["0", "-5"])
+    def test_nonpositive_bin_width_is_a_usage_error(
+        self, width, tmp_path, capsys
+    ):
+        series = tmp_path / "series.txt"
+        series.write_text("\n".join(str(600.0 * i) for i in range(8)))
+        assert main(["timing", str(series), "--bin-width", width]) == 2
+        _assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("epoch", ["nan", "inf"])
+    def test_non_finite_epoch_is_a_usage_error(self, epoch, tmp_path, capsys):
+        """As the DNS funnel counts a non-finite epoch as malformed."""
+        series = tmp_path / "series.txt"
+        series.write_text(f"0\n600\n{epoch}\n1800\n")
+        assert main(["timing", str(series)]) == 2
+        _assert_usage_error(capsys)
+
     def test_custom_threshold(self, tmp_path):
         series = tmp_path / "series.txt"
         values, t = [], 0.0
@@ -178,6 +329,23 @@ class TestGenerateCommand:
         with (out_dir / "dns-march-01.log").open() as handle:
             records = list(parse_dns_log(handle))
         assert len(records) > 100
+
+    def test_zero_days_is_a_usage_error(self, tmp_path, capsys):
+        """Not exit 0 with only ``ground_truth.txt`` written."""
+        out_dir = tmp_path / "logs"
+        assert main(["generate", str(out_dir), "--days", "0"]) == 2
+        _assert_usage_error(capsys)
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["generate", "lanl", "enterprise"])
+def test_zero_hosts_is_a_usage_error(verb, tmp_path, capsys):
+    """Not ``ValueError: need at least one host`` and exit 1."""
+    argv = [verb, "--hosts", "0"]
+    if verb == "generate":
+        argv.insert(1, str(tmp_path / "logs"))
+    assert main(argv) == 2
+    _assert_usage_error(capsys)
 
 
 class TestLanlCommand:
