@@ -34,6 +34,8 @@ The models are regressions over a handful of features and parallel
 work runs as processes (``fleet --workers N``), so ``main`` makes
 OpenBLAS single-threaded unless ``OPENBLAS_NUM_THREADS`` is already
 set; ``import repro`` is lazy, so that lands before numpy loads.
+A data verb freezes its import heap (``gc.freeze()``) before any work,
+and a CLI process again at exit, so the collector never re-traverses it.
 
 All commands are seeded and offline; see ``--help`` of each subcommand.
 """
@@ -41,6 +43,7 @@ All commands are seeded and offline; see ``--help`` of each subcommand.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -388,13 +391,17 @@ def _fail(message: str, *, json_mode: bool = False) -> int:
     return 2
 
 
-def _setup_obs(args):
-    """Apply a command's obs flags; the run's registry (or ``None``).
+def _start_data_verb(args):
+    """Freeze the verb's import heap and apply its obs flags; the run's
+    registry (or ``None``).
 
+    Called once the verb's modules are imported and before any line is
+    read or any fleet worker forks (workers inherit the frozen heap).
     Logging stays off unless asked for; the metrics registry exists
     only when ``--metrics-out`` was given, so uninstrumented runs pay
     the NULL-registry path everywhere.
     """
+    gc.freeze()
     if args.log_level is not None or args.log_json:
         from .obs import configure_logging
 
@@ -748,7 +755,7 @@ def _run_run(args) -> int:
     from .eval.clusters import triage_report
     from .runner import run_directory
 
-    metrics = _setup_obs(args)
+    metrics = _start_data_verb(args)
     try:
         reports = run_directory(
             args.directory,
@@ -792,7 +799,7 @@ def _run_stream(args) -> int:
                 f"{update.mode}: detected={list(update.detected)}"
             )
 
-    metrics = _setup_obs(args)
+    metrics = _start_data_verb(args)
     if args.resume and args.checkpoint is None:
         return _fail("--resume requires --checkpoint",
                      json_mode=args.log_json)
@@ -929,7 +936,7 @@ def _run_fleet(args) -> int:
 
     from .intelstore import IntelStoreError
 
-    metrics = _setup_obs(args)
+    metrics = _start_data_verb(args)
     if args.intel_ttl_days is not None and args.intel_db is None:
         return _fail("--intel-ttl-days requires --intel-db",
                      json_mode=args.log_json)
@@ -1033,7 +1040,7 @@ def _run_timing(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
+    was_frozen = gc.get_freeze_count() > 0
     handlers = {
         "lanl": _run_lanl,
         "enterprise": _run_enterprise,
@@ -1044,8 +1051,15 @@ def main(argv: list[str] | None = None) -> int:
         "intel": _run_intel,
         "timing": _run_timing,
     }
-    return handlers[args.command](args)
+    try:
+        args = build_parser().parse_args(argv)
+        return handlers[args.command](args)
+    finally:
+        if not was_frozen:  # an in-process caller keeps its GC state
+            gc.unfreeze()
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # the final collection then skips every live object
+    raise SystemExit(code)

@@ -590,7 +590,14 @@ def resolve_replay_paths(
         raise ValueError("checkpoint_every must be positive")
     if max_batches is not None and max_batches < 1:
         raise ValueError("max_batches must be positive")
-    paths = sorted(Path(directory).glob(pattern))
+    directory = Path(directory)
+    if not directory.is_dir():
+        problem = ("not a directory" if directory.exists()
+                   else "directory not found")
+        raise ValueError(f"{problem}: {directory}")
+    paths = sorted(directory.glob(pattern))
+    if not paths:
+        raise ValueError(f"no file in {directory} matches {pattern!r}")
     if len(paths) <= bootstrap_files:
         raise ValueError(
             f"need more than {bootstrap_files} files in {directory}, "
@@ -604,6 +611,9 @@ def checkpoint_to_resume(
 ) -> Path | None:
     """The checkpoint a replay restores its engine from; ``None`` for
     a fresh start (not resuming, or nothing was written yet)."""
+    folder = None if checkpoint_path is None else Path(checkpoint_path).parent
+    if folder is not None and not folder.is_dir():
+        raise ValueError(f"checkpoint directory not found: {folder}")
     if not resume:
         return None
     if checkpoint_path is None:

@@ -1,5 +1,6 @@
 """Tests for the repro-detect command-line interface."""
 
+import gc
 import hashlib
 import json
 import os
@@ -228,6 +229,76 @@ class TestStartupImports:
         assert done.returncode == 0, done.stderr
         assert "rows flushed" in done.stdout
         assert "LOADED []" in done.stdout
+
+
+#: The process entry (``python -m repro.cli``) in a fresh interpreter,
+#: then whether anything is frozen once it has exited.
+FREEZE_AT_EXIT = (
+    "import gc, runpy\n"
+    "try:\n"
+    "    runpy.run_module('repro.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    print('EXIT', exc.code, gc.get_freeze_count() > 0)"
+)
+
+
+def _data_verb_argv(verb: str, fleet: Path) -> list[str]:
+    """``verb`` over the session's mixed fleet (``run`` / ``stream``:
+    its DNS lead tenant ``t0``)."""
+    if verb == "fleet":
+        return ["fleet", str(fleet / "manifest.json")]
+    return [verb, str(fleet / "t0"), "--bootstrap-files", "1",
+            "--internal-suffix", "int.c0"]
+
+
+class TestImportHeapFreeze:
+    """A CLI process freezes its import heap before a data verb's day
+    loop (and a fleet's fork) and again at exit; an in-process caller
+    of ``main()`` gets its GC state back."""
+
+    @pytest.mark.parametrize("verb", ["run", "timing"])
+    def test_process_entry_exits_frozen(
+        self, verb, mixed_fleet_layout, tmp_path
+    ):
+        """``timing`` freezes nothing itself: only the exit does."""
+        if verb == "run":
+            argv = _data_verb_argv("run", mixed_fleet_layout)
+        else:
+            series = tmp_path / "series.txt"
+            series.write_text("\n".join(str(600.0 * i) for i in range(8)))
+            argv = ["timing", str(series)]
+        done = _python(FREEZE_AT_EXIT, *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "EXIT 0 True"
+
+    @pytest.mark.parametrize("verb", ["run", "fleet"])
+    def test_day_loop_runs_frozen(
+        self, verb, mixed_fleet_layout, monkeypatch, capsys
+    ):
+        import repro.runner
+        from repro.fleet import FleetManager
+
+        owner, name = {
+            "run": (repro.runner, "run_directory"),
+            "fleet": (FleetManager, "run"),
+        }[verb]
+        original, seen = getattr(owner, name), []
+
+        def recording(*args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+        assert main(_data_verb_argv(verb, mixed_fleet_layout)) == 0
+        assert len(seen) == 1 and seen[0] > 0
+
+    @pytest.mark.parametrize("verb", ["run", "stream", "fleet"])
+    def test_in_process_caller_keeps_its_gc_state(
+        self, verb, mixed_fleet_layout, capsys
+    ):
+        before = gc.get_freeze_count()
+        assert main(_data_verb_argv(verb, mixed_fleet_layout)) == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestParser:
@@ -702,6 +773,69 @@ def test_negative_bootstrap_files_is_a_usage_error(
     captured = capsys.readouterr()
     assert captured.err == "error: bootstrap_files must not be negative\n"
     assert captured.out == ""
+
+
+def _replay_argv(verb: str, directory: Path, ent: Path) -> list[str]:
+    """``run`` / ``stream`` over ``directory``; the enterprise layout's
+    model makes ``stream`` look for proxy logs."""
+    if verb == "run":
+        return ["run", str(directory), "--bootstrap-files", "1"]
+    return ["stream", str(directory), "--pipeline", "enterprise",
+            "--model-state", str(ent / "model.json"), "--bootstrap-files", "0"]
+
+
+@pytest.mark.parametrize("verb", ["run", "stream"])
+class TestReplayInputErrors:
+    """Each bad input is named as what it is, not as "found 0 files"."""
+
+    def _fails_with(self, argv, message, capsys) -> None:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_missing_directory(self, verb, ent_layout, tmp_path, capsys):
+        missing = tmp_path / "no-such-logs"
+        self._fails_with(_replay_argv(verb, missing, ent_layout),
+                         f"directory not found: {missing}", capsys)
+
+    def test_file_instead_of_directory(
+        self, verb, ent_layout, tmp_path, capsys
+    ):
+        path = tmp_path / "dns-march-01.log"
+        path.write_text("")
+        self._fails_with(_replay_argv(verb, path, ent_layout),
+                         f"not a directory: {path}", capsys)
+
+    def test_no_file_matches_the_pattern(
+        self, verb, ent_layout, mixed_fleet_layout, capsys
+    ):
+        """``run`` on a proxy layout, ``stream --pipeline enterprise`` on
+        a DNS one."""
+        directory = ent_layout if verb == "run" else mixed_fleet_layout / "t0"
+        pattern = "dns-*.log" if verb == "run" else "proxy-*.log"
+        self._fails_with(_replay_argv(verb, directory, ent_layout),
+                         f"no file in {directory} matches {pattern!r}", capsys)
+
+
+@pytest.mark.parametrize("pipeline", ["dns", "enterprise"])
+def test_checkpoint_into_a_missing_directory_reads_nothing(
+    pipeline, ent_layout, mixed_fleet_layout, tmp_path, capsys, monkeypatch
+):
+    """Refused up front, not with ``[Errno 2] ... ck.json.tmp`` after
+    the first micro-batch."""
+    from repro.streaming.engine import StreamingEngineBase
+
+    def no_ingest(self, connections):
+        raise AssertionError("a micro-batch was submitted")
+
+    monkeypatch.setattr(StreamingEngineBase, "submit", no_ingest)
+    folder = tmp_path / "no-such-dir"
+    flags = _stream_flags(pipeline, ent_layout, mixed_fleet_layout)
+    assert main(flags + ["--checkpoint", str(folder / "ck.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: checkpoint directory not found: {folder}\n"
+    assert captured.out == "" and not folder.exists()
 
 
 @pytest.mark.parametrize("bound", ["0", "-2"])
