@@ -786,11 +786,7 @@ def _run_run(args) -> int:
 def _run_stream(args) -> int:
     from .eval.clusters import triage_report
     from .state import StateError
-    from .streaming import (
-        WarmStartConfig,
-        replay_directory,
-        replay_enterprise_directory,
-    )
+    from .streaming import WarmStartConfig, replay_directory
 
     def on_update(update) -> None:
         if args.verbose and update.detected:
@@ -841,48 +837,40 @@ def _run_stream(args) -> int:
             return _fail(str(exc), json_mode=args.log_json)
         if metrics is not None:
             store.bind_metrics(metrics)
-    pattern = args.pattern or ("proxy-*.log" if enterprise else "dns-*.log")
-    shared = dict(
-        bootstrap_files=args.bootstrap_files,
-        pattern=pattern,
-        batch_size=args.batch_size,
-        score_every=args.score_every,
-        warm=WarmStartConfig(enabled=not args.no_warm_start),
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        max_batches=args.max_batches,
-        on_update=on_update,
-        metrics=metrics,
-    )
     try:
-        if enterprise:
-            whois_cache = None
-            if store is not None:
-                # The store-backed registry hydrates previously
-                # persisted WHOIS/RDAP facts and write-behinds novel
-                # lookups -- repeat runs stop re-resolving.
-                from .intelstore import StoreCachingWhois
-                from .intelstore.rdap import load_registration_registry
+        whois = None
+        if store is not None and enterprise:
+            # The store-backed registry hydrates previously persisted
+            # WHOIS/RDAP facts and write-behinds novel lookups -- repeat
+            # runs stop re-resolving.
+            from .intel.whois_db import load_whois_file
+            from .intelstore import StoreCachingWhois
 
-                registry = (
-                    load_registration_registry(args.whois)
-                    if args.whois is not None else None
-                )
-                whois_cache = StoreCachingWhois(store, registry)
-            result = replay_enterprise_directory(
-                args.directory,
-                model_state=args.model_state,
-                whois_path=args.whois if whois_cache is None else None,
-                whois=whois_cache,
-                **shared,
+            whois = StoreCachingWhois(
+                store,
+                load_whois_file(args.whois) if args.whois is not None
+                else None,
             )
-        else:
-            result = replay_directory(
-                args.directory,
-                internal_suffixes=tuple(args.internal_suffix),
-                **shared,
-            )
+        result = replay_directory(
+            args.directory,
+            bootstrap_files=args.bootstrap_files,
+            pattern=args.pattern or (
+                "proxy-*.log" if enterprise else "dns-*.log"
+            ),
+            model_state=args.model_state,
+            whois_path=args.whois,
+            whois=whois,
+            internal_suffixes=tuple(args.internal_suffix),
+            batch_size=args.batch_size,
+            score_every=args.score_every,
+            warm=WarmStartConfig(enabled=not args.no_warm_start),
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            max_batches=args.max_batches,
+            on_update=on_update,
+            metrics=metrics,
+        )
     except (ValueError, OSError, StateError) as exc:
         return _fail(str(exc), json_mode=args.log_json)
     if store is not None:

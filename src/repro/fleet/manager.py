@@ -52,6 +52,7 @@ from ..obs.metrics import (
     split_sample_key,
 )
 from ..state import load_json, save_json_atomic
+from ..streaming.engine import resolve_replay_paths
 from .intel import IntelPlane
 from .manifest import FleetManifest, TenantSpec
 from .report import FleetReport, TenantDayReport
@@ -196,16 +197,16 @@ class FleetManager:
     # ------------------------------------------------------------------
 
     def _tenant_files(self) -> dict[str, list[Path]]:
+        """Each tenant's daily log files, resolved as ``run`` and
+        ``stream`` resolve theirs; a problem names its tenant."""
         files: dict[str, list[Path]] = {}
         for spec in self.specs:
-            found = sorted(spec.directory.glob(spec.pattern))
-            if len(found) <= spec.bootstrap_files:
-                raise FleetError(
-                    f"tenant {spec.tenant_id!r}: need more than "
-                    f"{spec.bootstrap_files} files matching {spec.pattern!r} "
-                    f"in {spec.directory}, found {len(found)}"
+            try:
+                files[spec.tenant_id] = resolve_replay_paths(
+                    spec.directory, spec.pattern, spec.bootstrap_files
                 )
-            files[spec.tenant_id] = found
+            except ValueError as exc:
+                raise FleetError(f"tenant {spec.tenant_id!r}: {exc}") from exc
         return files
 
     @staticmethod

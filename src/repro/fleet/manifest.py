@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..intel.whois_db import WhoisDatabase
+from ..intel.whois_db import WhoisDatabase, load_whois_file
 
 MANIFEST_VERSION = 1
 
@@ -230,11 +230,8 @@ def load_manifest(path: str | Path) -> FleetManifest:
         if not whois_path.is_file():
             raise ManifestError(f"whois file not found: {whois_path}")
         try:
-            # Accepts both registry formats: classic WHOIS JSON and
-            # RDAP fixture documents (sniffed by shape).
-            from ..intelstore.rdap import load_registration_registry
-
-            whois = load_registration_registry(whois_path)
+            # Classic WHOIS JSON or an RDAP fixture, sniffed by shape.
+            whois = load_whois_file(whois_path)
         except (ValueError, KeyError) as exc:
             raise ManifestError(
                 f"whois file {whois_path} is invalid: {exc}"

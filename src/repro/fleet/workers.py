@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any
 
 from ..config import SystemConfig
-from ..intel.whois_db import WhoisDatabase
+from ..intel.whois_db import WhoisDatabase, load_whois_file
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..state import (
     EngineDeltaTracker,
@@ -54,12 +54,11 @@ from ..state import (
     decode_config,
     encode_config,
     encode_engine,
-    load_detector,
     load_json,
     restore_engine,
     save_json_atomic,
 )
-from ..streaming import StreamingDetector, StreamingEnterpriseDetector
+from ..streaming import open_engine
 from .intel import BoardReplica, CacheStats, TenantWhoisView, _TenantCache
 from .manifest import TenantSpec
 from .report import TenantDayReport
@@ -401,9 +400,11 @@ def _build_worker_tenant(
 ) -> _TenantRuntime:
     """Build (or restore from its chain) one tenant's resident engine.
 
-    With no checkpoint directory the engine is always built fresh and
-    gets no checkpoint store -- the durability-free fast path for
-    ephemeral runs (benchmarks, parity checks) that never resume.
+    A fresh engine comes from :func:`repro.streaming.open_engine`, as
+    ``stream``'s and ``run``'s do.  With no checkpoint directory the
+    engine is always built fresh and gets no checkpoint store -- the
+    durability-free fast path for ephemeral runs (benchmarks, parity
+    checks) that never resume.
     """
     tenant_id = tenant["tenant_id"]
     whois_view = (
@@ -422,14 +423,10 @@ def _build_worker_tenant(
         )
         cursor, last_report = chain.rounds, chain.report
         since_full: int | None = len(chain.deltas)
-    elif tenant["pipeline"] == "enterprise":
-        detector = StreamingEnterpriseDetector(
-            load_detector(tenant["model_state"], whois=whois_view),
-            metrics=metrics,
-        )
-        cursor, last_report, since_full = 0, None, None
     else:
-        detector = StreamingDetector(
+        detector = open_engine(
+            model_state=tenant["model_state"],
+            whois=whois_view,
             config=(
                 decode_config(tenant["config"])
                 if tenant["config"] is not None else None
@@ -486,9 +483,7 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
         if init["whois_path"] is not None and any(
             tenant["pipeline"] == "enterprise" for tenant in init["tenants"]
         ):
-            from ..intelstore.rdap import load_registration_registry
-
-            whois = load_registration_registry(init["whois_path"])
+            whois = load_whois_file(init["whois_path"])
         cache = WorkerIntelCache(whois)
         ct_index = None
         if init.get("ct_path") is not None:

@@ -110,8 +110,32 @@ def save_whois_file(database: WhoisDatabase, path) -> None:
 
 
 def load_whois_file(path) -> WhoisDatabase:
-    """Read a registry previously written by :func:`save_whois_file`."""
+    """Read a registration registry file, in either format it comes in.
+
+    The JSON shape decides: the ``{domain: [registered, expires]}``
+    mapping :func:`save_whois_file` writes, or an RDAP fixture -- a
+    list of RFC 9083 domain documents, one document (``ldhName`` /
+    ``objectClassName``) or ``{"domains": [...]}`` -- folded through
+    :func:`repro.intelstore.rdap.registry_from_rdap`, which is imported
+    only then.  Every CLI, manifest and worker path loads registries
+    here.
+    """
     import json
     from pathlib import Path
 
-    return WhoisDatabase.from_json_dict(json.loads(Path(path).read_text()))
+    payload = json.loads(Path(path).read_text())
+    if isinstance(payload, dict):
+        if isinstance(payload.get("domains"), list):
+            payload = payload["domains"]
+        elif "ldhName" in payload or "objectClassName" in payload:
+            payload = [payload]
+        else:
+            return WhoisDatabase.from_json_dict(payload)
+    if not isinstance(payload, list):
+        raise ValueError(
+            f"registration registry {path} is neither a WHOIS JSON mapping "
+            "nor an RDAP fixture"
+        )
+    from ..intelstore.rdap import registry_from_rdap
+
+    return registry_from_rdap(payload)

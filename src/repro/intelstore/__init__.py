@@ -25,8 +25,6 @@ from .ct import (
 )
 from .rdap import (
     RdapRecord,
-    load_rdap_file,
-    load_registration_registry,
     parse_rdap_document,
     rdap_document,
     registry_from_rdap,
@@ -55,8 +53,6 @@ __all__ = [
     "export_json",
     "load_ct_cached",
     "load_ct_log",
-    "load_rdap_file",
-    "load_registration_registry",
     "parse_rdap_document",
     "rdap_document",
     "registry_from_rdap",

@@ -6,21 +6,20 @@ per domain with ``ldhName``, an ``events`` list carrying ISO-8601
 paper's Detect_C&C features only need registration age and validity
 (conf_dsn_OpreaLYCA15 Section IV), so this module normalizes RDAP
 documents into the existing :class:`~repro.intel.whois_db.WhoisRecord`
-epoch-seconds shape and builds a
-:class:`~repro.intel.whois_db.WhoisDatabase` from a fixture file --
-every manifest/CLI path that accepts a WHOIS registry file also
-accepts an RDAP fixture via :func:`load_registration_registry`, which
-sniffs the format.  All fixtures are offline JSON; nothing here talks
+epoch-seconds shape and folds them into a
+:class:`~repro.intel.whois_db.WhoisDatabase` (:func:`registry_from_rdap`)
+-- every manifest/CLI path that accepts a WHOIS registry file also
+accepts an RDAP fixture, because
+:func:`repro.intel.whois_db.load_whois_file` sniffs the format and hands
+RDAP documents here.  All fixtures are offline JSON; nothing here talks
 to a network.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 from ..intel.whois_db import WhoisDatabase, WhoisRecord
 
@@ -135,47 +134,6 @@ def registry_from_rdap(docs: Iterable[dict]) -> WhoisDatabase:
     return database
 
 
-def load_rdap_file(path: str | Path) -> WhoisDatabase:
-    """Read an RDAP fixture (a JSON list of domain documents, a single
-    document, or ``{"domains": [...]}``) into a registry."""
-    payload = json.loads(Path(path).read_text())
-    if isinstance(payload, dict):
-        if "domains" in payload:
-            payload = payload["domains"]
-        else:
-            payload = [payload]
-    if not isinstance(payload, list):
-        raise ValueError(
-            f"RDAP fixture {path} must be a JSON list of domain "
-            "documents, a single document, or {'domains': [...]}"
-        )
-    return registry_from_rdap(payload)
-
-
-def load_registration_registry(path: str | Path) -> WhoisDatabase:
-    """Load a registration registry from either supported format.
-
-    Sniffs the JSON shape: RDAP fixtures are lists (or documents with
-    ``ldhName``/``objectClassName``/``domains`` markers); everything
-    else is the classic ``{domain: [registered, expires]}`` WHOIS
-    file.  This is the loader every manifest/CLI/worker path uses, so
-    RDAP fixtures are drop-in replacements for WHOIS files.
-    """
-    payload = json.loads(Path(path).read_text())
-    if isinstance(payload, list):
-        return registry_from_rdap(payload)
-    if isinstance(payload, dict):
-        if "domains" in payload and isinstance(payload["domains"], list):
-            return registry_from_rdap(payload["domains"])
-        if "ldhName" in payload or "objectClassName" in payload:
-            return registry_from_rdap([payload])
-        return WhoisDatabase.from_json_dict(payload)
-    raise ValueError(
-        f"registration registry {path} is neither a WHOIS JSON mapping "
-        "nor an RDAP fixture"
-    )
-
-
 def rdap_document(
     domain: str,
     registered: float,
@@ -210,8 +168,6 @@ def rdap_document(
 
 __all__ = [
     "RdapRecord",
-    "load_rdap_file",
-    "load_registration_registry",
     "parse_rdap_document",
     "rdap_document",
     "registry_from_rdap",

@@ -99,19 +99,22 @@ def run_directory(
     """Bootstrap on the first ``bootstrap_files`` logs in a directory
     (sorted by name) and detect on the rest.
 
-    One :class:`~repro.streaming.StreamingDetector` fed each file in a
-    single poll: the day lifecycle (aggregate, rare set, detection,
-    exactly one history commit) is the engine's ``rollover()``, the one
-    ``stream`` and every fleet tenant-day use.  Each operational day's
-    report carries the file it was read from as ``path``.  ``ct_edges``
+    One :class:`~repro.streaming.StreamingDetector` (from
+    :func:`~repro.streaming.open_engine`) fed each file in a single
+    poll: the day lifecycle (aggregate, rare set, detection, exactly
+    one history commit) is the engine's ``rollover()``, the one
+    ``stream`` and every fleet tenant-day use, and each closed file
+    logs the same ``day_rollover`` event as ``stream``.  Each
+    operational day's report carries the file it was read from as
+    ``path``.  ``ct_edges``
     (a :class:`repro.intelstore.ct.CtIndex`) flows into every day's
     detection pass.
     """
-    from .streaming.detector import StreamingDetector
-    from .streaming.engine import resolve_replay_paths
+    from .streaming.engine import log_day_rollover, resolve_replay_paths
+    from .streaming.replay import open_engine
 
     paths = resolve_replay_paths(directory, pattern, bootstrap_files)
-    detector = StreamingDetector(
+    detector = open_engine(
         config=config,
         internal_suffixes=internal_suffixes,
         server_ips=server_ips,
@@ -123,6 +126,7 @@ def run_directory(
         with path.open() as handle:
             detector.submit_lines(handle)
         report = detector.rollover(detect=operational, ct_edges=ct_edges)
+        log_day_rollover(report, path, bootstrap=not operational)
         if operational:
             report.path = path
             reports.append(report)

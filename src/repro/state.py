@@ -534,63 +534,6 @@ def _restore_engine_base(detector, payload: dict[str, Any], metrics) -> None:
     detector.resync()
 
 
-def streaming_state(detector, *, include_metrics: bool = True) -> dict[str, Any]:
-    """Full JSON-serializable snapshot of a streaming detector.
-
-    Extends the version-1 detector document with the ``"streaming"``
-    kind: the long-lived histories, the filters, and the engine-base
-    half (:func:`_engine_base_state`), so a restore resumes mid-day
-    with warm-start intact.  The reduction funnel's Figure 2 counters
-    are observability, not detection state, and are not snapshotted.
-    """
-    ua_history = detector.window.ua_history
-    return {
-        **_engine_base_state(detector, "streaming", include_metrics),
-        "config": encode_config(detector.config),
-        "internal_suffixes": list(detector.internal_suffixes),
-        "server_ips": sorted(detector.server_ips),
-        "history": encode_history(detector.history),
-        "ua_history": (
-            encode_ua_history(ua_history) if ua_history is not None else None
-        ),
-        "ua_pending": (
-            encode_ua_pending(ua_history) if ua_history is not None else None
-        ),
-    }
-
-
-@_engine_document_reader
-def restore_streaming(payload: dict[str, Any], *, metrics=None):
-    """Rebuild a :class:`~repro.streaming.StreamingDetector` snapshot.
-
-    ``metrics`` attaches a :class:`repro.obs.MetricsRegistry` to the
-    restored engine.
-    """
-    from .streaming import StreamingDetector
-
-    warm = _check_engine_document(payload, "streaming")
-    ua_history = None
-    if payload["ua_history"] is not None:
-        ua_history = decode_ua_history(payload["ua_history"])
-        if payload.get("ua_pending"):
-            decode_ua_pending(ua_history, payload["ua_pending"])
-    detector = StreamingDetector(
-        config=decode_config(payload["config"]),
-        internal_suffixes=tuple(payload["internal_suffixes"]),
-        server_ips=frozenset(payload["server_ips"]),
-        history=decode_history(payload["history"]),
-        ua_history=ua_history,
-        warm=warm,
-        metrics=metrics,
-    )
-    _restore_engine_base(detector, payload, metrics)
-    return detector
-
-
-# ---------------------------------------------------------------------------
-# Streaming enterprise checkpoint (trained models + mid-day window)
-# ---------------------------------------------------------------------------
-
 def _encode_whois_impute(whois) -> dict[str, Any] | None:
     """The WHOIS imputation counters -- detection state: imputed
     features depend on the running means, so a restore resumes them."""
@@ -609,83 +552,20 @@ def _decode_whois_impute(whois, impute: dict[str, Any]) -> None:
     whois._observed = int(impute["observed"])
 
 
-def streaming_enterprise_state(
-    detector, *, include_metrics: bool = True
-) -> dict[str, Any]:
-    """Snapshot of a :class:`~repro.streaming.StreamingEnterpriseDetector`.
-
-    Wraps the trained batch detector's document (config, histories,
-    both regression models) with the streaming extras: same-day staged
-    UA observations, the WHOIS imputation counters and the engine-base
-    half (:func:`_engine_base_state`).  WHOIS *records* are an external
-    registry and are re-attached by the caller.
-    """
-    return {
-        **_engine_base_state(
-            detector, "streaming-enterprise", include_metrics
-        ),
-        "detector": detector_state(detector.batch),
-        "ua_pending": encode_ua_pending(detector.batch.ua_history),
-        "start_day": detector.start_day,
-        "whois_impute": _encode_whois_impute(detector.batch.extractor.whois),
-    }
-
-
-@_engine_document_reader
-def restore_streaming_enterprise(
-    payload: dict[str, Any], whois=None, *, metrics=None
-):
-    """Rebuild a streaming enterprise detector from its snapshot.
-
-    ``whois`` re-attaches the external registration registry (not part
-    of the snapshot); without it the regression features fall back to
-    imputation, resumed from the snapshotted counters.
-    """
-    from .streaming import StreamingEnterpriseDetector
-
-    warm = _check_engine_document(payload, "streaming-enterprise")
-    batch = restore_detector(payload["detector"], whois=whois)
-    if payload.get("ua_pending"):
-        decode_ua_pending(batch.ua_history, payload["ua_pending"])
-    detector = StreamingEnterpriseDetector(
-        batch,
-        start_day=int(payload["start_day"]),
-        warm=warm,
-        metrics=metrics,
-    )
-    impute = payload.get("whois_impute")
-    if impute is not None:
-        if batch.extractor.whois is None:
-            # The original engine had a registry; keep imputing from
-            # the snapshotted means even when it isn't re-attached, so
-            # registration features degrade gracefully instead of
-            # snapping to the cold defaults.
-            from .features.whois import WhoisFeatureExtractor
-
-            batch.extractor.whois = WhoisFeatureExtractor(WhoisDatabase())
-        _decode_whois_impute(batch.extractor.whois, impute)
-    _restore_engine_base(detector, payload, metrics)
-    return detector
-
-
-def save_streaming_enterprise(detector, path: str | Path) -> None:
-    """Write a streaming enterprise detector's checkpoint as JSON."""
-    save_json_atomic(streaming_enterprise_state(detector), path)
-
-
-def load_streaming_enterprise(path: str | Path, whois=None, *, metrics=None):
-    """Restore a checkpoint saved with :func:`save_streaming_enterprise`."""
-    return restore_streaming_enterprise(
-        load_json(path), whois=whois, metrics=metrics
-    )
-
-
-# ---------------------------------------------------------------------------
-# Engine-generic dispatch (the fleet holds engines of either pipeline)
-# ---------------------------------------------------------------------------
-
 def encode_engine(engine, *, include_metrics: bool = False) -> dict[str, Any]:
-    """Snapshot a streaming engine of either pipeline (kind-tagged).
+    """Snapshot a streaming engine of either pipeline, tagged with its
+    ``kind``.
+
+    Both kinds open with the engine-base half
+    (:func:`_engine_base_state`), so a restore resumes mid-day with
+    warm-start intact.  A ``"streaming"`` (DNS) document adds the
+    detection config, the reduction filters and the long-lived
+    histories; a ``"streaming-enterprise"`` one wraps the trained
+    detector's document (config, histories, both regression models)
+    with the same-day staged UA observations, the start day and the
+    WHOIS imputation counters.  WHOIS *records* are an external
+    registry, re-attached on restore; the reduction funnel's Figure 2
+    counters are observability and are not snapshotted.
 
     Fleet checkpoints never embed metrics snapshots (the default):
     fleet engines share one registry per worker process, so per-tenant
@@ -697,23 +577,94 @@ def encode_engine(engine, *, include_metrics: bool = False) -> dict[str, Any]:
     from .streaming import StreamingEnterpriseDetector
 
     if isinstance(engine, StreamingEnterpriseDetector):
-        return streaming_enterprise_state(
-            engine, include_metrics=include_metrics
-        )
-    return streaming_state(engine, include_metrics=include_metrics)
+        batch = engine.batch
+        return {
+            **_engine_base_state(
+                engine, "streaming-enterprise", include_metrics
+            ),
+            "detector": detector_state(batch),
+            "ua_pending": encode_ua_pending(batch.ua_history),
+            "start_day": engine.start_day,
+            "whois_impute": _encode_whois_impute(batch.extractor.whois),
+        }
+    ua_history = engine.window.ua_history
+    return {
+        **_engine_base_state(engine, "streaming", include_metrics),
+        "config": encode_config(engine.config),
+        "internal_suffixes": list(engine.internal_suffixes),
+        "server_ips": sorted(engine.server_ips),
+        "history": encode_history(engine.history),
+        "ua_history": (
+            encode_ua_history(ua_history) if ua_history is not None else None
+        ),
+        "ua_pending": (
+            encode_ua_pending(ua_history) if ua_history is not None else None
+        ),
+    }
 
 
-def restore_engine(payload: dict[str, Any], whois=None, *, metrics=None):
-    """Rebuild a streaming engine from :func:`encode_engine` output,
-    dispatching on the snapshot's ``kind`` tag."""
-    kind = payload.get("kind")
-    if kind == "streaming-enterprise":
-        return restore_streaming_enterprise(
-            payload, whois=whois, metrics=metrics
-        )
+@_engine_document_reader
+def restore_engine(
+    payload: dict[str, Any], whois=None, *, metrics=None,
+    kind: str | None = None,
+):
+    """Rebuild a streaming engine from :func:`encode_engine` output.
+
+    The document's ``kind`` tag picks the engine.  A caller that knows
+    which engine it wants passes that ``kind``, and a document of the
+    other one is refused.  ``whois`` re-attaches an enterprise engine's
+    registration registry (not part of the snapshot); without it the
+    regression features fall back to imputation, resumed from the
+    snapshotted counters.  ``metrics`` attaches a
+    :class:`repro.obs.MetricsRegistry` to the restored engine.
+    """
+    from .streaming import StreamingDetector, StreamingEnterpriseDetector
+
+    if kind is None:
+        kind = payload.get("kind")
+        if kind not in ("streaming", "streaming-enterprise"):
+            raise StateError(
+                f"not a streaming engine checkpoint (kind={kind!r})"
+            )
+    warm = _check_engine_document(payload, kind)
     if kind == "streaming":
-        return restore_streaming(payload, metrics=metrics)
-    raise StateError(f"not a streaming engine checkpoint (kind={kind!r})")
+        ua_history = None
+        if payload["ua_history"] is not None:
+            ua_history = decode_ua_history(payload["ua_history"])
+            if payload.get("ua_pending"):
+                decode_ua_pending(ua_history, payload["ua_pending"])
+        detector = StreamingDetector(
+            config=decode_config(payload["config"]),
+            internal_suffixes=tuple(payload["internal_suffixes"]),
+            server_ips=frozenset(payload["server_ips"]),
+            history=decode_history(payload["history"]),
+            ua_history=ua_history,
+            warm=warm,
+            metrics=metrics,
+        )
+    else:
+        batch = restore_detector(payload["detector"], whois=whois)
+        if payload.get("ua_pending"):
+            decode_ua_pending(batch.ua_history, payload["ua_pending"])
+        detector = StreamingEnterpriseDetector(
+            batch,
+            start_day=int(payload["start_day"]),
+            warm=warm,
+            metrics=metrics,
+        )
+        impute = payload.get("whois_impute")
+        if impute is not None:
+            if batch.extractor.whois is None:
+                # The original engine had a registry; keep imputing from
+                # the snapshotted means even when it isn't re-attached,
+                # so registration features degrade gracefully instead of
+                # snapping to the cold defaults.
+                from .features.whois import WhoisFeatureExtractor
+
+                batch.extractor.whois = WhoisFeatureExtractor(WhoisDatabase())
+            _decode_whois_impute(batch.extractor.whois, impute)
+    _restore_engine_base(detector, payload, metrics)
+    return detector
 
 
 # ---------------------------------------------------------------------------
@@ -878,13 +829,17 @@ def load_json(path: str | Path) -> dict[str, Any]:
 
 
 def save_streaming(detector, path: str | Path) -> None:
-    """Write a streaming detector's checkpoint to ``path`` as JSON."""
-    save_json_atomic(streaming_state(detector), path)
+    """Write an engine's checkpoint, metrics included, to ``path``."""
+    save_json_atomic(encode_engine(detector, include_metrics=True), path)
 
 
-def load_streaming(path: str | Path, *, metrics=None):
-    """Restore a checkpoint previously saved with :func:`save_streaming`."""
-    return restore_streaming(load_json(path), metrics=metrics)
+#: The same file wrapper: the document's ``kind`` says which engine.
+save_streaming_enterprise = save_streaming
+
+
+def load_streaming(path: str | Path, whois=None, *, metrics=None):
+    """Restore an engine checkpoint written by :func:`save_streaming`."""
+    return restore_engine(load_json(path), whois, metrics=metrics)
 
 
 def save_detector(detector: EnterpriseDetector, path: str | Path) -> None:

@@ -1,6 +1,6 @@
 """Streaming detection engine: the batch pipeline turned online.
 
-The subsystem layers three pieces on top of the unchanged batch
+The subsystem layers four pieces on top of the unchanged batch
 components (Section III's pipeline, Algorithm 1's belief propagation):
 
 * :mod:`repro.profiling.window` -- :class:`WindowedAggregator`, the
@@ -14,8 +14,10 @@ components (Section III's pipeline, Algorithm 1's belief propagation):
   folds into the window in arrival order, ``score()`` and
   ``rollover()`` both end in :func:`repro.core.dayloop.detect_day`;
   :class:`StreamingDetector` / :class:`StreamingEnterpriseDetector` are
-  its DNS and proxy facades with checkpoint/restore and directory
-  replay.
+  its DNS and proxy facades;
+* :mod:`~repro.streaming.replay` -- :func:`open_engine`, where every
+  verb builds an engine or restores one from a checkpoint, and
+  :func:`replay_directory`, the directory replay of both pipelines.
 
 The engine's invariant: a day's end-of-day detections do not depend on
 how its events were micro-batched -- fed in one poll
@@ -24,15 +26,16 @@ between, the report is the same.
 """
 
 from ..profiling.window import WindowedAggregator
-from .detector import StreamingDetector, replay_directory
+from .detector import StreamingDetector
 from .engine import (
     ReplayResult,
     StreamDayReport,
     StreamingEngineBase,
     StreamUpdate,
 )
-from .enterprise import StreamingEnterpriseDetector, replay_enterprise_directory
+from .enterprise import StreamingEnterpriseDetector
 from .incremental import WarmStartConfig
+from .replay import open_engine, replay_directory, replay_enterprise_directory
 
 __all__ = [
     "ReplayResult",
@@ -43,6 +46,7 @@ __all__ = [
     "StreamingEnterpriseDetector",
     "WarmStartConfig",
     "WindowedAggregator",
+    "open_engine",
     "replay_directory",
     "replay_enterprise_directory",
 ]

@@ -34,8 +34,6 @@ a restore) and rebuilt from ``prior`` on the next round.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..config import LANL_CONFIG, SystemConfig
 from ..core.scoring import (
     MULTI_HOST_MIN_HOSTS,
@@ -48,14 +46,7 @@ from ..profiling.history import DestinationHistory
 from ..profiling.ua import UserAgentHistory
 from ..runner import detect_on_traffic
 from ..timing.detector import AutomationDetector
-from .engine import (
-    ReplayResult,
-    StreamDayReport,
-    StreamingEngineBase,
-    checkpoint_to_resume,
-    drive_replay,
-    resolve_replay_paths,
-)
+from .engine import StreamDayReport, StreamingEngineBase
 from .incremental import WarmStartConfig
 
 
@@ -130,73 +121,3 @@ class StreamingDetector(StreamingEngineBase):
         report.intel_seeded = detection.intel_seeded
         report.ct_seeded = detection.ct_seeded
         report.stage_seconds = detection.stage_seconds
-
-
-# ---------------------------------------------------------------------------
-# Directory replay (the `repro-detect stream` engine)
-# ---------------------------------------------------------------------------
-
-def replay_directory(
-    directory: str | Path,
-    *,
-    bootstrap_files: int,
-    pattern: str = "*.log",
-    config: SystemConfig | None = None,
-    internal_suffixes: tuple[str, ...] = (),
-    server_ips: frozenset[str] = frozenset(),
-    batch_size: int = 500,
-    score_every: int = 1,
-    warm: WarmStartConfig | None = None,
-    checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 1,
-    resume: bool = False,
-    max_batches: int | None = None,
-    on_update=None,
-    metrics=None,
-) -> ReplayResult:
-    """Replay a directory of daily DNS logs as an event stream.
-
-    :func:`repro.runner.run_directory` with intra-day visibility: the
-    first ``bootstrap_files`` logs build the destination history, the
-    rest are consumed in ``batch_size`` micro-batches with a scoring
-    round every ``score_every`` batches and a day rollover per file.
-
-    With ``checkpoint_path`` the engine persists its full state every
-    ``checkpoint_every`` micro-batches and after each rollover;
-    ``resume=True`` restores from that checkpoint and continues from
-    the exact event where the previous process stopped -- detection
-    config, filters and histories then come from the checkpoint (only
-    the warm-start policy is taken from the arguments).  ``max_batches``
-    bounds the number of micro-batches processed (the replay returns
-    with ``interrupted=True``), which together with ``resume`` simulates
-    a process restart mid-day.
-    """
-    from ..state import load_streaming
-
-    paths = resolve_replay_paths(
-        directory, pattern, bootstrap_files,
-        score_every=score_every, checkpoint_every=checkpoint_every,
-        max_batches=max_batches,
-    )
-    saved = checkpoint_to_resume(checkpoint_path, resume)
-    if saved is not None:
-        detector = load_streaming(saved, metrics=metrics)
-    else:
-        detector = StreamingDetector(
-            config=config,
-            internal_suffixes=internal_suffixes,
-            server_ips=server_ips,
-            metrics=metrics,
-        )
-    return drive_replay(
-        detector,
-        paths,
-        bootstrap_files=bootstrap_files,
-        batch_size=batch_size,
-        score_every=score_every,
-        warm=warm,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        max_batches=max_batches,
-        on_update=on_update,
-    )

@@ -555,7 +555,7 @@ class StreamingEngineBase:
 
 
 # ---------------------------------------------------------------------------
-# Directory replay driver (shared by both pipelines' replay functions)
+# Directory replay: the resolver, the rollover event and the loop of ``stream``
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -604,6 +604,23 @@ def resolve_replay_paths(
             f"found {len(paths)}"
         )
     return paths
+
+
+def log_day_rollover(
+    report: StreamDayReport, path: Path, *, bootstrap: bool
+) -> None:
+    """The ``day_rollover`` event of one closed log file; ``run`` and
+    ``stream`` emit it from their loops."""
+    log_event(
+        _LOG,
+        "day_rollover",
+        day=report.day,
+        file=path.name,
+        records=report.records,
+        rare=len(report.rare_domains),
+        detected=len(report.detected),
+        bootstrap=bootstrap,
+    )
 
 
 def checkpoint_to_resume(
@@ -698,16 +715,7 @@ def drive_replay(
                     return result
         skip = 0  # only the file in progress had rows consumed
         report = detector.rollover(detect=not is_bootstrap)
-        log_event(
-            _LOG,
-            "day_rollover",
-            day=report.day,
-            file=path.name,
-            records=report.records,
-            rare=len(report.rare_domains),
-            detected=len(report.detected),
-            bootstrap=is_bootstrap,
-        )
+        log_day_rollover(report, path, bootstrap=is_bootstrap)
         if not is_bootstrap:
             result.reports.append(report)
         checkpoint()

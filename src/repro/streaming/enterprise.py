@@ -48,20 +48,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Set
 from contextlib import contextmanager
-from pathlib import Path
 
 from ..core.dayloop import detect_day
 from ..core.pipeline import DayResult, EnterpriseDetector
 from ..core.scoring import ScoredDomain
 from ..logs.normalize import ProxyNormalizer
-from .engine import (
-    ReplayResult,
-    StreamDayReport,
-    StreamingEngineBase,
-    checkpoint_to_resume,
-    drive_replay,
-    resolve_replay_paths,
-)
+from .engine import StreamDayReport, StreamingEngineBase
 from .incremental import WarmStartConfig
 
 SECONDS_PER_DAY = 86_400.0
@@ -250,86 +242,3 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
         report.ct_seeded = result.ct_seeded
         report.day_result = result
         report.stage_seconds = stage_seconds
-
-
-# ---------------------------------------------------------------------------
-# Directory replay (the `repro-detect stream --pipeline enterprise` engine)
-# ---------------------------------------------------------------------------
-
-def replay_enterprise_directory(
-    directory: str | Path,
-    *,
-    model_state: str | Path,
-    bootstrap_files: int = 0,
-    pattern: str = "proxy-*.log",
-    whois_path: str | Path | None = None,
-    whois=None,
-    batch_size: int = 500,
-    score_every: int = 1,
-    warm: WarmStartConfig | None = None,
-    checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 1,
-    resume: bool = False,
-    max_batches: int | None = None,
-    on_update=None,
-    metrics=None,
-) -> ReplayResult:
-    """Replay a directory of daily proxy logs as an event stream.
-
-    The enterprise analogue of :func:`repro.streaming.replay_directory`:
-    the trained detector comes from ``model_state`` (as written by
-    ``repro-detect enterprise --save-state`` or a generated layout's
-    ``model.json``), the first ``bootstrap_files`` logs only extend the
-    profiles, and the rest are consumed in ``batch_size`` micro-batches
-    with a scoring round every ``score_every`` batches and a day
-    rollover per file.  Logs are expected pre-joined (stable hostnames
-    in the source field); ``whois_path`` re-attaches the registration
-    registry the regression features query.  ``whois`` passes an
-    already-built lookup object instead (anything with a
-    ``lookup(domain)`` method, e.g. a :class:`repro.intelstore.store
-    .StoreCachingWhois` hydrated from a durable intel store) and takes
-    precedence over ``whois_path``.
-
-    Checkpoint/resume semantics match the DNS replay: with
-    ``checkpoint_path`` the full engine state is persisted every
-    ``checkpoint_every`` micro-batches and after each rollover, and
-    ``resume=True`` restores from it and continues from the exact
-    event where the previous process stopped.
-    """
-    from ..intel.whois_db import load_whois_file
-    from ..state import load_detector, load_streaming_enterprise
-
-    paths = resolve_replay_paths(
-        directory, pattern, bootstrap_files,
-        score_every=score_every, checkpoint_every=checkpoint_every,
-        max_batches=max_batches,
-    )
-    if whois is None and whois_path is not None:
-        whois = load_whois_file(whois_path)
-    saved = checkpoint_to_resume(checkpoint_path, resume)
-    if saved is not None:
-        detector = load_streaming_enterprise(
-            saved, whois=whois, metrics=metrics
-        )
-    else:
-        detector = StreamingEnterpriseDetector(
-            load_detector(model_state, whois=whois), metrics=metrics
-        )
-    return drive_replay(
-        detector,
-        paths,
-        bootstrap_files=bootstrap_files,
-        batch_size=batch_size,
-        score_every=score_every,
-        warm=warm,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        max_batches=max_batches,
-        on_update=on_update,
-    )
-
-
-__all__ = [
-    "StreamingEnterpriseDetector",
-    "replay_enterprise_directory",
-]

@@ -14,7 +14,7 @@ every test and CI run exercises the feeds without network access:
   benign certificates as noise;
 * :func:`fleet_rdap_documents` -- the fleet WHOIS registry re-encoded
   as RDAP domain documents, byte-equivalent registration facts
-  through :func:`repro.intelstore.rdap.load_registration_registry`;
+  through :func:`repro.intel.whois_db.load_whois_file`;
 * :func:`write_intel_fixtures` -- both serialized under a layout's
   ``intel/`` directory.
 

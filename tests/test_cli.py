@@ -166,10 +166,16 @@ class TestStartupImports:
         assert env == "ENV 2"
         assert int(threads.split()[1]) >= 2
 
-    @pytest.mark.parametrize("verb", ["run", "stream"])
+    @pytest.mark.parametrize("verb", ["run", "stream", "stream-enterprise"])
     def test_detection_verbs_skip_the_evaluation_harness(
-        self, verb, mixed_fleet_layout
+        self, verb, mixed_fleet_layout, ent_layout
     ):
+        """``stream-enterprise`` reads the classic ``whois.json``: only
+        an RDAP registry loads the intel store's parser."""
+        if verb == "stream-enterprise":
+            argv = _stream_flags("enterprise", ent_layout, mixed_fleet_layout)
+        else:
+            argv = _data_verb_argv(verb, mixed_fleet_layout)
         done = _python(
             "import sys\n"
             "from repro.cli import main\n"
@@ -177,8 +183,7 @@ class TestStartupImports:
             f"print('LOADED', [m for m in {HARNESS_MODULES!r}"
             " if m in sys.modules])\n"
             "sys.exit(code)",
-            verb, str(mixed_fleet_layout / "t0"), "--bootstrap-files", "1",
-            "--internal-suffix", "int.c0",
+            *argv,
         )
         assert done.returncode == 0, done.stderr
         assert "detected=['" in done.stdout
@@ -480,6 +485,29 @@ class TestEnterpriseStreamCommand:
         assert _day_lines(first) + _day_lines(second) == _day_lines(whole)
         assert len(_day_lines(first)) == 1  # 17 x 300 rows: inside day 2
 
+    def test_rdap_registry_prints_the_classic_files_days(
+        self, layout, tmp_path, capsys
+    ):
+        """``--whois`` takes an RDAP copy of ``whois.json`` as it is,
+        with or without ``--intel-db``."""
+        from repro.intelstore.rdap import rdap_document
+
+        classic = json.loads((layout / "whois.json").read_text())
+        rdap = tmp_path / "rdap.json"
+        rdap.write_text(json.dumps([
+            rdap_document(domain, registered, expires)
+            for domain, (registered, expires) in classic.items()
+        ]))
+        code, whole = self._stream(layout, capsys)
+        assert code == 0
+        code = main([
+            "stream", str(layout), "--pipeline", "enterprise",
+            "--model-state", str(layout / "model.json"),
+            "--whois", str(rdap), "--bootstrap-files", "0",
+        ])
+        assert code == 0
+        assert _day_lines(capsys.readouterr().out) == _day_lines(whole)
+
     def test_generate_writes_enterprise_layout(self, layout):
         assert (layout / "proxy-march-01.log").exists()
         assert (layout / "proxy-march-03.log").exists()
@@ -743,6 +771,28 @@ class TestStreamStopResume:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    def test_resume_from_the_other_pipelines_checkpoint_is_one_error_line(
+        self, pipeline, ent_layout, mixed_fleet_layout, tmp_path, capsys
+    ):
+        other = "dns" if pipeline == "enterprise" else "enterprise"
+        ckpt = ["--checkpoint", str(tmp_path / "ck.json")]
+        assert main(
+            _stream_flags(other, ent_layout, mixed_fleet_layout)
+            + ckpt + ["--max-batches", "3"]
+        ) == 3
+        capsys.readouterr()
+        flags = _stream_flags(pipeline, ent_layout, mixed_fleet_layout)
+        assert main(flags + ckpt + ["--resume"]) == 2
+        kind, found = {
+            "dns": ("streaming", "streaming-enterprise"),
+            "enterprise": ("streaming-enterprise", "streaming"),
+        }[pipeline]
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: not a {kind} checkpoint (kind={found!r})\n"
+        )
+        assert captured.out == ""
 
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_nonpositive_max_batches_is_a_usage_error(

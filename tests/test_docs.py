@@ -158,6 +158,28 @@ class TestOneDayLoop:
         assert list(cc_stage) == ["streaming/enterprise.py"]
         assert len(cc_stage["streaming/enterprise.py"]) == 1
 
+    def test_an_engine_is_opened_in_one_place(self):
+        """``stream`` (both pipelines), ``run`` and a fleet worker's
+        fresh tenant build their engine in ``open_engine``; a checkpoint
+        is read back by ``restore_engine``.  The evaluation harnesses
+        drive engines of their own.  The per-kind checkpoint functions
+        and the second and third WHOIS loaders are gone, not aliased."""
+        built = self._lines_with(
+            r"(?<![\w`])(?<!class )Streaming(Enterprise)?Detector\("
+        )
+        assert sorted(built) == [
+            "eval/evasion.py", "eval/lanl_challenge.py", "state.py",
+            "streaming/replay.py",
+        ]
+        assert len(built["streaming/replay.py"]) == 2
+        assert len(built["state.py"]) == 2
+        assert self._files_matching(
+            r"\b(streaming_state|streaming_enterprise_state"
+            r"|restore_streaming|restore_streaming_enterprise"
+            r"|load_streaming_enterprise|load_rdap_file"
+            r"|load_registration_registry)\b"
+        ) == []
+
     def test_dns_cc_stage_is_written_once(self):
         uses = self._lines_with(
             r"(group_verdicts_by_domain|multi_host_beacon_heuristic)\("

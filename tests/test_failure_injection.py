@@ -328,7 +328,7 @@ class TestTornWindow:
 
     @pytest.fixture
     def document(self):
-        from repro.state import streaming_state
+        from repro.state import encode_engine
         from repro.streaming import StreamingDetector
 
         detector = StreamingDetector()
@@ -337,7 +337,7 @@ class TestTornWindow:
                        domain=f"d{k % 4}.example.c1")
             for k in range(12)
         ])
-        return streaming_state(detector)
+        return encode_engine(detector)
 
     @staticmethod
     def _restore(document):
@@ -450,7 +450,7 @@ class TestCorruptPrior:
     def document(self):
         import copy
 
-        from repro.state import streaming_state
+        from repro.state import encode_engine
         from repro.streaming import StreamingDetector
 
         detector = StreamingDetector()
@@ -459,7 +459,7 @@ class TestCorruptPrior:
                        domain=f"d{k % 2}.example.c1")
             for k in range(6)
         ])
-        state = streaming_state(detector)
+        state = encode_engine(detector)
         state["prior"] = copy.deepcopy(self.PRIOR)
         return state
 

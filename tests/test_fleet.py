@@ -274,6 +274,33 @@ class TestFleetRun:
         with pytest.raises(FleetError, match="need more than 1"):
             FleetManager([spec]).run()
 
+    def test_tenant_pattern_matching_nothing_is_named(
+        self, fleet_layout, tmp_path, capsys
+    ):
+        """Tenant files resolve as ``run`` and ``stream`` resolve
+        theirs: one ``error:`` line that names the tenant and what is
+        wrong, exit 2."""
+        from repro.cli import main
+
+        manifest = json.loads(fleet_layout.read_text())
+        for key in ("vt_reported", "whois", "certs"):
+            if key in manifest:
+                manifest[key] = str(fleet_layout.parent / manifest[key])
+        for entry in manifest["tenants"]:
+            entry["directory"] = str(fleet_layout.parent / entry["directory"])
+        tenant = manifest["tenants"][0]
+        tenant["pattern"] = "nomatch-*.log"
+        broken = tmp_path / "manifest.json"
+        broken.write_text(json.dumps(manifest))
+        assert main(["fleet", str(broken)]) == 2
+        directory = Path(tenant["directory"]).resolve()
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: tenant {tenant['id']!r}: no file in {directory} "
+            "matches 'nomatch-*.log'\n"
+        )
+        assert captured.out == ""
+
 
 # ---------------------------------------------------------------------------
 # Checkpoint / resume

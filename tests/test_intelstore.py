@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import FleetManager, load_manifest
-from repro.intel.whois_db import WhoisDatabase, WhoisRecord
+from repro.intel.whois_db import WhoisDatabase, WhoisRecord, load_whois_file
 from repro.intelstore import (
     SCHEMA_VERSION,
     CertObservation,
@@ -29,7 +29,6 @@ from repro.intelstore import (
     expand_ct_seeds,
     load_ct_cached,
     load_ct_log,
-    load_registration_registry,
     parse_rdap_document,
     rdap_document,
     registry_from_rdap,
@@ -277,9 +276,15 @@ class TestRdap:
         rdap_path.write_text(json.dumps([
             rdap_document("a.c9", 0.0, 864_000.0),
         ]))
-        from_whois = load_registration_registry(whois_path)
-        from_rdap = load_registration_registry(rdap_path)
+        from_whois = load_whois_file(whois_path)
+        from_rdap = load_whois_file(rdap_path)
         assert from_whois.to_json_dict() == from_rdap.to_json_dict()
+        document = rdap_document("a.c9", 0.0, 864_000.0)
+        for wrapped in (document, {"domains": [document]}):
+            rdap_path.write_text(json.dumps(wrapped))
+            assert load_whois_file(rdap_path).to_json_dict() == (
+                from_whois.to_json_dict()
+            )
 
     def test_registry_from_rdap_skips_incomplete(self):
         registry = registry_from_rdap([

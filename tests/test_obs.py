@@ -361,23 +361,25 @@ class TestBeliefPropagationStops:
 
 class TestCheckpointRoundTrip:
     def test_snapshot_survives_streaming_checkpoint(self, lanl_dataset):
-        from repro.state import restore_streaming, streaming_state
+        from repro.state import encode_engine, restore_engine
 
         _, detector = _replay_days(lanl_dataset, MetricsRegistry())
         before = detector.metrics.snapshot()
         assert not before.is_empty()
 
-        payload = json.loads(json.dumps(streaming_state(detector)))
-        restored = restore_streaming(payload, metrics=MetricsRegistry())
+        payload = json.loads(
+            json.dumps(encode_engine(detector, include_metrics=True))
+        )
+        restored = restore_engine(payload, metrics=MetricsRegistry())
         after = restored.metrics.snapshot()
         assert after.counters == before.counters
         assert after.histograms == before.histograms
 
     def test_metrics_off_checkpoint_has_no_snapshot(self, lanl_dataset):
-        from repro.state import streaming_state
+        from repro.state import encode_engine
 
         _, detector = _replay_days(lanl_dataset, None)
-        assert streaming_state(detector)["metrics"] is None
+        assert encode_engine(detector, include_metrics=True)["metrics"] is None
 
 
 class TestFleetAggregation:
@@ -531,6 +533,35 @@ class TestCliMetricsOut:
              "bp_runs_total"],
         ) == []
         assert check_snapshot(metrics_path, ["no_such_family"]) != []
+
+    def test_run_and_stream_log_the_same_day_rollovers(self, log_dir, capsys):
+        """One ``day_rollover`` event per file from both day loops."""
+        from repro.cli import main
+
+        events = {}
+        for verb in ("run", "stream"):
+            try:
+                assert main([
+                    verb, str(log_dir), "--bootstrap-files", "1",
+                    "--internal-suffix", "int.c0",
+                    "--log-level", "info", "--log-json",
+                ]) == 0
+            finally:
+                configure_logging("warning", json_mode=False)
+            lines = capsys.readouterr().err.splitlines()
+            events[verb] = [
+                {key: value for key, value in json.loads(line).items()
+                 if key != "ts"}
+                for line in lines
+                if json.loads(line)["event"] == "day_rollover"
+            ]
+        assert [event["file"] for event in events["run"]] == [
+            "dns-march-01.log", "dns-march-02.log", "dns-march-03.log",
+        ]
+        assert [event["bootstrap"] for event in events["run"]] == [
+            True, False, False,
+        ]
+        assert events["run"] == events["stream"]
 
     def test_log_json_error_is_structured(self, capsys):
         from repro.cli import main

@@ -258,10 +258,12 @@ class TestCheckpointRestore:
         assert detector.rollover().detected == restored.rollover().detected
 
     def test_rejects_wrong_kind(self, tmp_path):
-        from repro.state import StateError, restore_streaming
+        from repro.state import StateError, restore_engine
 
         with pytest.raises(StateError):
-            restore_streaming({"version": 1, "kind": "detector"})
+            restore_engine(
+                {"version": 1, "kind": "detector"}, kind="streaming"
+            )
 
     def test_save_is_atomic(self, tmp_path):
         detector = StreamingDetector()
@@ -1116,7 +1118,7 @@ class TestEnterpriseCheckpoint:
     def test_midday_restore_finishes_identically(
         self, enterprise_engine, enterprise_dataset, tmp_path
     ):
-        from repro.state import load_streaming_enterprise, save_streaming_enterprise
+        from repro.state import save_streaming_enterprise
 
         whole, stream = enterprise_engine(), enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days
@@ -1129,9 +1131,7 @@ class TestEnterpriseCheckpoint:
         stream.score()
         path = tmp_path / "ent.json"
         save_streaming_enterprise(stream, path)
-        restored = load_streaming_enterprise(
-            path, whois=enterprise_dataset.whois
-        )
+        restored = load_streaming(path, whois=enterprise_dataset.whois)
         assert restored.window.events_today == stream.window.events_today
         assert restored.window.rare == stream.window.rare
 
@@ -1143,7 +1143,7 @@ class TestEnterpriseCheckpoint:
     def test_restore_resumes_whois_imputation_counters(
         self, enterprise_engine, enterprise_dataset, tmp_path
     ):
-        from repro.state import load_streaming_enterprise, save_streaming_enterprise
+        from repro.state import save_streaming_enterprise
 
         stream = enterprise_engine()
         # A restored trained state starts its imputation means at zero;
@@ -1155,7 +1155,7 @@ class TestEnterpriseCheckpoint:
         assert whois._observed > 0
         path = tmp_path / "ent.json"
         save_streaming_enterprise(stream, path)
-        restored = load_streaming_enterprise(path, whois=None)
+        restored = load_streaming(path, whois=None)
         impute = restored.batch.extractor.whois
         assert impute._observed == whois._observed
         assert impute._age_sum == pytest.approx(whois._age_sum)
@@ -1169,10 +1169,13 @@ class TestEnterpriseCheckpoint:
             save_streaming_enterprise(stream, tmp_path / "x.json")
 
     def test_rejects_wrong_kind(self):
-        from repro.state import StateError, restore_streaming_enterprise
+        from repro.state import StateError, restore_engine
 
         with pytest.raises(StateError, match="streaming-enterprise"):
-            restore_streaming_enterprise({"version": 1, "kind": "streaming"})
+            restore_engine(
+                {"version": 1, "kind": "streaming"},
+                kind="streaming-enterprise",
+            )
 
 
 class TestEnterpriseIntelSeeding:
