@@ -16,10 +16,11 @@ shared intelligence plane:
   ``fleet.json``, and crash/resume;
 * :mod:`~repro.fleet.workers` -- the long-lived worker processes the
   manager drives (:class:`ResidentPool`): engines stay in worker
-  memory across rounds; prior-board deltas, day reports and barrier
-  delta-checkpoints (on the :mod:`repro.state` atomic-write machinery)
-  are all that cross the process boundary, and a crashed worker's
-  tenants respawn from their checkpoint chains;
+  memory across rounds; prior-board deltas and day reports are all
+  that cross the process boundary, each tenant's engine document is
+  written whole to one atomic checkpoint per barrier (on the
+  :mod:`repro.state` atomic-write machinery), and a crashed worker's
+  tenants respawn from those checkpoints;
 * :mod:`~repro.fleet.report` -- :class:`FleetReport`: per-tenant
   detections, cross-tenant domain overlap, VT classification.
 

@@ -22,17 +22,17 @@ The engines live in ``workers`` long-lived worker processes
 (:mod:`repro.fleet.workers`), each owning a stable subset of tenants
 across rounds.  The manager drives them over per-worker command queues
 (``INJECT_INTEL`` / ``ADVANCE_DAY`` / ``CHECKPOINT`` / ``SHUTDOWN``);
-only prior-board deltas, day reports and barrier-delta checkpoints
-cross the process boundary.  ``workers=1`` is the serial case.
+only prior-board deltas, day reports and checkpoint acks cross the
+process boundary.  ``workers=1`` is the serial case.
 
 Per-tenant checkpoints live at ``<dir>/<tenant>/checkpoint.json`` --
-a full engine snapshot plus the day's report in one atomic document
-(:func:`repro.state.save_json_atomic`) -- extended by a
-``deltas.jsonl`` chain of per-round barrier deltas, so a crash between
-a tenant finishing its day and the round barrier loses nothing: on
-resume the embedded report is re-published at the proper barrier, and
-a worker that dies mid-run is respawned from its tenants' chains
-without disturbing the other workers.  The fleet-level document
+the engine document plus the tenant's cursor and day report in one
+atomic document (:func:`repro.state.save_json_atomic`), rewritten at
+every barrier -- so a crash between a tenant finishing its day and the
+round barrier loses nothing: on resume the embedded report is
+re-published at the proper barrier, and a worker that dies mid-run is
+respawned from its tenants' checkpoints without disturbing the other
+workers.  The fleet-level document
 ``<dir>/fleet.json`` (intel board + completed-round cursor) is written
 at each barrier.  Without a checkpoint directory nothing is written
 and a worker death is fatal.
@@ -60,20 +60,18 @@ from .workers import (
     CMD_ADVANCE_DAY,
     CMD_CHECKPOINT,
     CMD_INJECT_INTEL,
+    FLEET_STATE_VERSION,
     FleetError,
     ResidentPool,
     WorkerDied,
     WorkerHandle,
+    _load_tenant_checkpoint,
     _tenant_checkpoint_path,
-    _tenant_delta_path,
-    load_tenant_chain,
 )
 
 __all__ = ["FleetError", "FleetManager", "SECONDS_PER_DAY"]
 
 SECONDS_PER_DAY = 86_400.0
-
-FLEET_STATE_VERSION = 1
 
 _LOG = get_logger("fleet")
 
@@ -92,7 +90,6 @@ class FleetManager:
         resume: bool = False,
         whois_path: str | Path | None = None,
         heartbeat: float = 5.0,
-        full_checkpoint_every: int = 16,
         metrics=None,
         intel_db: str | Path | None = None,
         intel_ttl_days: float | None = None,
@@ -111,8 +108,6 @@ class FleetManager:
             raise FleetError("resume requires a checkpoint directory")
         if heartbeat <= 0:
             raise FleetError("heartbeat must be positive")
-        if full_checkpoint_every < 1:
-            raise FleetError("full_checkpoint_every must be positive")
         self.specs = list(specs)
         self.intel = intel if intel is not None else IntelPlane()
         self.config = config
@@ -123,7 +118,6 @@ class FleetManager:
         self.resume = resume
         self.whois_path = Path(whois_path) if whois_path is not None else None
         self.heartbeat = heartbeat
-        self.full_checkpoint_every = full_checkpoint_every
         #: fleet-wide metrics view: the manager's own counters/spans
         #: plus the per-round deltas the workers ship back.
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -246,17 +240,27 @@ class FleetManager:
         )
 
     def _restore(
-        self,
+        self, files: dict[str, list[Path]]
     ) -> tuple[int, dict[str, int], list[tuple[int, TenantDayReport]]]:
         """Resume state: (completed rounds, per-tenant cursor, and
         ``(round, report)`` pairs recovered from tenants that finished
-        a round the fleet never committed)."""
+        a round the fleet never committed).
+
+        A tenant checkpoint behind the rounds the fleet committed for
+        that tenant is refused: resuming it would feed the tenant the
+        fleet's next file on top of an older day.
+        """
         state_path = self._fleet_state_path()
         if not state_path.exists():
             raise FleetError(f"no fleet checkpoint at {state_path}")
         payload = load_json(state_path)
         if payload.get("kind") != "fleet":
             raise FleetError(f"{state_path} is not a fleet checkpoint")
+        if payload.get("version") != FLEET_STATE_VERSION:
+            raise FleetError(
+                f"{state_path}: unsupported fleet checkpoint version "
+                f"{payload.get('version')!r} (expected {FLEET_STATE_VERSION})"
+            )
         rounds = int(payload["rounds"])
         self.intel.restore(payload["intel"])
         saved_metrics = payload.get("metrics")
@@ -283,9 +287,19 @@ class FleetManager:
                 raise FleetError(
                     f"no checkpoint for tenant {spec.tenant_id!r}: {ckpt}"
                 )
-            chain = load_tenant_chain(self.checkpoint_dir, spec.tenant_id)
-            cursors[spec.tenant_id] = chain.rounds
-            if chain.rounds > rounds and chain.report:
+            wrapper = _load_tenant_checkpoint(ckpt)
+            cursor = wrapper["round"]
+            cursors[spec.tenant_id] = cursor
+            committed = min(
+                rounds, spec.join_round + len(files[spec.tenant_id])
+            )
+            if spec.join_round < rounds and cursor < committed:
+                raise FleetError(
+                    f"tenant {spec.tenant_id!r}: {ckpt} is at round "
+                    f"{cursor}, behind the {committed} rounds the fleet "
+                    "committed for it"
+                )
+            if cursor > rounds and wrapper.get("report"):
                 # The tenant finished a round the fleet never committed
                 # (crash between task and barrier): re-publish its
                 # report at the proper barrier.  Keyed by the round the
@@ -293,8 +307,7 @@ class FleetManager:
                 # enterprise engines count days from their trained
                 # bootstrap, so day and round differ there.
                 carried.append((
-                    chain.rounds - 1,
-                    TenantDayReport.from_dict(chain.report),
+                    cursor - 1, TenantDayReport.from_dict(wrapper["report"])
                 ))
         return rounds, cursors, carried
 
@@ -305,11 +318,8 @@ class FleetManager:
             # this run's rounds and seed from the old run's board.
             self._fleet_state_path().unlink(missing_ok=True)
             for spec in self.specs:
-                # A stale checkpoint chain would shadow the fresh run.
+                # A stale tenant checkpoint would shadow the fresh run.
                 _tenant_checkpoint_path(
-                    self.checkpoint_dir, spec.tenant_id
-                ).unlink(missing_ok=True)
-                _tenant_delta_path(
                     self.checkpoint_dir, spec.tenant_id
                 ).unlink(missing_ok=True)
         return cursors
@@ -358,7 +368,7 @@ class FleetManager:
         """
         files = self._tenant_files()
         if self.resume:
-            start_round, cursors, carried = self._restore()
+            start_round, cursors, carried = self._restore(files)
         else:
             cursors = self._fresh_start()
             start_round, carried = 0, []
@@ -377,7 +387,6 @@ class FleetManager:
             config=self.config,
             resume=self.resume,
             heartbeat=self.heartbeat,
-            full_every=self.full_checkpoint_every,
             metrics_enabled=self.metrics.enabled,
             ct_path=self.ct_path,
         )
@@ -417,9 +426,9 @@ class FleetManager:
                     advanced.append(handle)
 
                 if self.checkpoint_dir is not None:
-                    # Checkpoint barrier: every advanced worker commits
-                    # its tenants' chains before the fleet state moves
-                    # on.
+                    # Checkpoint barrier: every advanced worker writes
+                    # its tenants' checkpoints before the fleet state
+                    # moves on.
                     for handle in advanced:
                         pool.send(handle, {
                             "cmd": CMD_CHECKPOINT, "round": rnd + 1,
@@ -604,9 +613,9 @@ class FleetManager:
     ) -> tuple[WorkerHandle, dict[str, Any] | None]:
         """Respawn a dead worker and bring it back to this round's barrier.
 
-        The replacement restores each owned tenant from its checkpoint
-        chain; per tenant, either the crashed round was already
-        committed (adopt the chain's embedded report) or it is re-run
+        The replacement restores each owned tenant from its checkpoint;
+        per tenant, either the crashed round was already committed
+        (adopt the checkpoint's embedded report) or it is re-run
         -- deterministic, because the board the worker re-seeds from is
         exactly the one every tenant saw this round (publication only
         happens after the barrier).  Ends with a checkpoint ack so the
@@ -637,8 +646,8 @@ class FleetManager:
                     results[tenant_id] = TenantDayReport.from_dict(persisted)
             else:
                 if disk < rnd and disk < spec.join_round:
-                    # A joiner's first round: no chain exists yet, the
-                    # respawned worker built it fresh -- nothing to
+                    # A joiner's first round: no checkpoint exists yet,
+                    # the respawned worker built it fresh -- nothing to
                     # catch up.
                     disk = spec.join_round
                 if disk < rnd:

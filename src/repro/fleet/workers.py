@@ -12,11 +12,10 @@ the process boundary per round:
 * ``ADVANCE_DAY`` (manager -> worker -> manager): the round's log file
   per owned tenant in, the per-tenant day reports plus WHOIS
   cache-fill and seeds-served accounting deltas back out;
-* ``CHECKPOINT`` (manager -> worker, acked): each tenant's engine is
-  committed to its on-disk *checkpoint chain* -- a periodic full
-  snapshot plus per-round barrier deltas
-  (:class:`repro.state.EngineDeltaTracker`) appended to a JSONL
-  sidecar, so commit cost is O(changes), not O(history).
+* ``CHECKPOINT`` (manager -> worker, acked): each tenant's engine
+  document (:func:`repro.state.encode_engine`, the one ``stream``
+  writes) is written whole, with the tenant's cursor and last day
+  report, to its one atomic ``<dir>/<tenant>/checkpoint.json``.
 
 Commands and responses travel over per-worker ``multiprocessing``
 queues.  Queue order is the ordering guarantee: ``INJECT_INTEL`` is
@@ -29,15 +28,14 @@ ordered-delivery property the tests pin down).
 response (``heartbeat`` seconds); a dead worker raises
 :class:`WorkerDied` and is respawned by :meth:`ResidentPool.respawn`
 with the same tenant subset, each engine restored from its checkpoint
-chain -- without disturbing the other workers.  The ready handshake
-reports per-tenant cursors plus the last persisted report, letting the
-manager decide per tenant whether the crashed round must be re-run
+by one :func:`repro.state.restore_engine` call -- without disturbing
+the other workers.  The ready handshake reports per-tenant cursors
+plus the last persisted report, letting the manager decide per tenant whether the crashed round must be re-run
 (deterministic: same files, same seeds) or its report can be adopted.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import queue
 from collections.abc import Sequence, Set
@@ -49,8 +47,6 @@ from ..config import SystemConfig
 from ..intel.whois_db import WhoisDatabase, load_whois_file
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..state import (
-    EngineDeltaTracker,
-    apply_engine_delta,
     decode_config,
     encode_config,
     encode_engine,
@@ -63,6 +59,8 @@ from .intel import BoardReplica, CacheStats, TenantWhoisView, _TenantCache
 from .manifest import TenantSpec
 from .report import TenantDayReport
 
+#: Version of both fleet documents, ``fleet.json`` and a tenant's
+#: ``checkpoint.json``; a resume refuses any other.
 FLEET_STATE_VERSION = 1
 
 #: Command verbs of the manager -> worker protocol.
@@ -188,17 +186,12 @@ def _advance_one_day(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint chains: periodic full snapshots + per-round barrier deltas
+# One checkpoint document per tenant
 # ---------------------------------------------------------------------------
 
 def _tenant_checkpoint_path(checkpoint_dir: Path, tenant_id: str) -> Path:
-    """Location of one tenant's full checkpoint document."""
+    """Location of one tenant's checkpoint document."""
     return checkpoint_dir / tenant_id / "checkpoint.json"
-
-
-def _tenant_delta_path(checkpoint_dir: Path, tenant_id: str) -> Path:
-    """Location of one tenant's barrier-delta JSONL sidecar."""
-    return checkpoint_dir / tenant_id / "deltas.jsonl"
 
 
 def _save_tenant_checkpoint(
@@ -207,14 +200,9 @@ def _save_tenant_checkpoint(
     report: dict[str, Any] | None,
     rounds_done: int,
 ) -> None:
-    """Write one tenant's full checkpoint wrapper atomically.
-
-    A full write supersedes the tenant's delta chain, so the sidecar is
-    truncated here.  A directory holding only full wrappers (what
-    ``full_every=1`` writes, and what the retired thread and process
-    executors wrote) reads through :func:`load_tenant_chain` as a chain
-    with no deltas.
-    """
+    """Write one tenant's checkpoint wrapper atomically: the engine
+    document ``stream`` writes, the tenant's cursor and its last day
+    report."""
     path.parent.mkdir(parents=True, exist_ok=True)
     save_json_atomic(
         {
@@ -226,7 +214,6 @@ def _save_tenant_checkpoint(
         },
         path,
     )
-    path.with_name("deltas.jsonl").unlink(missing_ok=True)
 
 
 def _load_tenant_checkpoint(path: Path) -> dict[str, Any]:
@@ -236,6 +223,11 @@ def _load_tenant_checkpoint(path: Path) -> dict[str, Any]:
         raise FleetError(
             f"{path} is not a fleet tenant checkpoint "
             f"(kind={wrapper.get('kind')!r})"
+        )
+    if wrapper.get("version") != FLEET_STATE_VERSION:
+        raise FleetError(
+            f"{path}: unsupported tenant checkpoint version "
+            f"{wrapper.get('version')!r} (expected {FLEET_STATE_VERSION})"
         )
     # The tenant's cursor into its day files.  The engine's window day
     # cannot stand in for it: an enterprise engine counts days from its
@@ -249,131 +241,6 @@ def _load_tenant_checkpoint(path: Path) -> dict[str, Any]:
     return wrapper
 
 
-@dataclass
-class TenantChain:
-    """One tenant's on-disk checkpoint chain, parsed and validated."""
-
-    engine: dict[str, Any]
-    """Full engine snapshot payload (the chain's base)."""
-
-    base_rounds: int
-    """Rounds committed as of the full snapshot."""
-
-    deltas: list[dict[str, Any]]
-    """Barrier deltas to apply on top, in round order."""
-
-    rounds: int
-    """Rounds committed after the last delta (the tenant's cursor)."""
-
-    report: dict[str, Any] | None
-    """Last persisted day report (``None`` after a bootstrap round)."""
-
-
-def load_tenant_chain(checkpoint_dir: Path, tenant_id: str) -> TenantChain:
-    """Parse a tenant's checkpoint chain from disk.
-
-    Delta lines that predate the full snapshot (a crash between the
-    full rewrite and the sidecar truncation), arrive out of order, or
-    are torn mid-write (a crash mid-append) are dropped -- a torn tail
-    can only belong to a round the fleet never committed, because the
-    checkpoint ack always precedes the fleet-state commit.
-    """
-    wrapper = _load_tenant_checkpoint(
-        _tenant_checkpoint_path(checkpoint_dir, tenant_id)
-    )
-    base_rounds = wrapper["round"]
-    rounds = base_rounds
-    report = wrapper.get("report")
-    deltas: list[dict[str, Any]] = []
-    delta_path = _tenant_delta_path(checkpoint_dir, tenant_id)
-    if delta_path.exists():
-        for line in delta_path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if int(entry.get("round", 0)) <= rounds:
-                continue
-            deltas.append(entry["delta"])
-            rounds = int(entry["round"])
-            report = entry.get("report")
-    return TenantChain(
-        engine=wrapper["engine"],
-        base_rounds=base_rounds,
-        deltas=deltas,
-        rounds=rounds,
-        report=report,
-    )
-
-
-def restore_tenant_chain(chain: TenantChain, whois=None, metrics=None):
-    """Rebuild a streaming engine from its checkpoint chain."""
-    detector = restore_engine(chain.engine, whois=whois, metrics=metrics)
-    for delta in chain.deltas:
-        apply_engine_delta(detector, delta)
-    if chain.deltas:
-        detector.resync()
-    return detector
-
-
-class TenantCheckpointStore:
-    """Commits one tenant's engine to its checkpoint chain.
-
-    Every ``full_every``-th commit (and the first) rewrites the full
-    snapshot atomically and truncates the delta sidecar; the commits in
-    between append one barrier-delta line each, costing O(changes)
-    instead of O(history).  Re-committing an unchanged round is a
-    no-op, so idle tenants (out of log files) stay cheap.
-    """
-
-    def __init__(
-        self,
-        detector,
-        checkpoint_dir: Path,
-        tenant_id: str,
-        *,
-        full_every: int = 16,
-        since_full: int | None = None,
-    ) -> None:
-        self.detector = detector
-        self.full_path = _tenant_checkpoint_path(checkpoint_dir, tenant_id)
-        self.delta_path = _tenant_delta_path(checkpoint_dir, tenant_id)
-        self.full_every = max(1, full_every)
-        self.tracker = EngineDeltaTracker(detector)
-        self._since_full = since_full
-        self._committed_rounds: int | None = None
-
-    def commit(self, report: dict[str, Any] | None, rounds_done: int) -> None:
-        """Persist the engine's barrier state for ``rounds_done``."""
-        if rounds_done == self._committed_rounds:
-            return
-        # `_since_full` counts the delta commits since the last full, so
-        # this one is commit number `_since_full + 1` after it.
-        if (
-            self._since_full is None
-            or self._since_full + 1 >= self.full_every
-        ):
-            _save_tenant_checkpoint(
-                self.detector, self.full_path, report, rounds_done
-            )
-            self.tracker.rebase()
-            self._since_full = 0
-        else:
-            line = json.dumps({
-                "round": rounds_done,
-                "report": report,
-                "delta": self.tracker.delta(),
-            })
-            self.delta_path.parent.mkdir(parents=True, exist_ok=True)
-            with self.delta_path.open("a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-            self._since_full += 1
-        self._committed_rounds = rounds_done
-
-
 # ---------------------------------------------------------------------------
 # The worker process
 # ---------------------------------------------------------------------------
@@ -384,9 +251,25 @@ class _TenantRuntime:
 
     tenant_id: str
     detector: Any
-    store: TenantCheckpointStore | None
+    checkpoint: Path | None
+    """Where :meth:`commit` writes; ``None`` without a checkpoint
+    directory."""
+
     cursor: int = 0
     last_report: dict[str, Any] | None = None
+    committed: int | None = None
+    """The round :attr:`checkpoint` holds on disk, if any."""
+
+    def commit(self) -> None:
+        """Write the tenant's checkpoint for its cursor.  A round already
+        on disk is not rewritten, so a tenant out of files writes
+        nothing."""
+        if self.checkpoint is None or self.cursor == self.committed:
+            return
+        _save_tenant_checkpoint(
+            self.detector, self.checkpoint, self.last_report, self.cursor
+        )
+        self.committed = self.cursor
 
 
 def _build_worker_tenant(
@@ -395,14 +278,14 @@ def _build_worker_tenant(
     cache: WorkerIntelCache,
     *,
     resume: bool,
-    full_every: int,
     metrics=None,
 ) -> _TenantRuntime:
-    """Build (or restore from its chain) one tenant's resident engine.
+    """Build (or restore from its checkpoint) one tenant's resident
+    engine.
 
     A fresh engine comes from :func:`repro.streaming.open_engine`, as
     ``stream``'s and ``run``'s do.  With no checkpoint directory the
-    engine is always built fresh and gets no checkpoint store -- the
+    engine is always built fresh and never written -- the
     durability-free fast path for ephemeral runs (benchmarks, parity
     checks) that never resume.
     """
@@ -412,46 +295,35 @@ def _build_worker_tenant(
         if cache.whois is not None and tenant["pipeline"] == "enterprise"
         else None
     )
-    full_path = (
+    path = (
         _tenant_checkpoint_path(checkpoint_dir, tenant_id)
         if checkpoint_dir is not None else None
     )
-    if resume and full_path is not None and full_path.exists():
-        chain = load_tenant_chain(checkpoint_dir, tenant_id)
-        detector = restore_tenant_chain(
-            chain, whois=whois_view, metrics=metrics
-        )
-        cursor, last_report = chain.rounds, chain.report
-        since_full: int | None = len(chain.deltas)
-    else:
-        detector = open_engine(
-            model_state=tenant["model_state"],
-            whois=whois_view,
-            config=(
-                decode_config(tenant["config"])
-                if tenant["config"] is not None else None
+    if resume and path is not None and path.exists():
+        wrapper = _load_tenant_checkpoint(path)
+        return _TenantRuntime(
+            tenant_id=tenant_id,
+            detector=restore_engine(
+                wrapper["engine"], whois=whois_view, metrics=metrics
             ),
-            internal_suffixes=tuple(tenant["internal_suffixes"]),
-            server_ips=frozenset(tenant["server_ips"]),
-            metrics=metrics,
+            checkpoint=path,
+            cursor=wrapper["round"],
+            last_report=wrapper.get("report"),
+            committed=wrapper["round"],
         )
-        cursor, last_report, since_full = 0, None, None
-    store = (
-        TenantCheckpointStore(
-            detector,
-            checkpoint_dir,
-            tenant_id,
-            full_every=full_every,
-            since_full=since_full,
-        )
-        if checkpoint_dir is not None else None
+    detector = open_engine(
+        model_state=tenant["model_state"],
+        whois=whois_view,
+        config=(
+            decode_config(tenant["config"])
+            if tenant["config"] is not None else None
+        ),
+        internal_suffixes=tuple(tenant["internal_suffixes"]),
+        server_ips=frozenset(tenant["server_ips"]),
+        metrics=metrics,
     )
     return _TenantRuntime(
-        tenant_id=tenant_id,
-        detector=detector,
-        store=store,
-        cursor=cursor,
-        last_report=last_report,
+        tenant_id=tenant_id, detector=detector, checkpoint=path
     )
 
 
@@ -502,7 +374,6 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                 checkpoint_dir,
                 cache,
                 resume=init["resume"],
-                full_every=init["full_every"],
                 metrics=metrics,
             )
         responses.put({
@@ -566,10 +437,7 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
             if cmd == CMD_CHECKPOINT:
                 with metrics.span("worker_checkpoint"):
                     for runtime in runtimes.values():
-                        if runtime.store is not None:
-                            runtime.store.commit(
-                                runtime.last_report, runtime.cursor
-                            )
+                        runtime.commit()
                 responses.put({
                     "event": "checkpointed",
                     "worker": worker_id,
@@ -627,7 +495,7 @@ class ResidentPool:
     Tenants are partitioned round-robin by position (``specs[i::n]``),
     so the assignment is stable across respawns and across runs of the
     same manifest -- a respawned worker always finds its own tenants'
-    checkpoint chains.
+    checkpoints.
     """
 
     def __init__(
@@ -640,7 +508,6 @@ class ResidentPool:
         config: SystemConfig | None,
         resume: bool,
         heartbeat: float = 5.0,
-        full_every: int = 16,
         metrics_enabled: bool = False,
         ct_path: Path | None = None,
     ) -> None:
@@ -651,7 +518,6 @@ class ResidentPool:
         self.ct_path = ct_path
         self.config = config
         self.heartbeat = heartbeat
-        self.full_every = full_every
         self.metrics_enabled = metrics_enabled
         count = max(1, min(workers, len(specs)))
         self._assignment: list[list[TenantSpec]] = [
@@ -697,7 +563,6 @@ class ResidentPool:
                 if self.config is not None else 2
             ),
             "resume": resume,
-            "full_every": self.full_every,
             "metrics": self.metrics_enabled,
             "tenants": [
                 {
@@ -772,7 +637,7 @@ class ResidentPool:
         """Replace a dead worker with a fresh process, same tenants.
 
         The replacement restores every owned engine from its checkpoint
-        chain (``resume=True``); other workers are not disturbed.  The
+        (``resume=True``); other workers are not disturbed.  The
         caller re-syncs the prior board (the new handle starts at
         revision 0) and decides per tenant whether the in-flight round
         must be re-run.

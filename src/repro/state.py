@@ -430,16 +430,6 @@ def decode_window(window, payload: dict[str, Any]) -> None:
         traffic.rare_ua_hosts[domain] = set(hosts)
 
 
-def _require_polled(detector) -> None:
-    """Refuse to snapshot an engine with events on its pending list."""
-    queued = detector.events_pending
-    if queued:
-        raise StateError(
-            f"{queued} events still queued (submitted, not polled); "
-            "call poll() before snapshotting"
-        )
-
-
 def _engine_base_state(
     detector, kind: str, include_metrics: bool
 ) -> dict[str, Any]:
@@ -454,7 +444,12 @@ def _engine_base_state(
     callers must ``poll()`` first or they would be lost across a
     restore.
     """
-    _require_polled(detector)
+    queued = detector.events_pending
+    if queued:
+        raise StateError(
+            f"{queued} events still queued (submitted, not polled); "
+            "call poll() before snapshotting"
+        )
     return {
         "version": STATE_VERSION,
         "kind": kind,
@@ -665,145 +660,6 @@ def restore_engine(
             _decode_whois_impute(batch.extractor.whois, impute)
     _restore_engine_base(detector, payload, metrics)
     return detector
-
-
-# ---------------------------------------------------------------------------
-# Barrier delta checkpoints (resident fleet workers)
-# ---------------------------------------------------------------------------
-
-def _require_barrier(detector) -> None:
-    """Reject delta snapshots taken away from a day barrier.
-
-    Right after :meth:`rollover` an engine's volatile state is empty --
-    fresh window, no queued events, no staged profile entries, no
-    belief-propagation prior -- so everything that changed since the
-    previous barrier lives in the committed histories and a handful of
-    counters.  That is the whole reason deltas are cheap; anywhere else
-    they would silently drop mid-day state.
-    """
-    _require_polled(detector)
-    if detector.window.events_today != 0:
-        raise StateError(
-            "window holds same-day events; delta checkpoints are "
-            "barrier-only (call rollover() first)"
-        )
-    if detector.history._pending:
-        raise StateError(
-            "destination history has staged entries; delta checkpoints "
-            "are barrier-only"
-        )
-    ua = detector.window.ua_history
-    if ua is not None and ua._pending:
-        raise StateError(
-            "user-agent history has staged entries; delta checkpoints "
-            "are barrier-only"
-        )
-
-
-class EngineDeltaTracker:
-    """Computes per-barrier deltas of a streaming engine's state.
-
-    A full :func:`encode_engine` snapshot re-serializes the entire
-    destination history every round -- O(lifetime) work per
-    tenant-day.  At a day barrier the
-    only state that changed since the previous barrier is *additive*:
-    new first-seen history entries, newly committed days, new
-    user-agent host sightings, plus a few scalar counters.  The tracker
-    keeps a baseline of what was last persisted and emits exactly those
-    additions (:meth:`delta`), advancing the baseline each call.
-
-    First-seen additions are recovered from dict insertion order (the
-    history only ever appends), so a delta costs O(changes), not
-    O(history).  UA host sets have no such order; the tracker keeps a
-    per-UA copy of the persisted sets -- bounded by the UA vocabulary,
-    which is small next to the domain history.
-    """
-
-    def __init__(self, detector) -> None:
-        self.detector = detector
-        self._n_domains = 0
-        self._days: set[int] = set()
-        self._ua: dict[str, set[str]] | None = None
-        self.rebase()
-
-    def rebase(self) -> None:
-        """Reset the baseline to the engine's current state (call after
-        persisting a full snapshot)."""
-        history = self.detector.history
-        self._n_domains = len(history._first_seen)
-        self._days = set(history.committed_days)
-        ua = self.detector.window.ua_history
-        self._ua = (
-            {u: set(hosts) for u, hosts in ua._hosts_by_ua.items()}
-            if ua is not None else None
-        )
-
-    def delta(self) -> dict[str, Any]:
-        """Additions since the baseline, as a JSON-able document.
-
-        Barrier-only (see :func:`_require_barrier`); advances the
-        baseline, so consecutive calls chain.
-        """
-        from itertools import islice
-
-        detector = self.detector
-        _require_barrier(detector)
-        history = detector.history
-        first_seen = dict(
-            islice(history._first_seen.items(), self._n_domains, None)
-        )
-        committed = sorted(set(history.committed_days) - self._days)
-        ua = detector.window.ua_history
-        ua_hosts: dict[str, list[str]] | None = None
-        if ua is not None:
-            assert self._ua is not None
-            ua_hosts = {}
-            for agent, hosts in ua._hosts_by_ua.items():
-                seen = self._ua.get(agent)
-                new = hosts - seen if seen is not None else set(hosts)
-                if new:
-                    ua_hosts[agent] = sorted(new)
-        payload: dict[str, Any] = {
-            "window_day": detector.window.day,
-            "events_total": detector.events_total,
-            "first_seen": first_seen,
-            "committed_days": committed,
-            "ua_hosts": ua_hosts,
-        }
-        batch = getattr(detector, "batch", None)
-        if batch is not None and batch.extractor.whois is not None:
-            payload["whois_impute"] = _encode_whois_impute(
-                batch.extractor.whois
-            )
-        self.rebase()
-        return payload
-
-
-def apply_engine_delta(detector, delta: dict[str, Any]) -> None:
-    """Replay one barrier delta onto a restored streaming engine.
-
-    Applies the history/UA additions, advances the window to the
-    delta's (empty) day and restores the scalar counters.  Callers
-    apply deltas in round order and finish the chain with a single
-    ``detector.resync()``.
-    """
-    history = detector.history
-    for domain, day in delta["first_seen"].items():
-        history._first_seen.setdefault(str(domain), int(day))
-    history._committed_days.update(int(d) for d in delta["committed_days"])
-    ua = detector.window.ua_history
-    if delta.get("ua_hosts") and ua is not None:
-        for agent, hosts in delta["ua_hosts"].items():
-            ua._hosts_by_ua.setdefault(agent, set()).update(hosts)
-    detector.window.open_day(int(delta["window_day"]))
-    detector.prior = None
-    detector.events_total = int(delta["events_total"])
-    impute = delta.get("whois_impute")
-    if impute is not None:
-        batch = getattr(detector, "batch", None)
-        extractor = batch.extractor.whois if batch is not None else None
-        if extractor is not None:
-            _decode_whois_impute(extractor, impute)
 
 
 def save_json_atomic(payload: dict[str, Any], path: str | Path) -> None:

@@ -180,6 +180,17 @@ class TestOneDayLoop:
             r"|load_registration_registry)\b"
         ) == []
 
+    def test_a_fleet_tenant_has_one_checkpoint_document(self):
+        """A tenant's checkpoint is the engine document ``stream``
+        writes, whole, at every barrier: the barrier-delta chain, its
+        sidecar and its cadence option are gone, not aliased."""
+        assert self._files_matching(
+            r"deltas\.jsonl|EngineDeltaTracker|apply_engine_delta"
+            r"|_require_barrier|_tenant_delta_path|TenantChain"
+            r"|restore_tenant_chain|load_tenant_chain|TenantCheckpointStore"
+            r"|full_every|full_checkpoint_every"
+        ) == []
+
     def test_dns_cc_stage_is_written_once(self):
         uses = self._lines_with(
             r"(group_verdicts_by_domain|multi_host_beacon_heuristic)\("

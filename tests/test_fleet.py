@@ -24,7 +24,7 @@ from repro.fleet import (
 )
 from repro.intel import VirusTotalOracle, WhoisDatabase
 from repro.synthetic import write_fleet_layout
-from repro.fleet.workers import load_tenant_chain, restore_tenant_chain
+from repro.state import load_json, restore_engine
 from repro.testing import make_multi_enterprise_dataset
 
 N_TENANTS = 3
@@ -229,8 +229,8 @@ class TestFleetRun:
             manifest, workers=N_TENANTS, checkpoint_dir=tmp_path,
         ).run()
         histories = {
-            tenant_id: restore_tenant_chain(
-                load_tenant_chain(tmp_path, tenant_id)
+            tenant_id: restore_engine(
+                load_json(tmp_path / tenant_id / "checkpoint.json")["engine"]
             ).history
             for tenant_id in fleet_dataset.tenants
         }
@@ -307,24 +307,15 @@ class TestFleetRun:
 # ---------------------------------------------------------------------------
 
 class TestFleetCheckpoint:
-    # full_checkpoint_every=1 writes a full wrapper every round and no
-    # sidecar -- byte-for-byte what the retired thread/process
-    # executors wrote -- so the `1` case pins that such a directory
-    # still resumes (here: under the default chain cadence).
-    @pytest.mark.parametrize("full_checkpoint_every", [1, 16])
     def test_interrupt_resume_matches_full_run(
-        self, fleet_layout, serial_report, tmp_path, full_checkpoint_every
+        self, fleet_layout, serial_report, tmp_path
     ):
         manifest = load_manifest(fleet_layout)
         ckpt = tmp_path / "ckpt"
         first = FleetManager.from_manifest(
             manifest, workers=2, checkpoint_dir=ckpt,
-            full_checkpoint_every=full_checkpoint_every,
         ).run(max_rounds=2)
         assert first.interrupted
-        assert (ckpt / "t0" / "deltas.jsonl").exists() == (
-            full_checkpoint_every > 1
-        )
         second = FleetManager.from_manifest(
             manifest, workers=2, checkpoint_dir=ckpt, resume=True,
         ).run()
@@ -393,6 +384,55 @@ class TestFleetCheckpoint:
             FleetManager.from_manifest(
                 manifest, checkpoint_dir=ckpt, resume=True,
             ).run()
+
+    @pytest.mark.parametrize("document", ["fleet.json", "t0/checkpoint.json"])
+    def test_other_document_version_is_one_error(
+        self, document, fleet_layout, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        ckpt = tmp_path / "ck"
+        flags = ["fleet", str(fleet_layout), "--workers", "1",
+                 "--checkpoint-dir", str(ckpt)]
+        assert main(flags + ["--max-rounds", "1"]) == 3
+        path = ckpt / document
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 1
+        payload["version"] = 2
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(flags + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "version 2" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_tenant_checkpoint_behind_the_fleet_is_one_error(
+        self, tmp_path, capsys
+    ):
+        """A tenant snapshot older than the rounds the fleet committed
+        for it would take the fleet's next file on top of an older day
+        (t0 reported ``day 1`` for ``dns-march-04.log``, not ``day 3``)."""
+        from repro.cli import main
+
+        out = tmp_path / "fleet"
+        assert main(["generate", str(out), "--tenants", "3", "--days", "4",
+                     "--seed", "7"]) == 0
+        ckpt = tmp_path / "ck"
+        flags = ["fleet", str(out / "manifest.json"), "--workers", "1",
+                 "--checkpoint-dir", str(ckpt)]
+        assert main(flags + ["--max-rounds", "2"]) == 3
+        saved = (ckpt / "t0" / "checkpoint.json").read_bytes()
+        assert main(flags + ["--resume", "--max-rounds", "1"]) == 3
+        # The old snapshot, and nothing newer beside it.
+        for path in (ckpt / "t0").iterdir():
+            path.unlink()
+        (ckpt / "t0" / "checkpoint.json").write_bytes(saved)
+        capsys.readouterr()
+        assert main(flags + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: tenant 't0': ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

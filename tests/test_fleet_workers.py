@@ -3,10 +3,10 @@
 The load-bearing properties: resident workers produce byte-identical
 per-tenant detections at any worker count (including mixed-pipeline
 fleets and sharded window aggregation); a SIGKILLed worker's tenants
-respawn from their checkpoint chains and resume losslessly while the
-other workers keep running; ``INJECT_INTEL`` is applied before any
-later ``ADVANCE_DAY`` on the same queue (FIFO ordered delivery); and
-the delta-checkpoint chains on disk survive torn tails.
+respawn from their checkpoints and resume losslessly while the other
+workers keep running; ``INJECT_INTEL`` is applied before any later
+``ADVANCE_DAY`` on the same queue (FIFO ordered delivery); and a
+checkpointed tenant is one document on disk.
 """
 
 import json
@@ -23,7 +23,7 @@ from repro.fleet.workers import (
     CMD_CHECKPOINT,
     CMD_INJECT_INTEL,
     ResidentPool,
-    load_tenant_chain,
+    _load_tenant_checkpoint,
 )
 from repro.synthetic import write_fleet_layout
 from repro.testing import make_multi_enterprise_dataset
@@ -84,27 +84,26 @@ class TestResidentParity:
 
 
 class TestResidentCheckpoints:
-    def test_interrupt_resume_writes_delta_chains(
+    def test_interrupt_resume_writes_one_document_per_tenant(
         self, mixed_layout, serial_detections, tmp_path
     ):
         manifest = load_manifest(mixed_layout)
         ckpt = tmp_path / "ckpt"
         first = FleetManager.from_manifest(
-            manifest, workers=2,
-            checkpoint_dir=ckpt, full_checkpoint_every=2,
+            manifest, workers=2, checkpoint_dir=ckpt,
         ).run(max_rounds=2)
         assert first.interrupted
-        # Round 0 wrote fulls, round 1 appended deltas.
-        chains = {
-            spec.tenant_id: load_tenant_chain(ckpt, spec.tenant_id)
-            for spec in manifest.tenants
-        }
-        assert all(chain.rounds == 2 for chain in chains.values())
-        assert any(chain.deltas for chain in chains.values())
+        # Every round rewrote each tenant's one document.
+        assert sorted(p.name for p in ckpt.iterdir()) == sorted(
+            ["fleet.json", *(spec.tenant_id for spec in manifest.tenants)]
+        )
+        for spec in manifest.tenants:
+            path = ckpt / spec.tenant_id / "checkpoint.json"
+            assert list(path.parent.iterdir()) == [path]
+            assert _load_tenant_checkpoint(path)["round"] == 2
 
         second = FleetManager.from_manifest(
-            manifest, workers=2,
-            checkpoint_dir=ckpt, resume=True, full_checkpoint_every=2,
+            manifest, workers=2, checkpoint_dir=ckpt, resume=True,
         ).run()
         assert not second.interrupted
         combined = {}
@@ -113,40 +112,6 @@ class TestResidentCheckpoints:
         assert {
             t: sorted(d) for t, d in combined.items()
         } == serial_detections
-
-    def test_torn_delta_tail_is_dropped(self, mixed_layout, tmp_path):
-        manifest = load_manifest(mixed_layout)
-        ckpt = tmp_path / "ckpt"
-        FleetManager.from_manifest(
-            manifest, workers=1,
-            checkpoint_dir=ckpt, full_checkpoint_every=2,
-        ).run(max_rounds=2)
-        tenant = manifest.tenants[0].tenant_id
-        chain = load_tenant_chain(ckpt, tenant)
-        assert chain.rounds == 2 and len(chain.deltas) == 1
-        # Simulate a crash mid-append: garbage after the good line.
-        delta_file = ckpt / tenant / "deltas.jsonl"
-        with delta_file.open("a") as handle:
-            handle.write('{"round": 3, "repo')
-        torn = load_tenant_chain(ckpt, tenant)
-        assert torn.rounds == 2 and len(torn.deltas) == 1
-
-    def test_stale_delta_lines_below_full_are_skipped(
-        self, mixed_layout, tmp_path
-    ):
-        manifest = load_manifest(mixed_layout)
-        ckpt = tmp_path / "ckpt"
-        FleetManager.from_manifest(
-            manifest, workers=1, checkpoint_dir=ckpt,
-        ).run(max_rounds=1)
-        tenant = manifest.tenants[0].tenant_id
-        # A leftover delta older than the full snapshot must be ignored.
-        (ckpt / tenant / "deltas.jsonl").write_text(
-            json.dumps({"round": 1, "report": None, "delta": {}}) + "\n"
-        )
-        chain = load_tenant_chain(ckpt, tenant)
-        assert chain.rounds == 1
-        assert chain.deltas == []
 
     @pytest.mark.parametrize("damage", ["missing", -1, "2", True, 2.0])
     def test_wrapper_without_a_valid_round_is_one_error(
@@ -169,7 +134,7 @@ class TestResidentCheckpoints:
             wrapper["round"] = damage
         path.write_text(json.dumps(wrapper))
         with pytest.raises(FleetError, match="non-negative integer 'round'"):
-            load_tenant_chain(ckpt, "t2")
+            _load_tenant_checkpoint(path)
         capsys.readouterr()
         assert main(flags + ["--resume"]) == 2
         err = capsys.readouterr().err
@@ -183,12 +148,11 @@ class TestCrashRecovery:
     ):
         # Kill the worker that owns the enterprise tenant after the
         # first committed round; its tenants must respawn from their
-        # chains and the fleet must still match the serial run.
+        # checkpoints and the fleet must still match the serial run.
         manifest = load_manifest(mixed_layout)
         manager = FleetManager.from_manifest(
             manifest, workers=2,
             checkpoint_dir=tmp_path / "ckpt", heartbeat=0.5,
-            full_checkpoint_every=2,
         )
         killed = []
 
@@ -225,7 +189,7 @@ class TestCrashRecovery:
             manifest, workers=2, checkpoint_dir=ckpt,
         ).run(max_rounds=1)
         (ckpt / "t1" / "checkpoint.json").write_text(json.dumps({
-            "kind": "fleet-tenant", "round": 1,
+            "version": 1, "kind": "fleet-tenant", "round": 1,
             "engine": {"kind": "bogus"}, "report": None,
         }))
         with pytest.raises(FleetError, match="worker 1: StateError"):
@@ -298,9 +262,9 @@ class TestOrderedDelivery:
             })
             ack = pool.recv(handle)
             assert ack["event"] == "checkpointed"
-            chain = load_tenant_chain(
-                tmp_path / "ckpt", follower.tenant_id
+            wrapper = _load_tenant_checkpoint(
+                tmp_path / "ckpt" / follower.tenant_id / "checkpoint.json"
             )
-            assert chain.rounds == seeded_day.day + 1
+            assert wrapper["round"] == seeded_day.day + 1
         finally:
             pool.shutdown()

@@ -188,9 +188,14 @@ def case_lanl_contexts(ctx) -> dict:
         sweep_histogram_parameters,
         timing_gap_samples,
     )
-    from repro.synthetic import TRAINING_DATES
+    from repro.synthetic import TRAINING_DATES, generate_lanl_dataset
+    from repro.testing import SMALL_LANL
 
-    dataset = ctx.lanl_dataset
+    # A world of its own: a LANL world realizes its days lazily, drawing
+    # noise from one shared generator in the order dates are first
+    # requested, so the session's world would hold whatever days earlier
+    # tests realized first.
+    dataset = generate_lanl_dataset(SMALL_LANL)
     rows = sweep_histogram_parameters(dataset, (5.0, 10.0), (0.0, 0.06))
     week = LanlChallengeSolver(dataset)
     for march_date in range(1, 8):
@@ -269,13 +274,12 @@ CASES = {
 
 @pytest.fixture
 def ctx(ent_layout, mixed_fleet_layout, tmp_path, lanl_cli_output,
-        lanl_dataset, enterprise_evaluation):
+        enterprise_evaluation):
     """What the cases read: the two layouts, a scratch directory and
-    the session's already-computed ``lanl`` output, LANL world and
-    evaluation."""
+    the session's already-computed ``lanl`` output and evaluation."""
     return SimpleNamespace(
         ent=ent_layout, fleet=mixed_fleet_layout, tmp=tmp_path,
-        lanl_cli_output=lanl_cli_output, lanl_dataset=lanl_dataset,
+        lanl_cli_output=lanl_cli_output,
         enterprise_evaluation=enterprise_evaluation,
     )
 
@@ -308,6 +312,27 @@ def test_matches_golden(name, ctx, request):
 
 def test_golden_file_has_no_stale_cases():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+
+
+def test_fleet_resume_matches_golden(mixed_fleet_layout, tmp_path):
+    """A fleet stopped after its first round and resumed reports, per
+    tenant, the days of the uninterrupted ``fleet-workers-2:fleet``
+    golden run -- pinned to the file, not to a sibling run."""
+    flags = (
+        "fleet", str(mixed_fleet_layout / "manifest.json"), "--workers",
+        "2", "--checkpoint-dir", str(tmp_path / "ck"),
+    )
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert _cli(*flags, "--max-rounds", "1", "--json", str(first))[0] == 3
+    assert _cli(*flags, "--resume", "--json", str(second))[0] == 0
+    days: dict[str, list] = {}
+    for report in (first, second):
+        for tenant, entry in json.loads(report.read_text())["tenants"].items():
+            days.setdefault(tenant, []).extend(_strip_timings(entry["days"]))
+    golden = json.loads(GOLDEN.read_text())["fleet-workers-2:fleet"]
+    assert days == {
+        tenant: entry["days"] for tenant, entry in golden["tenants"].items()
+    }
 
 
 def _regold() -> int:

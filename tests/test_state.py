@@ -108,79 +108,6 @@ class TestDetectorRoundTrip:
         assert restored.similarity_scorer is None
 
 
-class TestEngineDelta:
-    """Barrier delta checkpoints: a full snapshot plus replayed deltas
-    must equal the live engine, and deltas must refuse mid-day state."""
-
-    def _engine(self, lanl_dataset):
-        from repro.streaming import StreamingDetector
-
-        return StreamingDetector(
-            internal_suffixes=lanl_dataset.internal_suffixes,
-            server_ips=lanl_dataset.server_ips,
-        )
-
-    def test_dns_delta_chain_round_trip(self, lanl_dataset):
-        from repro.state import (
-            EngineDeltaTracker,
-            apply_engine_delta,
-            encode_engine,
-            restore_engine,
-        )
-
-        live = self._engine(lanl_dataset)
-        live.submit_raw(lanl_dataset.day_records(1))
-        live.poll()
-        live.rollover(detect=False)
-        base = encode_engine(live)
-        tracker = EngineDeltaTracker(live)
-
-        deltas = []
-        for march_date in (2, 3):
-            live.submit_raw(lanl_dataset.day_records(march_date))
-            live.poll()
-            live.rollover()
-            deltas.append(tracker.delta())
-        assert deltas[0]["first_seen"]  # day 2 saw new domains
-
-        restored = restore_engine(base)
-        for delta in deltas:
-            apply_engine_delta(restored, delta)
-        restored.resync()
-        assert encode_engine(restored) == encode_engine(live)
-
-    def test_delta_is_incremental(self, lanl_dataset):
-        from repro.state import EngineDeltaTracker
-
-        live = self._engine(lanl_dataset)
-        live.submit_raw(lanl_dataset.day_records(1))
-        live.poll()
-        live.rollover(detect=False)
-        tracker = EngineDeltaTracker(live)
-        live.submit_raw(lanl_dataset.day_records(2))
-        live.poll()
-        live.rollover()
-        first = tracker.delta()
-        assert first["first_seen"]
-        # Nothing happened since: the next delta must be empty additions.
-        second = tracker.delta()
-        assert not second["first_seen"]
-        assert not second["committed_days"]
-
-    def test_mid_day_delta_rejected(self, lanl_dataset):
-        from repro.state import EngineDeltaTracker
-
-        live = self._engine(lanl_dataset)
-        live.submit_raw(lanl_dataset.day_records(1))
-        live.poll()
-        live.rollover(detect=False)
-        tracker = EngineDeltaTracker(live)
-        live.submit_raw(lanl_dataset.day_records(2))
-        live.poll()
-        with pytest.raises(StateError, match="barrier"):
-            tracker.delta()
-
-
 class TestEngineDispatch:
     """encode_engine/restore_engine route on the snapshot's kind tag."""
 
