@@ -1,13 +1,13 @@
 """Belief-propagation scoring at scale: legacy vs incremental frontier.
 
-Not a paper figure -- this bench characterizes the PR's scoring hot
-path.  Algorithm 1's inner loop rescored every frontier domain against
-the *entire* malicious set each iteration
-(O(iterations x frontier x malicious) pure-Python loops); the
-:class:`~repro.profiling.index.TrafficIndex`-backed incremental
-scorers fold in only the newly labeled delta per iteration.  The two
-paths must agree byte-for-byte on detections, so each measured pair is
-also a parity assertion.
+Not a paper figure -- this bench characterizes the scoring hot path.
+Algorithm 1's inner loop rescored every frontier domain against the
+*entire* malicious set each iteration (O(iterations x frontier x
+malicious) pure-Python loops); the incremental scorers, reading the
+id-level rows :class:`~repro.profiling.rare.DailyTraffic` keeps, fold
+in only the newly labeled delta per iteration.  The two paths must
+agree byte-for-byte on detections, so each measured pair is also a
+parity assertion.
 
 The synthetic world is a labeling *chain*: a seed C&C domain, ``M``
 chain domains each pulled in one belief-propagation iteration via a
@@ -20,7 +20,7 @@ A second arm replays the same world as a *growing day*: ``ROUNDS``
 ingest -> warm-start belief-propagation rounds (the streaming
 cadence), once with a fresh :class:`IncrementalAdditiveScorer` per
 round and once with a single day-lived one that follows the
-``TrafficIndex`` change feed.  Every round's results must be equal.
+traffic's change feeds.  Every round's results must be equal.
 Warm Algorithm 1 over ``traffic.bp_views(rare)`` is the route
 ``StreamingEngineBase.score`` takes (through ``detect_day(prior=...)``).
 The rounds are one run of Algorithm 1 under one iteration cap (a warm
@@ -126,7 +126,7 @@ def run_warm_rounds(frontier: int, chain: int) -> dict:
     traffic that connects them arrives, over a frontier that keeps
     growing -- ``chain`` labeling iterations spread over the day's
     rounds, counted against one cap.  Both arms score the same traffic
-    (scorer state lives outside the index, so they cannot interfere).
+    (scorer state lives outside the traffic, so they cannot interfere).
     """
     connections, background, chain_names, background_names = (
         chain_world_connections(frontier, chain)
@@ -137,7 +137,6 @@ def run_warm_rounds(frontier: int, chain: int) -> dict:
     )
     additive = AdditiveSimilarityScorer()
     traffic = DailyTraffic(0)
-    traffic.index()  # armed before any traffic, like the aggregator
     day_lived = IncrementalAdditiveScorer(additive, traffic)
     seconds = {"fresh": 0.0, "day_lived": 0.0}
     prior = {"fresh": None, "day_lived": None}
@@ -229,7 +228,6 @@ def test_bp_scale():
             d: frozenset(traffic.hosts_by_domain.get(d, ())) for d in rare
         }
         legacy_host_rdom = rare_domains_by_host(traffic, rare)
-        index = traffic.index()
         dom_host, host_rdom = traffic.bp_views(rare)
 
         additive = AdditiveSimilarityScorer()

@@ -39,8 +39,7 @@ from ..features.extract import (
     timing_closeness,
 )
 from ..features.regression import LinearModel
-from ..profiling.index import DOMAIN_MASK, PAIR_SHIFT, TrafficIndex
-from ..profiling.rare import DailyTraffic
+from ..profiling.rare import DOMAIN_MASK, PAIR_SHIFT, DailyTraffic
 from ..timing.detector import AutomationVerdict
 
 
@@ -239,10 +238,10 @@ class SimilarityIndexState:
     only newly labeled domains and only new traffic is exact.  One
     instance lives as long as its malicious set only grows: one batch
     belief-propagation run, or a streaming day between cold rounds.  It
-    follows its :class:`TrafficIndex` through the index's change feed
-    (:meth:`sync`); the one non-monotone event -- a late, earlier
-    timestamp rewriting a first contact it depends on -- makes it
-    rebuild itself from the ids it has absorbed and tracked.
+    follows its :class:`~repro.profiling.rare.DailyTraffic` through the
+    traffic's change feeds (:meth:`sync`); the one non-monotone event --
+    a late, earlier timestamp rewriting a first contact it depends on --
+    makes it rebuild itself from the ids it has absorbed and tracked.
 
     State per tracked frontier domain: the best first-visit gap to any
     malicious domain over co-visiting hosts, and whether any malicious
@@ -252,9 +251,9 @@ class SimilarityIndexState:
     """
 
     def __init__(
-        self, index: TrafficIndex, stats: SimilarityStats | None = None
+        self, traffic: DailyTraffic, stats: SimilarityStats | None = None
     ) -> None:
-        self.index = index
+        self.traffic = traffic
         self.stats = stats if stats is not None else SimilarityStats()
         self._mal_ids: set[int] = set()
         self._tracked: set[int] = set()
@@ -262,10 +261,10 @@ class SimilarityIndexState:
 
     def _reset(self) -> None:
         """Empty derived state, cursors at the ends of the feeds."""
-        index = self.index
-        self._pair_cursor = len(index.pair_feed)
-        self._ip_cursor = len(index.ip_feed)
-        self._rewrite_cursor = len(index.rewrite_feed)
+        traffic = self.traffic
+        self._pair_cursor = len(traffic.pair_feed)
+        self._ip_cursor = len(traffic.ip_feed)
+        self._rewrite_cursor = len(traffic.rewrite_feed)
         #: host id -> sorted first-contact times of malicious domains.
         self._mal_first: dict[int, list[float]] = {}
         #: per prefix: (malicious subnet keys, key -> tracked domain
@@ -276,11 +275,11 @@ class SimilarityIndexState:
         self._dirty: set[int] = set()
 
     def sync(self) -> None:
-        """Fold in what the index recorded since the last call."""
-        index = self.index
+        """Fold in what the traffic recorded since the last call."""
+        traffic = self.traffic
         mal_ids = self._mal_ids
         tracked = self._tracked
-        feed = index.rewrite_feed
+        feed = traffic.rewrite_feed
         if len(feed) > self._rewrite_cursor:
             # Min-gaps cannot be repaired locally once a first contact
             # they were taken over has moved: start over.
@@ -296,17 +295,17 @@ class SimilarityIndexState:
                     self._track_id(d)
                 return
             self._rewrite_cursor = len(feed)
-        feed = index.pair_feed
+        feed = traffic.pair_feed
         if len(feed) > self._pair_cursor:
             for pair in feed[self._pair_cursor:]:
                 h, d = pair >> PAIR_SHIFT, pair & DOMAIN_MASK
                 if d in mal_ids:
-                    self._malicious_pair(h, index.first_contact(h, d))
+                    self._malicious_pair(h, traffic.pair_head(h, d))
                 elif d in tracked:
                     self._dirty.add(d)  # one more host: connectivity
-                    self._tracked_pair(h, d, index.first_contact(h, d))
+                    self._tracked_pair(h, d, traffic.pair_head(h, d))
             self._pair_cursor = len(feed)
-        feed = index.ip_feed
+        feed = traffic.ip_feed
         if len(feed) > self._ip_cursor:
             for d, key24, key16 in feed[self._ip_cursor:]:
                 if d in mal_ids:
@@ -319,14 +318,14 @@ class SimilarityIndexState:
 
     def _malicious_pair(self, h: int, t_mal: float) -> None:
         """Host ``h`` first reached a malicious domain at ``t_mal``."""
-        index = self.index
+        traffic = self.traffic
         insort(self._mal_first.setdefault(h, []), t_mal)
         # Only domains co-visited by this host can see their gap
         # shrink -- walk its neighborhood.
-        for d in index.domains_of(h):
+        for d in traffic.domain_row(h):
             if d not in self._tracked or d in self._mal_ids:
                 continue
-            gap = abs(index.first_contact(h, d) - t_mal)
+            gap = abs(traffic.pair_head(h, d) - t_mal)
             best = self._best_gap.get(d)
             if best is None or gap < best:
                 self._best_gap[d] = gap
@@ -373,17 +372,17 @@ class SimilarityIndexState:
                     self._dirty.add(d)
 
     def _absorb_id(self, m: int) -> None:
-        index = self.index
-        self._malicious_keys(index.keys24(m), index.keys16(m))
-        for h in index.hosts_of(m):
-            self._malicious_pair(h, index.first_contact(h, m))
+        traffic = self.traffic
+        self._malicious_keys(traffic.keys24(m), traffic.keys16(m))
+        for h in traffic.host_row(m):
+            self._malicious_pair(h, traffic.pair_head(h, m))
 
     def _track_id(self, d: int) -> None:
-        index = self.index
+        traffic = self.traffic
         self._dirty.add(d)
-        self._tracked_keys(d, index.keys24(d), index.keys16(d))
-        for h in index.hosts_of(d):
-            self._tracked_pair(h, d, index.first_contact(h, d))
+        self._tracked_keys(d, traffic.keys24(d), traffic.keys16(d))
+        for h in traffic.host_row(d):
+            self._tracked_pair(h, d, traffic.pair_head(h, d))
 
     # -- growing the two sets -----------------------------------------
 
@@ -391,7 +390,7 @@ class SimilarityIndexState:
         """Fold newly labeled domains into the malicious-side state."""
         self.sync()
         for name in new_malicious:
-            m = self.index.domain_id(name)
+            m = self.traffic.domain_id(name)
             if m is None or m in self._mal_ids:
                 # Domains with no traffic today contribute no hosts,
                 # timestamps or IPs -- exactly the legacy scorers'
@@ -405,7 +404,7 @@ class SimilarityIndexState:
         time, against the malicious set absorbed so far."""
         self.sync()
         for name in frontier:
-            d = self.index.domain_id(name)
+            d = self.traffic.domain_id(name)
             if d is None or d in self._tracked:
                 continue
             self._tracked.add(d)
@@ -455,8 +454,8 @@ class IncrementalAdditiveScorer:
         stats: SimilarityStats | None = None,
     ) -> None:
         self.base = base
-        self.index = traffic.index()
-        self.state = SimilarityIndexState(self.index, stats)
+        self.traffic = traffic
+        self.state = SimilarityIndexState(traffic, stats)
         #: tracked domain name -> its current score.
         self._scores: dict[str, float] = {}
 
@@ -470,12 +469,12 @@ class IncrementalAdditiveScorer:
         state.track(set(frontier).difference(scores))
         dirty = state.drain_dirty()
         state.stats.rescored += len(dirty)
-        index = self.index
+        traffic = self.traffic
         base = self.base
         cap = base.host_cap
         window = base.timing_window
         for d in dirty:
-            connectivity = min(index.host_count(d), cap) / cap
+            connectivity = min(traffic.host_count(d), cap) / cap
             gap = state.best_gap(d)
             timing = 1.0 if gap is not None and gap <= window else 0.0
             ip24, ip16 = state.subnet_flags(d)
@@ -485,10 +484,10 @@ class IncrementalAdditiveScorer:
                 ip = 1.0
             else:
                 ip = 0.0
-            scores[index.domain_name(d)] = (
+            scores[traffic.domain_name(d)] = (
                 connectivity + timing + ip
             ) / base.MAX_COMPONENT_SUM
-        # A name the index has never seen is in no map: it scores 0.
+        # A name with no traffic today is in no map: it scores 0.
         return dict(zip(frontier, map(scores.get, frontier, repeat(0.0))))
 
 
@@ -530,8 +529,7 @@ class BatchedSimilarityScorer:
         self.extractor = scorer.extractor
         self.traffic = traffic
         self.when = when
-        self.index = traffic.index()
-        self.state = SimilarityIndexState(self.index)
+        self.state = SimilarityIndexState(traffic)
         #: domain -> (no_hosts, no_ref, rare_ua), frozen for the day.
         self._static: dict[str, tuple[float, float, float]] = {}
         #: domain -> (dom_age, dom_validity) of a successful WHOIS
@@ -564,15 +562,15 @@ class BatchedSimilarityScorer:
         state = self.state
         state.absorb(new_malicious)
         state.track(frontier)
-        index = self.index
+        traffic = self.traffic
         matrix = np.empty((len(frontier), len(SIMILARITY_FEATURE_NAMES)))
         for row, name in enumerate(frontier):
             static = self._static.get(name)
             if static is None:
-                static = self.extractor.similarity_static(name, self.traffic)
+                static = self.extractor.similarity_static(name, traffic)
                 self._static[name] = static
             no_hosts, no_ref, rare_ua = static
-            d = index.domain_id(name)
+            d = traffic.domain_id(name)
             if d is None:
                 dom_interval, ip24, ip16 = 0.0, 0.0, 0.0
             else:

@@ -146,11 +146,11 @@ def _advance_one_day(
     """Feed one log file through a tenant's engine; close the day.
 
     This is every fleet round's inner loop, so its cost rides on the
-    scoring hot path: the engine's window maintains the day's
-    :class:`~repro.profiling.index.TrafficIndex` incrementally during
-    ingest, and the rollover's belief propagation scores its frontier
-    through the index-backed incremental scorers.  The wall-clock cost
-    of the day is timed through an obs span (``worker_advance``), so
+    scoring hot path: the engine's window grows the day's scoring rows
+    in the ingest pass itself, and the rollover's belief propagation
+    scores its frontier through the incremental scorers that read
+    them.  The wall-clock cost of the day is timed through an obs span
+    (``worker_advance``), so
     the per-tenant ``elapsed_seconds`` in the report and the
     fleet-wide timing histogram come from the same measurement.
     """

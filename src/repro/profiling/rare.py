@@ -16,12 +16,12 @@ and per-(host, domain) timestamp series for the timing detector.
 and one ``float64`` column of timestamps -- grown by amortized
 doubling.  Each :meth:`DailyTraffic.ingest` call appends its batch,
 lexsorts the new span by (pair, time) *once*, and merges the per-pair
-runs into sorted per-pair series; the same grouped pass produces an
-:class:`IngestDigest` that the streaming window, engine and
-:class:`~repro.profiling.index.TrafficIndex` consume instead of
-re-looping over the batch event by event.  Readers get the sorted
-per-pair series by lookup (:meth:`DailyTraffic.connection_times`) or all
-of them in pair first-appearance order (:meth:`DailyTraffic.series`).
+runs into sorted per-pair series; the same grouped pass grows the
+id-level scoring rows and produces an :class:`IngestDigest` that the
+streaming window and engine consume instead of re-looping over the
+batch event by event.  Readers get the sorted per-pair series by
+lookup (:meth:`DailyTraffic.connection_times`) or all of them in pair
+first-appearance order (:meth:`DailyTraffic.series`).
 A checkpoint carries the event columns themselves
 (:meth:`DailyTraffic.event_columns` / :meth:`DailyTraffic.load_events`).
 """
@@ -29,19 +29,19 @@ A checkpoint carries the event columns themselves
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..logs.domains import subnet_key
 from ..logs.records import Connection, ConnectionBatch
 from .history import DestinationHistory
-from .index import RareDomainsByHostView, RareDomHostView, TrafficIndex
 
 #: Shift packing (host_id, domain_id) into one int key; ids are dense
 #: small ints, so the packed key stays a machine-word int in practice.
-_PAIR_SHIFT = 32
-_DOMAIN_MASK = (1 << _PAIR_SHIFT) - 1
+PAIR_SHIFT = 32
+DOMAIN_MASK = (1 << PAIR_SHIFT) - 1
 #: Pending-span size below which :meth:`DailyTraffic._finalize_pending`
 #: groups in plain Python instead of lexsorting -- the array machinery
 #: has a fixed per-call cost that only amortizes at batch-pipeline
@@ -63,9 +63,7 @@ class IngestDigest:
     """
 
     n_events: int
-    #: packed pair keys touched by the batch, first-appearance order.
-    pairs: list[int] = field(default_factory=list)
-    #: (host, domain) names aligned with :attr:`pairs`.
+    #: (host, domain) pairs touched by the batch, first-appearance order.
     named_pairs: list[tuple[str, str]] = field(default_factory=list)
     #: per touched pair: the batch's timestamps, sorted ascending.
     chunks: list[list[float]] = field(default_factory=list)
@@ -92,6 +90,22 @@ class DailyTraffic:
         or missing UA (inputs to the NoRef and RareUA features).
     ``resolved_ips``
         domain -> set of IP addresses it resolved to during the day.
+
+    The same pass keeps the id-level graph the frontier scorers of
+    :mod:`repro.core.scoring` read (:meth:`host_row`,
+    :meth:`domain_row`, :meth:`pair_head`, :meth:`keys24` /
+    :meth:`keys16`) and three append-only change feeds, so a consumer
+    holding derived state keeps one cursor per feed and pays only for
+    what changed since its last look:
+
+    ``pair_feed``
+        packed pairs, in the order their rows were created;
+    ``ip_feed``
+        ``(domain id, /24 key, /16 key)`` per resolution that put the
+        domain into a /24 it was not in before;
+    ``rewrite_feed``
+        packed pairs whose series head (first contact) a late, earlier
+        timestamp moved -- empty for a time-ordered stream.
     """
 
     def __init__(self, day: int) -> None:
@@ -122,7 +136,17 @@ class DailyTraffic:
         #: a DailyTraffic lives exactly one day), so each distinct UA
         #: needs one predicate call, not one per event.
         self._ua_rare_memo: dict[str, bool] = {}
-        self._index: TrafficIndex | None = None
+        # --- scoring rows, one per interned id ----------------------------
+        #: per domain id: host ids, pair first-appearance order.
+        self._host_rows: list[list[int]] = []
+        #: per host id: domain ids, pair first-appearance order.
+        self._domain_rows: list[list[int]] = []
+        #: per domain id: subnet keys of its resolved IPs.
+        self._keys24: list[set[str]] = []
+        self._keys16: list[set[str]] = []
+        self.pair_feed: list[int] = []
+        self.ip_feed: list[tuple[int, str, str]] = []
+        self.rewrite_feed: list[int] = []
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -158,8 +182,8 @@ class DailyTraffic:
         observation while its fields are already in hand, so callers
         that must stage UA observations avoid a second per-event loop.
         Returns an :class:`IngestDigest` describing the whole call so
-        downstream consumers (window, engine, index) never re-iterate
-        the events.
+        downstream consumers (window, engine) never re-iterate the
+        events.
         """
         if isinstance(connections, (Connection, ConnectionBatch)):
             connections = (connections,)
@@ -194,7 +218,7 @@ class DailyTraffic:
                         d_id = len(domain_names)
                         domain_ids[domain] = d_id
                         domain_names.append(domain)
-                    stage_pair((h_id << _PAIR_SHIFT) | d_id)
+                    stage_pair((h_id << PAIR_SHIFT) | d_id)
                     if ip:
                         ips = resolved_ips[domain]
                         if ip not in ips:
@@ -239,7 +263,7 @@ class DailyTraffic:
                 d_id = len(domain_names)
                 domain_ids[domain] = d_id
                 domain_names.append(domain)
-            stage_pair((h_id << _PAIR_SHIFT) | d_id)
+            stage_pair((h_id << PAIR_SHIFT) | d_id)
             stage_time(conn.timestamp)
             ip = conn.resolved_ip
             if ip:
@@ -261,10 +285,7 @@ class DailyTraffic:
             if ua_stage is not None:
                 ua_stage(ua, host)
         self._append_events(pair_stage, time_stage)
-        digest = self._finalize_pending(novel_ips)
-        if self._index is not None:
-            self._index.observe_digest(digest)
-        return digest
+        return self._finalize_pending(novel_ips)
 
     def _append_events(
         self, pairs: Sequence[int], times: Sequence[float]
@@ -288,13 +309,19 @@ class DailyTraffic:
     def _finalize_pending(
         self, novel_ips: list[tuple[str, str]] | None = None
     ) -> IngestDigest:
-        """Merge the unfinalized event span into the sorted series.
+        """Merge the unfinalized event span into the sorted series and
+        the scoring rows.
 
         The span is grouped by pair -- every pair's new timestamps as
         one sorted chunk, pairs in first-appearance order so new-pair
-        set insertions land in the order per-event processing would
-        produce -- and the chunks merge into the per-pair series while
-        becoming the :class:`IngestDigest` chunks.
+        set insertions and row appends land in the order per-event
+        processing would produce -- and the chunks merge into the
+        per-pair series while becoming the :class:`IngestDigest`
+        chunks.  A pair's first contact is the head of its series, so
+        only a chunk that starts before the head can move it (logged
+        to ``rewrite_feed``).  ``novel_ips`` -- the (domain, ip)
+        resolutions first seen in the span, in arrival order -- then
+        fold into the subnet keys.
 
         The grouping is picked by span size.  Batch-pipeline spans go
         through one lexsort by (pair, time); streaming-sized spans
@@ -305,10 +332,6 @@ class DailyTraffic:
         digests.
         """
         lo, hi = self._n_finalized, self._n_events
-        if lo == hi:
-            return IngestDigest(
-                n_events=0, novel_ips=novel_ips if novel_ips else []
-            )
         if hi - lo <= _SMALL_SPAN:
             pairs, chunks = self._group_small(lo, hi)
         else:
@@ -319,6 +342,19 @@ class DailyTraffic:
         domains_by_host = self.domains_by_host
         host_names = self._host_names
         domain_names = self._domain_names
+        host_rows = self._host_rows
+        domain_rows = self._domain_rows
+        keys24 = self._keys24
+        keys16 = self._keys16
+        # One row (and key set) per id interned since the last pass.
+        grow = len(domain_names) - len(host_rows)
+        host_rows.extend([] for _ in range(grow))
+        keys24.extend(set() for _ in range(grow))
+        keys16.extend(set() for _ in range(grow))
+        domain_rows.extend(
+            [] for _ in range(len(host_names) - len(domain_rows))
+        )
+        new_pair = self.pair_feed.append
         named_out: list[tuple[str, str]] = []
         domains_out: list[str] = []
         domains_seen: set[str] = set()
@@ -329,12 +365,17 @@ class DailyTraffic:
                 # and its name tuple; only here can a domain's host
                 # count -- hence its rarity -- change.
                 series[pair] = values
-                host = host_names[pair >> _PAIR_SHIFT]
-                domain = domain_names[pair & _DOMAIN_MASK]
+                h_id = pair >> PAIR_SHIFT
+                d_id = pair & DOMAIN_MASK
+                host = host_names[h_id]
+                domain = domain_names[d_id]
                 named = (host, domain)
                 pair_names[pair] = named
                 hosts_by_domain[domain].add(host)
                 domains_by_host[host].add(domain)
+                host_rows[d_id].append(h_id)
+                domain_rows[h_id].append(d_id)
+                new_pair(pair)
                 if domain not in domains_seen:
                     domains_seen.add(domain)
                     domains_out.append(domain)
@@ -342,18 +383,29 @@ class DailyTraffic:
                 if existing[-1] <= values[0]:
                     existing += values
                 else:
+                    if values[0] < existing[0]:
+                        self.rewrite_feed.append(pair)
                     existing += values
                     existing.sort()
                 named = pair_names[pair]
             named_out.append(named)
         self._n_finalized = hi
+        domain_ids = self._domain_ids
+        for domain, ip in novel_ips or ():
+            d_id = domain_ids[domain]
+            key24 = subnet_key(ip, 24)
+            if key24 not in keys24[d_id]:
+                # A known /24 implies a known /16.
+                key16 = subnet_key(ip, 16)
+                keys24[d_id].add(key24)
+                keys16[d_id].add(key16)
+                self.ip_feed.append((d_id, key24, key16))
         return IngestDigest(
             n_events=hi - lo,
-            pairs=pairs,
             named_pairs=named_out,
             chunks=chunks,
             domains=domains_out,
-            novel_ips=novel_ips if novel_ips else [],
+            novel_ips=novel_ips or [],
         )
 
     def _group_lexsort(
@@ -426,8 +478,8 @@ class DailyTraffic:
         return (
             list(self._host_names),
             list(self._domain_names),
-            pairs >> _PAIR_SHIFT,
-            pairs & _DOMAIN_MASK,
+            pairs >> PAIR_SHIFT,
+            pairs & DOMAIN_MASK,
             self._ev_time[: self._n_events],
         )
 
@@ -438,12 +490,15 @@ class DailyTraffic:
         host_index: np.ndarray,
         domain_index: np.ndarray,
         times: np.ndarray,
+        resolved_ips: Mapping[str, Iterable[str]],
     ) -> None:
-        """Bulk-restore :meth:`event_columns` output into an empty day
-        (checkpoint decode): intern the tables, append the columns and
-        group them in the one :meth:`finalize` pass -- the same intern
-        order, event columns and series as ingesting the events live.
-        The caller has checked that the indices fit the tables.
+        """Bulk-restore :meth:`event_columns` output and the day's
+        ``resolved_ips`` into an empty day (checkpoint decode): intern
+        the tables, append the columns and group them in the one
+        finalize pass -- the same intern order, event columns, series
+        and scoring rows as ingesting the events live.  The caller has
+        checked that the indices fit the tables and that every
+        ``resolved_ips`` domain is in ``domains``.
         """
         if self._host_names or self._domain_names or self._n_events:
             raise ValueError("load_events needs an empty DailyTraffic")
@@ -452,11 +507,15 @@ class DailyTraffic:
         self._domain_names.extend(domains)
         self._domain_ids.update(zip(domains, range(len(domains))))
         self._append_events(
-            (host_index.astype(np.int64) << _PAIR_SHIFT)
+            (host_index.astype(np.int64) << PAIR_SHIFT)
             | domain_index.astype(np.int64),
             times,
         )
-        self.finalize()
+        novel_ips = []
+        for domain, ips in resolved_ips.items():
+            self.resolved_ips[domain] = set(ips)
+            novel_ips.extend((domain, ip) for ip in ips)
+        self._finalize_pending(novel_ips)
 
     # ------------------------------------------------------------------
     # Queries
@@ -472,7 +531,7 @@ class DailyTraffic:
         d_id = self._domain_ids.get(domain)
         if h_id is None or d_id is None:
             return []
-        return self._series.get((h_id << _PAIR_SHIFT) | d_id, [])
+        return self._series.get((h_id << PAIR_SHIFT) | d_id, [])
 
     def series(self) -> Iterator[tuple[tuple[str, str], list[float]]]:
         """Every ``((host, domain), sorted times)`` of the day, in pair
@@ -481,7 +540,8 @@ class DailyTraffic:
         return zip(self._pair_names.values(), self._series.values())
 
     def first_contact(self, host: str, domain: str) -> float | None:
-        """Earliest timestamp any host reached ``domain`` today."""
+        """Earliest timestamp ``host`` reached ``domain`` today; ``None``
+        when it never did."""
         times = self.connection_times(host, domain)
         return times[0] if times else None
 
@@ -511,32 +571,51 @@ class DailyTraffic:
         out = [
             (
                 (
-                    host_names[pair >> _PAIR_SHIFT],
-                    domain_names[pair & _DOMAIN_MASK],
+                    host_names[pair >> PAIR_SHIFT],
+                    domain_names[pair & DOMAIN_MASK],
                 ),
                 times,
             )
             for pair, times in self._series.items()
-            if pair & _DOMAIN_MASK in rare_ids
+            if pair & DOMAIN_MASK in rare_ids
         ]
         out.sort(key=lambda item: item[0])
         return out
 
-    def index(self) -> TrafficIndex:
-        """The day's :class:`~repro.profiling.index.TrafficIndex`.
+    # -- id level: the frontier scorers' reads ------------------------
 
-        Built from the current aggregate on first call, then kept in
-        sync incrementally by :meth:`ingest`.  Code that mutates the
-        traffic dicts directly (checkpoint restore) must call
-        :meth:`drop_index` so the next access rebuilds.
-        """
-        if self._index is None:
-            self._index = TrafficIndex(self)
-        return self._index
+    def domain_id(self, domain: str) -> int | None:
+        """Dense id of a domain; ``None`` when it has no traffic today."""
+        return self._domain_ids.get(domain)
 
-    def drop_index(self) -> None:
-        """Invalidate the attached index (after out-of-band mutation)."""
-        self._index = None
+    def domain_name(self, d_id: int) -> str:
+        """Name interned under ``d_id``."""
+        return self._domain_names[d_id]
+
+    def host_row(self, d_id: int) -> list[int]:
+        """Host ids contacting the domain, first-appearance order."""
+        return self._host_rows[d_id]
+
+    def domain_row(self, h_id: int) -> list[int]:
+        """Domain ids the host contacted, first-appearance order."""
+        return self._domain_rows[h_id]
+
+    def pair_head(self, h_id: int, d_id: int) -> float:
+        """First contact of an id pair (the pair must exist): the head
+        of its sorted series."""
+        return self._series[(h_id << PAIR_SHIFT) | d_id][0]
+
+    def host_count(self, d_id: int) -> int:
+        """Distinct hosts contacting the domain today."""
+        return len(self._host_rows[d_id])
+
+    def keys24(self, d_id: int) -> set[str]:
+        """/24 subnet keys of the domain's resolved IPs."""
+        return self._keys24[d_id]
+
+    def keys16(self, d_id: int) -> set[str]:
+        """/16 subnet keys of the domain's resolved IPs."""
+        return self._keys16[d_id]
 
     def bp_views(
         self, rare: Set[str]
@@ -546,11 +625,81 @@ class DailyTraffic:
         Replaces the per-call ``{d: frozenset(...)}`` /
         :func:`rare_domains_by_host` rebuilds: both views answer
         lookups straight from the day's live dicts, restricted to
-        ``rare`` (no interned index required)."""
+        ``rare``."""
         return (
             RareDomHostView(self.hosts_by_domain, rare),
             RareDomainsByHostView(self.domains_by_host, rare),
         )
+
+
+class RareDomHostView(Mapping):
+    """Lazy ``dom_host`` map: rare domain -> hosts contacting it.
+
+    Equivalent to ``{d: frozenset(hosts_by_domain[d]) for d in rare}``
+    without materializing any copy; belief propagation only reads.
+    """
+
+    __slots__ = ("_hosts_by_domain", "_rare")
+
+    def __init__(
+        self, hosts_by_domain: Mapping[str, set[str]], rare: Set[str]
+    ) -> None:
+        self._hosts_by_domain = hosts_by_domain
+        self._rare = rare
+
+    def __getitem__(self, domain: str) -> Set[str]:
+        if domain not in self._rare:
+            raise KeyError(domain)
+        hosts = self._hosts_by_domain.get(domain)
+        if hosts is None:
+            raise KeyError(domain)
+        return hosts
+
+    def __contains__(self, domain: object) -> bool:
+        return domain in self._rare and domain in self._hosts_by_domain
+
+    def __iter__(self) -> Iterator[str]:
+        return (d for d in self._rare if d in self._hosts_by_domain)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+class RareDomainsByHostView(Mapping):
+    """Lazy ``host_rdom`` map: host -> rare domains it visited.
+
+    Intersections are computed on first access and memoized -- belief
+    propagation re-reads each compromised host once per iteration, so
+    the cache turns O(iterations x hosts) set work into O(hosts).
+    """
+
+    __slots__ = ("_domains_by_host", "_rare", "_cache")
+
+    def __init__(
+        self, domains_by_host: Mapping[str, set[str]], rare: Set[str]
+    ) -> None:
+        self._domains_by_host = domains_by_host
+        self._rare = rare
+        self._cache: dict[str, set[str]] = {}
+
+    def __getitem__(self, host: str) -> Set[str]:
+        cached = self._cache.get(host)
+        if cached is None:
+            visited = self._domains_by_host.get(host)
+            if visited is None:
+                raise KeyError(host)
+            cached = visited & self._rare
+            self._cache[host] = cached
+        return cached
+
+    def __contains__(self, host: object) -> bool:
+        return host in self._domains_by_host
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._domains_by_host)
+
+    def __len__(self) -> int:
+        return len(self._domains_by_host)
 
 
 def extract_rare_domains(

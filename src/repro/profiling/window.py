@@ -53,9 +53,6 @@ class WindowedAggregator:
         """Make ``day`` the window's day, with nothing in it yet."""
         self.day = day
         self.traffic = DailyTraffic(day)
-        # Arm the scoring index now: every ingest from here on updates
-        # it incrementally, so scoring rounds never rebuild it.
-        self.traffic.index()
         self.tracker.reset()
         self.events_today = 0
         #: (host, domain) pairs with new events since the last drain.
@@ -138,12 +135,10 @@ class WindowedAggregator:
     # ------------------------------------------------------------------
 
     def resync(self) -> None:
-        """Recompute derived state from the traffic indexes (restore path)."""
-        self.traffic.finalize()
-        # Checkpoint restore fills the traffic dicts directly, behind
-        # the armed index's back -- rebuild it from the restored state.
-        self.traffic.drop_index()
-        self.traffic.index()
+        """Recompute derived state from the traffic (restore path): the
+        rare set and the dirty pairs.  The traffic itself -- series and
+        scoring rows -- was rebuilt by the same finalize pass as live
+        ingest."""
         self.tracker.resync(self.traffic)
         self.dirty_pairs = {pair for pair, _ in self.traffic.series()}
         self.rare_changes = set()

@@ -366,13 +366,16 @@ def encode_window(window) -> dict[str, Any]:
 
 def decode_window(window, payload: dict[str, Any]) -> None:
     """Refill a fresh :class:`WindowedAggregator` from its snapshot:
-    intern the name tables, append the event columns, group them in the
-    traffic's one ``finalize()`` pass.
+    open its day, intern the name tables, append the event columns and
+    group them -- with the resolved IPs -- in the traffic's one
+    finalize pass, the route live ingest takes.
 
     A document whose columns disagree with each other, with
     ``events_today`` or with the name tables is refused: the replay
     skips ``events_today`` rows of the day's file on resume, so a torn
-    or edited window would silently skip the wrong ones.
+    or edited window would silently skip the wrong ones.  So is one
+    whose feature sections name a domain or host missing from the
+    tables: it would restore a phantom and write it out again.
     """
     layout = payload.get("layout")
     if layout != WINDOW_LAYOUT:
@@ -415,15 +418,26 @@ def decode_window(window, payload: dict[str, Any]) -> None:
             raise StateError(
                 f"window name table for {name!r} repeats a name"
             )
-    window.day = int(payload["day"])
+    # Ingest records these sections only under names it has interned.
+    domain_set, host_set = set(domain_names), set(host_names)
+    for section in ("resolved_ips", "no_referer_hosts", "rare_ua_hosts"):
+        for domain, members in payload[section].items():
+            named = [(domain, "domains", domain_set)]
+            if section != "resolved_ips":
+                named += [(host, "hosts", host_set) for host in members]
+            for name, table, names in named:
+                if name not in names:
+                    raise StateError(
+                        f"window section {section!r} names {name!r}, "
+                        f"which is not in its {table!r} table"
+                    )
+    window.open_day(int(payload["day"]))
     window.events_today = events_today
     traffic = window.traffic
-    traffic.day = window.day
     traffic.load_events(
-        host_names, domain_names, host_index, domain_index, times
+        host_names, domain_names, host_index, domain_index, times,
+        payload["resolved_ips"],
     )
-    for domain, ips in payload["resolved_ips"].items():
-        traffic.resolved_ips[domain] = set(ips)
     for domain, hosts in payload["no_referer_hosts"].items():
         traffic.no_referer_hosts[domain] = set(hosts)
     for domain, hosts in payload["rare_ua_hosts"].items():

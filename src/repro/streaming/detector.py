@@ -25,8 +25,8 @@ Mid-day costs stay proportional to what changed: automation verdicts
 are cached per (host, domain) series and recomputed only for pairs
 with new events, belief propagation warm-starts from the previous
 round's beliefs unless too much of the rare set is dirty, and the
-frontier scorer lives across rounds -- it follows the window's
-:class:`~repro.profiling.index.TrafficIndex` change feed and rescores
+frontier scorer lives across rounds -- it follows the change feeds of
+the window's :class:`~repro.profiling.rare.DailyTraffic` and rescores
 only domains whose inputs changed.  It is derived state: dropped
 wherever the malicious set can shrink (a cold round, the day boundary,
 a restore) and rebuilt from ``prior`` on the next round.

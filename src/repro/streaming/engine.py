@@ -6,8 +6,8 @@ enterprise/proxy-path
 :class:`~repro.streaming.enterprise.StreamingEnterpriseDetector` --
 consume events the same way: queue submissions on a pending list,
 fold it per ``poll()`` into a
-:class:`~repro.profiling.window.WindowedAggregator` (whose armed
-:class:`~repro.profiling.index.TrafficIndex` absorbs each micro-batch,
+:class:`~repro.profiling.window.WindowedAggregator` (whose day traffic
+grows its scoring rows and change feeds in the same ingest pass,
 keeping frontier scoring rebuild-free), note which rare domains
 changed since the last scoring round, and re-test only the (host,
 domain) timestamp series that saw new events through a period-aware

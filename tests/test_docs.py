@@ -106,6 +106,23 @@ class TestOneDayLoop:
 
         assert not hasattr(DailyTraffic, "timestamps")
 
+    def test_the_day_graph_is_stored_once(self):
+        """The traffic's own finalize pass keeps the scoring rows and
+        change feeds: no second index object, no second build route,
+        nothing that arms, drops or rebuilds one."""
+        gone = (
+            r"TrafficIndex|observe_digest|drop_index|_grow_domain_rows"
+            r"|traffic\.index\("
+        )
+        assert self._files_matching(gone) == []
+        benches = sorted((REPO / "benchmarks").glob("*.py"))
+        assert [
+            p.name for p in benches if re.search(gone, p.read_text())
+        ] == []
+        owners = self._lines_with(r"(?<![\w`])DailyTraffic\(")
+        assert sorted(owners) == ["profiling/window.py"]
+        assert len(owners["profiling/window.py"]) == 1
+
     def test_reference_paths_have_no_production_caller(self):
         """The per-domain scoring loop and the eager ``host_rdom`` map
         are the references the parity tests inject, nothing more."""

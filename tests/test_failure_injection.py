@@ -380,6 +380,26 @@ class TestTornWindow:
         with pytest.raises(StateError, match="past its name table"):
             self._restore(document)
 
+    @pytest.mark.parametrize("section, entry, name", [
+        ("resolved_ips", ("phantom.c1", ["10.9.9.9"]), "phantom.c1"),
+        ("no_referer_hosts", ("phantom.c1", ["10.0.0.1"]), "phantom.c1"),
+        ("rare_ua_hosts", ("phantom.c1", ["10.0.0.1"]), "phantom.c1"),
+        ("rare_ua_hosts", ("d1.example.c1", ["10.6.6.6"]), "10.6.6.6"),
+    ])
+    def test_feature_sections_name_only_tabled_names(
+        self, document, section, entry, name
+    ):
+        """A domain or host the name tables lack would restore as a
+        phantom -- interned with no events -- and be saved again."""
+        from repro.state import StateError
+
+        domain, members = entry
+        document["window"][section][domain] = members
+        with pytest.raises(
+            StateError, match=f"{section}.*{re.escape(name)}.*not in its"
+        ):
+            self._restore(document)
+
     def test_name_tables_hold_each_name_once(self, document):
         from repro.state import StateError
 

@@ -162,7 +162,6 @@ class TestDailyTraffic:
         gc.disable()
         try:
             traffic = self._traffic()
-            traffic.index()
             assert traffic.connection_times("h1", "a.com") == [10.0, 20.0]
             alive = weakref.ref(traffic)
             del traffic

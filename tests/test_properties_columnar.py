@@ -22,9 +22,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.logs.domains import subnet_key
 from repro.logs.records import Connection, ConnectionBatch
-from repro.profiling.rare import _SMALL_SPAN, DailyTraffic
-from repro.state import encode_engine, restore_engine
+from repro.profiling import DestinationHistory
+from repro.profiling.rare import (
+    _SMALL_SPAN,
+    DOMAIN_MASK,
+    PAIR_SHIFT,
+    DailyTraffic,
+)
+from repro.profiling.window import WindowedAggregator
+from repro.state import (
+    decode_window,
+    encode_engine,
+    encode_window,
+    restore_engine,
+)
 from repro.streaming import StreamingDetector
 from repro.timing.batch import automated_pairs_batch
 from repro.timing.detector import AutomationDetector
@@ -96,6 +109,64 @@ def _assert_same_traffic(left: DailyTraffic, right: DailyTraffic) -> None:
     assert left.resolved_ips == right.resolved_ips
 
 
+def _assert_rows_match_definition(traffic: DailyTraffic) -> None:
+    """The id-level scoring rows, read back through their accessors,
+    equal what they are defined as over the string-level day: each
+    domain's host row is ``hosts_by_domain[d]`` (and each host's domain
+    row ``domains_by_host[h]``) in pair first-appearance order, a
+    pair's first contact is the head of ``connection_times``, the
+    subnet keys are those of ``resolved_ips[d]``, and the feeds list
+    every pair and every novel /24 exactly once."""
+    host_names, domain_names = traffic.event_columns()[:2]
+    appearance = [pair for pair, _ in traffic.series()]
+    for d_id, domain in enumerate(domain_names):
+        assert traffic.domain_id(domain) == d_id
+        assert traffic.domain_name(d_id) == domain
+        hosts = [host_names[h] for h in traffic.host_row(d_id)]
+        assert hosts == [h for h, dom in appearance if dom == domain]
+        assert set(hosts) == traffic.hosts_by_domain[domain]
+        assert traffic.host_count(d_id) == len(hosts)
+        for h_id in traffic.host_row(d_id):
+            times = traffic.connection_times(host_names[h_id], domain)
+            assert traffic.pair_head(h_id, d_id) == times[0] == min(times)
+        ips = traffic.resolved_ips.get(domain, ())
+        assert traffic.keys24(d_id) == {subnet_key(ip, 24) for ip in ips}
+        assert traffic.keys16(d_id) == {subnet_key(ip, 16) for ip in ips}
+    for h_id, host in enumerate(host_names):
+        domains = [domain_names[d] for d in traffic.domain_row(h_id)]
+        assert domains == [dom for h, dom in appearance if h == host]
+        assert set(domains) == traffic.domains_by_host[host]
+    assert [
+        (host_names[pair >> PAIR_SHIFT], domain_names[pair & DOMAIN_MASK])
+        for pair in traffic.pair_feed
+    ] == appearance
+    novel = [(d, key24) for d, key24, _ in traffic.ip_feed]
+    assert len(novel) == len(set(novel))
+    assert set(novel) == {
+        (d, key) for d in range(len(domain_names))
+        for key in traffic.keys24(d)
+    }
+    for d, key24, key16 in traffic.ip_feed:
+        assert key16 in traffic.keys16(d)
+
+
+def _scoring_rows(traffic: DailyTraffic):
+    """The scoring rows by name: per domain, its (host, first contact)
+    row and its subnet keys."""
+    host_names, domain_names = traffic.event_columns()[:2]
+    return {
+        domain: (
+            [
+                (host_names[h], traffic.pair_head(h, d))
+                for h in traffic.host_row(d)
+            ],
+            traffic.keys24(d),
+            traffic.keys16(d),
+        )
+        for d, domain in enumerate(domain_names)
+    }
+
+
 class TestColumnarIngestParity:
     @given(
         event_rows,
@@ -133,6 +204,8 @@ class TestColumnarIngestParity:
 
         _assert_same_traffic(whole, single)
         _assert_same_traffic(whole, mixed)
+        for traffic in (whole, single, mixed):
+            _assert_rows_match_definition(traffic)
 
     def test_finalize_paths_agree_across_small_span_boundary(self):
         """Spans above ``_SMALL_SPAN`` group via NumPy lexsort, spans
@@ -165,6 +238,47 @@ class TestColumnarIngestParity:
         grouped.finalize()
 
         _assert_same_traffic(lexsorted, grouped)
+        _assert_rows_match_definition(lexsorted)
+        _assert_rows_match_definition(grouped)
+
+    def test_an_earlier_timestamp_for_a_known_pair_is_a_rewrite(self):
+        """Only a chunk that starts before a pair's series head moves
+        its first contact, and only that lands in ``rewrite_feed``."""
+        traffic = DailyTraffic(0)
+        traffic.ingest([
+            Connection(100.0, "h1", "a.example"),
+            Connection(200.0, "h1", "a.example"),
+            Connection(50.0, "h2", "a.example"),
+        ])
+        traffic.ingest(Connection(300.0, "h1", "a.example"))  # in order
+        traffic.ingest([
+            Connection(150.0, "h1", "a.example"),  # behind the tail only
+            Connection(10.0, "h2", "a.example"),   # ahead of the head
+        ])
+        d_id = traffic.domain_id("a.example")
+        h1, h2 = traffic.host_row(d_id)
+        assert traffic.rewrite_feed == [(h2 << PAIR_SHIFT) | d_id]
+        assert traffic.pair_head(h1, d_id) == 100.0
+        assert traffic.pair_head(h2, d_id) == 10.0
+        assert len(traffic.pair_feed) == 2
+        _assert_rows_match_definition(traffic)
+
+    @given(event_rows, st.integers(min_value=1, max_value=9))
+    @settings(max_examples=40, deadline=None)
+    def test_window_round_trip_keeps_the_rows(self, rows, chunk):
+        """``encode_window`` -> ``decode_window`` rebuilds the same rows,
+        series heads and subnet keys through the load/finalize route."""
+        live = WindowedAggregator(0, DestinationHistory())
+        for lo in range(0, len(rows), chunk):
+            live.ingest([Connection(*row) for row in rows[lo:lo + chunk]])
+        restored = WindowedAggregator(5, DestinationHistory())
+        decode_window(
+            restored, json.loads(json.dumps(encode_window(live)))
+        )
+        assert restored.day == restored.traffic.day == 0
+        _assert_rows_match_definition(restored.traffic)
+        assert _scoring_rows(restored.traffic) == _scoring_rows(live.traffic)
+        assert restored.traffic.pair_feed == live.traffic.pair_feed
 
 
 # Two hosts beaconing on a 600 s period: a multi-host C&C domain, so

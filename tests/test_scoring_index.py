@@ -401,42 +401,6 @@ def test_detect_on_enterprise_traffic_index_parity():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parity
-def test_traffic_index_incremental_matches_rebuild():
-    """An index maintained per micro-batch equals one built at the end."""
-    for seed in range(6):
-        rng = random.Random(500 + seed)
-        connections = _random_day_connections(rng, 0, with_http=False)
-        live = DailyTraffic(0)
-        live.index()  # armed before any traffic, like the aggregator
-        for start in range(0, len(connections), 17):
-            live.ingest(connections[start:start + 17])
-        bulk = DailyTraffic(0)
-        bulk.ingest(connections)
-        left, right = live.index(), bulk.index()
-        bulk.finalize()
-        domains = sorted(live.hosts_by_domain)
-        assert domains == sorted(bulk.hosts_by_domain)
-        for domain in domains:
-            l_id, r_id = left.domain_id(domain), right.domain_id(domain)
-            assert left.host_count(l_id) == right.host_count(r_id)
-            assert left.keys24(l_id) == right.keys24(r_id)
-            assert left.keys16(l_id) == right.keys16(r_id)
-            # Interning order differs between the two, so compare the
-            # (host name -> first contact) rows, not raw ids.
-            l_pairs = {
-                left._host_names[h]: left.first_contact(h, l_id)
-                for h in left.hosts_of(l_id)
-            }
-            r_pairs = {
-                right._host_names[h]: right.first_contact(h, r_id)
-                for h in right.hosts_of(r_id)
-            }
-            assert l_pairs == r_pairs
-            for host in bulk.hosts_by_domain[domain]:
-                assert l_pairs[host] == bulk.first_contact(host, domain)
-
-
-@pytest.mark.parity
 def test_bp_views_match_legacy_maps():
     """Index-backed dom_host / host_rdom views equal the eager maps."""
     rng = random.Random(99)
@@ -552,7 +516,7 @@ def test_incremental_scorer_matches_additive_componentwise():
 
 
 # ---------------------------------------------------------------------------
-# Day-lived scorer: follows the index's change feed across micro-batches
+# Day-lived scorer: follows the traffic's change feeds across micro-batches
 # ---------------------------------------------------------------------------
 
 _HOSTS = [f"h{i}" for i in range(5)]
@@ -580,7 +544,6 @@ def _check_against_definition(batches, stats=None):
     its state and scores must equal the paper's per-domain definition
     (:class:`AdditiveSimilarityScorer`) over the traffic so far."""
     traffic = DailyTraffic(0)
-    index = traffic.index()  # armed before any traffic
     base = AdditiveSimilarityScorer(host_cap=4)
     scorer = IncrementalAdditiveScorer(base, traffic, stats=stats)
     malicious: set[str] = set()
@@ -605,7 +568,7 @@ def _check_against_definition(batches, stats=None):
         assert list(scores) == frontier
         for domain in frontier:
             assert scores[domain] == base.score(domain, malicious, traffic)
-            d_id = index.domain_id(domain)
+            d_id = traffic.domain_id(domain)
             if d_id is None:
                 continue
             assert scorer.state.best_gap(d_id) == (
