@@ -799,9 +799,6 @@ def _run_stream(args) -> int:
     if args.resume and args.checkpoint is None:
         return _fail("--resume requires --checkpoint",
                      json_mode=args.log_json)
-    if args.intel_ttl_days is not None and args.intel_db is None:
-        return _fail("--intel-ttl-days requires --intel-db",
-                     json_mode=args.log_json)
     enterprise = args.pipeline == "enterprise"
     if enterprise and args.model_state is None:
         return _fail(
@@ -822,35 +819,29 @@ def _run_stream(args) -> int:
             json_mode=args.log_json,
         )
     store = None
-    if args.intel_db is not None:
-        from .intelstore import IntelStore, IntelStoreError
+    if args.intel_db is not None or args.intel_ttl_days is not None:
+        from .intelstore import IntelStoreError, open_intel_store
 
         try:
-            store = IntelStore(
-                args.intel_db,
-                ttl_seconds=(
-                    args.intel_ttl_days * 86_400.0
-                    if args.intel_ttl_days is not None else None
-                ),
+            store = open_intel_store(
+                args.intel_db, args.intel_ttl_days, metrics=metrics
             )
         except IntelStoreError as exc:
             return _fail(str(exc), json_mode=args.log_json)
-        if metrics is not None:
-            store.bind_metrics(metrics)
     try:
         whois = None
         if store is not None and enterprise:
-            # The store-backed registry hydrates previously persisted
-            # WHOIS/RDAP facts and write-behinds novel lookups -- repeat
-            # runs stop re-resolving.
+            # The engine's WHOIS lookups go through the one intel memo:
+            # stored WHOIS/RDAP facts answer from disk, novel lookups
+            # are written behind -- repeat runs stop re-resolving.
+            from .intel.memo import IntelMemo, TenantWhoisView
             from .intel.whois_db import load_whois_file
-            from .intelstore import StoreCachingWhois
 
-            whois = StoreCachingWhois(
-                store,
-                load_whois_file(args.whois) if args.whois is not None
-                else None,
-            )
+            memo = IntelMemo("whois")
+            if args.whois is not None:
+                memo.feed = load_whois_file(args.whois).lookup
+            memo.attach_store(store)
+            whois = TenantWhoisView(memo, "stream")
         result = replay_directory(
             args.directory,
             bootstrap_files=args.bootstrap_files,
@@ -873,13 +864,12 @@ def _run_stream(args) -> int:
         )
     except (ValueError, OSError, StateError) as exc:
         return _fail(str(exc), json_mode=args.log_json)
-    if store is not None:
-        from .intelstore import IntelStoreError
-
+    if store is not None:  # IntelStoreError was imported with the store
         try:
             for report in result.reports:
-                for domain, score in report.publication_scores().items():
-                    store.record_profile("stream", domain, report.day, score)
+                store.record_day(
+                    "stream", report.day, report.publication_scores()
+                )
             flushed = store.flush()
             store.close()
         except IntelStoreError as exc:
@@ -920,14 +910,10 @@ def _run_fleet(args) -> int:
         ManifestError,
         load_manifest,
     )
+    from .intelstore import IntelStoreError
     from .state import StateError
 
-    from .intelstore import IntelStoreError
-
     metrics = _start_data_verb(args)
-    if args.intel_ttl_days is not None and args.intel_db is None:
-        return _fail("--intel-ttl-days requires --intel-db",
-                     json_mode=args.log_json)
     try:
         manifest = load_manifest(args.manifest)
         manager = FleetManager.from_manifest(

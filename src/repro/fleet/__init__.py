@@ -8,7 +8,8 @@ shared intelligence plane:
 * :mod:`~repro.fleet.manifest` -- the on-disk fleet declaration
   (:class:`TenantSpec`, :func:`load_manifest`);
 * :mod:`~repro.fleet.intel` -- :class:`IntelPlane`: memoized,
-  hit/miss-counting VT/WHOIS caches shared across tenants, plus the
+  hit/miss-counting VT/WHOIS caches shared across tenants
+  (:class:`repro.intel.IntelMemo`), plus the
   cross-tenant prior board (a domain confirmed malicious in one tenant
   becomes an elevated belief-propagation prior everywhere else);
 * :mod:`~repro.fleet.manager` -- :class:`FleetManager`: day-barrier
@@ -35,13 +36,7 @@ therefore identical for any worker count -- parallelism changes
 wall-clock, not detections.
 """
 
-from .intel import (
-    BoardEntry,
-    BoardReplica,
-    CacheStats,
-    IntelPlane,
-    TenantWhoisView,
-)
+from .intel import BoardEntry, BoardReplica, IntelPlane
 from .manager import FleetError, FleetManager
 from .manifest import FleetManifest, ManifestError, TenantSpec, load_manifest
 from .report import FleetReport, TenantDayReport
@@ -50,7 +45,6 @@ from .workers import ResidentPool, WorkerDied
 __all__ = [
     "BoardEntry",
     "BoardReplica",
-    "CacheStats",
     "FleetError",
     "FleetManager",
     "FleetManifest",
@@ -60,7 +54,6 @@ __all__ = [
     "ResidentPool",
     "TenantDayReport",
     "TenantSpec",
-    "TenantWhoisView",
     "WorkerDied",
     "load_manifest",
 ]

@@ -7,9 +7,9 @@ registration date does not depend on which enterprise asks.  The
 provides:
 
 * **memoized, hit/miss-counting caches** over the VT oracle and WHOIS
-  database, shared across tenants.  Each cache entry remembers which
-  tenant inserted it, so the plane can report *cross-tenant* hits --
-  the lookups one enterprise saved another;
+  database, shared across tenants: two :class:`~repro.intel.memo
+  .IntelMemo` instances, which count *cross-tenant* hits (the lookups
+  one enterprise saved another) and, with a store, store hits;
 * a **cross-tenant prior board**: domains a tenant detected with score
   at or above ``prior_threshold`` are published to the board, and
   each worker's :class:`BoardReplica` answers ``seeds_for(tenant)`` with
@@ -37,98 +37,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..intel.memo import CacheStats, IntelMemo
 from ..intel.virustotal import VirusTotalOracle
 from ..intel.whois_db import WhoisDatabase, WhoisRecord
-
-
-@dataclass
-class CacheStats:
-    """Lookup accounting for one shared cache."""
-
-    hits: int = 0
-    misses: int = 0
-    cross_tenant_hits: int = 0
-    """Hits on entries first inserted by a *different* tenant."""
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "cross_tenant_hits": self.cross_tenant_hits,
-        }
-
-    def absorb(self, counts: dict[str, int]) -> None:
-        """Fold another accounting delta (an :meth:`as_dict` document)
-        into this one -- how resident workers' cache-fill counters
-        reach the manager's plane at each barrier."""
-        self.hits += int(counts.get("hits", 0))
-        self.misses += int(counts.get("misses", 0))
-        self.cross_tenant_hits += int(counts.get("cross_tenant_hits", 0))
-
-    def metrics_samples(self, cache: str) -> dict[str, int]:
-        """Counter samples for a metrics-registry collector.
-
-        The plain-int fields stay the hot-path mechanism under the
-        plane's lock; a collector registered via
-        :meth:`repro.obs.MetricsRegistry.add_collector` folds them into
-        every snapshot as
-        ``intel_cache_lookups_total{cache=...,outcome=...}``, so the
-        unified registry serves the intel-cache stats too.
-        """
-        from ..obs.metrics import sample_key
-
-        return {
-            sample_key(
-                "intel_cache_lookups_total", cache=cache, outcome=outcome
-            ): value
-            for outcome, value in self.as_dict().items()
-        }
-
-
-class _TenantCache:
-    """Memo cache whose entries remember the inserting tenant."""
-
-    def __init__(self) -> None:
-        self.stats = CacheStats()
-        self._entries: dict[Any, tuple[Any, str]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Any, tenant_id: str, compute) -> Any:
-        entry = self._entries.get(key)
-        if entry is not None:
-            value, owner = entry
-            self.stats.hits += 1
-            if owner != tenant_id:
-                self.stats.cross_tenant_hits += 1
-            return value
-        value = compute()
-        self.stats.misses += 1
-        self._entries[key] = (value, tenant_id)
-        return value
-
-
-class TenantWhoisView:
-    """A :class:`WhoisDatabase`-shaped view bound to one tenant.
-
-    Enterprise-path engines query WHOIS during feature extraction
-    (DomAge/DomValidity); handing them this view instead of the raw
-    registry routes every lookup through a shared, memoized cache --
-    anything with ``whois_lookup(tenant_id, domain)``: a worker's
-    :class:`~repro.fleet.workers.WorkerIntelCache` or an
-    :class:`IntelPlane` -- so one tenant's lookups save the others
-    work, and the cross-tenant hit accounting reflects the proxy path
-    too.
-    """
-
-    def __init__(self, cache, tenant_id: str) -> None:
-        self.cache = cache
-        self.tenant_id = tenant_id
-
-    def lookup(self, domain: str) -> WhoisRecord | None:
-        """Memoized lookup attributed to this view's tenant."""
-        return self.cache.whois_lookup(self.tenant_id, domain)
 
 
 @dataclass(frozen=True)
@@ -211,66 +122,28 @@ class IntelPlane:
         self.vt = vt
         self.whois = whois
         self.prior_threshold = prior_threshold
-        self.vt_cache = _TenantCache()
-        self.whois_cache = _TenantCache()
+        self.vt_cache = IntelMemo(
+            "vt", vt.is_reported if vt is not None else None
+        )
+        self.whois_cache = IntelMemo(
+            "whois", whois.lookup if whois is not None else None
+        )
         self.seeds_served = 0
         self._board: dict[str, BoardEntry] = {}
         self._revision = 0
         self._lock = threading.Lock()
-        self._store = None
-        self._hydrated_vt: set[str] = set()
-        self._hydrated_whois: set[str] = set()
-
-    # ------------------------------------------------------------------
-    # Durable store (hydration + write-behind)
-    # ------------------------------------------------------------------
-
-    def attach_store(self, store, *, hydrate: bool = True) -> None:
-        """Back this plane with a durable :class:`repro.intelstore
-        .store.IntelStore`.
-
-        Hydration pre-fills the memoized VT/WHOIS caches from disk
-        (never overwriting live entries), so a restarted fleet answers
-        those lookups without touching the feeds; the hydrated keys
-        are remembered so lookups against them count as store *hits*.
-        Afterwards every cache miss is also a store *miss* and is
-        written behind for the next :meth:`flush_store`.  Hydrated
-        values equal what the feeds would return, so detections are
-        byte-identical with or without the store.
-        """
-        with self._lock:
-            self._store = store
-            if not hydrate:
-                return
-            for domain, entry in store.load_vt().items():
-                if domain not in self.vt_cache._entries:
-                    self.vt_cache._entries[domain] = entry
-                    self._hydrated_vt.add(domain)
-            for domain, entry in store.load_whois().items():
-                if domain not in self.whois_cache._entries:
-                    self.whois_cache._entries[domain] = entry
-                    self._hydrated_whois.add(domain)
-
-    @property
-    def store(self):
+        self.store = None
         """The attached durable store, or ``None``."""
-        return self._store
 
-    def flush_store(self) -> int:
-        """Commit write-behind rows to the attached store (rows
-        written; 0 when no store is attached) -- called by the manager
-        at day barriers and at end of run."""
-        store = self._store
-        if store is None:
-            return 0
-        return store.flush()
-
-    def store_stats(self) -> dict[str, Any] | None:
-        """The attached store's accounting, or ``None`` without one."""
-        store = self._store
-        if store is None:
-            return None
-        return store.stats.as_dict()
+    def attach_store(self, store) -> None:
+        """Back both caches with a durable :class:`repro.intelstore
+        .store.IntelStore`: a restarted fleet answers stored lookups
+        without touching the feeds, and every new answer is written
+        behind for the store's next ``flush``."""
+        with self._lock:
+            self.store = store
+            self.vt_cache.attach_store(store)
+            self.whois_cache.attach_store(store)
 
     # ------------------------------------------------------------------
     # Shared lookups
@@ -281,36 +154,12 @@ class IntelPlane:
         oracle is attached (lookups are still cached and counted, so a
         fleet without a VT feed keeps its sharing accounting)."""
         with self._lock:
-            known = domain in self.vt_cache._entries
-            value = self.vt_cache.get(
-                domain,
-                tenant_id,
-                lambda: self.vt.is_reported(domain) if self.vt else None,
-            )
-            if self._store is not None:
-                if not known:
-                    self._store.stats.count_miss("vt")
-                    self._store.put_vt(domain, value, tenant_id)
-                elif domain in self._hydrated_vt:
-                    self._store.stats.count_hit("vt")
-            return value
+            return self.vt_cache.lookup(tenant_id, domain)
 
     def whois_lookup(self, tenant_id: str, domain: str) -> WhoisRecord | None:
         """Memoized WHOIS record (``None`` = unregistered/unparseable)."""
         with self._lock:
-            known = domain in self.whois_cache._entries
-            value = self.whois_cache.get(
-                domain,
-                tenant_id,
-                lambda: self.whois.lookup(domain) if self.whois else None,
-            )
-            if self._store is not None:
-                if not known:
-                    self._store.stats.count_miss("whois")
-                    self._store.put_whois(domain, value, tenant_id)
-                elif domain in self._hydrated_whois:
-                    self._store.stats.count_hit("whois")
-            return value
+            return self.whois_cache.lookup(tenant_id, domain)
 
     # ------------------------------------------------------------------
     # Cross-tenant prior board
@@ -424,7 +273,7 @@ class IntelPlane:
                 "vt_entries": {
                     domain: [value, owner]
                     for domain, (value, owner)
-                    in self.vt_cache._entries.items()
+                    in self.vt_cache.entries.items()
                 },
                 "vt_stats": self.vt_cache.stats.as_dict(),
                 "whois_stats": self.whois_cache.stats.as_dict(),
@@ -448,7 +297,7 @@ class IntelPlane:
                     first_day=int(entry["first_day"]),
                     revision=self._revision,
                 )
-            self.vt_cache._entries = {
+            self.vt_cache.entries = {
                 str(domain): (value, str(owner))
                 for domain, (value, owner) in payload["vt_entries"].items()
             }

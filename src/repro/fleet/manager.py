@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any
 
 from ..config import SystemConfig
+from ..intel.whois_db import SECONDS_PER_DAY
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import (
     NULL_METRICS,
@@ -70,8 +71,6 @@ from .workers import (
 )
 
 __all__ = ["FleetError", "FleetManager", "SECONDS_PER_DAY"]
-
-SECONDS_PER_DAY = 86_400.0
 
 _LOG = get_logger("fleet")
 
@@ -137,21 +136,16 @@ class FleetManager:
             self.ct_index = load_ct_cached(
                 self.ct_path, fold_level=fold_level
             )
-        #: durable intel store; only the manager touches it (workers
-        #: keep shipping deltas over their queues).
-        self.intel_store = None
-        if intel_db is not None:
-            from ..intelstore.store import IntelStore
+        #: durable intel store (``intel_db``): it backs the plane's VT
+        #: and WHOIS memos, so it serves the manager's report lookups;
+        #: worker engines read the registry file.
+        from ..intelstore.store import open_intel_store
 
-            self.intel_store = IntelStore(
-                intel_db,
-                ttl_seconds=(
-                    intel_ttl_days * SECONDS_PER_DAY
-                    if intel_ttl_days is not None else None
-                ),
-            )
+        self.intel_store = open_intel_store(
+            intel_db, intel_ttl_days, metrics=self.metrics
+        )
+        if self.intel_store is not None:
             self.intel.attach_store(self.intel_store)
-            self.intel_store.bind_metrics(self.metrics)
             if self.ct_index is not None:
                 # Persist the CT observations alongside the verdicts so
                 # `repro-detect intel export` documents the full
@@ -507,11 +501,10 @@ class FleetManager:
             # write-behind rows (VT/WHOIS lookups above plus any CT
             # observations) in one transaction.
             for day_report in round_reports:
-                for domain, score in day_report.scores.items():
-                    self.intel_store.record_profile(
-                        day_report.tenant_id, domain, day_report.day, score
-                    )
-            self.intel.flush_store()
+                self.intel_store.record_day(
+                    day_report.tenant_id, day_report.day, day_report.scores
+                )
+            self.intel_store.flush()
         self._save_fleet_state(rnd + 1)
         log_event(
             _LOG, "round_committed",
@@ -598,8 +591,7 @@ class FleetManager:
                 stats["tenant_days"] += 1
                 stats["records"] += day_report.records
                 stats["elapsed_seconds"] += day_report.elapsed_seconds
-        if response.get("whois_stats"):
-            self.intel.whois_cache.stats.absorb(response["whois_stats"])
+        self.intel.whois_cache.stats.absorb(response["whois_stats"])
         self.intel.seeds_served += int(response.get("seeds_served", 0))
 
     def _recover_worker(

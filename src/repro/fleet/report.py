@@ -212,9 +212,8 @@ class FleetReport:
                 "board_size": len(self.intel.board),
                 "seeds_served": self.intel.seeds_served,
             }
-            store_stats = self.intel.store_stats()
-            if store_stats is not None:
-                payload["intel"]["store"] = store_stats
+            if self.intel.store is not None:
+                payload["intel"]["store"] = self.intel.store.stats.as_dict()
         return payload
 
     def render(self) -> str:
@@ -277,14 +276,13 @@ class FleetReport:
                 f"board {len(self.intel.board)} domains, "
                 f"{self.seeded_detections()} seeded detections"
             )
-            store_stats = self.intel.store_stats()
-            if store_stats is not None:
+            if self.intel.store is not None:
+                stats = self.intel.store.stats
                 lines.append(
-                    "intel store: "
-                    f"{sum(store_stats['hits'].values())} hits / "
-                    f"{sum(store_stats['misses'].values())} misses, "
-                    f"{store_stats['flushed_rows']} rows flushed, "
-                    f"{store_stats['evictions']} evictions"
+                    f"intel store: {stats.total_hits()} hits / "
+                    f"{stats.total_misses()} misses, "
+                    f"{stats.flushed_rows} rows flushed, "
+                    f"{stats.evictions} evictions"
                 )
         # Stage timings stay out of the rendered summary on purpose:
         # the CLI's output is compared across worker counts by the

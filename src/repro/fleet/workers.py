@@ -44,7 +44,8 @@ from pathlib import Path
 from typing import Any
 
 from ..config import SystemConfig
-from ..intel.whois_db import WhoisDatabase, load_whois_file
+from ..intel.memo import CacheStats, IntelMemo, TenantWhoisView
+from ..intel.whois_db import load_whois_file
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..state import (
     decode_config,
@@ -55,7 +56,7 @@ from ..state import (
     save_json_atomic,
 )
 from ..streaming import open_engine
-from .intel import BoardReplica, CacheStats, TenantWhoisView, _TenantCache
+from .intel import BoardReplica
 from .manifest import TenantSpec
 from .report import TenantDayReport
 
@@ -80,53 +81,6 @@ class WorkerDied(FleetError):
     def __init__(self, worker_id: int) -> None:
         super().__init__(f"resident worker {worker_id} died")
         self.worker_id = worker_id
-
-
-# ---------------------------------------------------------------------------
-# Worker-resident read-only intel
-# ---------------------------------------------------------------------------
-
-class WorkerIntelCache:
-    """Worker-resident memoized WHOIS lookups with tenant attribution.
-
-    Enterprise engines inside a worker route their feature-extraction
-    lookups through this cache via :class:`TenantWhoisView` (which only
-    needs ``whois_lookup(tenant_id, domain)``).  :meth:`stats_delta`
-    returns the accounting accrued since the previous call; the worker
-    ships it with each ``ADVANCE_DAY`` response and the manager absorbs
-    it into the plane, keeping fleet-wide hit counters meaningful
-    across rounds and process boundaries.
-    """
-
-    def __init__(self, whois: WhoisDatabase | None) -> None:
-        self.whois = whois
-        self.cache = _TenantCache()
-        self._reported = CacheStats()
-
-    def whois_lookup(self, tenant_id: str, domain: str):
-        """Memoized registry lookup attributed to ``tenant_id``."""
-        return self.cache.get(
-            domain,
-            tenant_id,
-            lambda: self.whois.lookup(domain) if self.whois else None,
-        )
-
-    def view(self, tenant_id: str) -> TenantWhoisView:
-        """A per-tenant ``WhoisDatabase``-shaped view over this cache."""
-        return TenantWhoisView(self, tenant_id)
-
-    def stats_delta(self) -> dict[str, int]:
-        """Accounting accrued since the last call (an ``as_dict`` doc)."""
-        stats = self.cache.stats
-        delta = {
-            "hits": stats.hits - self._reported.hits,
-            "misses": stats.misses - self._reported.misses,
-            "cross_tenant_hits": (
-                stats.cross_tenant_hits - self._reported.cross_tenant_hits
-            ),
-        }
-        self._reported = CacheStats(**stats.as_dict())
-        return delta
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +229,7 @@ class _TenantRuntime:
 def _build_worker_tenant(
     tenant: dict[str, Any],
     checkpoint_dir: Path | None,
-    cache: WorkerIntelCache,
+    whois: IntelMemo,
     *,
     resume: bool,
     metrics=None,
@@ -291,8 +245,8 @@ def _build_worker_tenant(
     """
     tenant_id = tenant["tenant_id"]
     whois_view = (
-        cache.view(tenant_id)
-        if cache.whois is not None and tenant["pipeline"] == "enterprise"
+        TenantWhoisView(whois, tenant_id)
+        if whois.feed is not None and tenant["pipeline"] == "enterprise"
         else None
     )
     path = (
@@ -349,14 +303,14 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
             Path(init["checkpoint_dir"])
             if init["checkpoint_dir"] is not None else None
         )
-        whois = None
         # Only enterprise engines query the registry; sparing DNS-only
-        # workers the parse keeps large fleets cheap.
+        # workers the parse keeps large fleets cheap.  The registry is
+        # the file, never the manager's intel store.
+        whois = IntelMemo("whois")
         if init["whois_path"] is not None and any(
             tenant["pipeline"] == "enterprise" for tenant in init["tenants"]
         ):
-            whois = load_whois_file(init["whois_path"])
-        cache = WorkerIntelCache(whois)
+            whois.feed = load_whois_file(init["whois_path"]).lookup
         ct_index = None
         if init.get("ct_path") is not None:
             from ..intelstore.ct import load_ct_cached
@@ -372,7 +326,7 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
             runtimes[tenant["tenant_id"]] = _build_worker_tenant(
                 tenant,
                 checkpoint_dir,
-                cache,
+                whois,
                 resume=init["resume"],
                 metrics=metrics,
             )
@@ -421,12 +375,14 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                     })
                 served = replica.seeds_served - seeds_reported
                 seeds_reported = replica.seeds_served
+                # Ship the WHOIS accounting accrued since the last ship.
+                shipped, whois.stats = whois.stats, CacheStats()
                 responses.put({
                     "event": "advanced",
                     "worker": worker_id,
                     "round": rnd,
                     "reports": reports,
-                    "whois_stats": cache.stats_delta(),
+                    "whois_stats": shipped.as_dict(),
                     "seeds_served": served,
                     "metrics": (
                         metrics.snapshot_delta().as_dict()

@@ -33,10 +33,10 @@ from .store import (
     SCHEMA_VERSION,
     IntelStore,
     IntelStoreError,
-    StoreCachingWhois,
     StoreStats,
     create_schema,
     export_json,
+    open_intel_store,
 )
 
 __all__ = [
@@ -46,13 +46,13 @@ __all__ = [
     "IntelStore",
     "IntelStoreError",
     "RdapRecord",
-    "StoreCachingWhois",
     "StoreStats",
     "create_schema",
     "expand_ct_seeds",
     "export_json",
     "load_ct_cached",
     "load_ct_log",
+    "open_intel_store",
     "parse_rdap_document",
     "rdap_document",
     "registry_from_rdap",

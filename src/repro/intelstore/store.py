@@ -20,23 +20,25 @@ plane durable with nothing beyond the standard library:
 What is persisted: VT verdicts, WHOIS/RDAP records (with registrar
 and source provenance), certificate-transparency observations
 (:class:`~repro.intelstore.ct.CertObservation` rows), and rolling
-per-tenant detection history profiles.  Only the fleet *manager*
-touches the store; resident workers keep shipping deltas over their
-queues exactly as before.
+per-tenant detection history profiles.  :func:`open_intel_store`
+opens it for ``stream`` and the fleet manager;
+:class:`~repro.intel.memo.IntelMemo` loads and writes its VT/WHOIS
+rows.  Fleet workers never touch it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..intel.whois_db import WhoisRecord
+from ..intel.whois_db import SECONDS_PER_DAY, WhoisRecord
 from ..obs.metrics import NULL_METRICS, sample_key
 from .ct import CertObservation
 
@@ -186,8 +188,8 @@ class IntelStore:
         batch_size: int = 500,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise IntelStoreError("ttl_seconds must be positive")
+        if ttl_seconds is not None and not 0 < ttl_seconds < math.inf:
+            raise IntelStoreError("ttl_seconds must be positive and finite")
         if batch_size < 1:
             raise IntelStoreError("batch_size must be positive")
         self.path = Path(path)
@@ -311,21 +313,24 @@ class IntelStore:
             for san in cert.sans:
                 self._pending["sans"].append((cert.fingerprint, san))
 
-    def record_profile(
-        self, tenant: str, domain: str, day: int, score: float
+    def record_day(
+        self, tenant: str, day: int, scores: Mapping[str, float]
     ) -> None:
-        """Fold one detection into the tenant's rolling domain profile."""
+        """Fold one tenant's day of publication scores (domain -> score,
+        as :meth:`~repro.streaming.StreamDayReport.publication_scores`
+        returns them) into its rolling domain profiles."""
         with self._lock:
-            entry = self._pending_profiles.get((tenant, domain))
-            if entry is None:
-                self._pending_profiles[(tenant, domain)] = [
-                    day, day, 1, float(score),
-                ]
-            else:
-                entry[0] = min(entry[0], day)
-                entry[1] = max(entry[1], day)
-                entry[2] += 1
-                entry[3] = max(entry[3], float(score))
+            for domain, score in scores.items():
+                entry = self._pending_profiles.get((tenant, domain))
+                if entry is None:
+                    self._pending_profiles[(tenant, domain)] = [
+                        day, day, 1, float(score),
+                    ]
+                else:
+                    entry[0] = min(entry[0], day)
+                    entry[1] = max(entry[1], day)
+                    entry[2] += 1
+                    entry[3] = max(entry[3], float(score))
 
     def pending_rows(self) -> int:
         """Rows currently enqueued and not yet flushed to disk."""
@@ -624,45 +629,36 @@ class IntelStore:
             self._conn.close()
 
 
-class StoreCachingWhois:
-    """A ``WhoisDatabase``-shaped lookup hydrated from an intel store.
+def open_intel_store(
+    path: str | Path | None,
+    ttl_days: float | None = None,
+    *,
+    metrics=None,
+) -> IntelStore | None:
+    """The store behind ``--intel-db PATH`` / ``--intel-ttl-days N`` --
+    the one opener of ``stream`` and the fleet manager.
 
-    The single-tenant (``repro-detect stream --intel-db``) analogue of
-    the fleet plane's hydration: records already on disk answer without
-    touching the backing registry (a store *hit*); registry lookups are
-    counted as store *misses* and written behind for the next run.
+    ``None`` without a path.  The flags are checked before the file is
+    touched: a TTL needs a path and must be a positive, finite number
+    of days (SQLite stores a NaN expiry as NULL, which reads as "never
+    expires").  The store's counters and flush timings are served
+    through ``metrics``.
     """
-
-    def __init__(
-        self,
-        store: IntelStore,
-        registry=None,
-        *,
-        tenant: str = "stream",
-    ) -> None:
-        self.store = store
-        self.registry = registry
-        self.tenant = tenant
-        self._cache: dict[str, WhoisRecord | None] = {}
-        self._hydrated: set[str] = set()
-        for domain, (record, _owner) in store.load_whois().items():
-            self._cache[domain] = record
-            self._hydrated.add(domain)
-
-    def lookup(self, domain: str) -> WhoisRecord | None:
-        """Memoized lookup: disk-hydrated entries, then the registry."""
-        if domain in self._cache:
-            if domain in self._hydrated:
-                self.store.stats.count_hit("whois")
-            return self._cache[domain]
-        record = (
-            self.registry.lookup(domain)
-            if self.registry is not None else None
+    if path is None:
+        if ttl_days is not None:
+            raise IntelStoreError("--intel-ttl-days requires --intel-db")
+        return None
+    if ttl_days is not None and not 0 < ttl_days < math.inf:
+        raise IntelStoreError(
+            "--intel-ttl-days must be a positive, finite number of days, "
+            f"not {ttl_days}"
         )
-        self.store.stats.count_miss("whois")
-        self.store.put_whois(domain, record, self.tenant)
-        self._cache[domain] = record
-        return record
+    store = IntelStore(
+        path,
+        ttl_seconds=None if ttl_days is None else ttl_days * SECONDS_PER_DAY,
+    )
+    store.bind_metrics(metrics)
+    return store
 
 
 def export_json(store: IntelStore) -> str:
@@ -674,8 +670,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "IntelStore",
     "IntelStoreError",
-    "StoreCachingWhois",
     "StoreStats",
     "create_schema",
     "export_json",
+    "open_intel_store",
 ]

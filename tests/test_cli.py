@@ -235,6 +235,26 @@ class TestStartupImports:
         assert "rows flushed" in done.stdout
         assert "LOADED []" in done.stdout
 
+    def test_stream_enterprise_intel_db_memo_is_not_the_fleet_package(
+        self, ent_layout, mixed_fleet_layout, tmp_path
+    ):
+        """The engine's store-backed WHOIS lookups go through the one
+        intel memo (``repro.intel.memo``), which lives outside
+        ``repro.fleet``."""
+        done = _python(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('LOADED', 'repro.intel.memo' in sys.modules,"
+            " [m for m in sys.modules if m.startswith('repro.fleet')])\n"
+            "sys.exit(code)",
+            *_stream_flags("enterprise", ent_layout, mixed_fleet_layout),
+            "--intel-db", str(tmp_path / "intel.db"),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "rows flushed" in done.stdout
+        assert "LOADED True []" in done.stdout
+
 
 #: The process entry (``python -m repro.cli``) in a fresh interpreter,
 #: then whether anything is frozen once it has exited.

@@ -208,6 +208,27 @@ class TestOneDayLoop:
             r"|full_every|full_checkpoint_every"
         ) == []
 
+    def test_intel_lookups_have_one_memo(self):
+        """The fleet plane's VT/WHOIS caches, a fleet worker's WHOIS
+        cache and ``stream --intel-db``'s registry are one memo class;
+        the per-verb caches and their store bookkeeping are gone."""
+        assert self._files_matching(
+            r"StoreCachingWhois|WorkerIntelCache|_hydrated_vt"
+            r"|_hydrated_whois|_TenantCache|flush_store|store_stats\("
+        ) == []
+        memos = self._lines_with(r"^class \w*(Memo|Cache)\b.*:")
+        assert memos == {
+            "intel/memo.py": ["class IntelMemo:"],
+            "streaming/verdicts.py": ["class SeriesVerdictCache:"],
+        }
+        # `stream` and the fleet manager open the store in one place
+        # (`open_intel_store`); the `intel` verbs open the file named.
+        openers = self._lines_with(r"(?<![\w.])IntelStore\(")
+        assert openers == {
+            "cli.py": ["store = IntelStore(args.db)"],
+            "intelstore/store.py": ["store = IntelStore("],
+        }
+
     def test_dns_cc_stage_is_written_once(self):
         uses = self._lines_with(
             r"(group_verdicts_by_domain|multi_host_beacon_heuristic)\("

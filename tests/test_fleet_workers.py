@@ -25,6 +25,7 @@ from repro.fleet.workers import (
     ResidentPool,
     _load_tenant_checkpoint,
 )
+from repro.intel.whois_db import load_whois_file
 from repro.synthetic import write_fleet_layout
 from repro.testing import make_multi_enterprise_dataset
 
@@ -81,6 +82,76 @@ class TestResidentParity:
         manager = FleetManager.from_manifest(manifest, workers=2)
         manager.run()
         assert manager.intel.whois_cache.stats.misses > 0
+
+    def test_shipped_whois_stats_are_the_counts_since_the_last_ship(
+        self, mixed_layout, monkeypatch
+    ):
+        """Each ``advanced`` response carries the WHOIS lookups (and
+        registry calls, the misses) made since the previous one -- the
+        manager adds them up, so a cumulative count would double."""
+        import repro.fleet.workers as workers
+
+        manifest = load_manifest(mixed_layout)
+        spec = next(s for s in manifest.tenants if s.pipeline == "enterprise")
+        files = sorted(spec.directory.glob(spec.pattern))
+        registry = load_whois_file(manifest.whois_path)
+        lookups: list[str] = []
+        fed: list[str] = []
+
+        class CountingView(workers.TenantWhoisView):
+            def lookup(self, domain):
+                lookups.append(domain)
+                return super().lookup(domain)
+
+        class CountingRegistry:
+            def lookup(self, domain):
+                fed.append(domain)
+                return registry.lookup(domain)
+
+        class Commands(list):
+            def get(self):
+                return self.pop(0)
+
+        class Responses(list):
+            def put(self, message):
+                self.append((message, len(lookups), len(fed)))
+
+        monkeypatch.setattr(workers, "TenantWhoisView", CountingView)
+        monkeypatch.setattr(
+            workers, "load_whois_file", lambda path: CountingRegistry()
+        )
+        commands = Commands(
+            {"cmd": CMD_ADVANCE_DAY, "round": rnd, "tasks": [{
+                "tenant_id": spec.tenant_id, "log_path": str(path),
+                "bootstrap": rnd < spec.bootstrap_files,
+            }]}
+            for rnd, path in enumerate(files)
+        )
+        commands.append({"cmd": workers.CMD_SHUTDOWN})
+        responses = Responses()
+        workers.worker_main(0, commands, responses, {
+            "checkpoint_dir": None, "whois_path": str(manifest.whois_path),
+            "ct_path": None, "resume": False, "metrics": False,
+            "tenants": [{
+                "tenant_id": spec.tenant_id, "pipeline": spec.pipeline,
+                "model_state": str(spec.model_state),
+                "internal_suffixes": list(spec.internal_suffixes),
+                "server_ips": sorted(spec.server_ips), "config": None,
+            }],
+        })
+        advanced = [
+            entry for entry in responses if entry[0]["event"] == "advanced"
+        ]
+        assert len(advanced) == len(files), responses
+        seen = called = 0
+        for message, looked_up, registry_calls in advanced:
+            stats = message["whois_stats"]
+            assert stats["hits"] + stats["misses"] == looked_up - seen
+            assert stats["misses"] == registry_calls - called
+            assert stats["cross_tenant_hits"] == 0
+            seen, called = looked_up, registry_calls
+        # Two rounds with registry calls: a running total would show.
+        assert sum(1 for m, *_ in advanced if m["whois_stats"]["misses"]) > 1
 
 
 class TestResidentCheckpoints:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import FleetManager, load_manifest
+from repro.intel.memo import IntelMemo, TenantWhoisView
 from repro.intel.whois_db import WhoisDatabase, WhoisRecord, load_whois_file
 from repro.intelstore import (
     SCHEMA_VERSION,
@@ -24,7 +25,6 @@ from repro.intelstore import (
     CtIndex,
     IntelStore,
     IntelStoreError,
-    StoreCachingWhois,
     create_schema,
     expand_ct_seeds,
     load_ct_cached,
@@ -73,7 +73,7 @@ class TestStoreDurability:
         cert = CertObservation("ff" * 32, 0.0, 100.0, "Test CA",
                                ("a.c9", "b.c9"))
         store.put_cert(cert)
-        store.record_profile("t0", "evil.c9", 2, 1.0)
+        store.record_day("t0", 2, {"evil.c9": 1.0})
         assert store.pending_rows() > 0
         store.flush()
         assert store.pending_rows() == 0
@@ -126,10 +126,10 @@ class TestStoreDurability:
 
     def test_profile_upsert_merges_across_flushes(self, tmp_path):
         store = IntelStore(tmp_path / "intel.db")
-        store.record_profile("t0", "evil.c9", 3, 0.5)
+        store.record_day("t0", 3, {"evil.c9": 0.5})
         store.flush()
-        store.record_profile("t0", "evil.c9", 1, 0.9)
-        store.record_profile("t0", "evil.c9", 5, 0.2)
+        store.record_day("t0", 1, {"evil.c9": 0.9})
+        store.record_day("t0", 5, {"evil.c9": 0.2})
         store.flush()
         profile = store.load_profiles()[("t0", "evil.c9")]
         assert profile == {
@@ -161,7 +161,7 @@ class TestStoreDurability:
         assert record.expires == 864_000.0
         # v2 tables exist and accept writes after the migration
         store.put_cert(CertObservation("aa" * 32, 0.0, 1.0, "CA", ("x.c9",)))
-        store.record_profile("t0", "evil.c9", 1, 1.0)
+        store.record_day("t0", 1, {"evil.c9": 1.0})
         store.flush()
         assert len(store.load_certs()) == 1
         store.close()
@@ -201,7 +201,10 @@ class TestStoreDurability:
         reopened.close()
 
 
-class TestStoreCachingWhois:
+class TestIntelMemo:
+    """The one memoized lookup behind the plane, the fleet workers and
+    ``stream --intel-db``."""
+
     def test_hydrated_entries_answer_without_registry(self, tmp_path):
         path = tmp_path / "intel.db"
         seeded = IntelStore(path)
@@ -213,7 +216,9 @@ class TestStoreCachingWhois:
         registry = WhoisDatabase()
         registry.register("fresh.c9", 10.0, 964_000.0)
         store = IntelStore(path)
-        cache = StoreCachingWhois(store, registry)
+        memo = IntelMemo("whois", registry.lookup)
+        memo.attach_store(store)
+        cache = TenantWhoisView(memo, "stream")
         assert cache.lookup("young.c9").registered == 0.0
         assert store.stats.hits["whois"] == 1
         assert cache.lookup("fresh.c9").registered == 10.0
@@ -224,6 +229,39 @@ class TestStoreCachingWhois:
         assert set(store.load_whois()) == {
             "young.c9", "fresh.c9", "absent.c9",
         }
+        store.close()
+
+    def test_loading_the_store_never_overwrites_a_live_entry(self, tmp_path):
+        store = IntelStore(tmp_path / "intel.db")
+        store.put_vt("evil.c9", False, "old")
+        store.put_vt("stored.c9", True, "old")
+        store.flush()
+        memo = IntelMemo("vt", {"evil.c9": True}.get)
+        assert memo.lookup("a", "evil.c9") is True
+        memo.attach_store(store)
+        assert memo.entries["evil.c9"] == (True, "a")
+        assert memo.entries["stored.c9"] == (True, "old")
+        # A live entry is no store hit; a loaded one is.
+        assert memo.lookup("a", "evil.c9") is True
+        assert store.stats.total_hits() == 0
+        assert memo.lookup("a", "stored.c9") is True
+        assert store.stats.hits == {"vt": 1}
+        store.close()
+
+    def test_a_cross_tenant_hit_is_counted_once(self, tmp_path):
+        store = IntelStore(tmp_path / "intel.db")
+        store.put_vt("stored.c9", True, "a")
+        store.flush()
+        memo = IntelMemo("vt")
+        memo.attach_store(store)
+        assert memo.lookup("a", "live.c9") is None
+        for key in ("live.c9", "stored.c9"):
+            memo.lookup("b", key)
+        assert memo.stats.as_dict() == {
+            "hits": 2, "misses": 1, "cross_tenant_hits": 2,
+        }
+        assert store.stats.hits == {"vt": 1}
+        assert store.stats.misses == {"vt": 1}
         store.close()
 
 
@@ -492,7 +530,7 @@ class TestCli:
         path = tmp_path / "intel.db"
         store = IntelStore(path)
         store.put_vt("evil.c9", True, "t0")
-        store.record_profile("t0", "evil.c9", 1, 1.0)
+        store.record_day("t0", 1, {"evil.c9": 1.0})
         store.close()
         return path
 
@@ -534,6 +572,30 @@ class TestCli:
             "stream", str(tmp_path), "--intel-ttl-days", "7",
         ]) == 2
         assert "--intel-db" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ttl", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("verb", ["stream", "fleet"])
+    def test_ttl_must_be_positive_and_finite(
+        self, verb, ttl, sibling_layout, tmp_path, capsys
+    ):
+        """SQLite stores a NaN expiry as NULL ("never expires"): every
+        such value is refused before the store is opened or a line is
+        read."""
+        from repro.cli import main
+
+        db = tmp_path / "intel.db"
+        target = (
+            sibling_layout if verb == "fleet" else sibling_layout.parent / "t0"
+        )
+        assert main([
+            verb, str(target), "--intel-db", str(db),
+            f"--intel-ttl-days={ttl}",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --intel-ttl-days ")
+        assert captured.err.count("\n") == 1
+        assert not db.exists()
 
     def test_generate_ct_siblings_needs_fleet(self, tmp_path, capsys):
         from repro.cli import main
