@@ -1,15 +1,15 @@
-"""Enterprise (proxy-path) engine: a day in one poll vs micro-batched.
+"""Enterprise (proxy-path) engine: a day in whole chunks vs micro-batched.
 
 Not a paper figure -- this bench prices the intra-day visibility of the
 streaming enterprise engine.  At each world scale one operational day,
 as the pre-joined log text a layout ships, goes through
-``submit_lines`` -- the route ``stream --pipeline enterprise`` and a
-fleet's enterprise tenants take, parsing and normalization included --
-twice, on the *same trained system*:
+``ingest_lines`` -- the route a fleet's enterprise tenants take, and
+``stream --pipeline enterprise`` in smaller polls, parsing and
+normalization included -- twice, on the *same trained system*:
 
-* batch: the whole day in one poll, then ``rollover()`` (aggregate,
-  rare extraction, automation test, regression C&C scoring, belief
-  propagation, profile commit);
+* batch: the whole day in ``INGEST_CHUNK``-row polls, then
+  ``rollover()`` (aggregate, rare extraction, automation test,
+  regression C&C scoring, belief propagation, profile commit);
 * streaming: micro-batches with a full scoring round per batch, closed
   by the same ``rollover()``.
 
@@ -82,17 +82,17 @@ def _day_text(dataset, day):
 def _warmed_engine(trained, warmup_lines):
     """A fresh copy of the system, one day past its training."""
     engine = StreamingEnterpriseDetector(copy.deepcopy(trained))
-    engine.submit_lines(warmup_lines)
+    engine.ingest_lines(warmup_lines)
     engine.rollover()
     gc.collect()
     return engine
 
 
 def _batch_arm(trained, warmup_lines, lines):
-    """One timed day fed in a single poll: no scoring round."""
+    """One timed day fed in whole chunks: no scoring round."""
     engine = _warmed_engine(trained, warmup_lines)
     start = time.perf_counter()
-    engine.submit_lines(lines)
+    engine.ingest_lines(lines)
     report = engine.rollover()
     return time.perf_counter() - start, report
 
@@ -106,8 +106,7 @@ def _stream_arm(trained, warmup_lines, lines):
     for lo in range(0, len(lines), MICRO_BATCH):
         chunk = lines[lo:lo + MICRO_BATCH]
         t0 = time.perf_counter()
-        stream.submit_lines(chunk)
-        stream.poll()
+        stream.ingest_lines(chunk)
         stream.score()
         latencies.append((time.perf_counter() - t0) / len(chunk))
     report = stream.rollover()
@@ -181,7 +180,7 @@ def test_enterprise_stream_throughput():
              "lat p50 us", "lat p99 us", "detect parity"),
             rows,
             title=(
-                "Enterprise engine from log text: one poll per day vs "
+                "Enterprise engine from log text: whole chunks per day vs "
                 f"micro-batch={MICRO_BATCH} with a scoring round per batch "
                 "(one operational day)"
             ),

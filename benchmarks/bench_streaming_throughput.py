@@ -3,9 +3,10 @@
 Not a paper figure -- this bench prices the engine's intra-day
 visibility.  At three world scales it measures, on the same engine:
 
-* batch: a day fed in one poll and closed by ``rollover()``, what
-  ``repro-detect run`` does per file (aggregate, rare extraction,
-  automation test, belief propagation);
+* batch: a day fed through ``ingest_lines`` (``INGEST_CHUNK``-row
+  polls) and closed by ``rollover()``, what ``repro-detect run`` does
+  per file (aggregate, rare extraction, automation test, belief
+  propagation);
 * streaming: the same day consumed in micro-batches with a scoring
   round per batch (the minutes-not-hours operating point).
 
@@ -65,8 +66,7 @@ def _bootstrap(dataset, metrics=None) -> StreamingDetector:
         server_ips=dataset.server_ips,
         metrics=metrics,
     )
-    detector.submit_lines(map(format_dns_line, dataset.day_records(1)))
-    detector.poll()
+    detector.ingest_lines(map(format_dns_line, dataset.day_records(1)))
     detector.rollover(detect=False)
     return detector
 
@@ -102,12 +102,12 @@ def _stream_day(dataset, lines, metrics=None):
 
 
 def _batch_day(dataset, lines) -> tuple[float, set, int]:
-    """One day in one poll, timed: parse + reduce, aggregate, detect
-    (what ``repro-detect run`` does per file)."""
+    """One day through ``ingest_lines``, timed: parse + reduce,
+    aggregate, detect (what ``repro-detect run`` does per file)."""
     detector = _bootstrap(dataset)
     gc.collect()
     start = time.perf_counter()
-    detector.submit_lines(lines)
+    detector.ingest_lines(lines)
     report = detector.rollover()
     elapsed = time.perf_counter() - start
     return elapsed, set(report.detected), report.records
@@ -186,6 +186,7 @@ def test_streaming_throughput():
             "hosts": config.n_hosts,
             "events": n_events,
             "micro_batch": MICRO_BATCH,
+            "cpu_count": os.cpu_count(),
             "batch_events_per_sec": batch_eps,
             "stream_events_per_sec": stream_eps,
             # Ingest-stage rate from the instrumented arm's span sum:

@@ -7,7 +7,8 @@ engine in micro-batches -- watching the detections appear *while* the
 day's events are still arriving, then checkpointing and restoring the
 engine mid-day to show crash recovery, and finally rolling the day
 over to confirm the end-of-day report equals what ``run`` -- the same
-engine fed each day's file in one poll -- says for the same records.
+engine fed each day's file in 8,192-row polls -- says for the same
+records.
 
 Run:  python examples/streaming_detection.py
 (EXAMPLES_SMOKE=1 shrinks the world for CI smoke runs.)

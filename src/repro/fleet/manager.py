@@ -102,11 +102,11 @@ class FleetManager:
                 raise FleetError(f"duplicate tenant id {spec.tenant_id!r}")
             seen.add(spec.tenant_id)
         if workers < 1:
-            raise FleetError("workers must be positive")
+            raise FleetError(f"--workers must be positive, not {workers}")
         if resume and checkpoint_dir is None:
             raise FleetError("resume requires a checkpoint directory")
-        if heartbeat <= 0:
-            raise FleetError("heartbeat must be positive")
+        if not heartbeat > 0:
+            raise FleetError(f"--heartbeat must be positive, not {heartbeat}")
         self.specs = list(specs)
         self.intel = intel if intel is not None else IntelPlane()
         self.config = config
@@ -336,7 +336,9 @@ class FleetManager:
         """
         try:
             if max_rounds is not None and max_rounds < 1:
-                raise FleetError("max_rounds must be positive")
+                raise FleetError(
+                    f"--max-rounds must be positive, not {max_rounds}"
+                )
             report = self._run(max_rounds=max_rounds, on_round=on_round)
             if self.metrics.enabled:
                 report.metrics_snapshot = self.metrics.snapshot().as_dict()

@@ -111,8 +111,7 @@ def _advance_one_day(
     obs = metrics if metrics is not None else NULL_METRICS
     with obs.span("worker_advance") as advance_span:
         with path.open() as handle:
-            detector.submit_lines(handle)
-        detector.poll()
+            detector.ingest_lines(handle)
         report = detector.rollover(
             detect=not bootstrap, intel_domains=seeds, ct_edges=ct_edges
         )

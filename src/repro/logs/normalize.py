@@ -273,6 +273,7 @@ class ProxyNormalizer:
                     times, hosts, domains = [], [], []
                     ips, agents, referers = [], [], []
                     yield batch
+                    del batch  # freed once the consumer drops it
         finally:
             self._count(len(times), dropped, malformed)
         if times:

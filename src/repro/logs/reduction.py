@@ -294,6 +294,7 @@ class ReductionFunnel:
                         times, hosts, domains, ips = [], [], [], []
                         accounted = 0
                         yield batch
+                        del batch  # freed once the consumer drops it
                 elif depth == 1:
                     drop_a += 1
                 elif depth == 2:

@@ -6,7 +6,9 @@ the destination history from the first files, then performs daily
 detection on the rest, following the paper's training/operation split
 (Section III-E).  A day of logs has one lifecycle -- the streaming
 engine's ``submit``/``poll``/``rollover()`` -- and ``run`` is that
-engine fed each file in one poll.
+engine fed each file in
+:data:`~repro.streaming.engine.INGEST_CHUNK`-row polls, so a day holds
+its aggregate plus one chunk of raw rows, whatever the file's size.
 
 DNS logs carry no WHOIS/HTTP features, so the DNS path's end-of-day
 routine, :func:`detect_on_traffic`, is the LANL one: the multi-host
@@ -100,15 +102,16 @@ def run_directory(
     (sorted by name) and detect on the rest.
 
     One :class:`~repro.streaming.StreamingDetector` (from
-    :func:`~repro.streaming.open_engine`) fed each file in a single
-    poll: the day lifecycle (aggregate, rare set, detection, exactly
-    one history commit) is the engine's ``rollover()``, the one
-    ``stream`` and every fleet tenant-day use, and each closed file
-    logs the same ``day_rollover`` event as ``stream``.  Each
-    operational day's report carries the file it was read from as
-    ``path``.  ``ct_edges``
-    (a :class:`repro.intelstore.ct.CtIndex`) flows into every day's
-    detection pass.
+    :func:`~repro.streaming.open_engine`) fed each file through
+    ``ingest_lines`` (one poll per
+    :data:`~repro.streaming.engine.INGEST_CHUNK` rows): the day
+    lifecycle (aggregate, rare set, detection, exactly one history
+    commit) is the engine's ``rollover()``, the one ``stream`` and
+    every fleet tenant-day use, and each closed file logs the same
+    ``day_rollover`` event as ``stream``.  Each operational day's
+    report carries the file it was read from as ``path``.
+    ``ct_edges`` (a :class:`repro.intelstore.ct.CtIndex`) flows into
+    every day's detection pass.
     """
     from .streaming.engine import log_day_rollover, resolve_replay_paths
     from .streaming.replay import open_engine
@@ -124,7 +127,7 @@ def run_directory(
     for index, path in enumerate(paths):
         operational = index >= bootstrap_files
         with path.open() as handle:
-            detector.submit_lines(handle)
+            detector.ingest_lines(handle)
         report = detector.rollover(detect=operational, ct_edges=ct_edges)
         log_day_rollover(report, path, bootstrap=not operational)
         if operational:

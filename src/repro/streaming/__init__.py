@@ -20,9 +20,10 @@ components (Section III's pipeline, Algorithm 1's belief propagation):
   :func:`replay_directory`, the directory replay of both pipelines.
 
 The engine's invariant: a day's end-of-day detections do not depend on
-how its events were micro-batched -- fed in one poll
-(:func:`repro.runner.run_directory`) or in many with scoring rounds
-between, the report is the same.
+how its events were micro-batched -- fed in fixed
+:data:`~repro.streaming.engine.INGEST_CHUNK`-row polls
+(:func:`repro.runner.run_directory`) or in small ones with scoring
+rounds between, the report is the same.
 """
 
 from ..profiling.window import WindowedAggregator

@@ -1,7 +1,7 @@
 """The DNS-path detection engine.
 
 :class:`StreamingDetector` accepts DNS events one at a time, in
-micro-batches or a whole day in one poll, and keeps a continuously
+micro-batches or a whole day in fixed chunks, and keeps a continuously
 updated view of the current day's detections, minutes after the
 evidence arrives instead of at the end-of-day close.  It composes the
 streaming substrate --
@@ -13,7 +13,8 @@ scorer, belief propagation).
 :meth:`~repro.streaming.engine.StreamingEngineBase.rollover` runs
 :func:`repro.runner.detect_on_traffic` over the accumulated window,
 whose indexes are identical to a bulk aggregation of the same records.
-``run`` feeds each file in one poll, ``stream`` and ``fleet`` in
+``run`` and ``fleet`` feed each file in
+:data:`~repro.streaming.engine.INGEST_CHUNK`-row polls, ``stream`` in
 micro-batches with scoring rounds between; the day closes with the
 same report either way, and the intra-day
 :meth:`~repro.streaming.engine.StreamingEngineBase.score` updates are

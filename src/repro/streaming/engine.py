@@ -47,6 +47,12 @@ from .verdicts import SeriesVerdictCache, VerdictCacheStats
 
 _LOG = get_logger("stream")
 
+#: Rows per poll of :meth:`StreamingEngineBase.ingest_lines`: a day's
+#: transient ingest memory is one chunk of raw columns, not the whole
+#: file.  Above :data:`repro.profiling.rare._SMALL_SPAN`, so every full
+#: chunk takes the lexsort grouping route.
+INGEST_CHUNK = 8192
+
 #: What ``submit`` / ``ingest`` accept: one event, one columnar batch,
 #: or any iterable of either.
 Submission = (
@@ -228,10 +234,20 @@ class StreamingEngineBase:
                 count += size
         return count
 
-    def submit_lines(self, lines: Iterable[str]) -> int:
+    def ingest_lines(self, lines: Iterable[str]) -> int:
         """Read log lines through the pipeline's reader (reduce +
-        normalize) onto the pending list."""
-        return self.submit(self.reader.read_lines(lines))
+        normalize) and :meth:`ingest` them :data:`INGEST_CHUNK` rows at
+        a time; returns how many events that is.
+
+        The day holds its aggregate plus one chunk of raw columns,
+        whatever the file's size; the day's close does not depend on
+        the chunking.
+        """
+        # ``map`` drops each chunk once ingested, before the reader
+        # builds the next.
+        return sum(map(
+            self.ingest, self.reader.read_lines(lines, INGEST_CHUNK)
+        ))
 
     def submit_raw(self, records: Iterable, **reader_keywords) -> int:
         """Reduce/normalize in-memory raw records (the pipeline's
@@ -240,7 +256,7 @@ class StreamingEngineBase:
         ``reader_keywords`` pass to the reader's ``read_records``: the
         proxy path's ``resolver`` joins dynamic client addresses
         against DHCP/VPN leases; omit it for pre-joined records (the
-        form every layout ships, and the one :meth:`submit_lines` takes
+        form every layout ships, and the one :meth:`ingest_lines` takes
         log lines in).
         """
         return self.submit(
@@ -583,13 +599,16 @@ def resolve_replay_paths(
     scoring/checkpoint cadences and a positive batch bound if any.
     ``run`` and ``stream`` both resolve their arguments here."""
     if bootstrap_files < 0:
-        raise ValueError("bootstrap_files must not be negative")
-    if score_every < 1:
-        raise ValueError("score_every must be positive")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be positive")
-    if max_batches is not None and max_batches < 1:
-        raise ValueError("max_batches must be positive")
+        raise ValueError(
+            f"--bootstrap-files must not be negative, not {bootstrap_files}"
+        )
+    for flag, value in (
+        ("--score-every", score_every),
+        ("--checkpoint-every", checkpoint_every),
+        ("--max-batches", max_batches),
+    ):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be positive, not {value}")
     directory = Path(directory)
     if not directory.is_dir():
         problem = ("not a directory" if directory.exists()

@@ -826,7 +826,21 @@ class TestStreamStopResume:
             flags + ["--checkpoint", str(ckpt), "--max-batches", bound]
         ) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: max_batches must be positive\n"
+        assert captured.err == (
+            f"error: --max-batches must be positive, not {bound}\n"
+        )
+        assert captured.out == "" and not ckpt.exists()
+
+    @pytest.mark.parametrize("flag", ["--score-every", "--checkpoint-every"])
+    def test_nonpositive_cadence_is_a_usage_error(
+        self, pipeline, flag, ent_layout, mixed_fleet_layout, tmp_path,
+        capsys,
+    ):
+        flags = _stream_flags(pipeline, ent_layout, mixed_fleet_layout)
+        ckpt = tmp_path / "ck.json"
+        assert main(flags + ["--checkpoint", str(ckpt), flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be positive, not 0\n"
         assert captured.out == "" and not ckpt.exists()
 
 
@@ -841,7 +855,9 @@ def test_negative_bootstrap_files_is_a_usage_error(
         "--internal-suffix", "int.c0",
     ]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: bootstrap_files must not be negative\n"
+    assert captured.err == (
+        "error: --bootstrap-files must not be negative, not -1\n"
+    )
     assert captured.out == ""
 
 
@@ -921,7 +937,30 @@ def test_fleet_nonpositive_max_rounds_is_a_usage_error(
         "--checkpoint-dir", str(state), "--max-rounds", bound,
     ]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: max_rounds must be positive\n"
+    assert captured.err == (
+        f"error: --max-rounds must be positive, not {bound}\n"
+    )
     assert captured.out == ""
     assert not (state / "fleet.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "shown"),
+    [
+        ("--workers", "0", "0"), ("--heartbeat", "0", "0.0"),
+        ("--heartbeat", "nan", "nan"),
+    ],
+)
+def test_fleet_nonpositive_pool_flag_is_a_usage_error(
+    flag, value, shown, mixed_fleet_layout, capsys
+):
+    import multiprocessing
+
+    assert main([
+        "fleet", str(mixed_fleet_layout / "manifest.json"), flag, value,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be positive, not {shown}\n"
+    assert captured.out == ""
     assert multiprocessing.active_children() == []

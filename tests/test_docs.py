@@ -133,12 +133,12 @@ class TestOneDayLoop:
 
     def test_engine_schedule_is_written_once(self):
         streaming = self.SRC / "streaming"
-        for method in ("score", "rollover", "submit_lines", "submit_raw"):
+        for method in ("score", "rollover", "ingest_lines", "submit_raw"):
             owners = self._lines_with(rf"def {method}\(", streaming)
             assert sorted(owners) == ["streaming/engine.py"], method
 
     def test_a_day_has_one_lifecycle(self):
-        """``run`` is the engine fed each file in one poll: no second
+        """``run`` is the engine fed each file in chunks: no second
         batch runner, no ``process_day`` twin, no second home of the
         enterprise C&C stage -- in the code or in what documents it."""
         assert self._files_matching(
@@ -162,7 +162,7 @@ class TestOneDayLoop:
         assert len(rare_set["streaming/engine.py"]) == 1
         gone = (
             r"_aggregate_day|_profile_day|_commit_day|_solved_dates"
-            r"|count_not_rare_skip|_checkpoint_rounds"
+            r"|count_not_rare_skip|_checkpoint_rounds|submit_lines"
         )
         # benchmarks/e2e is frozen and keeps its own stage-by-stage walk.
         assert self._files_matching(gone) + [

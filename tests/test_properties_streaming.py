@@ -289,8 +289,7 @@ class TestCheckpointIsTheWindow:
         )
         lines = (ent_layout / "proxy-march-01.log").read_text().splitlines()
         cut = cut % len(lines)
-        engine.submit_lines(lines[:cut])
-        engine.poll()
+        engine.ingest_lines(lines[:cut])
         engine.score()
         document = json.dumps(encode_engine(engine))
         restored = restore_engine(json.loads(document), whois=whois)
@@ -299,8 +298,7 @@ class TestCheckpointIsTheWindow:
         def rest(target):
             documents = []
             for start in range(cut, len(lines), batch_size):
-                target.submit_lines(lines[start:start + batch_size])
-                target.poll()
+                target.ingest_lines(lines[start:start + batch_size])
                 documents.append(json.dumps(encode_engine(target)))
             target.rollover()
             documents.append(json.dumps(encode_engine(target)))

@@ -1,5 +1,5 @@
-"""Tests for the file-based DNS log runner (``run``): one engine, one
-poll and one ``rollover()`` per daily file."""
+"""Tests for the file-based DNS log runner (``run``): one engine,
+``INGEST_CHUNK``-row polls and one ``rollover()`` per daily file."""
 
 from pathlib import Path
 
@@ -62,14 +62,14 @@ class TestRunDirectory:
 
 
 def _feed(detector, path) -> None:
-    """Submit one day's log file; the next ``rollover()`` polls it."""
+    """Ingest one day's log file; the next ``rollover()`` closes it."""
     with path.open() as handle:
-        detector.submit_lines(handle)
+        detector.ingest_lines(handle)
 
 
 class TestEngineDay:
     """The day lifecycle ``run_directory`` loops over, driven by hand:
-    ``submit_lines`` a file, ``rollover()`` it."""
+    ``ingest_lines`` a file, ``rollover()`` it."""
 
     def test_hint_mode(self, log_dir, lanl_dataset):
         detector = StreamingDetector(

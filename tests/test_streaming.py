@@ -49,7 +49,7 @@ def _feed_history(detector, paths) -> None:
     """Fold training-period files into the history (no detection)."""
     for path in paths:
         with path.open() as handle:
-            detector.submit_lines(handle)
+            detector.ingest_lines(handle)
         detector.rollover(detect=False)
 
 
@@ -85,8 +85,9 @@ def _replay_kwargs(lanl_dataset, **extra):
 @pytest.mark.parity
 class TestBatchParity:
     def test_replay_matches_batch_runner(self, log_dir, lanl_dataset):
-        """``run`` (each file in one poll, no scoring round) against
-        ``stream`` (250-event polls, a scoring round after each)."""
+        """``run`` (each file in ``INGEST_CHUNK``-row polls, no scoring
+        round) against ``stream`` (250-event polls, a scoring round
+        after each)."""
         batch = run_directory(
             log_dir,
             bootstrap_files=1,
@@ -114,7 +115,7 @@ class TestBatchParity:
     ):
         """SOC-hints mode (III-C, LANL cases 1-3): hint hosts replace
         the day's C&C hits as seeds, identically whether the day
-        arrived in one poll or micro-batched with no-hint scoring
+        arrived in whole chunks or micro-batched with no-hint scoring
         rounds between."""
         filters = dict(
             internal_suffixes=lanl_dataset.internal_suffixes,
@@ -125,7 +126,7 @@ class TestBatchParity:
         whole = StreamingDetector(**filters)
         _feed_history(whole, [log_dir / "dns-march-01.log"])
         with (log_dir / "dns-march-02.log").open() as handle:
-            whole.submit_lines(handle)
+            whole.ingest_lines(handle)
         want = whole.rollover(hint_hosts=truth.hint_hosts)
         stream = StreamingDetector(**filters)
         _feed_history(stream, [log_dir / "dns-march-01.log"])
@@ -360,7 +361,7 @@ class TestRollover:
         _feed_history(whole, paths[:1])
         for path in paths[1:]:
             with path.open() as handle:
-                whole.submit_lines(handle)
+                whole.ingest_lines(handle)
             whole.rollover()
 
         detector = StreamingDetector(**filters)
@@ -679,11 +680,11 @@ class TestEventBus:
         assert detector.window.traffic.hosts_by_domain["b.c1"] == {"h2", "h3"}
 
     def test_replay_rejects_nonpositive_intervals(self, tmp_path):
-        with pytest.raises(ValueError, match="score_every"):
+        with pytest.raises(ValueError, match="--score-every"):
             replay_directory(tmp_path, bootstrap_files=0, score_every=0)
-        with pytest.raises(ValueError, match="checkpoint_every"):
+        with pytest.raises(ValueError, match="--checkpoint-every"):
             replay_directory(tmp_path, bootstrap_files=0, checkpoint_every=0)
-        with pytest.raises(ValueError, match="max_batches"):
+        with pytest.raises(ValueError, match="--max-batches"):
             replay_directory(tmp_path, bootstrap_files=0, max_batches=0)
 
 
@@ -1065,7 +1066,7 @@ class TestEnterpriseIngestRoutes:
     def test_lines_records_and_scalar_events_build_the_same_window(
         self, enterprise_engine, enterprise_dataset
     ):
-        """``submit_lines`` == ``submit_raw`` over the same records ==
+        """``ingest_lines`` == ``submit_raw`` over the same records ==
         the scalar adapters' ``Connection`` events, on a real day:
         non-zero collector offsets, bare-IP noise, lease-resolved
         hosts."""
@@ -1088,7 +1089,8 @@ class TestEnterpriseIngestRoutes:
         def window_of(feed):
             stream = enterprise_engine()
             count = feed(stream)
-            assert stream.poll() == count
+            stream.poll()
+            assert stream.window.events_today == count
             window = stream.window
             return (
                 window.events_today,
@@ -1100,7 +1102,7 @@ class TestEnterpriseIngestRoutes:
                 window.rare,
             )
 
-        by_lines = window_of(lambda s: s.submit_lines(lines))
+        by_lines = window_of(lambda s: s.ingest_lines(lines))
         assert 0 < by_lines[0] < len(records), "bare-IP noise is dropped"
         assert window_of(lambda s: s.submit_raw(records)) == by_lines
         assert window_of(lambda s: s.submit(list(

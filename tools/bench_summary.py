@@ -10,9 +10,19 @@ JSONs it summarizes).
 Usage::
 
     PYTHONPATH=src python tools/bench_summary.py [--out BENCH_perf.json]
+    python tools/bench_summary.py --e2e e2e-*.txt [--e2e-label change]
 
 Unknown or missing JSONs are skipped with a note, so the summary stays
 writable even when only a subset of the benches was re-run.
+
+``--e2e FILE...`` folds single-measurement result lines of the
+end-to-end benchmark (``benchmarks/e2e/run.py --workload W --trace 0``;
+the last line of each file, named ``e2e-<workload>.txt`` as CI tees
+them) into the document's ``e2e`` section: per workload and label, the
+four end-to-end metrics -- the median when several files measure one
+workload -- and whether every run was ``correct``.  Rows under other
+labels are kept, so a parent's and a change's rows sit side by side;
+without ``--e2e`` the section is carried over unchanged.
 """
 
 from __future__ import annotations
@@ -20,10 +30,14 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT_DIR = REPO_ROOT / "benchmarks" / "out"
+
+#: The end-to-end metrics of ``BENCHMARK.json``, in its order.
+E2E_METRICS = ("records_per_s", "peak_rss_mb", "cpu_s_per_mrec", "setup_s")
 
 
 def _load(path: pathlib.Path):
@@ -226,6 +240,34 @@ def build_summary(out_dir: pathlib.Path = OUT_DIR) -> dict:
     return summary
 
 
+def summarize_e2e(paths: list[pathlib.Path]) -> dict[str, dict]:
+    """Workload -> the end-to-end row of its result files."""
+    runs: dict[str, list[dict]] = {}
+    for path in paths:
+        name = path.name
+        if not (name.startswith("e2e-") and name.endswith(".txt")):
+            raise ValueError(f"{path}: not an e2e-<workload>.txt file")
+        workload = name.removeprefix("e2e-").removesuffix(".txt")
+        lines = path.read_text().splitlines()
+        result = json.loads(lines[-1]) if lines else {}
+        if not set(E2E_METRICS) <= set(result.get("metrics", {})):
+            raise ValueError(f"{path}: last line is no --trace 0 result")
+        runs.setdefault(workload, []).append(result)
+    return {
+        workload: {
+            **{
+                name: round(statistics.median(
+                    r["metrics"][name]["value"] for r in results
+                ), 4)
+                for name in E2E_METRICS
+            },
+            "correct": all(r["correct"] is True for r in results),
+            "runs": len(results),
+        }
+        for workload, results in sorted(runs.items())
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -234,12 +276,31 @@ def main(argv: list[str] | None = None) -> int:
         default=str(REPO_ROOT / "BENCH_perf.json"),
         help="where to write the summary (default: repo root)",
     )
+    parser.add_argument(
+        "--e2e", nargs="+", type=pathlib.Path, default=(), metavar="FILE",
+        help="e2e-<workload>.txt result files to fold into the e2e section",
+    )
+    parser.add_argument(
+        "--e2e-label", default="change",
+        help="what the --e2e rows measured (default: change)",
+    )
     args = parser.parse_args(argv)
     summary = build_summary()
     if not summary["benches"]:
         print("bench_summary: no known bench JSONs found", file=sys.stderr)
         return 1
     out_path = pathlib.Path(args.out)
+    previous = _load(out_path) if out_path.exists() else None
+    e2e = dict((previous or {}).get("e2e", {}))
+    try:
+        rows = summarize_e2e(list(args.e2e))
+    except (OSError, ValueError) as err:
+        print(f"bench_summary: {err}", file=sys.stderr)
+        return 1
+    for workload, row in rows.items():
+        e2e[workload] = {**e2e.get(workload, {}), args.e2e_label: row}
+    if e2e:
+        summary["e2e"] = dict(sorted(e2e.items()))
     out_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"bench_summary: wrote {out_path} "
           f"({len(summary['benches'])} benches)")
