@@ -9,9 +9,9 @@ runs the identical workload at several worker counts:
 * ``workers-2`` / ``workers-N``: the tenants split over that many
   long-lived worker processes (smoke mode runs 1 and N only);
 * ``workers-N-ckpt`` (full run only): the same with
-  ``--checkpoint-dir`` -- what the per-round checkpoint barrier
-  (each tenant's one document, rewritten) costs on top of the
-  durability-free run.
+  ``--checkpoint-dir`` -- what writing each advanced tenant's one
+  document inside every round costs on top of the durability-free
+  run.
 
 Every arm records per-worker busy stats (``workers_detail``) for the
 operations runbook.

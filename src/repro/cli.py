@@ -288,15 +288,10 @@ def _add_fleet_parser(subparsers) -> None:
              "see the operations runbook for sizing guidance)",
     )
     parser.add_argument(
-        "--heartbeat", type=float, default=5.0,
-        help="seconds between worker liveness polls while awaiting a "
-             "response (default 5.0); with --checkpoint-dir a worker "
-             "that dies is respawned from its last checkpoint",
-    )
-    parser.add_argument(
         "--checkpoint-dir", type=Path, default=None,
         help="directory for per-tenant checkpoints and the fleet state "
-             "(enables --resume after an interruption)",
+             "(enables --resume after an interruption; a worker that "
+             "dies is respawned from its last checkpoint)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -921,7 +916,6 @@ def _run_fleet(args) -> int:
             workers=args.workers,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            heartbeat=args.heartbeat,
             metrics=metrics,
             intel_db=args.intel_db,
             intel_ttl_days=args.intel_ttl_days,

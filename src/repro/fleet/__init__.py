@@ -17,11 +17,12 @@ shared intelligence plane:
   ``fleet.json``, and crash/resume;
 * :mod:`~repro.fleet.workers` -- the long-lived worker processes the
   manager drives (:class:`ResidentPool`): engines stay in worker
-  memory across rounds; prior-board deltas and day reports are all
-  that cross the process boundary, each tenant's engine document is
-  written whole to one atomic checkpoint per barrier (on the
-  :mod:`repro.state` atomic-write machinery), and a crashed worker's
-  tenants respawn from those checkpoints;
+  memory across rounds; a round is one request per worker (each
+  tenant's day file and seeds) and one answer (its day reports), sent
+  only after each advanced tenant's engine document is written whole
+  to its one atomic checkpoint (on the :mod:`repro.state` atomic-write
+  machinery), and a crashed worker's tenants respawn from those
+  checkpoints;
 * :mod:`~repro.fleet.report` -- :class:`FleetReport`: per-tenant
   detections, cross-tenant domain overlap, VT classification.
 
@@ -36,7 +37,7 @@ therefore identical for any worker count -- parallelism changes
 wall-clock, not detections.
 """
 
-from .intel import BoardEntry, BoardReplica, IntelPlane
+from .intel import BoardEntry, IntelPlane
 from .manager import FleetError, FleetManager
 from .manifest import FleetManifest, ManifestError, TenantSpec, load_manifest
 from .report import FleetReport, TenantDayReport
@@ -44,7 +45,6 @@ from .workers import ResidentPool, WorkerDied
 
 __all__ = [
     "BoardEntry",
-    "BoardReplica",
     "FleetError",
     "FleetManager",
     "FleetManifest",

@@ -12,8 +12,9 @@ provides:
   one enterprise saved another) and, with a store, store hits;
 * a **cross-tenant prior board**: domains a tenant detected with score
   at or above ``prior_threshold`` are published to the board, and
-  each worker's :class:`BoardReplica` answers ``seeds_for(tenant)`` with
-  every *other* tenant's qualifying domains.
+  :meth:`IntelPlane.seeds_for` answers a tenant with every *other*
+  tenant's qualifying domains -- the seeds the manager puts in that
+  tenant's next ``ADVANCE_DAY`` task.
   Fed into :func:`repro.runner.detect_on_traffic` as ``intel_domains``,
   these become elevated belief-propagation priors -- the paper's
   community-feedback amplification (a domain confirmed malicious for
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..intel.memo import CacheStats, IntelMemo
@@ -55,58 +56,6 @@ class BoardEntry:
 
     first_day: int
     """Earliest fleet day (round index) the domain was detected on."""
-
-    revision: int = field(default=0, compare=False)
-    """Plane-wide revision at which this entry last changed; lets
-    :meth:`IntelPlane.board_delta` ship only what a worker has not
-    seen yet.  Bookkeeping, not identity -- excluded from equality."""
-
-    def wire(self) -> dict[str, Any]:
-        """The entry as plain JSON-able data (the ``INJECT_INTEL``
-        payload element a :class:`BoardReplica` consumes)."""
-        return {
-            "domain": self.domain,
-            "score": self.score,
-            "tenants": sorted(self.tenants),
-            "first_day": self.first_day,
-        }
-
-
-class BoardReplica:
-    """Worker-side mirror of the cross-tenant prior board.
-
-    Fleet workers cannot reach the manager's plane between barriers,
-    so the manager streams :meth:`IntelPlane.board_delta` entries to
-    each worker (the ``INJECT_INTEL`` command) and the replica answers
-    :meth:`seeds_for` locally -- the one place the seeding rule lives.
-    Entry application is last-writer-wins on whole entries, which is
-    safe because the plane's merged entry is the only thing ever sent.
-    """
-
-    def __init__(self) -> None:
-        self._tenants_by_domain: dict[str, frozenset[str]] = {}
-        self.seeds_served = 0
-
-    def __len__(self) -> int:
-        return len(self._tenants_by_domain)
-
-    def apply(self, entries: Iterable[dict[str, Any]]) -> None:
-        """Fold a batch of :meth:`BoardEntry.wire` documents in."""
-        for entry in entries:
-            self._tenants_by_domain[str(entry["domain"])] = frozenset(
-                entry["tenants"]
-            )
-
-    def seeds_for(self, tenant_id: str) -> frozenset[str]:
-        """Domains other tenants confirmed -- this tenant's elevated
-        priors.  A tenant is never seeded with only its own findings."""
-        seeds = frozenset(
-            domain
-            for domain, tenants in self._tenants_by_domain.items()
-            if tenants != frozenset({tenant_id})
-        )
-        self.seeds_served += len(seeds)
-        return seeds
 
 
 class IntelPlane:
@@ -130,7 +79,6 @@ class IntelPlane:
         )
         self.seeds_served = 0
         self._board: dict[str, BoardEntry] = {}
-        self._revision = 0
         self._lock = threading.Lock()
         self.store = None
         """The attached durable store, or ``None``."""
@@ -182,7 +130,6 @@ class IntelPlane:
             for domain, score in scored_domains:
                 if score < self.prior_threshold:
                     continue
-                self._revision += 1
                 entry = self._board.get(domain)
                 if entry is None:
                     self._board[domain] = BoardEntry(
@@ -190,7 +137,6 @@ class IntelPlane:
                         score=score,
                         tenants=frozenset({tenant_id}),
                         first_day=day,
-                        revision=self._revision,
                     )
                 else:
                     self._board[domain] = BoardEntry(
@@ -198,28 +144,20 @@ class IntelPlane:
                         score=max(entry.score, score),
                         tenants=entry.tenants | {tenant_id},
                         first_day=min(entry.first_day, day),
-                        revision=self._revision,
                     )
                 added += 1
         return added
 
-    def board_delta(
-        self, since: int
-    ) -> tuple[int, list[dict[str, Any]]]:
-        """Board entries changed after revision ``since``, as wire
-        documents, plus the current revision.
-
-        The manager tracks each resident worker's synced revision and
-        ships only this delta per round (``since=0`` is a full sync --
-        what a freshly spawned or respawned worker gets).
-        """
+    def seeds_for(self, tenant_id: str) -> frozenset[str]:
+        """Domains other tenants confirmed -- this tenant's elevated
+        priors.  A tenant is never seeded with only its own findings."""
+        own = frozenset({tenant_id})
         with self._lock:
-            entries = [
-                entry.wire()
-                for entry in self._board.values()
-                if entry.revision > since
-            ]
-            return self._revision, entries
+            return frozenset(
+                domain
+                for domain, entry in self._board.items()
+                if entry.tenants != own
+            )
 
     @property
     def board(self) -> dict[str, BoardEntry]:
@@ -284,19 +222,15 @@ class IntelPlane:
         """Refill the board and accounting from :meth:`encode` output."""
         with self._lock:
             self.prior_threshold = float(payload["prior_threshold"])
-            # Restored entries get fresh revisions so every worker's
-            # next delta sync (since=0 after a restart) resends them.
-            self._board = {}
-            self._revision = 0
-            for domain, entry in payload["board"].items():
-                self._revision += 1
-                self._board[str(domain)] = BoardEntry(
+            self._board = {
+                str(domain): BoardEntry(
                     domain=str(domain),
                     score=float(entry["score"]),
                     tenants=frozenset(entry["tenants"]),
                     first_day=int(entry["first_day"]),
-                    revision=self._revision,
                 )
+                for domain, entry in payload["board"].items()
+            }
             self.vt_cache.entries = {
                 str(domain): (value, str(owner))
                 for domain, (value, owner) in payload["vt_entries"].items()

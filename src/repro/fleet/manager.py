@@ -20,15 +20,16 @@ tenant's proxy-path run and vice versa.
 
 The engines live in ``workers`` long-lived worker processes
 (:mod:`repro.fleet.workers`), each owning a stable subset of tenants
-across rounds.  The manager drives them over per-worker command queues
-(``INJECT_INTEL`` / ``ADVANCE_DAY`` / ``CHECKPOINT`` / ``SHUTDOWN``);
-only prior-board deltas, day reports and checkpoint acks cross the
-process boundary.  ``workers=1`` is the serial case.
+across rounds.  A round is one ``ADVANCE_DAY`` request per worker --
+each task naming a tenant's day file and its seeds from the board the
+manager alone holds -- and one answer carrying the day reports; the
+answer comes only after the worker has written its tenants'
+checkpoints.  ``workers=1`` is the serial case.
 
 Per-tenant checkpoints live at ``<dir>/<tenant>/checkpoint.json`` --
 the engine document plus the tenant's cursor and day report in one
-atomic document (:func:`repro.state.save_json_atomic`), rewritten at
-every barrier -- so a crash between a tenant finishing its day and the
+atomic document (:func:`repro.state.save_json_atomic`), rewritten in
+every advance -- so a crash between a tenant finishing its day and the
 round barrier loses nothing: on resume the embedded report is
 re-published at the proper barrier, and a worker that dies mid-run is
 respawned from its tenants' checkpoints without disturbing the other
@@ -59,8 +60,6 @@ from .manifest import FleetManifest, TenantSpec
 from .report import FleetReport, TenantDayReport
 from .workers import (
     CMD_ADVANCE_DAY,
-    CMD_CHECKPOINT,
-    CMD_INJECT_INTEL,
     FLEET_STATE_VERSION,
     FleetError,
     ResidentPool,
@@ -88,7 +87,6 @@ class FleetManager:
         checkpoint_dir: str | Path | None = None,
         resume: bool = False,
         whois_path: str | Path | None = None,
-        heartbeat: float = 5.0,
         metrics=None,
         intel_db: str | Path | None = None,
         intel_ttl_days: float | None = None,
@@ -104,9 +102,11 @@ class FleetManager:
         if workers < 1:
             raise FleetError(f"--workers must be positive, not {workers}")
         if resume and checkpoint_dir is None:
-            raise FleetError("resume requires a checkpoint directory")
-        if not heartbeat > 0:
-            raise FleetError(f"--heartbeat must be positive, not {heartbeat}")
+            raise FleetError("--resume requires --checkpoint-dir")
+        if checkpoint_dir is not None and Path(checkpoint_dir).is_file():
+            raise FleetError(
+                f"--checkpoint-dir is not a directory: {checkpoint_dir}"
+            )
         self.specs = list(specs)
         self.intel = intel if intel is not None else IntelPlane()
         self.config = config
@@ -116,7 +116,6 @@ class FleetManager:
         )
         self.resume = resume
         self.whois_path = Path(whois_path) if whois_path is not None else None
-        self.heartbeat = heartbeat
         #: fleet-wide metrics view: the manager's own counters/spans
         #: plus the per-round deltas the workers ship back.
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -353,14 +352,14 @@ class FleetManager:
     def _run(self, *, max_rounds, on_round) -> FleetReport:
         """Drive the rounds over the worker pool.
 
-        Per round: sync each worker's prior-board replica with the
-        board delta since its last sync, send the round's
-        ``ADVANCE_DAY`` tasks, collect responses (respawning any dead
-        worker from its checkpoints), then hold the checkpoint barrier
-        before publishing -- so the fleet-state commit never runs ahead
-        of the tenants' durable state.  Without a checkpoint directory
-        the barrier (and crash recovery) is skipped entirely --
-        durability-free parallelism for ephemeral runs.
+        Per round: send each worker the round's ``ADVANCE_DAY`` tasks,
+        seeds included, and collect the answers (respawning any dead
+        worker from its checkpoints) before publishing.  A worker
+        answers only once its tenants' checkpoints are written, so the
+        fleet-state commit never runs ahead of the tenants' durable
+        state.  Without a checkpoint directory nothing is written and
+        a worker death is fatal -- durability-free parallelism for
+        ephemeral runs.
         """
         files = self._tenant_files()
         if self.resume:
@@ -382,7 +381,6 @@ class FleetManager:
             whois_path=self.whois_path,
             config=self.config,
             resume=self.resume,
-            heartbeat=self.heartbeat,
             metrics_enabled=self.metrics.enabled,
             ct_path=self.ct_path,
         )
@@ -396,7 +394,6 @@ class FleetManager:
                 results: dict[str, TenantDayReport] = {}
                 waiting: list[WorkerHandle] = []
                 for handle in list(pool.workers):
-                    self._sync_board(pool, handle)
                     tasks = self._round_tasks(pool, handle, files,
                                               cursors, rnd)
                     if tasks:
@@ -409,7 +406,6 @@ class FleetManager:
                             "fleet_commands_total", cmd="advance_day"
                         ).inc()
                         waiting.append(handle)
-                advanced: list[WorkerHandle] = []
                 for handle in waiting:
                     try:
                         response = pool.recv(handle)
@@ -419,26 +415,6 @@ class FleetManager:
                         )
                     self._absorb_advance(handle, response, cursors,
                                          results, rnd)
-                    advanced.append(handle)
-
-                if self.checkpoint_dir is not None:
-                    # Checkpoint barrier: every advanced worker writes
-                    # its tenants' checkpoints before the fleet state
-                    # moves on.
-                    for handle in advanced:
-                        pool.send(handle, {
-                            "cmd": CMD_CHECKPOINT, "round": rnd + 1,
-                        })
-                        self.metrics.counter(
-                            "fleet_commands_total", cmd="checkpoint"
-                        ).inc()
-                    for handle in advanced:
-                        try:
-                            self._absorb_metrics(pool.recv(handle))
-                        except WorkerDied:
-                            self._recover_worker(
-                                pool, handle, files, cursors, rnd, results
-                            )
 
                 # Publish in spec order (deterministic) so day rnd+1
                 # sees all of day rnd's findings.
@@ -522,21 +498,20 @@ class FleetManager:
     # Driving the workers
     # ------------------------------------------------------------------
 
-    def _absorb_metrics(self, response: dict[str, Any] | None) -> None:
-        """Fold a worker response's metrics delta into the fleet view."""
-        payload = (response or {}).get("metrics")
-        if payload and self.metrics.enabled:
-            self.metrics.absorb(MetricsSnapshot.from_dict(payload))
-
-    def _sync_board(self, pool: ResidentPool, handle: WorkerHandle) -> None:
-        """Ship the prior-board delta since the worker's last sync."""
-        revision, entries = self.intel.board_delta(handle.synced_revision)
-        if entries:
-            pool.send(handle, {"cmd": CMD_INJECT_INTEL, "entries": entries})
-            self.metrics.counter(
-                "fleet_commands_total", cmd="inject_intel"
-            ).inc()
-        handle.synced_revision = revision
+    def _task(
+        self, spec: TenantSpec, files: list[Path], file_index: int
+    ) -> dict[str, Any]:
+        """One tenant's ``ADVANCE_DAY`` task: its day file and seeds."""
+        bootstrap = file_index < spec.bootstrap_files
+        return {
+            "tenant_id": spec.tenant_id,
+            "log_path": str(files[file_index]),
+            "bootstrap": bootstrap,
+            "seeds": (
+                [] if bootstrap
+                else sorted(self.intel.seeds_for(spec.tenant_id))
+            ),
+        }
 
     def _round_tasks(
         self,
@@ -555,11 +530,7 @@ class FleetManager:
                 continue
             if cursors[spec.tenant_id] > rnd:
                 continue  # recovered past this round already
-            tasks.append({
-                "tenant_id": spec.tenant_id,
-                "log_path": str(tenant_files[file_index]),
-                "bootstrap": file_index < spec.bootstrap_files,
-            })
+            tasks.append(self._task(spec, tenant_files, file_index))
         return tasks
 
     def _stats_of(self, handle: WorkerHandle) -> dict[str, Any]:
@@ -583,7 +554,8 @@ class FleetManager:
         """Fold one worker's ``ADVANCE_DAY`` response into round state."""
         if response is None:
             return
-        self._absorb_metrics(response)
+        if response["metrics"] and self.metrics.enabled:
+            self.metrics.absorb(MetricsSnapshot.from_dict(response["metrics"]))
         stats = self._stats_of(handle)
         for item in response["reports"]:
             cursors[item["tenant_id"]] = rnd + 1
@@ -594,7 +566,7 @@ class FleetManager:
                 stats["records"] += day_report.records
                 stats["elapsed_seconds"] += day_report.elapsed_seconds
         self.intel.whois_cache.stats.absorb(response["whois_stats"])
-        self.intel.seeds_served += int(response.get("seeds_served", 0))
+        self.intel.seeds_served += response["seeds_served"]
 
     def _recover_worker(
         self,
@@ -610,10 +582,10 @@ class FleetManager:
         The replacement restores each owned tenant from its checkpoint;
         per tenant, either the crashed round was already committed
         (adopt the checkpoint's embedded report) or it is re-run
-        -- deterministic, because the board the worker re-seeds from is
+        -- deterministic, because the board its seeds come from is
         exactly the one every tenant saw this round (publication only
-        happens after the barrier).  Ends with a checkpoint ack so the
-        fleet state never outruns the respawned tenants' durable state.
+        happens after the barrier).  The re-run's answer, like every
+        answer, comes after its checkpoints are written.
         """
         if self.checkpoint_dir is None:
             raise FleetError(
@@ -623,7 +595,6 @@ class FleetManager:
             )
         handle = pool.respawn(handle)
         self.metrics.counter("fleet_worker_respawns_total").inc()
-        self._sync_board(pool, handle)
         self._stats_of(handle)["respawns"] += 1
         tasks: list[dict[str, Any]] = []
         for spec in pool.specs_of(handle):
@@ -649,17 +620,11 @@ class FleetManager:
                         f"tenant {tenant_id!r} checkpoint at round {disk} "
                         f"cannot recover round {rnd}"
                     )
-                tasks.append({
-                    "tenant_id": tenant_id,
-                    "log_path": str(files[tenant_id][file_index]),
-                    "bootstrap": file_index < spec.bootstrap_files,
-                })
+                tasks.append(self._task(spec, files[tenant_id], file_index))
         response: dict[str, Any] | None = None
         if tasks:
             pool.send(handle, {
                 "cmd": CMD_ADVANCE_DAY, "round": rnd, "tasks": tasks,
             })
             response = pool.recv(handle)
-        pool.send(handle, {"cmd": CMD_CHECKPOINT, "round": rnd + 1})
-        self._absorb_metrics(pool.recv(handle))
         return handle, response

@@ -2,44 +2,41 @@
 
 A fleet runs on N long-lived worker processes, each owning a stable
 subset of tenants whose streaming engines stay in worker memory across
-rounds (``N = 1`` is the serial case).  Only three thin flows cross
-the process boundary per round:
+rounds (``N = 1`` is the serial case).  A round is one request and one
+answer per worker:
 
-* ``INJECT_INTEL`` (manager -> worker): new cross-tenant prior-board
-  entries since the worker's last sync (:meth:`IntelPlane.board_delta`
-  wire documents), folded into a worker-local
-  :class:`~repro.fleet.intel.BoardReplica`;
-* ``ADVANCE_DAY`` (manager -> worker -> manager): the round's log file
-  per owned tenant in, the per-tenant day reports plus WHOIS
-  cache-fill and seeds-served accounting deltas back out;
-* ``CHECKPOINT`` (manager -> worker, acked): each tenant's engine
-  document (:func:`repro.state.encode_engine`, the one ``stream``
-  writes) is written whole, with the tenant's cursor and last day
-  report, to its one atomic ``<dir>/<tenant>/checkpoint.json``.
+* ``ADVANCE_DAY`` (manager -> worker -> manager): per owned tenant, the
+  round's log file and its seeds (:meth:`IntelPlane.seeds_for
+  <repro.fleet.intel.IntelPlane.seeds_for>`, computed on the manager,
+  which holds the whole prior board) in; after every named tenant has
+  closed its day and, with a checkpoint directory, its engine document
+  (:func:`repro.state.encode_engine`, the one ``stream`` writes) has
+  been written whole, with the tenant's cursor and day report, to its
+  one atomic ``<dir>/<tenant>/checkpoint.json``, the per-tenant day
+  reports plus WHOIS cache-fill and seeds-served accounting deltas come
+  back out.  An answer therefore means the round is durable.
+* ``SHUTDOWN``: exit.
 
-Commands and responses travel over per-worker ``multiprocessing``
-queues.  Queue order is the ordering guarantee: ``INJECT_INTEL`` is
-fire-and-forget, but because it is enqueued before the round's
-``ADVANCE_DAY`` on the same FIFO queue, a worker always folds the
-board delta in before computing any subsequent day's seeds (the
-ordered-delivery property the tests pin down).
+Commands travel over a per-worker ``multiprocessing`` queue, answers
+over a one-way pipe whose only writer is the worker.
 
-**Crash recovery.**  The manager polls liveness while waiting on a
-response (``heartbeat`` seconds); a dead worker raises
-:class:`WorkerDied` and is respawned by :meth:`ResidentPool.respawn`
-with the same tenant subset, each engine restored from its checkpoint
-by one :func:`repro.state.restore_engine` call -- without disturbing
-the other workers.  The ready handshake reports per-tenant cursors
-plus the last persisted report, letting the manager decide per tenant whether the crashed round must be re-run
+**Crash recovery.**  The manager waits on the answer pipe and the
+worker's process sentinel together: a worker that exits without
+answering raises :class:`WorkerDied` and is respawned by
+:meth:`ResidentPool.respawn` with the same tenant subset, each engine
+restored from its checkpoint by one :func:`repro.state.restore_engine`
+call -- without disturbing the other workers.  The ready handshake
+reports per-tenant cursors plus the last persisted report, letting the
+manager decide per tenant whether the crashed round must be re-run
 (deterministic: same files, same seeds) or its report can be adopted.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
 from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any
 
@@ -56,7 +53,6 @@ from ..state import (
     save_json_atomic,
 )
 from ..streaming import open_engine
-from .intel import BoardReplica
 from .manifest import TenantSpec
 from .report import TenantDayReport
 
@@ -66,8 +62,6 @@ FLEET_STATE_VERSION = 1
 
 #: Command verbs of the manager -> worker protocol.
 CMD_ADVANCE_DAY = "ADVANCE_DAY"
-CMD_INJECT_INTEL = "INJECT_INTEL"
-CMD_CHECKPOINT = "CHECKPOINT"
 CMD_SHUTDOWN = "SHUTDOWN"
 
 
@@ -292,10 +286,10 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
 
     When ``init["metrics"]`` is set the worker owns a private
     :class:`~repro.obs.metrics.MetricsRegistry`; every ``ADVANCE_DAY``
-    and ``CHECKPOINT`` response carries the registry's delta since the
-    previous ship (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot_delta`)
-    for the manager to fold into the fleet-wide view -- the same
-    queue-borne delta pattern as the WHOIS cache accounting.
+    answer carries the registry's delta since the previous ship
+    (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot_delta`) for the
+    manager to fold into the fleet-wide view -- the same delta pattern
+    as the WHOIS cache accounting.
     """
     try:
         checkpoint_dir = (
@@ -318,8 +312,6 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                 init["ct_path"], fold_level=init["ct_fold_level"]
             )
         metrics = MetricsRegistry() if init.get("metrics") else NULL_METRICS
-        replica = BoardReplica()
-        seeds_reported = 0
         runtimes: dict[str, _TenantRuntime] = {}
         for tenant in init["tenants"]:
             runtimes[tenant["tenant_id"]] = _build_worker_tenant(
@@ -329,7 +321,7 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                 resume=init["resume"],
                 metrics=metrics,
             )
-        responses.put({
+        responses.send({
             "event": "ready",
             "worker": worker_id,
             "cursors": {t: rt.cursor for t, rt in runtimes.items()},
@@ -339,77 +331,59 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
             message = commands.get()
             cmd = message.get("cmd")
             if cmd == CMD_SHUTDOWN:
-                responses.put({"event": "bye", "worker": worker_id})
                 return
-            if cmd == CMD_INJECT_INTEL:
-                # Fire-and-forget; FIFO queue order guarantees the
-                # entries land before any later ADVANCE_DAY's seeds.
-                replica.apply(message["entries"])
-                continue
-            if cmd == CMD_ADVANCE_DAY:
-                rnd = int(message["round"])
-                reports = []
-                for task in message["tasks"]:
-                    runtime = runtimes[task["tenant_id"]]
-                    seeds = (
-                        frozenset() if task["bootstrap"]
-                        else replica.seeds_for(runtime.tenant_id)
-                    )
-                    report = _advance_one_day(
-                        runtime.detector,
-                        runtime.tenant_id,
-                        Path(task["log_path"]),
-                        bootstrap=task["bootstrap"],
-                        seeds=seeds,
-                        ct_edges=ct_index,
-                        metrics=metrics,
-                    )
-                    runtime.cursor = rnd + 1
-                    runtime.last_report = (
-                        report.as_dict() if report is not None else None
-                    )
-                    reports.append({
-                        "tenant_id": runtime.tenant_id,
-                        "report": runtime.last_report,
-                    })
-                served = replica.seeds_served - seeds_reported
-                seeds_reported = replica.seeds_served
-                # Ship the WHOIS accounting accrued since the last ship.
-                shipped, whois.stats = whois.stats, CacheStats()
-                responses.put({
-                    "event": "advanced",
+            if cmd != CMD_ADVANCE_DAY:
+                responses.send({
+                    "event": "error",
                     "worker": worker_id,
-                    "round": rnd,
-                    "reports": reports,
-                    "whois_stats": shipped.as_dict(),
-                    "seeds_served": served,
-                    "metrics": (
-                        metrics.snapshot_delta().as_dict()
-                        if metrics.enabled else None
-                    ),
+                    "error": f"unknown command {cmd!r}",
                 })
                 continue
-            if cmd == CMD_CHECKPOINT:
+            rnd = int(message["round"])
+            advanced: list[_TenantRuntime] = []
+            for task in message["tasks"]:
+                runtime = runtimes[task["tenant_id"]]
+                report = _advance_one_day(
+                    runtime.detector,
+                    runtime.tenant_id,
+                    Path(task["log_path"]),
+                    bootstrap=task["bootstrap"],
+                    seeds=frozenset(task["seeds"]),
+                    ct_edges=ct_index,
+                    metrics=metrics,
+                )
+                runtime.cursor = rnd + 1
+                runtime.last_report = (
+                    report.as_dict() if report is not None else None
+                )
+                advanced.append(runtime)
+            if checkpoint_dir is not None:
+                # Durable before the answer: the manager commits the
+                # round only once every answer is in.
                 with metrics.span("worker_checkpoint"):
-                    for runtime in runtimes.values():
+                    for runtime in advanced:
                         runtime.commit()
-                responses.put({
-                    "event": "checkpointed",
-                    "worker": worker_id,
-                    "round": message.get("round"),
-                    "metrics": (
-                        metrics.snapshot_delta().as_dict()
-                        if metrics.enabled else None
-                    ),
-                })
-                continue
-            responses.put({
-                "event": "error",
+            # Ship the WHOIS accounting accrued since the last ship.
+            shipped, whois.stats = whois.stats, CacheStats()
+            responses.send({
+                "event": "advanced",
                 "worker": worker_id,
-                "error": f"unknown command {cmd!r}",
+                "round": rnd,
+                "reports": [
+                    {"tenant_id": rt.tenant_id, "report": rt.last_report}
+                    for rt in advanced
+                ],
+                "whois_stats": shipped.as_dict(),
+                "seeds_served": sum(
+                    len(task["seeds"]) for task in message["tasks"]
+                ),
+                "metrics": (
+                    metrics.snapshot_delta().as_dict()
+                    if metrics.enabled else None
+                ),
             })
     except Exception as exc:  # surfaced to the manager as a fatal error
-        responses.put({
+        responses.send({
             "event": "error",
             "worker": worker_id,
             "error": f"{type(exc).__name__}: {exc}",
@@ -429,8 +403,7 @@ class WorkerHandle:
     process: Any
     commands: Any
     responses: Any
-    synced_revision: int = 0
-    """Prior-board revision this worker has been synced through."""
+    """The read end of the worker's one-way answer pipe."""
 
     cursors: dict[str, int] = field(default_factory=dict)
     """Per-tenant rounds committed on disk, per the ready handshake."""
@@ -462,7 +435,6 @@ class ResidentPool:
         whois_path: Path | None,
         config: SystemConfig | None,
         resume: bool,
-        heartbeat: float = 5.0,
         metrics_enabled: bool = False,
         ct_path: Path | None = None,
     ) -> None:
@@ -472,7 +444,6 @@ class ResidentPool:
         self.whois_path = whois_path
         self.ct_path = ct_path
         self.config = config
-        self.heartbeat = heartbeat
         self.metrics_enabled = metrics_enabled
         count = max(1, min(workers, len(specs)))
         self._assignment: list[list[TenantSpec]] = [
@@ -538,14 +509,16 @@ class ResidentPool:
             ],
         }
         commands = self._ctx.Queue()
-        responses = self._ctx.Queue()
+        responses, answers = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, commands, responses, init),
+            args=(worker_id, commands, answers, init),
             name=f"fleet-worker-{worker_id}",
             daemon=True,
         )
         process.start()
+        # The worker holds the only writing end, so its exit is EOF.
+        answers.close()
         return WorkerHandle(
             worker_id=worker_id,
             tenant_ids=tuple(spec.tenant_id for spec in owned),
@@ -569,33 +542,30 @@ class ResidentPool:
         handle.commands.put(message)
 
     def recv(self, handle: WorkerHandle) -> dict[str, Any]:
-        """Await a worker's next response, polling liveness.
+        """Await a worker's next answer, or its exit.
 
         Raises :class:`WorkerDied` when the process exits without
         answering (crash -- respawnable) and :class:`FleetError` when
         the worker reports an error (fatal configuration/data problem).
         """
-        while True:
-            try:
-                message = handle.responses.get(timeout=self.heartbeat)
-            except queue.Empty:
-                if not handle.process.is_alive():
-                    raise WorkerDied(handle.worker_id) from None
-                continue
-            if message.get("event") == "error":
-                raise FleetError(
-                    f"worker {handle.worker_id}: {message['error']}"
-                )
-            return message
+        ready = wait([handle.responses, handle.process.sentinel])
+        if handle.responses not in ready:
+            raise WorkerDied(handle.worker_id)
+        try:
+            message = handle.responses.recv()
+        except (EOFError, OSError):
+            raise WorkerDied(handle.worker_id) from None
+        if message.get("event") == "error":
+            raise FleetError(f"worker {handle.worker_id}: {message['error']}")
+        return message
 
     def respawn(self, handle: WorkerHandle) -> WorkerHandle:
         """Replace a dead worker with a fresh process, same tenants.
 
         The replacement restores every owned engine from its checkpoint
         (``resume=True``); other workers are not disturbed.  The
-        caller re-syncs the prior board (the new handle starts at
-        revision 0) and decides per tenant whether the in-flight round
-        must be re-run.
+        caller decides per tenant whether the in-flight round must be
+        re-run.
         """
         self._reap(handle)
         replacement = self._start(handle.worker_id, resume=True)
@@ -604,13 +574,13 @@ class ResidentPool:
         return replacement
 
     def _reap(self, handle: WorkerHandle) -> None:
-        """Release a dead worker's process and queue resources."""
+        """Release a dead worker's process, queue and pipe."""
         if handle.process.is_alive():
             handle.process.terminate()
         handle.process.join(timeout=5)
-        for q in (handle.commands, handle.responses):
-            q.close()
-            q.cancel_join_thread()
+        handle.commands.close()
+        handle.commands.cancel_join_thread()
+        handle.responses.close()
 
     def shutdown(self) -> None:
         """Stop every worker: polite ``SHUTDOWN`` first, then reap."""

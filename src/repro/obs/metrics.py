@@ -12,10 +12,9 @@ hot path.  This module provides:
   *merges*: counters and histogram buckets add, gauges are
   right-biased.  Merge is associative and commutative over counters
   and histograms, which is what lets resident fleet workers ship
-  per-round deltas (:meth:`MetricsRegistry.snapshot_delta`) over the
-  existing command/response queues — the same pattern as
-  ``CacheStats.absorb`` and the intel board deltas — and the manager
-  fold them into one fleet-wide view with
+  per-round deltas (:meth:`MetricsRegistry.snapshot_delta`) in their
+  round answers — the same pattern as ``CacheStats.absorb`` — and the
+  manager fold them into one fleet-wide view with
   :meth:`MetricsRegistry.absorb`.
 * :data:`NULL_METRICS` — a no-op registry with the same surface, so
   instrumentation is free when observability is off and call sites
@@ -511,7 +510,7 @@ class MetricsRegistry:
         """The delta since the last call (first call: everything).
 
         Resident fleet workers call this once per round and ship the
-        result over their response queue; the manager absorbs it.  The
+        result in their round answer; the manager absorbs it.  The
         sequence of deltas merges back to the full snapshot.
         """
         with self._lock:

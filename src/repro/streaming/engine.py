@@ -589,20 +589,23 @@ def resolve_replay_paths(
     pattern: str,
     bootstrap_files: int,
     *,
+    batch_size: int = 1,
     score_every: int = 1,
     checkpoint_every: int = 1,
     max_batches: int | None = None,
 ) -> list[Path]:
     """The directory's daily log files, once the arguments are known
     good: a non-negative bootstrap count with at least one operational
-    file after it and, for a micro-batched replay, positive
-    scoring/checkpoint cadences and a positive batch bound if any.
+    file after it and, for a micro-batched replay, a positive batch
+    size, positive scoring/checkpoint cadences and a positive batch
+    bound if any.
     ``run`` and ``stream`` both resolve their arguments here."""
     if bootstrap_files < 0:
         raise ValueError(
             f"--bootstrap-files must not be negative, not {bootstrap_files}"
         )
     for flag, value in (
+        ("--batch-size", batch_size),
         ("--score-every", score_every),
         ("--checkpoint-every", checkpoint_every),
         ("--max-batches", max_batches),

@@ -117,7 +117,7 @@ def replay_directory(
     together with ``resume`` simulates a process restart mid-day.
     """
     paths = resolve_replay_paths(
-        directory, pattern, bootstrap_files,
+        directory, pattern, bootstrap_files, batch_size=batch_size,
         score_every=score_every, checkpoint_every=checkpoint_every,
         max_batches=max_batches,
     )

@@ -208,6 +208,30 @@ class TestOneDayLoop:
             r"|full_every|full_checkpoint_every"
         ) == []
 
+    def test_a_fleet_round_is_one_message_per_worker(self):
+        """``ADVANCE_DAY`` carries each tenant's seeds and is answered
+        once the tenants' checkpoints are durable: the worker-side board
+        replica, its revision sync, the separate intel and checkpoint
+        commands and the liveness-polling option are gone, not aliased."""
+        from repro.fleet import workers
+
+        verbs = {
+            name: value for name, value in vars(workers).items()
+            if name.startswith("CMD_")
+        }
+        assert verbs == {
+            "CMD_ADVANCE_DAY": "ADVANCE_DAY", "CMD_SHUTDOWN": "SHUTDOWN",
+        }
+        gone = re.compile(
+            r"INJECT_INTEL|BoardReplica|board_delta|synced_revision"
+            r"|_sync_board|heartbeat"
+        )
+        ci = sorted(p for p in (REPO / ".github").rglob("*") if p.is_file())
+        assert self._files_matching(gone.pattern) + [
+            path.relative_to(REPO).as_posix() for path in ci
+            if gone.search(path.read_text())
+        ] == []
+
     def test_intel_lookups_have_one_memo(self):
         """The fleet plane's VT/WHOIS caches, a fleet worker's WHOIS
         cache and ``stream --intel-db``'s registry are one memo class;

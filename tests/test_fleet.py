@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import (
-    BoardReplica,
     FleetError,
     FleetManager,
     IntelPlane,
@@ -52,14 +51,6 @@ def _detections(report):
     return {t: sorted(d) for t, d in report.detected_by_tenant().items()}
 
 
-def _seeds(plane, tenant_id):
-    """A tenant's seeds the way a worker computes them: a replica
-    synced from the plane's full board delta."""
-    replica = BoardReplica()
-    replica.apply(plane.board_delta(0)[1])
-    return replica.seeds_for(tenant_id)
-
-
 # ---------------------------------------------------------------------------
 # Intel plane
 # ---------------------------------------------------------------------------
@@ -93,11 +84,11 @@ class TestIntelPlane:
     def test_board_excludes_own_findings_and_low_scores(self):
         plane = IntelPlane(prior_threshold=0.4)
         plane.publish("a", 1, [("cc.c9", 1.0), ("weak.c9", 0.2)])
-        assert _seeds(plane, "b") == {"cc.c9"}
-        assert _seeds(plane, "a") == frozenset()
+        assert plane.seeds_for("b") == {"cc.c9"}
+        assert plane.seeds_for("a") == frozenset()
         # Once a second tenant confirms it, everyone is seeded.
         plane.publish("b", 2, [("cc.c9", 1.0)])
-        assert _seeds(plane, "a") == {"cc.c9"}
+        assert plane.seeds_for("a") == {"cc.c9"}
         entry = plane.board["cc.c9"]
         assert entry.tenants == {"a", "b"}
         assert entry.first_day == 1
@@ -109,7 +100,7 @@ class TestIntelPlane:
         plane.vt_reported("b", "evil.c9")
         restored = IntelPlane(vt=plane.vt)
         restored.restore(plane.encode())
-        assert _seeds(restored, "b") == {"evil.c9"}
+        assert restored.seeds_for("b") == {"evil.c9"}
         assert restored.vt_cache.stats.cross_tenant_hits == 1
         # The cached verdict (and its owner) survived.
         restored.vt_reported("c", "evil.c9")
@@ -509,7 +500,32 @@ class TestFleetCommand:
         assert main([
             "fleet", str(out / "manifest.json"), "--resume",
         ]) == 2
-        assert "resume requires" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: --resume requires --checkpoint-dir\n"
+        assert captured.out == ""
+
+    def test_checkpoint_dir_that_is_a_file_exits_2(
+        self, fleet_layout, tmp_path, capsys
+    ):
+        """Refused before any worker is spawned, not as a worker's
+        ``NotADirectoryError``."""
+        import multiprocessing
+
+        from repro.cli import main
+
+        state = tmp_path / "state"
+        state.write_text("not a directory\n")
+        assert main([
+            "fleet", str(fleet_layout), "--workers", "2",
+            "--checkpoint-dir", str(state),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --checkpoint-dir is not a directory: {state}\n"
+        )
+        assert captured.out == ""
+        assert state.read_text() == "not a directory\n"
+        assert multiprocessing.active_children() == []
 
     def test_interrupted_exits_3(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,9 +4,9 @@ The load-bearing properties: resident workers produce byte-identical
 per-tenant detections at any worker count (including mixed-pipeline
 fleets and sharded window aggregation); a SIGKILLed worker's tenants
 respawn from their checkpoints and resume losslessly while the other
-workers keep running; ``INJECT_INTEL`` is applied before any later
-``ADVANCE_DAY`` on the same queue (FIFO ordered delivery); and a
-checkpointed tenant is one document on disk.
+workers keep running; the seeds an ``ADVANCE_DAY`` task carries seed
+that day, and its answer arrives only once the tenant's checkpoint
+holds the round; and a checkpointed tenant is one document on disk.
 """
 
 import json
@@ -20,8 +20,6 @@ import pytest
 from repro.fleet import FleetError, FleetManager, load_manifest
 from repro.fleet.workers import (
     CMD_ADVANCE_DAY,
-    CMD_CHECKPOINT,
-    CMD_INJECT_INTEL,
     ResidentPool,
     _load_tenant_checkpoint,
 )
@@ -86,7 +84,7 @@ class TestResidentParity:
     def test_shipped_whois_stats_are_the_counts_since_the_last_ship(
         self, mixed_layout, monkeypatch
     ):
-        """Each ``advanced`` response carries the WHOIS lookups (and
+        """Each ``advanced`` answer carries the WHOIS lookups (and
         registry calls, the misses) made since the previous one -- the
         manager adds them up, so a cumulative count would double."""
         import repro.fleet.workers as workers
@@ -113,7 +111,7 @@ class TestResidentParity:
                 return self.pop(0)
 
         class Responses(list):
-            def put(self, message):
+            def send(self, message):
                 self.append((message, len(lookups), len(fed)))
 
         monkeypatch.setattr(workers, "TenantWhoisView", CountingView)
@@ -123,7 +121,7 @@ class TestResidentParity:
         commands = Commands(
             {"cmd": CMD_ADVANCE_DAY, "round": rnd, "tasks": [{
                 "tenant_id": spec.tenant_id, "log_path": str(path),
-                "bootstrap": rnd < spec.bootstrap_files,
+                "bootstrap": rnd < spec.bootstrap_files, "seeds": [],
             }]}
             for rnd, path in enumerate(files)
         )
@@ -223,7 +221,7 @@ class TestCrashRecovery:
         manifest = load_manifest(mixed_layout)
         manager = FleetManager.from_manifest(
             manifest, workers=2,
-            checkpoint_dir=tmp_path / "ckpt", heartbeat=0.5,
+            checkpoint_dir=tmp_path / "ckpt",
         )
         killed = []
 
@@ -273,12 +271,12 @@ class TestCrashRecovery:
         ]
 
 
-class TestOrderedDelivery:
-    def test_intel_applies_before_later_advance(self, mixed_layout, tmp_path):
-        # Drive a single-worker pool by hand: enqueue INJECT_INTEL
-        # immediately followed by ADVANCE_DAY without waiting.  FIFO
-        # delivery must fold the board entries in first, so the
-        # injected domains seed the advanced day's detection.
+class TestSeedsInTheTask:
+    def test_seeded_advance_answers_once_durable(self, mixed_layout, tmp_path):
+        # Drive a single-worker pool by hand, one ADVANCE_DAY at a time.
+        # The seeds the task carries must seed that day's detection, and
+        # the tenant's checkpoint must hold the round by the time the
+        # answer arrives -- there is no separate checkpoint command.
         manifest = load_manifest(mixed_layout)
         follower = next(
             spec for spec in manifest.tenants
@@ -291,7 +289,8 @@ class TestOrderedDelivery:
         seeded_day = next(
             d for d in serial.days_for(follower.tenant_id) if d.intel_seeded
         )
-        injected = sorted(seeded_day.intel_seeded)
+        seeds = sorted(seeded_day.intel_seeded)
+        checkpoint = tmp_path / "ckpt" / follower.tenant_id / "checkpoint.json"
 
         pool = ResidentPool(
             [follower],
@@ -304,15 +303,7 @@ class TestOrderedDelivery:
         try:
             handle = pool.workers[0]
             for rnd, path in enumerate(files[: seeded_day.day + 1]):
-                if rnd == seeded_day.day:
-                    pool.send(handle, {
-                        "cmd": CMD_INJECT_INTEL,
-                        "entries": [
-                            {"domain": domain, "score": 1.0,
-                             "tenants": ["t0"], "first_day": rnd - 1}
-                            for domain in injected
-                        ],
-                    })
+                task_seeds = seeds if rnd == seeded_day.day else []
                 pool.send(handle, {
                     "cmd": CMD_ADVANCE_DAY,
                     "round": rnd,
@@ -320,22 +311,15 @@ class TestOrderedDelivery:
                         "tenant_id": follower.tenant_id,
                         "log_path": str(path),
                         "bootstrap": rnd < follower.bootstrap_files,
+                        "seeds": task_seeds,
                     }],
                 })
-            responses = [
-                pool.recv(handle) for _ in files[: seeded_day.day + 1]
-            ]
-            final = responses[-1]["reports"][0]["report"]
-            assert set(injected) <= set(final["intel_seeded"])
-            assert set(injected) <= set(final["detected"])
-            pool.send(handle, {
-                "cmd": CMD_CHECKPOINT, "round": seeded_day.day + 1,
-            })
-            ack = pool.recv(handle)
-            assert ack["event"] == "checkpointed"
-            wrapper = _load_tenant_checkpoint(
-                tmp_path / "ckpt" / follower.tenant_id / "checkpoint.json"
-            )
-            assert wrapper["round"] == seeded_day.day + 1
+                answer = pool.recv(handle)
+                assert answer["event"] == "advanced"
+                assert answer["seeds_served"] == len(task_seeds)
+                assert _load_tenant_checkpoint(checkpoint)["round"] == rnd + 1
+            final = answer["reports"][0]["report"]
+            assert set(seeds) <= set(final["intel_seeded"])
+            assert set(seeds) <= set(final["detected"])
         finally:
             pool.shutdown()

@@ -21,6 +21,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import signal
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -329,10 +331,68 @@ def test_fleet_resume_matches_golden(mixed_fleet_layout, tmp_path):
     for report in (first, second):
         for tenant, entry in json.loads(report.read_text())["tenants"].items():
             days.setdefault(tenant, []).extend(_strip_timings(entry["days"]))
+    assert days == _golden_fleet_days()
+
+
+def _golden_fleet_days() -> dict[str, list]:
     golden = json.loads(GOLDEN.read_text())["fleet-workers-2:fleet"]
-    assert days == {
-        tenant: entry["days"] for tenant, entry in golden["tenants"].items()
-    }
+    return {tenant: entry["days"] for tenant, entry in golden["tenants"].items()}
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [("--workers", "1"), ("--workers", "4"),
+     ("--workers", "2", "--checkpoint-dir")],
+    ids=["workers-1", "workers-4", "workers-2-checkpointed"],
+)
+def test_fleet_report_matches_golden_at_any_layout(
+    layout, mixed_fleet_layout, tmp_path
+):
+    """The whole ``fleet --json`` report, not only the detections, is
+    the golden run's at any worker count and with checkpoints on."""
+    flags = list(layout)
+    if flags[-1] == "--checkpoint-dir":
+        flags.append(str(tmp_path / "ck"))
+    report = tmp_path / "fleet.json"
+    code, _ = _cli(
+        "fleet", str(mixed_fleet_layout / "manifest.json"), *flags,
+        "--json", str(report),
+    )
+    assert code == 0
+    value = json.loads(json.dumps(_strip_timings(
+        json.loads(report.read_text())
+    )))
+    assert value == json.loads(GOLDEN.read_text())["fleet-workers-2:fleet"]
+
+
+def test_fleet_worker_kills_match_golden(mixed_fleet_layout, tmp_path):
+    """SIGKILL worker 0 after the first barrier and worker 1 after the
+    second: each respawns from its tenants' checkpoints, and every
+    tenant's days are still the golden run's."""
+    from repro.fleet import FleetManager, load_manifest
+
+    manager = FleetManager.from_manifest(
+        load_manifest(mixed_fleet_layout / "manifest.json"), workers=2,
+        checkpoint_dir=tmp_path / "ck",
+    )
+    killed: list[int] = []
+
+    def on_round(reports):
+        if len(killed) < 2:
+            victim = manager.resident_pool.workers[len(killed)]
+            os.kill(victim.pid, signal.SIGKILL)
+            killed.append(victim.worker_id)
+
+    report = manager.run(on_round=on_round)
+    assert killed == [0, 1]
+    assert [
+        stats["respawns"] for _, stats in sorted(manager.worker_stats.items())
+    ] == [1, 1]
+    tenants = json.loads(json.dumps(report.as_dict()))["tenants"]
+    assert {
+        tenant: _strip_timings(entry["days"])
+        for tenant, entry in tenants.items()
+    } == _golden_fleet_days()
 
 
 def _regold() -> int:
