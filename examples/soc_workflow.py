@@ -61,18 +61,21 @@ def main() -> None:
         connections = dataset.day_connections(day)
         engine.ingest(connections)
         traffic = engine.window.traffic  # rollover() opens a fresh one
-        result = engine.rollover(soc_seed_domains=ioc.seeds()).day_result
+        report = engine.rollover(soc_seed_domains=ioc.seeds())
+        verdicts = engine.automation.automated_pairs(
+            traffic.rare_series(report.rare_domains)
+        )
 
         print(f"--- day {day}: {len(connections)} connections, "
-              f"{len(result.rare_domains)} rare, "
-              f"{len(result.cc_domains)} C&C alerts")
-        for bp_name, bp in (("no-hint", result.no_hint),
-                            ("SOC-hints", result.soc_hints)):
+              f"{len(report.rare_domains)} rare, "
+              f"{len(report.cc_domains)} C&C alerts")
+        for bp_name, bp in (("no-hint", report.bp_result),
+                            ("SOC-hints", report.soc_hints)):
             if bp is None or not bp.detected_domains:
                 continue
             incident = build_incident(
                 bp, traffic,
-                verdicts=result.automated_verdicts,
+                verdicts=verdicts,
                 whois=dataset.whois,
                 virustotal=virustotal,
                 when=(day + 1) * 86_400.0,

@@ -432,6 +432,10 @@ def _run_lanl(args) -> int:
 
     if args.hosts < 1:
         return _fail("--hosts must be positive")
+    if args.bootstrap_days < 0:
+        return _fail(
+            f"--bootstrap-days must be non-negative, not {args.bootstrap_days}"
+        )
     dataset = generate_lanl_dataset(
         LanlConfig(seed=args.seed, n_hosts=args.hosts,
                    bootstrap_days=args.bootstrap_days)
@@ -459,13 +463,22 @@ def _run_enterprise(args) -> int:
 
     if args.hosts < 1:
         return _fail("--hosts must be positive")
+    for flag in ("operation_days", "campaigns"):
+        if getattr(args, flag) < 1:
+            return _fail(
+                f"--{flag.replace('_', '-')} must be positive, "
+                f"not {getattr(args, flag)}"
+            )
     dataset = generate_enterprise_dataset(
         EnterpriseDatasetConfig(
             seed=args.seed, n_hosts=args.hosts,
             operation_days=args.operation_days, n_campaigns=args.campaigns,
         )
     )
-    evaluation = EnterpriseEvaluation(dataset)
+    try:
+        evaluation = EnterpriseEvaluation(dataset)
+    except ValueError as exc:
+        return _fail(f"training failed: {exc}")
     for title, sweep in (
         ("C&C sweep (Fig 6a)", evaluation.cc_sweep()),
         ("No-hint sweep (Fig 6b)", evaluation.no_hint_sweep()),

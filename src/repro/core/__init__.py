@@ -6,14 +6,13 @@ from .beliefprop import (
     IterationTrace,
     belief_propagation,
 )
-from .dayloop import DayDetection, detect_day
+from .dayloop import DayReport, detect_day
 from .graph import InfectionGraph, Label, NodeKind, NodeRecord
-from .pipeline import DayResult, EnterpriseDetector, TrainingReport
+from .pipeline import EnterpriseDetector, TrainingReport
 from .scoring import (
     AdditiveSimilarityScorer,
     RegressionCCScorer,
     RegressionSimilarityScorer,
-    ScoredDomain,
     multi_host_beacon_heuristic,
 )
 
@@ -22,18 +21,16 @@ __all__ = [
     "Detection",
     "IterationTrace",
     "belief_propagation",
-    "DayDetection",
+    "DayReport",
     "detect_day",
     "InfectionGraph",
     "Label",
     "NodeKind",
     "NodeRecord",
-    "DayResult",
     "EnterpriseDetector",
     "TrainingReport",
     "AdditiveSimilarityScorer",
     "RegressionCCScorer",
     "RegressionSimilarityScorer",
-    "ScoredDomain",
     "multi_host_beacon_heuristic",
 ]

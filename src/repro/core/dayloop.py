@@ -10,13 +10,15 @@ that second half, written once: batch ``run``, the streaming engines'
 end of day *and* every intra-day scoring round, a fleet tenant's round
 and both evaluation harnesses call it with their C&C set and a factory
 for their frontier scorer, and differ in nothing else -- it is the one
-place Algorithm 1 is called from.
+place Algorithm 1 is called from.  Its :class:`DayReport` is the day's
+one report: callers add to it, never copy out of it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Set
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from ..config import BeliefPropagationConfig
 from ..obs.metrics import NULL_METRICS
@@ -29,17 +31,27 @@ from .beliefprop import (
 
 
 @dataclass
-class DayDetection:
-    """Output of one seed -> propagate pass over a day of traffic."""
+class DayReport:
+    """The one record of a closed day: :func:`detect_day` returns it,
+    and every engine's ``rollover()`` -- so ``run``, ``stream`` and a
+    fleet tenant-day -- hands it out (an intra-day scoring round reads
+    the same record of the day so far).
 
-    cc_domains: set[str]
+    ``records`` counts reduced connections (post-funnel); the engine's
+    ``rollover()`` sets it.
+    """
+
+    day: int
+    rare_domains: set[str]
+    records: int = 0
+    cc_domains: set[str] = field(default_factory=set)
     """The day's potential C&C domains, as the caller's stage found them."""
 
-    detected: list[str]
+    detected: list[str] = field(default_factory=list)
     """Seed labels (sorted), then Algorithm 1's in labeling order."""
 
-    bp_result: BeliefPropagationResult | None
-    """``None`` when there was nothing to seed from."""
+    bp_result: BeliefPropagationResult | None = None
+    """The no-hint run; ``None`` when there was nothing to seed from."""
 
     intel_seeded: set[str] = field(default_factory=set)
     """Rare domains seeded from shared intelligence (fleet mode)."""
@@ -47,9 +59,37 @@ class DayDetection:
     ct_seeded: set[str] = field(default_factory=set)
     """Rare domains pulled in through CT SAN-pivot sibling edges."""
 
+    cc_scores: dict[str, float] = field(default_factory=dict)
+    """C&C domain -> its regression score (at or above ``Tc``); empty
+    on the DNS path, whose heuristic gives no score."""
+
+    soc_hints: BeliefPropagationResult | None = None
+    """The enterprise path's SOC-hints run, when IOC seeds were given."""
+
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    """Wall-clock seconds per detection stage: ``bp`` when Algorithm 1
-    ran; callers add the stages they timed (``automation``, ``cc``)."""
+    """Wall-clock seconds per stage: ``bp`` when Algorithm 1 ran;
+    callers add the stages they timed (``automation``, ``cc``, and the
+    engine's ``rare`` and ``commit``); observability only."""
+
+    path: Path | None = None
+    """The log file the day was read from, where the driver pairs a
+    report with one (:func:`repro.runner.run_directory`)."""
+
+    def publication_scores(self) -> dict[str, float]:
+        """Detected domain -> the score to publish it with (a fleet's
+        intel board, ``stream --intel-db``): seed and C&C labels count
+        as confirmed (1.0), similarity labels keep their labeling
+        score."""
+        scores: dict[str, float] = {}
+        if self.bp_result is not None:
+            for detection in self.bp_result.detections:
+                if detection.reason in ("seed", "cc"):
+                    scores[detection.domain] = 1.0
+                else:
+                    scores[detection.domain] = detection.score
+        for domain in self.detected:
+            scores.setdefault(domain, 1.0)
+        return scores
 
 
 def detect_day(
@@ -65,7 +105,7 @@ def detect_day(
     ct_edges=None,
     prior: BeliefPropagationResult | None = None,
     metrics=None,
-) -> DayDetection:
+) -> DayReport:
     """Seed belief propagation for one day and run it.
 
     ``cc`` is the day's C&C set (it also answers ``Detect_C&C`` inside
@@ -122,10 +162,11 @@ def detect_day(
     for domain in seed_domains:
         seed_hosts.update(hosts_of.get(domain, ()))
 
-    detection = DayDetection(
+    report = DayReport(
+        day=traffic.day,
+        rare_domains=rare,
         cc_domains=set(cc),
         detected=sorted(seed_domains),
-        bp_result=None,
         intel_seeded=intel_seeded,
         ct_seeded=ct_seeded,
     )
@@ -145,7 +186,7 @@ def detect_day(
                 prior=prior,
                 metrics=metrics,
             )
-        detection.bp_result = result
-        detection.detected += result.detected_domains
-        detection.stage_seconds["bp"] = bp_span.elapsed
-    return detection
+        report.bp_result = result
+        report.detected += result.detected_domains
+        report.stage_seconds["bp"] = bp_span.elapsed
+    return report

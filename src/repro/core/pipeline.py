@@ -25,13 +25,14 @@ detector, takes a day's connections by ``ingest`` and closes it with
 ``rollover()`` -- rare destinations, the automation test, ``Tc``
 scoring, belief propagation in the no-hint mode (and, when IOC seeds
 are supplied, the SOC-hints mode), then one commit of the day into the
-histories.  :class:`DayResult` is what that end of day produces.
+histories.  The day's :class:`~repro.core.dayloop.DayReport` is what
+that end of day produces.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import SystemConfig
 from ..features.extract import (
@@ -49,59 +50,13 @@ from ..profiling.rare import DailyTraffic
 from ..profiling.ua import UserAgentHistory
 from ..profiling.window import WindowedAggregator
 from ..timing.detector import AutomationDetector, AutomationVerdict
-from .beliefprop import BeliefPropagationResult
 from .scoring import (
     RegressionCCScorer,
     RegressionSimilarityScorer,
-    ScoredDomain,
     automated_hosts_by_domain,
 )
 
 DailyBatch = tuple[int, Sequence[Connection]]
-
-
-@dataclass
-class DayResult:
-    """Everything the system produced for one operational day."""
-
-    day: int
-    rare_domains: set[str]
-    automated_verdicts: list[AutomationVerdict]
-    cc_domains: list[ScoredDomain]
-    no_hint: BeliefPropagationResult | None = None
-    soc_hints: BeliefPropagationResult | None = None
-    intel_seeded: set[str] = field(default_factory=set)
-    """Rare domains seeded from shared intelligence (fleet mode)."""
-
-    ct_seeded: set[str] = field(default_factory=set)
-    """Rare domains pulled in through CT SAN-pivot sibling edges."""
-
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    """Wall-clock seconds per detection stage (``automation``, ``cc``,
-    ``bp``); always measured, observability only."""
-
-    @property
-    def cc_domain_names(self) -> set[str]:
-        return {scored.domain for scored in self.cc_domains}
-
-    def detected_in_order(self) -> list[str]:
-        """Everything detected: the no-hint seeds (C&C hits, intel- and
-        CT-seeded domains -- detections in their own right) sorted,
-        then each mode's labels in labeling order.  SOC hint seeds are
-        inputs, not detections."""
-        seeds = self.cc_domain_names | self.intel_seeded | self.ct_seeded
-        detected = sorted(seeds)
-        for result in (self.no_hint, self.soc_hints):
-            if result is not None:
-                detected += [
-                    d for d in result.detected_domains
-                    if d not in seeds and d not in detected
-                ]
-        return detected
-
-    def all_detected_domains(self) -> set[str]:
-        """:meth:`detected_in_order` as a set."""
-        return set(self.detected_in_order())
 
 
 @dataclass

@@ -43,14 +43,6 @@ from ..profiling.rare import DOMAIN_MASK, PAIR_SHIFT, DailyTraffic
 from ..timing.detector import AutomationVerdict
 
 
-@dataclass(frozen=True)
-class ScoredDomain:
-    """A domain with its computed suspiciousness score."""
-
-    domain: str
-    score: float
-
-
 class RegressionCCScorer:
     """Scores rare automated domains with the trained C&C model."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from ..config import ENTERPRISE_CONFIG, SystemConfig
-from ..core.dayloop import DayDetection, detect_day
+from ..core.dayloop import DayReport, detect_day
 from ..core.pipeline import EnterpriseDetector
 from ..core.scoring import automated_hosts_by_domain
 from ..intel.ioc import IocList
@@ -140,7 +140,7 @@ class EnterpriseEvaluation:
 
     def detect(
         self, op_day: OperationalDay, ts: float, tc: float = 0.4, **hints
-    ) -> DayDetection:
+    ) -> DayReport:
         """One seed -> propagate pass over a cached day at thresholds
         ``ts`` / ``tc`` (:func:`repro.core.dayloop.detect_day`)."""
         return detect_day(

@@ -57,7 +57,7 @@ class TenantDayReport:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds per detection stage of the day's rollover
     (``rare``, ``automation``, ``bp``, ``commit``), from the engine's
-    :class:`~repro.streaming.StreamDayReport`."""
+    :class:`~repro.core.DayReport`."""
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -317,7 +317,7 @@ class IntelStore:
         self, tenant: str, day: int, scores: Mapping[str, float]
     ) -> None:
         """Fold one tenant's day of publication scores (domain -> score,
-        as :meth:`~repro.streaming.StreamDayReport.publication_scores`
+        as :meth:`~repro.core.DayReport.publication_scores`
         returns them) into its rolling domain profiles."""
         with self._lock:
             for domain, score in scores.items():

@@ -21,17 +21,13 @@ from __future__ import annotations
 from collections.abc import Sequence, Set
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .config import SystemConfig
-from .core.dayloop import DayDetection, detect_day
+from .core.dayloop import DayReport, detect_day
 from .core.scoring import AdditiveSimilarityScorer, multi_host_cc_domains
 from .obs.metrics import NULL_METRICS
 from .profiling.rare import DailyTraffic
 from .timing.detector import AutomationDetector
-
-if TYPE_CHECKING:
-    from .streaming.engine import StreamDayReport
 
 
 def detect_on_traffic(
@@ -45,7 +41,7 @@ def detect_on_traffic(
     intel_domains: Set[str] = frozenset(),
     ct_edges=None,
     metrics=None,
-) -> DayDetection:
+) -> DayReport:
     """The DNS-path daily detection stages on one day of traffic.
 
     The automation test over rare (host, domain) series and the
@@ -70,7 +66,7 @@ def detect_on_traffic(
         cc = multi_host_cc_domains(
             automation.automated_pairs(traffic.rare_series(rare))
         )
-    detection = detect_day(
+    report = detect_day(
         traffic,
         rare,
         cc=cc,
@@ -81,10 +77,10 @@ def detect_on_traffic(
         ct_edges=ct_edges,
         metrics=metrics,
     )
-    detection.stage_seconds = {
-        "automation": automation_span.elapsed, **detection.stage_seconds
+    report.stage_seconds = {
+        "automation": automation_span.elapsed, **report.stage_seconds
     }
-    return detection
+    return report
 
 
 def run_directory(
@@ -97,7 +93,7 @@ def run_directory(
     server_ips: frozenset[str] = frozenset(),
     metrics=None,
     ct_edges=None,
-) -> list[StreamDayReport]:
+) -> list[DayReport]:
     """Bootstrap on the first ``bootstrap_files`` logs in a directory
     (sorted by name) and detect on the rest.
 

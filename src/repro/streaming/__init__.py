@@ -28,19 +28,13 @@ rounds between, the report is the same.
 
 from ..profiling.window import WindowedAggregator
 from .detector import StreamingDetector
-from .engine import (
-    ReplayResult,
-    StreamDayReport,
-    StreamingEngineBase,
-    StreamUpdate,
-)
+from .engine import ReplayResult, StreamingEngineBase, StreamUpdate
 from .enterprise import StreamingEnterpriseDetector
 from .incremental import WarmStartConfig
 from .replay import open_engine, replay_directory, replay_enterprise_directory
 
 __all__ = [
     "ReplayResult",
-    "StreamDayReport",
     "StreamUpdate",
     "StreamingDetector",
     "StreamingEngineBase",

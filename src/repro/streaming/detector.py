@@ -36,6 +36,7 @@ a restore) and rebuilt from ``prior`` on the next round.
 from __future__ import annotations
 
 from ..config import LANL_CONFIG, SystemConfig
+from ..core.dayloop import DayReport
 from ..core.scoring import (
     MULTI_HOST_MIN_HOSTS,
     AdditiveSimilarityScorer,
@@ -47,7 +48,7 @@ from ..profiling.history import DestinationHistory
 from ..profiling.ua import UserAgentHistory
 from ..runner import detect_on_traffic
 from ..timing.detector import AutomationDetector
-from .engine import StreamDayReport, StreamingEngineBase
+from .engine import StreamingEngineBase
 from .incremental import WarmStartConfig
 
 
@@ -106,19 +107,13 @@ class StreamingDetector(StreamingEngineBase):
             )
         return self._day_scorer
 
-    def _detect_day(self, report: StreamDayReport, traffic, **seeding) -> None:
-        detection = detect_on_traffic(
+    def _detect_day(self, traffic, rare: set[str], **seeding) -> DayReport:
+        return detect_on_traffic(
             traffic,
-            report.rare_domains,
+            rare,
             automation=self.automation,
             scorer=self.scorer,
             config=self.config,
             metrics=self.metrics,
             **seeding,
         )
-        report.cc_domains = detection.cc_domains
-        report.detected = detection.detected
-        report.bp_result = detection.bp_result
-        report.intel_seeded = detection.intel_seeded
-        report.ct_seeded = detection.ct_seeded
-        report.stage_seconds = detection.stage_seconds

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from ..config import SystemConfig
 from ..core.beliefprop import BeliefPropagationResult
-from ..core.dayloop import detect_day
+from ..core.dayloop import DayReport, detect_day
 from ..logs.records import Connection, ConnectionBatch
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import NULL_METRICS
@@ -73,55 +73,6 @@ class StreamUpdate:
     """``"warm"``, ``"full"`` or ``"idle"`` (nothing to propagate)."""
 
     bp_result: BeliefPropagationResult | None = None
-
-
-@dataclass
-class StreamDayReport:
-    """End-of-day report of one :meth:`StreamingEngineBase.rollover`.
-
-    ``records`` counts reduced connections (post-funnel).
-    """
-
-    day: int
-    records: int
-    rare_domains: set[str]
-    cc_domains: set[str] = field(default_factory=set)
-    detected: list[str] = field(default_factory=list)
-    bp_result: BeliefPropagationResult | None = None
-    intel_seeded: set[str] = field(default_factory=set)
-    """Domains seeded from shared intelligence (fleet mode)."""
-
-    ct_seeded: set[str] = field(default_factory=set)
-    """Domains pulled in through CT SAN-pivot sibling edges."""
-
-    day_result: "object | None" = None
-    """The enterprise path's full :class:`repro.core.DayResult` (both
-    belief-propagation modes, scored C&C domains); ``None`` on the
-    DNS path."""
-
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    """Wall-clock seconds per rollover stage (``rare``, ``automation``,
-    ``cc``, ``bp``, ``commit``); always measured, observability only."""
-
-    path: Path | None = None
-    """The log file the day was read from, where the driver pairs a
-    report with one (:func:`repro.runner.run_directory`)."""
-
-    def publication_scores(self) -> dict[str, float]:
-        """Detected domain -> the score to publish it with (a fleet's
-        intel board, ``stream --intel-db``): seed and C&C labels count
-        as confirmed (1.0), similarity labels keep their labeling
-        score."""
-        scores: dict[str, float] = {}
-        if self.bp_result is not None:
-            for detection in self.bp_result.detections:
-                if detection.reason in ("seed", "cc"):
-                    scores[detection.domain] = 1.0
-                else:
-                    scores[detection.domain] = detection.score
-        for domain in self.detected:
-            scores.setdefault(domain, 1.0)
-        return scores
 
 
 class StreamingEngineBase:
@@ -483,13 +434,13 @@ class StreamingEngineBase:
     # Day boundary
     # ------------------------------------------------------------------
 
-    def _detect_day(self, report: StreamDayReport, traffic, **seeding) -> None:
+    def _detect_day(self, traffic, rare: set[str], **seeding) -> DayReport:
         """Run the pipeline's end-of-day routine over ``traffic`` and
-        ``report.rare_domains``; fill the detection fields of
-        ``report`` (its ``stage_seconds`` with the stages it timed)."""
+        its ``rare`` domains; return the day's report (its
+        ``stage_seconds`` holding the stages it timed)."""
         raise NotImplementedError
 
-    def rollover(self, *, detect: bool = True, **seeding) -> StreamDayReport:
+    def rollover(self, *, detect: bool = True, **seeding) -> DayReport:
         """Close the day: end-of-day detection, then commit histories.
 
         The paper's nightly cycle (III-E), written once: the rare set
@@ -515,16 +466,14 @@ class StreamingEngineBase:
                 self.history,
                 unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
             )
-        report = StreamDayReport(
-            day=self.window.day,
-            records=self.window.events_today,
-            rare_domains=rare,
-        )
         if detect:
-            self._detect_day(report, traffic, **seeding)
+            report = self._detect_day(traffic, rare, **seeding)
             self.metrics.counter("stream_detections_total").inc(
                 len(report.detected)
             )
+        else:
+            report = DayReport(day=self.window.day, rare_domains=rare)
+        report.records = self.window.events_today
         with self.metrics.span("rollover_commit") as commit_span:
             self._reset_day()
         report.stage_seconds = {
@@ -629,7 +578,7 @@ def resolve_replay_paths(
 
 
 def log_day_rollover(
-    report: StreamDayReport, path: Path, *, bootstrap: bool
+    report: DayReport, path: Path, *, bootstrap: bool
 ) -> None:
     """The ``day_rollover`` event of one closed log file; ``run`` and
     ``stream`` emit it from their loops."""

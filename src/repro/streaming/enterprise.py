@@ -49,11 +49,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Set
 from contextlib import contextmanager
 
-from ..core.dayloop import detect_day
-from ..core.pipeline import DayResult, EnterpriseDetector
-from ..core.scoring import ScoredDomain
+from ..core.dayloop import DayReport, detect_day
+from ..core.pipeline import EnterpriseDetector
 from ..logs.normalize import ProxyNormalizer
-from .engine import StreamDayReport, StreamingEngineBase
+from .engine import StreamingEngineBase
 from .incremental import WarmStartConfig
 
 SECONDS_PER_DAY = 86_400.0
@@ -163,13 +162,13 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
 
     def _detect_day(
         self,
-        report: StreamDayReport,
         traffic,
+        rare: set[str],
         *,
         soc_seed_domains: Iterable[str] = (),
         intel_domains: Set[str] = frozenset(),
         ct_edges=None,
-    ) -> None:
+    ) -> DayReport:
         """The enterprise-path end of day (Section III-E, operation).
 
         The automation test over every rare (host, domain) series and
@@ -181,31 +180,25 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
         also hands the SOC-hints run its sibling map).  Each run gets
         a fresh frontier scorer whose WHOIS imputation state evolves
         exactly as per-domain scoring would.
+
+        The no-hint run's report is the day's: its ``detected`` already
+        holds the sorted seeds (C&C, intel, CT) and then its labels;
+        the SOC-hints run adds its labels not already there (its seeds
+        are inputs, not detections) and its ``bp`` seconds.
         """
-        rare = report.rare_domains
         with self.metrics.span("detect_automation") as automation_span:
             verdicts = self.automation.automated_pairs(
                 traffic.rare_series(rare)
             )
         with self.metrics.span("detect_cc") as cc_span:
-            cc_domains = sorted(
-                (
-                    ScoredDomain(domain, score)
-                    for domain, score
-                    in self._cc_scores(traffic, verdicts).items()
-                ),
-                key=lambda scored: (-scored.score, scored.domain),
-            )
-            cc_set = {scored.domain for scored in cc_domains}
-        stage_seconds = {
-            "automation": automation_span.elapsed, "cc": cc_span.elapsed,
-        }
+            cc_scores = self._cc_scores(traffic, verdicts)
+            cc = set(cc_scores)
 
         def run(**seeding):
             return detect_day(
                 traffic,
                 rare,
-                cc=cc_set,
+                cc=cc,
                 new_scorer=lambda: self._round_scorer(traffic),
                 config=self.config.belief_propagation,
                 ct_edges=ct_edges,
@@ -213,32 +206,25 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
                 **seeding,
             )
 
-        no_hint = run(intel_domains=intel_domains)
+        report = run(intel_domains=intel_domains)
+        runs = [report]
         soc_seed_domains = tuple(soc_seed_domains)
-        hinted = (
-            run(hint_domains=soc_seed_domains) if soc_seed_domains else None
-        )
+        if soc_seed_domains:
+            hinted = run(hint_domains=soc_seed_domains)
+            runs.append(hinted)
+            report.soc_hints = hinted.bp_result
+            if hinted.bp_result is not None:
+                report.detected += [
+                    d for d in hinted.bp_result.detected_domains
+                    if d not in report.detected
+                ]
+        report.cc_scores = cc_scores
+        report.stage_seconds = {
+            "automation": automation_span.elapsed, "cc": cc_span.elapsed,
+        }
         bp_seconds = [
-            r.stage_seconds["bp"] for r in (no_hint, hinted)
-            if r is not None and "bp" in r.stage_seconds
+            r.stage_seconds["bp"] for r in runs if "bp" in r.stage_seconds
         ]
         if bp_seconds:
-            stage_seconds["bp"] = sum(bp_seconds)
-        result = DayResult(
-            day=report.day,
-            rare_domains=rare,
-            automated_verdicts=verdicts,
-            cc_domains=cc_domains,
-            no_hint=no_hint.bp_result,
-            soc_hints=hinted.bp_result if hinted is not None else None,
-            intel_seeded=no_hint.intel_seeded,
-            ct_seeded=no_hint.ct_seeded,
-            stage_seconds=stage_seconds,
-        )
-        report.cc_domains = cc_set
-        report.detected = result.detected_in_order()
-        report.bp_result = result.no_hint
-        report.intel_seeded = result.intel_seeded
-        report.ct_seeded = result.ct_seeded
-        report.day_result = result
-        report.stage_seconds = stage_seconds
+            report.stage_seconds["bp"] = sum(bp_seconds)
+        return report

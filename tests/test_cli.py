@@ -444,6 +444,44 @@ def test_zero_hosts_is_a_usage_error(verb, tmp_path, capsys):
     _assert_usage_error(capsys)
 
 
+#: Harness sizes no world can have, and the ``error:`` line each gets.
+IMPOSSIBLE_SIZES = [
+    ("enterprise --campaigns 0", "--campaigns must be positive, not 0"),
+    ("enterprise --campaigns -2", "--campaigns must be positive, not -2"),
+    ("enterprise --operation-days 0",
+     "--operation-days must be positive, not 0"),
+    ("enterprise --operation-days -1",
+     "--operation-days must be positive, not -1"),
+    ("lanl --bootstrap-days -1",
+     "--bootstrap-days must be non-negative, not -1"),
+    ("enterprise --campaigns 1 --hosts 20", "training failed: "),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "error"), IMPOSSIBLE_SIZES, ids=[a for a, _ in IMPOSSIBLE_SIZES]
+)
+def test_impossible_harness_size_is_a_usage_error(
+    argv, error, capsys, monkeypatch
+):
+    """Not a ``ValueError`` traceback (exit 1), nor an all-zero table or
+    a run over a negative bootstrap (exit 0): one ``error:`` line, and
+    a refused size generates no world."""
+    import repro.synthetic
+
+    if not error.startswith("training"):
+        def never(*args, **kwargs):
+            raise AssertionError("a refused size generated a world")
+
+        for name in ("generate_lanl_dataset", "generate_enterprise_dataset"):
+            monkeypatch.setattr(repro.synthetic, name, never)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {error}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 class TestLanlCommand:
     def test_prints_table_and_rates(self, lanl_cli_output):
         code, out = lanl_cli_output

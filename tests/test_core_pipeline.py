@@ -26,13 +26,13 @@ class TestTraining:
 
 def _operate(engine, dataset, **seeding):
     """Feed every operation day in one poll each; yield the day's
-    :class:`~repro.core.DayResult`."""
+    :class:`~repro.core.DayReport`."""
     first = dataset.config.bootstrap_days
     for day in range(first, dataset.config.total_days):
         engine.ingest(dataset.day_connections(day))
         report = engine.rollover(**seeding)
         assert report.day == day
-        yield report.day_result
+        yield report
 
 
 class TestOperation:
@@ -45,10 +45,11 @@ class TestOperation:
         engine = StreamingEnterpriseDetector(trained_detector)
         day = enterprise_dataset.config.bootstrap_days
         assert engine.window.day == day
-        result = next(_operate(engine, enterprise_dataset))
-        assert result.day == day
-        assert result.rare_domains
-        assert isinstance(result.all_detected_domains(), set)
+        report = next(_operate(engine, enterprise_dataset))
+        assert report.day == day
+        assert report.rare_domains
+        assert isinstance(report.detected, list)
+        assert len(set(report.detected)) == len(report.detected)
 
     def test_cc_detections_on_attack_day(
         self, trained_detector, enterprise_dataset
@@ -58,8 +59,8 @@ class TestOperation:
         truth_cc = {d for c in enterprise_dataset.campaigns for d in c.cc_domains}
         found = set()
         engine = StreamingEnterpriseDetector(trained_detector)
-        for result in _operate(engine, enterprise_dataset):
-            found |= result.cc_domain_names
+        for report in _operate(engine, enterprise_dataset):
+            found |= report.cc_domains
         assert found & truth_cc
 
     def test_soc_seeds_trigger_hints_mode(
@@ -68,20 +69,22 @@ class TestOperation:
         ioc = enterprise_dataset.build_ioc_list()
         ran_hints = False
         engine = StreamingEnterpriseDetector(trained_detector)
-        for result in _operate(
+        for report in _operate(
             engine, enterprise_dataset, soc_seed_domains=ioc.seeds()
         ):
-            if result.soc_hints is not None:
+            if report.soc_hints is not None:
                 ran_hints = True
-                assert result.soc_hints.domains  # seeds at minimum
+                assert report.soc_hints.domains  # seeds at minimum
         assert ran_hints
 
-    def test_cc_domains_sorted_by_score(
+    def test_cc_scores_are_the_cc_domains_above_tc(
         self, trained_detector, enterprise_dataset
     ):
         engine = StreamingEnterpriseDetector(trained_detector)
-        for result in _operate(engine, enterprise_dataset):
-            scores = [s.score for s in result.cc_domains]
-            assert scores == sorted(scores, reverse=True)
-            if result.cc_domains:
-                break
+        threshold = trained_detector.cc_scorer.threshold
+        seen_cc = False
+        for report in _operate(engine, enterprise_dataset):
+            assert set(report.cc_scores) == report.cc_domains
+            assert all(s >= threshold for s in report.cc_scores.values())
+            seen_cc = seen_cc or bool(report.cc_domains)
+        assert seen_cc

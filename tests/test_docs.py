@@ -175,6 +175,64 @@ class TestOneDayLoop:
         assert list(cc_stage) == ["streaming/enterprise.py"]
         assert len(cc_stage["streaming/enterprise.py"]) == 1
 
+    def test_a_day_has_one_report(
+        self, enterprise_evaluation, trained_detector, mixed_fleet_layout
+    ):
+        """A closed day is one :class:`~repro.core.DayReport` in every
+        mode: the kernel returns it and the engines add to it, so no
+        second report type, no enterprise-only result and no scored-C&C
+        list exists to copy fields between -- in the code or in what
+        documents it."""
+        gone = (
+            r"DayDetection|DayResult|StreamDayReport|ScoredDomain"
+            r"|day_result|detected_in_order|all_detected_domains"
+            r"|cc_domain_names"
+        )
+        skills = [
+            p for p in sorted((REPO / ".claude").rglob("*")) if p.is_file()
+        ]
+        assert self._files_matching(gone) + [
+            p.relative_to(REPO).as_posix() for p in skills
+            if re.search(gone, p.read_text())
+        ] == []
+
+        from repro.core import DayReport, detect_day
+        from repro.runner import detect_on_traffic, run_directory
+        from repro.streaming import (
+            StreamingDetector,
+            StreamingEnterpriseDetector,
+        )
+
+        evaluation = enterprise_evaluation
+        op_day = evaluation.days[0]
+        dns = StreamingDetector()
+        traffic = dns.window.traffic
+        traffic.finalize()
+        enterprise = StreamingEnterpriseDetector(
+            trained_detector, start_day=99
+        )
+        reports = [
+            detect_day(
+                op_day.traffic, op_day.rare, cc=set(),
+                new_scorer=lambda: None,
+                config=evaluation.config.belief_propagation,
+            ),
+            evaluation.detect(op_day, 0.33),
+            detect_on_traffic(
+                traffic, set(), automation=dns.automation,
+                scorer=dns.scorer, config=dns.config,
+            ),
+            dns.rollover(), dns.rollover(detect=False),
+            enterprise.rollover(), enterprise.rollover(detect=False),
+            *run_directory(
+                mixed_fleet_layout / "t0", bootstrap_files=1,
+                pattern="dns-*.log", internal_suffixes=("int.c0",),
+            ),
+        ]
+        assert [type(report) for report in reports] == (
+            [DayReport] * len(reports)
+        )
+
     def test_an_engine_is_opened_in_one_place(self):
         """``stream`` (both pipelines), ``run`` and a fleet worker's
         fresh tenant build their engine in ``open_engine``; a checkpoint

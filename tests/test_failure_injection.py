@@ -191,11 +191,13 @@ class TestCorruptLogs:
 class TestEmptyAndDegenerateDays:
     def test_empty_day_produces_empty_result(self, trained_detector):
         engine = StreamingEnterpriseDetector(trained_detector, start_day=99)
-        result = engine.rollover().day_result
-        assert result.day == 99
-        assert result.rare_domains == set()
-        assert result.cc_domains == []
-        assert result.no_hint is None
+        report = engine.rollover()
+        assert report.day == 99
+        assert report.rare_domains == set()
+        assert report.cc_domains == set()
+        assert report.cc_scores == {}
+        assert report.bp_result is None
+        assert report.detected == []
 
     def test_single_connection_day(self, trained_detector):
         conn = Connection(
@@ -204,9 +206,9 @@ class TestEmptyAndDegenerateDays:
         )
         engine = StreamingEnterpriseDetector(trained_detector, start_day=99)
         engine.ingest([conn])
-        result = engine.rollover().day_result
-        assert result.rare_domains == {"lonely.ru"}
-        assert result.cc_domains == []  # one connection cannot beacon
+        report = engine.rollover()
+        assert report.rare_domains == {"lonely.ru"}
+        assert report.cc_domains == set()  # one connection cannot beacon
 
     def test_rare_extraction_on_empty_traffic(self):
         traffic = DailyTraffic(0)

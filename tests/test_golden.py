@@ -240,6 +240,33 @@ def case_figure6(ctx) -> dict:
     }
 
 
+def case_engine_soc_hints(ctx) -> dict:
+    """The enterprise engine's close with SOC hints (the merge of the
+    no-hint and the IOC-seeded runs), which no CLI verb reaches."""
+    from repro.state import restore_detector
+    from repro.streaming import StreamingEnterpriseDetector
+
+    dataset = ctx.enterprise_dataset
+    engine = StreamingEnterpriseDetector(
+        restore_detector(ctx.trained_state, whois=dataset.whois)
+    )
+    seeds = dataset.build_ioc_list().seeds()
+    days = {}
+    for day in range(dataset.config.bootstrap_days, dataset.config.total_days):
+        engine.ingest(dataset.day_connections(day))
+        report = engine.rollover(soc_seed_domains=seeds)
+        hinted = report.soc_hints
+        days[f"day {day}"] = {
+            "detected": report.detected,
+            "cc_domains": sorted(report.cc_domains),
+            "soc_hints": None if hinted is None else [
+                [d.domain, d.iteration, d.reason, round(d.score, 9)]
+                for d in hinted.detections
+            ],
+        }
+    return days
+
+
 def case_checkpoint_dns(ctx) -> str:
     path = ctx.tmp / "dns-ckpt.json"
     code, _ = _cli(
@@ -269,6 +296,7 @@ CASES = {
     "lanl-table": case_lanl,
     "lanl-contexts": case_lanl_contexts,
     "figure6-sweeps": case_figure6,
+    "engine-soc-hints:enterprise": case_engine_soc_hints,
     "checkpoint-sha256:dns": case_checkpoint_dns,
     "checkpoint-sha256:enterprise": case_checkpoint_enterprise,
 }
@@ -276,13 +304,15 @@ CASES = {
 
 @pytest.fixture
 def ctx(ent_layout, mixed_fleet_layout, tmp_path, lanl_cli_output,
-        enterprise_evaluation):
-    """What the cases read: the two layouts, a scratch directory and
-    the session's already-computed ``lanl`` output and evaluation."""
+        enterprise_evaluation, enterprise_dataset, trained_state):
+    """What the cases read: the two layouts, a scratch directory, the
+    session's already-computed ``lanl`` output and evaluation, and its
+    enterprise dataset with the system trained on it."""
     return SimpleNamespace(
         ent=ent_layout, fleet=mixed_fleet_layout, tmp=tmp_path,
         lanl_cli_output=lanl_cli_output,
         enterprise_evaluation=enterprise_evaluation,
+        enterprise_dataset=enterprise_dataset, trained_state=trained_state,
     )
 
 

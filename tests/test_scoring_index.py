@@ -377,21 +377,20 @@ def test_detect_on_enterprise_traffic_index_parity():
                     soc_seed_domains=soc, intel_domains=intel
                 )
                 assert report.rare_domains == rare
-                result = report.day_result
                 whois = detector.similarity_scorer.extractor.whois
                 runs[similarity] = (
-                    result,
+                    report,
                     None if whois is None else (
                         whois._age_sum, whois._validity_sum, whois._observed
                     ),
                 )
             fast, fast_whois = runs[RegressionSimilarityScorer]
             slow, slow_whois = runs[PerDomainRegression]
-            assert fast.cc_domains == slow.cc_domains
+            assert fast.cc_scores == slow.cc_scores
             assert fast.intel_seeded == slow.intel_seeded
-            _assert_same_bp(fast.no_hint, slow.no_hint)
+            _assert_same_bp(fast.bp_result, slow.bp_result)
             _assert_same_bp(fast.soc_hints, slow.soc_hints)
-            assert fast.all_detected_domains() == slow.all_detected_domains()
+            assert fast.detected == slow.detected
             assert fast_whois == slow_whois
             _commit(traffic, history)
 
