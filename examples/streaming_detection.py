@@ -54,7 +54,7 @@ def main() -> None:
         new = set(update.detected) - seen
         if new:
             print(
-                f"  after {update.events_today:5d} events "
+                f"  after {update.records:5d} events "
                 f"({update.mode:4s} propagation): NEW detections {sorted(new)}"
             )
             seen.update(new)

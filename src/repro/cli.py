@@ -469,6 +469,10 @@ def _run_enterprise(args) -> int:
                 f"--{flag.replace('_', '-')} must be positive, "
                 f"not {getattr(args, flag)}"
             )
+    if args.save_state is not None and not args.save_state.parent.is_dir():
+        return _fail(
+            f"--save-state directory not found: {args.save_state.parent}"
+        )
     dataset = generate_enterprise_dataset(
         EnterpriseDatasetConfig(
             seed=args.seed, n_hosts=args.hosts,
@@ -512,6 +516,11 @@ def _run_generate(args) -> int:
     for flag in ("tenants", "hosts", "days"):
         if getattr(args, flag) < 1:
             return _fail(f"--{flag} must be positive")
+    # The nearest existing ancestor must be a directory, or the world
+    # would be generated only to fail at its first write.
+    found = next(p for p in (args.output, *args.output.parents) if p.exists())
+    if not found.is_dir():
+        return _fail(f"not a directory: {found}")
     if args.enterprise_tenants and args.tenants < 2:
         return _fail(
             "--enterprise-tenants needs a fleet (--tenants N >= 2); use "
@@ -796,11 +805,11 @@ def _run_stream(args) -> int:
     from .state import StateError
     from .streaming import WarmStartConfig, replay_directory
 
-    def on_update(update) -> None:
-        if args.verbose and update.detected:
+    def on_update(report) -> None:
+        if args.verbose and report.detected:
             print(
-                f"  [day {update.day} +{update.events_today} ev] "
-                f"{update.mode}: detected={list(update.detected)}"
+                f"  [day {report.day} +{report.records} ev] "
+                f"{report.mode}: detected={report.detected}"
             )
 
     metrics = _start_data_verb(args)
@@ -991,8 +1000,12 @@ def _run_timing(args) -> int:
     from .config import HistogramConfig
     from .timing import AutomationDetector
 
-    if not args.bin_width > 0:
-        return _fail("--bin-width must be positive")
+    if not (math.isfinite(args.bin_width) and args.bin_width > 0):
+        return _fail(f"--bin-width must be finite and positive, "
+                     f"not {args.bin_width}")
+    if not (math.isfinite(args.threshold) and args.threshold >= 0):
+        return _fail(f"--threshold must be finite and non-negative, "
+                     f"not {args.threshold}")
     try:
         if args.series is not None:
             lines = args.series.read_text().splitlines()

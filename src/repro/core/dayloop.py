@@ -32,18 +32,25 @@ from .beliefprop import (
 
 @dataclass
 class DayReport:
-    """The one record of a closed day: :func:`detect_day` returns it,
-    and every engine's ``rollover()`` -- so ``run``, ``stream`` and a
-    fleet tenant-day -- hands it out (an intra-day scoring round reads
-    the same record of the day so far).
+    """The one record of a day: :func:`detect_day` returns it, and
+    every engine's ``rollover()`` -- so ``run``, ``stream`` and a fleet
+    tenant-day -- hands it out; an intra-day scoring round (the
+    engines' ``score()``) returns the same record of the day so far.
 
-    ``records`` counts reduced connections (post-funnel); the engine's
-    ``rollover()`` sets it.
+    ``records`` counts reduced connections (post-funnel) of the day --
+    so far, for a round; the engine's ``score()`` / ``rollover()`` sets
+    it.
     """
 
     day: int
     rare_domains: set[str]
     records: int = 0
+    mode: str = "close"
+    """``"close"`` for the end of day; a scoring round's kind
+    otherwise: ``"warm"`` (continued the previous round's run),
+    ``"full"`` (a cold run from the seeds) or ``"idle"`` (nothing to
+    propagate)."""
+
     cc_domains: set[str] = field(default_factory=set)
     """The day's potential C&C domains, as the caller's stage found them."""
 

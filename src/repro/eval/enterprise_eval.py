@@ -88,8 +88,7 @@ class EnterpriseEvaluation:
         last = self.dataset.config.total_days
         for day, connections in self.dataset.day_batches(first, last):
             window = self.detector.day_window(day, connections)
-            # A copy: the rollover below clears the window's own set.
-            traffic, rare = window.traffic, set(window.rare)
+            traffic, rare = window.traffic, window.rare
             when = (day + 1) * SECONDS_PER_DAY
             verdicts = self.detector._automation_verdicts(traffic, rare)
             cc_scores = self.detector.cc_scorer.score_automated(

@@ -725,55 +725,3 @@ def rare_domains_by_host(
         for host in traffic.hosts_by_domain.get(domain, ()):
             by_host[host].add(domain)
     return dict(by_host)
-
-
-class RareDomainTracker:
-    """Incrementally maintained rare set for one day of traffic.
-
-    :func:`extract_rare_domains` rescans every domain of the day; at
-    streaming rates that is O(domains) per micro-batch.  The tracker
-    instead reacts to popularity changes: a domain enters the rare set
-    on its first contact of the day (if absent from the history) and
-    leaves it for good once ``unpopular_max_hosts`` distinct hosts have
-    contacted it.  The invariant, checked by the parity tests, is that
-    :attr:`rare` always equals ``extract_rare_domains`` on the same
-    traffic and history.
-    """
-
-    def __init__(
-        self,
-        history: DestinationHistory,
-        *,
-        unpopular_max_hosts: int = 10,
-    ) -> None:
-        self.history = history
-        self.unpopular_max_hosts = unpopular_max_hosts
-        self.rare: set[str] = set()
-
-    def update(self, domain: str, popularity: int) -> int:
-        """React to ``domain`` now having ``popularity`` distinct hosts.
-
-        Returns +1 when the domain entered the rare set, -1 when it
-        left, 0 when nothing changed.
-        """
-        if popularity < self.unpopular_max_hosts and self.history.is_new(domain):
-            if domain not in self.rare:
-                self.rare.add(domain)
-                return +1
-        elif domain in self.rare:
-            self.rare.discard(domain)
-            return -1
-        return 0
-
-    def resync(self, traffic: DailyTraffic) -> set[str]:
-        """Rebuild the rare set from scratch (checkpoint restore)."""
-        self.rare = extract_rare_domains(
-            traffic,
-            self.history,
-            unpopular_max_hosts=self.unpopular_max_hosts,
-        )
-        return self.rare
-
-    def reset(self) -> None:
-        """Clear for a new day (after the history committed)."""
-        self.rare.clear()

@@ -7,12 +7,12 @@ day's :class:`~repro.profiling.rare.DailyTraffic` aggregate and its
 rare set *as events arrive*:
 
 * the day's traffic indexes grow per micro-batch (append-only);
-* the rare-destination set is tracked by a
-  :class:`~repro.profiling.rare.RareDomainTracker`, reacting to
-  popularity changes instead of rescanning all domains;
-* dirty (host, domain) pairs and rarity flips are exposed so the
-  detector can invalidate exactly the automation verdicts and count
-  exactly the rare domains that changed.
+* the rare-destination set, :attr:`WindowedAggregator.rare`, reacts to
+  the popularity changes of each ingest instead of rescanning all
+  domains, and :meth:`WindowedAggregator.ingest` returns the ingest's
+  rarity flips with its digest, so the detector can invalidate exactly
+  the automation verdicts and count exactly the rare domains that
+  changed.
 
 At a day boundary, :meth:`rollover` commits the window into the
 long-lived :class:`~repro.profiling.history.DestinationHistory` (and
@@ -27,7 +27,7 @@ from collections.abc import Iterable
 
 from ..logs.records import Connection, ConnectionBatch
 from .history import DestinationHistory
-from .rare import DailyTraffic, IngestDigest, RareDomainTracker
+from .rare import DailyTraffic, IngestDigest, extract_rare_domains
 from .ua import UserAgentHistory
 
 
@@ -44,26 +44,17 @@ class WindowedAggregator:
     ) -> None:
         self.history = history
         self.ua_history = ua_history
-        self.tracker = RareDomainTracker(
-            history, unpopular_max_hosts=unpopular_max_hosts
-        )
+        self.unpopular_max_hosts = unpopular_max_hosts
         self.open_day(day)
 
     def open_day(self, day: int) -> None:
         """Make ``day`` the window's day, with nothing in it yet."""
         self.day = day
         self.traffic = DailyTraffic(day)
-        self.tracker.reset()
+        #: the day's rare destinations (new AND unpopular); always
+        #: equal to ``extract_rare_domains`` over the traffic so far.
+        self.rare: set[str] = set()
         self.events_today = 0
-        #: (host, domain) pairs with new events since the last drain.
-        self.dirty_pairs: set[tuple[str, str]] = set()
-        #: domains whose rarity flipped since the last drain.
-        self.rare_changes: set[str] = set()
-
-    @property
-    def rare(self) -> set[str]:
-        """The window's current rare-destination set."""
-        return self.tracker.rare
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -71,14 +62,19 @@ class WindowedAggregator:
 
     def ingest(
         self, connections: Iterable[Connection] | ConnectionBatch
-    ) -> IngestDigest:
-        """Fold a micro-batch into the window; returns its digest.
+    ) -> tuple[IngestDigest, set[str]]:
+        """Fold a micro-batch into the window; returns its digest and
+        the domains whose rarity it flipped.
 
         The columnar :meth:`DailyTraffic.ingest
         <repro.profiling.rare.DailyTraffic.ingest>` already groups the
         batch once; everything here reads the resulting
         :class:`~repro.profiling.rare.IngestDigest` instead of
-        re-looping over the connections.
+        re-looping over the connections.  A domain enters :attr:`rare`
+        on its first contact of the day if the history has never seen
+        it, and leaves for good once ``unpopular_max_hosts`` distinct
+        hosts have contacted it (host counts only grow within a day,
+        and the history commits only at :meth:`rollover`).
         """
         traffic = self.traffic
         if self.ua_history is not None:
@@ -94,20 +90,20 @@ class WindowedAggregator:
         else:
             digest = traffic.ingest(connections)
         hosts_by_domain = traffic.hosts_by_domain
-        update = self.tracker.update
-        rare_changes = self.rare_changes
+        is_new = self.history.is_new
+        limit = self.unpopular_max_hosts
+        rare = self.rare
+        flips: set[str] = set()
         for domain in digest.domains:
-            if update(domain, len(hosts_by_domain[domain])):
-                rare_changes.add(domain)
-        self.dirty_pairs.update(digest.named_pairs)
+            if len(hosts_by_domain[domain]) < limit:
+                if domain not in rare and is_new(domain):
+                    rare.add(domain)
+                    flips.add(domain)
+            elif domain in rare:
+                rare.discard(domain)
+                flips.add(domain)
         self.events_today += digest.n_events
-        return digest
-
-    def drain_changes(self) -> tuple[set[tuple[str, str]], set[str]]:
-        """Return and clear (dirty pairs, rarity flips) since last drain."""
-        dirty, flips = self.dirty_pairs, self.rare_changes
-        self.dirty_pairs, self.rare_changes = set(), set()
-        return dirty, flips
+        return digest, flips
 
     # ------------------------------------------------------------------
     # Day boundary
@@ -135,10 +131,11 @@ class WindowedAggregator:
     # ------------------------------------------------------------------
 
     def resync(self) -> None:
-        """Recompute derived state from the traffic (restore path): the
-        rare set and the dirty pairs.  The traffic itself -- series and
-        scoring rows -- was rebuilt by the same finalize pass as live
-        ingest."""
-        self.tracker.resync(self.traffic)
-        self.dirty_pairs = {pair for pair, _ in self.traffic.series()}
-        self.rare_changes = set()
+        """Recompute the rare set from the traffic (restore path).  The
+        traffic itself -- series and scoring rows -- was rebuilt by the
+        same finalize pass as live ingest."""
+        self.rare = extract_rare_domains(
+            self.traffic,
+            self.history,
+            unpopular_max_hosts=self.unpopular_max_hosts,
+        )

@@ -12,7 +12,9 @@ components (Section III's pipeline, Algorithm 1's belief propagation):
 * :mod:`~repro.streaming.engine` -- :class:`StreamingEngineBase`, the
   scheduler: submissions queue on a plain pending list that ``poll()``
   folds into the window in arrival order, ``score()`` and
-  ``rollover()`` both end in :func:`repro.core.dayloop.detect_day`;
+  ``rollover()`` both end in :func:`repro.core.dayloop.detect_day` and
+  hand out its :class:`~repro.core.dayloop.DayReport` (a round's is the
+  day so far);
   :class:`StreamingDetector` / :class:`StreamingEnterpriseDetector` are
   its DNS and proxy facades;
 * :mod:`~repro.streaming.replay` -- :func:`open_engine`, where every
@@ -28,14 +30,13 @@ rounds between, the report is the same.
 
 from ..profiling.window import WindowedAggregator
 from .detector import StreamingDetector
-from .engine import ReplayResult, StreamingEngineBase, StreamUpdate
+from .engine import ReplayResult, StreamingEngineBase
 from .enterprise import StreamingEnterpriseDetector
 from .incremental import WarmStartConfig
 from .replay import open_engine, replay_directory, replay_enterprise_directory
 
 __all__ = [
     "ReplayResult",
-    "StreamUpdate",
     "StreamingDetector",
     "StreamingEngineBase",
     "StreamingEnterpriseDetector",

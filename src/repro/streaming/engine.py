@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import SystemConfig
-from ..core.beliefprop import BeliefPropagationResult
 from ..core.dayloop import DayReport, detect_day
 from ..logs.records import Connection, ConnectionBatch
 from ..obs.logs import get_logger, log_event
@@ -58,21 +57,6 @@ INGEST_CHUNK = 8192
 Submission = (
     Iterable[Connection | ConnectionBatch] | Connection | ConnectionBatch
 )
-
-
-@dataclass(frozen=True)
-class StreamUpdate:
-    """Snapshot of the current day's detections after a scoring round."""
-
-    day: int
-    events_today: int
-    rare_count: int
-    cc_domains: frozenset[str]
-    detected: tuple[str, ...]
-    mode: str
-    """``"warm"``, ``"full"`` or ``"idle"`` (nothing to propagate)."""
-
-    bp_result: BeliefPropagationResult | None = None
 
 
 class StreamingEngineBase:
@@ -241,10 +225,10 @@ class StreamingEngineBase:
         # batches; the window (via the columnar traffic store) stages
         # them all in arrival order and folds the poll through ONE
         # grouping pass.
-        digest = self.window.ingest(batch)
+        digest, flips = self.window.ingest(batch)
         total = digest.n_events
         self.events_total += total
-        dirty_pairs, flips = self.window.drain_changes()
+        named_pairs = digest.named_pairs
         rare = self.window.rare
         hosts_by_domain = self.window.traffic.hosts_by_domain
         dirty = self.dirty_domains
@@ -255,10 +239,10 @@ class StreamingEngineBase:
                     self._verdicts.pop((host, domain), None)
                     self._series_cache.invalidate((host, domain))
         dirty.update(
-            domain for _, domain in dirty_pairs if domain in rare
+            domain for _, domain in named_pairs if domain in rare
         )
         stale = self._stale_pairs
-        stale.update(dirty_pairs)
+        stale.update(named_pairs)
         # Host counts only grow, and only for ``digest.domains``.  A
         # domain reaching the C&C floor has no cached series state --
         # its pairs were skipped so far -- so all of them go stale and
@@ -279,7 +263,7 @@ class StreamingEngineBase:
         # *pair*, not per event -- and only for pairs the next refresh
         # will hand to the cache.
         pending = self._pending_times
-        for key, chunk in zip(digest.named_pairs, digest.chunks):
+        for key, chunk in zip(named_pairs, digest.chunks):
             domain = key[1]
             if domain in reachable and domain in rare:
                 times = pending.get(key)
@@ -359,8 +343,8 @@ class StreamingEngineBase:
         """Context manager held across one :meth:`score` round."""
         return nullcontext()
 
-    def score(self) -> StreamUpdate:
-        """Re-score the current window and return the live detections.
+    def score(self) -> DayReport:
+        """Re-score the current window and return the day so far.
 
         The batch path's daily stages in no-hint mode -- automation
         test, C&C stage, belief propagation -- but each stage touches
@@ -371,10 +355,12 @@ class StreamingEngineBase:
         the round's seeds plus ``max_iterations x
         max_domains_per_iteration`` similarity labels (and what
         ``Detect_C&C`` labels inside the run); only a cold (``"full"``)
-        round starts a new run.
+        round starts a new run.  The report's ``mode`` says which kind
+        of round it was (``"idle"``: nothing to propagate), and it
+        holds a copy of the rare set, so it never changes afterwards.
         """
         traffic = self.window.traffic
-        rare = self.window.rare
+        rare = set(self.window.rare)
         verdicts = self._refresh_verdicts()
         with self._scoring_round():
             cc = self._cc_domains(traffic, verdicts)
@@ -393,8 +379,6 @@ class StreamingEngineBase:
                 if not prior_cc <= cc:
                     self.prior = None
 
-            detected: list[str] = []
-            mode = "idle"
             # A C&C domain has hosts today, so this is "seed hosts or
             # a prior": the rounds in which ``detect_day`` propagates.
             if cc or self.prior is not None:
@@ -406,7 +390,7 @@ class StreamingEngineBase:
                     # that absorbed the old M cannot follow.
                     self._day_scorer = None
                 with self.metrics.span("stream_score"):
-                    detection = detect_day(
+                    report = detect_day(
                         traffic,
                         rare,
                         cc=cc,
@@ -415,20 +399,18 @@ class StreamingEngineBase:
                         prior=self.prior if use_warm else None,
                         metrics=self.metrics,
                     )
-                self.prior = detection.bp_result
-                detected = detection.detected
-                mode = "warm" if use_warm else "full"
+                self.prior = report.bp_result
+                report.mode = "warm" if use_warm else "full"
+            else:
+                report = DayReport(
+                    traffic.day, rare, cc_domains=cc, mode="idle"
+                )
             self.dirty_domains.clear()
-        self.metrics.counter("stream_score_rounds_total", mode=mode).inc()
-        return StreamUpdate(
-            day=self.window.day,
-            events_today=self.window.events_today,
-            rare_count=len(rare),
-            cc_domains=frozenset(cc),
-            detected=tuple(detected),
-            mode=mode,
-            bp_result=self.prior,
-        )
+        report.records = self.window.events_today
+        self.metrics.counter(
+            "stream_score_rounds_total", mode=report.mode
+        ).inc()
+        return report
 
     # ------------------------------------------------------------------
     # Day boundary

@@ -373,13 +373,23 @@ class TestTimingCommand:
         assert main(["timing", str(path)]) == 2
         _assert_usage_error(capsys)
 
-    @pytest.mark.parametrize("width", ["0", "-5"])
+    @pytest.mark.parametrize("width", ["0", "-5", "inf", "nan"])
     def test_nonpositive_bin_width_is_a_usage_error(
         self, width, tmp_path, capsys
     ):
         series = tmp_path / "series.txt"
         series.write_text("\n".join(str(600.0 * i) for i in range(8)))
         assert main(["timing", str(series), "--bin-width", width]) == 2
+        _assert_usage_error(capsys)
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+    def test_meaningless_threshold_is_a_usage_error(
+        self, threshold, tmp_path, capsys
+    ):
+        """Not "no" (exit 1) for any series, nor "YES" for every one."""
+        series = tmp_path / "series.txt"
+        series.write_text("\n".join(str(600.0 * i) for i in range(8)))
+        assert main(["timing", str(series), "--threshold", threshold]) == 2
         _assert_usage_error(capsys)
 
     @pytest.mark.parametrize("epoch", ["nan", "inf"])
@@ -441,6 +451,31 @@ def test_zero_hosts_is_a_usage_error(verb, tmp_path, capsys):
     if verb == "generate":
         argv.insert(1, str(tmp_path / "logs"))
     assert main(argv) == 2
+    _assert_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    "generate {file}", "generate {file}/sub", "generate {file} --tenants 3",
+    "generate {file}/sub --pipeline enterprise",
+    "enterprise --save-state {tmp}/missing/state.json",
+])
+def test_unwritable_output_is_refused_before_any_world(
+    argv, tmp_path, capsys, monkeypatch
+):
+    """Not a traceback (exit 1) once the world is generated -- or, for
+    ``enterprise``, trained and its tables printed: one ``error:``
+    line, and no world."""
+    import repro.synthetic
+
+    def never(*args, **kwargs):
+        raise AssertionError("an unwritable output generated a world")
+
+    for name in ("generate_lanl_dataset", "generate_enterprise_dataset",
+                 "generate_fleet_dataset"):
+        monkeypatch.setattr(repro.synthetic, name, never)
+    file = tmp_path / "file"
+    file.write_text("")
+    assert main(argv.format(file=file, tmp=tmp_path).split()) == 2
     _assert_usage_error(capsys)
 
 

@@ -128,7 +128,7 @@ def case_stream_t0(ctx) -> dict:
 
 def case_stream_updates_t0(ctx) -> dict:
     """Every intra-day scoring round, not only the day lines: one hash
-    over the ``StreamUpdate`` sequence, Algorithm 1's labels included."""
+    over the sequence of round reports, Algorithm 1's labels included."""
     from repro.streaming import replay_directory
 
     digest = hashlib.sha256()
@@ -138,7 +138,7 @@ def case_stream_updates_t0(ctx) -> dict:
         modes[update.mode] = modes.get(update.mode, 0) + 1
         labels = update.bp_result.detections if update.bp_result else ()
         digest.update(json.dumps([
-            update.day, update.events_today, update.rare_count,
+            update.day, update.records, len(update.rare_domains),
             sorted(update.cc_domains), list(update.detected), update.mode,
             [[d.domain, d.iteration, d.reason, round(d.score, 9)]
              for d in labels],
@@ -149,6 +149,20 @@ def case_stream_updates_t0(ctx) -> dict:
         internal_suffixes=("int.c0",), on_update=on_update,
     )
     return {"rounds": modes, "sha256": digest.hexdigest()}
+
+
+def case_stream_verbose_t0(ctx) -> list[str]:
+    """``stream --verbose``: the intra-day lines as well as the day
+    lines, the whole stdout."""
+    code, out = _cli("stream", str(ctx.fleet / "t0"), *T0_FLAGS, "--verbose")
+    assert code == 0
+    return out.splitlines()
+
+
+def case_stream_verbose_enterprise(ctx) -> list[str]:
+    code, out = _cli("stream", str(ctx.ent), *_ent_flags(ctx.ent), "--verbose")
+    assert code == 0
+    return out.splitlines()
 
 
 def case_stream_enterprise(ctx) -> dict:
@@ -292,6 +306,8 @@ CASES = {
     "stream:fleet/t0": case_stream_t0,
     "stream-updates:fleet/t0": case_stream_updates_t0,
     "stream-enterprise:ent": case_stream_enterprise,
+    "stream-verbose:fleet/t0": case_stream_verbose_t0,
+    "stream-verbose:ent": case_stream_verbose_enterprise,
     "fleet-workers-2:fleet": case_fleet,
     "lanl-table": case_lanl,
     "lanl-contexts": case_lanl_contexts,

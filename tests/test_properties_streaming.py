@@ -113,7 +113,7 @@ def _labels(result):
 
 def _update_key(update):
     return (
-        update.day, update.events_today, update.rare_count,
+        update.day, update.records, len(update.rare_domains),
         update.cc_domains, update.detected, update.mode,
         _labels(update.bp_result),
     )
@@ -194,15 +194,11 @@ class TestOneGraph:
         polls = 0
         for day in days:
             dirty: set[str] = set()
-            # Domains whose pairs the window still owes the engine: a
-            # restore hands every pair of the day to the next poll.
-            owed: set[str] = set()
             for batch in _day_batches(day, sizes):
                 if polls == restore_at:
                     engine = _round_trip(engine)
                     dirty = set(engine.window.rare)
                     assert engine.dirty_domains == dirty
-                    owed = set(engine.window.traffic.hosts_by_domain)
                     if score_after_restore:
                         engine.score()
                         dirty = set()
@@ -214,8 +210,7 @@ class TestOneGraph:
                     traffic, engine.history, unpopular_max_hosts=popular
                 )
                 assert engine.window.rare == rare
-                touched = owed | {conn.domain for conn in batch}
-                owed = set()
+                touched = {conn.domain for conn in batch}
                 dirty |= (rare ^ rare_before) | (touched & rare)
                 assert engine.dirty_domains == dirty
                 if polls % score_every:

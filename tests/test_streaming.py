@@ -20,7 +20,7 @@ from repro.core.dayloop import detect_day
 from repro.logs import format_dns_line
 from repro.logs.records import Connection
 from repro.profiling.history import DestinationHistory
-from repro.profiling.rare import DailyTraffic, RareDomainTracker, extract_rare_domains
+from repro.profiling.rare import DailyTraffic, extract_rare_domains
 from repro.runner import run_directory
 from repro.state import load_streaming, save_streaming
 from repro.streaming import (
@@ -540,7 +540,7 @@ def _update_digest(updates) -> str:
     for update in updates:
         result = update.bp_result
         digest.update(repr((
-            update.day, update.events_today, update.mode, update.detected,
+            update.day, update.records, update.mode, tuple(update.detected),
             result and [
                 (d.domain, d.iteration, d.reason, d.score)
                 for d in result.detections
@@ -640,6 +640,28 @@ class TestDayLivedScorer:
             resume=True, **kwargs,
         )
         assert _update_digest(first + second) == self.RESUMED
+
+
+class TestRoundReport:
+    def test_a_returned_round_report_never_changes(self):
+        """A scoring round hands out the day so far as a
+        :class:`~repro.core.DayReport`: later ingests and rounds leave
+        the report it returned as it was."""
+        detector = StreamingDetector()
+        detector.ingest([
+            _conn(host, "evil.c1", 600.0 * i)
+            for i in range(8) for host in ("h1", "h2")
+        ])
+        first = detector.score()
+        kept = (set(first.rare_domains), first.records, list(first.detected))
+        assert "evil.c1" in first.detected
+        detector.ingest([
+            _conn("h3", f"new{i}.c1", 5000.0 + i) for i in range(5)
+        ])
+        second = detector.score()
+        assert second.rare_domains > kept[0]
+        assert second.records > kept[1]
+        assert (first.rare_domains, first.records, first.detected) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -784,33 +806,31 @@ class TestSeriesVerdictCache:
         assert set(final.detected) == set(report.detected)
 
 
-class TestRareDomainTracker:
+class TestWindowRareSet:
     def test_matches_batch_extraction_incrementally(self):
         history = DestinationHistory()
         history.bootstrap(["old.c1"])
-        traffic = DailyTraffic(0)
-        tracker = RareDomainTracker(history, unpopular_max_hosts=3)
+        window = WindowedAggregator(0, history, unpopular_max_hosts=3)
         events = (
             [_conn("h1", "old.c1"), _conn("h1", "new.c1")]
             + [_conn(f"h{i}", "busy.c1") for i in range(5)]
             + [_conn("h2", "new.c1")]
         )
         for conn in events:
-            traffic.ingest([conn])
-            tracker.update(
-                conn.domain, len(traffic.hosts_by_domain[conn.domain])
-            )
-            assert tracker.rare == extract_rare_domains(
-                traffic, history, unpopular_max_hosts=3
+            window.ingest([conn])
+            assert window.rare == extract_rare_domains(
+                window.traffic, history, unpopular_max_hosts=3
             )
 
     def test_popular_domain_never_returns(self):
-        history = DestinationHistory()
-        tracker = RareDomainTracker(history, unpopular_max_hosts=2)
-        assert tracker.update("d.c1", 1) == +1
-        assert tracker.update("d.c1", 2) == -1
-        assert tracker.update("d.c1", 2) == 0
-        assert "d.c1" not in tracker.rare
+        window = WindowedAggregator(
+            0, DestinationHistory(), unpopular_max_hosts=2
+        )
+        assert window.ingest([_conn("h1", "d.c1")])[1] == {"d.c1"}
+        assert window.ingest([_conn("h2", "d.c1")])[1] == {"d.c1"}
+        assert window.ingest([_conn("h1", "d.c1")])[1] == set()
+        assert window.ingest([_conn("h3", "d.c1")])[1] == set()
+        assert "d.c1" not in window.rare
 
 
 class TestWindowedAggregator:
@@ -840,13 +860,15 @@ class TestWindowedAggregator:
         assert window.traffic.hosts_by_domain == bulk.hosts_by_domain
         assert window.events_today == len(conns)
 
-    def test_drain_changes_clears(self):
+    def test_ingest_returns_its_own_flips(self):
         window = WindowedAggregator(0, DestinationHistory())
-        window.ingest([_conn("h1", "d.c1")])
-        dirty, flips = window.drain_changes()
-        assert dirty == {("h1", "d.c1")}
+        digest, flips = window.ingest([_conn("h1", "d.c1")])
+        assert list(digest.named_pairs) == [("h1", "d.c1")]
         assert flips == {"d.c1"}
-        assert window.drain_changes() == (set(), set())
+        digest, flips = window.ingest([_conn("h2", "e.c1")])
+        assert list(digest.named_pairs) == [("h2", "e.c1")]
+        assert flips == {"e.c1"}
+        assert window.ingest([_conn("h1", "d.c1")])[1] == set()
 
 
 # ---------------------------------------------------------------------------
