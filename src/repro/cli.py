@@ -408,6 +408,27 @@ def _start_data_verb(args):
     return MetricsRegistry()
 
 
+def _unwritable_output(args) -> str | None:
+    """Why a file the verb writes once its work is done cannot be
+    written, or ``None``; checked before any work starts.
+    ``--metrics-out`` creates missing parent directories, ``fleet
+    --json`` and ``enterprise --save-state`` do not."""
+    for flag, makes_parents in (
+        ("--metrics-out", True), ("--json", False), ("--save-state", False),
+    ):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is None:
+            continue
+        if path.is_dir():
+            return f"{flag} is a directory: {path}"
+        found = next(p for p in path.parents if p.exists())
+        if not found.is_dir():
+            return f"{flag}: not a directory: {found}"
+        if not makes_parents and found != path.parent:
+            return f"{flag} directory not found: {path.parent}"
+    return None
+
+
 def _write_metrics(metrics, path: Path) -> None:
     """Write the final snapshot: JSON at ``path``, text at ``.prom``."""
     import json
@@ -469,10 +490,6 @@ def _run_enterprise(args) -> int:
                 f"--{flag.replace('_', '-')} must be positive, "
                 f"not {getattr(args, flag)}"
             )
-    if args.save_state is not None and not args.save_state.parent.is_dir():
-        return _fail(
-            f"--save-state directory not found: {args.save_state.parent}"
-        )
     dataset = generate_enterprise_dataset(
         EnterpriseDatasetConfig(
             seed=args.seed, n_hosts=args.hosts,
@@ -1047,6 +1064,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
+        unwritable = _unwritable_output(args)
+        if unwritable is not None:
+            return _fail(unwritable,
+                         json_mode=getattr(args, "log_json", False))
         return handlers[args.command](args)
     finally:
         if not was_frozen:  # an in-process caller keeps its GC state

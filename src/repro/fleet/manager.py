@@ -65,7 +65,6 @@ from .workers import (
     ResidentPool,
     WorkerDied,
     WorkerHandle,
-    _load_tenant_checkpoint,
     _tenant_checkpoint_path,
 )
 
@@ -232,17 +231,11 @@ class FleetManager:
             self._fleet_state_path(),
         )
 
-    def _restore(
-        self, files: dict[str, list[Path]]
-    ) -> tuple[int, dict[str, int], list[tuple[int, TenantDayReport]]]:
-        """Resume state: (completed rounds, per-tenant cursor, and
-        ``(round, report)`` pairs recovered from tenants that finished
-        a round the fleet never committed).
-
-        A tenant checkpoint behind the rounds the fleet committed for
-        that tenant is refused: resuming it would feed the tenant the
-        fleet's next file on top of an older day.
-        """
+    def _restore(self) -> int:
+        """Refill the board and metrics from ``fleet.json``; the rounds
+        the fleet committed.  Where each tenant stands is the workers'
+        to report: their handshake is the one reader of a tenant
+        checkpoint."""
         state_path = self._fleet_state_path()
         if not state_path.exists():
             raise FleetError(f"no fleet checkpoint at {state_path}")
@@ -254,7 +247,6 @@ class FleetManager:
                 f"{state_path}: unsupported fleet checkpoint version "
                 f"{payload.get('version')!r} (expected {FLEET_STATE_VERSION})"
             )
-        rounds = int(payload["rounds"])
         self.intel.restore(payload["intel"])
         saved_metrics = payload.get("metrics")
         if saved_metrics and self.metrics.enabled:
@@ -266,46 +258,9 @@ class FleetManager:
                 if split_sample_key(key)[0] == "intel_cache_lookups_total":
                     del snapshot.counters[key]
             self.metrics.restore(snapshot)
-        cursors: dict[str, int] = {}
-        carried: list[tuple[int, TenantDayReport]] = []
-        for spec in self.specs:
-            ckpt = _tenant_checkpoint_path(self.checkpoint_dir, spec.tenant_id)
-            if not ckpt.exists():
-                if spec.join_round >= rounds:
-                    # The tenant had not joined the fleet by the time
-                    # the interrupted run stopped: no checkpoint is
-                    # expected, it starts fresh when its round comes.
-                    cursors[spec.tenant_id] = 0
-                    continue
-                raise FleetError(
-                    f"no checkpoint for tenant {spec.tenant_id!r}: {ckpt}"
-                )
-            wrapper = _load_tenant_checkpoint(ckpt)
-            cursor = wrapper["round"]
-            cursors[spec.tenant_id] = cursor
-            committed = min(
-                rounds, spec.join_round + len(files[spec.tenant_id])
-            )
-            if spec.join_round < rounds and cursor < committed:
-                raise FleetError(
-                    f"tenant {spec.tenant_id!r}: {ckpt} is at round "
-                    f"{cursor}, behind the {committed} rounds the fleet "
-                    "committed for it"
-                )
-            if cursor > rounds and wrapper.get("report"):
-                # The tenant finished a round the fleet never committed
-                # (crash between task and barrier): re-publish its
-                # report at the proper barrier.  Keyed by the round the
-                # checkpoint recorded, not the report's engine day --
-                # enterprise engines count days from their trained
-                # bootstrap, so day and round differ there.
-                carried.append((
-                    cursor - 1, TenantDayReport.from_dict(wrapper["report"])
-                ))
-        return rounds, cursors, carried
+        return int(payload["rounds"])
 
-    def _fresh_start(self) -> dict[str, int]:
-        cursors = {spec.tenant_id: 0 for spec in self.specs}
+    def _fresh_start(self) -> None:
         if self.checkpoint_dir is not None and self.checkpoint_dir.is_dir():
             # A stale fleet document would make a later --resume skip
             # this run's rounds and seed from the old run's board.
@@ -315,7 +270,6 @@ class FleetManager:
                 _tenant_checkpoint_path(
                     self.checkpoint_dir, spec.tenant_id
                 ).unlink(missing_ok=True)
-        return cursors
 
     # ------------------------------------------------------------------
 
@@ -357,16 +311,18 @@ class FleetManager:
         worker from its checkpoints) before publishing.  A worker
         answers only once its tenants' checkpoints are written, so the
         fleet-state commit never runs ahead of the tenants' durable
-        state.  Without a checkpoint directory nothing is written and
+        state.  A resumed fleet starts where its workers' handshakes
+        place each tenant, judged by :meth:`_reconcile` as after a
+        respawn.  Without a checkpoint directory nothing is written and
         a worker death is fatal -- durability-free parallelism for
         ephemeral runs.
         """
         files = self._tenant_files()
         if self.resume:
-            start_round, cursors, carried = self._restore(files)
+            start_round = self._restore()
         else:
-            cursors = self._fresh_start()
-            start_round, carried = 0, []
+            self._fresh_start()
+            start_round = 0
         total_rounds = max(
             spec.join_round + len(files[spec.tenant_id])
             for spec in self.specs
@@ -386,26 +342,23 @@ class FleetManager:
         )
         self.resident_pool = pool
         try:
+            # Where each tenant stands, as its worker restored it.
+            cursors = {
+                tenant_id: cursor
+                for handle in pool.workers
+                for tenant_id, cursor in handle.cursors.items()
+            }
             rounds_executed = 0
             for rnd in range(start_round, total_rounds):
                 if max_rounds is not None and rounds_executed >= max_rounds:
                     report.interrupted = True
                     break
                 results: dict[str, TenantDayReport] = {}
-                waiting: list[WorkerHandle] = []
-                for handle in list(pool.workers):
-                    tasks = self._round_tasks(pool, handle, files,
-                                              cursors, rnd)
-                    if tasks:
-                        pool.send(handle, {
-                            "cmd": CMD_ADVANCE_DAY,
-                            "round": rnd,
-                            "tasks": tasks,
-                        })
-                        self.metrics.counter(
-                            "fleet_commands_total", cmd="advance_day"
-                        ).inc()
-                        waiting.append(handle)
+                waiting = [
+                    handle for handle in pool.workers
+                    if self._reconcile(pool, handle, files, cursors, rnd,
+                                       results)
+                ]
                 for handle in waiting:
                     try:
                         response = pool.recv(handle)
@@ -418,15 +371,11 @@ class FleetManager:
 
                 # Publish in spec order (deterministic) so day rnd+1
                 # sees all of day rnd's findings.
-                round_reports = [
+                self._commit_round(report, rnd, [
                     results[spec.tenant_id]
                     for spec in self.specs
                     if spec.tenant_id in results
-                ]
-                round_reports.extend(
-                    rep for c_rnd, rep in carried if c_rnd == rnd
-                )
-                self._commit_round(report, rnd, round_reports, on_round)
+                ], on_round)
                 rounds_executed += 1
         finally:
             pool.shutdown()
@@ -443,7 +392,15 @@ class FleetManager:
         round_reports: list[TenantDayReport],
         on_round,
     ) -> None:
-        """Publish a finished round at the barrier and persist state."""
+        """Publish a finished round at the barrier and persist state.
+
+        The round's seeds are counted here, adopted reports included:
+        the board has not changed since the round's tasks were built.
+        """
+        self.intel.seeds_served += sum(
+            len(self.intel.seeds_for(day_report.tenant_id))
+            for day_report in round_reports
+        )
         for day_report in round_reports:
             self.intel.publish(
                 day_report.tenant_id,
@@ -498,40 +455,71 @@ class FleetManager:
     # Driving the workers
     # ------------------------------------------------------------------
 
-    def _task(
-        self, spec: TenantSpec, files: list[Path], file_index: int
-    ) -> dict[str, Any]:
-        """One tenant's ``ADVANCE_DAY`` task: its day file and seeds."""
-        bootstrap = file_index < spec.bootstrap_files
-        return {
-            "tenant_id": spec.tenant_id,
-            "log_path": str(files[file_index]),
-            "bootstrap": bootstrap,
-            "seeds": (
-                [] if bootstrap
-                else sorted(self.intel.seeds_for(spec.tenant_id))
-            ),
-        }
-
-    def _round_tasks(
+    def _reconcile(
         self,
         pool: ResidentPool,
         handle: WorkerHandle,
         files: dict[str, list[Path]],
         cursors: dict[str, int],
         rnd: int,
-    ) -> list[dict[str, Any]]:
-        """The round's ``ADVANCE_DAY`` task list for one worker."""
+        results: dict[str, TenantDayReport],
+    ) -> bool:
+        """Bring one worker's tenants to round ``rnd``; whether an
+        ``ADVANCE_DAY`` went out (so an answer is owed).
+
+        The one rule for where a tenant stands, whether its worker has
+        run every round so far, was started by ``--resume`` or was just
+        respawned: a tenant whose cursor is ``rnd + 1`` finished the
+        round before the barrier committed it, and the report its
+        checkpoint holds is adopted; a tenant at ``rnd`` (or a joiner
+        whose first round this is) runs it; any other cursor is refused.
+        A re-run is deterministic: its seeds come from the board every
+        tenant saw this round, since publication waits for the barrier.
+        """
         tasks: list[dict[str, Any]] = []
         for spec in pool.specs_of(handle):
-            tenant_files = files[spec.tenant_id]
-            file_index = self._file_index(spec, tenant_files, rnd)
+            tenant_id = spec.tenant_id
+            file_index = self._file_index(spec, files[tenant_id], rnd)
             if file_index is None:
                 continue
-            if cursors[spec.tenant_id] > rnd:
-                continue  # recovered past this round already
-            tasks.append(self._task(spec, tenant_files, file_index))
-        return tasks
+            cursor = cursors[tenant_id]
+            if cursor == rnd + 1:
+                carried = handle.carried.get(tenant_id)
+                if carried is not None:
+                    results[tenant_id] = TenantDayReport.from_dict(carried)
+            elif cursor == rnd or cursor < spec.join_round == rnd:
+                # The day file and the seeds from the board the manager
+                # alone holds.
+                bootstrap = file_index < spec.bootstrap_files
+                tasks.append({
+                    "tenant_id": tenant_id,
+                    "log_path": str(files[tenant_id][file_index]),
+                    "bootstrap": bootstrap,
+                    "seeds": (
+                        [] if bootstrap
+                        else sorted(self.intel.seeds_for(tenant_id))
+                    ),
+                })
+            else:
+                path = _tenant_checkpoint_path(self.checkpoint_dir, tenant_id)
+                if cursor == 0:  # a commit always writes round >= 1
+                    raise FleetError(
+                        f"no checkpoint for tenant {tenant_id!r}: {path}"
+                    )
+                raise FleetError(
+                    f"tenant {tenant_id!r}: {path} is at round {cursor}, "
+                    + ("behind" if cursor < rnd else
+                       "more than one round ahead of")
+                    + f" the fleet's round {rnd}"
+                )
+        if tasks:
+            pool.send(handle, {
+                "cmd": CMD_ADVANCE_DAY, "round": rnd, "tasks": tasks,
+            })
+            self.metrics.counter(
+                "fleet_commands_total", cmd="advance_day"
+            ).inc()
+        return bool(tasks)
 
     def _stats_of(self, handle: WorkerHandle) -> dict[str, Any]:
         """The worker's :attr:`worker_stats` row, created on first use."""
@@ -566,7 +554,6 @@ class FleetManager:
                 stats["records"] += day_report.records
                 stats["elapsed_seconds"] += day_report.elapsed_seconds
         self.intel.whois_cache.stats.absorb(response["whois_stats"])
-        self.intel.seeds_served += response["seeds_served"]
 
     def _recover_worker(
         self,
@@ -577,16 +564,11 @@ class FleetManager:
         rnd: int,
         results: dict[str, TenantDayReport],
     ) -> tuple[WorkerHandle, dict[str, Any] | None]:
-        """Respawn a dead worker and bring it back to this round's barrier.
-
-        The replacement restores each owned tenant from its checkpoint;
-        per tenant, either the crashed round was already committed
-        (adopt the checkpoint's embedded report) or it is re-run
-        -- deterministic, because the board its seeds come from is
-        exactly the one every tenant saw this round (publication only
-        happens after the barrier).  The re-run's answer, like every
-        answer, comes after its checkpoints are written.
-        """
+        """Respawn a dead worker and bring it back to this round's
+        barrier: its tenants restart from their checkpoints, which
+        :meth:`_reconcile` then judges as it judges a resumed fleet's.
+        The re-run's answer, like every answer, comes after its
+        checkpoints are written."""
         if self.checkpoint_dir is None:
             raise FleetError(
                 f"resident worker {handle.worker_id} died and no "
@@ -596,35 +578,6 @@ class FleetManager:
         handle = pool.respawn(handle)
         self.metrics.counter("fleet_worker_respawns_total").inc()
         self._stats_of(handle)["respawns"] += 1
-        tasks: list[dict[str, Any]] = []
-        for spec in pool.specs_of(handle):
-            tenant_id = spec.tenant_id
-            file_index = self._file_index(spec, files[tenant_id], rnd)
-            if file_index is None:
-                continue
-            disk = handle.cursors.get(tenant_id, 0)
-            if disk > rnd:
-                # Committed before the crash; adopt the persisted report.
-                cursors[tenant_id] = disk
-                persisted = handle.carried.get(tenant_id)
-                if persisted is not None:
-                    results[tenant_id] = TenantDayReport.from_dict(persisted)
-            else:
-                if disk < rnd and disk < spec.join_round:
-                    # A joiner's first round: no checkpoint exists yet,
-                    # the respawned worker built it fresh -- nothing to
-                    # catch up.
-                    disk = spec.join_round
-                if disk < rnd:
-                    raise FleetError(
-                        f"tenant {tenant_id!r} checkpoint at round {disk} "
-                        f"cannot recover round {rnd}"
-                    )
-                tasks.append(self._task(spec, files[tenant_id], file_index))
-        response: dict[str, Any] | None = None
-        if tasks:
-            pool.send(handle, {
-                "cmd": CMD_ADVANCE_DAY, "round": rnd, "tasks": tasks,
-            })
-            response = pool.recv(handle)
-        return handle, response
+        cursors.update(handle.cursors)
+        owed = self._reconcile(pool, handle, files, cursors, rnd, results)
+        return handle, pool.recv(handle) if owed else None

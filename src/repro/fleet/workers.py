@@ -13,8 +13,8 @@ answer per worker:
   (:func:`repro.state.encode_engine`, the one ``stream`` writes) has
   been written whole, with the tenant's cursor and day report, to its
   one atomic ``<dir>/<tenant>/checkpoint.json``, the per-tenant day
-  reports plus WHOIS cache-fill and seeds-served accounting deltas come
-  back out.  An answer therefore means the round is durable.
+  reports plus the WHOIS cache-fill accounting delta come back out.
+  An answer therefore means the round is durable.
 * ``SHUTDOWN``: exit.
 
 Commands travel over a per-worker ``multiprocessing`` queue, answers
@@ -26,8 +26,9 @@ answering raises :class:`WorkerDied` and is respawned by
 :meth:`ResidentPool.respawn` with the same tenant subset, each engine
 restored from its checkpoint by one :func:`repro.state.restore_engine`
 call -- without disturbing the other workers.  The ready handshake
-reports per-tenant cursors plus the last persisted report, letting the
-manager decide per tenant whether the crashed round must be re-run
+reports per-tenant cursors plus the last persisted report -- the only
+read of a tenant checkpoint -- letting the manager decide per tenant,
+after a respawn as after a ``--resume``, whether the round must be run
 (deterministic: same files, same seeds) or its report can be adopted.
 """
 
@@ -336,7 +337,7 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                 responses.send({
                     "event": "error",
                     "worker": worker_id,
-                    "error": f"unknown command {cmd!r}",
+                    "error": f"worker {worker_id}: unknown command {cmd!r}",
                 })
                 continue
             rnd = int(message["round"])
@@ -374,9 +375,6 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
                     for rt in advanced
                 ],
                 "whois_stats": shipped.as_dict(),
-                "seeds_served": sum(
-                    len(task["seeds"]) for task in message["tasks"]
-                ),
                 "metrics": (
                     metrics.snapshot_delta().as_dict()
                     if metrics.enabled else None
@@ -386,7 +384,11 @@ def worker_main(worker_id: int, commands, responses, init: dict[str, Any]):
         responses.send({
             "event": "error",
             "worker": worker_id,
-            "error": f"{type(exc).__name__}: {exc}",
+            # A tenant document's own error already names its file.
+            "error": (
+                str(exc) if isinstance(exc, FleetError)
+                else f"worker {worker_id}: {type(exc).__name__}: {exc}"
+            ),
         })
 
 
@@ -556,7 +558,7 @@ class ResidentPool:
         except (EOFError, OSError):
             raise WorkerDied(handle.worker_id) from None
         if message.get("event") == "error":
-            raise FleetError(f"worker {handle.worker_id}: {message['error']}")
+            raise FleetError(message["error"])
         return message
 
     def respawn(self, handle: WorkerHandle) -> WorkerHandle:

@@ -130,7 +130,12 @@ def load_whois_file(path) -> WhoisDatabase:
         elif "ldhName" in payload or "objectClassName" in payload:
             payload = [payload]
         else:
-            return WhoisDatabase.from_json_dict(payload)
+            try:
+                return WhoisDatabase.from_json_dict(payload)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"malformed WHOIS registry {path}: {exc}"
+                ) from exc
     if not isinstance(payload, list):
         raise ValueError(
             f"registration registry {path} is neither a WHOIS JSON mapping "

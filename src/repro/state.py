@@ -159,6 +159,27 @@ def decode_config(payload: dict[str, Any]) -> SystemConfig:
 # Detector-level snapshot
 # ---------------------------------------------------------------------------
 
+def _document_reader(what: str):
+    """Decorate a restore function so that a structurally incomplete or
+    ill-typed document (valid JSON, wrong shape) raises
+    :class:`StateError` -- what callers and the CLI's one-line ``error:``
+    exit handle -- instead of whichever ``KeyError`` / ``TypeError`` the
+    first bad key happens to produce."""
+
+    def decorate(restore):
+        @functools.wraps(restore)
+        def reader(payload, *args, **keywords):
+            try:
+                return restore(payload, *args, **keywords)
+            except (KeyError, TypeError, ValueError, AttributeError,
+                    IndexError) as exc:
+                raise StateError(
+                    f"malformed {what}: {type(exc).__name__}: {exc}"
+                ) from exc
+        return reader
+    return decorate
+
+
 def detector_state(detector: EnterpriseDetector) -> dict[str, Any]:
     """Full JSON-serializable snapshot of a trained detector."""
     return {
@@ -181,6 +202,7 @@ def detector_state(detector: EnterpriseDetector) -> dict[str, Any]:
     }
 
 
+@_document_reader("detector state")
 def restore_detector(
     payload: dict[str, Any], whois: WhoisDatabase | None = None
 ) -> EnterpriseDetector:
@@ -484,28 +506,6 @@ def _engine_base_state(
     }
 
 
-def _engine_document_reader(restore):
-    """Decorate an engine-restore function so that a structurally
-    incomplete or ill-typed document (valid JSON, wrong shape) raises
-    :class:`StateError` -- what callers and the CLI's one-line ``error:``
-    exit handle -- instead of whichever ``KeyError`` / ``TypeError`` the
-    first bad key happens to produce."""
-
-    @functools.wraps(restore)
-    def reader(payload, *args, **keywords):
-        try:
-            return restore(payload, *args, **keywords)
-        except (
-            KeyError, TypeError, ValueError, AttributeError, IndexError
-        ) as exc:
-            raise StateError(
-                "malformed engine checkpoint: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-
-    return reader
-
-
 def _check_engine_document(payload: dict[str, Any], kind: str):
     """Validate an engine document's version and kind tag; returns its
     warm-start policy (a constructor argument of both engines)."""
@@ -612,7 +612,7 @@ def encode_engine(engine, *, include_metrics: bool = False) -> dict[str, Any]:
     }
 
 
-@_engine_document_reader
+@_document_reader("engine checkpoint")
 def restore_engine(
     payload: dict[str, Any], whois=None, *, metrics=None,
     kind: str | None = None,

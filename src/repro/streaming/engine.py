@@ -581,14 +581,15 @@ def checkpoint_to_resume(
 ) -> Path | None:
     """The checkpoint a replay restores its engine from; ``None`` for
     a fresh start (not resuming, or nothing was written yet)."""
-    folder = None if checkpoint_path is None else Path(checkpoint_path).parent
-    if folder is not None and not folder.is_dir():
-        raise ValueError(f"checkpoint directory not found: {folder}")
+    path = None if checkpoint_path is None else Path(checkpoint_path)
+    if path is not None and not path.parent.is_dir():
+        raise ValueError(f"checkpoint directory not found: {path.parent}")
+    if path is not None and path.is_dir():
+        raise ValueError(f"checkpoint is a directory: {path}")
     if not resume:
         return None
-    if checkpoint_path is None:
+    if path is None:
         raise ValueError("resume requires a checkpoint path")
-    path = Path(checkpoint_path)
     return path if path.exists() else None
 
 

@@ -1033,3 +1033,87 @@ def test_fleet_nonpositive_pool_flag_is_a_usage_error(
     assert captured.err == f"error: {flag} must be positive, not {shown}\n"
     assert captured.out == ""
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(("flag", "document"), [
+    ("--model-state", "[]"),
+    ("--model-state", '{"version": 1}'),
+    ("--model-state", "dns-checkpoint"),
+    ("--whois", '{"tenants": 5}'),
+])
+def test_malformed_model_or_registry_is_one_error_line(
+    flag, document, ent_layout, mixed_fleet_layout, tmp_path, capsys
+):
+    """Not an ``AttributeError`` / ``KeyError`` / ``TypeError``
+    traceback (exit 1)."""
+    path = tmp_path / "document.json"
+    if document == "dns-checkpoint":
+        assert main(_stream_flags("dns", ent_layout, mixed_fleet_layout)
+                    + ["--checkpoint", str(path), "--max-batches", "3"]) == 3
+    else:
+        path.write_text(document)
+    argv = _stream_flags("enterprise", ent_layout, mixed_fleet_layout)
+    argv[argv.index(flag) + 1] = str(path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+#: An output no run can write, and the ``error:`` line it gets.
+UNWRITABLE_OUTPUTS = [
+    ("run", "--metrics-out {dir}", "--metrics-out is a directory: {dir}"),
+    ("run", "--metrics-out {file}/m.json",
+     "--metrics-out: not a directory: {file}"),
+    ("stream", "--metrics-out {dir}", "--metrics-out is a directory: {dir}"),
+    ("stream", "--metrics-out {file}/sub/m.json",
+     "--metrics-out: not a directory: {file}"),
+    ("stream", "--checkpoint {dir}", "checkpoint is a directory: {dir}"),
+    ("fleet", "--metrics-out {dir}", "--metrics-out is a directory: {dir}"),
+    ("fleet", "--metrics-out {file}/m.json",
+     "--metrics-out: not a directory: {file}"),
+    ("fleet", "--json {dir}", "--json is a directory: {dir}"),
+    ("fleet", "--json {missing}/r.json",
+     "--json directory not found: {missing}"),
+]
+
+
+@pytest.mark.parametrize(
+    ("verb", "flags", "error"), UNWRITABLE_OUTPUTS,
+    ids=[f"{verb} {flags}" for verb, flags, _ in UNWRITABLE_OUTPUTS],
+)
+def test_unwritable_output_is_refused_before_any_line(
+    verb, flags, error, mixed_fleet_layout, tmp_path, capsys, monkeypatch
+):
+    """Not a traceback (exit 1) after the whole run, nor a printed
+    report followed by exit 2: one ``error:`` line, no line read, no
+    worker spawned and nothing written."""
+    import multiprocessing
+
+    from repro.streaming.engine import StreamingEngineBase
+
+    def no_ingest(self, connections):
+        raise AssertionError("a line was read")
+
+    monkeypatch.setattr(StreamingEngineBase, "submit", no_ingest)
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file",
+             "missing": tmp_path / "missing" / "dir"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    argv = {
+        "run": ["run", str(mixed_fleet_layout / "t0"),
+                "--bootstrap-files", "1"],
+        "stream": ["stream", str(mixed_fleet_layout / "t0"),
+                   "--bootstrap-files", "1"],
+        "fleet": ["fleet", str(mixed_fleet_layout / "manifest.json"),
+                  "--workers", "2"],
+    }[verb]
+    assert main(argv + flags.format(**paths).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error.format(**paths)}\n"
+    assert captured.out == ""
+    assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert list(paths["dir"].iterdir()) == []

@@ -9,6 +9,7 @@ uninterrupted outcome.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,39 @@ def serial_report(fleet_layout):
 
 def _detections(report):
     return {t: sorted(d) for t, d in report.detected_by_tenant().items()}
+
+
+@pytest.fixture(scope="module")
+def cli_fleet(tmp_path_factory):
+    """``generate --tenants 3 --hosts 30 --days 4`` and the ``--json``
+    report of its whole, uninterrupted ``fleet`` run."""
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    out = tmp_path_factory.mktemp("clifleet")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", str(out / "fleet"), "--tenants", "3",
+                     "--hosts", "30", "--days", "4"]) == 0
+        assert main(["fleet", str(out / "fleet" / "manifest.json"),
+                     "--workers", "1", "--json", str(out / "whole.json")]) == 0
+    return (out / "fleet" / "manifest.json",
+            json.loads((out / "whole.json").read_text()))
+
+
+def _tenant_days(*reports):
+    """Each tenant's day reports across ``--json`` reports, timings
+    dropped."""
+    days = {}
+    for report in reports:
+        for tenant, entry in report["tenants"].items():
+            days.setdefault(tenant, []).extend(
+                {key: value for key, value in day.items()
+                 if key not in ("elapsed_seconds", "stage_seconds")}
+                for day in entry["days"]
+            )
+    return days
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +458,61 @@ class TestFleetCheckpoint:
         assert captured.err.startswith("error: tenant 't0': ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_round_the_barrier_never_committed_is_adopted_with_its_seeds(
+        self, cli_fleet, tmp_path, capsys
+    ):
+        """t0 and t2 finished round 2, but ``fleet.json`` and t1 are
+        back at the stop before it: the resumed fleet adopts t0's and
+        t2's reports and counts the seeds their tasks carried (they
+        used to be lost: 57 seeds served, not 73)."""
+        from repro.cli import main
+
+        layout, whole = cli_fleet
+        ckpt = tmp_path / "ck"
+        flags = ["fleet", str(layout), "--workers", "2",
+                 "--checkpoint-dir", str(ckpt)]
+        first, last = tmp_path / "first.json", tmp_path / "last.json"
+        assert main(flags + ["--max-rounds", "2", "--json", str(first)]) == 3
+        saved = tmp_path / "saved"
+        shutil.copytree(ckpt, saved)
+        assert main(flags + ["--resume", "--max-rounds", "1"]) == 3
+        for document in ("fleet.json", "t1/checkpoint.json"):
+            shutil.copy(saved / document, ckpt / document)
+        assert main(flags + ["--resume", "--json", str(last)]) == 0
+        capsys.readouterr()
+        first, last = (json.loads(p.read_text()) for p in (first, last))
+        assert _tenant_days(first, last) == _tenant_days(whole)
+        assert whole["intel"]["seeds_served"] > first["intel"]["seeds_served"]
+        assert last["intel"]["seeds_served"] == whole["intel"]["seeds_served"]
+
+    def test_tenant_checkpoint_ahead_of_the_fleet_is_one_error(
+        self, cli_fleet, tmp_path, capsys
+    ):
+        """A tenant document two rounds past ``fleet.json`` used to be
+        adopted: t0 skipped two days and re-published a stale report."""
+        import multiprocessing
+
+        from repro.cli import main
+
+        layout, _ = cli_fleet
+        ckpt = tmp_path / "ck"
+        flags = ["fleet", str(layout), "--workers", "2",
+                 "--checkpoint-dir", str(ckpt)]
+        assert main(flags + ["--max-rounds", "2"]) == 3
+        path = ckpt / "t0" / "checkpoint.json"
+        wrapper = json.loads(path.read_text())
+        assert wrapper["round"] == 2
+        wrapper["round"] = 4
+        path.write_text(json.dumps(wrapper))
+        capsys.readouterr()
+        assert main(flags + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: tenant 't0': ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert json.loads((ckpt / "fleet.json").read_text())["rounds"] == 2
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
