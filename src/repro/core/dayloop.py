@@ -1,17 +1,17 @@
-"""The daily loop after ``Detect_C&C``: seed, then Algorithm 1 (IV-D).
+"""The paper's daily loop (III-E, IV-C, IV-D), written once.
 
 Section IV-D names one loop per day: the automation test, the C&C
 stage, then belief propagation seeded either by today's C&C hits
 (no-hint mode) or by what the SOC already knows (hint hosts, hint
-domains).  Everything up to the C&C set differs by pipeline -- the
-multi-host beaconing heuristic on DNS logs, the regression model on
-proxy logs -- and everything after it does not.  :func:`detect_day` is
-that second half, written once: batch ``run``, the streaming engines'
-end of day *and* every intra-day scoring round, a fleet tenant's round
-and both evaluation harnesses call it with their C&C set and a factory
-for their frontier scorer, and differ in nothing else -- it is the one
-place Algorithm 1 is called from.  Its :class:`DayReport` is the day's
-one report: callers add to it, never copy out of it.
+domains).  Only the C&C stage differs by pipeline -- the multi-host
+beaconing heuristic on DNS logs, the regression model on proxy logs --
+and so does the frontier scorer.  :func:`close_day` is the whole end
+of day, which both engines' ``rollover()`` (so ``run``, ``stream`` and
+a fleet tenant's round) run with those two hooks.  :func:`detect_day`
+is its seed -> Algorithm 1 half, which every intra-day scoring round
+and both evaluation harnesses also call -- it is the one place
+Algorithm 1 is called from.  Its :class:`DayReport` is the day's one
+report: callers add to it, never copy out of it.
 """
 
 from __future__ import annotations
@@ -67,16 +67,16 @@ class DayReport:
     """Rare domains pulled in through CT SAN-pivot sibling edges."""
 
     cc_scores: dict[str, float] = field(default_factory=dict)
-    """C&C domain -> its regression score (at or above ``Tc``); empty
-    on the DNS path, whose heuristic gives no score."""
+    """C&C domain -> its regression score (at or above ``Tc``); 1.0 on
+    the DNS path, whose heuristic gives no score."""
 
     soc_hints: BeliefPropagationResult | None = None
-    """The enterprise path's SOC-hints run, when IOC seeds were given."""
+    """The SOC-hints run, when IOC seed domains were given."""
 
     stage_seconds: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds per stage: ``bp`` when Algorithm 1 ran;
-    callers add the stages they timed (``automation``, ``cc``, and the
-    engine's ``rare`` and ``commit``); observability only."""
+    :func:`close_day` adds ``automation`` and ``cc``, the engine's
+    ``rollover()`` ``rare`` and ``commit``; observability only."""
 
     path: Path | None = None
     """The log file the day was read from, where the driver pairs a
@@ -86,14 +86,16 @@ class DayReport:
         """Detected domain -> the score to publish it with (a fleet's
         intel board, ``stream --intel-db``): seed and C&C labels count
         as confirmed (1.0), similarity labels keep their labeling
-        score."""
+        score -- the no-hint run's, else the SOC-hints run's."""
         scores: dict[str, float] = {}
-        if self.bp_result is not None:
-            for detection in self.bp_result.detections:
-                if detection.reason in ("seed", "cc"):
-                    scores[detection.domain] = 1.0
-                else:
-                    scores[detection.domain] = detection.score
+        detected = set(self.detected)
+        for run in (self.bp_result, self.soc_hints):
+            for detection in run.detections if run is not None else ():
+                if detection.domain in detected:
+                    scores.setdefault(detection.domain, (
+                        1.0 if detection.reason in ("seed", "cc")
+                        else detection.score
+                    ))
         for domain in self.detected:
             scores.setdefault(domain, 1.0)
         return scores
@@ -196,4 +198,76 @@ def detect_day(
         report.bp_result = result
         report.detected += result.detected_domains
         report.stage_seconds["bp"] = bp_span.elapsed
+    return report
+
+
+def close_day(
+    traffic: DailyTraffic,
+    rare: set[str],
+    *,
+    automation,
+    cc_stage: Callable[[DailyTraffic, list], dict[str, float]],
+    new_scorer: Callable[[], ScoreFrontier],
+    config: BeliefPropagationConfig,
+    hint_hosts: Iterable[str] = (),
+    soc_seed_domains: Iterable[str] = (),
+    intel_domains: Set[str] = frozenset(),
+    ct_edges=None,
+    metrics=None,
+) -> DayReport:
+    """The end of day (Section III-E, operation), for either pipeline.
+
+    The automation test over every rare (host, domain) series (IV-C),
+    the pipeline's ``Detect_C&C`` stage (``cc_stage(traffic,
+    verdicts)`` -> C&C domain -> score), then :func:`detect_day` seeded
+    by the C&C hits or by ``hint_hosts``, with ``intel_domains`` and
+    ``ct_edges``; given ``soc_seed_domains``, once more seeded by those
+    contacted today (with ``ct_edges``' sibling map).  Each run gets a
+    fresh frontier scorer from ``new_scorer()``.
+
+    The first run's report is the day's: its ``detected`` holds the
+    sorted seeds (C&C, intel, CT), then its labels; the SOC-hints run
+    adds its labels not already there (its seeds are inputs, not
+    detections) and its ``bp`` seconds.  ``metrics`` is an optional
+    :class:`repro.obs.MetricsRegistry`; stages are timed either way.
+    """
+    obs = metrics if metrics is not None else NULL_METRICS
+    with obs.span("detect_automation") as automation_span:
+        verdicts = automation.automated_pairs(traffic.rare_series(rare))
+    with obs.span("detect_cc") as cc_span:
+        cc_scores = cc_stage(traffic, verdicts)
+    cc = set(cc_scores)
+
+    def run(**seeding) -> DayReport:
+        return detect_day(
+            traffic,
+            rare,
+            cc=cc,
+            new_scorer=new_scorer,
+            config=config,
+            ct_edges=ct_edges,
+            metrics=metrics,
+            **seeding,
+        )
+
+    report = run(hint_hosts=hint_hosts, intel_domains=intel_domains)
+    report.cc_scores = cc_scores
+    report.stage_seconds = {
+        "automation": automation_span.elapsed,
+        "cc": cc_span.elapsed,
+        **report.stage_seconds,
+    }
+    soc_seed_domains = tuple(soc_seed_domains)
+    if soc_seed_domains:
+        hinted = run(hint_domains=soc_seed_domains)
+        report.soc_hints = hinted.bp_result
+        if hinted.bp_result is not None:
+            report.detected += [
+                d for d in hinted.bp_result.detected_domains
+                if d not in report.detected
+            ]
+            report.stage_seconds["bp"] = (
+                report.stage_seconds.get("bp", 0.0)
+                + hinted.stage_seconds["bp"]
+            )
     return report

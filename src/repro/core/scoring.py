@@ -643,6 +643,14 @@ def multi_host_cc_domains(verdicts: Iterable[AutomationVerdict]) -> set[str]:
     }
 
 
+def multi_host_cc_scores(
+    verdicts: Iterable[AutomationVerdict],
+) -> dict[str, float]:
+    """The DNS path's C&C stage: :func:`multi_host_cc_domains`, each
+    at 1.0 since the heuristic gives no score."""
+    return dict.fromkeys(multi_host_cc_domains(verdicts), 1.0)
+
+
 def automated_hosts_by_domain(
     verdicts: Iterable[AutomationVerdict],
 ) -> dict[str, set[str]]:

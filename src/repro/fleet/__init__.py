@@ -31,7 +31,7 @@ day barriers: every tenant finishes day ``d`` before any day-``d``
 detection reaches the board, so a tenant's day-``d`` seeds are exactly
 the fleet's confirmed domains through day ``d - 1``.  Seeds intersected
 with the tenant's *rare* set enter belief propagation as seed labels
-(:func:`repro.runner.detect_on_traffic`); a domain that is popular or
+(:func:`repro.core.dayloop.close_day`); a domain that is popular or
 already profiled in a tenant is never seeded there.  Results are
 therefore identical for any worker count -- parallelism changes
 wall-clock, not detections.

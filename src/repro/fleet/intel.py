@@ -15,7 +15,7 @@ provides:
   :meth:`IntelPlane.seeds_for` answers a tenant with every *other*
   tenant's qualifying domains -- the seeds the manager puts in that
   tenant's next ``ADVANCE_DAY`` task.
-  Fed into :func:`repro.runner.detect_on_traffic` as ``intel_domains``,
+  Fed into :func:`repro.core.dayloop.close_day` as ``intel_domains``,
   these become elevated belief-propagation priors -- the paper's
   community-feedback amplification (a domain confirmed malicious for
   one tenant immediately seeds detection everywhere else), applied at

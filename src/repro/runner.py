@@ -10,10 +10,9 @@ engine fed each file in
 :data:`~repro.streaming.engine.INGEST_CHUNK`-row polls, so a day holds
 its aggregate plus one chunk of raw rows, whatever the file's size.
 
-DNS logs carry no WHOIS/HTTP features, so the DNS path's end-of-day
-routine, :func:`detect_on_traffic`, is the LANL one: the multi-host
-beaconing C&C heuristic plus the additive similarity scorer (Section
-V-B).  Hint hosts may be supplied per day for the SOC-hints mode.
+DNS logs carry no WHOIS/HTTP features, so the DNS path's end of day,
+:func:`detect_on_traffic`, is the LANL one: the multi-host beaconing
+C&C heuristic plus the additive similarity scorer (Section V-B).
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from functools import partial
 from pathlib import Path
 
 from .config import SystemConfig
-from .core.dayloop import DayReport, detect_day
-from .core.scoring import AdditiveSimilarityScorer, multi_host_cc_domains
-from .obs.metrics import NULL_METRICS
+from .core.dayloop import DayReport, close_day
+from .core.scoring import AdditiveSimilarityScorer, multi_host_cc_scores
 from .profiling.rare import DailyTraffic
 from .timing.detector import AutomationDetector
 
@@ -42,34 +40,16 @@ def detect_on_traffic(
     ct_edges=None,
     metrics=None,
 ) -> DayReport:
-    """The DNS-path daily detection stages on one day of traffic.
-
-    The automation test over rare (host, domain) series and the
-    multi-host beaconing C&C heuristic (Section V-B), then
-    :func:`repro.core.dayloop.detect_day` -- the seed -> Algorithm 1
-    half every mode and both pipelines share -- seeded by the C&C hits
-    (no-hint mode) or by SOC ``hint_hosts``.  The streaming engine
-    (:class:`repro.streaming.StreamingDetector`) runs this at every
-    ``rollover()``, whichever verb feeds it.
-
-    ``scorer`` hands out the run's frontier scorer
-    (:meth:`~repro.core.scoring.AdditiveSimilarityScorer
-    .frontier_scorer`); ``intel_domains`` and ``ct_edges`` pass
-    straight through to the kernel, which documents them.
-
-    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry`;
-    stage timings are always measured (they feed the returned
-    ``stage_seconds``) but recorded into histograms only when given.
-    """
-    obs = metrics if metrics is not None else NULL_METRICS
-    with obs.span("detect_automation") as automation_span:
-        cc = multi_host_cc_domains(
-            automation.automated_pairs(traffic.rare_series(rare))
-        )
-    report = detect_day(
+    """The DNS-path end of day on one day of traffic, outside an engine:
+    :func:`repro.core.dayloop.close_day` (which documents the keywords)
+    with the hooks :class:`repro.streaming.StreamingDetector` passes --
+    the multi-host beaconing C&C heuristic (Section V-B) and
+    ``scorer``'s frontier scorer."""
+    return close_day(
         traffic,
         rare,
-        cc=cc,
+        automation=automation,
+        cc_stage=lambda _traffic, verdicts: multi_host_cc_scores(verdicts),
         new_scorer=partial(scorer.frontier_scorer, traffic),
         config=config.belief_propagation,
         hint_hosts=hint_hosts,
@@ -77,10 +57,6 @@ def detect_on_traffic(
         ct_edges=ct_edges,
         metrics=metrics,
     )
-    report.stage_seconds = {
-        "automation": automation_span.elapsed, **report.stage_seconds
-    }
-    return report
 
 
 def run_directory(

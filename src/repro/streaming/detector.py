@@ -11,7 +11,7 @@ scorer, belief propagation).
 
 **End of day is independent of micro-batching.**  At a day boundary,
 :meth:`~repro.streaming.engine.StreamingEngineBase.rollover` runs
-:func:`repro.runner.detect_on_traffic` over the accumulated window,
+:func:`repro.core.dayloop.close_day` over the accumulated window,
 whose indexes are identical to a bulk aggregation of the same records.
 ``run`` and ``fleet`` feed each file in
 :data:`~repro.streaming.engine.INGEST_CHUNK`-row polls, ``stream`` in
@@ -19,8 +19,8 @@ micro-batches with scoring rounds between; the day closes with the
 same report either way, and the intra-day
 :meth:`~repro.streaming.engine.StreamingEngineBase.score` updates are
 strictly additional visibility.  Both methods live on the engine base;
-this module supplies the DNS path's reduction funnel, C&C heuristic,
-day-lived frontier scorer and end-of-day call.
+this module supplies the DNS path's reduction funnel, C&C heuristic
+and frontier scorers (fresh at end of day, day-lived for the rounds).
 
 Mid-day costs stay proportional to what changed: automation verdicts
 are cached per (host, domain) series and recomputed only for pairs
@@ -36,17 +36,15 @@ a restore) and rebuilt from ``prior`` on the next round.
 from __future__ import annotations
 
 from ..config import LANL_CONFIG, SystemConfig
-from ..core.dayloop import DayReport
 from ..core.scoring import (
     MULTI_HOST_MIN_HOSTS,
     AdditiveSimilarityScorer,
     SimilarityStats,
-    multi_host_cc_domains,
+    multi_host_cc_scores,
 )
 from ..logs.reduction import ReductionFunnel
 from ..profiling.history import DestinationHistory
 from ..profiling.ua import UserAgentHistory
-from ..runner import detect_on_traffic
 from ..timing.detector import AutomationDetector
 from .engine import StreamingEngineBase
 from .incremental import WarmStartConfig
@@ -96,8 +94,11 @@ class StreamingDetector(StreamingEngineBase):
     # What the DNS path brings to the base's day loop
     # ------------------------------------------------------------------
 
-    def _cc_domains(self, traffic, verdicts) -> set[str]:
-        return multi_host_cc_domains(verdicts)
+    def _cc_scores(self, traffic, verdicts) -> dict[str, float]:
+        return multi_host_cc_scores(verdicts)
+
+    def _new_scorer(self, traffic):
+        return self.scorer.frontier_scorer(traffic)
 
     def _round_scorer(self, traffic):
         if self._day_scorer is None:
@@ -106,14 +107,3 @@ class StreamingDetector(StreamingEngineBase):
                 traffic, stats=self.similarity_stats
             )
         return self._day_scorer
-
-    def _detect_day(self, traffic, rare: set[str], **seeding) -> DayReport:
-        return detect_on_traffic(
-            traffic,
-            rare,
-            automation=self.automation,
-            scorer=self.scorer,
-            config=self.config,
-            metrics=self.metrics,
-            **seeding,
-        )

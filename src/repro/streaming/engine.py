@@ -18,10 +18,10 @@ is the *scheduler* of the paper's daily loop: :meth:`~StreamingEngineBase
 .score` runs :func:`~repro.core.dayloop.detect_day` intra-day over the
 window's own graph views, warm-started from the previous round, and
 :meth:`~StreamingEngineBase.rollover` -- the one end of day every verb
-(``run``, ``stream``, ``fleet``) reaches -- runs the pipeline's
-end-of-day routine over the full window and commits the histories.  A
-subclass supplies only what differs between the two paths: its line
-reader, its C&C stage, its round scorer and its end-of-day call.
+(``run``, ``stream``, ``fleet``) reaches -- runs
+:func:`~repro.core.dayloop.close_day` over the full window and commits
+the histories.  A subclass supplies only what differs between the two
+paths: its line reader, its C&C stage and its frontier scorer.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import SystemConfig
-from ..core.dayloop import DayReport, detect_day
+from ..core.dayloop import DayReport, close_day, detect_day
 from ..logs.records import Connection, ConnectionBatch
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import NULL_METRICS
@@ -70,12 +70,11 @@ class StreamingEngineBase:
     subclass passes its line ``reader`` (anything with
     ``read_lines(lines, batch_size)`` yielding
     :class:`~repro.logs.records.ConnectionBatch` columns) and
-    implements :meth:`_cc_domains`, :meth:`_round_scorer` and
-    :meth:`_detect_day`.
+    implements :meth:`_cc_scores` and :meth:`_new_scorer`.
     """
 
     #: Fewest same-day hosts a rare domain needs before the pipeline's
-    #: C&C stage (:meth:`_cc_domains`) can act on any of its series
+    #: C&C stage (:meth:`_cc_scores`) can act on any of its series
     #: verdicts.  Below it a stale series is not tested at all.  1 (a
     #: single-host beacon can be C&C) unless the subclass's stage says
     #: otherwise.
@@ -329,15 +328,21 @@ class StreamingEngineBase:
     # Intra-day scoring
     # ------------------------------------------------------------------
 
-    def _cc_domains(self, traffic, verdicts) -> set[str]:
-        """The pipeline's C&C stage over the day's automated verdicts."""
+    def _cc_scores(self, traffic, verdicts) -> dict[str, float]:
+        """The pipeline's ``Detect_C&C`` stage over the day's automated
+        verdicts: C&C domain -> its score."""
+        raise NotImplementedError
+
+    def _new_scorer(self, traffic):
+        """A fresh :data:`~repro.core.beliefprop.ScoreFrontier` hook
+        over ``traffic``."""
         raise NotImplementedError
 
     def _round_scorer(self, traffic):
-        """The :data:`~repro.core.beliefprop.ScoreFrontier` hook of the
-        scoring round about to run (:attr:`_day_scorer` is already
-        dropped when the round is cold)."""
-        raise NotImplementedError
+        """The frontier scorer of the scoring round about to run
+        (:attr:`_day_scorer` is already dropped when the round is
+        cold): a fresh one unless the pipeline keeps one per day."""
+        return self._new_scorer(traffic)
 
     def _scoring_round(self):
         """Context manager held across one :meth:`score` round."""
@@ -363,7 +368,7 @@ class StreamingEngineBase:
         rare = set(self.window.rare)
         verdicts = self._refresh_verdicts()
         with self._scoring_round():
-            cc = self._cc_domains(traffic, verdicts)
+            cc = set(self._cc_scores(traffic, verdicts))
 
             # C&C verdicts are not monotone: new irregular events can
             # flip a series back to not-automated or push a regression
@@ -416,12 +421,6 @@ class StreamingEngineBase:
     # Day boundary
     # ------------------------------------------------------------------
 
-    def _detect_day(self, traffic, rare: set[str], **seeding) -> DayReport:
-        """Run the pipeline's end-of-day routine over ``traffic`` and
-        its ``rare`` domains; return the day's report (its
-        ``stage_seconds`` holding the stages it timed)."""
-        raise NotImplementedError
-
     def rollover(self, *, detect: bool = True, **seeding) -> DayReport:
         """Close the day: end-of-day detection, then commit histories.
 
@@ -430,14 +429,14 @@ class StreamingEngineBase:
         rescans every rare series -- nothing is carried over from the
         intra-day rounds, so the report depends on the day's events
         and not on how they were micro-batched.  ``seeding`` passes to
-        the pipeline's routine (:meth:`_detect_day`) by keyword:
-        ``intel_domains`` (externally confirmed malicious domains, e.g.
-        another tenant's detections shared through a fleet's intel
-        plane), ``ct_edges``, and the pipeline's SOC hints
-        (``hint_hosts`` on the DNS path, ``soc_seed_domains`` on the
-        enterprise path).  Events submitted but not yet polled belong
-        to the day being closed and are folded in first.  Histories
-        commit exactly once, in :meth:`WindowedAggregator.rollover`.
+        :func:`~repro.core.dayloop.close_day` by keyword, on either
+        pipeline: ``intel_domains`` (externally confirmed malicious
+        domains, e.g. another tenant's detections shared through a
+        fleet's intel plane), ``ct_edges``, and the SOC hints
+        ``hint_hosts`` and ``soc_seed_domains``.  Events submitted but
+        not yet polled belong to the day being closed and are folded
+        in first.  Histories commit exactly once, in
+        :meth:`WindowedAggregator.rollover`.
         """
         self.poll()
         with self.metrics.span("rollover_rare") as rare_span:
@@ -449,7 +448,16 @@ class StreamingEngineBase:
                 unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
             )
         if detect:
-            report = self._detect_day(traffic, rare, **seeding)
+            report = close_day(
+                traffic,
+                rare,
+                automation=self.automation,
+                cc_stage=self._cc_scores,
+                new_scorer=lambda: self._new_scorer(traffic),
+                config=self.config.belief_propagation,
+                metrics=self.metrics,
+                **seeding,
+            )
             self.metrics.counter("stream_detections_total").inc(
                 len(report.detected)
             )

@@ -14,15 +14,15 @@ close.
 
 **End of day is independent of micro-batching.**  At a day boundary,
 :meth:`~repro.streaming.engine.StreamingEngineBase.rollover` runs the
-paper's operation stages (:meth:`StreamingEnterpriseDetector._detect_day`)
-over the accumulated window, whose indexes are identical to a bulk
+paper's operation stages (:func:`repro.core.dayloop.close_day`) over
+the accumulated window, whose indexes are identical to a bulk
 aggregation of the same records, and then commits the histories
 exactly once.  A day fed in one ``ingest`` and the same day fed in
 many, with scoring rounds between, therefore close with the same
 report; the intra-day updates are strictly additional visibility.
 ``score`` and ``rollover`` live on the engine base; this module
-supplies the proxy path's normalizer, regression C&C stage, per-round
-frontier scorer and end of day.
+supplies the proxy path's normalizer, regression C&C stage and
+frontier scorer (a fresh one per run, the end of day's included).
 
 Two enterprise-specific subtleties the implementation preserves:
 
@@ -37,19 +37,12 @@ Two enterprise-specific subtleties the implementation preserves:
   staged per event but committed only at rollover, and
   ``UserAgentHistory.is_rare`` consults committed state only -- so a
   UA first seen today stays *rare* for today's own detection.
-
-``intel_domains`` passed to ``rollover()`` are externally confirmed
-malicious domains (a fleet's shared intel plane); those rare today
-seed belief propagation directly -- extending the DNS path's
-cross-tenant seeding to the proxy path.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Set
 from contextlib import contextmanager
 
-from ..core.dayloop import DayReport, detect_day
 from ..core.pipeline import EnterpriseDetector
 from ..logs.normalize import ProxyNormalizer
 from .engine import StreamingEngineBase
@@ -153,78 +146,6 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
             if score >= threshold
         }
 
-    def _cc_domains(self, traffic, verdicts) -> set[str]:
-        return set(self._cc_scores(traffic, verdicts))
-
-    def _round_scorer(self, traffic):
+    def _new_scorer(self, traffic):
         # Per round, not per day: see BatchedSimilarityScorer.
         return self.similarity_scorer.frontier_scorer(traffic, self._when())
-
-    def _detect_day(
-        self,
-        traffic,
-        rare: set[str],
-        *,
-        soc_seed_domains: Iterable[str] = (),
-        intel_domains: Set[str] = frozenset(),
-        ct_edges=None,
-    ) -> DayReport:
-        """The enterprise-path end of day (Section III-E, operation).
-
-        The automation test over every rare (host, domain) series and
-        regression C&C scoring above ``Tc`` (Section IV-C), then
-        :func:`repro.core.dayloop.detect_day` once in no-hint mode and,
-        when ``soc_seed_domains`` are given, once more seeded by those
-        of them contacted today.  ``intel_domains`` and ``ct_edges``
-        pass to the no-hint run, which documents them (``ct_edges``
-        also hands the SOC-hints run its sibling map).  Each run gets
-        a fresh frontier scorer whose WHOIS imputation state evolves
-        exactly as per-domain scoring would.
-
-        The no-hint run's report is the day's: its ``detected`` already
-        holds the sorted seeds (C&C, intel, CT) and then its labels;
-        the SOC-hints run adds its labels not already there (its seeds
-        are inputs, not detections) and its ``bp`` seconds.
-        """
-        with self.metrics.span("detect_automation") as automation_span:
-            verdicts = self.automation.automated_pairs(
-                traffic.rare_series(rare)
-            )
-        with self.metrics.span("detect_cc") as cc_span:
-            cc_scores = self._cc_scores(traffic, verdicts)
-            cc = set(cc_scores)
-
-        def run(**seeding):
-            return detect_day(
-                traffic,
-                rare,
-                cc=cc,
-                new_scorer=lambda: self._round_scorer(traffic),
-                config=self.config.belief_propagation,
-                ct_edges=ct_edges,
-                metrics=self.metrics,
-                **seeding,
-            )
-
-        report = run(intel_domains=intel_domains)
-        runs = [report]
-        soc_seed_domains = tuple(soc_seed_domains)
-        if soc_seed_domains:
-            hinted = run(hint_domains=soc_seed_domains)
-            runs.append(hinted)
-            report.soc_hints = hinted.bp_result
-            if hinted.bp_result is not None:
-                report.detected += [
-                    d for d in hinted.bp_result.detected_domains
-                    if d not in report.detected
-                ]
-        report.cc_scores = cc_scores
-        report.stage_seconds = {
-            "automation": automation_span.elapsed, "cc": cc_span.elapsed,
-        }
-        bp_seconds = [
-            r.stage_seconds["bp"] for r in runs if "bp" in r.stage_seconds
-        ]
-        if bp_seconds:
-            report.stage_seconds["bp"] = sum(bp_seconds)
-        return report

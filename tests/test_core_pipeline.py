@@ -88,3 +88,34 @@ class TestOperation:
             assert all(s >= threshold for s in report.cc_scores.values())
             seen_cc = seen_cc or bool(report.cc_domains)
         assert seen_cc
+
+    def test_soc_hints_labels_publish_their_labeling_score(self):
+        """A label only the SOC-hints run made is published with its
+        labeling score, not as confirmed; the hints' seeds are inputs,
+        not detections, and a label both runs made keeps the no-hint
+        run's score."""
+        from repro.core import BeliefPropagationResult, DayReport, Detection
+
+        def run(*detections):
+            return BeliefPropagationResult(
+                hosts=set(), domains={d.domain for d in detections},
+                detections=list(detections), trace=[],
+            )
+
+        report = DayReport(
+            day=0,
+            rare_domains={"cc.c1", "both.c1", "ioc.c1", "hinted.c1"},
+            detected=["cc.c1", "both.c1", "hinted.c1"],
+            bp_result=run(
+                Detection("cc.c1", 0, "seed", 0.0),
+                Detection("both.c1", 1, "similarity", 0.7),
+            ),
+            soc_hints=run(
+                Detection("ioc.c1", 0, "seed", 0.0),
+                Detection("both.c1", 1, "similarity", 0.9),
+                Detection("hinted.c1", 2, "similarity", 0.6),
+            ),
+        )
+        assert report.publication_scores() == {
+            "cc.c1": 1.0, "both.c1": 0.7, "hinted.c1": 0.6,
+        }

@@ -7,6 +7,7 @@ A source scan also holds the one structural promise the docs make and
 no behavioural test can: the paper's daily loop is written once.
 """
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -136,6 +137,54 @@ class TestOneDayLoop:
         for method in ("score", "rollover", "ingest_lines", "submit_raw"):
             owners = self._lines_with(rf"def {method}\(", streaming)
             assert sorted(owners) == ["streaming/engine.py"], method
+
+    def _callers(self, name: str) -> list[str]:
+        """``path:Qualified.function`` of every call to ``name`` under
+        ``src/repro`` (``path:`` alone at module level), sorted."""
+        found = []
+
+        def visit(node, rel: str, scope: tuple[str, ...]) -> None:
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = (*scope, child.name)
+                elif isinstance(child, ast.Call):
+                    func = child.func
+                    called = getattr(func, "id", getattr(func, "attr", None))
+                    if called == name:
+                        found.append(f"{rel}:{'.'.join(scope)}")
+                visit(child, rel, inner)
+
+        for path in sorted(self.SRC.rglob("*.py")):
+            rel = path.relative_to(self.SRC).as_posix()
+            visit(ast.parse(path.read_text()), rel, ())
+        return sorted(found)
+
+    def test_a_day_closes_in_one_place(self):
+        """Both pipelines' end of day is ``close_day``: no engine keeps
+        an end-of-day routine or a C&C-set hook of its own, and the
+        streaming package does not reach into ``runner``."""
+        assert self._lines_with(r"\b_(detect_day|cc_domains)\b") == {}
+        assert self._callers("close_day") == [
+            "runner.py:detect_on_traffic",
+            "streaming/engine.py:StreamingEngineBase.rollover",
+        ]
+        assert self._callers("detect_day") == [
+            "core/dayloop.py:close_day.run",
+            "eval/enterprise_eval.py:EnterpriseEvaluation.detect",
+            "streaming/engine.py:StreamingEngineBase.score",
+        ]
+        for path in sorted((self.SRC / "streaming").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [("." * node.level) + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                assert not any(
+                    n in ("..runner", "repro.runner") for n in names
+                ), path.name
 
     def test_a_day_has_one_lifecycle(self):
         """``run`` is the engine fed each file in chunks: no second

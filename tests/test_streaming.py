@@ -141,9 +141,47 @@ class TestBatchParity:
         assert "seed" not in {d.reason for d in got.bp_result.detections}
         assert set(truth.malicious_domains) <= set(got.detected)
 
-    def test_rollover_rejects_the_other_pipelines_hint_keyword(self):
-        with pytest.raises(TypeError, match="soc_seed_domains"):
-            StreamingDetector().rollover(soc_seed_domains=("x.c3",))
+    @pytest.mark.parametrize("pipeline", ["dns", "enterprise"])
+    def test_both_pipelines_take_the_same_seeding_keywords(
+        self, pipeline, request, log_dir, lanl_dataset
+    ):
+        """Either engine's close takes hint hosts (LANL cases 1-3) and
+        IOC domains from SOC incident reports (the paper's hint mode),
+        and times the same stages."""
+        if pipeline == "dns":
+            engine = StreamingDetector(
+                internal_suffixes=lanl_dataset.internal_suffixes,
+                server_ips=lanl_dataset.server_ips,
+            )
+            _feed_history(engine, [log_dir / "dns-march-01.log"])
+            with (log_dir / "dns-march-02.log").open() as handle:
+                engine.ingest_lines(handle)
+            truth = lanl_dataset.campaign_for_date(2)
+            hosts, campaign = truth.hint_hosts, set(truth.malicious_domains)
+        else:
+            dataset = request.getfixturevalue("enterprise_dataset")
+            engine = request.getfixturevalue("enterprise_engine")()
+            first = dataset.config.bootstrap_days
+            engine.ingest(dataset.day_connections(first))
+            engine.rollover()
+            engine.ingest(dataset.day_connections(first + 1))
+            active = next(
+                c for c in dataset.campaigns if first + 1 in c.active_days
+            )
+            hosts, campaign = active.host_names[:1], set(active.domains)
+        seed = min(campaign)
+        report = engine.rollover(hint_hosts=hosts, soc_seed_domains=[seed])
+        assert set(hosts) <= report.bp_result.hosts
+        assert set(report.stage_seconds) == {
+            "rare", "automation", "cc", "bp", "commit",
+        }
+        found = set(report.soc_hints.detected_domains)
+        assert seed not in found
+        assert found & campaign
+        assert found <= set(report.detected)
+        if pipeline == "dns":
+            assert found == campaign - {seed}
+            assert report.cc_scores == dict.fromkeys(report.cc_domains, 1.0)
 
     def test_batch_size_does_not_change_detections(self, log_dir, lanl_dataset):
         small = replay_directory(
