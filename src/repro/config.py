@@ -11,6 +11,7 @@ and the LANL additive-score threshold ``Ts = 0.25`` (Section V-B).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 SECONDS_PER_DAY = 86_400
@@ -29,6 +30,28 @@ class HistogramConfig:
     min_connections: int = 4
     """Minimum connections in a day for a (host, domain) pair to be
     considered for automation detection (at least 3 intervals)."""
+
+    def __post_init__(self) -> None:
+        # Checked here because a model document or a checkpoint can hold
+        # anything: a zero or NaN width silently disables the test, and
+        # a series of one connection has no interval to cluster.
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
+            raise ValueError(
+                f"bin_width must be finite and positive, not {self.bin_width!r}"
+            )
+        if not (math.isfinite(self.jeffrey_threshold)
+                and self.jeffrey_threshold >= 0):
+            raise ValueError(
+                "jeffrey_threshold must be finite and non-negative, "
+                f"not {self.jeffrey_threshold!r}"
+            )
+        if (isinstance(self.min_connections, bool)
+                or not isinstance(self.min_connections, int)
+                or self.min_connections < 2):
+            raise ValueError(
+                "min_connections must be an integer of at least 2, "
+                f"not {self.min_connections!r}"
+            )
 
 
 @dataclass(frozen=True)

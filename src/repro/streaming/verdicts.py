@@ -5,7 +5,7 @@ from scratch once per day; the streaming engine re-tests a series on
 every scoring round that saw new events for it.  Most of that work is
 redundant: the dynamic histogram clusters intervals in arrival order,
 so *appending* events to a series extends the existing clusters
-without disturbing them (:func:`repro.timing.histogram.assign_interval`).
+without disturbing them (:func:`repro.timing.histogram.assign_intervals`).
 The cache exploits three increasingly strong facts, all exact:
 
 ``short``
@@ -38,15 +38,10 @@ current one.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from ..timing.detector import AutomationDetector, AutomationVerdict
-from ..timing.histogram import (
-    assign_interval,
-    histogram_from_clusters,
-    intervals,
-)
-from ..timing.divergence import divergence_from_periodic
+from ..timing.histogram import assign_intervals, intervals
 
 
 @dataclass
@@ -102,22 +97,13 @@ class VerdictCacheStats:
 
 @dataclass
 class _SeriesState:
-    """Cached cluster state of one (host, domain) series."""
+    """Cached cluster state and last verdict of one (host, domain) series."""
 
-    hubs: list[float] = field(default_factory=list)
-    counts: list[int] = field(default_factory=list)
-    n_events: int = 0
-    last_ts: float = float("-inf")
-    verdict: AutomationVerdict | None = None
-
-
-def _dominant_index(counts: Sequence[int]) -> int:
-    """Index of the dominant bin (max count, earliest-created on ties)."""
-    best = 0
-    for index, count in enumerate(counts):
-        if count > counts[best]:
-            best = index
-    return best
+    hubs: list[float]
+    counts: list[int]
+    n_events: int
+    last_ts: float
+    verdict: AutomationVerdict
 
 
 class SeriesVerdictCache:
@@ -159,7 +145,6 @@ class SeriesVerdictCache:
         state = self._states.get(pair)
         appended = (
             state is not None
-            and state.verdict is not None
             and new_timestamps
             and count == state.n_events + len(new_timestamps)
             and min(new_timestamps) >= state.last_ts
@@ -188,15 +173,12 @@ class SeriesVerdictCache:
     ) -> AutomationVerdict:
         """Full test, retaining the cluster state it builds."""
         self.stats.full_tests += 1
-        config = self.automation.config
-        state = _SeriesState()
-        for value in intervals(timestamps):
-            assign_interval(state.hubs, state.counts, value, config.bin_width)
-        verdict = self._finish(state, host, domain, len(timestamps))
-        state.n_events = len(timestamps)
-        state.last_ts = timestamps[-1]
-        state.verdict = verdict
-        self._states[pair] = state
+        automation = self.automation
+        hubs, counts = automation.clusters(intervals(timestamps))
+        verdict = automation.judge(host, domain, hubs, counts, len(timestamps))
+        self._states[pair] = _SeriesState(
+            hubs, counts, len(timestamps), timestamps[-1], verdict
+        )
         return verdict
 
     def _extend(
@@ -207,56 +189,29 @@ class SeriesVerdictCache:
         new_timestamps: Sequence[float],
     ) -> AutomationVerdict:
         """Append-only update: extend clusters with the new intervals."""
-        config = self.automation.config
-        dominant = _dominant_index(state.counts) if state.counts else -1
-        all_dominant = bool(state.counts)
-        previous = state.last_ts
-        for value in sorted(new_timestamps):
-            index = assign_interval(
-                state.hubs, state.counts, value - previous, config.bin_width
-            )
-            if index != dominant:
-                all_dominant = False
-            previous = value
+        counts = state.counts
+        dominant = counts.index(max(counts))
+        before = counts[dominant]
+        assign_intervals(
+            state.hubs, counts,
+            intervals([state.last_ts, *sorted(new_timestamps)]),
+            self.automation.config.bin_width,
+        )
         state.n_events = len(timestamps)
         state.last_ts = timestamps[-1]
-
-        if all_dominant and state.verdict is not None and state.verdict.automated:
-            # Every new interval fed the dominant bin: it stays dominant
-            # (its count strictly grew, no other changed) and the
-            # divergence only decreased, so the automated verdict holds
-            # with the same inferred period.
+        if state.verdict.automated and (
+            counts[dominant] - before == len(new_timestamps)
+        ):
+            # Every new interval fed the dominant bin (one that founds a
+            # cluster feeds none): it stays dominant and the divergence
+            # only decreased, so the automated verdict holds with the
+            # same inferred period.
             self.stats.periodic_skips += 1
-            verdict = AutomationVerdict(
-                host=state.verdict.host,
-                domain=state.verdict.domain,
-                automated=True,
-                divergence=state.verdict.divergence,
-                period=state.verdict.period,
-                connections=state.n_events,
-            )
+            verdict = replace(state.verdict, connections=state.n_events)
         else:
             self.stats.incremental_tests += 1
-            verdict = self._finish(
-                state, pair[0], pair[1], state.n_events
+            verdict = self.automation.judge(
+                pair[0], pair[1], state.hubs, counts, state.n_events
             )
         state.verdict = verdict
         return verdict
-
-    def _finish(
-        self, state: _SeriesState, host: str, domain: str, connections: int
-    ) -> AutomationVerdict:
-        """Divergence test over the (already clustered) bins."""
-        config = self.automation.config
-        histogram = histogram_from_clusters(state.hubs, state.counts)
-        divergence = divergence_from_periodic(
-            histogram, metric=self.automation.metric
-        )
-        return AutomationVerdict(
-            host=host,
-            domain=domain,
-            automated=divergence <= config.jeffrey_threshold,
-            divergence=divergence,
-            period=histogram.period,
-            connections=connections,
-        )

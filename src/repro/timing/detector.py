@@ -10,12 +10,13 @@ training campaigns (Table II).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from ..config import HistogramConfig
 from .divergence import divergence_from_periodic
-from .histogram import DynamicHistogram, histogram_from_timestamps
+from .histogram import assign_intervals, histogram_from_clusters, intervals
 
 @dataclass(frozen=True, slots=True)
 class AutomationVerdict:
@@ -39,8 +40,59 @@ class AutomationDetector:
         self.config = config or HistogramConfig()
         self.metric = metric
 
-    def histogram(self, timestamps: Sequence[float]) -> DynamicHistogram:
-        return histogram_from_timestamps(timestamps, self.config.bin_width)
+    def clusters(self, gaps: Sequence[float]) -> tuple[list[float], list[int]]:
+        """Dynamic-histogram clusters ``(hubs, counts)`` of a non-empty
+        interval sequence, exactly as :func:`assign_intervals` builds them.
+
+        A series whose gaps all lie within ``W`` of the first is one
+        cluster on the first gap -- what the scan would build, found
+        here by three C-level passes instead.  Rounding is monotone, so
+        the widest deviation from the first gap is at the largest or
+        the smallest gap.  ``max``/``min`` may skip a NaN, so a NaN sum
+        takes the scan, where a NaN gap founds a cluster of its own.
+        """
+        first = gaps[0]
+        width = self.config.bin_width
+        if (
+            abs(max(gaps) - first) <= width
+            and abs(min(gaps) - first) <= width
+            and not math.isnan(sum(gaps))
+        ):
+            return [first], [len(gaps)]
+        hubs: list[float] = []
+        counts: list[int] = []
+        assign_intervals(hubs, counts, gaps, width)
+        return hubs, counts
+
+    def judge(
+        self,
+        host: str,
+        domain: str,
+        hubs: Sequence[float],
+        counts: Sequence[int],
+        connections: int,
+    ) -> AutomationVerdict:
+        """Verdict on a series clustered into (``hubs``, ``counts``).
+
+        One cluster has frequency 1.0 on its own hub, which is exactly
+        where the periodic reference puts its mass, so the Jeffrey and
+        L1 distances are both exactly ``0.0`` (``1.0 * log(1.0) ==
+        0.0``) and the period is that hub; no histogram is built.
+        """
+        if len(hubs) == 1:
+            divergence, period = 0.0, hubs[0]
+        else:
+            histogram = histogram_from_clusters(hubs, counts)
+            divergence = divergence_from_periodic(histogram, metric=self.metric)
+            period = histogram.period
+        return AutomationVerdict(
+            host=host,
+            domain=domain,
+            automated=divergence <= self.config.jeffrey_threshold,
+            divergence=divergence,
+            period=period,
+            connections=connections,
+        )
 
     def test_series(
         self, host: str, domain: str, timestamps: Sequence[float]
@@ -57,16 +109,8 @@ class AutomationDetector:
                 host=host, domain=domain, automated=False,
                 divergence=float("inf"), period=0.0, connections=count,
             )
-        histogram = self.histogram(timestamps)
-        divergence = divergence_from_periodic(histogram, metric=self.metric)
-        return AutomationVerdict(
-            host=host,
-            domain=domain,
-            automated=divergence <= self.config.jeffrey_threshold,
-            divergence=divergence,
-            period=histogram.period,
-            connections=count,
-        )
+        hubs, counts = self.clusters(intervals(timestamps))
+        return self.judge(host, domain, hubs, counts, count)
 
     def automated_pairs(
         self,
@@ -76,11 +120,14 @@ class AutomationDetector:
 
         ``series`` yields ``((host, domain), sorted_timestamps)`` pairs,
         the shape produced by :class:`repro.profiling.DailyTraffic`.
-        Dispatches to the vectorized batch in
-        :func:`repro.timing.batch.automated_pairs_batch`, which is
-        bit-identical to calling :meth:`test_series` per pair (the
-        ``parity`` tests pin the two together).
+        Each series is :meth:`test_series`; one shorter than
+        ``min_connections`` is skipped without building its verdict.
         """
-        from .batch import automated_pairs_batch
-
-        return automated_pairs_batch(self, series)
+        floor = self.config.min_connections
+        verdicts = []
+        for (host, domain), timestamps in series:
+            if len(timestamps) >= floor:
+                verdict = self.test_series(host, domain, timestamps)
+                if verdict.automated:
+                    verdicts.append(verdict)
+        return verdicts

@@ -18,7 +18,9 @@ different periods.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 
@@ -70,38 +72,44 @@ def intervals(timestamps: Sequence[float]) -> list[float]:
     """Inter-connection intervals of a sorted timestamp series.
 
     Raises ``ValueError`` when the series is not sorted; silent
-    negative intervals would corrupt every downstream statistic.
+    negative intervals would corrupt every downstream statistic.  A NaN
+    interval is not negative, and hides no negative one wherever it sits.
     """
-    result: list[float] = []
-    for earlier, later in zip(timestamps, timestamps[1:]):
-        gap = later - earlier
-        if gap < 0:
-            raise ValueError("timestamps must be sorted non-decreasingly")
-        result.append(gap)
-    return result
+    gaps = list(map(operator.sub, timestamps[1:], timestamps[:-1]))
+    # ``min`` may skip a negative gap past a NaN; a sum that is a number
+    # proves there is none, so only a NaN sum checks gap by gap.
+    if (
+        any(map((0.0).__gt__, gaps)) if math.isnan(sum(gaps))
+        else min(gaps, default=0.0) < 0.0
+    ):
+        raise ValueError("timestamps must be sorted non-decreasingly")
+    return gaps
 
 
-def assign_interval(
-    hubs: list[float], counts: list[int], value: float, bin_width: float
-) -> int:
-    """Assign one interval to its dynamic-histogram cluster in place.
+def assign_intervals(
+    hubs: list[float],
+    counts: list[int],
+    values: Iterable[float],
+    bin_width: float,
+) -> None:
+    """Assign intervals to their dynamic-histogram clusters in place.
 
-    Clusters are scanned in creation order and the interval joins the
+    Clusters are scanned in creation order and each interval joins the
     *first* cluster whose hub is within ``bin_width``; otherwise it
-    founds a new cluster with itself as hub.  Returns the index of the
-    cluster the interval joined.  Because assignment only depends on
-    the clusters created by *earlier* intervals, appending intervals to
-    an existing (``hubs``, ``counts``) pair yields exactly the
-    histogram a full rebuild over the extended sequence would -- the
-    property the streaming verdict cache relies on.
+    founds a new cluster with itself as hub.  Because assignment only
+    depends on the clusters created by *earlier* intervals, appending
+    intervals to an existing (``hubs``, ``counts``) pair yields exactly
+    the histogram a full rebuild over the extended sequence would --
+    the property the streaming verdict cache relies on.
     """
-    for index, hub in enumerate(hubs):
-        if abs(value - hub) <= bin_width:
-            counts[index] += 1
-            return index
-    hubs.append(value)
-    counts.append(1)
-    return len(hubs) - 1
+    for value in values:
+        for index, hub in enumerate(hubs):
+            if abs(value - hub) <= bin_width:
+                counts[index] += 1
+                break
+        else:
+            hubs.append(value)
+            counts.append(1)
 
 
 def histogram_from_clusters(
@@ -121,7 +129,7 @@ def build_histogram(
 ) -> DynamicHistogram:
     """Cluster intervals into a :class:`DynamicHistogram`.
 
-    Implements the paper's scheme verbatim via :func:`assign_interval`.
+    Implements the paper's scheme verbatim via :func:`assign_intervals`.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
@@ -129,8 +137,7 @@ def build_histogram(
         return DynamicHistogram(bins=(), total=0)
     hubs: list[float] = []
     counts: list[int] = []
-    for value in interval_values:
-        assign_interval(hubs, counts, value, bin_width)
+    assign_intervals(hubs, counts, interval_values, bin_width)
     return histogram_from_clusters(hubs, counts)
 
 

@@ -1062,6 +1062,56 @@ def test_malformed_model_or_registry_is_one_error_line(
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(("source", "field", "value"), [
+    ("model", "min_connections", 1),
+    ("model", "bin_width", 0),
+    ("model", "bin_width", float("nan")),
+    ("model", "jeffrey_threshold", -0.5),
+    ("dns-checkpoint", "min_connections", 1),
+    ("enterprise-checkpoint", "bin_width", float("inf")),
+])
+def test_bad_histogram_config_is_refused_before_any_line(
+    source, field, value, ent_layout, mixed_fleet_layout, tmp_path, capsys,
+    monkeypatch,
+):
+    """Not an empty-histogram error mid-replay (``min_connections: 1``)
+    nor an automation test that passes everything (``bin_width: 0``) or
+    nothing (``nan``): one ``error:`` line naming the field."""
+    from repro.streaming.engine import StreamingEngineBase
+
+    pipeline = "dns" if source == "dns-checkpoint" else "enterprise"
+    # An enterprise checkpoint nests the trained detector's document.
+    what = "engine checkpoint" if pipeline == "dns" else "detector state"
+    flags = _stream_flags(pipeline, ent_layout, mixed_fleet_layout)
+    path = tmp_path / "document.json"
+    if source == "model":
+        document = json.loads((ent_layout / "model.json").read_text())
+        document["config"]["histogram"][field] = value
+        flags[flags.index("--model-state") + 1] = str(path)
+    else:
+        assert main(flags + ["--checkpoint", str(path),
+                             "--max-batches", "3"]) == 3
+        document = json.loads(path.read_text())
+        config = document["config"] if pipeline == "dns" else (
+            document["detector"]["config"]
+        )
+        config["histogram"][field] = value
+        flags += ["--checkpoint", str(path), "--resume"]
+    path.write_text(json.dumps(document))
+
+    def no_ingest(self, connections):
+        raise AssertionError("a line was read")
+
+    monkeypatch.setattr(StreamingEngineBase, "submit", no_ingest)
+    capsys.readouterr()
+    assert main(flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: malformed {what}: ValueError: {field} must be "
+    )
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 #: An output no run can write, and the ``error:`` line it gets.
 UNWRITABLE_OUTPUTS = [
     ("run", "--metrics-out {dir}", "--metrics-out is a directory: {dir}"),

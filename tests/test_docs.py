@@ -373,6 +373,32 @@ class TestOneDayLoop:
         # Two definitions and the one place that combines them.
         assert len(uses["core/scoring.py"]) == 4
 
+    def test_the_automation_test_is_written_once(self):
+        """One dynamic histogram: ``test_series``, every end of day and
+        the intra-day verdict cache cluster a series with
+        ``AutomationDetector.clusters`` and judge it with ``judge``.
+        The NumPy batch route and the cache's own clustering loop and
+        verdict builder are gone, not aliased."""
+        assert not (self.SRC / "timing" / "batch.py").exists()
+        numpy = self._lines_with(
+            r"^\s*(import|from) numpy\b", root=self.SRC / "timing"
+        )
+        assert sorted(numpy) == ["timing/baselines.py"]
+        scans = self._lines_with(r"assign_intervals\(")
+        assert sorted(scans) == [
+            "streaming/verdicts.py", "timing/detector.py",
+            "timing/histogram.py",
+        ]
+        calls = {
+            path: found
+            for path, lines in self._lines_with(
+                r"(?<![\w.`])divergence_from_periodic\("
+            ).items()
+            if (found := [line for line in lines
+                          if not line.startswith("def ")])
+        }
+        assert sorted(calls) == ["timing/detector.py"]
+
     def test_nothing_queues_or_shards_between_reader_and_window(self):
         """One ingest route: reader -> the engine's pending list ->
         ``window.ingest``.  The in-process bus, host sharding and the

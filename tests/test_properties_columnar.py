@@ -1,7 +1,7 @@
 """Parity property tests: columnar/vectorized paths vs legacy scalar.
 
 The columnar hot core (NumPy-backed :class:`repro.profiling.DailyTraffic`,
-vectorized timing in :mod:`repro.timing.batch`, batched C&C features)
+the automation test's single-cluster shortcut, batched C&C features)
 promises *bit-identical* results to the scalar implementations it
 replaced.  These hypothesis tests pin that promise on randomized
 inputs, explicitly covering the degenerate shapes the fast paths
@@ -39,8 +39,9 @@ from repro.state import (
     restore_engine,
 )
 from repro.streaming import StreamingDetector
-from repro.timing.batch import automated_pairs_batch
 from repro.timing.detector import AutomationDetector
+from repro.timing.divergence import divergence_from_periodic
+from repro.timing.histogram import histogram_from_timestamps
 
 pytestmark = pytest.mark.parity
 
@@ -66,13 +67,28 @@ class TestVectorizedTimingParity:
             ((f"host{i}", f"d{i}.example"), times)
             for i, times in enumerate(series_list)
         ]
-        # The reference is the public per-series definition.
-        reference = [
-            verdict
-            for (host, domain), times in series
-            if (verdict := detector.test_series(host, domain, times)).automated
-        ]
-        assert automated_pairs_batch(detector, series) == reference
+        # The reference is the paper's scheme verbatim: the full
+        # histogram and divergence of every long-enough series, with no
+        # single-cluster shortcut.
+        config = detector.config
+        reference = []
+        for (host, domain), times in series:
+            if len(times) < config.min_connections:
+                continue
+            histogram = histogram_from_timestamps(times, config.bin_width)
+            divergence = divergence_from_periodic(histogram)
+            if divergence <= config.jeffrey_threshold:
+                reference.append((
+                    host, domain, divergence.hex(),
+                    float(histogram.period).hex(), len(times),
+                ))
+        got = detector.automated_pairs(series)
+        assert [
+            (v.host, v.domain, v.divergence.hex(), float(v.period).hex(),
+             v.connections)
+            for v in got
+        ] == reference
+        assert all(v.automated for v in got)
 
 
 # A small pool of hosts/domains makes (host, domain) collisions -- the

@@ -14,6 +14,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import LANL_CONFIG
 from repro.core.dayloop import detect_day
@@ -805,6 +807,74 @@ class TestSeriesVerdictCache:
         assert not verdict.automated
         assert cache.stats.short_skips == 1
         assert cache.stats.full_tests == 0
+
+    @given(
+        beacon=st.tuples(
+            st.sampled_from([60.0, 600.0, 3600.0]),
+            st.floats(0.0, 5_000.0),
+            st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=40),
+        ),
+        echo=st.tuples(
+            st.sampled_from([97.0, 1_234.5]),
+            st.floats(0.0, 1.0),
+            st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=15),
+        ),
+        noise=st.lists(st.floats(0.0, 1.0), max_size=6),
+        duplicates=st.lists(st.integers(0, 1_000), max_size=4),
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        mode=st.sampled_from(["beacon", "noisy", "mixed"]),
+        late=st.integers(-1, 12),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_any_chunking_matches_test_series(
+        self, beacon, echo, noise, duplicates, sizes, mode, late, rng
+    ):
+        """Random sorted series -- a beacon with jitter below ``W``, a
+        second period and noise starting anywhere in its span, duplicate
+        timestamps -- fed in random chunks (events shuffled within a
+        chunk, sometimes one chunk late): every verdict is
+        :meth:`test_series`' on the prefix.  A pure in-order beacon
+        takes the periodic skip on every call after its first full
+        test; an off-period gap arriving with on-period ones must not."""
+        cache, detector = self._cache()
+        period, start, jitters = beacon
+        times = [start + period * i + j for i, j in enumerate(jitters)]
+        span = period * len(jitters)
+        if mode != "beacon":
+            times += [start + fraction * span for fraction in noise]
+        if mode == "mixed":
+            echo_period, offset, echo_jitters = echo
+            times += [start + offset * span + echo_period * i + j
+                      for i, j in enumerate(echo_jitters)]
+            times += [times[i % len(times)] for i in duplicates if times]
+        times.sort()
+        chunks, position, turn = [], 0, 0
+        while position < len(times):
+            part = times[position:position + sizes[turn % len(sizes)]]
+            chunks.append(rng.sample(part, len(part)))
+            position, turn = position + len(part), turn + 1
+        if mode == "mixed" and 0 <= late < len(chunks) - 1:
+            chunks[late], chunks[late + 1] = chunks[late + 1], chunks[late]
+
+        seen: list[float] = []
+        for chunk in chunks:
+            seen += chunk
+            prefix = sorted(seen)
+            skips = cache.stats.periodic_skips
+            got = cache.test("h", "d", prefix, chunk)
+            want = detector.test_series("h", "d", prefix)
+            assert (got.automated, got.period, got.connections) == (
+                want.automated, want.period, want.connections
+            )
+            if cache.stats.periodic_skips == skips:
+                assert got.divergence == want.divergence
+        stats = cache.stats
+        if mode == "beacon" and stats.full_tests:
+            assert stats.full_tests == 1
+            assert stats.periodic_skips == (
+                len(chunks) - stats.short_skips - 1
+            )
 
     def test_out_of_order_arrival_falls_back_to_full(self):
         cache, detector = self._cache()

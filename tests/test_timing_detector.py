@@ -1,6 +1,9 @@
 """Unit tests for the automation detector and its baselines."""
 
+import math
 import random
+
+import pytest
 
 from repro.config import HistogramConfig
 from repro.timing import (
@@ -10,6 +13,8 @@ from repro.timing import (
     StaticBinDetector,
     StdDevDetector,
 )
+from repro.timing.divergence import divergence_from_periodic
+from repro.timing.histogram import assign_intervals, histogram_from_timestamps
 
 
 def beacon(period=600.0, count=30, jitter=0.0, start=0.0, seed=1):
@@ -140,3 +145,59 @@ class TestStaticBinAblation:
         dynamic = AutomationDetector()
         assert not static.test_series("h", "d", times).automated
         assert dynamic.test_series("h", "d", times).automated
+
+
+NAN = float("nan")
+
+
+class TestClusters:
+    """``clusters`` is the scan of :func:`assign_intervals`, shortcut
+    included; window timestamps are not checked for finiteness, so a
+    NaN gap must cluster as the scan clusters it."""
+
+    @pytest.mark.parametrize("gaps", [
+        [600.0, NAN, 601.0],
+        [NAN, 600.0, 600.0],
+        [600.0, 601.0, NAN],
+        [600.0, 595.0, 605.0, NAN, 600.0],
+        [NAN],
+        [NAN, NAN],
+        [600.0],
+        [600.0, 609.0, 591.0],
+        [600.0, 611.0],
+        [0.0, math.inf],
+    ])
+    def test_clusters_equal_the_scan(self, gaps):
+        hubs, counts = [], []
+        assign_intervals(hubs, counts, gaps, 10.0)
+        got_hubs, got_counts = AutomationDetector().clusters(gaps)
+        assert list(map(repr, got_hubs)) == list(map(repr, hubs))
+        assert got_counts == counts
+
+    def test_nan_series_matches_the_verbatim_test(self):
+        detector = AutomationDetector()
+        times = [0.0, 600.0, NAN, 1800.0, 2400.0, 3000.0]
+        verdict = detector.test_series("h", "d", times)
+        histogram = histogram_from_timestamps(times, 10.0)
+        assert verdict.divergence == divergence_from_periodic(histogram)
+        assert verdict.period == histogram.period == 600.0
+
+
+class TestHistogramConfigChecks:
+    @pytest.mark.parametrize(("field", "value"), [
+        ("bin_width", 0.0), ("bin_width", -1.0), ("bin_width", NAN),
+        ("bin_width", math.inf), ("jeffrey_threshold", -0.01),
+        ("jeffrey_threshold", NAN), ("jeffrey_threshold", math.inf),
+        ("min_connections", 1), ("min_connections", 0),
+        ("min_connections", 4.0), ("min_connections", True),
+    ])
+    def test_meaningless_values_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            HistogramConfig(**{field: value})
+
+    def test_smallest_meaningful_values_are_accepted(self):
+        config = HistogramConfig(
+            bin_width=1e-9, jeffrey_threshold=0.0, min_connections=2
+        )
+        verdict = AutomationDetector(config).test_series("h", "d", [0.0, 5.0])
+        assert verdict.automated and verdict.period == 5.0

@@ -23,6 +23,19 @@ class TestIntervals:
     def test_duplicate_timestamps_allowed(self):
         assert intervals([1.0, 1.0, 2.0]) == [0.0, 1.0]
 
+    @pytest.mark.parametrize("times", [
+        [0.0, 5.0, 3.0, float("nan")],
+        [0.0, float("nan"), 5.0, 3.0],
+        [float("nan"), 0.0, 5.0, 3.0],
+    ])
+    def test_unsorted_rejected_wherever_a_nan_sits(self, times):
+        with pytest.raises(ValueError):
+            intervals(times)
+
+    def test_nan_interval_is_not_unsorted(self):
+        gaps = intervals([0.0, float("nan"), 10.0])
+        assert len(gaps) == 2 and all(gap != gap for gap in gaps)
+
 
 class TestBuildHistogram:
     def test_single_cluster(self):
