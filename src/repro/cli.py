@@ -387,15 +387,10 @@ def _fail(message: str, *, json_mode: bool = False) -> int:
 
 
 def _start_data_verb(args):
-    """Freeze the verb's import heap and apply its obs flags; the run's
-    registry (or ``None``).
-
-    Called once the verb's modules are imported and before any line is
-    read or any fleet worker forks (workers inherit the frozen heap).
-    Logging stays off unless asked for; the metrics registry exists
-    only when ``--metrics-out`` was given, so uninstrumented runs pay
-    the NULL-registry path everywhere.
-    """
+    """Freeze the verb's import heap (fleet workers inherit it frozen)
+    and apply its obs flags; the run's registry, which exists only with
+    ``--metrics-out`` (uninstrumented runs pay the NULL-registry path
+    everywhere), or ``None``.  Logging stays off unless asked for."""
     gc.freeze()
     if args.log_level is not None or args.log_json:
         from .obs import configure_logging
@@ -434,8 +429,7 @@ def _write_metrics(metrics, path: Path) -> None:
     import json
 
     snapshot = metrics.snapshot()
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(snapshot.as_dict(), indent=1) + "\n")
     prom_path = path.with_suffix(".prom")
     prom_path.write_text(snapshot.to_prom())
@@ -785,203 +779,153 @@ def _write_adversarial_truth(realized, output: Path, dataset) -> None:
     print(f"wrote {truth_path}")
 
 
-def _run_run(args) -> int:
+def _print_days(reports, triage_report=None) -> None:
+    """One line per closed day (``run`` names it by its file), then
+    the triage of every detected domain unless ``triage_report`` is
+    ``None``; ``run`` and ``stream`` print their days here."""
+    detected: set[str] = set()
+    for report in reports:
+        print(
+            f"{report.path.name if report.path else f'day {report.day}'}: "
+            f"{report.records} records, {len(report.rare_domains)} rare, "
+            f"C&C={sorted(report.cc_domains) or '-'}, "
+            f"detected={report.detected or '-'}"
+        )
+        detected.update(report.detected)
+    if triage_report is not None and detected:
+        print()
+        print(triage_report(detected))
+
+
+def _interrupted(done: str, flag: str, path) -> int:
+    """Say where a bounded run stopped and how to resume it; exit 3."""
+    print(f"interrupted after {done}"
+          + (f"; resume with --resume {flag} {path}" if path else ""))
+    return 3
+
+
+def _prepare_run(args):
+    """``run``: :func:`repro.runner.run_directory`, one day per file."""
     from .eval.clusters import triage_report
     from .runner import run_directory
 
-    metrics = _start_data_verb(args)
-    try:
-        reports = run_directory(
-            args.directory,
-            bootstrap_files=args.bootstrap_files,
+    def work(metrics) -> int:
+        _print_days(run_directory(
+            args.directory, bootstrap_files=args.bootstrap_files,
             pattern=args.pattern,
-            internal_suffixes=tuple(args.internal_suffix),
-            metrics=metrics,
-        )
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc), json_mode=args.log_json)
-    all_detected: set[str] = set()
-    for report in reports:
-        print(
-            f"{report.path.name}: {report.records} records, "
-            f"{len(report.rare_domains)} rare, "
-            f"C&C={sorted(report.cc_domains) or '-'}, "
-            f"detected={report.detected or '-'}"
-        )
-        all_detected.update(report.detected)
-    if all_detected:
-        print()
-        print(triage_report(all_detected))
-    if metrics is not None:
-        _write_metrics(metrics, args.metrics_out)
-    return 0
+            internal_suffixes=tuple(args.internal_suffix), metrics=metrics,
+        ), triage_report)
+        return 0
+
+    return work
 
 
-def _run_stream(args) -> int:
+def _prepare_stream(args):
+    """``stream``: :func:`repro.streaming.replay_directory`, either
+    pipeline, with the durable intel store if ``--intel-db``."""
     from .eval.clusters import triage_report
-    from .state import StateError
     from .streaming import WarmStartConfig, replay_directory
 
-    def on_update(report) -> None:
-        if args.verbose and report.detected:
-            print(
-                f"  [day {report.day} +{report.records} ev] "
-                f"{report.mode}: detected={report.detected}"
-            )
-
-    metrics = _start_data_verb(args)
-    if args.resume and args.checkpoint is None:
-        return _fail("--resume requires --checkpoint",
-                     json_mode=args.log_json)
     enterprise = args.pipeline == "enterprise"
+    pattern = args.pattern or ("proxy-*.log" if enterprise else "dns-*.log")
     if enterprise and args.model_state is None:
-        return _fail(
+        raise ValueError(
             "--pipeline enterprise requires --model-state (a trained "
-            "detector JSON; see 'generate --pipeline enterprise')",
-            json_mode=args.log_json,
+            "detector JSON; see 'generate --pipeline enterprise')"
         )
-    if not enterprise and args.model_state is not None:
-        return _fail("--model-state is only valid with --pipeline enterprise",
-                     json_mode=args.log_json)
-    if not enterprise and args.whois is not None:
-        return _fail("--whois is only valid with --pipeline enterprise",
-                     json_mode=args.log_json)
+    if not enterprise and (args.model_state or args.whois):
+        flag = "--model-state" if args.model_state else "--whois"
+        raise ValueError(f"{flag} is only valid with --pipeline enterprise")
     if enterprise and args.internal_suffix:
-        return _fail(
+        raise ValueError(
             "--internal-suffix applies to the DNS reduction funnel only "
-            "(enterprise proxy logs arrive pre-joined)",
-            json_mode=args.log_json,
+            "(enterprise proxy logs arrive pre-joined)"
         )
-    store = None
-    if args.intel_db is not None or args.intel_ttl_days is not None:
-        from .intelstore import IntelStoreError, open_intel_store
 
-        try:
-            store = open_intel_store(
-                args.intel_db, args.intel_ttl_days, metrics=metrics
-            )
-        except IntelStoreError as exc:
-            return _fail(str(exc), json_mode=args.log_json)
-    try:
-        whois = None
-        if store is not None and enterprise:
-            # The engine's WHOIS lookups go through the one intel memo:
-            # stored WHOIS/RDAP facts answer from disk, novel lookups
-            # are written behind -- repeat runs stop re-resolving.
-            from .intel.memo import IntelMemo, TenantWhoisView
-            from .intel.whois_db import load_whois_file
+    def on_update(report) -> None:  # --verbose: every intra-day round
+        if report.detected:
+            print(f"  [day {report.day} +{report.records} ev] "
+                  f"{report.mode}: detected={report.detected}")
 
-            memo = IntelMemo("whois")
-            if args.whois is not None:
-                memo.feed = load_whois_file(args.whois).lookup
-            memo.attach_store(store)
-            whois = TenantWhoisView(memo, "stream")
+    def work(metrics) -> int:
         result = replay_directory(
-            args.directory,
-            bootstrap_files=args.bootstrap_files,
-            pattern=args.pattern or (
-                "proxy-*.log" if enterprise else "dns-*.log"
-            ),
-            model_state=args.model_state,
+            args.directory, bootstrap_files=args.bootstrap_files,
+            pattern=pattern, model_state=args.model_state,
             whois_path=args.whois,
-            whois=whois,
             internal_suffixes=tuple(args.internal_suffix),
-            batch_size=args.batch_size,
-            score_every=args.score_every,
+            batch_size=args.batch_size, score_every=args.score_every,
             warm=WarmStartConfig(enabled=not args.no_warm_start),
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            max_batches=args.max_batches,
-            on_update=on_update,
+            resume=args.resume, max_batches=args.max_batches,
+            on_update=on_update if args.verbose else None,
             metrics=metrics,
+            intel_db=args.intel_db, intel_ttl_days=args.intel_ttl_days,
         )
-    except (ValueError, OSError, StateError) as exc:
-        return _fail(str(exc), json_mode=args.log_json)
-    if store is not None:  # IntelStoreError was imported with the store
-        try:
-            for report in result.reports:
-                store.record_day(
-                    "stream", report.day, report.publication_scores()
-                )
-            flushed = store.flush()
-            store.close()
-        except IntelStoreError as exc:
-            return _fail(str(exc), json_mode=args.log_json)
-        print(f"intel store: {flushed} rows flushed to {args.intel_db}")
-    all_detected: set[str] = set()
-    for report in result.reports:
-        print(
-            f"day {report.day}: {report.records} records, "
-            f"{len(report.rare_domains)} rare, "
-            f"C&C={sorted(report.cc_domains) or '-'}, "
-            f"detected={report.detected or '-'}"
-        )
-        all_detected.update(report.detected)
-    if metrics is not None:
-        # Interrupted runs dump their partial snapshot too -- the next
-        # --resume restores it from the checkpoint and keeps counting.
-        _write_metrics(metrics, args.metrics_out)
-    if result.interrupted:
-        print(
-            f"interrupted after {result.batches} micro-batches"
-            + (f"; resume with --resume --checkpoint {args.checkpoint}"
-               if args.checkpoint else "")
-        )
-        return 3
-    if all_detected:
-        print()
-        print(triage_report(all_detected))
-    return 0
+        if result.intel_rows is not None:
+            print(f"intel store: {result.intel_rows} rows flushed to "
+                  f"{args.intel_db}")
+        _print_days(result.reports,
+                    None if result.interrupted else triage_report)
+        if result.interrupted:
+            return _interrupted(f"{result.batches} micro-batches",
+                                "--checkpoint", args.checkpoint)
+        return 0
+
+    return work
 
 
-def _run_fleet(args) -> int:
+def _prepare_fleet(args):
+    """``fleet``: :meth:`repro.fleet.FleetManager.run` over the
+    manifest's tenants, and the ``--json`` report."""
     import json
 
-    from .fleet import (
-        FleetError,
-        FleetManager,
-        ManifestError,
-        load_manifest,
-    )
-    from .intelstore import IntelStoreError
-    from .state import StateError
+    from .fleet import FleetManager, load_manifest
 
-    metrics = _start_data_verb(args)
-    try:
-        manifest = load_manifest(args.manifest)
-        manager = FleetManager.from_manifest(
-            manifest,
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
+    def work(metrics) -> int:
+        report = FleetManager.from_manifest(
+            load_manifest(args.manifest), workers=args.workers,
+            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
             metrics=metrics,
-            intel_db=args.intel_db,
-            intel_ttl_days=args.intel_ttl_days,
-        )
-        report = manager.run(max_rounds=args.max_rounds)
-    except (ManifestError, FleetError, StateError, IntelStoreError,
-            OSError) as exc:
+            intel_db=args.intel_db, intel_ttl_days=args.intel_ttl_days,
+        ).run(max_rounds=args.max_rounds)
+        print(report.render())
+        if args.json is not None:
+            args.json.write_text(json.dumps(report.as_dict(), indent=1)
+                                 + "\n")
+            print(f"\nreport written to {args.json}")
+        if report.interrupted:
+            return _interrupted(f"{args.max_rounds} rounds",
+                                "--checkpoint-dir", args.checkpoint_dir)
+        return 0
+
+    return work
+
+
+def _run_data_verb(args) -> int:
+    """The one frame of ``run``, ``stream`` and ``fleet``.
+
+    Prepare (the verb's imports and flag checks, giving its ``work``
+    step), start (:func:`_start_data_verb`), work (the library call
+    and the verb's output), then finish: the metrics snapshot, written
+    once -- also after an interrupted run, whose ``--resume`` restores
+    it from the checkpoint and keeps counting.  An input error from
+    any step before the finish leaves through the one ``except`` as
+    one ``error:`` line (exit 2).
+    """
+    from .config import InputError
+
+    prepare = {"run": _prepare_run, "stream": _prepare_stream,
+               "fleet": _prepare_fleet}[args.command]
+    try:
+        work = prepare(args)
+        metrics = _start_data_verb(args)
+        code = work(metrics)
+    except (ValueError, OSError, InputError) as exc:
         return _fail(str(exc), json_mode=args.log_json)
-    print(report.render())
     if metrics is not None:
         _write_metrics(metrics, args.metrics_out)
-    if args.json is not None:
-        try:
-            args.json.write_text(
-                json.dumps(report.as_dict(), indent=1) + "\n"
-            )
-        except OSError as exc:
-            return _fail(str(exc), json_mode=args.log_json)
-        print(f"\nreport written to {args.json}")
-    if report.interrupted:
-        print(
-            f"interrupted after {args.max_rounds} rounds"
-            + (f"; resume with --resume --checkpoint-dir "
-               f"{args.checkpoint_dir}" if args.checkpoint_dir else "")
-        )
-        return 3
-    return 0
+    return code
 
 
 def _run_intel(args) -> int:
@@ -1056,9 +1000,9 @@ def main(argv: list[str] | None = None) -> int:
         "lanl": _run_lanl,
         "enterprise": _run_enterprise,
         "generate": _run_generate,
-        "run": _run_run,
-        "stream": _run_stream,
-        "fleet": _run_fleet,
+        "run": _run_data_verb,
+        "stream": _run_data_verb,
+        "fleet": _run_data_verb,
         "intel": _run_intel,
         "timing": _run_timing,
     }

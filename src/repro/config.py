@@ -88,6 +88,12 @@ class BeliefPropagationConfig:
     C&C domain is found (the paper labels the single argmax)."""
 
 
+class InputError(RuntimeError):
+    """An input the system cannot run on: a malformed state document,
+    manifest or intel store, a fleet misconfiguration, an untrained
+    model.  The data verbs report it as one ``error:`` line (exit 2)."""
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Top-level configuration bundling all component parameters."""

@@ -134,23 +134,13 @@ class FleetManager:
             self.ct_index = load_ct_cached(
                 self.ct_path, fold_level=fold_level
             )
-        #: durable intel store (``intel_db``): it backs the plane's VT
-        #: and WHOIS memos, so it serves the manager's report lookups;
-        #: worker engines read the registry file.
-        from ..intelstore.store import open_intel_store
-
-        self.intel_store = open_intel_store(
-            intel_db, intel_ttl_days, metrics=self.metrics
-        )
-        if self.intel_store is not None:
-            self.intel.attach_store(self.intel_store)
-            if self.ct_index is not None:
-                # Persist the CT observations alongside the verdicts so
-                # `repro-detect intel export` documents the full
-                # evidence base (write-behind; lands at the first
-                # barrier flush).
-                for cert in self.ct_index.observations:
-                    self.intel_store.put_cert(cert)
+        self.intel_db = intel_db
+        self.intel_ttl_days = intel_ttl_days
+        #: the durable intel store (``intel_db``) while :meth:`run`
+        #: runs: it backs the plane's VT and WHOIS memos, so it serves
+        #: the manager's report lookups; worker engines read the
+        #: registry file.
+        self.intel_store = None
         #: per-worker execution stats of the last run
         #: (worker id -> tenants, tenant-days, records, busy seconds,
         #: respawns) -- surfaced in the fleet bench JSON.
@@ -285,14 +275,32 @@ class FleetManager:
         call executes (the fleet returns ``interrupted=True``); with a
         checkpoint directory, a later ``resume=True`` run continues at
         the next round.  ``on_round`` is called with the list of
-        :class:`TenantDayReport` after each barrier.
+        :class:`TenantDayReport` after each barrier.  The intel store
+        is opened once the bound and every tenant's files check out,
+        and closed on every exit path.
         """
+        from ..intelstore.store import open_intel_store
+
+        if max_rounds is not None and max_rounds < 1:
+            raise FleetError(
+                f"--max-rounds must be positive, not {max_rounds}"
+            )
+        files = self._tenant_files()
+        self.intel_store = open_intel_store(
+            self.intel_db, self.intel_ttl_days, metrics=self.metrics
+        )
         try:
-            if max_rounds is not None and max_rounds < 1:
-                raise FleetError(
-                    f"--max-rounds must be positive, not {max_rounds}"
-                )
-            report = self._run(max_rounds=max_rounds, on_round=on_round)
+            if self.intel_store is not None:
+                self.intel.attach_store(self.intel_store)
+                if self.ct_index is not None:
+                    # Persist the CT observations alongside the verdicts
+                    # so `repro-detect intel export` documents the full
+                    # evidence base (write-behind; lands at the first
+                    # barrier flush).
+                    for cert in self.ct_index.observations:
+                        self.intel_store.put_cert(cert)
+            report = self._run(files, max_rounds=max_rounds,
+                               on_round=on_round)
             if self.metrics.enabled:
                 report.metrics_snapshot = self.metrics.snapshot().as_dict()
             return report
@@ -303,7 +311,7 @@ class FleetManager:
                 # for the next run (or `repro-detect intel`).
                 self.intel_store.close()
 
-    def _run(self, *, max_rounds, on_round) -> FleetReport:
+    def _run(self, files, *, max_rounds, on_round) -> FleetReport:
         """Drive the rounds over the worker pool.
 
         Per round: send each worker the round's ``ADVANCE_DAY`` tasks,
@@ -317,7 +325,6 @@ class FleetManager:
         a worker death is fatal -- durability-free parallelism for
         ephemeral runs.
         """
-        files = self._tenant_files()
         if self.resume:
             start_round = self._restore()
         else:

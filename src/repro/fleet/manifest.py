@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..config import InputError
 from ..intel.whois_db import WhoisDatabase, load_whois_file
 
 MANIFEST_VERSION = 1
@@ -52,7 +53,7 @@ MANIFEST_VERSION = 1
 PIPELINES = ("dns", "enterprise")
 
 
-class ManifestError(RuntimeError):
+class ManifestError(InputError):
     """Raised on unreadable or invalid fleet manifests."""
 
 

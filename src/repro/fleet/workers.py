@@ -41,7 +41,7 @@ from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any
 
-from ..config import SystemConfig
+from ..config import InputError, SystemConfig
 from ..intel.memo import CacheStats, IntelMemo, TenantWhoisView
 from ..intel.whois_db import load_whois_file
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
@@ -66,7 +66,7 @@ CMD_ADVANCE_DAY = "ADVANCE_DAY"
 CMD_SHUTDOWN = "SHUTDOWN"
 
 
-class FleetError(RuntimeError):
+class FleetError(InputError):
     """Raised on fleet configuration or checkpoint problems."""
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..config import InputError
 from ..intel.whois_db import SECONDS_PER_DAY, WhoisRecord
 from ..obs.metrics import NULL_METRICS, sample_key
 from .ct import CertObservation
@@ -89,7 +90,7 @@ _TABLES = (
 _TTL_TABLES = ("vt_verdicts", "whois_records", "ct_certs")
 
 
-class IntelStoreError(RuntimeError):
+class IntelStoreError(InputError):
     """Raised on unreadable, corrupt or future-versioned databases."""
 
 
@@ -629,30 +630,35 @@ class IntelStore:
             self._conn.close()
 
 
+def check_intel_flags(
+    path: str | Path | None, ttl_days: float | None
+) -> None:
+    """Refuse, touching no file, a TTL without a path or one that is
+    not a positive, finite number of days (SQLite stores a NaN expiry
+    as NULL, which reads as "never expires")."""
+    if path is None and ttl_days is not None:
+        raise IntelStoreError("--intel-ttl-days requires --intel-db")
+    if ttl_days is not None and not 0 < ttl_days < math.inf:
+        raise IntelStoreError(
+            "--intel-ttl-days must be a positive, finite number of days, "
+            f"not {ttl_days}"
+        )
+
+
 def open_intel_store(
     path: str | Path | None,
     ttl_days: float | None = None,
     *,
     metrics=None,
 ) -> IntelStore | None:
-    """The store behind ``--intel-db PATH`` / ``--intel-ttl-days N`` --
-    the one opener of ``stream`` and the fleet manager.
-
-    ``None`` without a path.  The flags are checked before the file is
-    touched: a TTL needs a path and must be a positive, finite number
-    of days (SQLite stores a NaN expiry as NULL, which reads as "never
-    expires").  The store's counters and flush timings are served
-    through ``metrics``.
+    """The store behind ``--intel-db PATH`` / ``--intel-ttl-days N``
+    (``None`` without a path), once :func:`check_intel_flags` passes;
+    its counters and flush timings are served through ``metrics``.
+    The one opener of ``replay_directory`` and ``FleetManager.run``.
     """
+    check_intel_flags(path, ttl_days)
     if path is None:
-        if ttl_days is not None:
-            raise IntelStoreError("--intel-ttl-days requires --intel-db")
         return None
-    if ttl_days is not None and not 0 < ttl_days < math.inf:
-        raise IntelStoreError(
-            "--intel-ttl-days must be a positive, finite number of days, "
-            f"not {ttl_days}"
-        )
     store = IntelStore(
         path,
         ttl_seconds=None if ttl_days is None else ttl_days * SECONDS_PER_DAY,
@@ -671,6 +677,7 @@ __all__ = [
     "IntelStore",
     "IntelStoreError",
     "StoreStats",
+    "check_intel_flags",
     "create_schema",
     "export_json",
     "open_intel_store",

@@ -35,6 +35,7 @@ import numpy as np
 from .config import (
     BeliefPropagationConfig,
     HistogramConfig,
+    InputError,
     RarityConfig,
     SystemConfig,
 )
@@ -48,7 +49,7 @@ from .profiling.ua import UserAgentHistory
 STATE_VERSION = 1
 
 
-class StateError(RuntimeError):
+class StateError(InputError):
     """Raised on malformed or incompatible state documents."""
 
 

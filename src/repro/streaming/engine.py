@@ -37,7 +37,6 @@ from ..logs.records import Connection, ConnectionBatch
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import NULL_METRICS
 from ..profiling.history import DestinationHistory
-from ..profiling.rare import extract_rare_domains
 from ..profiling.ua import UserAgentHistory
 from ..profiling.window import WindowedAggregator
 from ..timing.detector import AutomationDetector, AutomationVerdict
@@ -425,9 +424,10 @@ class StreamingEngineBase:
         """Close the day: end-of-day detection, then commit histories.
 
         The paper's nightly cycle (III-E), written once: the rare set
-        is re-extracted from the full window and the automation test
-        rescans every rare series -- nothing is carried over from the
-        intra-day rounds, so the report depends on the day's events
+        is the window's (kept equal to ``extract_rare_domains`` over
+        the day's traffic as events arrive) and the automation test
+        rescans every rare series -- no verdict is carried over from
+        the intra-day rounds, so the report depends on the day's events
         and not on how they were micro-batched.  ``seeding`` passes to
         :func:`~repro.core.dayloop.close_day` by keyword, on either
         pipeline: ``intel_domains`` (externally confirmed malicious
@@ -442,11 +442,7 @@ class StreamingEngineBase:
         with self.metrics.span("rollover_rare") as rare_span:
             traffic = self.window.traffic
             traffic.finalize()
-            rare = extract_rare_domains(
-                traffic,
-                self.history,
-                unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
-            )
+            rare = self.window.rare
         if detect:
             report = close_day(
                 traffic,
@@ -518,9 +514,10 @@ class ReplayResult:
     """What a (possibly interrupted) directory replay produced."""
 
     reports: list = field(default_factory=list)
-    updates: int = 0
     batches: int = 0
     interrupted: bool = False
+    #: rows flushed to the durable intel store; ``None`` without one
+    intel_rows: int | None = None
 
 
 def resolve_replay_paths(
@@ -588,17 +585,18 @@ def checkpoint_to_resume(
     checkpoint_path: str | Path | None, resume: bool
 ) -> Path | None:
     """The checkpoint a replay restores its engine from; ``None`` for
-    a fresh start (not resuming, or nothing was written yet)."""
-    path = None if checkpoint_path is None else Path(checkpoint_path)
-    if path is not None and not path.parent.is_dir():
-        raise ValueError(f"checkpoint directory not found: {path.parent}")
-    if path is not None and path.is_dir():
-        raise ValueError(f"checkpoint is a directory: {path}")
-    if not resume:
+    a fresh start (not resuming, or nothing was written yet).  The one
+    check of the ``--resume`` / ``--checkpoint`` pair."""
+    if checkpoint_path is None:
+        if resume:
+            raise ValueError("--resume requires --checkpoint")
         return None
-    if path is None:
-        raise ValueError("resume requires a checkpoint path")
-    return path if path.exists() else None
+    path = Path(checkpoint_path)
+    if not path.parent.is_dir():
+        raise ValueError(f"checkpoint directory not found: {path.parent}")
+    if path.is_dir():
+        raise ValueError(f"checkpoint is a directory: {path}")
+    return path if resume and path.exists() else None
 
 
 def drive_replay(
@@ -665,7 +663,6 @@ def drive_replay(
                 result.batches += 1
                 if not is_bootstrap and result.batches % score_every == 0:
                     update = detector.score()
-                    result.updates += 1
                     if on_update is not None:
                         on_update(update)
                 result.interrupted = (

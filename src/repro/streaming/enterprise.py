@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from ..config import InputError
 from ..core.pipeline import EnterpriseDetector
 from ..logs.normalize import ProxyNormalizer
 from .engine import StreamingEngineBase
@@ -89,7 +90,7 @@ class StreamingEnterpriseDetector(StreamingEngineBase):
         metrics=None,
     ) -> None:
         if detector.cc_scorer is None or detector.similarity_scorer is None:
-            raise RuntimeError(
+            raise InputError(
                 "streaming requires a trained EnterpriseDetector "
                 "(both regression models fitted)"
             )

@@ -8,7 +8,8 @@ caller holds: a trained detector (``model_state``) opens the
 enterprise/proxy-path engine, no detector the DNS one.
 
 :func:`replay_directory` is the ``repro-detect stream`` engine for both
-pipelines: it resolves the directory, opens the engine and hands it to
+pipelines: it checks its inputs, opens the engine (and the durable
+intel store, if any) and hands it to
 :func:`~repro.streaming.engine.drive_replay`, the micro-batched loop.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..config import SystemConfig
+from ..intel.whois_db import load_whois_file
 from .detector import StreamingDetector
 from .engine import (
     ReplayResult,
@@ -81,7 +83,6 @@ def replay_directory(
     pattern: str = "*.log",
     model_state: str | Path | None = None,
     whois_path: str | Path | None = None,
-    whois=None,
     config: SystemConfig | None = None,
     internal_suffixes: tuple[str, ...] = (),
     server_ips: frozenset[str] = frozenset(),
@@ -94,17 +95,18 @@ def replay_directory(
     max_batches: int | None = None,
     on_update=None,
     metrics=None,
+    intel_db: str | Path | None = None,
+    intel_ttl_days: float | None = None,
 ) -> ReplayResult:
     """Replay a directory of daily logs as an event stream.
 
     :func:`repro.runner.run_directory` with intra-day visibility, for
     either pipeline: the engine comes from :func:`open_engine` (DNS
     logs by default; pre-joined proxy logs with ``model_state``, whose
-    registration registry is ``whois`` or else the file at
-    ``whois_path``).  The first ``bootstrap_files`` logs only extend
-    the profiles; the rest are consumed in ``batch_size`` micro-batches
-    with a scoring round every ``score_every`` batches and a day
-    rollover per file.
+    registration registry is the file at ``whois_path``).  The first
+    ``bootstrap_files`` logs only extend the profiles; the rest are
+    consumed in ``batch_size`` micro-batches with a scoring round every
+    ``score_every`` batches and a day rollover per file.
 
     With ``checkpoint_path`` the engine persists its full state every
     ``checkpoint_every`` micro-batches and after each rollover;
@@ -115,37 +117,66 @@ def replay_directory(
     arguments).  ``max_batches`` bounds the number of micro-batches
     processed (the replay returns with ``interrupted=True``), which
     together with ``resume`` simulates a process restart mid-day.
+
+    With ``intel_db`` (entries expire after ``intel_ttl_days``) the
+    enterprise engine's WHOIS lookups go through a store-backed
+    :class:`~repro.intel.memo.IntelMemo` and each reported day's
+    publication scores are recorded (tenant ``"stream"``); the store is
+    opened once every other input checked out, and always closed.
     """
+    resume_from = checkpoint_to_resume(checkpoint_path, resume)
+    if intel_db is not None or intel_ttl_days is not None:
+        from ..intel.memo import IntelMemo, TenantWhoisView
+        from ..intelstore.store import check_intel_flags, open_intel_store
+
+        check_intel_flags(intel_db, intel_ttl_days)
     paths = resolve_replay_paths(
         directory, pattern, bootstrap_files, batch_size=batch_size,
         score_every=score_every, checkpoint_every=checkpoint_every,
         max_batches=max_batches,
     )
-    if whois is None and whois_path is not None:
-        from ..intel.whois_db import load_whois_file
-
-        whois = load_whois_file(whois_path)
+    whois = None if whois_path is None else load_whois_file(whois_path)
+    memo = None
+    if intel_db is not None and model_state is not None:
+        memo = IntelMemo("whois", None if whois is None else whois.lookup)
+        whois = TenantWhoisView(memo, "stream")
     engine = open_engine(
         model_state=model_state,
         whois=whois,
         config=config,
         internal_suffixes=internal_suffixes,
         server_ips=server_ips,
-        checkpoint=checkpoint_to_resume(checkpoint_path, resume),
+        checkpoint=resume_from,
         metrics=metrics,
     )
-    return drive_replay(
-        engine,
-        paths,
-        bootstrap_files=bootstrap_files,
-        batch_size=batch_size,
-        score_every=score_every,
-        warm=warm,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        max_batches=max_batches,
-        on_update=on_update,
-    )
+    store = None
+    if intel_db is not None:
+        store = open_intel_store(intel_db, intel_ttl_days, metrics=metrics)
+    try:
+        if memo is not None:  # stored facts answer, new ones write behind
+            memo.attach_store(store)
+        result = drive_replay(
+            engine,
+            paths,
+            bootstrap_files=bootstrap_files,
+            batch_size=batch_size,
+            score_every=score_every,
+            warm=warm,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            max_batches=max_batches,
+            on_update=on_update,
+        )
+        if store is not None:
+            for report in result.reports:
+                store.record_day(
+                    "stream", report.day, report.publication_scores()
+                )
+            result.intel_rows = store.flush()
+    finally:
+        if store is not None:
+            store.close()
+    return result
 
 
 def replay_enterprise_directory(

@@ -1020,6 +1020,67 @@ def test_fleet_nonpositive_max_rounds_is_a_usage_error(
     assert multiprocessing.active_children() == []
 
 
+#: A data verb's input error, given with ``--intel-db``: refused before
+#: the store file is created.
+STORELESS_USAGE_ERRORS = {
+    "stream --batch-size 0": (
+        "stream {t0} --bootstrap-files 1 --batch-size 0",
+        "--batch-size must be positive, not 0",
+    ),
+    "stream missing directory": (
+        "stream {missing} --bootstrap-files 1",
+        "directory not found: {missing}",
+    ),
+    "stream --resume without --checkpoint": (
+        "stream {t0} --bootstrap-files 1 --resume",
+        "--resume requires --checkpoint",
+    ),
+    "fleet --max-rounds 0": (
+        "fleet {manifest} --max-rounds 0",
+        "--max-rounds must be positive, not 0",
+    ),
+    "fleet missing tenant directory": (
+        "fleet {tmp}/gone.json",
+        "tenant 't0': directory not found: {missing}",
+    ),
+    "fleet tenant without logs": (
+        "fleet {tmp}/empty.json",
+        "tenant 't0': no file in {empty} matches 'dns-*.log'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORELESS_USAGE_ERRORS))
+def test_usage_error_leaves_no_intel_store(
+    case, mixed_fleet_layout, tmp_path, capsys
+):
+    """Exit 2, one ``error:`` line and no ``*.db`` / ``-wal`` /
+    ``-shm``: every input is checked before the store is opened."""
+    import multiprocessing
+
+    paths = {"t0": mixed_fleet_layout / "t0",
+             "manifest": mixed_fleet_layout / "manifest.json",
+             "missing": tmp_path / "no-such-logs",
+             "empty": tmp_path / "empty", "tmp": tmp_path}
+    paths["empty"].mkdir()
+    for name, directory in (("gone", "no-such-logs"), ("empty", "empty")):
+        (tmp_path / f"{name}.json").write_text(json.dumps({
+            "version": 1,
+            "tenants": [{"id": "t0", "directory": directory,
+                         "pattern": "dns-*.log"}],
+        }))
+    argv, error = STORELESS_USAGE_ERRORS[case]
+    store = tmp_path / "store" / "intel.db"
+    store.parent.mkdir()
+    assert main(argv.format(**paths).split()
+                + ["--intel-db", str(store)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error.format(**paths)}\n"
+    assert captured.out == ""
+    assert list(store.parent.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(("flag", "value", "shown"), [("--workers", "0", "0")])
 def test_fleet_nonpositive_pool_flag_is_a_usage_error(
     flag, value, shown, mixed_fleet_layout, capsys
@@ -1039,17 +1100,24 @@ def test_fleet_nonpositive_pool_flag_is_a_usage_error(
     ("--model-state", "[]"),
     ("--model-state", '{"version": 1}'),
     ("--model-state", "dns-checkpoint"),
+    ("--model-state", "untrained:cc_model"),
+    ("--model-state", "untrained:similarity_model"),
     ("--whois", '{"tenants": 5}'),
 ])
 def test_malformed_model_or_registry_is_one_error_line(
     flag, document, ent_layout, mixed_fleet_layout, tmp_path, capsys
 ):
-    """Not an ``AttributeError`` / ``KeyError`` / ``TypeError``
-    traceback (exit 1)."""
+    """Not an ``AttributeError`` / ``KeyError`` / ``TypeError`` /
+    ``RuntimeError`` traceback (exit 1).  ``untrained:<model>`` is the
+    layout's trained model with that regression model nulled."""
     path = tmp_path / "document.json"
     if document == "dns-checkpoint":
         assert main(_stream_flags("dns", ent_layout, mixed_fleet_layout)
                     + ["--checkpoint", str(path), "--max-batches", "3"]) == 3
+    elif document.startswith("untrained:"):
+        model = json.loads((ent_layout / "model.json").read_text())
+        model[document.split(":")[1]] = None
+        path.write_text(json.dumps(model))
     else:
         path.write_text(document)
     argv = _stream_flags("enterprise", ent_layout, mixed_fleet_layout)
@@ -1060,6 +1128,11 @@ def test_malformed_model_or_registry_is_one_error_line(
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+    if document.startswith("untrained:"):
+        assert captured.err == (
+            "error: streaming requires a trained EnterpriseDetector "
+            "(both regression models fitted)\n"
+        )
 
 
 @pytest.mark.parametrize(("source", "field", "value"), [

@@ -205,11 +205,10 @@ class TestOneDayLoop:
             assert sorted(owners) == ["profiling/window.py"], only_the_window
             assert len(owners["profiling/window.py"]) == 1, only_the_window
         rare_set = self._lines_with(r"(?<![\w`])extract_rare_domains\(")
-        # Its definition, the window's restore-path rescan and the
-        # end of day.
+        # Its definition and the window's restore-path rescan: the end
+        # of day reads the window's own rare set.
         assert {path: len(lines) for path, lines in rare_set.items()} == {
             "profiling/rare.py": 1, "profiling/window.py": 1,
-            "streaming/engine.py": 1,
         }
         gone = (
             r"_aggregate_day|_profile_day|_commit_day|_solved_dates"
@@ -364,6 +363,22 @@ class TestOneDayLoop:
             "cli.py": ["store = IntelStore(args.db)"],
             "intelstore/store.py": ["store = IntelStore("],
         }
+
+    def test_the_data_verbs_have_one_frame(self):
+        """``run``, ``stream`` and ``fleet`` start and finish in one
+        frame -- one call of ``_start_data_verb`` and one of
+        ``_write_metrics`` -- and the durable intel store is opened by
+        the library calls, once every other input checked out; the CLI
+        wires no store, memo or WHOIS view of its own."""
+        for step in ("_start_data_verb", "_write_metrics"):
+            assert self._callers(step) == ["cli.py:_run_data_verb"], step
+        assert self._callers("open_intel_store") == [
+            "fleet/manager.py:FleetManager.run",
+            "streaming/replay.py:replay_directory",
+        ]
+        cli = (self.SRC / "cli.py").read_text()
+        assert re.findall(r"IntelMemo|TenantWhoisView|open_intel_store",
+                          cli) == []
 
     def test_dns_cc_stage_is_written_once(self):
         uses = self._lines_with(
