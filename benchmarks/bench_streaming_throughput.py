@@ -22,7 +22,7 @@ the smallest scale with a single timing run -- the CI ingest-stage
 smoke, gating on detection parity and the presence of the stage
 breakdown rather than on timings.  Results go to
 ``benchmarks/out/streaming_throughput.json`` (plus the usual rendered
-table) for EXPERIMENTS.md.
+table).
 """
 
 from __future__ import annotations

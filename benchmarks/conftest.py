@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
 Each bench regenerates one table or figure of the paper and saves its
-rendered output under ``benchmarks/out/`` so EXPERIMENTS.md can quote
-paper-vs-measured side by side.  Dataset worlds and trained pipelines
+rendered output under ``benchmarks/out/``, to be read paper-vs-measured
+side by side.  Dataset worlds and trained pipelines
 are session-scoped: they are deterministic in their seeds.
 """
 
@@ -47,7 +47,7 @@ BENCH_ENTERPRISE = EnterpriseDatasetConfig(
 
 
 def save_output(name: str, text: str) -> None:
-    """Persist one bench's rendered table/series for EXPERIMENTS.md."""
+    """Persist one bench's rendered table as ``benchmarks/out/<name>.txt``."""
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / f"{name}.txt").write_text(text + "\n")
     print("\n" + text)

@@ -94,18 +94,6 @@ class RegressionCCScorer:
         )
         return dict(zip(domains, self.model.score_many(matrix).tolist()))
 
-    def is_cc(
-        self,
-        domain: str,
-        traffic: DailyTraffic,
-        automated_hosts: set[str],
-        when: float,
-    ) -> bool:
-        """``Detect_C&C``: automated connections + score above ``Tc``."""
-        if not automated_hosts:
-            return False
-        return self.score(domain, traffic, automated_hosts, when) >= self.threshold
-
 
 class RegressionSimilarityScorer:
     """Scores rare domains against the labeled-malicious set."""

@@ -13,9 +13,8 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("clusters", ("DomainCluster", "cluster_by_name",
-                      "cluster_by_subnet", "cluster_by_url_pattern",
-                      "name_entropy", "name_signature", "triage_report")),
-        ("ledger", ("DetectionLedger", "DomainDossier")),
+                      "cluster_by_subnet", "name_entropy", "name_signature",
+                      "triage_report")),
         ("incident", ("DomainEvidence", "IncidentReport", "build_incident")),
         ("enterprise_eval", ("EnterpriseEvaluation", "OperationalDay",
                              "SweepPoint")),
@@ -27,10 +26,8 @@ _EXPORTS = {
                             "SweepRow", "sweep_histogram_parameters",
                             "timing_gap_samples")),
         ("metrics", ("DetectionCounts", "ValidationBreakdown",
-                     "new_discovery_rate", "score_detections",
-                     "validate_detections")),
-        ("reporting", ("cdf_at", "render_cdf", "render_series",
-                       "render_table")),
+                     "score_detections", "validate_detections")),
+        ("reporting", ("cdf_at", "render_table")),
     )
     for name in names
 }

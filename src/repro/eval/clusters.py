@@ -10,17 +10,21 @@ campaign clusters before investigating:
 * ten 20-hex-character ``.info`` DGA names found in hints mode;
 * domains co-hosted in the same /24.
 
-This module automates those groupings so a SOC can triage hundreds of
-detections as a handful of campaigns.  Three complementary views:
+This module automates the groupings the logs support so a SOC can
+triage hundreds of detections as a handful of campaigns.  Two
+complementary views:
 
 :func:`cluster_by_name`
     groups algorithmically-similar names (same TLD, length class, and
     character class -- hex vs alpha vs wordlike, judged by digit ratio
     and bigram entropy).
-:func:`cluster_by_url_pattern`
-    groups domains that served the same URL path.
 :func:`cluster_by_subnet`
     groups domains resolving into the same /24 (or /16).
+
+The URL-path groups need the request path, which neither
+:class:`~repro.logs.records.Connection` nor
+:class:`~repro.logs.records.ConnectionBatch` carries, so there is no
+view for them.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class DomainCluster:
 
     key: str
     """Human-readable cluster signature (e.g. ``".info len4-5 alpha"``,
-    ``"path:/tan2.html"``, ``"subnet:5.5.5.0/24"``)."""
+    ``"subnet:5.5.5.0/24"``)."""
 
     domains: tuple[str, ...]
 
@@ -116,23 +120,6 @@ def cluster_by_name(
     return _to_clusters(groups, min_size)
 
 
-def cluster_by_url_pattern(
-    paths_by_domain: Mapping[str, Iterable[str]], *, min_size: int = 2
-) -> list[DomainCluster]:
-    """Group domains that served an identical URL path.
-
-    ``paths_by_domain`` maps each detected domain to the URL paths
-    observed for it in the proxy logs.  A domain appears in one cluster
-    per shared path (the paper's ``/logo.gif?`` and ``/tan2.html``
-    groups were exactly such views).
-    """
-    groups: dict[str, list[str]] = defaultdict(list)
-    for domain in sorted(paths_by_domain):
-        for path in set(paths_by_domain[domain]):
-            groups[f"path:{path}"].append(domain)
-    return _to_clusters(groups, min_size)
-
-
 def cluster_by_subnet(
     ips_by_domain: Mapping[str, Iterable[str]],
     *,
@@ -163,7 +150,6 @@ def _to_clusters(
 def triage_report(
     domains: Iterable[str],
     *,
-    paths_by_domain: Mapping[str, Iterable[str]] | None = None,
     ips_by_domain: Mapping[str, Iterable[str]] | None = None,
     min_size: int = 2,
 ) -> str:
@@ -176,13 +162,6 @@ def triage_report(
         lines.append(f"  [{cluster.size}] {cluster.key}: "
                      f"{', '.join(cluster.domains[:6])}"
                      + (" ..." if cluster.size > 6 else ""))
-
-    if paths_by_domain:
-        lines.append("\nby shared URL path:")
-        for cluster in cluster_by_url_pattern(paths_by_domain, min_size=min_size):
-            lines.append(f"  [{cluster.size}] {cluster.key}: "
-                         f"{', '.join(cluster.domains[:6])}"
-                         + (" ..." if cluster.size > 6 else ""))
 
     if ips_by_domain:
         lines.append("\nby /24 co-hosting:")

@@ -10,8 +10,8 @@ The paper reports:
 * **FNR** (false negative rate) -- fraction of truly malicious domains
   the detector labeled legitimate (missed);
 * **NDR** (new-discovery rate, enterprise evaluation) -- fraction of
-  detections that are malicious/suspicious *and* unknown to both
-  VirusTotal and the SOC.
+  all detections that are malicious/suspicious *and* unknown to both
+  VirusTotal and the SOC (:attr:`ValidationBreakdown.ndr`).
 """
 
 from __future__ import annotations
@@ -68,18 +68,6 @@ def score_detections(
     fp = len(detected_set - truth)
     fn = len(truth - detected_set)
     return DetectionCounts(tp, fp, fn)
-
-
-def new_discovery_rate(
-    detected_malicious: Set[str],
-    vt_reported: Set[str],
-    soc_known: Set[str],
-) -> float:
-    """NDR: detections unknown to both VT and the SOC (Section VI-B)."""
-    if not detected_malicious:
-        return 0.0
-    new = detected_malicious - vt_reported - soc_known
-    return len(new) / len(detected_malicious)
 
 
 @dataclass(frozen=True)

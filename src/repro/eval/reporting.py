@@ -1,7 +1,8 @@
 """Text rendering of the paper's tables and figures.
 
-The benches print these renderings so the regenerated rows/series can
-be compared to the paper side by side (EXPERIMENTS.md records both).
+The benches render their regenerated rows with these helpers and save
+them under ``benchmarks/out/``, to be compared with the paper side by
+side.
 """
 
 from __future__ import annotations
@@ -28,38 +29,9 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_cdf(
-    samples: Sequence[float],
-    *,
-    points: int = 11,
-    label: str = "",
-) -> str:
-    """Render a CDF as 'value -> fraction' checkpoints."""
-    if not samples:
-        return f"{label}: (no samples)"
-    ordered = sorted(samples)
-    n = len(ordered)
-    lines = [f"{label} (n={n})" if label else f"(n={n})"]
-    for step in range(points):
-        fraction = step / (points - 1)
-        index = min(int(fraction * (n - 1)), n - 1)
-        lines.append(f"  p{fraction:>4.0%}  {ordered[index]:>12.2f}")
-    return "\n".join(lines)
-
-
 def cdf_at(samples: Sequence[float], value: float) -> float:
     """Empirical CDF of ``samples`` evaluated at ``value``."""
     if not samples:
         return 0.0
     return sum(1 for s in samples if s <= value) / len(samples)
 
-
-def render_series(
-    xs: Sequence[object], ys: Sequence[object], *, x_label: str, y_label: str
-) -> str:
-    """Two-column series rendering for figure data."""
-    header = f"{x_label:>12}  {y_label:>12}"
-    lines = [header, "-" * len(header)]
-    for x, y in zip(xs, ys):
-        lines.append(f"{str(x):>12}  {str(y):>12}")
-    return "\n".join(lines)

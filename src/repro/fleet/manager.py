@@ -53,7 +53,7 @@ from ..obs.metrics import (
     MetricsSnapshot,
     split_sample_key,
 )
-from ..state import load_json, save_json_atomic
+from ..state import load_json, reading_document, save_json_atomic
 from ..streaming.engine import resolve_replay_paths
 from .intel import IntelPlane
 from .manifest import FleetManifest, TenantSpec
@@ -230,25 +230,26 @@ class FleetManager:
         if not state_path.exists():
             raise FleetError(f"no fleet checkpoint at {state_path}")
         payload = load_json(state_path)
-        if payload.get("kind") != "fleet":
+        if not isinstance(payload, dict) or payload.get("kind") != "fleet":
             raise FleetError(f"{state_path} is not a fleet checkpoint")
         if payload.get("version") != FLEET_STATE_VERSION:
             raise FleetError(
                 f"{state_path}: unsupported fleet checkpoint version "
                 f"{payload.get('version')!r} (expected {FLEET_STATE_VERSION})"
             )
-        self.intel.restore(payload["intel"])
-        saved_metrics = payload.get("metrics")
-        if saved_metrics and self.metrics.enabled:
-            snapshot = MetricsSnapshot.from_dict(saved_metrics)
-            # The intel plane re-serves its restored CacheStats through
-            # the bound collector; dropping the family here keeps the
-            # resumed fleet snapshot from counting those lookups twice.
-            for key in list(snapshot.counters):
-                if split_sample_key(key)[0] == "intel_cache_lookups_total":
-                    del snapshot.counters[key]
-            self.metrics.restore(snapshot)
-        return int(payload["rounds"])
+        with reading_document(f"fleet checkpoint {state_path}"):
+            self.intel.restore(payload["intel"])
+            saved_metrics = payload.get("metrics")
+            if saved_metrics and self.metrics.enabled:
+                snapshot = MetricsSnapshot.from_dict(saved_metrics)
+                # The intel plane re-serves its restored CacheStats through
+                # the bound collector; dropping the family here keeps the
+                # resumed fleet snapshot from counting those lookups twice.
+                for key in list(snapshot.counters):
+                    if split_sample_key(key)[0] == "intel_cache_lookups_total":
+                        del snapshot.counters[key]
+                self.metrics.restore(snapshot)
+            return int(payload["rounds"])
 
     def _fresh_start(self) -> None:
         if self.checkpoint_dir is not None and self.checkpoint_dir.is_dir():
@@ -492,8 +493,10 @@ class FleetManager:
             cursor = cursors[tenant_id]
             if cursor == rnd + 1:
                 carried = handle.carried.get(tenant_id)
+                path = _tenant_checkpoint_path(self.checkpoint_dir, tenant_id)
                 if carried is not None:
-                    results[tenant_id] = TenantDayReport.from_dict(carried)
+                    with reading_document(f"tenant checkpoint {path}"):
+                        results[tenant_id] = TenantDayReport.from_dict(carried)
             elif cursor == rnd or cursor < spec.join_round == rnd:
                 # The day file and the seeds from the board the manager
                 # alone holds.

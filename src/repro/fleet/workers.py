@@ -167,10 +167,10 @@ def _save_tenant_checkpoint(
 def _load_tenant_checkpoint(path: Path) -> dict[str, Any]:
     """Read a tenant checkpoint wrapper, validating its schema."""
     wrapper = load_json(path)
-    if wrapper.get("kind") != "fleet-tenant" or "engine" not in wrapper:
+    kind = wrapper.get("kind") if isinstance(wrapper, dict) else None
+    if kind != "fleet-tenant" or "engine" not in wrapper:
         raise FleetError(
-            f"{path} is not a fleet tenant checkpoint "
-            f"(kind={wrapper.get('kind')!r})"
+            f"{path} is not a fleet tenant checkpoint (kind={kind!r})"
         )
     if wrapper.get("version") != FLEET_STATE_VERSION:
         raise FleetError(

@@ -4,7 +4,7 @@ Three pieces layered on the paper's external-intelligence model
 (conf_dsn_OpreaLYCA15 Section IV):
 
 * :mod:`repro.intelstore.store` -- a dependency-free SQLite store
-  (WAL, write-behind batching, TTLs, schema migration) persisting VT
+  (WAL, write-behind batching, TTLs, one schema version) persisting VT
   verdicts, WHOIS/RDAP records, CT observations and per-tenant
   detection profiles across runs;
 * :mod:`repro.intelstore.rdap` -- offline RDAP fixtures normalized

@@ -14,8 +14,9 @@ plane durable with nothing beyond the standard library:
 * **TTL'd entries** -- rows may carry an ``expires_at`` instant;
   expired rows are skipped on hydration and reaped by
   :meth:`purge_expired` (the CLI's ``intel vacuum``);
-* **schema versioning + migration** -- the ``meta`` table records the
-  schema version and older databases are migrated in place on open.
+* **one schema version** -- the ``meta`` table records it, and a file
+  at any other version is refused like a corrupt one: the store is a
+  cache of re-derivable facts, so recovery is deletion.
 
 What is persisted: VT verdicts, WHOIS/RDAP records (with registrar
 and source provenance), certificate-transparency observations
@@ -45,10 +46,10 @@ from .ct import CertObservation
 
 SCHEMA_VERSION = 2
 
-#: v1 of the on-disk schema: VT verdicts plus bare WHOIS intervals.
-#: Kept creatable so the migration test can build a genuine old
-#: database; production opens always migrate forward to the latest.
-_SCHEMA_V1 = (
+#: The on-disk schema: VT verdicts, WHOIS/RDAP records with their
+#: provenance (registrar, source), CT observations and per-tenant
+#: detection profiles.
+_SCHEMA = (
     "CREATE TABLE IF NOT EXISTS meta ("
     " key TEXT PRIMARY KEY, value TEXT NOT NULL)",
     "CREATE TABLE IF NOT EXISTS vt_verdicts ("
@@ -56,16 +57,8 @@ _SCHEMA_V1 = (
     " updated_at REAL NOT NULL, expires_at REAL)",
     "CREATE TABLE IF NOT EXISTS whois_records ("
     " domain TEXT PRIMARY KEY, registered REAL, expires REAL,"
-    " tenant TEXT NOT NULL, updated_at REAL NOT NULL, expires_at REAL)",
-)
-
-#: Statements that carry a v1 database to v2: WHOIS provenance columns
-#: (registrar, source) plus the CT observation and per-tenant profile
-#: tables the wider evidence model needs.
-_MIGRATE_V1_TO_V2 = (
-    "ALTER TABLE whois_records ADD COLUMN registrar TEXT",
-    "ALTER TABLE whois_records ADD COLUMN source TEXT NOT NULL "
-    " DEFAULT 'whois'",
+    " tenant TEXT NOT NULL, updated_at REAL NOT NULL, expires_at REAL,"
+    " registrar TEXT, source TEXT NOT NULL DEFAULT 'whois')",
     "CREATE TABLE IF NOT EXISTS ct_certs ("
     " fingerprint TEXT PRIMARY KEY, not_before REAL NOT NULL,"
     " not_after REAL NOT NULL, issuer TEXT NOT NULL,"
@@ -91,7 +84,7 @@ _TTL_TABLES = ("vt_verdicts", "whois_records", "ct_certs")
 
 
 class IntelStoreError(InputError):
-    """Raised on unreadable, corrupt or future-versioned databases."""
+    """Raised on unreadable, corrupt or other-versioned databases."""
 
 
 @dataclass
@@ -151,22 +144,14 @@ class StoreStats:
         return samples
 
 
-def create_schema(conn: sqlite3.Connection, version: int) -> None:
-    """Create the store schema at ``version`` on a raw connection.
-
-    Exposed so the migration tests can build genuine old databases;
-    :class:`IntelStore` itself always ends up at the latest version.
-    """
-    if version < 1 or version > SCHEMA_VERSION:
-        raise IntelStoreError(f"cannot create schema version {version}")
-    for statement in _SCHEMA_V1:
+def create_schema(conn: sqlite3.Connection) -> None:
+    """Create the store schema on a raw connection (tests build files
+    at other versions from it)."""
+    for statement in _SCHEMA:
         conn.execute(statement)
-    if version >= 2:
-        for statement in _MIGRATE_V1_TO_V2:
-            conn.execute(statement)
     conn.execute(
         "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-        ("schema_version", str(version)),
+        ("schema_version", str(SCHEMA_VERSION)),
     )
     conn.commit()
 
@@ -225,36 +210,26 @@ class IntelStore:
     # ------------------------------------------------------------------
 
     def _ensure_schema(self) -> None:
-        """Create a fresh schema or migrate an old one in place."""
+        """Create a fresh schema; refuse a file at another version as
+        unreadable, like a corrupt one -- its rows are re-derivable."""
         has_meta = self._conn.execute(
             "SELECT name FROM sqlite_master WHERE type='table' "
             "AND name='meta'"
         ).fetchone()
         if has_meta is None:
-            create_schema(self._conn, SCHEMA_VERSION)
+            create_schema(self._conn)
             return
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key='schema_version'"
-        ).fetchone()
-        version = int(row[0]) if row is not None else 1
-        if version > SCHEMA_VERSION:
-            raise IntelStoreError(
-                f"intel store {self.path} has schema version {version}; "
-                f"this build reads up to {SCHEMA_VERSION} -- use a newer "
-                "build or a fresh database"
+        version = self.schema_version
+        if version != SCHEMA_VERSION:
+            raise sqlite3.DatabaseError(
+                f"schema version {version} is "
+                f"{'newer' if version > SCHEMA_VERSION else 'older'} than "
+                f"this build's {SCHEMA_VERSION}"
             )
-        if version < 2:
-            for statement in _MIGRATE_V1_TO_V2:
-                self._conn.execute(statement)
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                ("schema_version", str(SCHEMA_VERSION)),
-            )
-            self._conn.commit()
 
     @property
     def schema_version(self) -> int:
-        """The on-disk schema version (always current after open)."""
+        """The on-disk schema version (current once open)."""
         row = self._conn.execute(
             "SELECT value FROM meta WHERE key='schema_version'"
         ).fetchone()

@@ -68,7 +68,6 @@ def run_directory(
     internal_suffixes: tuple[str, ...] = (),
     server_ips: frozenset[str] = frozenset(),
     metrics=None,
-    ct_edges=None,
 ) -> list[DayReport]:
     """Bootstrap on the first ``bootstrap_files`` logs in a directory
     (sorted by name) and detect on the rest.
@@ -82,8 +81,6 @@ def run_directory(
     every fleet tenant-day use, and each closed file logs the same
     ``day_rollover`` event as ``stream``.  Each operational day's
     report carries the file it was read from as ``path``.
-    ``ct_edges`` (a :class:`repro.intelstore.ct.CtIndex`) flows into
-    every day's detection pass.
     """
     from .streaming.engine import log_day_rollover, resolve_replay_paths
     from .streaming.replay import open_engine
@@ -100,7 +97,7 @@ def run_directory(
         operational = index >= bootstrap_files
         with path.open() as handle:
             detector.ingest_lines(handle)
-        report = detector.rollover(detect=operational, ct_edges=ct_edges)
+        report = detector.rollover(detect=operational)
         log_day_rollover(report, path, bootstrap=not operational)
         if operational:
             report.path = path

@@ -23,7 +23,7 @@ trained-detector (``--model-state``) documents.
 from __future__ import annotations
 
 import base64
-import functools
+import contextlib
 import json
 import math
 import os
@@ -160,25 +160,21 @@ def decode_config(payload: dict[str, Any]) -> SystemConfig:
 # Detector-level snapshot
 # ---------------------------------------------------------------------------
 
-def _document_reader(what: str):
-    """Decorate a restore function so that a structurally incomplete or
-    ill-typed document (valid JSON, wrong shape) raises
-    :class:`StateError` -- what callers and the CLI's one-line ``error:``
-    exit handle -- instead of whichever ``KeyError`` / ``TypeError`` the
-    first bad key happens to produce."""
-
-    def decorate(restore):
-        @functools.wraps(restore)
-        def reader(payload, *args, **keywords):
-            try:
-                return restore(payload, *args, **keywords)
-            except (KeyError, TypeError, ValueError, AttributeError,
-                    IndexError) as exc:
-                raise StateError(
-                    f"malformed {what}: {type(exc).__name__}: {exc}"
-                ) from exc
-        return reader
-    return decorate
+@contextlib.contextmanager
+def reading_document(what: str):
+    """Read a document -- in a ``with`` block, or as the decorator of a
+    restore function -- so that a structurally incomplete or ill-typed
+    document (valid JSON, wrong shape) raises :class:`StateError`
+    naming ``what`` -- what callers and the CLI's one-line ``error:``
+    exit handle -- instead of whichever ``KeyError`` / ``TypeError``
+    the first bad key happens to produce."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError,
+            IndexError) as exc:
+        raise StateError(
+            f"malformed {what}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def detector_state(detector: EnterpriseDetector) -> dict[str, Any]:
@@ -203,7 +199,7 @@ def detector_state(detector: EnterpriseDetector) -> dict[str, Any]:
     }
 
 
-@_document_reader("detector state")
+@reading_document("detector state")
 def restore_detector(
     payload: dict[str, Any], whois: WhoisDatabase | None = None
 ) -> EnterpriseDetector:
@@ -613,7 +609,7 @@ def encode_engine(engine, *, include_metrics: bool = False) -> dict[str, Any]:
     }
 
 
-@_document_reader("engine checkpoint")
+@reading_document("engine checkpoint")
 def restore_engine(
     payload: dict[str, Any], whois=None, *, metrics=None,
     kind: str | None = None,

@@ -124,10 +124,12 @@ class TestRegressionScorers:
         model = fit_linear_model(CC_FEATURE_NAMES, rows, labels)
         return RegressionCCScorer(model, FeatureExtractor(), threshold=threshold)
 
-    def test_is_cc_requires_automated_hosts(self):
+    def test_cc_requires_automated_hosts(self):
+        """``Detect_C&C`` scores only domains with an automated host."""
         scorer = self._cc_scorer()
         traffic = traffic_from([conn("h1", "d.ru")])
-        assert not scorer.is_cc("d.ru", traffic, set(), 0.0)
+        verdicts = [verdict("h1", "d.ru", 60.0, automated=False)]
+        assert scorer.score_automated(verdicts, traffic, 0.0) == {}
 
     def test_score_uses_model(self):
         scorer = self._cc_scorer()

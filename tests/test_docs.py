@@ -225,6 +225,35 @@ class TestOneDayLoop:
         assert list(cc_stage) == ["streaming/enterprise.py"]
         assert len(cc_stage["streaming/enterprise.py"]) == 1
 
+    def test_no_library_surface_without_a_caller(self):
+        """The detection ledger, the second NDR, the CDF and series
+        renderers, URL-path triage, ``is_cc``, the v1 intel schema and
+        the parameters no caller passed had no caller outside their own
+        tests: nothing names, exports or accepts them again."""
+        import inspect
+
+        import repro.eval
+        from repro.intelstore import create_schema
+        from repro.runner import run_directory
+
+        gone = (
+            r"DetectionLedger|DomainDossier|eval[./]ledger"
+            r"|new_discovery_rate|render_cdf|render_series"
+            r"|cluster_by_url_pattern|paths_by_domain|\bis_cc\b"
+            r"|_MIGRATE_V1_TO_V2|_SCHEMA_V1"
+        )
+        others = [
+            *sorted((REPO / "benchmarks").rglob("*.py")),
+            *(p for p in sorted((REPO / ".claude").rglob("*")) if p.is_file()),
+        ]
+        assert self._files_matching(gone) + [
+            p.relative_to(REPO).as_posix() for p in others
+            if re.search(gone, p.read_text())
+        ] == []
+        assert [n for n in repro.eval.__all__ if re.search(gone, n)] == []
+        assert "ct_edges" not in inspect.signature(run_directory).parameters
+        assert list(inspect.signature(create_schema).parameters) == ["conn"]
+
     def test_a_day_has_one_report(
         self, enterprise_evaluation, trained_detector, mixed_fleet_layout
     ):

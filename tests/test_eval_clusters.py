@@ -3,7 +3,6 @@
 from repro.eval import (
     cluster_by_name,
     cluster_by_subnet,
-    cluster_by_url_pattern,
     name_entropy,
     name_signature,
     triage_report,
@@ -67,30 +66,6 @@ class TestClusterByName:
         assert clusters[0].size == len(SHORT_DGA)
 
 
-class TestClusterByUrl:
-    def test_shared_path_clusters(self):
-        """The paper's /tan2.html group: 9 domains, same path."""
-        paths = {d: ["/tan2.html"] for d in SHORT_DGA}
-        paths["other.com"] = ["/index.html"]
-        clusters = cluster_by_url_pattern(paths)
-        assert len(clusters) == 1
-        assert clusters[0].key == "path:/tan2.html"
-        assert set(clusters[0].domains) == set(SHORT_DGA)
-
-    def test_domain_in_multiple_path_clusters(self):
-        paths = {
-            "a.ru": ["/logo.gif", "/x"],
-            "b.ru": ["/logo.gif"],
-            "c.ru": ["/x"],
-        }
-        clusters = cluster_by_url_pattern(paths)
-        keys = {c.key for c in clusters}
-        assert keys == {"path:/logo.gif", "path:/x"}
-
-    def test_empty_input(self):
-        assert cluster_by_url_pattern({}) == []
-
-
 class TestClusterBySubnet:
     def test_same_24_clusters(self):
         ips = {"a.ru": ["5.5.5.1"], "b.ru": ["5.5.5.200"], "c.com": ["9.9.9.9"]}
@@ -114,15 +89,13 @@ class TestTriageReport:
     def test_report_includes_all_views(self):
         report = triage_report(
             SHORT_DGA + HEX_DGA,
-            paths_by_domain={d: ["/tan2.html"] for d in SHORT_DGA},
             ips_by_domain={d: ["5.5.5.1"] for d in HEX_DGA},
         )
         assert "naming family" in report
-        assert "URL path" in report
         assert "/24 co-hosting" in report
-        assert "tan2.html" in report
+        assert "subnet:5.5.5.0/24" in report
 
     def test_report_without_optional_views(self):
         report = triage_report(SHORT_DGA)
         assert "naming family" in report
-        assert "URL path" not in report
+        assert "/24 co-hosting" not in report

@@ -4,7 +4,6 @@ import pytest
 
 from repro.eval import (
     DetectionCounts,
-    new_discovery_rate,
     score_detections,
     validate_detections,
 )
@@ -56,13 +55,16 @@ class TestScoreDetections:
 
 class TestNdr:
     def test_new_discovery_rate(self):
-        rate = new_discovery_rate(
-            {"a", "b", "c", "d"}, vt_reported={"a"}, soc_known={"b"}
+        """New discoveries over *all* detections: the benign ``e``
+        counts in the denominator (Section VI-B)."""
+        breakdown = validate_detections(
+            {"a", "b", "c", "d", "e"}, truth={"a", "b", "c", "d"},
+            vt_reported={"a"}, soc_known={"b"},
         )
-        assert rate == pytest.approx(0.5)
+        assert breakdown.ndr == pytest.approx(0.4)
 
     def test_empty(self):
-        assert new_discovery_rate(set(), set(), set()) == 0.0
+        assert validate_detections(set(), set(), set()).ndr == 0.0
 
 
 class TestValidateDetections:

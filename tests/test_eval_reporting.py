@@ -1,6 +1,6 @@
-"""Unit tests for the table/CDF rendering helpers."""
+"""Unit tests for the table rendering and CDF helpers."""
 
-from repro.eval import cdf_at, render_cdf, render_series, render_table
+from repro.eval import cdf_at, render_table
 
 
 class TestRenderTable:
@@ -29,18 +29,3 @@ class TestCdf:
 
     def test_cdf_at_empty(self):
         assert cdf_at([], 5.0) == 0.0
-
-    def test_render_cdf_has_checkpoints(self):
-        text = render_cdf([1.0, 2.0, 3.0], label="gaps")
-        assert "gaps" in text
-        assert "p100%" in text or "p 100%" in text
-
-    def test_render_cdf_empty(self):
-        assert "no samples" in render_cdf([], label="x")
-
-
-class TestRenderSeries:
-    def test_pairs_rendered(self):
-        text = render_series([0.4, 0.5], [10, 7], x_label="thr", y_label="n")
-        assert "0.4" in text and "10" in text
-        assert "thr" in text and "n" in text

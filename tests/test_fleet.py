@@ -431,6 +431,64 @@ class TestFleetCheckpoint:
         assert err.startswith(f"error: {path}: ") and "version 2" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("document, content, message", [
+        ("fleet.json", [], "{path} is not a fleet checkpoint"),
+        ("fleet.json", {"kind": "fleet", "version": 1, "rounds": 1},
+         "malformed fleet checkpoint {path}: KeyError: 'intel'"),
+        ("t0/checkpoint.json", [],
+         "{path} is not a fleet tenant checkpoint (kind=None)"),
+    ], ids=["fleet-list", "fleet-without-intel", "tenant-list"])
+    def test_malformed_document_is_one_error_naming_it(
+        self, document, content, message, fleet_layout, tmp_path, capsys
+    ):
+        """Valid JSON of the wrong shape used to be a traceback (exit 1)
+        or a worker's line naming no file."""
+        from repro.cli import main
+
+        ckpt = tmp_path / "ck"
+        flags = ["fleet", str(fleet_layout), "--workers", "1",
+                 "--checkpoint-dir", str(ckpt)]
+        assert main(flags + ["--max-rounds", "1"]) == 3
+        path = ckpt / document
+        path.write_text(json.dumps(content))
+        capsys.readouterr()
+        assert main(flags + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(path=path)}\n"
+        assert captured.out == ""
+
+    def test_malformed_adopted_report_is_one_error_naming_it(
+        self, cli_fleet, tmp_path, capsys
+    ):
+        """A tenant one round ahead of ``fleet.json`` has its report
+        adopted; a report of the wrong shape used to be a ``KeyError``
+        traceback (exit 1)."""
+        import multiprocessing
+
+        from repro.cli import main
+
+        layout, _ = cli_fleet
+        ckpt = tmp_path / "ck"
+        flags = ["fleet", str(layout), "--workers", "1",
+                 "--checkpoint-dir", str(ckpt)]
+        assert main(flags + ["--max-rounds", "2"]) == 3
+        behind = (ckpt / "fleet.json").read_bytes()
+        assert main(flags + ["--resume", "--max-rounds", "1"]) == 3
+        (ckpt / "fleet.json").write_bytes(behind)
+        path = ckpt / "t0" / "checkpoint.json"
+        wrapper = json.loads(path.read_text())
+        assert wrapper["round"] == 3 and wrapper["report"] is not None
+        wrapper["report"] = {"tenant_id": "t0"}
+        path.write_text(json.dumps(wrapper))
+        capsys.readouterr()
+        assert main(flags + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: malformed tenant checkpoint {path}: KeyError: 'day'\n"
+        )
+        assert captured.out == ""
+        assert multiprocessing.active_children() == []
+
     def test_tenant_checkpoint_behind_the_fleet_is_one_error(
         self, tmp_path, capsys
     ):

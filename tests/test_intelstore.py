@@ -2,7 +2,7 @@
 
 The load-bearing properties: the SQLite store round-trips every
 record kind through write-behind batching, expires entries by TTL,
-migrates v1 files in place, and refuses corrupt or too-new files; a
+and refuses corrupt files and files at another schema version; a
 fleet re-run against the same ``--intel-db`` detects byte-identically
 to the in-memory baseline while converting feed misses into store
 hits; RDAP fixtures are a drop-in registration source; and CT
@@ -138,38 +138,29 @@ class TestStoreDurability:
         }
         store.close()
 
-    def test_v1_file_migrates_in_place(self, tmp_path):
+    def test_v1_file_refused(self, tmp_path):
+        """A file at an older schema is refused like a corrupt one: the
+        store caches re-derivable facts, so recovery is deletion."""
         path = tmp_path / "old.db"
         conn = sqlite3.connect(str(path))
-        create_schema(conn, 1)
+        create_schema(conn)
         conn.execute(
-            "INSERT INTO vt_verdicts (domain, reported, tenant, "
-            "updated_at, expires_at) VALUES ('evil.c9', 1, 't0', 0, NULL)"
-        )
-        conn.execute(
-            "INSERT INTO whois_records (domain, registered, expires, "
-            "tenant, updated_at, expires_at) "
-            "VALUES ('young.c9', 0.0, 864000.0, 't0', 0, NULL)"
+            "UPDATE meta SET value = '1' WHERE key = 'schema_version'"
         )
         conn.commit()
         conn.close()
-
-        store = IntelStore(path)
-        assert store.schema_version == SCHEMA_VERSION
-        assert store.load_vt() == {"evil.c9": (True, "t0")}
-        record, _ = store.load_whois()["young.c9"]
-        assert record.expires == 864_000.0
-        # v2 tables exist and accept writes after the migration
-        store.put_cert(CertObservation("aa" * 32, 0.0, 1.0, "CA", ("x.c9",)))
-        store.record_day("t0", 1, {"evil.c9": 1.0})
-        store.flush()
-        assert len(store.load_certs()) == 1
-        store.close()
+        with pytest.raises(IntelStoreError) as refused:
+            IntelStore(path)
+        assert str(refused.value).startswith(
+            f"cannot open intel store {path}: schema version 1 is older "
+            f"than this build's {SCHEMA_VERSION} (if the file is corrupt, "
+            "delete it and re-run"
+        )
 
     def test_future_schema_refused(self, tmp_path):
         path = tmp_path / "future.db"
         conn = sqlite3.connect(str(path))
-        create_schema(conn, SCHEMA_VERSION)
+        create_schema(conn)
         conn.execute(
             "UPDATE meta SET value = ? WHERE key = 'schema_version'",
             (str(SCHEMA_VERSION + 1),),
