@@ -84,10 +84,6 @@ def _add_generate_parser(subparsers) -> None:
         "--days", type=int, default=7, help="number of March days to write"
     )
     parser.add_argument(
-        "--netflow", action="store_true",
-        help="also write per-day NetFlow exports",
-    )
-    parser.add_argument(
         "--tenants", type=int, default=1,
         help="with N >= 2, write an N-tenant fleet layout (per-tenant "
              "log directories, shared VT/WHOIS intel and a "
@@ -520,7 +516,6 @@ def _run_enterprise(args) -> int:
 
 def _run_generate(args) -> int:
     from .logs import format_dns_line
-    from .logs.netflow import format_netflow_line
     from .synthetic import generate_lanl_dataset
     from .synthetic.lanl import LanlConfig
 
@@ -575,16 +570,12 @@ def _run_generate(args) -> int:
                     f"--campaign {campaign} is single-tenant; only "
                     "tenant-churn works with --tenants"
                 )
-            if args.netflow:
-                return _fail("--netflow is not supported with --campaign")
         else:
             known = ", ".join(CAMPAIGN_NAMES + FLEET_CAMPAIGN_NAMES)
             return _fail(
                 f"unknown campaign {campaign!r} (use one of {known})"
             )
     if args.tenants > 1:
-        if args.netflow:
-            return _fail("--netflow is not supported with --tenants")
         if args.days < 3:
             return _fail(
                 "--tenants needs --days >= 3 (follower tenants are hit "
@@ -637,8 +628,6 @@ def _run_generate(args) -> int:
         return 0
 
     if args.pipeline == "enterprise":
-        if args.netflow:
-            return _fail("--netflow is not supported with --pipeline enterprise")
         from .synthetic import (
             EnterpriseDatasetConfig,
             generate_enterprise_dataset,
@@ -710,12 +699,6 @@ def _run_generate(args) -> int:
             for record in records:
                 handle.write(format_dns_line(record) + "\n")
         print(f"wrote {day_path}")
-        if args.netflow:
-            flow_path = args.output / f"netflow-march-{march_date:02d}.log"
-            with flow_path.open("w") as handle:
-                for flow in dataset.day_netflow(march_date):
-                    handle.write(format_netflow_line(flow) + "\n")
-            print(f"wrote {flow_path}")
     truth_path = args.output / "ground_truth.txt"
     with truth_path.open("w") as handle:
         for truth in dataset.campaigns:

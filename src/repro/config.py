@@ -12,7 +12,7 @@ and the LANL additive-score threshold ``Ts = 0.25`` (Section V-B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 SECONDS_PER_DAY = 86_400
 
@@ -111,23 +111,6 @@ class SystemConfig:
     """L2 penalty for the two regression models.  The paper's plain
     ``lm`` is recovered with 0; the default stabilizes the small,
     near-separable labeled sets that simulator-scale training yields."""
-
-    def with_thresholds(
-        self,
-        *,
-        similarity: float | None = None,
-        cc_score: float | None = None,
-    ) -> "SystemConfig":
-        """Return a copy with updated belief-propagation thresholds.
-
-        Convenience for the threshold sweeps in Figure 6.
-        """
-        bp = self.belief_propagation
-        if similarity is not None:
-            bp = replace(bp, similarity_threshold=similarity)
-        if cc_score is not None:
-            bp = replace(bp, cc_score_threshold=cc_score)
-        return replace(self, belief_propagation=bp)
 
 
 #: Configuration used for the LANL challenge: anonymized third-level

@@ -79,17 +79,6 @@ class InfectionGraph:
             raise KeyError(f"unknown domain {domain!r}")
         self.edges.add((host, domain))
 
-    @property
-    def node_count(self) -> int:
-        return len(self.hosts) + len(self.domains)
-
-    def domains_by_iteration(self) -> dict[int, list[str]]:
-        """Domains grouped by the BP iteration that added them."""
-        by_iter: dict[int, list[str]] = {}
-        for record in self.domains.values():
-            by_iter.setdefault(record.iteration, []).append(record.name)
-        return {k: sorted(v) for k, v in sorted(by_iter.items())}
-
     def to_networkx(self) -> "networkx.Graph":
         """Export as a networkx bipartite graph with node attributes.
 

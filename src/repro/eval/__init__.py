@@ -13,7 +13,7 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("clusters", ("DomainCluster", "cluster_by_name",
-                      "cluster_by_subnet", "name_entropy", "name_signature",
+                      "cluster_by_subnet", "name_signature",
                       "triage_report")),
         ("incident", ("DomainEvidence", "IncidentReport", "build_incident")),
         ("enterprise_eval", ("EnterpriseEvaluation", "OperationalDay",

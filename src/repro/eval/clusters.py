@@ -29,8 +29,7 @@ view for them.
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -60,21 +59,6 @@ def _label_of(domain: str) -> str:
 
 def _tld_of(domain: str) -> str:
     return domain.rsplit(".", 1)[-1]
-
-
-def name_entropy(label: str) -> float:
-    """Shannon entropy (bits/char) of a domain label.
-
-    DGA labels approach the entropy of their alphabet; dictionary-word
-    labels sit lower.  Used as a coarse character-class discriminator.
-    """
-    if not label:
-        return 0.0
-    counts = Counter(label)
-    total = len(label)
-    return -sum(
-        (count / total) * math.log2(count / total) for count in counts.values()
-    )
 
 
 def _length_class(label: str) -> str:

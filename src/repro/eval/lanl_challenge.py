@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 
 from ..config import LANL_CONFIG, SystemConfig
 from ..core.beliefprop import BeliefPropagationResult
-from ..core.scoring import multi_host_cc_domains
 from ..profiling.rare import DailyTraffic
 from ..streaming.detector import StreamingDetector
 from ..synthetic.lanl import LanlCampaignTruth, LanlDataset
-from ..timing.detector import AutomationDetector, AutomationVerdict
+from ..timing.detector import AutomationDetector
 from .metrics import DetectionCounts, ZERO_COUNTS, score_detections
 
 
@@ -160,15 +159,6 @@ class LanlChallengeSolver:
             rare=rare,
             truth=self.dataset.campaign_for_date(march_date),
         )
-
-    def detect_cc_domains(
-        self, context: LanlDayContext
-    ) -> tuple[set[str], list[AutomationVerdict]]:
-        """LANL C&C heuristic over the day's rare automated domains."""
-        verdicts = self.engine.automation.automated_pairs(
-            context.rare_series()
-        )
-        return multi_host_cc_domains(verdicts), verdicts
 
     def solve_day(self, march_date: int) -> DayOutcome:
         """Full detection for one day; updates histories afterwards.

@@ -46,6 +46,7 @@ from ..intel.memo import CacheStats, IntelMemo, TenantWhoisView
 from ..intel.whois_db import load_whois_file
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..state import (
+    StateError,
     decode_config,
     encode_config,
     encode_engine,
@@ -249,11 +250,15 @@ def _build_worker_tenant(
     )
     if resume and path is not None and path.exists():
         wrapper = _load_tenant_checkpoint(path)
+        try:
+            detector = restore_engine(
+                wrapper["engine"], whois=whois_view, metrics=metrics
+            )
+        except StateError as exc:
+            raise StateError(f"tenant checkpoint {path}: {exc}") from exc
         return _TenantRuntime(
             tenant_id=tenant_id,
-            detector=restore_engine(
-                wrapper["engine"], whois=whois_view, metrics=metrics
-            ),
+            detector=detector,
             checkpoint=path,
             cursor=wrapper["round"],
             last_report=wrapper.get("report"),

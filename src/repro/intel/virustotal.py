@@ -40,9 +40,9 @@ class VirusTotalOracle:
             raise ValueError("false_report_rate must be within [0, 1]")
         rng = random.Random(seed)
         self.coverage = coverage
-        self._malicious = set(malicious_domains)
         self._reported: set[str] = {
-            d for d in sorted(self._malicious) if rng.random() < coverage
+            d for d in sorted(set(malicious_domains))
+            if rng.random() < coverage
         }
         for domain in sorted(set(benign_domains)):
             if rng.random() < false_report_rate:
@@ -51,10 +51,6 @@ class VirusTotalOracle:
     def is_reported(self, domain: str) -> bool:
         """At least one AV engine flags the domain."""
         return domain in self._reported
-
-    def is_malicious(self, domain: str) -> bool:
-        """Ground truth (not available to the detector, only to eval)."""
-        return domain in self._malicious
 
     @property
     def reported_domains(self) -> frozenset[str]:

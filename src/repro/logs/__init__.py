@@ -36,15 +36,6 @@ from .normalize import (
     normalize_proxy_records,
     to_utc,
 )
-from .netflow import (
-    NetflowFormatError,
-    NetflowRecord,
-    PassiveDnsMap,
-    format_netflow_line,
-    normalize_netflow_records,
-    parse_netflow_line,
-    parse_netflow_log,
-)
 from .reduction import DNS_REDUCTION_STEPS, ReductionFunnel, ReductionStats
 
 __all__ = [
@@ -74,13 +65,6 @@ __all__ = [
     "normalize_dns_records",
     "normalize_proxy_records",
     "to_utc",
-    "NetflowFormatError",
-    "NetflowRecord",
-    "PassiveDnsMap",
-    "format_netflow_line",
-    "normalize_netflow_records",
-    "parse_netflow_line",
-    "parse_netflow_log",
     "DNS_REDUCTION_STEPS",
     "ReductionFunnel",
     "ReductionStats",

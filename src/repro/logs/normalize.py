@@ -80,15 +80,6 @@ class IpResolver:
             self._intervals[ip] = intervals
             self._starts[ip] = [start for start, _, _ in intervals]
 
-    def add_lease(self, lease: DhcpLease | VpnSession) -> None:
-        """Insert one lease, keeping the per-address index sorted."""
-        intervals = self._intervals.setdefault(lease.ip, [])
-        starts = self._starts.setdefault(lease.ip, [])
-        entry = (lease.start, lease.end, lease.hostname)
-        index = bisect_right(starts, lease.start)
-        intervals.insert(index, entry)
-        starts.insert(index, lease.start)
-
     @property
     def is_identity(self) -> bool:
         """Whether it holds no lease and no static entry, i.e. resolves

@@ -58,10 +58,6 @@ class DnsRecord:
     resolved_ip: str = ""
     """Response address; empty when the lookup failed or was redacted."""
 
-    @property
-    def is_a_record(self) -> bool:
-        return self.record_type is DnsRecordType.A
-
 
 @dataclass(frozen=True, slots=True)
 class ProxyRecord:
@@ -90,10 +86,6 @@ class ProxyRecord:
     """Stable client hostname; filled in by normalization from DHCP/VPN
     logs, empty in raw records."""
 
-    @property
-    def has_referer(self) -> bool:
-        return bool(self.referer)
-
 
 @dataclass(frozen=True, slots=True)
 class DhcpLease:
@@ -104,14 +96,6 @@ class DhcpLease:
     start: float
     end: float
 
-    def covers(self, timestamp: float) -> bool:
-        """Whether ``timestamp`` falls inside the lease interval.
-
-        The start is inclusive and the end exclusive so back-to-back
-        leases on the same address never both claim an instant.
-        """
-        return self.start <= timestamp < self.end
-
 
 @dataclass(frozen=True, slots=True)
 class VpnSession:
@@ -121,9 +105,6 @@ class VpnSession:
     hostname: str
     start: float
     end: float
-
-    def covers(self, timestamp: float) -> bool:
-        return self.start <= timestamp < self.end
 
 
 @dataclass(frozen=True, slots=True)

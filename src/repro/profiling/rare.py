@@ -521,9 +521,6 @@ class DailyTraffic:
     # Queries
     # ------------------------------------------------------------------
 
-    def domain_popularity(self, domain: str) -> int:
-        return len(self.hosts_by_domain.get(domain, ()))
-
     def connection_times(self, host: str, domain: str) -> list[float]:
         """Sorted timestamps of one (host, domain) pair's connections."""
         self.finalize()

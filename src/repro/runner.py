@@ -37,7 +37,6 @@ def detect_on_traffic(
     config: SystemConfig,
     hint_hosts: Sequence[str] = (),
     intel_domains: Set[str] = frozenset(),
-    ct_edges=None,
     metrics=None,
 ) -> DayReport:
     """The DNS-path end of day on one day of traffic, outside an engine:
@@ -54,7 +53,6 @@ def detect_on_traffic(
         config=config.belief_propagation,
         hint_hosts=hint_hosts,
         intel_domains=intel_domains,
-        ct_edges=ct_edges,
         metrics=metrics,
     )
 

@@ -56,10 +56,6 @@ class EnterpriseModel:
     servers: list[Host] = field(default_factory=list)
     rare_user_agents: list[str] = field(default_factory=list)
 
-    @property
-    def client_names(self) -> list[str]:
-        return [host.name for host in self.hosts]
-
     def host(self, index: int) -> Host:
         return self.hosts[index % len(self.hosts)]
 

@@ -141,8 +141,7 @@ class LanlDataset:
         """Full (unreduced) DNS records for one March date.
 
         Memoized: the record-noise RNG is a shared stream, so repeated
-        reads of the same date must return the same realized day (the
-        NetFlow pairing in :meth:`day_netflow` depends on it).
+        reads of the same date must return the same realized day.
         """
         cached = self._records_cache.get(march_date)
         if cached is not None:
@@ -210,36 +209,6 @@ class LanlDataset:
         records.sort(key=lambda r: r.timestamp)
         self._records_cache[march_date] = records
         return records
-
-    def day_netflow(self, march_date: int):
-        """Flow exports consistent with the day's DNS answers.
-
-        Each successful external lookup is followed a moment later by a
-        web flow from the querying host to the answered address --
-        the pairing an enterprise's own NetFlow collector would see.
-        Lets the same detection pipeline run from flows + passive DNS
-        (Section II-C's NetFlow claim).
-        """
-        from ..logs.netflow import NetflowRecord
-
-        rng = random.Random((self.config.seed << 4) ^ march_date)
-        flows = []
-        for record in self.day_records(march_date):
-            if not record.is_a_record or not record.resolved_ip:
-                continue
-            flows.append(
-                NetflowRecord(
-                    timestamp=record.timestamp + rng.uniform(0.01, 0.5),
-                    source_ip=record.source_ip,
-                    destination_ip=record.resolved_ip,
-                    destination_port=rng.choice((80, 443)),
-                    protocol="TCP",
-                    byte_count=rng.randint(400, 40_000),
-                    packet_count=rng.randint(4, 60),
-                )
-            )
-        flows.sort(key=lambda f: f.timestamp)
-        return flows
 
 
 def generate_lanl_dataset(config: LanlConfig | None = None) -> LanlDataset:

@@ -64,9 +64,6 @@ class DynamicHistogram:
     def period(self) -> float:
         return self.dominant_bin.hub
 
-    def frequencies(self) -> dict[float, float]:
-        return {b.hub: b.frequency for b in self.bins}
-
 
 def intervals(timestamps: Sequence[float]) -> list[float]:
     """Inter-connection intervals of a sorted timestamp series.

@@ -419,12 +419,10 @@ class TestGenerateCommand:
         out_dir = tmp_path / "logs"
         code = main([
             "generate", str(out_dir), "--hosts", "40", "--days", "2",
-            "--netflow",
         ])
         assert code == 0
         assert (out_dir / "dns-march-01.log").exists()
         assert (out_dir / "dns-march-02.log").exists()
-        assert (out_dir / "netflow-march-01.log").exists()
         assert (out_dir / "ground_truth.txt").exists()
 
     def test_generated_logs_parse_back(self, tmp_path):
@@ -692,10 +690,6 @@ class TestEnterpriseStreamCommand:
             "generate", out, "--tenants", "2", "--enterprise-tenants", "2",
         ]) == 2
         assert "lead tenant" in capsys.readouterr().err
-        assert main([
-            "generate", out, "--pipeline", "enterprise", "--netflow",
-        ]) == 2
-        assert "netflow" in capsys.readouterr().err
         assert main([
             "generate", out, "--enterprise-tenants", "1",
         ]) == 2

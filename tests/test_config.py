@@ -38,27 +38,6 @@ class TestDefaults:
         assert ENTERPRISE_CONFIG.rarity.fold_level == 2
 
 
-class TestWithThresholds:
-    def test_overrides_similarity_only(self):
-        config = SystemConfig().with_thresholds(similarity=0.6)
-        assert config.belief_propagation.similarity_threshold == 0.6
-        assert config.belief_propagation.cc_score_threshold == 0.4
-
-    def test_overrides_both(self):
-        config = SystemConfig().with_thresholds(similarity=0.5, cc_score=0.45)
-        assert config.belief_propagation.similarity_threshold == 0.5
-        assert config.belief_propagation.cc_score_threshold == 0.45
-
-    def test_original_untouched(self):
-        base = SystemConfig()
-        base.with_thresholds(similarity=0.9)
-        assert base.belief_propagation.similarity_threshold == 0.4
-
-    def test_no_overrides_is_equal_copy(self):
-        base = SystemConfig()
-        assert base.with_thresholds() == base
-
-
 class TestImmutability:
     def test_configs_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -18,9 +18,6 @@ def small_graph():
 
 
 class TestInfectionGraph:
-    def test_node_count(self):
-        assert small_graph().node_count == 4
-
     def test_duplicate_add_returns_false(self):
         graph = small_graph()
         assert not graph.add_host("h1", Label.CONTACT, 5)
@@ -32,10 +29,6 @@ class TestInfectionGraph:
             graph.add_edge("ghost", "cc.ru")
         with pytest.raises(KeyError):
             graph.add_edge("h1", "ghost.ru")
-
-    def test_domains_by_iteration(self):
-        by_iter = small_graph().domains_by_iteration()
-        assert by_iter == {1: ["cc.ru"], 2: ["pay.ru"]}
 
     def test_to_networkx_bipartite(self):
         nx_graph = small_graph().to_networkx()

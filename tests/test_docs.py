@@ -227,20 +227,25 @@ class TestOneDayLoop:
 
     def test_no_library_surface_without_a_caller(self):
         """The detection ledger, the second NDR, the CDF and series
-        renderers, URL-path triage, ``is_cc``, the v1 intel schema and
-        the parameters no caller passed had no caller outside their own
-        tests: nothing names, exports or accepts them again."""
+        renderers, URL-path triage, ``is_cc``, the v1 intel schema, the
+        write-only NetFlow leg and the parameters no caller passed had
+        no caller outside their own tests: nothing names, exports or
+        accepts them again.  ``tests/test_callers.py`` holds the rule
+        for every other public name; this scan also covers the docs,
+        the benches and the build notes."""
         import inspect
 
         import repro.eval
+        import repro.logs
         from repro.intelstore import create_schema
-        from repro.runner import run_directory
+        from repro.runner import detect_on_traffic, run_directory
 
         gone = (
             r"DetectionLedger|DomainDossier|eval[./]ledger"
             r"|new_discovery_rate|render_cdf|render_series"
             r"|cluster_by_url_pattern|paths_by_domain|\bis_cc\b"
             r"|_MIGRATE_V1_TO_V2|_SCHEMA_V1"
+            r"|(?i:netflow)|PassiveDnsMap"
         )
         others = [
             *sorted((REPO / "benchmarks").rglob("*.py")),
@@ -250,8 +255,10 @@ class TestOneDayLoop:
             p.relative_to(REPO).as_posix() for p in others
             if re.search(gone, p.read_text())
         ] == []
-        assert [n for n in repro.eval.__all__ if re.search(gone, n)] == []
-        assert "ct_edges" not in inspect.signature(run_directory).parameters
+        for package in (repro.eval, repro.logs):
+            assert [n for n in package.__all__ if re.search(gone, n)] == []
+        for function in (run_directory, detect_on_traffic):
+            assert "ct_edges" not in inspect.signature(function).parameters
         assert list(inspect.signature(create_schema).parameters) == ["conn"]
 
     def test_a_day_has_one_report(

@@ -3,7 +3,6 @@
 from repro.eval import (
     cluster_by_name,
     cluster_by_subnet,
-    name_entropy,
     name_signature,
     triage_report,
 )
@@ -26,15 +25,6 @@ class TestNameSignature:
 
     def test_benign_differs_from_dga(self):
         assert name_signature(BENIGN[0]) != name_signature(SHORT_DGA[0])
-
-    def test_entropy_of_repeated_char_is_zero(self):
-        assert name_entropy("aaaa") == 0.0
-
-    def test_entropy_increases_with_diversity(self):
-        assert name_entropy("abcdefgh") > name_entropy("aabbaabb")
-
-    def test_entropy_empty(self):
-        assert name_entropy("") == 0.0
 
 
 class TestClusterByName:

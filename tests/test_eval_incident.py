@@ -17,7 +17,7 @@ def solved_day(lanl_dataset):
     as the engine's hinted end of day."""
     solver = LanlChallengeSolver(lanl_dataset)
     context = solver.day_context(2)
-    _cc, verdicts = solver.detect_cc_domains(context)
+    verdicts = solver.engine.automation.automated_pairs(context.rare_series())
     truth = lanl_dataset.campaign_for_date(2)
     result = LanlChallengeSolver(lanl_dataset).solve_day(2).bp_result
     return context, verdicts, result, truth

@@ -76,17 +76,12 @@ class TestDaysAreSolvedOnce:
 
 class TestCcDetectionWithinChallenge:
     def test_cc_domain_found_on_hinted_days(self, lanl_dataset):
-        solver = LanlChallengeSolver(lanl_dataset)
-        context = solver.day_context(2)
-        cc, verdicts = solver.detect_cc_domains(context)
+        cc = LanlChallengeSolver(lanl_dataset).solve_day(2).cc_seeds
         truth = lanl_dataset.campaign_for_date(2)
         assert set(truth.cc_domains) <= cc
-        assert verdicts
 
     def test_cc_heuristic_rejects_benign_automation(self, lanl_dataset):
-        solver = LanlChallengeSolver(lanl_dataset)
-        context = solver.day_context(2)
-        cc, _ = solver.detect_cc_domains(context)
+        cc = LanlChallengeSolver(lanl_dataset).solve_day(2).cc_seeds
         truth = set(lanl_dataset.campaign_for_date(2).malicious_domains)
         assert cc <= truth  # nothing benign labeled C&C
 

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from repro.config import HistogramConfig, SystemConfig
+from repro.config import BeliefPropagationConfig, HistogramConfig, SystemConfig
 from repro.core import EnterpriseDetector, belief_propagation
 from repro.intel import VirusTotalOracle, WhoisDatabase
 from repro.logs import Connection, parse_dns_log, parse_proxy_log
@@ -317,7 +317,9 @@ class TestStateResilience:
     def test_config_round_trip_under_sweep(self):
         from repro.state import decode_config, encode_config
 
-        config = SystemConfig().with_thresholds(similarity=0.33)
+        config = SystemConfig(belief_propagation=BeliefPropagationConfig(
+            similarity_threshold=0.33
+        ))
         for _ in range(3):
             config = decode_config(encode_config(config))
         assert config.belief_propagation.similarity_threshold == 0.33

@@ -432,12 +432,18 @@ class TestFleetCheckpoint:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("document, content, message", [
-        ("fleet.json", [], "{path} is not a fleet checkpoint"),
-        ("fleet.json", {"kind": "fleet", "version": 1, "rounds": 1},
+        ("fleet.json", lambda _: [], "{path} is not a fleet checkpoint"),
+        ("fleet.json",
+         lambda _: {"kind": "fleet", "version": 1, "rounds": 1},
          "malformed fleet checkpoint {path}: KeyError: 'intel'"),
-        ("t0/checkpoint.json", [],
+        ("t0/checkpoint.json", lambda _: [],
          "{path} is not a fleet tenant checkpoint (kind=None)"),
-    ], ids=["fleet-list", "fleet-without-intel", "tenant-list"])
+        ("t0/checkpoint.json",
+         lambda wrapper: {**wrapper, "engine": {"kind": "streaming"}},
+         "worker 0: StateError: tenant checkpoint {path}: "
+         "unsupported state version None"),
+    ], ids=["fleet-list", "fleet-without-intel", "tenant-list",
+            "tenant-engine"])
     def test_malformed_document_is_one_error_naming_it(
         self, document, content, message, fleet_layout, tmp_path, capsys
     ):
@@ -450,7 +456,7 @@ class TestFleetCheckpoint:
                  "--checkpoint-dir", str(ckpt)]
         assert main(flags + ["--max-rounds", "1"]) == 3
         path = ckpt / document
-        path.write_text(json.dumps(content))
+        path.write_text(json.dumps(content(json.loads(path.read_text()))))
         capsys.readouterr()
         assert main(flags + ["--resume"]) == 2
         captured = capsys.readouterr()
@@ -632,8 +638,6 @@ class TestFleetCommand:
         from repro.cli import main
 
         out = str(tmp_path / "f")
-        assert main(["generate", out, "--tenants", "2", "--netflow"]) == 2
-        assert "netflow" in capsys.readouterr().err
         assert main(["generate", out, "--tenants", "2", "--days", "2"]) == 2
         assert "--days >= 3" in capsys.readouterr().err
 

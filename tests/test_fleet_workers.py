@@ -12,6 +12,7 @@ holds the round; and a checkpointed tenant is one document on disk.
 import json
 import multiprocessing
 import os
+import re
 import signal
 from pathlib import Path
 
@@ -292,7 +293,8 @@ class TestCrashRecovery:
             "version": 1, "kind": "fleet-tenant", "round": 1,
             "engine": {"kind": "bogus"}, "report": None,
         }))
-        with pytest.raises(FleetError, match="worker 1: StateError"):
+        broken = re.escape(f"tenant checkpoint {ckpt / 't1' / 'checkpoint.json'}")
+        with pytest.raises(FleetError, match=f"worker 1: StateError: {broken}"):
             FleetManager.from_manifest(
                 manifest, workers=2, checkpoint_dir=ckpt, resume=True,
             ).run()

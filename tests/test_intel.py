@@ -22,11 +22,6 @@ class TestVirusTotalOracle:
         assert a.reported_domains == b.reported_domains
         assert 30 <= len(a.reported_domains) <= 90
 
-    def test_ground_truth_independent_of_coverage(self):
-        oracle = VirusTotalOracle(["a.com"], coverage=0.0)
-        assert oracle.is_malicious("a.com")
-        assert not oracle.is_malicious("benign.com")
-
     def test_benign_never_reported_without_fp_rate(self):
         oracle = VirusTotalOracle(["mal.com"], ["ok.com"], coverage=1.0)
         assert not oracle.is_reported("ok.com")

@@ -57,12 +57,6 @@ class TestIpResolver:
         )
         assert resolver.resolve("192.168.0.2", 15) == "laptop"
 
-    def test_add_lease_keeps_order(self):
-        resolver = IpResolver([lease("172.16.0.5", "late", 100, 200)])
-        resolver.add_lease(lease("172.16.0.5", "early", 0, 100))
-        assert resolver.resolve("172.16.0.5", 50) == "early"
-        assert resolver.resolve("172.16.0.5", 150) == "late"
-
     def test_unsorted_input_leases(self):
         resolver = IpResolver(
             [lease("1.1.1.1", "b", 100, 200), lease("1.1.1.1", "a", 0, 100)]

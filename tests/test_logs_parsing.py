@@ -152,11 +152,3 @@ class TestRecordProperties:
 
         conn = Connection(timestamp=86_400.0 * 3 + 10, host="h", domain="d.com")
         assert conn.day == 3
-
-    def test_proxy_has_referer(self):
-        assert make_proxy().has_referer
-        assert not make_proxy(referer="").has_referer
-
-    def test_dns_is_a_record_property(self):
-        assert make_dns().is_a_record
-        assert not make_dns(record_type=DnsRecordType.MX).is_a_record

@@ -121,12 +121,6 @@ class TestDailyTraffic:
         traffic.finalize()
         return traffic
 
-    def test_popularity(self):
-        traffic = self._traffic()
-        assert traffic.domain_popularity("a.com") == 2
-        assert traffic.domain_popularity("b.com") == 1
-        assert traffic.domain_popularity("none.com") == 0
-
     def test_timestamps_sorted(self):
         traffic = DailyTraffic(0)
         traffic.ingest([conn("h", "d.com", 5.0), conn("h", "d.com", 1.0)])

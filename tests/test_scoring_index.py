@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from repro.config import LANL_CONFIG, SystemConfig
+from repro.config import LANL_CONFIG, BeliefPropagationConfig, SystemConfig
 from repro.core.beliefprop import belief_propagation
 from repro.core.pipeline import EnterpriseDetector
 from repro.core.scoring import (
@@ -343,7 +343,9 @@ def test_detect_on_enterprise_traffic_index_parity():
     the enterprise end of day (``rollover()`` of an engine fed the day
     in one poll), including the WHOIS imputation state it leaves
     behind."""
-    config = SystemConfig().with_thresholds(similarity=0.3, cc_score=0.25)
+    config = SystemConfig(belief_propagation=BeliefPropagationConfig(
+        similarity_threshold=0.3, cc_score_threshold=0.25
+    ))
     for seed in range(10):
         rng = random.Random(3000 + seed)
         history = DestinationHistory()

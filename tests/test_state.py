@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import BeliefPropagationConfig, SystemConfig
 from repro.core import EnterpriseDetector
 from repro.state import (
     StateError,
@@ -48,7 +48,9 @@ class TestComponentRoundTrips:
             assert copy.p_value == pytest.approx(original.p_value)
 
     def test_config(self):
-        config = SystemConfig().with_thresholds(similarity=0.6, cc_score=0.45)
+        config = SystemConfig(belief_propagation=BeliefPropagationConfig(
+            similarity_threshold=0.6, cc_score_threshold=0.45
+        ))
         restored = decode_config(encode_config(config))
         assert restored == config
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.logs import parse_dns_log, format_dns_line
+from repro.logs import DnsRecordType, parse_dns_log, format_dns_line
 from repro.logs.domains import same_subnet
 from repro.synthetic import CASE_DATES, TRAINING_DATES, generate_lanl_dataset
 from repro.synthetic.lanl import LanlConfig
@@ -53,7 +53,7 @@ class TestLanlRecords:
 
     def test_contains_non_a_records(self, lanl_dataset):
         records = lanl_dataset.day_records(2)
-        assert any(not r.is_a_record for r in records)
+        assert any(r.record_type is not DnsRecordType.A for r in records)
 
     def test_contains_internal_queries(self, lanl_dataset):
         records = lanl_dataset.day_records(2)
