@@ -1,5 +1,9 @@
 """Belief-propagation scoring at scale: legacy vs incremental frontier.
 
+No CLI path calls the legacy arm: it drives ``belief_propagation`` with
+the dict-based scoring Algorithm 1 used before the incremental scorers;
+the fast arm is the scoring ``detect_day`` runs.
+
 Not a paper figure -- this bench characterizes the scoring hot path.
 Algorithm 1's inner loop rescored every frontier domain against the
 *entire* malicious set each iteration (O(iterations x frontier x

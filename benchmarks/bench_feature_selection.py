@@ -1,5 +1,8 @@
 """Section VI-A: significance-driven feature pruning.
 
+No CLI path calls the timed function: ``backward_eliminate`` is offline
+model selection; training fits the fixed feature set.
+
 Paper: "Among all features considered, the only one with low
 significance was AutoHosts, which we believe is highly correlated with
 NoHosts and thus omit it" (C&C model); for the similarity model, IP16

@@ -1,5 +1,9 @@
 """Figure 2: domains per day surviving each reduction step.
 
+No CLI path calls the timed function: ``LanlChallengeSolver.day_context``
+closes a day undetected, while ``repro-detect lanl`` closes its days
+through ``solve_day``.
+
 Paper (LANL, first week of March): ~400k domains/day in the raw logs
 drop by roughly an order of magnitude through A-record filtering,
 internal-query filtering and internal-server filtering, down to ~31.5k

@@ -1,5 +1,9 @@
 """Figure 3: CDFs of first-visit gaps between domain pairs.
 
+No CLI path calls the timed function: ``timing_gap_samples`` (over
+``LanlChallengeSolver.day_context``) feeds this figure and the golden
+file only.
+
 Paper: for a compromised host, the gap between its first visits to two
 malicious domains is much shorter than between a malicious and a rare
 legitimate domain -- 56% of malicious-malicious gaps fall under 160

@@ -1,5 +1,9 @@
 """Figure 5: score CDFs of VT-reported vs legitimate automated domains.
 
+No CLI path calls the timed function:
+``EnterpriseEvaluation.score_samples`` reads the cached C&C scores, and
+``repro-detect enterprise`` prints the Figure 6 sweeps only.
+
 Paper: automated domains reported by VirusTotal score visibly higher
 than legitimate automated domains under the trained C&C regression
 model; a 0.4 threshold yields ~57% TDR at ~11% FPR on their training

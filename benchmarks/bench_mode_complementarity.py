@@ -57,6 +57,8 @@ def test_mode_complementarity(benchmark, enterprise_evaluation, enterprise_datas
     recurring = sum(1 for days in cc_days.values() if days >= 2)
     extra = (
         f"\nledger: {len(cc_days)} C&C domains across the month, "
-        f"{recurring} redetected on multiple days"
+        f"{recurring} redetected on multiple days (C&C scores go only to "
+        "a day's rare, i.e. new, destinations, and every domain a day sees "
+        "joins the history, which never expires)"
     )
     save_output("mode_complementarity", table + extra)

@@ -1,5 +1,9 @@
 """Section IV-A scale numbers: hosts/domains before vs after reduction.
 
+No CLI path calls the timed function: ``LanlChallengeSolver.day_context``
+reduces and closes a day undetected; ``run`` / ``stream`` take the same
+funnel through ``ingest_lines``.
+
 Paper: LANL shrinks from ~80k hosts querying 400k+ domains daily to
 3,369 hosts and 31,582 domains in the reduced set; the enterprise
 dataset from 120k hosts / 600k domains to 20k hosts / 59k rare domains.

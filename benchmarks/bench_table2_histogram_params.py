@@ -1,5 +1,9 @@
 """Table II: automated-pair counts across (W, JT) parameterizations.
 
+No CLI path calls the timed function: ``sweep_histogram_parameters``
+re-tests the days under every (W, JT), while each verb runs one
+``HistogramConfig``.
+
 Paper: sweeping bin width W over {5, 10, 20} seconds and Jeffrey
 threshold JT over {0, 0.034, 0.06, 0.35} shows (a) larger thresholds
 capture more malicious beacon pairs but admit more legitimate automated

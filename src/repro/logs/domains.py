@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from functools import lru_cache
 
 _LABEL_RE = re.compile(r"^[a-z0-9_\-]{1,63}$", re.IGNORECASE)
 #: A plain dotted quad as ``ipaddress`` accepts one: four ASCII-decimal
-#: octets without leading zeros (their range is checked separately).
-_OCTET = r"(0|[1-9][0-9]{0,2})"
+#: octets in 0-255 without leading zeros.
+_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _DOTTED_QUAD_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
+#: What follows the kept octets of a /``prefix`` network key.
+_SUBNET_SUFFIX = {8: ".0.0.0/8", 16: ".0.0/16", 24: ".0/24", 32: "/32"}
 
 
 def is_ip_address(name: str) -> bool:
@@ -83,29 +84,29 @@ def is_internal_domain(name: str, internal_suffixes: tuple[str, ...]) -> bool:
     return False
 
 
-@lru_cache(maxsize=65536)
 def subnet_key(ip: str, prefix: int) -> str:
     """Return the /``prefix`` network an IPv4 address belongs to.
 
     Used for the IP24 / IP16 proximity features (Section IV-D): attack
-    domains tend to co-locate in small numbers of subnets.  Pure
-    string-to-string, so the result is memoized -- resolved IPs recur
-    across days.  A first-seen address misses the memo, so the common
-    form -- a plain dotted quad -- is cut with string operations;
-    anything else (IPv6, malformed text, octets ``ipaddress`` would
-    refuse) goes through ``ipaddress`` and behaves as it decides.
+    domains tend to co-locate in small numbers of subnets.  Not
+    memoized: a process-wide memo would hold every address a
+    long-lived engine (or every tenant of a fleet worker) has seen,
+    while the day's traffic store already asks once per new
+    (domain, address) pair.  The common form -- a plain dotted quad,
+    matched whole by one regular expression -- is cut with string
+    operations (~1 µs); anything else (IPv6, malformed text, octets
+    ``ipaddress`` would refuse) goes through ``ipaddress`` and behaves
+    as it decides.
 
     >>> subnet_key("93.184.216.34", 24)
     '93.184.216.0/24'
     """
-    if prefix not in (8, 16, 24, 32):
+    suffix = _SUBNET_SUFFIX.get(prefix)
+    if suffix is None:
         raise ValueError(f"unsupported prefix length {prefix}")
     quad = _DOTTED_QUAD_RE.fullmatch(ip)
     if quad is not None:
-        octets = quad.groups()
-        if all(int(octet) <= 255 for octet in octets):
-            kept = prefix // 8
-            return ".".join(octets[:kept] + ("0",) * (4 - kept)) + f"/{prefix}"
+        return ip[: quad.end(prefix // 8)] + suffix
     network = ipaddress.ip_network(f"{ip}/{prefix}", strict=False)
     return str(network)
 

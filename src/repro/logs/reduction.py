@@ -52,10 +52,23 @@ _record_fields = attrgetter(
 
 @dataclass
 class ReductionStats:
-    """Distinct-domain and record counts per reduction step and day."""
+    """Distinct-domain and record counts per reduction step and day.
+
+    Only open days keep their distinct-domain sets (``domains``): when
+    the funnel opens a day, every earlier day's sets fold into counts
+    (``closed``, :meth:`close_before`), so a long-lived funnel holds
+    one day's vocabulary, not one per day gone by.  The counts are
+    exact while a day's rows arrive before a later day's; a row whose
+    day was already folded (a clock that steps back over midnight)
+    opens a fresh set for it, and a domain seen on both sides of the
+    fold counts twice.
+    """
 
     domains: dict[str, dict[int, set[str]]] = field(
         default_factory=lambda: defaultdict(lambda: defaultdict(set))
+    )
+    closed: dict[str, dict[int, int]] = field(
+        default_factory=lambda: defaultdict(lambda: defaultdict(int))
     )
     records: dict[str, dict[int, int]] = field(
         default_factory=lambda: defaultdict(lambda: defaultdict(int))
@@ -69,9 +82,18 @@ class ReductionStats:
         self.domains[step][day].add(domain)
         self.records[step][day] += 1
 
+    def close_before(self, day: int) -> None:
+        """Fold the sets of every day before ``day`` into counts."""
+        for step, per_day in self.domains.items():
+            for old in [d for d in per_day if d < day]:
+                self.closed[step][old] += len(per_day.pop(old))
+
     def domain_counts(self, step: str) -> dict[int, int]:
         """Distinct domains per day surviving ``step``."""
-        return {day: len(doms) for day, doms in self.domains[step].items()}
+        counts = dict(self.closed.get(step, {}))
+        for day, doms in self.domains.get(step, {}).items():
+            counts[day] = counts.get(day, 0) + len(doms)
+        return counts
 
     def record_counts(self, step: str) -> dict[int, int]:
         return dict(self.records[step])
@@ -79,8 +101,9 @@ class ReductionStats:
     def days(self) -> list[int]:
         """How many days of reduction this tracker has observed."""
         observed: set[int] = set()
-        for per_day in self.domains.values():
-            observed.update(per_day)
+        for table in (self.closed, self.domains):
+            for per_day in table.values():
+                observed.update(per_day)
         return sorted(observed)
 
 
@@ -136,9 +159,11 @@ class ReductionFunnel:
         self._day_sets: tuple[set[str], ...] = (set(),) * 4
 
     def _open_day(self, day: int) -> tuple[set[str], ...]:
-        """Make ``day`` the accounting day; its four per-step sets."""
+        """Make ``day`` the accounting day, folding the sets of the
+        days before it into counts; its four per-step sets."""
         self._stat_day = day
         self._domain_memo.clear()
+        self.stats.close_before(day)
         self._day_sets = tuple(
             self.stats.domains[step][day] for step in DNS_REDUCTION_STEPS
         )

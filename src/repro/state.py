@@ -27,6 +27,7 @@ import contextlib
 import json
 import math
 import os
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
@@ -673,17 +674,53 @@ def restore_engine(
     return detector
 
 
+#: The window section's packed columns, and the keys that lead to a
+#: window section: an engine document's ``window``, a fleet tenant
+#: wrapper's ``engine``.
+_COLUMN_KEYS = frozenset({"host_index", "domain_index", "timestamps"})
+_WINDOW_PATH = frozenset({"engine", "window"})
+
+
+def _json_pieces(payload: dict[str, Any]) -> Iterator[str]:
+    """``json.dumps(payload)``, in pieces that join to the same text.
+
+    The dicts on the way to a window section are written key by key,
+    and each base64 column goes out as the string the document already
+    holds (base64 needs no JSON escaping); everything else is one
+    ``json.dumps`` per value.  So no piece repeats a column, and no
+    joined text of the whole window ever exists.
+    """
+    is_window = payload.get("layout") == WINDOW_LAYOUT
+    yield "{"
+    for position, (key, value) in enumerate(payload.items()):
+        yield f"{', ' if position else ''}{json.dumps(key)}: "
+        if is_window and key in _COLUMN_KEYS:
+            yield '"'
+            yield value
+            yield '"'
+        elif key in _WINDOW_PATH and isinstance(value, dict):
+            yield from _json_pieces(value)
+        else:
+            yield json.dumps(value)
+    yield "}"
+
+
 def save_json_atomic(payload: dict[str, Any], path: str | Path) -> None:
     """Serialize ``payload`` to ``path`` atomically (temp file + rename).
 
     Checkpoints are written continuously while streaming (and
     concurrently across fleet tenants), and a crash mid-write must
     never destroy the previous good document -- that file is exactly
-    what ``--resume`` needs afterwards.
+    what ``--resume`` needs afterwards.  The bytes are those of
+    ``json.dumps(payload)``, written piece by piece
+    (:func:`_json_pieces`): a checkpoint's transient is one column's
+    bytes, not the text of the whole document twice over.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload))
+    with tmp.open("w", encoding="ascii", newline="") as out:
+        for piece in _json_pieces(payload):
+            out.write(piece)
     os.replace(tmp, path)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,7 @@ def test_rows_fold_per_workload_and_label(bench_summary, tmp_path):
     assert row["parent"] == {
         "records_per_s": 2e5, "peak_rss_mb": 120.0, "cpu_s_per_mrec": 4.0,
         "setup_s": 0.6, "correct": True, "runs": 3,
+        "cpu_count": os.cpu_count(),
     }
     assert (row["change"]["peak_rss_mb"], row["change"]["correct"]) == (
         111.0, False
@@ -74,3 +76,26 @@ def test_rejects_what_is_not_an_end_to_end_result(bench_summary, tmp_path):
             ["--out", str(out), "--e2e", str(path)]
         ) == 1
     assert not out.exists()
+
+
+def test_a_bench_without_its_json_keeps_its_row(
+    bench_summary, tmp_path, monkeypatch
+):
+    """``benchmarks/out/`` is not committed: a refresh on a checkout
+    that ran only some benches keeps the other benches' rows."""
+    monkeypatch.setattr(bench_summary, "OUT_DIR", tmp_path / "out")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "bp_scale.json").write_text(json.dumps({
+        "rows": [{"config": "small", "scorer": "additive", "speedup": 6.0}],
+        "detect_parity": True,
+    }))
+    out = tmp_path / "BENCH_perf.json"
+    fleet_row = {"detect_parity": True, "modes": {}}
+    out.write_text(json.dumps({"benches": {
+        "bp_scale": {"stale": True}, "fleet_throughput": fleet_row,
+    }}))
+    assert bench_summary.main(["--out", str(out)]) == 0
+    benches = json.loads(out.read_text())["benches"]
+    assert benches["fleet_throughput"] == fleet_row
+    assert benches["bp_scale"]["min_speedup"] == 6.0
+    assert set(benches) == {"bp_scale", "fleet_throughput"}

@@ -187,6 +187,6 @@ class TestSubnets:
             want = str(ipaddress.ip_network(f"{ip}/{prefix}", strict=False))
         except ValueError as exc:
             with pytest.raises(type(exc)):
-                subnet_key.__wrapped__(ip, prefix)
+                subnet_key(ip, prefix)
         else:
-            assert subnet_key.__wrapped__(ip, prefix) == want
+            assert subnet_key(ip, prefix) == want

@@ -438,6 +438,46 @@ def _nonzero(table):
     }
 
 
+class _OpenSets:
+    """Every distinct-domain set a funnel held, per step and day.
+
+    A funnel keeps a day's sets only while the day is open and folds
+    them into counts when a later day opens, so the sets are read
+    while they live: :meth:`feed` passes the funnel's input through,
+    taking the open sets before each item is read, and
+    :meth:`collect` takes them once the pass is over.  A day opened
+    twice (a clock stepping back) gathers both visits.
+    """
+
+    def __init__(self, funnel) -> None:
+        self.funnel = funnel
+        self.sets: dict[str, dict[int, set[str]]] = {}
+
+    def collect(self) -> dict[str, dict[int, set[str]]]:
+        for step, per_day in self.funnel.stats.domains.items():
+            for day, domains in per_day.items():
+                self.sets.setdefault(step, {}).setdefault(day, set()).update(
+                    domains
+                )
+        return self.sets
+
+    def feed(self, items):
+        for item in items:
+            self.collect()
+            yield item
+
+
+def _line_day(line: str) -> int:
+    """The day a DNS log line is accounted under (-1: none)."""
+    from repro.logs import DnsLogFormatError
+    from repro.logs.dns import parse_dns_line
+
+    try:
+        return int(parse_dns_line(line).timestamp // 86_400)
+    except DnsLogFormatError:
+        return -1
+
+
 class TestDnsColumnRoute:
     @given(
         st.lists(_soup_lines, max_size=60),
@@ -450,7 +490,8 @@ class TestDnsColumnRoute:
         from repro.logs import ReductionFunnel
 
         funnel = ReductionFunnel(_SUFFIXES, _SERVERS, fold_level=2)
-        batches = list(funnel.read_lines(lines, batch_size))
+        open_sets = _OpenSets(funnel)
+        batches = list(funnel.read_lines(open_sets.feed(lines), batch_size))
         oracle = reduce_lines(lines, _SUFFIXES, _SERVERS, fold_level=2)
 
         events = [
@@ -472,8 +513,23 @@ class TestDnsColumnRoute:
 
         stats = funnel.stats
         assert stats.malformed == oracle.malformed
-        assert _nonzero(stats.domains) == _nonzero(oracle.domains)
+        assert _nonzero(open_sets.collect()) == _nonzero(oracle.domains)
         assert _nonzero(stats.records) == _nonzero(oracle.records)
+        # With the days in order, only the day in progress keeps its
+        # sets, and the folded counts are the oracle's distinct sets,
+        # day by day; out of order they never undercount.
+        in_order = ReductionFunnel(_SUFFIXES, _SERVERS, fold_level=2)
+        list(in_order.read_lines(sorted(lines, key=_line_day)))
+        assert all(
+            len(per_day) <= 1 for per_day in in_order.stats.domains.values()
+        )
+        for step, per_day in oracle.domains.items():
+            want = {day: len(domains) for day, domains in per_day.items()}
+            assert _nonzero({step: in_order.stats.domain_counts(step)}) == (
+                _nonzero({step: want})
+            )
+            counts = stats.domain_counts(step)
+            assert all(counts[day] >= n for day, n in want.items())
         non_blank = sum(1 for line in lines if line.strip())
         assert non_blank == stats.malformed + sum(
             stats.record_counts("all").values()
@@ -497,16 +553,20 @@ class TestDnsColumnRoute:
         by_line = ReductionFunnel(_SUFFIXES, _SERVERS)
         by_record = ReductionFunnel(_SUFFIXES, _SERVERS)
         by_reduce = ReductionFunnel(_SUFFIXES, _SERVERS)
+        sets = {f: _OpenSets(f) for f in (by_line, by_record, by_reduce)}
         records = list(parse_dns_log(lines))
-        expected = list(by_line.read_lines(lines))
-        assert list(by_record.read_records(records)) == expected
-        kept = list(by_reduce.reduce(records))
+        expected = list(by_line.read_lines(sets[by_line].feed(lines)))
+        assert list(
+            by_record.read_records(sets[by_record].feed(records))
+        ) == expected
+        kept = list(by_reduce.reduce(sets[by_reduce].feed(records)))
         assert [r.timestamp for r in kept] == [
             t for batch in expected for t in batch.timestamps
         ]
         assert all(r in records for r in kept)
         for funnel in (by_record, by_reduce):
-            assert funnel.stats.domains == by_line.stats.domains
+            assert sets[funnel].collect() == sets[by_line].collect()
+            assert funnel.stats.closed == by_line.stats.closed
             assert funnel.stats.records == by_line.stats.records
 
 

@@ -142,3 +142,101 @@ class TestEngineDispatch:
 
         with pytest.raises(StateError, match="not a streaming engine"):
             restore_engine({"version": 1, "kind": "detector"})
+
+
+class TestCheckpointBytes:
+    """The checkpoint writer puts ``json.dumps`` of the document on
+    disk, byte for byte.  The golden ``checkpoint-sha256:*`` cases hash
+    a re-dump of the parsed document, so only these see the raw bytes
+    the writer assembles piece by piece."""
+
+    @staticmethod
+    def _dns_engine_mid_day(dataset):
+        from repro.logs import format_dns_line
+        from repro.obs import MetricsRegistry
+        from repro.streaming import StreamingDetector
+
+        engine = StreamingDetector(
+            internal_suffixes=dataset.internal_suffixes,
+            server_ips=dataset.server_ips,
+            metrics=MetricsRegistry(),
+        )
+        engine.ingest_lines(
+            format_dns_line(r) for r in dataset.day_records(1)
+        )
+        engine.rollover(detect=False)
+        lines = [format_dns_line(r) for r in dataset.day_records(2)]
+        engine.ingest_lines(lines[: len(lines) // 2])
+        engine.score()
+        return engine
+
+    @staticmethod
+    def _assert_written_as_dumped(document, path):
+        from repro.state import save_json_atomic
+
+        save_json_atomic(document, path)
+        assert path.read_bytes() == json.dumps(document).encode()
+        assert not path.with_name(path.name + ".tmp").exists()
+
+    def test_midday_dns_stream(self, lanl_dataset, tmp_path):
+        from repro.state import encode_engine
+
+        engine = self._dns_engine_mid_day(lanl_dataset)
+        document = encode_engine(engine, include_metrics=True)
+        assert document["window"]["events_today"] > 0
+        assert document["metrics"] is not None
+        self._assert_written_as_dumped(document, tmp_path / "ckpt.json")
+
+    def test_midday_enterprise_stream(
+        self, trained_detector, enterprise_dataset, tmp_path
+    ):
+        from repro.state import encode_engine
+        from repro.streaming import StreamingEnterpriseDetector
+
+        engine = StreamingEnterpriseDetector(trained_detector)
+        conns = enterprise_dataset.day_connections(
+            enterprise_dataset.config.bootstrap_days
+        )
+        engine.ingest(conns[: len(conns) // 2])
+        engine.score()
+        document = encode_engine(engine, include_metrics=True)
+        assert document["window"]["events_today"] > 0
+        self._assert_written_as_dumped(document, tmp_path / "ckpt.json")
+
+    def test_fleet_tenant_document(self, lanl_dataset, tmp_path):
+        from repro.fleet.workers import _save_tenant_checkpoint
+        from repro.state import encode_engine
+
+        engine = self._dns_engine_mid_day(lanl_dataset)
+        path = tmp_path / "t0" / "checkpoint.json"
+        _save_tenant_checkpoint(engine, path, {"day": 2, "detected": []}, 2)
+        raw = path.read_bytes()
+        document = json.loads(raw)
+        assert raw == json.dumps(document).encode()
+        assert document["engine"] == json.loads(
+            json.dumps(encode_engine(engine))
+        )
+
+    def test_names_with_odd_characters(self, tmp_path):
+        """Name tables and feature keys that look like JSON, or like
+        the column keys, go out escaped exactly as ``json.dumps`` does."""
+        from repro.logs.records import ConnectionBatch
+        from repro.state import encode_engine
+        from repro.streaming import StreamingDetector
+
+        names = [
+            'q"uote.c3', "back\\slash.c3", "ünïcode.c3",
+            "line\u2028sep.c3", "nul\x00.c3", "lone\ud800.c3",
+            "timestamps", "window", '", "host_index": "',
+        ]
+        engine = StreamingDetector()
+        engine.submit(ConnectionBatch(
+            [float(i) for i in range(len(names))],
+            list(reversed(names)),
+            names,
+            ["198.51.100.7"] * len(names),
+        ))
+        engine.poll()
+        document = encode_engine(engine)
+        assert document["window"]["domains"] == names
+        self._assert_written_as_dumped(document, tmp_path / "odd.json")

@@ -4,15 +4,16 @@
 Each throughput/scale bench drops a JSON next to its rendered table;
 this tool distills the headline numbers of every known bench into one
 root-level document so the performance trajectory is tracked across
-PRs (commit the refreshed file together with the ``benchmarks/out``
-JSONs it summarizes).
+PRs.  ``benchmarks/out/`` is ignored by git (its JSONs carry the
+host's timings), so the committed ``BENCH_perf.json`` is the record.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_summary.py [--out BENCH_perf.json]
     python tools/bench_summary.py --e2e e2e-*.txt [--e2e-label change]
 
-Unknown or missing JSONs are skipped with a note, so the summary stays
+Unknown JSONs are skipped with a note; a known bench whose JSON is
+missing keeps its row from the ``--out`` file, so the summary stays
 writable even when only a subset of the benches was re-run.
 
 ``--e2e FILE...`` folds single-measurement result lines of the
@@ -20,7 +21,8 @@ end-to-end benchmark (``benchmarks/e2e/run.py --workload W --trace 0``;
 the last line of each file, named ``e2e-<workload>.txt`` as CI tees
 them) into the document's ``e2e`` section: per workload and label, the
 four end-to-end metrics -- the median when several files measure one
-workload -- and whether every run was ``correct``.  Rows under other
+workload -- whether every run was ``correct``, and the CPU count of
+the host (fold the files where they were measured).  Rows under other
 labels are kept, so a parent's and a change's rows sit side by side;
 without ``--e2e`` the section is carried over unchanged.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import sys
@@ -209,13 +212,23 @@ KNOWN = {
 }
 
 
-def build_summary(out_dir: pathlib.Path = OUT_DIR) -> dict:
-    """One summary document over every known bench JSON present."""
+def build_summary(
+    out_dir: pathlib.Path | None = None, previous: dict | None = None
+) -> dict:
+    """One summary document over every known bench JSON present in
+    ``out_dir`` (default :data:`OUT_DIR`); a known bench without one
+    keeps its row from ``previous``'s ``benches``."""
+    out_dir = OUT_DIR if out_dir is None else out_dir
     benches: dict[str, dict] = {}
+    carried = (previous or {}).get("benches", {})
     for name, summarize in sorted(KNOWN.items()):
         path = out_dir / name
         if not path.exists():
-            print(f"bench_summary: {name} not present", file=sys.stderr)
+            key = name.removesuffix(".json")
+            note = " (row kept)" if key in carried else ""
+            print(f"bench_summary: {name} not present{note}", file=sys.stderr)
+            if key in carried:
+                benches[key] = carried[key]
             continue
         payload = _load(path)
         if payload is None:
@@ -263,6 +276,7 @@ def summarize_e2e(paths: list[pathlib.Path]) -> dict[str, dict]:
             },
             "correct": all(r["correct"] is True for r in results),
             "runs": len(results),
+            "cpu_count": os.cpu_count(),
         }
         for workload, results in sorted(runs.items())
     }
@@ -285,12 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         help="what the --e2e rows measured (default: change)",
     )
     args = parser.parse_args(argv)
-    summary = build_summary()
-    if not summary["benches"]:
-        print("bench_summary: no known bench JSONs found", file=sys.stderr)
-        return 1
     out_path = pathlib.Path(args.out)
     previous = _load(out_path) if out_path.exists() else None
+    summary = build_summary(previous=previous)
     e2e = dict((previous or {}).get("e2e", {}))
     try:
         rows = summarize_e2e(list(args.e2e))
@@ -301,6 +312,10 @@ def main(argv: list[str] | None = None) -> int:
         e2e[workload] = {**e2e.get(workload, {}), args.e2e_label: row}
     if e2e:
         summary["e2e"] = dict(sorted(e2e.items()))
+    elif not summary["benches"]:
+        print("bench_summary: no known bench JSONs and no e2e rows",
+              file=sys.stderr)
+        return 1
     out_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"bench_summary: wrote {out_path} "
           f"({len(summary['benches'])} benches)")
