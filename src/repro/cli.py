@@ -247,10 +247,6 @@ def _add_stream_parser(subparsers) -> None:
              "exits with status 3 when interrupted",
     )
     parser.add_argument(
-        "--no-warm-start", action="store_true",
-        help="disable warm-start belief propagation (always cold)",
-    )
-    parser.add_argument(
         "--verbose", action="store_true",
         help="print every intra-day scoring update, not just day reports",
     )
@@ -807,7 +803,7 @@ def _prepare_stream(args):
     """``stream``: :func:`repro.streaming.replay_directory`, either
     pipeline, with the durable intel store if ``--intel-db``."""
     from .eval.clusters import triage_report
-    from .streaming import WarmStartConfig, replay_directory
+    from .streaming import replay_directory
 
     enterprise = args.pipeline == "enterprise"
     pattern = args.pattern or ("proxy-*.log" if enterprise else "dns-*.log")
@@ -837,7 +833,6 @@ def _prepare_stream(args):
             whois_path=args.whois,
             internal_suffixes=tuple(args.internal_suffix),
             batch_size=args.batch_size, score_every=args.score_every,
-            warm=WarmStartConfig(enabled=not args.no_warm_start),
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume, max_batches=args.max_batches,

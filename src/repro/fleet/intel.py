@@ -11,7 +11,7 @@ provides:
   .IntelMemo` instances, which count *cross-tenant* hits (the lookups
   one enterprise saved another) and, with a store, store hits;
 * a **cross-tenant prior board**: domains a tenant detected with score
-  at or above ``prior_threshold`` are published to the board, and
+  at or above :data:`PRIOR_THRESHOLD` are published to the board, and
   :meth:`IntelPlane.seeds_for` answers a tenant with every *other*
   tenant's qualifying domains -- the seeds the manager puts in that
   tenant's next ``ADVANCE_DAY`` task.
@@ -42,6 +42,10 @@ from ..intel.memo import CacheStats, IntelMemo
 from ..intel.virustotal import VirusTotalOracle
 from ..intel.whois_db import WhoisDatabase, WhoisRecord
 
+#: Lowest publication score a detection needs to go on the prior board
+#: (C&C and seed labels score 1.0).
+PRIOR_THRESHOLD = 0.4
+
 
 @dataclass(frozen=True)
 class BoardEntry:
@@ -65,12 +69,9 @@ class IntelPlane:
         self,
         vt: VirusTotalOracle | None = None,
         whois: WhoisDatabase | None = None,
-        *,
-        prior_threshold: float = 0.4,
     ) -> None:
         self.vt = vt
         self.whois = whois
-        self.prior_threshold = prior_threshold
         self.vt_cache = IntelMemo(
             "vt", vt.is_reported if vt is not None else None
         )
@@ -121,14 +122,14 @@ class IntelPlane:
     ) -> int:
         """Record one tenant's day-``day`` detections on the board.
 
-        Only domains scoring at or above ``prior_threshold`` qualify.
+        Only domains scoring at or above :data:`PRIOR_THRESHOLD` qualify.
         Publishing is commutative (set union, max score), so the order
         tenants finish a round in does not affect the board.
         """
         added = 0
         with self._lock:
             for domain, score in scored_domains:
-                if score < self.prior_threshold:
+                if score < PRIOR_THRESHOLD:
                     continue
                 entry = self._board.get(domain)
                 if entry is None:
@@ -199,7 +200,6 @@ class IntelPlane:
         """
         with self._lock:
             return {
-                "prior_threshold": self.prior_threshold,
                 "board": {
                     entry.domain: {
                         "score": entry.score,
@@ -221,7 +221,6 @@ class IntelPlane:
     def restore(self, payload: dict[str, Any]) -> None:
         """Refill the board and accounting from :meth:`encode` output."""
         with self._lock:
-            self.prior_threshold = float(payload["prior_threshold"])
             self._board = {
                 str(domain): BoardEntry(
                     domain=str(domain),

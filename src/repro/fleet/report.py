@@ -28,6 +28,12 @@ from typing import Any
 from ..eval.reporting import render_table
 from .intel import IntelPlane
 
+#: A day report's wall-clock fields.  A worker's answer and ``fleet
+#: --json`` carry them; a tenant checkpoint does not, so the same input
+#: writes the same bytes, and a day adopted from a checkpoint reports
+#: zero time.
+TIMING_FIELDS = ("elapsed_seconds", "stage_seconds")
+
 
 @dataclass
 class TenantDayReport:
@@ -77,6 +83,8 @@ class TenantDayReport:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "TenantDayReport":
+        """Read :meth:`as_dict` output; every field but the
+        :data:`TIMING_FIELDS` is required."""
         return cls(
             tenant_id=str(payload["tenant_id"]),
             day=int(payload["day"]),
@@ -86,10 +94,10 @@ class TenantDayReport:
             cc_domains=set(payload["cc_domains"]),
             detected=list(payload["detected"]),
             intel_seeded=set(payload["intel_seeded"]),
-            ct_seeded=set(payload.get("ct_seeded", ())),
+            ct_seeded=set(payload["ct_seeded"]),
             scores={
                 str(domain): float(score)
-                for domain, score in payload.get("scores", {}).items()
+                for domain, score in payload["scores"].items()
             },
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
             stage_seconds={

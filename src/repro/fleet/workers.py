@@ -56,7 +56,7 @@ from ..state import (
 )
 from ..streaming import open_engine
 from .manifest import TenantSpec
-from .report import TenantDayReport
+from .report import TIMING_FIELDS, TenantDayReport
 
 #: Version of both fleet documents, ``fleet.json`` and a tenant's
 #: ``checkpoint.json``; a resume refuses any other.
@@ -151,7 +151,7 @@ def _save_tenant_checkpoint(
 ) -> None:
     """Write one tenant's checkpoint wrapper atomically: the engine
     document ``stream`` writes, the tenant's cursor and its last day
-    report."""
+    report without its wall-clock timings."""
     path.parent.mkdir(parents=True, exist_ok=True)
     save_json_atomic(
         {
@@ -159,7 +159,12 @@ def _save_tenant_checkpoint(
             "kind": "fleet-tenant",
             "round": rounds_done,
             "engine": encode_engine(detector),
-            "report": report,
+            "report": (
+                None if report is None else {
+                    key: value for key, value in report.items()
+                    if key not in TIMING_FIELDS
+                }
+            ),
         },
         path,
     )

@@ -261,9 +261,7 @@ def decode_bp_result(payload: dict[str, Any]):
 
     The result becomes an engine's ``prior``, whose detections'
     iterations say where the day's run of Algorithm 1 resumes, so every
-    field is checked rather than coerced.  (A checkpoint written before
-    carried labels kept their iteration reads 0 for all of them: its
-    chain may spend one more ``max_iterations`` after the restore.)
+    field is checked rather than coerced.
     """
     from .core.beliefprop import BeliefPropagationResult, Detection
 
@@ -469,10 +467,13 @@ def _engine_base_state(
 ) -> dict[str, Any]:
     """The half of an engine document that is engine-base state,
     whatever the pipeline: the in-flight day window, the previous
-    belief-propagation round, the warm-start policy, the event counter
-    and (when enabled and ``include_metrics`` -- see
-    :func:`encode_engine`) the metrics snapshot, so counters survive a
-    checkpoint restart.
+    belief-propagation round and (when enabled and ``include_metrics``
+    -- see :func:`encode_engine`) the metrics snapshot, so counters
+    survive a checkpoint restart.
+
+    A document holds only what a resume reads: no policy (the
+    warm-start policy is the restoring caller's), no counter that
+    nothing reads, no wall clock.
 
     Events submitted but not yet polled are not part of a snapshot;
     callers must ``poll()`` first or they would be lost across a
@@ -492,36 +493,11 @@ def _engine_base_state(
             encode_bp_result(detector.prior)
             if detector.prior is not None else None
         ),
-        "events_total": detector.events_total,
-        "warm": {
-            "enabled": detector.warm.enabled,
-            "full_recompute_fraction": detector.warm.full_recompute_fraction,
-        },
         "metrics": (
             detector.metrics.snapshot().as_dict()
             if include_metrics and detector.metrics.enabled else None
         ),
     }
-
-
-def _check_engine_document(payload: dict[str, Any], kind: str):
-    """Validate an engine document's version and kind tag; returns its
-    warm-start policy (a constructor argument of both engines)."""
-    from .streaming import WarmStartConfig
-
-    version = payload.get("version")
-    if version != STATE_VERSION:
-        raise StateError(f"unsupported state version {version!r}")
-    if payload.get("kind") != kind:
-        raise StateError(
-            f"not a {kind} checkpoint (kind={payload.get('kind')!r})"
-        )
-    return WarmStartConfig(
-        enabled=bool(payload["warm"]["enabled"]),
-        full_recompute_fraction=float(
-            payload["warm"]["full_recompute_fraction"]
-        ),
-    )
 
 
 def _restore_engine_base(detector, payload: dict[str, Any], metrics) -> None:
@@ -532,7 +508,6 @@ def _restore_engine_base(detector, payload: dict[str, Any], metrics) -> None:
     decode_window(detector.window, payload["window"])
     if payload["prior"] is not None:
         detector.prior = decode_bp_result(payload["prior"])
-    detector.events_total = int(payload["events_total"])
     snapshot = payload.get("metrics")
     if snapshot and metrics is not None and metrics.enabled:
         from .obs.metrics import MetricsSnapshot
@@ -564,10 +539,10 @@ def encode_engine(engine, *, include_metrics: bool = False) -> dict[str, Any]:
     ``kind``.
 
     Both kinds open with the engine-base half
-    (:func:`_engine_base_state`), so a restore resumes mid-day with
-    warm-start intact.  A ``"streaming"`` (DNS) document adds the
-    detection config, the reduction filters and the long-lived
-    histories; a ``"streaming-enterprise"`` one wraps the trained
+    (:func:`_engine_base_state`), so a restore resumes mid-day from
+    the same window and prior.  A ``"streaming"`` (DNS) document adds
+    the detection config, the reduction filters and the destination
+    history; a ``"streaming-enterprise"`` one wraps the trained
     detector's document (config, histories, both regression models)
     with the same-day staged UA observations, the start day and the
     WHOIS imputation counters.  WHOIS *records* are an external
@@ -594,19 +569,12 @@ def encode_engine(engine, *, include_metrics: bool = False) -> dict[str, Any]:
             "start_day": engine.start_day,
             "whois_impute": _encode_whois_impute(batch.extractor.whois),
         }
-    ua_history = engine.window.ua_history
     return {
         **_engine_base_state(engine, "streaming", include_metrics),
         "config": encode_config(engine.config),
         "internal_suffixes": list(engine.internal_suffixes),
         "server_ips": sorted(engine.server_ips),
         "history": encode_history(engine.history),
-        "ua_history": (
-            encode_ua_history(ua_history) if ua_history is not None else None
-        ),
-        "ua_pending": (
-            encode_ua_pending(ua_history) if ua_history is not None else None
-        ),
     }
 
 
@@ -633,20 +601,19 @@ def restore_engine(
             raise StateError(
                 f"not a streaming engine checkpoint (kind={kind!r})"
             )
-    warm = _check_engine_document(payload, kind)
+    version = payload.get("version")
+    if version != STATE_VERSION:
+        raise StateError(f"unsupported state version {version!r}")
+    if payload.get("kind") != kind:
+        raise StateError(
+            f"not a {kind} checkpoint (kind={payload.get('kind')!r})"
+        )
     if kind == "streaming":
-        ua_history = None
-        if payload["ua_history"] is not None:
-            ua_history = decode_ua_history(payload["ua_history"])
-            if payload.get("ua_pending"):
-                decode_ua_pending(ua_history, payload["ua_pending"])
         detector = StreamingDetector(
             config=decode_config(payload["config"]),
             internal_suffixes=tuple(payload["internal_suffixes"]),
             server_ips=frozenset(payload["server_ips"]),
             history=decode_history(payload["history"]),
-            ua_history=ua_history,
-            warm=warm,
             metrics=metrics,
         )
     else:
@@ -656,7 +623,6 @@ def restore_engine(
         detector = StreamingEnterpriseDetector(
             batch,
             start_day=int(payload["start_day"]),
-            warm=warm,
             metrics=metrics,
         )
         impute = payload.get("whois_impute")

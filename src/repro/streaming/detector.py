@@ -44,7 +44,6 @@ from ..core.scoring import (
 )
 from ..logs.reduction import ReductionFunnel
 from ..profiling.history import DestinationHistory
-from ..profiling.ua import UserAgentHistory
 from ..timing.detector import AutomationDetector
 from .engine import StreamingEngineBase
 from .incremental import WarmStartConfig
@@ -64,7 +63,6 @@ class StreamingDetector(StreamingEngineBase):
         server_ips: frozenset[str] = frozenset(),
         *,
         history: DestinationHistory | None = None,
-        ua_history: UserAgentHistory | None = None,
         warm: WarmStartConfig | None = None,
         metrics=None,
     ) -> None:
@@ -83,7 +81,6 @@ class StreamingDetector(StreamingEngineBase):
             reader=self.funnel,
             history=history if history is not None else DestinationHistory(),
             automation=AutomationDetector(config.histogram),
-            ua_history=ua_history,
             warm=warm,
             metrics=metrics,
         )

@@ -123,7 +123,6 @@ class StreamingEngineBase:
         self._cc_reachable: set[str] = set()
         self._series_cache = SeriesVerdictCache(self.automation)
         self._pending_times: dict[tuple[str, str], list[float]] = {}
-        self.events_total = 0
         # Unified registry: the verdict cache's plain-int skip/test
         # counters are sampled into every metrics snapshot.
         self.metrics.add_collector(self._series_cache.stats.metrics_samples)
@@ -225,7 +224,6 @@ class StreamingEngineBase:
         # grouping pass.
         digest, flips = self.window.ingest(batch)
         total = digest.n_events
-        self.events_total += total
         named_pairs = digest.named_pairs
         rare = self.window.rare
         hosts_by_domain = self.window.traffic.hosts_by_domain
@@ -629,8 +627,8 @@ def drive_replay(
 
     ``warm``, when given, replaces the engine's warm-start policy: a
     restored engine's detection config and histories come from its
-    checkpoint (they define what the stream has already seen), but the
-    policy is the operator's current choice.
+    checkpoint (they define what the stream has already seen), but a
+    checkpoint holds no policy -- it is the caller's current choice.
     """
     from ..state import encode_engine, save_json_atomic
 

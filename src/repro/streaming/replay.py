@@ -113,8 +113,9 @@ def replay_directory(
     ``resume=True`` restores from that checkpoint and continues from
     the exact event where the previous process stopped -- detection
     config, filters, histories and models then come from the
-    checkpoint (only the warm-start policy is taken from the
-    arguments).  ``max_batches`` bounds the number of micro-batches
+    checkpoint.  A checkpoint holds no warm-start policy: ``warm``
+    (the default policy when omitted) governs a resumed replay as it
+    does a fresh one.  ``max_batches`` bounds the number of micro-batches
     processed (the replay returns with ``interrupted=True``), which
     together with ``resume`` simulates a process restart mid-day.
 

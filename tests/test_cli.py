@@ -822,6 +822,35 @@ class TestStreamStopResume:
         second = _day_lines(capsys.readouterr().out)
         assert first + second == whole
 
+    def test_a_checkpoint_with_the_retired_keys_resumes_to_the_same_days(
+        self, pipeline, ent_layout, mixed_fleet_layout, tmp_path, capsys
+    ):
+        """An engine document an earlier build wrote -- with the
+        warm-start policy, the event counter and, for DNS, the
+        always-null UA sections -- resumes to the uninterrupted days,
+        and the checkpoints the resumed run writes hold none of them."""
+        flags = _stream_flags(pipeline, ent_layout, mixed_fleet_layout)
+        per_file = _batches_per_file(pipeline, ent_layout, mixed_fleet_layout)
+        retired = {"warm": {"enabled": True, "full_recompute_fraction": 0.25},
+                   "events_total": 12345}
+        if pipeline == "dns":
+            retired.update(ua_history=None, ua_pending=None)
+        assert main(flags) == 0
+        whole = _day_lines(capsys.readouterr().out)
+        ckpt = tmp_path / "ck.json"
+        stop = per_file[0] + (8 if pipeline == "dns" else 5)
+        assert main(
+            flags + ["--checkpoint", str(ckpt), "--max-batches", str(stop)]
+        ) == 3
+        first = _day_lines(capsys.readouterr().out)
+        document = json.loads(ckpt.read_text())
+        assert not set(retired) & set(document)
+        ckpt.write_text(json.dumps({**document, **retired}))
+        assert main(flags + ["--checkpoint", str(ckpt), "--resume"]) == 0
+        second = _day_lines(capsys.readouterr().out)
+        assert first + second == whole
+        assert not set(retired) & set(json.loads(ckpt.read_text()))
+
     @pytest.mark.parametrize("damage", [
         "missing-keys", "pre-column-window", "torn-column", "not-an-object",
     ])
@@ -837,7 +866,7 @@ class TestStreamStopResume:
         document = json.loads(ckpt.read_text())
         if damage == "missing-keys":
             document = {key: document[key]
-                        for key in ("version", "kind", "warm")}
+                        for key in ("version", "kind")}
         elif damage == "pre-column-window":
             document["window"] = {
                 "day": document["window"]["day"], "events_today": 1,

@@ -85,6 +85,35 @@ def _tenant_days(*reports):
     return days
 
 
+#: Keys the checkpoint documents no longer hold: the warm-start policy
+#: and the event counter of every engine document, the always-null UA
+#: sections of a DNS one, the board threshold of ``fleet.json`` and the
+#: wall-clock timings of a tenant's report.
+RETIRED_ENGINE_KEYS = {"warm", "events_total"}
+RETIRED_DNS_KEYS = {"ua_history", "ua_pending"}
+RETIRED_TIMINGS = {"elapsed_seconds", "stage_seconds"}
+
+
+def _directory_bytes(directory: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*")) if path.is_file()
+    }
+
+
+def _assert_no_retired_keys(directory: Path) -> None:
+    assert "prior_threshold" not in json.loads(
+        (directory / "fleet.json").read_text()
+    )["intel"]
+    for path in directory.glob("*/checkpoint.json"):
+        wrapper = json.loads(path.read_text())
+        engine = wrapper["engine"]
+        assert not RETIRED_ENGINE_KEYS & set(engine), path
+        if engine["kind"] == "streaming":
+            assert not RETIRED_DNS_KEYS & set(engine), path
+        assert not RETIRED_TIMINGS & set(wrapper["report"] or {}), path
+
+
 # ---------------------------------------------------------------------------
 # Intel plane
 # ---------------------------------------------------------------------------
@@ -116,7 +145,7 @@ class TestIntelPlane:
         assert plane.vt_cache.stats.cross_tenant_hits == 1
 
     def test_board_excludes_own_findings_and_low_scores(self):
-        plane = IntelPlane(prior_threshold=0.4)
+        plane = IntelPlane()
         plane.publish("a", 1, [("cc.c9", 1.0), ("weak.c9", 0.2)])
         assert plane.seeds_for("b") == {"cc.c9"}
         assert plane.seeds_for("a") == frozenset()
@@ -463,12 +492,11 @@ class TestFleetCheckpoint:
         assert captured.err == f"error: {message.format(path=path)}\n"
         assert captured.out == ""
 
-    def test_malformed_adopted_report_is_one_error_naming_it(
-        self, cli_fleet, tmp_path, capsys
-    ):
-        """A tenant one round ahead of ``fleet.json`` has its report
-        adopted; a report of the wrong shape used to be a ``KeyError``
-        traceback (exit 1)."""
+    @staticmethod
+    def _resume_adopting(cli_fleet, tmp_path, capsys, damage):
+        """Stop a fleet with t0 one round ahead of ``fleet.json``, so its
+        report is adopted, put ``damage(report)`` in its place and
+        resume; returns the tenant document's path and stderr."""
         import multiprocessing
 
         from repro.cli import main
@@ -484,16 +512,44 @@ class TestFleetCheckpoint:
         path = ckpt / "t0" / "checkpoint.json"
         wrapper = json.loads(path.read_text())
         assert wrapper["round"] == 3 and wrapper["report"] is not None
-        wrapper["report"] = {"tenant_id": "t0"}
+        wrapper["report"] = damage(wrapper["report"])
         path.write_text(json.dumps(wrapper))
         capsys.readouterr()
         assert main(flags + ["--resume"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: malformed tenant checkpoint {path}: KeyError: 'day'\n"
-        )
         assert captured.out == ""
         assert multiprocessing.active_children() == []
+        return path, captured.err
+
+    def test_malformed_adopted_report_is_one_error_naming_it(
+        self, cli_fleet, tmp_path, capsys
+    ):
+        """A tenant one round ahead of ``fleet.json`` has its report
+        adopted; a report of the wrong shape used to be a ``KeyError``
+        traceback (exit 1)."""
+        path, err = self._resume_adopting(
+            cli_fleet, tmp_path, capsys, lambda _: {"tenant_id": "t0"}
+        )
+        assert err == (
+            f"error: malformed tenant checkpoint {path}: KeyError: 'day'\n"
+        )
+
+    @pytest.mark.parametrize("field", ["scores", "ct_seeded"])
+    def test_adopted_report_without_a_written_field_is_one_error(
+        self, field, cli_fleet, tmp_path, capsys
+    ):
+        """Every writer writes ``scores`` and ``ct_seeded``.  A report
+        without ``scores`` used to be adopted with none, so the barrier
+        published nothing for that tenant's day and every other tenant
+        lost its board entries."""
+        path, err = self._resume_adopting(
+            cli_fleet, tmp_path, capsys,
+            lambda report: {k: v for k, v in report.items() if k != field},
+        )
+        assert err == (
+            f"error: malformed tenant checkpoint {path}: "
+            f"KeyError: '{field}'\n"
+        )
 
     def test_tenant_checkpoint_behind_the_fleet_is_one_error(
         self, tmp_path, capsys
@@ -898,3 +954,80 @@ class TestMixedFleetRun:
         }
         for day in resumed.days:
             assert day.detected == serial_days[(day.tenant_id, day.day)]
+
+    def test_checkpoint_directory_is_the_same_bytes_at_any_worker_count(
+        self, mixed_layout, tmp_path, capsys
+    ):
+        """A checkpoint holds what a resume reads and nothing that
+        depends on the run: no wall clock, no policy, no counter.  So
+        the same input writes the same bytes at ``--workers 1`` and
+        ``--workers 2`` (it used to differ in every tenant document,
+        even between two runs at one worker count)."""
+        from repro.cli import main
+
+        directories = []
+        for workers in ("1", "2"):
+            ckpt = tmp_path / f"ck{workers}"
+            assert main(["fleet", str(mixed_layout),
+                         "--workers", workers,
+                         "--checkpoint-dir", str(ckpt)]) == 0
+            directories.append(_directory_bytes(ckpt))
+            _assert_no_retired_keys(ckpt)
+        capsys.readouterr()
+        assert sorted(directories[0]) == [
+            "fleet.json", "t0/checkpoint.json", "t1/checkpoint.json",
+            "t2/checkpoint.json",
+        ]
+        assert directories[0] == directories[1]
+
+    def test_documents_with_the_retired_keys_resume_to_the_same_days(
+        self, mixed_layout, mixed_serial, tmp_path
+    ):
+        """Documents an earlier build wrote -- ``prior_threshold`` in
+        ``fleet.json``, ``warm`` / ``events_total`` (and, for DNS, null
+        ``ua_history`` / ``ua_pending``) in every engine document,
+        timings in every report -- still resume: readers skip those
+        keys.  ``fleet.json`` is rewound one round so the tenants'
+        reports are adopted, not re-run."""
+        from repro.fleet.report import TIMING_FIELDS
+
+        manifest = load_manifest(mixed_layout)
+        ckpt = tmp_path / "ckpt"
+        first = FleetManager.from_manifest(
+            manifest, workers=2, checkpoint_dir=ckpt,
+        ).run(max_rounds=2)
+        behind = json.loads((ckpt / "fleet.json").read_text())
+        FleetManager.from_manifest(
+            manifest, workers=2, checkpoint_dir=ckpt, resume=True,
+        ).run(max_rounds=1)
+        behind["intel"]["prior_threshold"] = 0.4
+        (ckpt / "fleet.json").write_text(json.dumps(behind))
+        for path in ckpt.glob("*/checkpoint.json"):
+            wrapper = json.loads(path.read_text())
+            engine = wrapper["engine"]
+            engine["warm"] = {"enabled": True, "full_recompute_fraction": 0.25}
+            engine["events_total"] = 12345
+            if engine["kind"] == "streaming":
+                engine["ua_history"] = engine["ua_pending"] = None
+            wrapper["report"].update(
+                elapsed_seconds=1.5, stage_seconds={"bp": 0.25}
+            )
+            path.write_text(json.dumps(wrapper))
+        second = FleetManager.from_manifest(
+            manifest, workers=2, checkpoint_dir=ckpt, resume=True,
+        ).run()
+
+        def days(*reports):
+            return [
+                {key: value for key, value in day.as_dict().items()
+                 if key not in TIMING_FIELDS}
+                for report in reports for day in report.days
+            ]
+
+        assert sorted(days(first, second), key=lambda d: (
+            d["tenant_id"], d["day"]
+        )) == sorted(days(mixed_serial), key=lambda d: (
+            d["tenant_id"], d["day"]
+        ))
+        assert second.intel.seeds_served == mixed_serial.intel.seeds_served
+        _assert_no_retired_keys(ckpt)

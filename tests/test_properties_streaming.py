@@ -99,9 +99,13 @@ def _day_batches(day, sizes) -> list[list[Connection]]:
 
 
 def _round_trip(engine):
-    """The engine a ``--resume`` would continue with."""
+    """The engine a ``--resume`` would continue with: the document's
+    state under the caller's warm-start policy, which a checkpoint does
+    not hold (``replay_directory(warm=...)`` sets it the same way)."""
     document = json.loads(json.dumps(encode_engine(engine)))
-    return restore_engine(document)
+    restored = restore_engine(document)
+    restored.warm = engine.warm
+    return restored
 
 
 def _labels(result):

@@ -634,7 +634,7 @@ class TestDayLivedScorer:
         assert _update_digest(updates) == self.PLAIN
 
     def test_forced_cold_rounds_drop_and_rebuild_the_scorer(self, world):
-        """``--no-warm-start``-style cold rounds in the middle of the
+        """Cold rounds forced by the warm-start policy in the middle of the
         day: each one restarts M, so each one needs a new scorer."""
         directory, dataset, _ = world
         detector = StreamingDetector(
