@@ -464,22 +464,22 @@ class DailyTraffic:
 
     def event_columns(
         self,
-    ) -> tuple[list[str], list[str], np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
         """The day's events as they arrived (checkpoint encode).
 
-        ``(host names, domain names, host index, domain index,
-        timestamp)``: the two intern tables in first-appearance order
-        and one row per event, the index columns pointing into them.
-        A snapshot: later ingests do not show through (appends land
-        past the returned slice).
-        :meth:`load_events` is the inverse.
+        ``(host names, domain names, pair, timestamp)``: the two intern
+        tables in first-appearance order and one row per event, its
+        packed ``(host index << PAIR_SHIFT) | domain index`` key
+        pointing into them.  The columns are views of the store, not
+        copies, and still a snapshot: later ingests do not show
+        through (appends land past the viewed prefix, and growth
+        copies into a new buffer).  :meth:`load_events` is the
+        inverse, given the two index columns unpacked.
         """
-        pairs = self._ev_pair[: self._n_events]
         return (
             list(self._host_names),
             list(self._domain_names),
-            pairs >> PAIR_SHIFT,
-            pairs & DOMAIN_MASK,
+            self._ev_pair[: self._n_events],
             self._ev_time[: self._n_events],
         )
 

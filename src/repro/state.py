@@ -29,7 +29,7 @@ import math
 import os
 from collections.abc import Iterator
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .core.scoring import RegressionCCScorer, RegressionSimilarityScorer
 from .features.regression import Coefficient, LinearModel
 from .intel.whois_db import WhoisDatabase
 from .profiling.history import DestinationHistory
+from .profiling.rare import DOMAIN_MASK, PAIR_SHIFT
 from .profiling.ua import UserAgentHistory
 
 STATE_VERSION = 1
@@ -323,10 +324,36 @@ WINDOW_LAYOUT = "event-columns/1"
 _INDEX_DTYPE = np.dtype("<u4")
 _TIME_DTYPE = np.dtype("<f8")
 
+#: Rows per base64 piece of a written window column.  A multiple of
+#: 3, so every piece but the last packs to a whole number of 3-byte
+#: groups, and the pieces join to the base64 of the whole column.
+_CHUNK_ROWS = 3 * 2048
 
-def _pack_column(values: np.ndarray, dtype: np.dtype) -> str:
-    packed = values.astype(dtype, copy=False).tobytes()
-    return base64.b64encode(packed).decode("ascii")
+
+class _PackedColumn(NamedTuple):
+    """One window column as :func:`encode_window` hands it to the
+    writer: a view of the traffic store's append-only event prefix
+    (later ingests land past it, so it stays a snapshot), the dtype it
+    is packed as, and the shift and mask that take an index out of the
+    packed ``(host << 32) | domain`` pair key."""
+
+    rows: np.ndarray
+    dtype: np.dtype
+    shift: int = 0
+    mask: int | None = None
+
+
+def _column_pieces(column: _PackedColumn) -> Iterator[str]:
+    """The column's base64 text, :data:`_CHUNK_ROWS` rows at a time:
+    no packed copy of the whole column ever exists."""
+    for start in range(0, len(column.rows), _CHUNK_ROWS):
+        rows = column.rows[start:start + _CHUNK_ROWS]
+        if column.shift:
+            rows = rows >> column.shift
+        if column.mask is not None:
+            rows = rows & column.mask
+        packed = rows.astype(column.dtype, copy=False)
+        yield base64.b64encode(packed).decode("ascii")
 
 
 def _unpack_column(text: Any, dtype: np.dtype, name: str) -> np.ndarray:
@@ -347,27 +374,30 @@ def _unpack_column(text: Any, dtype: np.dtype, name: str) -> np.ndarray:
 def encode_window(window) -> dict[str, Any]:
     """The mid-day traffic window, as it is in memory: the day's events
     in arrival order as three packed little-endian columns (host index
-    and domain index ``u4``, timestamp ``f8``; base64) over the two
-    name tables in first-appearance order, plus the small per-domain
-    feature sets.
+    and domain index ``u4``, timestamp ``f8``; base64 on disk) over the
+    two name tables in first-appearance order, plus the small
+    per-domain feature sets.
+
+    The columns are :class:`_PackedColumn` views of the traffic's
+    event store, packed only as :func:`save_json_atomic` writes them,
+    so the section is not ``json.dumps``-able; its file reads back as
+    plain JSON, base64 strings in their place.
 
     The rare set, the dirty-domain set and the verdict cache are all
     derived state, recomputed on restore by
     :meth:`repro.streaming.StreamingDetector.resync`.
     """
     traffic = window.traffic
-    host_names, domain_names, host_index, domain_index, times = (
-        traffic.event_columns()
-    )
+    host_names, domain_names, pairs, times = traffic.event_columns()
     return {
         "layout": WINDOW_LAYOUT,
         "day": window.day,
         "events_today": window.events_today,
         "hosts": host_names,
         "domains": domain_names,
-        "host_index": _pack_column(host_index, _INDEX_DTYPE),
-        "domain_index": _pack_column(domain_index, _INDEX_DTYPE),
-        "timestamps": _pack_column(times, _TIME_DTYPE),
+        "host_index": _PackedColumn(pairs, _INDEX_DTYPE, shift=PAIR_SHIFT),
+        "domain_index": _PackedColumn(pairs, _INDEX_DTYPE, mask=DOMAIN_MASK),
+        "timestamps": _PackedColumn(times, _TIME_DTYPE),
         "resolved_ips": {
             domain: sorted(ips) for domain, ips in traffic.resolved_ips.items()
         },
@@ -549,6 +579,13 @@ def encode_engine(engine, *, include_metrics: bool = False) -> dict[str, Any]:
     registry, re-attached on restore; the reduction funnel's Figure 2
     counters are observability and are not snapshotted.
 
+    The document is for :func:`save_json_atomic`, not ``json.dumps``:
+    its window's event columns are views of the engine's event store
+    (:func:`encode_window`; still a snapshot, as later ingests land
+    past them), base64-packed chunk by chunk as the file is written.
+    What :func:`load_json` reads back is plain JSON, and
+    :func:`restore_engine` takes that.
+
     Fleet checkpoints never embed metrics snapshots (the default):
     fleet engines share one registry per worker process, so per-tenant
     snapshots would multiply the shared counters on restore; the
@@ -640,29 +677,27 @@ def restore_engine(
     return detector
 
 
-#: The window section's packed columns, and the keys that lead to a
-#: window section: an engine document's ``window``, a fleet tenant
-#: wrapper's ``engine``.
-_COLUMN_KEYS = frozenset({"host_index", "domain_index", "timestamps"})
+#: The keys that lead to a window section: an engine document's
+#: ``window``, a fleet tenant wrapper's ``engine``.
 _WINDOW_PATH = frozenset({"engine", "window"})
 
 
 def _json_pieces(payload: dict[str, Any]) -> Iterator[str]:
-    """``json.dumps(payload)``, in pieces that join to the same text.
+    """``json.dumps(payload)``, in pieces that join to the same text --
+    with each :class:`_PackedColumn` as the JSON string of its base64.
 
     The dicts on the way to a window section are written key by key,
-    and each base64 column goes out as the string the document already
-    holds (base64 needs no JSON escaping); everything else is one
-    ``json.dumps`` per value.  So no piece repeats a column, and no
-    joined text of the whole window ever exists.
+    and each column goes out in :data:`_CHUNK_ROWS`-row base64 pieces
+    (base64 needs no JSON escaping); everything else is one
+    ``json.dumps`` per value.  So no piece holds a whole column, and
+    no joined text of the whole window ever exists.
     """
-    is_window = payload.get("layout") == WINDOW_LAYOUT
     yield "{"
     for position, (key, value) in enumerate(payload.items()):
         yield f"{', ' if position else ''}{json.dumps(key)}: "
-        if is_window and key in _COLUMN_KEYS:
+        if isinstance(value, _PackedColumn):
             yield '"'
-            yield value
+            yield from _column_pieces(value)
             yield '"'
         elif key in _WINDOW_PATH and isinstance(value, dict):
             yield from _json_pieces(value)
@@ -678,9 +713,9 @@ def save_json_atomic(payload: dict[str, Any], path: str | Path) -> None:
     concurrently across fleet tenants), and a crash mid-write must
     never destroy the previous good document -- that file is exactly
     what ``--resume`` needs afterwards.  The bytes are those of
-    ``json.dumps(payload)``, written piece by piece
-    (:func:`_json_pieces`): a checkpoint's transient is one column's
-    bytes, not the text of the whole document twice over.
+    ``json.dumps(payload)`` with each window column packed whole, and
+    are written piece by piece (:func:`_json_pieces`): a checkpoint's
+    transient is one chunk of one column, whatever the window holds.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")

@@ -6,7 +6,8 @@ engine over a week of generated logs and pin that nothing else does:
 after each rollover the reduction funnel keeps distinct-domain sets
 for the open day only, and the heap the engine retains from the
 second day to the last grows by no more than the history's own
-growth plus a stated slack.
+growth plus a stated slack.  Writing a checkpoint costs a fixed
+transient, however many events the open day holds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import tracemalloc
 import pytest
 
 from repro.logs import format_dns_line
+from repro.logs.records import ConnectionBatch
+from repro.state import encode_engine, save_json_atomic
 from repro.streaming import StreamingDetector
 from repro.synthetic import generate_lanl_dataset
 from repro.synthetic.lanl import LanlConfig
@@ -100,3 +103,41 @@ def test_retained_heap_grows_only_with_the_history(week):
         f"retained heap grew {grown:,} B over days 2-{DAYS}, the history "
         f"{history_grown:,} B"
     )
+
+
+#: Open-day sizes the checkpoint transient is traced at: a window and
+#: four times that window, over the same name tables.
+WINDOW_EVENTS = 30_000
+#: What writing a checkpoint may allocate beyond what was live before,
+#: at any window size: a few column chunks and the name tables.
+#: Packing the columns whole would cost ~56 B per event of the window.
+CHECKPOINT_BUDGET = 512 * 1024
+
+
+def test_checkpoint_transient_does_not_grow_with_the_window(tmp_path):
+    hosts = [f"10.1.0.{n}" for n in range(40)]
+    domains = [f"d{n}.example.c3" for n in range(250)]
+    engine = StreamingDetector()
+    path = tmp_path / "checkpoint.json"
+    transients, done = {}, 0
+    for events in (WINDOW_EVENTS, 4 * WINDOW_EVENTS):
+        rows = range(done, events)
+        engine.submit(ConnectionBatch(
+            [float(k) for k in rows],
+            [hosts[k % len(hosts)] for k in rows],
+            [domains[k // 7 % len(domains)] for k in rows],
+            ["198.51.100.7"] * len(rows),
+        ))
+        engine.poll()
+        done = events
+        assert engine.window.events_today == events
+        gc.collect()
+        tracemalloc.start()
+        try:
+            save_json_atomic(encode_engine(engine), path)
+            transients[events] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(
+        transient <= CHECKPOINT_BUDGET for transient in transients.values()
+    ), f"checkpoint transient by window size: {transients}"

@@ -8,6 +8,7 @@ crash detection or corrupt carried state.
 import re
 
 import pytest
+from document_files import reloaded
 
 from repro.config import BeliefPropagationConfig, HistogramConfig, SystemConfig
 from repro.core import EnterpriseDetector, belief_propagation
@@ -341,7 +342,7 @@ class TestTornWindow:
                        domain=f"d{k % 4}.example.c1")
             for k in range(12)
         ])
-        return encode_engine(detector)
+        return reloaded(encode_engine(detector))
 
     @staticmethod
     def _restore(document):
@@ -483,7 +484,7 @@ class TestCorruptPrior:
                        domain=f"d{k % 2}.example.c1")
             for k in range(6)
         ])
-        state = encode_engine(detector)
+        state = reloaded(encode_engine(detector))
         state["prior"] = copy.deepcopy(self.PRIOR)
         return state
 

@@ -13,12 +13,12 @@ the day's own event columns do.
 from __future__ import annotations
 
 import gc
-import json
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from document_files import written
 
 from repro.fleet.workers import _advance_one_day
 from repro.intel.whois_db import load_whois_file
@@ -93,7 +93,7 @@ def _days(engine, feed, paths, *, bootstrap: int):
     for index, path in enumerate(paths):
         with path.open() as handle:
             feed(engine, handle)
-        document = json.dumps(encode_engine(engine))
+        document = written(encode_engine(engine))
         report = engine.rollover(detect=index >= bootstrap)
         out.append((document, _report_fields(report)))
     return out

@@ -17,6 +17,7 @@ import queue
 import threading
 
 import pytest
+from document_files import reloaded
 
 from repro.obs.logs import configure_logging, get_logger, log_event
 from repro.obs.metrics import (
@@ -367,9 +368,7 @@ class TestCheckpointRoundTrip:
         before = detector.metrics.snapshot()
         assert not before.is_empty()
 
-        payload = json.loads(
-            json.dumps(encode_engine(detector, include_metrics=True))
-        )
+        payload = reloaded(encode_engine(detector, include_metrics=True))
         restored = restore_engine(payload, metrics=MetricsRegistry())
         after = restored.metrics.snapshot()
         assert after.counters == before.counters

@@ -19,6 +19,7 @@ import json
 import random
 
 import pytest
+from document_files import reloaded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -288,9 +289,7 @@ class TestColumnarIngestParity:
         for lo in range(0, len(rows), chunk):
             live.ingest([Connection(*row) for row in rows[lo:lo + chunk]])
         restored = WindowedAggregator(5, DestinationHistory())
-        decode_window(
-            restored, json.loads(json.dumps(encode_window(live)))
-        )
+        decode_window(restored, reloaded(encode_window(live)))
         assert restored.day == restored.traffic.day == 0
         _assert_rows_match_definition(restored.traffic)
         assert _scoring_rows(restored.traffic) == _scoring_rows(live.traffic)
@@ -312,7 +311,7 @@ def _order_free_document(detector) -> str:
     sorted per-pair series.  The document itself holds them as columns
     in arrival order (and name tables in first-appearance order), which
     is exactly what the drawn rounds shuffle."""
-    document = encode_engine(detector)
+    document = reloaded(encode_engine(detector))
     window = dict(document["window"])
     for key in ("hosts", "domains", "host_index", "domain_index",
                 "timestamps"):

@@ -31,6 +31,7 @@ import dataclasses
 import json
 
 import pytest
+from document_files import reloaded, written
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,7 +103,7 @@ def _round_trip(engine):
     """The engine a ``--resume`` would continue with: the document's
     state under the caller's warm-start policy, which a checkpoint does
     not hold (``replay_directory(warm=...)`` sets it the same way)."""
-    document = json.loads(json.dumps(encode_engine(engine)))
+    document = reloaded(encode_engine(engine))
     restored = restore_engine(document)
     restored.warm = engine.warm
     return restored
@@ -249,9 +250,9 @@ def _documents_after(engine, batches):
     documents = []
     for batch in batches:
         engine.ingest(batch)
-        documents.append(json.dumps(encode_engine(engine)))
+        documents.append(written(encode_engine(engine)))
     engine.rollover()
-    documents.append(json.dumps(encode_engine(engine)))
+    documents.append(written(encode_engine(engine)))
     return documents
 
 
@@ -268,9 +269,9 @@ class TestCheckpointIsTheWindow:
             engine.ingest(batch)
         if score_first:
             engine.score()  # the document then carries a prior
-        document = json.dumps(encode_engine(engine))
+        document = written(encode_engine(engine))
         restored = restore_engine(json.loads(document))
-        assert json.dumps(encode_engine(restored)) == document
+        assert written(encode_engine(restored)) == document
         assert _documents_after(restored, batches[cut:]) == \
             _documents_after(engine, batches[cut:])
 
@@ -290,17 +291,17 @@ class TestCheckpointIsTheWindow:
         cut = cut % len(lines)
         engine.ingest_lines(lines[:cut])
         engine.score()
-        document = json.dumps(encode_engine(engine))
+        document = written(encode_engine(engine))
         restored = restore_engine(json.loads(document), whois=whois)
-        assert json.dumps(encode_engine(restored)) == document
+        assert written(encode_engine(restored)) == document
 
         def rest(target):
             documents = []
             for start in range(cut, len(lines), batch_size):
                 target.ingest_lines(lines[start:start + batch_size])
-                documents.append(json.dumps(encode_engine(target)))
+                documents.append(written(encode_engine(target)))
             target.rollover()
-            documents.append(json.dumps(encode_engine(target)))
+            documents.append(written(encode_engine(target)))
             return documents
 
         assert rest(restored) == rest(engine)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from document_files import reloaded
 
 from repro.config import BeliefPropagationConfig, SystemConfig
 from repro.core import EnterpriseDetector
@@ -18,6 +19,7 @@ from repro.state import (
     encode_model,
     encode_ua_history,
     load_detector,
+    load_json,
     restore_detector,
     save_detector,
 )
@@ -118,7 +120,7 @@ class TestEngineDispatch:
         from repro.streaming import StreamingDetector
 
         engine = StreamingDetector()
-        payload = encode_engine(engine)
+        payload = reloaded(encode_engine(engine))
         assert payload["kind"] == "streaming"
         restored = restore_engine(payload)
         assert isinstance(restored, StreamingDetector)
@@ -128,7 +130,7 @@ class TestEngineDispatch:
         from repro.streaming import StreamingEnterpriseDetector
 
         engine = StreamingEnterpriseDetector(trained_detector)
-        payload = encode_engine(engine)
+        payload = reloaded(encode_engine(engine))
         assert payload["kind"] == "streaming-enterprise"
         restored = restore_engine(payload, whois=enterprise_dataset.whois)
         assert isinstance(restored, StreamingEnterpriseDetector)
@@ -144,14 +146,53 @@ class TestEngineDispatch:
             restore_engine({"version": 1, "kind": "detector"})
 
 
+#: The writer's chunk size while a test patches it small, and the
+#: window sizes around its boundaries: empty, one event, a chunk but
+#: one, one chunk, a chunk and one, two chunks and one.
+SMALL_CHUNK = 6
+WINDOW_SIZES = [0, 1, 5, 6, 7, 13]
+
+
+def _whole_columns(engine) -> dict[str, str]:
+    """Reference packer: each window column as base64 of the whole
+    ``<u4`` / ``<f8`` column, split from the engine's event store."""
+    import base64
+
+    import numpy as np
+
+    from repro.profiling.rare import DOMAIN_MASK, PAIR_SHIFT
+
+    pairs, times = engine.window.traffic.event_columns()[2:]
+    columns = {
+        "host_index": (pairs >> PAIR_SHIFT).astype("<u4"),
+        "domain_index": (pairs & DOMAIN_MASK).astype("<u4"),
+        "timestamps": np.asarray(times, dtype="<f8"),
+    }
+    return {
+        key: base64.b64encode(column.tobytes()).decode("ascii")
+        for key, column in columns.items()
+    }
+
+
+def _dumped_whole(document, engine) -> bytes:
+    """``json.dumps`` of an engine document with its window's columns
+    packed whole by :func:`_whole_columns`."""
+    window = {**document["window"], **_whole_columns(engine)}
+    return json.dumps({**document, "window": window}).encode()
+
+
 class TestCheckpointBytes:
     """The checkpoint writer puts ``json.dumps`` of the document on
-    disk, byte for byte.  The golden ``checkpoint-sha256:*`` cases hash
-    a re-dump of the parsed document, so only these see the raw bytes
+    disk, byte for byte, with each window column as the base64 of the
+    whole packed column -- though it packs and writes a column a chunk
+    at a time.  The golden ``checkpoint-sha256:*`` cases hash a
+    re-dump of the parsed document, so only these see the raw bytes
     the writer assembles piece by piece."""
 
     @staticmethod
-    def _dns_engine_mid_day(dataset):
+    def _dns_engine_mid_day(dataset, events=None):
+        """A DNS engine a day into ``dataset``, its open day holding
+        the first ``events`` events of day 2 (half the day if None)."""
         from repro.logs import format_dns_line
         from repro.obs import MetricsRegistry
         from repro.streaming import StreamingDetector
@@ -166,62 +207,118 @@ class TestCheckpointBytes:
         )
         engine.rollover(detect=False)
         lines = [format_dns_line(r) for r in dataset.day_records(2)]
-        engine.ingest_lines(lines[: len(lines) // 2])
+        if events is None:
+            engine.ingest_lines(lines[: len(lines) // 2])
+        else:
+            lines = iter(lines)
+            while engine.window.events_today < events:
+                engine.ingest_lines([next(lines)])
+            assert engine.window.events_today == events
         engine.score()
         return engine
 
     @staticmethod
-    def _assert_written_as_dumped(document, path):
-        from repro.state import save_json_atomic
+    def _enterprise_engine_mid_day(detector, dataset, events=None):
+        from repro.streaming import StreamingEnterpriseDetector
 
+        engine = StreamingEnterpriseDetector(detector)
+        conns = dataset.day_connections(dataset.config.bootstrap_days)
+        engine.ingest(conns[: len(conns) // 2 if events is None else events])
+        if events is not None:
+            assert engine.window.events_today == events
+        engine.score()
+        return engine
+
+    @staticmethod
+    def _assert_written_whole(engine, path):
+        from repro.state import encode_engine, save_json_atomic
+
+        document = encode_engine(engine, include_metrics=True)
         save_json_atomic(document, path)
-        assert path.read_bytes() == json.dumps(document).encode()
+        assert path.read_bytes() == _dumped_whole(document, engine)
         assert not path.with_name(path.name + ".tmp").exists()
 
-    def test_midday_dns_stream(self, lanl_dataset, tmp_path):
+    @staticmethod
+    def _assert_tenant_written_whole(engine, path):
+        from repro.fleet.workers import _save_tenant_checkpoint
         from repro.state import encode_engine
 
+        _save_tenant_checkpoint(engine, path, {"day": 2, "detected": []}, 2)
+        raw = path.read_bytes()
+        wrapper = json.loads(raw)
+        engine_text = _dumped_whole(encode_engine(engine), engine)
+        assert raw == json.dumps(
+            {**wrapper, "engine": json.loads(engine_text)}
+        ).encode()
+
+    def test_midday_dns_stream(self, lanl_dataset, tmp_path):
         engine = self._dns_engine_mid_day(lanl_dataset)
-        document = encode_engine(engine, include_metrics=True)
-        assert document["window"]["events_today"] > 0
-        assert document["metrics"] is not None
-        self._assert_written_as_dumped(document, tmp_path / "ckpt.json")
+        assert engine.window.events_today > 0
+        assert engine.metrics.enabled
+        self._assert_written_whole(engine, tmp_path / "ckpt.json")
 
     def test_midday_enterprise_stream(
         self, trained_detector, enterprise_dataset, tmp_path
     ):
-        from repro.state import encode_engine
-        from repro.streaming import StreamingEnterpriseDetector
-
-        engine = StreamingEnterpriseDetector(trained_detector)
-        conns = enterprise_dataset.day_connections(
-            enterprise_dataset.config.bootstrap_days
+        engine = self._enterprise_engine_mid_day(
+            trained_detector, enterprise_dataset
         )
-        engine.ingest(conns[: len(conns) // 2])
-        engine.score()
-        document = encode_engine(engine, include_metrics=True)
-        assert document["window"]["events_today"] > 0
-        self._assert_written_as_dumped(document, tmp_path / "ckpt.json")
+        assert engine.window.events_today > 0
+        self._assert_written_whole(engine, tmp_path / "ckpt.json")
 
     def test_fleet_tenant_document(self, lanl_dataset, tmp_path):
-        from repro.fleet.workers import _save_tenant_checkpoint
-        from repro.state import encode_engine
-
         engine = self._dns_engine_mid_day(lanl_dataset)
-        path = tmp_path / "t0" / "checkpoint.json"
-        _save_tenant_checkpoint(engine, path, {"day": 2, "detected": []}, 2)
-        raw = path.read_bytes()
-        document = json.loads(raw)
-        assert raw == json.dumps(document).encode()
-        assert document["engine"] == json.loads(
-            json.dumps(encode_engine(engine))
+        self._assert_tenant_written_whole(
+            engine, tmp_path / "t0" / "checkpoint.json"
         )
+
+    @pytest.mark.parametrize("events", WINDOW_SIZES)
+    def test_chunk_boundaries_dns_and_fleet_tenant(
+        self, lanl_dataset, tmp_path, monkeypatch, events
+    ):
+        from repro import state
+
+        monkeypatch.setattr(state, "_CHUNK_ROWS", SMALL_CHUNK)
+        engine = self._dns_engine_mid_day(lanl_dataset, events)
+        self._assert_written_whole(engine, tmp_path / "ckpt.json")
+        self._assert_tenant_written_whole(
+            engine, tmp_path / "t0" / "checkpoint.json"
+        )
+
+    @pytest.mark.parametrize("events", WINDOW_SIZES)
+    def test_chunk_boundaries_enterprise(
+        self, trained_detector, enterprise_dataset, tmp_path, monkeypatch,
+        events,
+    ):
+        from repro import state
+
+        monkeypatch.setattr(state, "_CHUNK_ROWS", SMALL_CHUNK)
+        engine = self._enterprise_engine_mid_day(
+            trained_detector, enterprise_dataset, events
+        )
+        self._assert_written_whole(engine, tmp_path / "ckpt.json")
+
+    def test_window_of_several_real_chunks(self, tmp_path):
+        from repro import state
+        from repro.logs.records import ConnectionBatch
+        from repro.streaming import StreamingDetector
+
+        rows = range(2 * state._CHUNK_ROWS + 1)
+        engine = StreamingDetector()
+        engine.submit(ConnectionBatch(
+            [float(k) for k in rows],
+            [f"10.0.0.{k % 7}" for k in rows],
+            [f"d{k % 13}.example.c3" for k in rows],
+            ["198.51.100.7"] * len(rows),
+        ))
+        engine.poll()
+        assert engine.window.events_today == len(rows)
+        self._assert_written_whole(engine, tmp_path / "ckpt.json")
 
     def test_names_with_odd_characters(self, tmp_path):
         """Name tables and feature keys that look like JSON, or like
         the column keys, go out escaped exactly as ``json.dumps`` does."""
         from repro.logs.records import ConnectionBatch
-        from repro.state import encode_engine
         from repro.streaming import StreamingDetector
 
         names = [
@@ -237,6 +334,6 @@ class TestCheckpointBytes:
             ["198.51.100.7"] * len(names),
         ))
         engine.poll()
-        document = encode_engine(engine)
-        assert document["window"]["domains"] == names
-        self._assert_written_as_dumped(document, tmp_path / "odd.json")
+        path = tmp_path / "odd.json"
+        self._assert_written_whole(engine, path)
+        assert load_json(path)["window"]["domains"] == names
