@@ -207,9 +207,9 @@ def test_streaming_throughput():
             "metrics_overhead_pct": overhead_pct,
             "metrics_parity": metrics_parity,
             "stage_seconds": stage_seconds,
-            # Period-aware verdict cache: how many series re-tests the
-            # streaming engine avoided (short series, on-period beacons)
-            # or served incrementally instead of rebuilding.
+            # Verdict refreshes of the scoring rounds: stale series
+            # tested with test_series, and those skipped (short, no
+            # longer rare, or below the C&C stage's host floor).
             "verdict_cache": verdict_stats,
         })
 

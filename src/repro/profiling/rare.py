@@ -54,25 +54,21 @@ class IngestDigest:
     """Grouped summary of one :meth:`DailyTraffic.ingest` batch.
 
     Everything the per-event consumers of a batch used to recompute by
-    looping over the connections again -- touched pairs, their new
-    timestamps, popularity-relevant domains, first-seen resolved IPs --
-    derived once from the columnar lexsort.  Pairs appear in
-    first-within-batch order, which is exactly the order per-event
-    processing would have first encountered them (the property that
-    keeps downstream interning and set-insertion orders identical).
+    looping over the connections again -- touched pairs and
+    popularity-relevant domains -- derived once from the columnar
+    grouping.  Pairs appear in first-within-batch order, which is
+    exactly the order per-event processing would have first
+    encountered them (the property that keeps downstream interning and
+    set-insertion orders identical).
     """
 
     n_events: int
     #: (host, domain) pairs touched by the batch, first-appearance order.
     named_pairs: list[tuple[str, str]] = field(default_factory=list)
-    #: per touched pair: the batch's timestamps, sorted ascending.
-    chunks: list[list[float]] = field(default_factory=list)
     #: distinct domains that gained a new host this batch (the only
     #: event that can move a domain's popularity, hence its rarity,
     #: within a day), first-appearance order.
     domains: list[str] = field(default_factory=list)
-    #: (domain, ip) resolutions seen for the first time today, in order.
-    novel_ips: list[tuple[str, str]] = field(default_factory=list)
 
 
 class DailyTraffic:
@@ -316,10 +312,9 @@ class DailyTraffic:
         one sorted chunk, pairs in first-appearance order so new-pair
         set insertions and row appends land in the order per-event
         processing would produce -- and the chunks merge into the
-        per-pair series while becoming the :class:`IngestDigest`
-        chunks.  A pair's first contact is the head of its series, so
-        only a chunk that starts before the head can move it (logged
-        to ``rewrite_feed``).  ``novel_ips`` -- the (domain, ip)
+        per-pair series.  A pair's first contact is the head of its
+        series, so only a chunk that starts before the head can move it
+        (logged to ``rewrite_feed``).  ``novel_ips`` -- the (domain, ip)
         resolutions first seen in the span, in arrival order -- then
         fold into the subnet keys.
 
@@ -403,9 +398,7 @@ class DailyTraffic:
         return IngestDigest(
             n_events=hi - lo,
             named_pairs=named_out,
-            chunks=chunks,
             domains=domains_out,
-            novel_ips=novel_ips or [],
         )
 
     def _group_lexsort(

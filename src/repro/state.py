@@ -383,8 +383,8 @@ def encode_window(window) -> dict[str, Any]:
     so the section is not ``json.dumps``-able; its file reads back as
     plain JSON, base64 strings in their place.
 
-    The rare set, the dirty-domain set and the verdict cache are all
-    derived state, recomputed on restore by
+    The rare set, the dirty-domain set and the per-pair automation
+    verdicts are all derived state, recomputed on restore by
     :meth:`repro.streaming.StreamingDetector.resync`.
     """
     traffic = window.traffic

@@ -10,8 +10,9 @@ fold it per ``poll()`` into a
 grows its scoring rows and change feeds in the same ingest pass,
 keeping frontier scoring rebuild-free), note which rare domains
 changed since the last scoring round, and re-test only the (host,
-domain) timestamp series that saw new events through a period-aware
-:class:`~repro.streaming.verdicts.SeriesVerdictCache`.
+domain) timestamp series that saw new events, each with
+:meth:`~repro.timing.detector.AutomationDetector.test_series` -- the
+test every day's close runs.
 
 :class:`StreamingEngineBase` holds that pipeline-independent state and
 is the *scheduler* of the paper's daily loop: :meth:`~StreamingEngineBase
@@ -41,7 +42,6 @@ from ..profiling.ua import UserAgentHistory
 from ..profiling.window import WindowedAggregator
 from ..timing.detector import AutomationDetector, AutomationVerdict
 from .incremental import WarmStartConfig, warm_start_applies
-from .verdicts import SeriesVerdictCache, VerdictCacheStats
 
 _LOG = get_logger("stream")
 
@@ -56,6 +56,57 @@ INGEST_CHUNK = 8192
 Submission = (
     Iterable[Connection | ConnectionBatch] | Connection | ConnectionBatch
 )
+
+
+@dataclass
+class VerdictCacheStats:
+    """What the engine's verdict refreshes did with the stale pairs
+    handed to them (one engine's lifetime)."""
+
+    full_tests: int = 0
+    short_skips: int = 0
+    not_rare_skips: int = 0
+    unreachable_skips: int = 0
+    """Stale rare series never tested: their domain had fewer same-day
+    hosts than the C&C stage needs
+    (:attr:`StreamingEngineBase.cc_min_hosts`)."""
+
+    @property
+    def periodic_skips(self) -> int:
+        """Always 0: every reachable stale series is tested whole.  The
+        e2e trace harness (``benchmarks/e2e/e2e_trace.py``) still sums
+        it into ``streaming.verdict_skip_ratio``, and that harness
+        changes only together with its recorded baseline."""
+        return 0
+
+    @property
+    def total(self) -> int:
+        """Stale pairs a refresh looked at (``unreachable_skips`` are
+        not: nothing could have read their verdict)."""
+        return self.full_tests + self.short_skips + self.not_rare_skips
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "full_tests": self.full_tests,
+            "short_skips": self.short_skips,
+            "not_rare_skips": self.not_rare_skips,
+            "unreachable_skips": self.unreachable_skips,
+        }
+
+    def metrics_samples(self) -> dict[str, int]:
+        """Counter samples for a metrics-registry collector.
+
+        The plain-int fields stay the hot-path mechanism (no lock per
+        pair); registering this method with
+        :meth:`repro.obs.MetricsRegistry.add_collector` folds them into
+        every snapshot as ``verdict_cache_events_total{kind=...}``.
+        """
+        from ..obs.metrics import sample_key
+
+        return {
+            sample_key("verdict_cache_events_total", kind=kind): value
+            for kind, value in self.as_dict().items()
+        }
 
 
 class StreamingEngineBase:
@@ -121,18 +172,12 @@ class StreamingEngineBase:
         self._stale_pairs: set[tuple[str, str]] = set()
         #: today's domains with at least ``cc_min_hosts`` hosts.
         self._cc_reachable: set[str] = set()
-        self._series_cache = SeriesVerdictCache(self.automation)
-        self._pending_times: dict[tuple[str, str], list[float]] = {}
-        # Unified registry: the verdict cache's plain-int skip/test
-        # counters are sampled into every metrics snapshot.
-        self.metrics.add_collector(self._series_cache.stats.metrics_samples)
+        #: skip/test counters of the verdict refreshes, sampled into
+        #: every metrics snapshot.
+        self.verdict_stats = VerdictCacheStats()
+        self.metrics.add_collector(self.verdict_stats.metrics_samples)
         self._events_counter = self.metrics.counter("stream_events_total")
         self._polls_counter = self.metrics.counter("stream_polls_total")
-
-    @property
-    def verdict_stats(self) -> VerdictCacheStats:
-        """Skip/test counters of the period-aware verdict cache."""
-        return self._series_cache.stats
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -233,17 +278,15 @@ class StreamingEngineBase:
             if domain not in rare:
                 for host in hosts_by_domain[domain]:
                     self._verdicts.pop((host, domain), None)
-                    self._series_cache.invalidate((host, domain))
         dirty.update(
             domain for _, domain in named_pairs if domain in rare
         )
         stale = self._stale_pairs
         stale.update(named_pairs)
         # Host counts only grow, and only for ``digest.domains``.  A
-        # domain reaching the C&C floor has no cached series state --
-        # its pairs were skipped so far -- so all of them go stale and
-        # the cache rebuilds each from its full series.  (One that is
-        # not rare by now never will be: nothing to re-test.)
+        # domain reaching the C&C floor has had its pairs skipped so
+        # far, so all of them go stale.  (One that is not rare by now
+        # never will be: nothing to re-test.)
         reachable = self._cc_reachable
         floor = self.cc_min_hosts
         for domain in digest.domains:
@@ -253,20 +296,6 @@ class StreamingEngineBase:
                     reachable.add(domain)
                     if domain in rare:
                         stale.update((host, domain) for host in hosts)
-        # The digest's per-pair chunks are exactly the poll's
-        # timestamps (sorted within the poll -- the verdict cache
-        # sorts pending times anyway), so pending bookkeeping is per
-        # *pair*, not per event -- and only for pairs the next refresh
-        # will hand to the cache.
-        pending = self._pending_times
-        for key, chunk in zip(named_pairs, digest.chunks):
-            domain = key[1]
-            if domain in reachable and domain in rare:
-                times = pending.get(key)
-                if times is None:
-                    pending[key] = list(chunk)
-                else:
-                    times += chunk
         return total
 
     # ------------------------------------------------------------------
@@ -279,24 +308,22 @@ class StreamingEngineBase:
 
         A rare domain with fewer than :attr:`cc_min_hosts` hosts today
         cannot be labeled whatever its series look like, so its stale
-        pairs never reach the cache (``unreachable_skips``);
-        :meth:`_ingest` re-stales them when the domain reaches the
-        floor.  For the rest the :class:`SeriesVerdictCache` makes each
-        re-test proportional to the *new* events: short series skip the
-        histogram entirely, append-only arrivals extend the cached
-        clusters, and on-period beacons skip even the divergence
-        recomputation.
+        pairs are not tested (``unreachable_skips``); :meth:`_ingest`
+        re-stales them when the domain reaches the floor.  The rest
+        take :meth:`AutomationDetector.test_series` over the whole
+        series, as at the day's close (``short_skips`` are the ones too
+        short to build a histogram for).
         """
         self.window.traffic.finalize()
         rare = self.window.rare
         reachable = self._cc_reachable
-        pending = self._pending_times
         verdicts = self._verdicts
-        cache = self._series_cache
+        test_series = self.automation.test_series
+        min_connections = self.automation.config.min_connections
         connection_times = self.window.traffic.connection_times
-        not_rare = unreachable = 0
+        tested = short = not_rare = unreachable = 0
         for pair in self._stale_pairs:
-            domain = pair[1]
+            host, domain = pair
             if domain not in rare:
                 # Not a candidate; the rarity-flip handling already
                 # cleared any verdict it could have had.
@@ -306,19 +333,22 @@ class StreamingEngineBase:
             if domain not in reachable:
                 unreachable += 1
                 continue
-            verdict = cache.test(
-                pair[0], domain,
-                connection_times(pair[0], domain),
-                pending.pop(pair, ()),
-            )
+            times = connection_times(host, domain)
+            if len(times) < min_connections:
+                short += 1
+            else:
+                tested += 1
+            verdict = test_series(host, domain, times)
             if verdict.automated:
                 verdicts[pair] = verdict
             else:
                 verdicts.pop(pair, None)
-        cache.stats.not_rare_skips += not_rare
-        cache.stats.unreachable_skips += unreachable
+        stats = self.verdict_stats
+        stats.full_tests += tested
+        stats.short_skips += short
+        stats.not_rare_skips += not_rare
+        stats.unreachable_skips += unreachable
         self._stale_pairs.clear()
-        self._pending_times.clear()
         return [verdicts[pair] for pair in sorted(verdicts)]
 
     # ------------------------------------------------------------------
@@ -479,8 +509,6 @@ class StreamingEngineBase:
         self._verdicts.clear()
         self._stale_pairs.clear()
         self._cc_reachable.clear()
-        self._series_cache.clear()
-        self._pending_times.clear()
 
     # ------------------------------------------------------------------
     # Restore plumbing
@@ -492,8 +520,6 @@ class StreamingEngineBase:
         self.dirty_domains = set(self.window.rare)
         self._day_scorer = None
         self._verdicts.clear()
-        self._series_cache.clear()
-        self._pending_times.clear()
         traffic = self.window.traffic
         self._stale_pairs = {pair for pair, _ in traffic.series()}
         floor = self.cc_min_hosts
@@ -604,7 +630,6 @@ def drive_replay(
     bootstrap_files: int,
     batch_size: int,
     score_every: int,
-    warm: WarmStartConfig | None,
     checkpoint_path: str | Path | None,
     checkpoint_every: int,
     max_batches: int | None,
@@ -624,11 +649,6 @@ def drive_replay(
     engine) counts how many of that file's normalized events a restored
     engine consumed before its restart -- those rows are skipped,
     whatever the batch size was then.
-
-    ``warm``, when given, replaces the engine's warm-start policy: a
-    restored engine's detection config and histories come from its
-    checkpoint (they define what the stream has already seen), but a
-    checkpoint holds no policy -- it is the caller's current choice.
     """
     from ..state import encode_engine, save_json_atomic
 
@@ -639,8 +659,6 @@ def drive_replay(
                 checkpoint_path,
             )
 
-    if warm is not None:
-        detector.warm = warm
     result = ReplayResult()
     resume_file = detector.window.day - detector.start_day
     skip = detector.window.events_today

@@ -150,6 +150,8 @@ def replay_directory(
         checkpoint=resume_from,
         metrics=metrics,
     )
+    if warm is not None:  # a checkpoint holds no warm-start policy
+        engine.warm = warm
     store = None
     if intel_db is not None:
         store = open_intel_store(intel_db, intel_ttl_days, metrics=metrics)
@@ -162,7 +164,6 @@ def replay_directory(
             bootstrap_files=bootstrap_files,
             batch_size=batch_size,
             score_every=score_every,
-            warm=warm,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
             max_batches=max_batches,

@@ -96,8 +96,7 @@ def assign_intervals(
     founds a new cluster with itself as hub.  Because assignment only
     depends on the clusters created by *earlier* intervals, appending
     intervals to an existing (``hubs``, ``counts``) pair yields exactly
-    the histogram a full rebuild over the extended sequence would --
-    the property the streaming verdict cache relies on.
+    the histogram a full rebuild over the extended sequence would.
     """
     for value in values:
         for index, hub in enumerate(hubs):

@@ -388,10 +388,7 @@ class TestOneDayLoop:
             r"|_hydrated_whois|_TenantCache|flush_store|store_stats\("
         ) == []
         memos = self._lines_with(r"^class \w*(Memo|Cache)\b.*:")
-        assert memos == {
-            "intel/memo.py": ["class IntelMemo:"],
-            "streaming/verdicts.py": ["class SeriesVerdictCache:"],
-        }
+        assert memos == {"intel/memo.py": ["class IntelMemo:"]}
         # `stream` and the fleet manager open the store in one place
         # (`open_intel_store`); the `intel` verbs open the file named.
         openers = self._lines_with(r"(?<![\w.])IntelStore\(")
@@ -425,21 +422,27 @@ class TestOneDayLoop:
         assert len(uses["core/scoring.py"]) == 4
 
     def test_the_automation_test_is_written_once(self):
-        """One dynamic histogram: ``test_series``, every end of day and
-        the intra-day verdict cache cluster a series with
-        ``AutomationDetector.clusters`` and judge it with ``judge``.
-        The NumPy batch route and the cache's own clustering loop and
-        verdict builder are gone, not aliased."""
+        """One dynamic histogram: every end of day and every intra-day
+        verdict refresh test a series with ``test_series``, which
+        clusters it with ``AutomationDetector.clusters`` and judges it
+        with ``judge``.  The NumPy batch route and the streaming
+        engine's own incremental clustering are gone, not aliased."""
         assert not (self.SRC / "timing" / "batch.py").exists()
         numpy = self._lines_with(
             r"^\s*(import|from) numpy\b", root=self.SRC / "timing"
         )
         assert sorted(numpy) == ["timing/baselines.py"]
         scans = self._lines_with(r"assign_intervals\(")
-        assert sorted(scans) == [
-            "streaming/verdicts.py", "timing/detector.py",
-            "timing/histogram.py",
+        assert sorted(scans) == ["timing/detector.py", "timing/histogram.py"]
+        assert self._callers("test_series") == [
+            "cli.py:_run_timing",
+            "streaming/engine.py:StreamingEngineBase._refresh_verdicts",
+            "timing/detector.py:AutomationDetector.automated_pairs",
         ]
+        assert self._files_matching(
+            r"SeriesVerdictCache|_SeriesState|_pending_times"
+            r"|incremental_tests|streaming/verdicts"
+        ) == []
         calls = {
             path: found
             for path, lines in self._lines_with(

@@ -7,6 +7,11 @@
   behaviour before the floor existed -- over drawn worlds where a
   domain gains its second host at an arbitrary point: before or after
   it stops being rare, before or after a checkpoint restore.
+* **Stale verdicts.**  A scoring round re-tests only the series that
+  saw events since the last one, yet the verdicts it hands the C&C
+  stage are the day-close route's: ``automated_pairs`` over the
+  window's rare series, restricted to domains at the floor -- with the
+  real floor and with 1, across a restore at an arbitrary poll.
 * **One graph.**  A scoring round reads Algorithm 1's two maps as
   ``traffic.bp_views(window.rare)`` and keeps only a dirty-domain set
   beside them.  The reference is both maps built from scratch
@@ -135,6 +140,69 @@ class _EveryVerdict(StreamingDetector):
     """The engine before the floor: no series is below it."""
 
     cc_min_hosts = 1
+
+
+class _Handed(StreamingDetector):
+    """Keeps the verdicts each C&C stage call is handed."""
+
+    handed = None
+
+    def _cc_scores(self, traffic, verdicts):
+        self.handed = list(verdicts)
+        return super()._cc_scores(traffic, verdicts)
+
+
+class _HandedEvery(_Handed, _EveryVerdict):
+    """:class:`_Handed` with no series below the floor."""
+
+
+def _crowded(day):
+    """The day with its domains folded onto two, so a domain often
+    crosses the popularity threshold after some of its series were
+    found automated."""
+    beacons, noise = day
+    fold = {domain: _DOMAINS[i % 2] for i, domain in enumerate(_DOMAINS)}
+    return (
+        [(host, fold[domain], *rest) for host, domain, *rest in beacons],
+        [(ts, host, fold[domain]) for ts, host, domain in noise],
+    )
+
+
+class TestStaleVerdicts:
+    @given(st.sampled_from([_Handed, _HandedEvery]),
+           st.lists(st.one_of(_days, _days.map(_crowded)),
+                    min_size=1, max_size=2),
+           _batch_sizes,
+           st.integers(1, 3), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_round_verdicts_are_the_day_close_verdicts(
+        self, engine_class, days, sizes, score_every, restore_at
+    ):
+        engine = engine_class(config=_CONFIG)
+        floor = engine.cc_min_hosts
+        assert floor == (1 if engine_class is _HandedEvery else 2)
+        polls = 0
+        for day in days:
+            for batch in _day_batches(day, sizes):
+                if polls == restore_at:
+                    engine = _round_trip(engine)
+                    # A restore builds the class the document names.
+                    engine.__class__ = engine_class
+                    engine.resync()
+                polls += 1
+                engine.ingest(batch)
+                if polls % score_every:
+                    continue
+                engine.score()
+                traffic = engine.window.traffic
+                hosts = traffic.hosts_by_domain
+                assert engine.handed == [
+                    verdict for verdict in engine.automation.automated_pairs(
+                        traffic.rare_series(engine.window.rare)
+                    )
+                    if len(hosts[verdict.domain]) >= floor
+                ]
+            engine.rollover()
 
 
 class TestReachabilityFloor:

@@ -14,8 +14,6 @@ import hashlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import LANL_CONFIG
 from repro.core.dayloop import detect_day
@@ -751,144 +749,17 @@ class TestEventBus:
 
 
 class TestSeriesVerdictCache:
-    """Period-aware verdict caching must be invisible in outcomes."""
-
-    def _cache(self):
-        from repro.streaming.verdicts import SeriesVerdictCache
-        from repro.timing import AutomationDetector
-
-        detector = AutomationDetector()
-        return SeriesVerdictCache(detector), detector
-
-    def test_incremental_matches_full_recompute(self):
-        cache, detector = self._cache()
-        # A beacon series with jitter, plus irregular noise, appended
-        # in chunks: the cached verdict must always match a fresh
-        # test_series over the whole prefix.
-        import random
-
-        rng = random.Random(5)
-        times: list[float] = []
-        t = 0.0
-        for _ in range(60):
-            t += 600.0 + rng.uniform(-3.0, 3.0)
-            times.append(t)
-        for burst in (7.0, 13.0, 29.0, 111.0, 222.0):
-            times.append(t + burst)
-        times.sort()
-
-        series: list[float] = []
-        for start in range(0, len(times), 7):
-            chunk = times[start:start + 7]
-            series.extend(chunk)
-            got = cache.test("h", "d", sorted(series), chunk)
-            want = detector.test_series("h", "d", sorted(series))
-            assert got.automated == want.automated
-            assert got.period == want.period
-            assert got.connections == want.connections
-
-    def test_on_period_beacons_skip(self):
-        cache, detector = self._cache()
-        times = [600.0 * i for i in range(1, 11)]
-        first = cache.test("h", "d", times, times)
-        assert first.automated
-        assert cache.stats.full_tests == 1
-        extended = times + [600.0 * i for i in range(11, 16)]
-        second = cache.test("h", "d", extended, extended[10:])
-        assert second.automated
-        assert second.period == first.period
-        assert second.connections == 15
-        assert cache.stats.periodic_skips == 1
-        assert cache.stats.incremental_tests == 0
+    """The engine's per-(host, domain) verdicts: re-tested with
+    ``test_series`` only when stale, invisible in outcomes."""
 
     def test_short_series_skip_histogram(self):
-        cache, detector = self._cache()
-        verdict = cache.test("h", "d", [1.0, 2.0], [1.0, 2.0])
-        assert not verdict.automated
-        assert cache.stats.short_skips == 1
-        assert cache.stats.full_tests == 0
-
-    @given(
-        beacon=st.tuples(
-            st.sampled_from([60.0, 600.0, 3600.0]),
-            st.floats(0.0, 5_000.0),
-            st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=40),
-        ),
-        echo=st.tuples(
-            st.sampled_from([97.0, 1_234.5]),
-            st.floats(0.0, 1.0),
-            st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=15),
-        ),
-        noise=st.lists(st.floats(0.0, 1.0), max_size=6),
-        duplicates=st.lists(st.integers(0, 1_000), max_size=4),
-        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
-        mode=st.sampled_from(["beacon", "noisy", "mixed"]),
-        late=st.integers(-1, 12),
-        rng=st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_any_chunking_matches_test_series(
-        self, beacon, echo, noise, duplicates, sizes, mode, late, rng
-    ):
-        """Random sorted series -- a beacon with jitter below ``W``, a
-        second period and noise starting anywhere in its span, duplicate
-        timestamps -- fed in random chunks (events shuffled within a
-        chunk, sometimes one chunk late): every verdict is
-        :meth:`test_series`' on the prefix.  A pure in-order beacon
-        takes the periodic skip on every call after its first full
-        test; an off-period gap arriving with on-period ones must not."""
-        cache, detector = self._cache()
-        period, start, jitters = beacon
-        times = [start + period * i + j for i, j in enumerate(jitters)]
-        span = period * len(jitters)
-        if mode != "beacon":
-            times += [start + fraction * span for fraction in noise]
-        if mode == "mixed":
-            echo_period, offset, echo_jitters = echo
-            times += [start + offset * span + echo_period * i + j
-                      for i, j in enumerate(echo_jitters)]
-            times += [times[i % len(times)] for i in duplicates if times]
-        times.sort()
-        chunks, position, turn = [], 0, 0
-        while position < len(times):
-            part = times[position:position + sizes[turn % len(sizes)]]
-            chunks.append(rng.sample(part, len(part)))
-            position, turn = position + len(part), turn + 1
-        if mode == "mixed" and 0 <= late < len(chunks) - 1:
-            chunks[late], chunks[late + 1] = chunks[late + 1], chunks[late]
-
-        seen: list[float] = []
-        for chunk in chunks:
-            seen += chunk
-            prefix = sorted(seen)
-            skips = cache.stats.periodic_skips
-            got = cache.test("h", "d", prefix, chunk)
-            want = detector.test_series("h", "d", prefix)
-            assert (got.automated, got.period, got.connections) == (
-                want.automated, want.period, want.connections
-            )
-            if cache.stats.periodic_skips == skips:
-                assert got.divergence == want.divergence
-        stats = cache.stats
-        if mode == "beacon" and stats.full_tests:
-            assert stats.full_tests == 1
-            assert stats.periodic_skips == (
-                len(chunks) - stats.short_skips - 1
-            )
-
-    def test_out_of_order_arrival_falls_back_to_full(self):
-        cache, detector = self._cache()
-        times = [600.0 * i for i in range(1, 9)]
-        cache.test("h", "d", times, times)
-        # A late event lands in the *middle* of the series: the cached
-        # clusters no longer describe the interval sequence.
-        late = 900.0
-        full = sorted(times + [late])
-        got = cache.test("h", "d", full, [late])
-        want = detector.test_series("h", "d", full)
-        assert cache.stats.full_tests == 2
-        assert got.automated == want.automated
-        assert got.divergence == pytest.approx(want.divergence)
+        detector = StreamingDetector()
+        detector.ingest([_conn("h1", "d.c1", 1.0), _conn("h1", "d.c1", 2.0),
+                         _conn("h2", "d.c1", 3.0)])
+        assert detector.score().cc_domains == frozenset()
+        stats = detector.verdict_stats
+        assert (stats.short_skips, stats.full_tests) == (2, 0)
+        assert stats.total == 2
 
     def test_streaming_counters_move_and_parity_holds(self, lanl_dataset):
         from repro.logs.normalize import normalize_dns_records
@@ -908,10 +779,10 @@ class TestSeriesVerdictCache:
             detector.score()
         final = detector.score()
         stats = detector.verdict_stats
-        assert stats.periodic_skips > 0
+        assert stats.full_tests > 0
         assert stats.short_skips > 0
         report = detector.rollover()
-        assert set(final.detected) == set(report.detected)
+        assert final.detected == report.detected
 
 
 class TestWindowRareSet:

@@ -91,8 +91,9 @@ def summarize_streaming(payload) -> dict | None:
             stage: round(seconds, 6)
             for stage, seconds in sorted(top["stage_seconds"].items())
         }
-    # Verdict-cache tests vs skips of the streamed day (counts, exact
-    # for a seed): ``unreachable_skips`` never reached the cache.
+    # Verdict tests vs skips of the streamed day's scoring rounds
+    # (counts, exact for a seed): ``unreachable_skips`` were never
+    # tested.
     if top.get("verdict_cache"):
         summary["verdict_cache"] = dict(sorted(top["verdict_cache"].items()))
     return summary
