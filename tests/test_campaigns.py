@@ -12,7 +12,12 @@ from pathlib import Path
 import pytest
 
 from repro.config import LANL_CONFIG
-from repro.eval.evasion import DNS_EVAL_WORLD, dns_evasion_curve
+from repro.eval.evasion import (
+    DNS_EVAL_WORLD,
+    dns_evasion_curve,
+    enterprise_evasion_curve,
+    trained_enterprise_world,
+)
 from repro.intelstore.ct import CertObservation, CtIndex
 from repro.logs import format_dns_line
 from repro.streaming import StreamingDetector, replay_directory
@@ -40,6 +45,14 @@ def dns_dataset():
 @pytest.fixture(scope="module")
 def world(dns_dataset):
     return WorldView.from_dataset(dns_dataset)
+
+
+@pytest.fixture(scope="module")
+def enterprise_world():
+    """The proxy world the evasion curves run against, trained once.
+    It has no operation days, so a restored engine's window opens on
+    the campaign's first day."""
+    return trained_enterprise_world()
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +113,24 @@ class TestStrengthKnob:
         assert rates[-1] <= rates[0]
         for previous, current in zip(rates, rates[1:]):
             assert current <= previous + 0.15, rates
+
+    @pytest.mark.parametrize("campaign, counts", [
+        ("jitter", [(3, 3), (0, 3)]),
+        ("dga-hashhex", [(5, 5), (32, 98)]),
+    ])
+    def test_enterprise_counts_at_both_ends(
+        self, campaign, counts, enterprise_world
+    ):
+        """The proxy twin: (detected, truth) at strengths 0 and 1 of
+        one trial, pinned exactly -- the one enterprise evasion trial
+        tier-1 runs."""
+        curve = enterprise_evasion_curve(
+            campaign, (0.0, 1.0), trials=1, world=enterprise_world,
+        )
+        assert [
+            (point.detected_count, point.truth_count)
+            for point in curve.points
+        ] == counts
 
 
 # ---------------------------------------------------------------------------

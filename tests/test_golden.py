@@ -243,6 +243,16 @@ def case_lanl_contexts(ctx) -> dict:
     }
 
 
+def case_figure5(ctx) -> dict:
+    """Figure 5's automated-domain scores, split by VirusTotal label,
+    in the evaluation's day and domain order."""
+    reported, legitimate = ctx.enterprise_evaluation.score_samples()
+    return {
+        "reported": [round(score, 9) for score in reported],
+        "legitimate": [round(score, 9) for score in legitimate],
+    }
+
+
 def case_figure6(ctx) -> dict:
     evaluation = ctx.enterprise_evaluation
     return {
@@ -311,6 +321,7 @@ CASES = {
     "fleet-workers-2:fleet": case_fleet,
     "lanl-table": case_lanl,
     "lanl-contexts": case_lanl_contexts,
+    "figure5-scores": case_figure5,
     "figure6-sweeps": case_figure6,
     "engine-soc-hints:enterprise": case_engine_soc_hints,
     "checkpoint-sha256:dns": case_checkpoint_dns,
