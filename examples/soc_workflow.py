@@ -58,15 +58,17 @@ def main() -> None:
     month_detections: set[str] = set()
     ips_by_domain: dict[str, set[str]] = {}
     for day in range(config.bootstrap_days, config.total_days):
-        connections = dataset.day_connections(day)
-        engine.ingest(connections)
+        events = engine.submit_raw(
+            dataset.day_proxy_records(day),
+            resolver=dataset.resolver_for_day(day),
+        )
         traffic = engine.window.traffic  # rollover() opens a fresh one
         report = engine.rollover(soc_seed_domains=ioc.seeds())
         verdicts = engine.automation.automated_pairs(
             traffic.rare_series(report.rare_domains)
         )
 
-        print(f"--- day {day}: {len(connections)} connections, "
+        print(f"--- day {day}: {events} connections, "
               f"{len(report.rare_domains)} rare, "
               f"{len(report.cc_domains)} C&C alerts")
         for bp_name, bp in (("no-hint", report.bp_result),

@@ -6,12 +6,13 @@ two regression scorers -- and runs the first of them:
 
 **Training** (one month of logs):
 
-1. normalize + reduce (done upstream, the detector consumes
-   :class:`~repro.logs.records.Connection` streams);
-2. profile destination and user-agent histories: each day opens in a
-   :class:`~repro.profiling.window.WindowedAggregator` over them
-   (:meth:`EnterpriseDetector.day_window`) and commits in its
-   ``rollover()``, the end of day operation runs;
+1. normalize (done upstream: each day arrives as the
+   :class:`~repro.logs.records.ConnectionBatch` columns of
+   :class:`~repro.logs.normalize.ProxyNormalizer`, the engine's reader);
+2. profile destination and user-agent histories: one
+   :class:`~repro.profiling.window.WindowedAggregator` over them opens
+   each day and commits it in its ``rollover()``, the end of day
+   operation runs;
 3. customize the C&C detector: collect rare automated domains over the
    later training days, label them through VirusTotal, fit the
    six-feature linear model and keep threshold ``Tc``;
@@ -44,19 +45,19 @@ from ..features.regression import LinearModel, fit_linear_model
 from ..features.whois import WhoisFeatureExtractor
 from ..intel.virustotal import VirusTotalOracle
 from ..intel.whois_db import WhoisDatabase
-from ..logs.records import Connection
+from ..logs.records import ConnectionBatch
 from ..profiling.history import DestinationHistory
 from ..profiling.rare import DailyTraffic
 from ..profiling.ua import UserAgentHistory
 from ..profiling.window import WindowedAggregator
-from ..timing.detector import AutomationDetector, AutomationVerdict
+from ..timing.detector import AutomationDetector
 from .scoring import (
     RegressionCCScorer,
     RegressionSimilarityScorer,
     automated_hosts_by_domain,
 )
 
-DailyBatch = tuple[int, Sequence[Connection]]
+DailyBatch = tuple[int, ConnectionBatch]
 
 
 @dataclass
@@ -106,40 +107,42 @@ class EnterpriseDetector:
     ) -> TrainingReport:
         """Run the full training phase over one month of daily batches.
 
-        The first pass profiles histories chronologically.  The last
-        ``model_days`` days are then replayed to collect labeled
-        feature samples for the two regression models, mirroring the
-        paper's "two weeks" of labeled automated domains.
+        Every day is profiled into the histories, in day order.  Each
+        of the last ``model_days`` days first yields labeled feature
+        samples for the two regression models, mirroring the paper's
+        "two weeks" of labeled automated domains.
         """
         ordered = sorted(batches, key=lambda item: item[0])
         split = max(len(ordered) - model_days, 1)
-        profile_only, model_batches = ordered[:split], ordered[split:]
-
-        for day, connections in profile_only:
-            self.day_window(day, connections).rollover()
-        self.report.profiled_days = len(profile_only)
+        window = WindowedAggregator(
+            0,
+            self.history,
+            unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
+            ua_history=self.ua_history,
+        )
 
         cc_rows: list[tuple[Sequence[float], float]] = []
         sim_rows: list[tuple[Sequence[float], float]] = []
-        for day, connections in model_batches:
-            window = self.day_window(day, connections)
-            traffic, rare = window.traffic, window.rare
-            when = (day + 1) * 86_400.0
-            verdicts = self._automation_verdicts(traffic, rare)
-            auto_hosts = automated_hosts_by_domain(verdicts)
-
-            for domain in sorted(auto_hosts):
-                features = self.extractor.cc_features(
-                    domain, traffic, auto_hosts[domain], when
+        for index, (day, batch) in enumerate(ordered):
+            window.open_day(day)
+            window.ingest(batch)
+            if index >= split:
+                traffic, rare = window.traffic, window.rare
+                when = (day + 1) * 86_400.0
+                auto_hosts = automated_hosts_by_domain(
+                    self.automation.automated_pairs(traffic.rare_series(rare))
                 )
-                label = 1.0 if virustotal.is_reported(domain) else 0.0
-                cc_rows.append((features.as_vector(), label))
-
-            sim_rows.extend(
-                self._similarity_samples(traffic, rare, auto_hosts, virustotal, when)
-            )
+                for domain in sorted(auto_hosts):
+                    features = self.extractor.cc_features(
+                        domain, traffic, auto_hosts[domain], when
+                    )
+                    label = 1.0 if virustotal.is_reported(domain) else 0.0
+                    cc_rows.append((features.as_vector(), label))
+                sim_rows.extend(self._similarity_samples(
+                    traffic, rare, auto_hosts, virustotal, when
+                ))
             window.rollover()
-            self.report.profiled_days += 1
+        self.report.profiled_days = len(ordered)
 
         self.report.history_size = len(self.history)
         self.report.ua_count = len(self.ua_history)
@@ -221,28 +224,3 @@ class EnterpriseDetector:
             label = 1.0 if virustotal.is_reported(domain) else 0.0
             rows.append((features.as_vector(), label))
         return rows
-
-    def day_window(
-        self, day: int, connections: Sequence[Connection]
-    ) -> WindowedAggregator:
-        """One day of connections in a window over the histories: read
-        its ``traffic`` / ``rare``, then ``rollover()`` commits the day
-        (the end of day the streaming engines run)."""
-        window = WindowedAggregator(
-            day,
-            self.history,
-            unpopular_max_hosts=self.config.rarity.unpopular_max_hosts,
-            ua_history=self.ua_history,
-        )
-        window.ingest(connections)
-        return window
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _automation_verdicts(
-        self, traffic: DailyTraffic, rare: set[str]
-    ) -> list[AutomationVerdict]:
-        """Automation test restricted to rare domains (Section IV-C)."""
-        return self.automation.automated_pairs(traffic.rare_series(rare))

@@ -1,11 +1,14 @@
 """Enterprise (AC) evaluation harness (Section VI).
 
 Trains the full pipeline on the synthetic enterprise's bootstrap month,
-replays the operation month once -- each day through the window
-training and the streaming engines use
-(:meth:`~repro.core.pipeline.EnterpriseDetector.day_window`) -- to cache
-per-day aggregation state, then sweeps thresholds cheaply over the
-cached state:
+replays the operation month once through one
+:class:`~repro.streaming.StreamingEnterpriseDetector` -- each day's raw
+proxy records submitted through the engine's normalizer, polled, read
+from its window and closed undetected, the way
+:meth:`~repro.eval.LanlChallengeSolver.day_context` drives the DNS
+engine -- to cache per-day aggregation state and the score of *every*
+automated domain (Figures 5-6 need those below ``Tc`` too), then sweeps
+thresholds cheaply over the cached state:
 
 * :meth:`EnterpriseEvaluation.cc_sweep` -- Figure 6(a): domains labeled
   C&C as the automated-domain score threshold varies;
@@ -33,6 +36,7 @@ from ..core.scoring import automated_hosts_by_domain
 from ..intel.ioc import IocList
 from ..intel.virustotal import VirusTotalOracle
 from ..profiling.rare import DailyTraffic
+from ..streaming.enterprise import StreamingEnterpriseDetector
 from ..synthetic.enterprise import EnterpriseDataset
 from ..synthetic.fleet import train_enterprise_detector
 from .metrics import ValidationBreakdown, validate_detections
@@ -84,15 +88,19 @@ class EnterpriseEvaluation:
 
     def _replay_operation_month(self) -> None:
         """Aggregate every operation day once, updating profiles in order."""
-        first = self.dataset.config.bootstrap_days
-        last = self.dataset.config.total_days
-        for day, connections in self.dataset.day_batches(first, last):
-            window = self.detector.day_window(day, connections)
-            traffic, rare = window.traffic, window.rare
+        engine = StreamingEnterpriseDetector(self.detector)
+        for day in range(
+            self.dataset.config.bootstrap_days, self.dataset.config.total_days
+        ):
+            engine.submit_raw(
+                self.dataset.day_proxy_records(day),
+                resolver=self.dataset.resolver_for_day(day),
+            )
+            engine.poll()
+            traffic, rare = engine.window.traffic, engine.window.rare
             when = (day + 1) * SECONDS_PER_DAY
-            verdicts = self.detector._automation_verdicts(traffic, rare)
-            cc_scores = self.detector.cc_scorer.score_automated(
-                verdicts, traffic, when
+            verdicts = engine.automation.automated_pairs(
+                traffic.rare_series(rare)
             )
             self.days.append(
                 OperationalDay(
@@ -100,11 +108,13 @@ class EnterpriseEvaluation:
                     traffic=traffic,
                     rare=rare,
                     auto_hosts=automated_hosts_by_domain(verdicts),
-                    cc_scores=cc_scores,
+                    cc_scores=engine.cc_scorer.score_automated(
+                        verdicts, traffic, when
+                    ),
                     when=when,
                 )
             )
-            window.rollover()
+            engine.rollover(detect=False)
 
     # ------------------------------------------------------------------
     # Figure 5

@@ -43,8 +43,8 @@ from ..synthetic import (
 from ..synthetic.campaigns import (
     AdversarialCampaignSpec,
     WorldView,
-    campaign_connections,
     campaign_dns_records,
+    campaign_proxy_records,
     realize_campaign,
 )
 
@@ -276,12 +276,15 @@ def _enterprise_trial(
     )
     detected: set[str] = set()
     for day in range(start_day, start_day + horizon):
-        connections = dataset.day_connections(day) + campaign_connections(
+        records = dataset.day_proxy_records(day) + campaign_proxy_records(
             realized, day
         )
-        connections.sort(key=lambda c: c.timestamp)
-        for chunk in _chunks(connections, 500):
-            engine.ingest(chunk)
+        # In UTC order: a record's timestamp is collector-local.
+        records.sort(key=lambda r: r.timestamp - r.tz_offset_hours * 3600.0)
+        resolver = dataset.resolver_for_day(day)
+        for chunk in _chunks(records, 500):
+            engine.submit_raw(chunk, resolver=resolver)
+            engine.poll()
             engine.score()
         detected.update(engine.rollover().detected)
     return realized.truth_domains(), detected

@@ -8,7 +8,6 @@ from .campaigns import (
     AdversarialCampaignSpec,
     RealizedCampaign,
     WorldView,
-    campaign_connections,
     campaign_dns_records,
     campaign_proxy_records,
     churn_fleet_config,
@@ -64,7 +63,6 @@ __all__ = [
     "AdversarialCampaignSpec",
     "RealizedCampaign",
     "WorldView",
-    "campaign_connections",
     "campaign_dns_records",
     "campaign_proxy_records",
     "churn_fleet_config",

@@ -441,24 +441,6 @@ def campaign_dns_records(
     ]
 
 
-def campaign_connections(realized: RealizedCampaign, day: int):
-    """The campaign's normalized proxy connections for one day."""
-    from ..logs.records import Connection
-
-    return [
-        Connection(
-            timestamp=visit.timestamp,
-            host=visit.host,
-            domain=visit.domain,
-            resolved_ip=visit.resolved_ip,
-            user_agent=visit.user_agent,
-            referer=visit.referer,
-            status_code=200,
-        )
-        for visit in realized.day_visits(day)
-    ]
-
-
 def campaign_proxy_records(realized: RealizedCampaign, day: int):
     """The campaign's pre-joined proxy log records for one day.
 

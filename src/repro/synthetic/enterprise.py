@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from ..intel.ioc import IocList
 from ..intel.virustotal import VirusTotalOracle
 from ..intel.whois_db import WhoisDatabase
-from ..logs.normalize import IpResolver, normalize_proxy_records
-from ..logs.records import Connection, DhcpLease, ProxyRecord, VpnSession
+from ..logs.normalize import IpResolver, ProxyNormalizer
+from ..logs.records import ConnectionBatch, DhcpLease, ProxyRecord, VpnSession
 from .attacks import Campaign, CampaignFactory, CampaignSpec
 from .benign import BenignConfig, BenignWorkload, Visit
 from .dga import DomainNameFactory
@@ -197,24 +197,23 @@ class EnterpriseDataset:
 
     # -- normalized convenience --------------------------------------------
 
-    def day_connections(self, day: int) -> list[Connection]:
-        """Normalized connections for one day (UTC, hostnames, folded)."""
-        return list(
-            normalize_proxy_records(
-                self.day_proxy_records(day),
-                self.resolver_for_day(day),
-                fold_level=2,
-            )
-        )
+    def day_batch(self, day: int) -> ConnectionBatch:
+        """One day through the engine's proxy normalization (UTC,
+        DHCP/VPN join, second-level fold) as one column batch, empty
+        for a day without records."""
+        for batch in ProxyNormalizer(fold_level=2).read_records(
+            self.day_proxy_records(day),
+            resolver=self.resolver_for_day(day),
+        ):
+            return batch
+        return ConnectionBatch([], [], [], [], [], [])
 
     def day_batches(
         self, first_day: int = 0, last_day: int | None = None
-    ) -> list[tuple[int, list[Connection]]]:
-        """Normalized (day, connections) batches over a day range."""
+    ) -> list[tuple[int, ConnectionBatch]]:
+        """(day, :meth:`day_batch`) pairs over a day range."""
         last = self.config.total_days if last_day is None else last_day
-        return [
-            (day, self.day_connections(day)) for day in range(first_day, last)
-        ]
+        return [(day, self.day_batch(day)) for day in range(first_day, last)]
 
 
 def _campaign_specs(

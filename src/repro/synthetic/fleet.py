@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from ..config import ENTERPRISE_CONFIG, SystemConfig
 from ..intel.virustotal import VirusTotalOracle
-from ..logs import format_dns_line, format_proxy_line
+from ..logs import format_dns_line, format_proxy_line, normalize_proxy_records
 from ..logs.records import DnsRecord, DnsRecordType, ProxyRecord
 from .dga import _syllables
 from .enterprise import (
@@ -298,14 +298,19 @@ def _prejoined_proxy_records(
 ) -> list[ProxyRecord]:
     """One enterprise day as pre-joined proxy records.
 
-    The raw day is pushed through the dataset's own normalization (UTC
-    conversion, DHCP/VPN joins, bare-IP drops) and re-emitted with the
-    stable hostname in the source field and a zero collector offset --
-    the form a fleet collector ships after its own join, so consuming
-    engines need no lease registry.
+    The raw day is pushed through the scalar normalization (UTC
+    conversion, DHCP/VPN joins, bare-IP drops, second-level fold) and
+    re-emitted with the stable hostname in the source field and a zero
+    collector offset -- the form a fleet collector ships after its own
+    join, so consuming engines need no lease registry.  Scalar, not
+    columns: the lines keep each record's ``status_code``.
     """
     records = []
-    for conn in dataset.day_connections(day):
+    for conn in normalize_proxy_records(
+        dataset.day_proxy_records(day),
+        dataset.resolver_for_day(day),
+        fold_level=2,
+    ):
         records.append(ProxyRecord(
             timestamp=conn.timestamp,
             source_ip=conn.host,

@@ -99,3 +99,30 @@ def test_a_bench_without_its_json_keeps_its_row(
     assert benches["fleet_throughput"] == fleet_row
     assert benches["bp_scale"]["min_speedup"] == 6.0
     assert set(benches) == {"bp_scale", "fleet_throughput"}
+
+
+def test_a_smoke_run_does_not_replace_a_full_row(
+    bench_summary, tmp_path, monkeypatch, capsys
+):
+    """A smoke run (CI's shrunken sweep) refreshes a bench's row only
+    over another smoke row or none: a full run's headline stays."""
+    monkeypatch.setattr(bench_summary, "OUT_DIR", tmp_path / "out")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "bp_scale.json").write_text(json.dumps({
+        "smoke": True,
+        "rows": [{"config": "small", "scorer": "additive", "speedup": 6.0}],
+        "detect_parity": True,
+    }))
+    out = tmp_path / "BENCH_perf.json"
+    full_row = {"smoke": False, "min_speedup": 9.0, "detect_parity": True}
+    out.write_text(json.dumps({"benches": {"bp_scale": full_row}}))
+    assert bench_summary.main(["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["benches"]["bp_scale"] == full_row
+    assert "bp_scale.json is a smoke run (full row kept)" in (
+        capsys.readouterr().err
+    )
+    for carried in ({"benches": {"bp_scale": {"smoke": True}}}, {}):
+        out.write_text(json.dumps(carried))
+        assert bench_summary.main(["--out", str(out)]) == 0
+        row = json.loads(out.read_text())["benches"]["bp_scale"]
+        assert (row["smoke"], row["min_speedup"]) == (True, 6.0)

@@ -29,7 +29,7 @@ def _operate(engine, dataset, **seeding):
     :class:`~repro.core.DayReport`."""
     first = dataset.config.bootstrap_days
     for day in range(first, dataset.config.total_days):
-        engine.ingest(dataset.day_connections(day))
+        engine.ingest(dataset.day_batch(day))
         report = engine.rollover(**seeding)
         assert report.day == day
         yield report

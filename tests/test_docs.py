@@ -229,8 +229,12 @@ class TestOneDayLoop:
         """The detection ledger, the second NDR, the CDF and series
         renderers, URL-path triage, ``is_cc``, the v1 intel schema, the
         write-only NetFlow leg and the parameters no caller passed had
-        no caller outside their own tests: nothing names, exports or
-        accepts them again.  ``tests/test_callers.py`` holds the rule
+        no caller outside their own tests, and the per-object
+        ``Connection`` twins of the proxy ingest route (the dataset's
+        and the campaigns' connection lists, the training day window
+        and the private automation pass the evaluation reached into)
+        have been replaced by the engine's reader: nothing names,
+        exports or accepts them again.  ``tests/test_callers.py`` holds the rule
         for every other public name; this scan also covers the docs,
         the benches and the build notes."""
         import inspect
@@ -246,6 +250,8 @@ class TestOneDayLoop:
             r"|cluster_by_url_pattern|paths_by_domain|\bis_cc\b"
             r"|_MIGRATE_V1_TO_V2|_SCHEMA_V1"
             r"|(?i:netflow)|PassiveDnsMap"
+            r"|day_connections|campaign_connections|_automation_verdicts"
+            r"|day_window"
         )
         others = [
             *sorted((REPO / "benchmarks").rglob("*.py")),
@@ -332,8 +338,8 @@ class TestOneDayLoop:
             r"(?<![\w`])(?<!class )Streaming(Enterprise)?Detector\("
         )
         assert sorted(built) == [
-            "eval/evasion.py", "eval/lanl_challenge.py", "state.py",
-            "streaming/replay.py",
+            "eval/enterprise_eval.py", "eval/evasion.py",
+            "eval/lanl_challenge.py", "state.py", "streaming/replay.py",
         ]
         assert len(built["streaming/replay.py"]) == 2
         assert len(built["state.py"]) == 2

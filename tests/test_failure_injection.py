@@ -245,7 +245,7 @@ class TestDegradedIntelligence:
         if report.cc_model is not None and report.similarity_model is not None:
             day = enterprise_dataset.config.bootstrap_days
             engine = StreamingEnterpriseDetector(detector)
-            engine.ingest(enterprise_dataset.day_connections(day))
+            engine.ingest(enterprise_dataset.day_batch(day))
             # no positives -> no alarms
             assert engine.rollover().cc_domains == set()
 

@@ -277,7 +277,7 @@ def case_engine_soc_hints(ctx) -> dict:
     seeds = dataset.build_ioc_list().seeds()
     days = {}
     for day in range(dataset.config.bootstrap_days, dataset.config.total_days):
-        engine.ingest(dataset.day_connections(day))
+        engine.ingest(dataset.day_batch(day))
         report = engine.rollover(soc_seed_domains=seeds)
         hinted = report.soc_hints
         days[f"day {day}"] = {

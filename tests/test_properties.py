@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from repro.eval.metrics import DetectionCounts, score_detections
 from repro.features import fit_linear_model, normalize_age, normalize_validity
 from repro.logs.domains import fold_domain
+from repro.logs.normalize import ProxyNormalizer
 from repro.profiling import DailyTraffic, DestinationHistory
 from repro.synthetic import (
     CAMPAIGN_NAMES,
     AdversarialCampaignSpec,
     WorldView,
-    campaign_connections,
+    campaign_proxy_records,
     realize_campaign,
 )
 from repro.timing import (
@@ -299,15 +300,16 @@ class TestCampaignProperties:
         chunking, with interleaved finalize calls, must aggregate to
         the same state as one ingest + finalize."""
         realized = realize_campaign(_CAMPAIGN_WORLD, spec)
-        connections = campaign_connections(realized, spec.start_day)
+        records = campaign_proxy_records(realized, spec.start_day)
+        normalizer = ProxyNormalizer()
         whole = DailyTraffic(spec.start_day)
-        whole.ingest(connections)
+        whole.ingest(normalizer.read_records(records))
         whole.finalize()
 
         piecewise = DailyTraffic(spec.start_day)
-        size = max(1, len(connections) // chunks)
-        for start in range(0, len(connections), size):
-            piecewise.ingest(connections[start:start + size])
+        size = max(1, len(records) // chunks)
+        for batch in normalizer.read_records(records, size):
+            piecewise.ingest(batch)
             piecewise.finalize()
 
         assert piecewise.hosts_by_domain == whole.hosts_by_domain

@@ -70,7 +70,7 @@ class TestDetectorRoundTrip:
         from repro.streaming import StreamingEnterpriseDetector
 
         day = enterprise_dataset.config.bootstrap_days
-        conns = enterprise_dataset.day_connections(day)
+        conns = enterprise_dataset.day_batch(day)
         reports = []
         for detector in (freshly_trained, restored):
             engine = StreamingEnterpriseDetector(detector)
@@ -222,8 +222,10 @@ class TestCheckpointBytes:
         from repro.streaming import StreamingEnterpriseDetector
 
         engine = StreamingEnterpriseDetector(detector)
-        conns = dataset.day_connections(dataset.config.bootstrap_days)
-        engine.ingest(conns[: len(conns) // 2 if events is None else events])
+        conns = dataset.day_batch(dataset.config.bootstrap_days)
+        engine.ingest(conns.take(
+            slice(len(conns) // 2 if events is None else events)
+        ))
         if events is not None:
             assert engine.window.events_today == events
         engine.score()

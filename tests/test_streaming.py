@@ -18,7 +18,7 @@ import pytest
 from repro.config import LANL_CONFIG
 from repro.core.dayloop import detect_day
 from repro.logs import format_dns_line
-from repro.logs.records import Connection
+from repro.logs.records import Connection, ConnectionBatch
 from repro.profiling.history import DestinationHistory
 from repro.profiling.rare import DailyTraffic, extract_rare_domains
 from repro.runner import run_directory
@@ -63,7 +63,13 @@ def _micro_batched(engine, batches) -> None:
 
 
 def _chunks(events, size=500):
-    return (events[i:i + size] for i in range(0, len(events), size))
+    """``events`` -- a list, or one ``ConnectionBatch`` -- in slices of
+    ``size`` rows."""
+    pick = (
+        events.take if isinstance(events, ConnectionBatch)
+        else events.__getitem__
+    )
+    return (pick(slice(i, i + size)) for i in range(0, len(events), size))
 
 
 def _replay_kwargs(lanl_dataset, **extra):
@@ -162,9 +168,9 @@ class TestBatchParity:
             dataset = request.getfixturevalue("enterprise_dataset")
             engine = request.getfixturevalue("enterprise_engine")()
             first = dataset.config.bootstrap_days
-            engine.ingest(dataset.day_connections(first))
+            engine.ingest(dataset.day_batch(first))
             engine.rollover()
-            engine.ingest(dataset.day_connections(first + 1))
+            engine.ingest(dataset.day_batch(first + 1))
             active = next(
                 c for c in dataset.campaigns if first + 1 in c.active_days
             )
@@ -990,7 +996,7 @@ class TestEnterpriseBatchParity:
         whole, stream = enterprise_engine(), enterprise_engine()
         first = enterprise_dataset.config.bootstrap_days
         for day in range(first, first + 3):
-            conns = enterprise_dataset.day_connections(day)
+            conns = enterprise_dataset.day_batch(day)
             whole.ingest(conns)
             want = whole.rollover()
             _micro_batched(stream, _chunks(conns))
@@ -1014,7 +1020,7 @@ class TestEnterpriseBatchParity:
         first = enterprise_dataset.config.bootstrap_days
         ran_hints = False
         for day in range(first, first + 4):
-            conns = enterprise_dataset.day_connections(day)
+            conns = enterprise_dataset.day_batch(day)
             whole.ingest(conns)
             want = whole.rollover(soc_seed_domains=seeds)
             _micro_batched(stream, _chunks(conns))
@@ -1034,7 +1040,7 @@ class TestEnterpriseBatchParity:
     ):
         small, large = enterprise_engine(), enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days
-        conns = enterprise_dataset.day_connections(day)
+        conns = enterprise_dataset.day_batch(day)
         _micro_batched(small, _chunks(conns, 97))
         large.ingest(conns)
         assert small.rollover().detected == large.rollover().detected
@@ -1044,10 +1050,10 @@ class TestEnterpriseBatchParity:
     ):
         stream = enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days + 1
-        prev = enterprise_dataset.day_connections(day - 1)
+        prev = enterprise_dataset.day_batch(day - 1)
         stream.ingest(prev)
         stream.rollover(detect=False)
-        stream.ingest(enterprise_dataset.day_connections(day))
+        stream.ingest(enterprise_dataset.day_batch(day))
         update = stream.score()
         report = stream.rollover()
         # No SOC hints and no intel: the last intra-day round saw the
@@ -1124,12 +1130,12 @@ class TestEnterpriseCheckpoint:
 
         whole, stream = enterprise_engine(), enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days
-        conns = enterprise_dataset.day_connections(day)
+        conns = enterprise_dataset.day_batch(day)
         whole.ingest(conns)
         want = whole.rollover()
 
         half = len(conns) // 2
-        stream.ingest(conns[:half])
+        stream.ingest(conns.take(slice(None, half)))
         stream.score()
         path = tmp_path / "ent.json"
         save_streaming_enterprise(stream, path)
@@ -1137,7 +1143,7 @@ class TestEnterpriseCheckpoint:
         assert restored.window.events_today == stream.window.events_today
         assert restored.window.rare == stream.window.rare
 
-        restored.ingest(conns[half:])
+        restored.ingest(conns.take(slice(half, None)))
         report = restored.rollover()
         assert want.detected
         assert report.detected == want.detected
@@ -1151,7 +1157,7 @@ class TestEnterpriseCheckpoint:
         # A restored trained state starts its imputation means at zero;
         # one operated day advances them.
         day = enterprise_dataset.config.bootstrap_days
-        stream.ingest(enterprise_dataset.day_connections(day))
+        stream.ingest(enterprise_dataset.day_batch(day))
         stream.rollover()
         whois = stream.batch.extractor.whois
         assert whois._observed > 0
@@ -1186,7 +1192,7 @@ class TestEnterpriseIntelSeeding:
     ):
         plain, stream = enterprise_engine(), enterprise_engine()
         day = enterprise_dataset.config.bootstrap_days
-        conns = enterprise_dataset.day_connections(day)
+        conns = enterprise_dataset.day_batch(day)
         plain.ingest(conns)
         want = plain.rollover()
         undetected_rare = sorted(want.rare_domains - set(want.detected))

@@ -124,23 +124,23 @@ class TestEnterpriseDataset:
         assert len(offsets) > 1
 
     def test_connections_are_utc_and_folded(self, enterprise_dataset):
-        conns = enterprise_dataset.day_connections(0)
+        batch = enterprise_dataset.day_batch(0)
         day_span = (0 * 86_400.0, 2 * 86_400.0)
-        for conn in conns[:200]:
-            assert day_span[0] <= conn.timestamp < day_span[1]
-            assert conn.domain.count(".") <= 2
+        for timestamp in batch.timestamps[:200]:
+            assert day_span[0] <= timestamp < day_span[1]
+        for domain in batch.domains[:200]:
+            assert domain.count(".") <= 2
 
     def test_hostnames_resolved_from_leases(self, enterprise_dataset):
-        conns = enterprise_dataset.day_connections(0)
-        hostnames = {c.host for c in conns}
+        hostnames = set(enterprise_dataset.day_batch(0).hosts)
         model_names = {h.name for h in enterprise_dataset.model.hosts}
         assert hostnames <= model_names
 
     def test_bare_ip_destinations_dropped(self, enterprise_dataset):
         from repro.logs.domains import is_ip_address
 
-        conns = enterprise_dataset.day_connections(0)
-        assert not any(is_ip_address(c.domain) for c in conns)
+        batch = enterprise_dataset.day_batch(0)
+        assert not any(is_ip_address(domain) for domain in batch.domains)
 
     def test_leases_cover_every_host(self, enterprise_dataset):
         leases = enterprise_dataset.day_leases(0)

@@ -14,7 +14,8 @@ Usage::
 
 Unknown JSONs are skipped with a note; a known bench whose JSON is
 missing keeps its row from the ``--out`` file, so the summary stays
-writable even when only a subset of the benches was re-run.
+writable even when only a subset of the benches was re-run.  A smoke
+run (``"smoke": true``) does not replace a full run's row either.
 
 ``--e2e FILE...`` folds single-measurement result lines of the
 end-to-end benchmark (``benchmarks/e2e/run.py --workload W --trace 0``;
@@ -217,8 +218,9 @@ def build_summary(
     out_dir: pathlib.Path | None = None, previous: dict | None = None
 ) -> dict:
     """One summary document over every known bench JSON present in
-    ``out_dir`` (default :data:`OUT_DIR`); a known bench without one
-    keeps its row from ``previous``'s ``benches``."""
+    ``out_dir`` (default :data:`OUT_DIR`); a known bench without one,
+    or whose JSON is a smoke run over a full row, keeps its row from
+    ``previous``'s ``benches``."""
     out_dir = OUT_DIR if out_dir is None else out_dir
     benches: dict[str, dict] = {}
     carried = (previous or {}).get("benches", {})
@@ -235,8 +237,15 @@ def build_summary(
         if payload is None:
             continue
         summary = summarize(payload)
-        if summary is not None:
-            benches[name.removesuffix(".json")] = summary
+        if summary is None:
+            continue
+        key = name.removesuffix(".json")
+        kept = carried.get(key)
+        if summary.get("smoke") and kept is not None and not kept.get("smoke"):
+            print(f"bench_summary: {name} is a smoke run (full row kept)",
+                  file=sys.stderr)
+            summary = kept
+        benches[key] = summary
     # Metrics snapshots ride along with their bench; they are not
     # benches themselves.
     unknown = sorted(
