@@ -234,11 +234,14 @@ def dns_evasion_curve(
 # ---------------------------------------------------------------------------
 
 def trained_enterprise_world(config: EnterpriseDatasetConfig | None = None):
-    """(dataset, serialized trained state) for the proxy-path curves.
+    """(dataset, serialized trained state, benign days) for the
+    proxy-path curves.
 
     Training happens once; every trial restores a fresh detector from
     the returned state payload, so each starts from byte-identical
-    profiles.
+    profiles.  The benign days map a post-training day to its raw
+    proxy records, built by the first trial that reads the day and
+    shared by every later trial and curve over this world.
     """
     from ..state import detector_state
     from ..synthetic.fleet import train_enterprise_detector
@@ -247,16 +250,17 @@ def trained_enterprise_world(config: EnterpriseDatasetConfig | None = None):
         config or ENTERPRISE_EVAL_WORLD
     )
     detector = train_enterprise_detector(dataset)
-    return dataset, detector_state(detector)
+    return dataset, detector_state(detector), {}
 
 
 def _enterprise_trial(
-    dataset, state, campaign, strength, seed, *, metrics=None
+    world, campaign, strength, seed, *, metrics=None
 ) -> tuple[set[str], set[str]]:
     """(truth, detected) for one trial."""
     from ..state import restore_detector
     from ..streaming.enterprise import StreamingEnterpriseDetector
 
+    dataset, state, benign_days = world
     duration, horizon = campaign_horizon(campaign)
     start_day = dataset.config.total_days
     spec = AdversarialCampaignSpec(
@@ -276,9 +280,10 @@ def _enterprise_trial(
     )
     detected: set[str] = set()
     for day in range(start_day, start_day + horizon):
-        records = dataset.day_proxy_records(day) + campaign_proxy_records(
-            realized, day
-        )
+        benign = benign_days.get(day)
+        if benign is None:
+            benign = benign_days[day] = dataset.day_proxy_records(day)
+        records = benign + campaign_proxy_records(realized, day)
         # In UTC order: a record's timestamp is collector-local.
         records.sort(key=lambda r: r.timestamp - r.tz_offset_hours * 3600.0)
         resolver = dataset.resolver_for_day(day)
@@ -301,17 +306,16 @@ def enterprise_evasion_curve(
 ) -> EvasionCurve:
     """Detection-rate curve for one archetype on the proxy pipeline.
 
-    ``world`` is the (dataset, trained state) pair from
-    :func:`trained_enterprise_world`, shared across curves so the
-    expensive training step runs once.
+    ``world`` is the triple from :func:`trained_enterprise_world`,
+    shared across curves so the expensive training step runs once and
+    each benign day is generated once.
     """
     if world is None:
         world = trained_enterprise_world()
-    dataset, state = world
     return _sweep(
         campaign, "enterprise", strengths, trials, seed,
         lambda strength, trial_seed: _enterprise_trial(
-            dataset, state, campaign, strength, trial_seed, metrics=metrics
+            world, campaign, strength, trial_seed, metrics=metrics
         ),
     )
 

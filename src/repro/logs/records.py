@@ -164,6 +164,26 @@ class ConnectionBatch:
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    @classmethod
+    def from_connections(
+        cls, connections: Sequence[Connection]
+    ) -> ConnectionBatch:
+        """Pack scalar events into one batch, in order -- the inverse of
+        iterating a batch.  The first event decides whether the HTTP
+        columns exist (``None``: no field), so the events must agree on
+        which of ``user_agent`` / ``referer`` are ``None``."""
+        head = connections[0]
+        return cls(
+            [c.timestamp for c in connections],
+            [c.host for c in connections],
+            [c.domain for c in connections],
+            [c.resolved_ip for c in connections],
+            None if head.user_agent is None
+            else [c.user_agent for c in connections],
+            None if head.referer is None
+            else [c.referer for c in connections],
+        )
+
     def take(self, rows: slice | Sequence[int]) -> ConnectionBatch:
         """The batch restricted to ``rows`` (a slice, or row positions
         in the order wanted), every column alike."""

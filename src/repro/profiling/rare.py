@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -42,11 +43,28 @@ from .history import DestinationHistory
 #: small ints, so the packed key stays a machine-word int in practice.
 PAIR_SHIFT = 32
 DOMAIN_MASK = (1 << PAIR_SHIFT) - 1
-#: Pending-span size below which :meth:`DailyTraffic._finalize_pending`
-#: groups in plain Python instead of lexsorting -- the array machinery
-#: has a fixed per-call cost that only amortizes at batch-pipeline
-#: span sizes, not at streaming micro-batch polls.
-_SMALL_SPAN = 4096
+
+
+def _run_key(item: Connection | ConnectionBatch) -> object:
+    """A batch is a run of its own; connections run together while
+    their ``user_agent`` / ``referer`` stay ``None`` (or strings)."""
+    if item.__class__ is ConnectionBatch:
+        return id(item)
+    return item.user_agent is None, item.referer is None
+
+
+def _batches(
+    items: Iterable[Connection | ConnectionBatch],
+) -> Iterator[ConnectionBatch]:
+    """``items`` as columnar batches, in arrival order: a batch passes
+    through, each run of connections packs into one (a batch column is
+    all strings or ``None``, so a run ends where a field's ``None``-ness
+    switches)."""
+    for key, run in groupby(items, _run_key):
+        if key.__class__ is int:
+            yield from run
+        else:
+            yield ConnectionBatch.from_connections(list(run))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,11 +179,11 @@ class DailyTraffic:
 
         Accepts a single :class:`Connection`, one columnar
         :class:`~repro.logs.records.ConnectionBatch`, or any iterable
-        mixing the two.  Everything stages in arrival order (a batch's
-        rows count as arriving at its position) and folds through ONE
-        grouping pass, so a poll of many submitted items costs one
+        mixing the two.  Each run of consecutive connections packs into
+        one batch (:func:`_batches`), so every row stages through the
+        one columnar loop in arrival order and the call folds through
+        ONE grouping pass: a poll of many submitted items costs one
         lexsort, not one per item.  The HTTP context comes from a
-        scalar connection's ``user_agent`` / ``referer`` or from a
         batch's ``user_agents`` / ``referers`` columns; ``None`` (DNS
         events, DNS batches) means the source has no such field and
         leaves the UA/referer features untouched.  ``ua_is_rare`` is an
@@ -174,12 +192,12 @@ class DailyTraffic:
         ``rare_ua_hosts`` stays empty.  ``ua_stage`` is an optional
         ``(user_agent, host)`` callback (typically
         :meth:`UserAgentHistory.stage
-        <repro.profiling.ua.UserAgentHistory.stage>`) fed every
-        observation while its fields are already in hand, so callers
-        that must stage UA observations avoid a second per-event loop.
-        Returns an :class:`IngestDigest` describing the whole call so
-        downstream consumers (window, engine) never re-iterate the
-        events.
+        <repro.profiling.ua.UserAgentHistory.stage>`) fed each distinct
+        (UA, host) pair of a batch with a UA column while its fields
+        are already in hand, so callers that must stage UA observations
+        avoid a second per-event loop.  Returns an
+        :class:`IngestDigest` describing the whole call so downstream
+        consumers (window, engine) never re-iterate the events.
         """
         if isinstance(connections, (Connection, ConnectionBatch)):
             connections = (connections,)
@@ -193,93 +211,55 @@ class DailyTraffic:
         pair_stage: list[int] = []
         time_stage: list[float] = []
         stage_pair = pair_stage.append
-        stage_time = time_stage.append
         novel_ips: list[tuple[str, str]] = []
         ua_memo = self._ua_rare_memo
-        for conn in connections:
-            if conn.__class__ is ConnectionBatch:
-                # Columnar staging: intern row-wise, bulk-extend the
-                # timestamp column (row order keeps the two stages
-                # aligned).
-                for host, domain, ip in zip(
-                    conn.hosts, conn.domains, conn.resolved_ips
+        for batch in _batches(connections):
+            # Intern row-wise, bulk-extend the timestamp column (row
+            # order keeps the two stages aligned).
+            for host, domain, ip in zip(
+                batch.hosts, batch.domains, batch.resolved_ips
+            ):
+                h_id = host_ids.get(host)
+                if h_id is None:
+                    h_id = len(host_names)
+                    host_ids[host] = h_id
+                    host_names.append(host)
+                d_id = domain_ids.get(domain)
+                if d_id is None:
+                    d_id = len(domain_names)
+                    domain_ids[domain] = d_id
+                    domain_names.append(domain)
+                stage_pair((h_id << PAIR_SHIFT) | d_id)
+                if ip:
+                    ips = resolved_ips[domain]
+                    if ip not in ips:
+                        ips.add(ip)
+                        novel_ips.append((domain, ip))
+            time_stage += batch.timestamps
+            # HTTP context columns (proxy route; None on the DNS
+            # route), one pass per column.
+            if batch.referers is not None:
+                for referer, host, domain in zip(
+                    batch.referers, batch.hosts, batch.domains
                 ):
-                    h_id = host_ids.get(host)
-                    if h_id is None:
-                        h_id = len(host_names)
-                        host_ids[host] = h_id
-                        host_names.append(host)
-                    d_id = domain_ids.get(domain)
-                    if d_id is None:
-                        d_id = len(domain_names)
-                        domain_ids[domain] = d_id
-                        domain_names.append(domain)
-                    stage_pair((h_id << PAIR_SHIFT) | d_id)
-                    if ip:
-                        ips = resolved_ips[domain]
-                        if ip not in ips:
-                            ips.add(ip)
-                            novel_ips.append((domain, ip))
-                time_stage += conn.timestamps
-                # HTTP context columns (proxy route; None on the DNS
-                # route): the scalar branch's three updates below, one
-                # pass per column.
-                if conn.referers is not None:
-                    for referer, host, domain in zip(
-                        conn.referers, conn.hosts, conn.domains
+                    if not referer:
+                        no_referer[domain].add(host)
+            agents = batch.user_agents
+            if agents is not None:
+                if ua_is_rare is not None:
+                    for ua, host, domain in zip(
+                        agents, batch.hosts, batch.domains
                     ):
-                        if not referer:
-                            no_referer[domain].add(host)
-                agents = conn.user_agents
-                if agents is not None:
-                    if ua_is_rare is not None:
-                        for ua, host, domain in zip(
-                            agents, conn.hosts, conn.domains
-                        ):
-                            rare = ua_memo.get(ua)
-                            if rare is None:
-                                rare = ua_memo[ua] = ua_is_rare(ua)
-                            if rare:
-                                rare_ua[domain].add(host)
-                    if ua_stage is not None:
-                        # Staging is a set insert per (UA, host): once
-                        # per distinct pair, in first-seen order.
-                        for ua, host in dict.fromkeys(zip(agents, conn.hosts)):
-                            ua_stage(ua, host)
-                continue
-            host = conn.host
-            domain = conn.domain
-            h_id = host_ids.get(host)
-            if h_id is None:
-                h_id = len(host_names)
-                host_ids[host] = h_id
-                host_names.append(host)
-            d_id = domain_ids.get(domain)
-            if d_id is None:
-                d_id = len(domain_names)
-                domain_ids[domain] = d_id
-                domain_names.append(domain)
-            stage_pair((h_id << PAIR_SHIFT) | d_id)
-            stage_time(conn.timestamp)
-            ip = conn.resolved_ip
-            if ip:
-                ips = resolved_ips[domain]
-                if ip not in ips:
-                    ips.add(ip)
-                    novel_ips.append((domain, ip))
-            referer = conn.referer
-            if referer is not None and not referer:
-                no_referer[domain].add(host)
-            ua = conn.user_agent
-            if ua_is_rare is not None and ua is not None:
-                rare = ua_memo.get(ua)
-                if rare is None:
-                    rare = ua_is_rare(ua)
-                    ua_memo[ua] = rare
-                if rare:
-                    rare_ua[domain].add(host)
-            if ua_stage is not None:
-                ua_stage(ua, host)
+                        rare = ua_memo.get(ua)
+                        if rare is None:
+                            rare = ua_memo[ua] = ua_is_rare(ua)
+                        if rare:
+                            rare_ua[domain].add(host)
+                if ua_stage is not None:
+                    # Staging is a set insert per (UA, host): once per
+                    # distinct pair, in first-seen order.
+                    for ua, host in dict.fromkeys(zip(agents, batch.hosts)):
+                        ua_stage(ua, host)
         self._append_events(pair_stage, time_stage)
         return self._finalize_pending(novel_ips)
 
@@ -308,29 +288,18 @@ class DailyTraffic:
         """Merge the unfinalized event span into the sorted series and
         the scoring rows.
 
-        The span is grouped by pair -- every pair's new timestamps as
-        one sorted chunk, pairs in first-appearance order so new-pair
-        set insertions and row appends land in the order per-event
-        processing would produce -- and the chunks merge into the
-        per-pair series.  A pair's first contact is the head of its
+        One lexsort by (pair, time) groups the span -- every pair's new
+        timestamps as one sorted chunk, pairs in first-appearance order
+        so new-pair set insertions and row appends land in the order
+        per-event processing would produce -- and the chunks merge into
+        the per-pair series.  A pair's first contact is the head of its
         series, so only a chunk that starts before the head can move it
         (logged to ``rewrite_feed``).  ``novel_ips`` -- the (domain, ip)
         resolutions first seen in the span, in arrival order -- then
         fold into the subnet keys.
-
-        The grouping is picked by span size.  Batch-pipeline spans go
-        through one lexsort by (pair, time); streaming-sized spans
-        (micro-batch polls) skip the fixed per-call cost of the array
-        machinery for a plain dict-of-lists grouping, which gives the
-        same first-appearance order (dict insertion order) and the same
-        sorted chunks (per-group timsort).  Both produce identical
-        digests.
         """
         lo, hi = self._n_finalized, self._n_events
-        if hi - lo <= _SMALL_SPAN:
-            pairs, chunks = self._group_small(lo, hi)
-        else:
-            pairs, chunks = self._group_lexsort(lo, hi)
+        pairs, chunks = self._group_lexsort(lo, hi)
         series = self._series
         pair_names = self._pair_names
         hosts_by_domain = self.hosts_by_domain
@@ -406,6 +375,8 @@ class DailyTraffic:
     ) -> tuple[list[int], list[list[float]]]:
         """Array grouping of the span ``[lo, hi)``: packed pairs in
         first-appearance order and each pair's sorted timestamps."""
+        if lo == hi:
+            return [], []
         span_pair = self._ev_pair[lo:hi]
         span_time = self._ev_time[lo:hi]
         order = np.lexsort((span_time, span_pair))
@@ -426,24 +397,6 @@ class DailyTraffic:
             time_list[start:end]
             for start, end in zip(starts.tolist(), ends[appearance].tolist())
         ]
-
-    def _group_small(
-        self, lo: int, hi: int
-    ) -> tuple[list[int], list[list[float]]]:
-        """Dict-of-lists twin of :meth:`_group_lexsort` for small spans."""
-        groups: dict[int, list[float]] = {}
-        for pair, value in zip(
-            self._ev_pair[lo:hi].tolist(), self._ev_time[lo:hi].tolist()
-        ):
-            chunk = groups.get(pair)
-            if chunk is None:
-                groups[pair] = [value]
-            else:
-                chunk.append(value)
-        chunks = list(groups.values())
-        for chunk in chunks:
-            chunk.sort()
-        return list(groups), chunks
 
     def finalize(self) -> None:
         """Merge any events not yet folded into the sorted series.

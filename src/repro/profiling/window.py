@@ -79,9 +79,9 @@ class WindowedAggregator:
         traffic = self.traffic
         if self.ua_history is not None:
             # UA staging rides inside the traffic ingest (the
-            # ``ua_stage`` hook is fed from a scalar event's fields or
-            # a batch's ``user_agents`` column while they are in hand);
-            # events without HTTP context -- DNS -- stage nothing.
+            # ``ua_stage`` hook is fed from a batch's ``user_agents``
+            # column while it is in hand); events without HTTP
+            # context -- DNS -- stage nothing.
             digest = traffic.ingest(
                 connections,
                 ua_is_rare=self.ua_history.is_rare,

@@ -47,8 +47,7 @@ _LOG = get_logger("stream")
 
 #: Rows per poll of :meth:`StreamingEngineBase.ingest_lines`: a day's
 #: transient ingest memory is one chunk of raw columns, not the whole
-#: file.  Above :data:`repro.profiling.rare._SMALL_SPAN`, so every full
-#: chunk takes the lexsort grouping route.
+#: file.
 INGEST_CHUNK = 8192
 
 #: What ``submit`` / ``ingest`` accept: one event, one columnar batch,

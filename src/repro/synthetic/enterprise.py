@@ -83,7 +83,6 @@ class EnterpriseDataset:
     _rng: random.Random = field(repr=False, default=None)
     _ips: IpAllocator = field(repr=False, default=None)
     _lease_cache: dict[int, list] = field(repr=False, default_factory=dict)
-    _benign_domains: set[str] = field(repr=False, default_factory=set)
 
     # -- ground truth ----------------------------------------------------
 
@@ -98,7 +97,6 @@ class EnterpriseDataset:
         """VT oracle with partial coverage of the true malicious set."""
         return VirusTotalOracle(
             self.malicious_domains,
-            self._benign_domains,
             coverage=self.config.vt_coverage,
             seed=self.config.seed ^ 0x5EED,
         )
@@ -173,7 +171,6 @@ class EnterpriseDataset:
             lease.hostname: lease.ip for lease in self.day_leases(day)
         }
         visits = self._workload.day_visits(day)
-        self._benign_domains.update(v.domain for v in visits)
         for campaign in self.campaigns_active_on(day):
             visits = visits + self._factory.day_visits(campaign, day)
 

@@ -23,7 +23,6 @@ from document_files import written
 from repro.fleet.workers import _advance_one_day
 from repro.intel.whois_db import load_whois_file
 from repro.logs import format_dns_line
-from repro.profiling.rare import _SMALL_SPAN
 from repro.runner import run_directory
 from repro.state import encode_engine, load_detector
 from repro.streaming import StreamingDetector, StreamingEnterpriseDetector
@@ -32,8 +31,8 @@ from repro.synthetic import generate_lanl_dataset
 from repro.testing import SMALL_LANL
 
 #: 90 hosts give every day of this world between 8,192 and 12,288
-#: reduced rows: one full chunk and a last one no longer than
-#: ``_SMALL_SPAN``, so a day runs both grouping routes.
+#: reduced rows: one full chunk and a last one of at most 4,096, so a
+#: day's close must not depend on its polls' sizes.
 WIDE_LANL = replace(SMALL_LANL, n_hosts=90)
 
 
@@ -113,20 +112,16 @@ class _PollSpy:
         monkeypatch.setattr(StreamingEngineBase, "poll", spy)
 
 
-def test_every_full_chunk_takes_the_lexsort_route():
-    assert INGEST_CHUNK > _SMALL_SPAN
-
-
 def test_the_days_split_into_both_grouping_routes(wide_dir, wide_world):
     """The fixture is what the parity tests below need: more than one
-    chunk a day, a last chunk on the small-span route and a (host,
+    chunk a day, a last chunk of at most half a full one and a (host,
     domain) series on both sides of a chunk boundary."""
     for path in sorted(wide_dir.glob("dns-*.log")):
         engine = _dns_engine(wide_world)
         with path.open() as handle:
             chunks = list(engine.reader.read_lines(handle, INGEST_CHUNK))
         assert [len(c) for c in chunks[:-1]] == [INGEST_CHUNK]
-        assert 0 < len(chunks[-1]) <= _SMALL_SPAN
+        assert 0 < len(chunks[-1]) <= 4096
         first, last = (set(zip(c.hosts, c.domains)) for c in chunks)
         assert first & last
 
@@ -148,7 +143,7 @@ def test_dns_days_match_one_poll_ingest(wide_dir, wide_world):
 @pytest.mark.parity
 def test_proxy_day_matches_one_poll_ingest(mixed_fleet_layout):
     """The fleet layout's enterprise tenant: its first day is 10,667
-    proxy rows, one full chunk and a small-span one."""
+    proxy rows, one full chunk and one of at most 4,096 rows."""
     tenant = mixed_fleet_layout / "t2"
     whois = load_whois_file(mixed_fleet_layout / "intel" / "whois.json")
     path = tenant / "proxy-march-01.log"
@@ -162,7 +157,7 @@ def test_proxy_day_matches_one_poll_ingest(mixed_fleet_layout):
         sizes = [
             len(c) for c in engine().reader.read_lines(handle, INGEST_CHUNK)
         ]
-    assert sizes[0] == INGEST_CHUNK and 0 < sizes[-1] <= _SMALL_SPAN
+    assert sizes[0] == INGEST_CHUNK and 0 < sizes[-1] <= 4096
     want = _days(engine(), _ingest_in_one_poll, [path], bootstrap=0)
     got = _days(engine(), _ingest_chunked, [path], bootstrap=0)
     assert got == want

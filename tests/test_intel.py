@@ -23,14 +23,8 @@ class TestVirusTotalOracle:
         assert 30 <= len(a.reported_domains) <= 90
 
     def test_benign_never_reported_without_fp_rate(self):
-        oracle = VirusTotalOracle(["mal.com"], ["ok.com"], coverage=1.0)
+        oracle = VirusTotalOracle(["mal.com"], coverage=1.0)
         assert not oracle.is_reported("ok.com")
-
-    def test_false_report_rate(self):
-        benign = [f"ok{i}.com" for i in range(200)]
-        oracle = VirusTotalOracle([], benign, false_report_rate=0.5, seed=1)
-        reported = sum(oracle.is_reported(d) for d in benign)
-        assert 50 <= reported <= 150
 
     def test_label_strings(self):
         oracle = VirusTotalOracle(["a.com"], coverage=1.0)
@@ -40,10 +34,6 @@ class TestVirusTotalOracle:
     def test_invalid_coverage_rejected(self):
         with pytest.raises(ValueError):
             VirusTotalOracle([], coverage=1.5)
-
-    def test_invalid_fp_rate_rejected(self):
-        with pytest.raises(ValueError):
-            VirusTotalOracle([], false_report_rate=-0.1)
 
 
 class TestIocList:

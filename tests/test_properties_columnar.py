@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
+from itertools import groupby
 
 import pytest
 from document_files import reloaded
@@ -27,7 +29,6 @@ from repro.logs.domains import subnet_key
 from repro.logs.records import Connection, ConnectionBatch
 from repro.profiling import DestinationHistory
 from repro.profiling.rare import (
-    _SMALL_SPAN,
     DOMAIN_MASK,
     PAIR_SHIFT,
     DailyTraffic,
@@ -110,6 +111,22 @@ event_rows = st.lists(
 )
 
 
+# The HTTP context of a row: ``None`` (no such field, as on the DNS
+# route), a blank field, or a value -- a popular and a rare UA.
+http_event_rows = st.lists(
+    st.tuples(
+        st.one_of(fine_times, coarse_times),
+        st.sampled_from(_HOSTS),
+        st.sampled_from(_DOMAINS),
+        st.sampled_from(_IPS),
+        st.sampled_from((None, "", "Corp/36.1", "Odd/0.1")),
+        st.sampled_from((None, "", "https://portal.example/")),
+    ),
+    min_size=0,
+    max_size=60,
+)
+
+
 def _column_batch(rows) -> ConnectionBatch:
     return ConnectionBatch(
         [r[0] for r in rows],
@@ -117,6 +134,50 @@ def _column_batch(rows) -> ConnectionBatch:
         [r[2] for r in rows],
         [r[3] for r in rows],
     )
+
+
+def _http_column_batches(rows) -> list[ConnectionBatch]:
+    """``rows`` as columnar batches: a UA or referer column holds
+    strings or is ``None`` whole, so each run of rows alike in which of
+    the two fields are ``None`` is one batch."""
+    batches = []
+    for (no_ua, no_referer), run in groupby(
+        rows, lambda row: (row[4] is None, row[5] is None)
+    ):
+        times, hosts, domains, ips, agents, referers = map(list, zip(*run))
+        batches.append(ConnectionBatch(
+            times, hosts, domains, ips,
+            None if no_ua else agents,
+            None if no_referer else referers,
+        ))
+    return batches
+
+
+def _assert_http_context_matches_definition(
+    window: WindowedAggregator, rows
+) -> None:
+    """``no_referer_hosts`` holds the rows with a blank referer,
+    ``rare_ua_hosts`` those whose UA (blank included) is rare, and the
+    UA history stages every non-blank (UA, host); a ``None`` field
+    touches none of them."""
+    ua_history = window.ua_history
+    no_referer: dict[str, set[str]] = defaultdict(set)
+    rare_ua: dict[str, set[str]] = defaultdict(set)
+    staged: set[tuple[str, str]] = set()
+    for _, host, domain, _, agent, referer in rows:
+        if referer == "":
+            no_referer[domain].add(host)
+        if agent is not None and ua_history.is_rare(agent):
+            rare_ua[domain].add(host)
+        if agent:
+            staged.add((agent, host))
+    assert window.traffic.no_referer_hosts == no_referer
+    assert window.traffic.rare_ua_hosts == rare_ua
+    assert {
+        (agent, host)
+        for agent, hosts in ua_history._pending.items()
+        for host in hosts
+    } == staged
 
 
 def _assert_same_traffic(left: DailyTraffic, right: DailyTraffic) -> None:
@@ -186,7 +247,7 @@ def _scoring_rows(traffic: DailyTraffic):
 
 class TestColumnarIngestParity:
     @given(
-        event_rows,
+        http_event_rows,
         st.integers(min_value=1, max_value=9),
         st.booleans(),
         st.randoms(use_true_random=False),
@@ -197,39 +258,47 @@ class TestColumnarIngestParity:
     ):
         """One bulk ingest == per-record ingest == mixed chunked ingest
         (alternating columnar batches and scalar records) of the rows
-        in any other order."""
-        whole = DailyTraffic(0)
-        whole.ingest([Connection(*row) for row in rows])
-        whole.finalize()
+        in any other order, HTTP context (UA/referer: ``None``, blank
+        or a value) included."""
+        def window():
+            return WindowedAggregator(
+                0, DestinationHistory(), ua_history=_ua_history()
+            )
 
-        single = DailyTraffic(0)
+        whole = window()
+        whole.ingest([Connection(*row) for row in rows])
+
+        single = window()
         for row in rows:
             single.ingest(Connection(*row))
-        single.finalize()
 
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        mixed = DailyTraffic(0)
+        mixed = window()
         for index, lo in enumerate(range(0, len(shuffled), chunk)):
             part = shuffled[lo:lo + chunk]
             if batch_first == (index % 2 == 0):
-                mixed.ingest(_column_batch(part))
+                mixed.ingest(_http_column_batches(part))
             else:
                 for row in part:
                     mixed.ingest(Connection(*row))
-        mixed.finalize()
 
-        _assert_same_traffic(whole, single)
-        _assert_same_traffic(whole, mixed)
-        for traffic in (whole, single, mixed):
-            _assert_rows_match_definition(traffic)
+        for other in (single, mixed):
+            _assert_same_traffic(whole.traffic, other.traffic)
+        for agg in (whole, single, mixed):
+            agg.traffic.finalize()
+            _assert_rows_match_definition(agg.traffic)
+            _assert_http_context_matches_definition(agg, rows)
+        assert list(whole.ua_history._pending) == list(
+            single.ua_history._pending
+        )
 
     def test_finalize_paths_agree_across_small_span_boundary(self):
-        """Spans above ``_SMALL_SPAN`` group via NumPy lexsort, spans
-        below via the pure-Python dict pass -- one day built each way
-        must be identical."""
+        """A day of more than 4,096 events ingested as one batch is the
+        same day ingested in 256-event polls of scalar records: the
+        grouping does not depend on the span's size."""
         rng = random.Random(20150614)
-        n = _SMALL_SPAN + 512
+        n = 4096 + 512
         rows = [
             (
                 float(rng.randrange(0, 86_400)),
