@@ -30,12 +30,11 @@ def collect_rows(evaluation):
     vt = evaluation.virustotal
     detector = evaluation.detector
     for op_day in evaluation.days:
-        for domain, hosts in sorted(op_day.auto_hosts.items()):
-            features = detector.extractor.cc_features(
-                domain, op_day.traffic, hosts, op_day.when
-            )
-            rows.append(features.as_vector())
-            labels.append(1.0 if vt.is_reported(domain) else 0.0)
+        domains = sorted(op_day.auto_hosts)
+        rows.extend(detector.extractor.cc_feature_matrix(
+            domains, op_day.traffic, op_day.auto_hosts, op_day.when
+        ).tolist())
+        labels.extend(1.0 if vt.is_reported(d) else 0.0 for d in domains)
     return rows, labels
 
 

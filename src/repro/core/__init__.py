@@ -13,7 +13,7 @@ from .scoring import (
     AdditiveSimilarityScorer,
     RegressionCCScorer,
     RegressionSimilarityScorer,
-    multi_host_beacon_heuristic,
+    multi_host_cc_scores,
 )
 
 __all__ = [
@@ -32,5 +32,5 @@ __all__ = [
     "AdditiveSimilarityScorer",
     "RegressionCCScorer",
     "RegressionSimilarityScorer",
-    "multi_host_beacon_heuristic",
+    "multi_host_cc_scores",
 ]

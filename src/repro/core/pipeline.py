@@ -121,7 +121,8 @@ class EnterpriseDetector:
             ua_history=self.ua_history,
         )
 
-        cc_rows: list[tuple[Sequence[float], float]] = []
+        cc_rows: list[list[float]] = []
+        cc_labels: list[float] = []
         sim_rows: list[tuple[Sequence[float], float]] = []
         for index, (day, batch) in enumerate(ordered):
             window.open_day(day)
@@ -132,12 +133,13 @@ class EnterpriseDetector:
                 auto_hosts = automated_hosts_by_domain(
                     self.automation.automated_pairs(traffic.rare_series(rare))
                 )
-                for domain in sorted(auto_hosts):
-                    features = self.extractor.cc_features(
-                        domain, traffic, auto_hosts[domain], when
-                    )
-                    label = 1.0 if virustotal.is_reported(domain) else 0.0
-                    cc_rows.append((features.as_vector(), label))
+                domains = sorted(auto_hosts)
+                cc_rows.extend(self.extractor.cc_feature_matrix(
+                    domains, traffic, auto_hosts, when
+                ).tolist())
+                cc_labels.extend(
+                    1.0 if virustotal.is_reported(d) else 0.0 for d in domains
+                )
                 sim_rows.extend(self._similarity_samples(
                     traffic, rare, auto_hosts, virustotal, when
                 ))
@@ -148,10 +150,8 @@ class EnterpriseDetector:
         self.report.ua_count = len(self.ua_history)
 
         if len(cc_rows) >= len(CC_FEATURE_NAMES) + 2:
-            matrix = [row for row, _ in cc_rows]
-            labels = [label for _, label in cc_rows]
             model = fit_linear_model(
-                CC_FEATURE_NAMES, matrix, labels,
+                CC_FEATURE_NAMES, cc_rows, cc_labels,
                 ridge=self.config.regression_ridge,
             )
             self.cc_scorer = RegressionCCScorer(

@@ -5,8 +5,8 @@ Two interchangeable scorer families plug into belief propagation:
 * :class:`RegressionCCScorer` / :class:`RegressionSimilarityScorer` --
   the enterprise path (Sections IV-C, IV-D): features weighted by a
   trained linear model.
-* :class:`AdditiveSimilarityScorer` and
-  :func:`multi_host_beacon_heuristic` -- the LANL path (Section V-B),
+* :class:`AdditiveSimilarityScorer` and :func:`multi_host_cc_scores`
+  -- the LANL path (Section V-B),
   where registration and HTTP features do not exist and training data
   is too scarce for regression: a normalized additive score over
   connectivity, timing and IP proximity, and the "two hosts beaconing
@@ -50,22 +50,11 @@ class RegressionCCScorer:
         self,
         model: LinearModel,
         extractor: FeatureExtractor,
-        threshold: float = 0.4,
+        threshold: float,
     ) -> None:
         self.model = model
         self.extractor = extractor
         self.threshold = threshold
-
-    def score(
-        self,
-        domain: str,
-        traffic: DailyTraffic,
-        automated_hosts: set[str],
-        when: float,
-    ) -> float:
-        """Regression C&C score for a domain's automated hosts at ``when``."""
-        features = self.extractor.cc_features(domain, traffic, automated_hosts, when)
-        return self.model.score(features.as_vector())
 
     def score_automated(
         self,
@@ -78,12 +67,10 @@ class RegressionCCScorer:
         at or above :attr:`threshold` are the day's potential C&C.
 
         Builds one feature matrix
-        (:meth:`~repro.features.extract.FeatureExtractor.cc_feature_matrix`)
+        (:meth:`~repro.features.extract.FeatureExtractor.cc_feature_matrix`,
+        the matrix training fits the model on, in the same row order)
         and scores it column-wise
-        (:meth:`~repro.features.regression.LinearModel.score_many`);
-        both steps are documented bit-identical to the per-domain
-        :meth:`score` loop in that order, including the WHOIS
-        imputation state evolution.
+        (:meth:`~repro.features.regression.LinearModel.score_many`).
         """
         auto_hosts = automated_hosts_by_domain(verdicts)
         if not auto_hosts:
@@ -373,8 +360,8 @@ class SimilarityIndexState:
             m = self.traffic.domain_id(name)
             if m is None or m in self._mal_ids:
                 # Domains with no traffic today contribute no hosts,
-                # timestamps or IPs -- exactly the legacy scorers'
-                # empty-set behaviour.
+                # timestamps or IPs -- exactly the per-domain
+                # reference scorers' empty-set behaviour.
                 continue
             self._mal_ids.add(m)
             self._absorb_id(m)
@@ -567,76 +554,47 @@ class BatchedSimilarityScorer:
         }
 
 
-def group_verdicts_by_domain(
-    verdicts: Iterable[AutomationVerdict],
-) -> dict[str, list[AutomationVerdict]]:
-    """Automation verdicts grouped by domain, insertion-ordered.
-
-    :func:`multi_host_beacon_heuristic` filters its ``verdicts``
-    argument down to one domain; callers testing every automated
-    domain should group once and pass each domain's slice instead of
-    re-scanning the full verdict list per domain
-    (O(domains x verdicts))."""
-    by_domain: dict[str, list[AutomationVerdict]] = {}
-    for verdict in verdicts:
-        by_domain.setdefault(verdict.domain, []).append(verdict)
-    return by_domain
-
-
 #: Fewest distinct same-day hosts that must beacon to a rare domain
 #: before the LANL heuristic can call it C&C (Section V-B).  The DNS
 #: streaming engine reads the same constant as the floor below which a
 #: (host, domain) automation verdict cannot reach a detection.
 MULTI_HOST_MIN_HOSTS = 2
 
-
-def multi_host_beacon_heuristic(
-    domain: str,
-    verdicts: Sequence[AutomationVerdict],
-    *,
-    sync_window: float = 10.0,
-    min_hosts: int = MULTI_HOST_MIN_HOSTS,
-) -> bool:
-    """LANL C&C heuristic (Section V-B).
-
-    A rare automated domain is potential C&C when at least ``min_hosts``
-    distinct hosts beacon to it *at similar time periods* -- their
-    inferred periods differ by at most ``sync_window`` seconds.  This
-    works on LANL because every simulated campaign infects multiple
-    hosts; the enterprise regression scorer handles the single-host
-    case.
-    """
-    periods = [
-        v.period for v in verdicts if v.domain == domain and v.automated
-    ]
-    if len(periods) < min_hosts:
-        return False
-    periods.sort()
-    # Any pair within the window qualifies; with sorted periods the
-    # closest pairs are adjacent.
-    return any(
-        later - earlier <= sync_window
-        for earlier, later in zip(periods, periods[1:])
-    )
-
-
-def multi_host_cc_domains(verdicts: Iterable[AutomationVerdict]) -> set[str]:
-    """The DNS path's whole C&C stage: the domains of a day's
-    automation verdicts that pass :func:`multi_host_beacon_heuristic`."""
-    return {
-        domain
-        for domain, domain_verdicts
-        in group_verdicts_by_domain(verdicts).items()
-        if multi_host_beacon_heuristic(domain, domain_verdicts)
-    }
+#: Largest difference, in seconds, between two hosts' inferred beacon
+#: periods that still counts as beaconing "at similar time periods".
+MULTI_HOST_SYNC_WINDOW = 10.0
 
 
 def multi_host_cc_scores(
     verdicts: Iterable[AutomationVerdict],
 ) -> dict[str, float]:
-    """The DNS path's C&C stage: :func:`multi_host_cc_domains`, each
-    at 1.0 since the heuristic gives no score."""
-    return dict.fromkeys(multi_host_cc_domains(verdicts), 1.0)
+    """The DNS path's whole C&C stage (Section V-B), each domain at 1.0
+    since the heuristic gives no score; keys in sorted-name order.
+
+    A rare automated domain is potential C&C when at least
+    :data:`MULTI_HOST_MIN_HOSTS` distinct hosts beacon to it *at
+    similar time periods* -- two of their inferred periods differ by at
+    most :data:`MULTI_HOST_SYNC_WINDOW` seconds.  This works on LANL
+    because every simulated campaign infects multiple hosts; the
+    enterprise regression scorer handles the single-host case.
+    """
+    periods_by_domain: dict[str, list[float]] = {}
+    for verdict in verdicts:
+        if verdict.automated:
+            periods_by_domain.setdefault(verdict.domain, []).append(
+                verdict.period
+            )
+    cc: list[str] = []
+    for domain, periods in periods_by_domain.items():
+        periods.sort()
+        # Any pair within the window qualifies; with sorted periods the
+        # closest pairs are adjacent.
+        if len(periods) >= MULTI_HOST_MIN_HOSTS and any(
+            later - earlier <= MULTI_HOST_SYNC_WINDOW
+            for earlier, later in zip(periods, periods[1:])
+        ):
+            cc.append(domain)
+    return dict.fromkeys(sorted(cc), 1.0)
 
 
 def automated_hosts_by_domain(

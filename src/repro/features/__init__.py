@@ -3,7 +3,6 @@
 from .extract import (
     CC_FEATURE_NAMES,
     SIMILARITY_FEATURE_NAMES,
-    CandCFeatures,
     FeatureExtractor,
     SimilarityFeatures,
     scale_count,
@@ -26,7 +25,6 @@ from .whois import (
 __all__ = [
     "CC_FEATURE_NAMES",
     "SIMILARITY_FEATURE_NAMES",
-    "CandCFeatures",
     "FeatureExtractor",
     "SimilarityFeatures",
     "scale_count",

@@ -82,29 +82,6 @@ def timing_closeness(gap_seconds: float | None) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class CandCFeatures:
-    """Feature vector for scoring one rare automated domain."""
-
-    domain: str
-    no_hosts: float
-    auto_hosts: float
-    no_ref: float
-    rare_ua: float
-    dom_age: float
-    dom_validity: float
-
-    def as_vector(self) -> tuple[float, ...]:
-        return (
-            self.no_hosts,
-            self.auto_hosts,
-            self.no_ref,
-            self.rare_ua,
-            self.dom_age,
-            self.dom_validity,
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class SimilarityFeatures:
     """Feature vector for one rare domain vs. the labeled-malicious set."""
 
@@ -159,30 +136,6 @@ class FeatureExtractor:
 
     # -- C&C features (IV-C) --------------------------------------------
 
-    def cc_features(
-        self,
-        domain: str,
-        traffic: DailyTraffic,
-        automated_hosts: set[str],
-        when: float,
-    ) -> CandCFeatures:
-        """Six-feature vector for a rare automated domain.
-
-        ``automated_hosts`` is the set of hosts whose connections to
-        ``domain`` the timing detector labeled automated.
-        """
-        hosts = traffic.hosts_by_domain.get(domain, set())
-        registration = self._registration(domain, when)
-        return CandCFeatures(
-            domain=domain,
-            no_hosts=scale_count(len(hosts)),
-            auto_hosts=scale_count(len(automated_hosts & hosts)),
-            no_ref=self._fraction(traffic.no_referer_hosts.get(domain), hosts),
-            rare_ua=self._fraction(traffic.rare_ua_hosts.get(domain), hosts),
-            dom_age=registration.dom_age,
-            dom_validity=registration.dom_validity,
-        )
-
     def cc_feature_matrix(
         self,
         domains: Sequence[str],
@@ -192,15 +145,15 @@ class FeatureExtractor:
     ) -> np.ndarray:
         """One (n_domains, 6) C&C feature matrix for a day's candidates.
 
-        Row ``i`` holds exactly :meth:`cc_features` of ``domains[i]``
-        (same scalar expressions, written straight into the matrix), so
-        scoring the matrix with
-        :meth:`~repro.features.regression.LinearModel.score_many` is
-        bit-identical to scoring each domain alone.  Rows are built in
-        the given ``domains`` order because :meth:`_registration`
-        advances the WHOIS imputation counters per lookup -- callers
-        must pass the same order the per-domain loop used
-        (``sorted(auto_hosts)`` in Detect_C&C).
+        Row ``i`` holds the :data:`CC_FEATURE_NAMES` features of
+        ``domains[i]``, whose automated hosts are
+        ``automated_hosts[domains[i]]``.  This is the one place the six
+        features are built: training's labeled rows and every
+        ``Detect_C&C`` scoring
+        (:meth:`~repro.core.scoring.RegressionCCScorer.score_automated`)
+        read it.  Rows are built in the given ``domains`` order because
+        :meth:`_registration` advances the WHOIS imputation counters
+        per lookup; both callers pass ``sorted(auto_hosts)``.
         """
         matrix = np.empty((len(domains), len(CC_FEATURE_NAMES)))
         hosts_by_domain = traffic.hosts_by_domain

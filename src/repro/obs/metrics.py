@@ -1,9 +1,9 @@
 """Dependency-free metrics plane: registry, spans, mergeable snapshots.
 
-The reproduction runs as one streaming engine, a threaded fleet, or a
-resident multi-process fleet; all three need the same answers — where
-do events and time go? — without adding a dependency or slowing the
-hot path.  This module provides:
+The reproduction runs as one streaming engine or as a resident
+multi-process fleet; both need the same answers — where do events and
+time go? — without adding a dependency or slowing the hot path.  This
+module provides:
 
 * :class:`MetricsRegistry` — process-local home of counters, gauges
   and fixed-bucket histograms, plus ``span(name)`` context-manager

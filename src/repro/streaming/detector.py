@@ -52,8 +52,8 @@ from .incremental import WarmStartConfig
 class StreamingDetector(StreamingEngineBase):
     """Online DNS-path detector with checkpointable mid-day state."""
 
-    #: :func:`~repro.core.scoring.multi_host_beacon_heuristic` needs
-    #: this many hosts beaconing to a domain before it can fire.
+    #: :func:`~repro.core.scoring.multi_host_cc_scores` needs this many
+    #: hosts beaconing to a domain before it can call it C&C.
     cc_min_hosts = MULTI_HOST_MIN_HOSTS
 
     def __init__(

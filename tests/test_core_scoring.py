@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core import AdditiveSimilarityScorer, multi_host_beacon_heuristic
-from repro.core.scoring import RegressionCCScorer, RegressionSimilarityScorer
+from repro.core import AdditiveSimilarityScorer, multi_host_cc_scores
+from repro.core.scoring import (
+    MULTI_HOST_SYNC_WINDOW,
+    RegressionCCScorer,
+    RegressionSimilarityScorer,
+)
 from repro.features import CC_FEATURE_NAMES, FeatureExtractor, fit_linear_model
 from repro.features.extract import SIMILARITY_FEATURE_NAMES
 from repro.logs import Connection
@@ -83,26 +87,31 @@ class TestAdditiveScorer:
 class TestMultiHostBeaconHeuristic:
     def test_two_synced_hosts_fire(self):
         verdicts = [verdict("h1", "cc.c3", 600.0), verdict("h2", "cc.c3", 605.0)]
-        assert multi_host_beacon_heuristic("cc.c3", verdicts)
+        assert multi_host_cc_scores(verdicts) == {"cc.c3": 1.0}
 
     def test_single_host_does_not_fire(self):
         verdicts = [verdict("h1", "cc.c3", 600.0)]
-        assert not multi_host_beacon_heuristic("cc.c3", verdicts)
+        assert multi_host_cc_scores(verdicts) == {}
 
     def test_desynced_periods_do_not_fire(self):
         verdicts = [verdict("h1", "cc.c3", 600.0), verdict("h2", "cc.c3", 900.0)]
-        assert not multi_host_beacon_heuristic("cc.c3", verdicts)
+        assert multi_host_cc_scores(verdicts) == {}
 
     def test_non_automated_verdicts_ignored(self):
         verdicts = [
             verdict("h1", "cc.c3", 600.0),
             verdict("h2", "cc.c3", 602.0, automated=False),
         ]
-        assert not multi_host_beacon_heuristic("cc.c3", verdicts)
+        assert multi_host_cc_scores(verdicts) == {}
 
     def test_other_domains_ignored(self):
-        verdicts = [verdict("h1", "other.c3", 600.0), verdict("h2", "other.c3", 601.0)]
-        assert not multi_host_beacon_heuristic("cc.c3", verdicts)
+        """Hosts beaconing to different domains never pair up."""
+        verdicts = [
+            verdict("h1", "other.c3", 600.0),
+            verdict("h2", "other.c3", 601.0),
+            verdict("h3", "cc.c3", 600.0),
+        ]
+        assert multi_host_cc_scores(verdicts) == {"other.c3": 1.0}
 
     def test_three_hosts_any_close_pair(self):
         verdicts = [
@@ -110,7 +119,31 @@ class TestMultiHostBeaconHeuristic:
             verdict("h2", "cc.c3", 500.0),
             verdict("h3", "cc.c3", 506.0),
         ]
-        assert multi_host_beacon_heuristic("cc.c3", verdicts)
+        assert multi_host_cc_scores(verdicts) == {"cc.c3": 1.0}
+
+    def test_periods_exactly_the_window_apart_fire(self):
+        verdicts = [
+            verdict("h1", "cc.c3", 600.0),
+            verdict("h2", "cc.c3", 600.0 + MULTI_HOST_SYNC_WINDOW),
+        ]
+        assert multi_host_cc_scores(verdicts) == {"cc.c3": 1.0}
+
+    def test_periods_just_past_the_window_do_not_fire(self):
+        verdicts = [
+            verdict("h1", "cc.c3", 600.0),
+            verdict("h2", "cc.c3", 600.0 + MULTI_HOST_SYNC_WINDOW + 1e-9),
+        ]
+        assert multi_host_cc_scores(verdicts) == {}
+
+    def test_keys_come_out_sorted(self):
+        names = ["zz.c3", "aa.c3", "mm.c3", "bb.c3"]
+        verdicts = [
+            verdict(host, name, 600.0 + offset)
+            for name in names
+            for host, offset in (("h1", 0.0), ("h2", 1.0))
+        ]
+        assert list(multi_host_cc_scores(verdicts)) == sorted(names)
+        assert list(multi_host_cc_scores(reversed(verdicts))) == sorted(names)
 
 
 class TestRegressionScorers:
@@ -139,8 +172,11 @@ class TestRegressionScorers:
             ua_is_rare=lambda ua: True,
         )
         traffic.finalize()
-        score = scorer.score("d.ru", traffic, {"h1"}, 0.0)
-        assert score > 0.4
+        scores = scorer.score_automated(
+            [verdict("h1", "d.ru", 60.0)], traffic, 0.0
+        )
+        assert list(scores) == ["d.ru"]
+        assert scores["d.ru"] > 0.4
 
     def test_similarity_scorer_wraps_model(self):
         rows = [[0.1, t, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5] for t in (0.0, 1.0)] * 4

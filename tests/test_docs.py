@@ -420,12 +420,31 @@ class TestOneDayLoop:
                           cli) == []
 
     def test_dns_cc_stage_is_written_once(self):
-        uses = self._lines_with(
-            r"(group_verdicts_by_domain|multi_host_beacon_heuristic)\("
-        )
-        assert sorted(uses) == ["core/scoring.py"]
-        # Two definitions and the one place that combines them.
-        assert len(uses["core/scoring.py"]) == 4
+        """The DNS path's ``Detect_C&C`` (V-B) is one function, called
+        by the engine's ``_cc_scores`` hook and by ``runner``'s stage
+        for a day outside an engine; the per-domain and grouped forms
+        it replaced are gone, not aliased."""
+        definitions = self._lines_with(r"^\s*def multi_host_cc_scores\(")
+        assert definitions == {
+            "core/scoring.py": ["def multi_host_cc_scores("]
+        }
+        assert self._callers("multi_host_cc_scores") == [
+            "runner.py:detect_on_traffic",
+            "streaming/detector.py:StreamingDetector._cc_scores",
+        ]
+        assert self._files_matching(
+            r"multi_host_(beacon_heuristic|cc_domains)|group_verdicts_by_"
+        ) == []
+
+    def test_proxy_cc_features_are_built_once(self):
+        """The proxy path's six C&C features (IV-C) are built only by
+        ``cc_feature_matrix``: training's labeled rows and every
+        ``Detect_C&C`` scoring read the same matrix."""
+        assert self._callers("cc_feature_matrix") == [
+            "core/pipeline.py:EnterpriseDetector.train",
+            "core/scoring.py:RegressionCCScorer.score_automated",
+        ]
+        assert self._files_matching(r"cc_features\(|CandC\w") == []
 
     def test_the_automation_test_is_written_once(self):
         """One dynamic histogram: every end of day and every intra-day

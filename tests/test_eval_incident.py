@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import LANL_CONFIG
 from repro.core.dayloop import detect_day
-from repro.core.scoring import AdditiveSimilarityScorer, multi_host_cc_domains
+from repro.core.scoring import AdditiveSimilarityScorer, multi_host_cc_scores
 from repro.eval import LanlChallengeSolver, build_incident
 from repro.intel import VirusTotalOracle
 
@@ -35,7 +35,7 @@ class TestBuildIncident:
         seeded = detect_day(
             context.traffic,
             context.rare,
-            cc=multi_host_cc_domains(verdicts),
+            cc=set(multi_host_cc_scores(verdicts)),
             new_scorer=partial(
                 AdditiveSimilarityScorer().frontier_scorer, context.traffic
             ),

@@ -8,9 +8,11 @@ from repro.features import (
     CC_FEATURE_NAMES,
     SIMILARITY_FEATURE_NAMES,
     FeatureExtractor,
+    WhoisFeatureExtractor,
     scale_count,
     timing_closeness,
 )
+from repro.intel.whois_db import WhoisDatabase
 from repro.logs import Connection
 from repro.profiling import DailyTraffic, UserAgentHistory
 
@@ -54,45 +56,53 @@ class TestScalars:
         assert timing_closeness(-600.0) == timing_closeness(600.0)
 
 
+def cc_row(traffic, automated=(), extractor=None, domain="d.com"):
+    """One domain's row of the day's C&C feature matrix, by name."""
+    extractor = extractor or FeatureExtractor()
+    matrix = extractor.cc_feature_matrix(
+        [domain], traffic, {domain: set(automated)}, 0.0
+    )
+    return dict(zip(CC_FEATURE_NAMES, matrix[0].tolist()))
+
+
 class TestCcFeatures:
     def test_vector_order_matches_names(self):
         traffic = build_traffic([conn("h1", "d.com")])
-        extractor = FeatureExtractor()
-        features = extractor.cc_features("d.com", traffic, set(), when=0.0)
-        assert len(features.as_vector()) == len(CC_FEATURE_NAMES)
+        matrix = FeatureExtractor().cc_feature_matrix(
+            ["d.com"], traffic, {"d.com": set()}, when=0.0
+        )
+        assert matrix.shape == (1, len(CC_FEATURE_NAMES))
 
     def test_no_hosts_counts_contacting_hosts(self):
         traffic = build_traffic([conn("h1", "d.com"), conn("h2", "d.com")])
-        features = FeatureExtractor().cc_features("d.com", traffic, set(), 0.0)
-        assert features.no_hosts == pytest.approx(0.2)
+        features = cc_row(traffic)
+        assert features["no_hosts"] == pytest.approx(0.2)
 
     def test_auto_hosts_intersects_with_contacting(self):
         traffic = build_traffic([conn("h1", "d.com"), conn("h2", "d.com")])
-        features = FeatureExtractor().cc_features(
-            "d.com", traffic, {"h1", "h9"}, 0.0
-        )
-        assert features.auto_hosts == pytest.approx(0.1)
+        features = cc_row(traffic, automated={"h1", "h9"})
+        assert features["auto_hosts"] == pytest.approx(0.1)
 
     def test_no_ref_fraction(self):
         traffic = build_traffic(
             [conn("h1", "d.com", referer=""), conn("h2", "d.com")]
         )
-        features = FeatureExtractor().cc_features("d.com", traffic, set(), 0.0)
-        assert features.no_ref == pytest.approx(0.5)
+        features = cc_row(traffic)
+        assert features["no_ref"] == pytest.approx(0.5)
 
     def test_rare_ua_fraction(self):
         traffic = build_traffic(
             [conn("h1", "d.com", ua="Weird/1"), conn("h2", "d.com")],
             rare_uas={"Weird/1"},
         )
-        features = FeatureExtractor().cc_features("d.com", traffic, set(), 0.0)
-        assert features.rare_ua == pytest.approx(0.5)
+        features = cc_row(traffic)
+        assert features["rare_ua"] == pytest.approx(0.5)
 
     def test_without_whois_registration_is_neutral(self):
         traffic = build_traffic([conn("h1", "d.com")])
-        features = FeatureExtractor().cc_features("d.com", traffic, set(), 0.0)
-        assert features.dom_age == 0.5
-        assert features.dom_validity == 0.5
+        features = cc_row(traffic)
+        assert features["dom_age"] == 0.5
+        assert features["dom_validity"] == 0.5
 
     def test_ua_history_integration(self):
         history = UserAgentHistory(rare_max_hosts=2)
@@ -103,8 +113,37 @@ class TestCcFeatures:
             ua_is_rare=history.is_rare,
         )
         traffic.finalize()
-        features = FeatureExtractor(history).cc_features("d.com", traffic, set(), 0.0)
-        assert features.rare_ua == pytest.approx(0.5)
+        features = cc_row(traffic, extractor=FeatureExtractor(history))
+        assert features["rare_ua"] == pytest.approx(0.5)
+
+    def test_whois_imputation_advances_in_row_order(self):
+        """Rows are built in the given order, so a two-domain matrix
+        leaves the WHOIS imputation state exactly where two sequential
+        lookups in that order leave it -- the unregistered first row is
+        imputed before the registered second row is observed."""
+        day = 86_400.0
+        db = WhoisDatabase()
+        db.register("young.ru", registered=-30 * day, expires=365 * day)
+        traffic = build_traffic(
+            [conn("h1", "ghost.info"), conn("h2", "young.ru")]
+        )
+        domains = ["ghost.info", "young.ru"]
+        extractor = FeatureExtractor(whois=WhoisFeatureExtractor(db))
+        matrix = extractor.cc_feature_matrix(
+            domains, traffic, {d: set() for d in domains}, 0.0
+        )
+        reference = WhoisFeatureExtractor(db)
+        lookups = [reference.extract(d, 0.0) for d in domains]
+        assert matrix[:, 4:].tolist() == [
+            [r.dom_age, r.dom_validity] for r in lookups
+        ]
+        assert matrix[0, 4:].tolist() == [0.5, 0.5]
+        assert matrix[1, 4:].tolist() != [0.5, 0.5]
+        whois = extractor.whois
+        assert (whois._age_sum, whois._validity_sum, whois._observed) == (
+            reference._age_sum, reference._validity_sum, reference._observed
+        )
+        assert whois.impute_defaults() == reference.impute_defaults()
 
 
 class TestSimilarityFeatures:

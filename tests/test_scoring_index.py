@@ -30,9 +30,6 @@ from repro.core.scoring import (
     RegressionCCScorer,
     RegressionSimilarityScorer,
     SimilarityStats,
-    group_verdicts_by_domain,
-    multi_host_beacon_heuristic,
-    multi_host_cc_domains,
 )
 from repro.features.extract import SIMILARITY_FEATURE_NAMES, FeatureExtractor
 from repro.features.regression import LinearModel
@@ -424,34 +421,6 @@ def test_bp_views_match_legacy_maps():
     # Memoized reads are stable.
     for host in traffic.domains_by_host:
         assert host_rdom[host] is host_rdom[host]
-
-
-@pytest.mark.parity
-def test_grouped_beacon_heuristic_matches_full_scan():
-    """Per-domain verdict slices give the same C&C set as rescanning
-    the full verdict list for every domain."""
-    for seed in range(6):
-        rng = random.Random(42 + seed)
-        history = DestinationHistory()
-        connections = _random_day_connections(rng, 0, with_http=False)
-        traffic, rare = _aggregate(0, connections, history)
-        automation = AutomationDetector(LANL_CONFIG.histogram)
-        series = [
-            (key, times)
-            for key, times in sorted(traffic.series())
-            if key[1] in rare
-        ]
-        verdicts = automation.automated_pairs(series)
-        grouped = group_verdicts_by_domain(verdicts)
-        fast = {
-            domain for domain, slice_ in grouped.items()
-            if multi_host_beacon_heuristic(domain, slice_)
-        }
-        slow = {
-            domain for domain in {v.domain for v in verdicts}
-            if multi_host_beacon_heuristic(domain, verdicts)
-        }
-        assert fast == slow == multi_host_cc_domains(verdicts)
 
 
 @pytest.mark.parity
